@@ -38,6 +38,26 @@ void core::extractAllFeatures(const runtime::TunableProgram &Program,
       ExtractRow(I);
 }
 
+const runtime::Configuration *
+LandmarkTuneMemo::find(const std::vector<size_t> &Inputs,
+                       uint64_t Seed) {
+  auto It = Entries.find(std::make_pair(Inputs, Seed));
+  if (It == Entries.end()) {
+    ++Misses;
+    return nullptr;
+  }
+  ++Hits;
+  return &It->second;
+}
+
+void LandmarkTuneMemo::insert(std::vector<size_t> Inputs, uint64_t Seed,
+                              runtime::Configuration Best) {
+  if (Entries.size() >= Capacity) // unbounded streams: cap, then refill
+    Entries.clear();
+  if (Capacity != 0)
+    Entries.emplace(std::make_pair(std::move(Inputs), Seed), std::move(Best));
+}
+
 LevelOneResult core::runLevelOne(const runtime::TunableProgram &Program,
                                  const std::vector<size_t> &TrainRows,
                                  const LevelOneOptions &Options) {
@@ -45,8 +65,18 @@ LevelOneResult core::runLevelOne(const runtime::TunableProgram &Program,
   LevelOneResult R;
 
   // Step 1: feature extraction (all inputs; Level 2 and evaluation share
-  // the same tables).
-  extractAllFeatures(Program, R.Features, R.ExtractCosts, Options.Pool);
+  // the same tables), unless the caller already holds the tables.
+  assert(!Options.Features == !Options.ExtractCosts &&
+         "precomputed feature tables come in pairs");
+  if (Options.Features) {
+    assert(Options.Features->rows() == Program.numInputs() &&
+           Options.ExtractCosts->rows() == Program.numInputs() &&
+           "precomputed tables must cover every input");
+    R.Features = *Options.Features;
+    R.ExtractCosts = *Options.ExtractCosts;
+  } else {
+    extractAllFeatures(Program, R.Features, R.ExtractCosts, Options.Pool);
+  }
 
   // Step 2: normalize (fit on training rows only) and cluster.
   linalg::Matrix TrainF(TrainRows.size(), R.Features.cols());
@@ -114,9 +144,34 @@ LevelOneResult core::runLevelOne(const runtime::TunableProgram &Program,
   }
 
   R.Landmarks.assign(K, runtime::Configuration());
-  auto TuneOne = [&](size_t C) {
+  auto SeedOf = [&](size_t C) {
+    return Options.Seed * 7919 + C; // independent stream per cluster
+  };
+  // Remembered tunings resolve serially first; only the misses tune
+  // (pooled when a pool is given) and are remembered serially after.
+  assert(!Options.TuneMemo == !Options.InputIds &&
+         "a tune memo needs the inputs' base ids");
+  std::vector<std::vector<size_t>> MemoKeys;
+  std::vector<size_t> ToTune;
+  if (Options.TuneMemo) {
+    MemoKeys.resize(K);
+    for (unsigned C = 0; C != K; ++C) {
+      for (size_t Input : TuningSets[C])
+        MemoKeys[C].push_back((*Options.InputIds)[Input]);
+      if (const runtime::Configuration *Hit =
+              Options.TuneMemo->find(MemoKeys[C], SeedOf(C)))
+        R.Landmarks[C] = *Hit;
+      else
+        ToTune.push_back(C);
+    }
+  } else {
+    for (unsigned C = 0; C != K; ++C)
+      ToTune.push_back(C);
+  }
+  auto TuneOne = [&](size_t I) {
+    size_t C = ToTune[I];
     autotuner::AutotunerOptions TOpts = Options.Tuner;
-    TOpts.Seed = Options.Seed * 7919 + C; // independent stream per cluster
+    TOpts.Seed = SeedOf(C);
     // Landmark tuning parallelises over clusters; the inner evaluation
     // loop stays sequential to avoid nested parallelism.
     TOpts.Pool = nullptr;
@@ -124,10 +179,14 @@ LevelOneResult core::runLevelOne(const runtime::TunableProgram &Program,
     R.Landmarks[C] = Tuner.tune(Program, TuningSets[C]).Best;
   };
   if (Options.Pool)
-    Options.Pool->parallelFor(0, K, TuneOne);
+    Options.Pool->parallelFor(0, ToTune.size(), TuneOne);
   else
-    for (unsigned C = 0; C != K; ++C)
-      TuneOne(C);
+    for (size_t I = 0; I != ToTune.size(); ++I)
+      TuneOne(I);
+  if (Options.TuneMemo)
+    for (size_t C : ToTune)
+      Options.TuneMemo->insert(std::move(MemoKeys[C]), SeedOf(C),
+                               R.Landmarks[C]);
 
   // Step 4: performance measurement -- every landmark on every input,
   // with each *distinct* configuration measured once per input and its

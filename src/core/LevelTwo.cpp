@@ -13,9 +13,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <optional>
 
@@ -385,63 +383,37 @@ LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
   std::vector<CandidateScore> SubsetScores(Subsets.size());
 
   if (Data) {
-    // Dataset path: one presorted base per fold feeds every subset's
-    // SPRINT-style tree fit; the flattened (subset x fold) task list
-    // keeps small retrain reservoirs from serialising behind a handful
-    // of coarse subset tasks; and a per-fold fitted-tree cache exploits
-    // the zoo's heavy overlap -- subsets whose extra features never
-    // split fit the *same* tree, whose held-out score depends only on
-    // the fitted structure, so one evaluation serves them all. Fold row
-    // sets compose as views of the training view.
+    // Dataset path: per fold, the whole subset zoo grows together over
+    // one presorted base (ml::DecisionTree::fitSubsets) -- overlapping
+    // subsets share most of their nodes -- and each distinct tree is
+    // scored once: a held-out score depends only on the fitted
+    // structure, so subsets sharing a tree share its score. Folds are
+    // independent, so the pool splits the sweep by fold; results are
+    // identical for every thread count. Fold row sets compose as views
+    // of the training view.
     ml::RowView TrainView = ml::RowView::of(*Data, TrainRows);
-    std::vector<std::unique_ptr<ml::PresortedBase>> FoldBases(NumFolds);
-    for (size_t FI = 0; FI != NumFolds; ++FI)
-      FoldBases[FI] = std::make_unique<ml::PresortedBase>(
-          *Data, TrainView.subset(Splits[FI].Train));
-
-    struct FoldCache {
-      std::mutex Lock;
-      std::map<std::string, CandidateScore> Scores;
-    };
-    std::vector<FoldCache> Caches(NumFolds);
-
-    size_t NumTasks = Subsets.size() * NumFolds;
-    std::vector<CandidateScore> TaskScores(NumTasks);
-    auto ScoreTask = [&](size_t TI) {
-      size_t SI = TI / NumFolds, FI = TI % NumFolds;
-      ml::PresortedView View(*FoldBases[FI], Subsets[SI]);
-      ml::DecisionTree Tree;
-      Tree.fit(*Data, LabelOfRow, K, TreeOpts, View);
-      std::string TreeKey = Tree.structuralKey();
-      FoldCache &Cache = Caches[FI];
-      {
-        std::lock_guard<std::mutex> Lock(Cache.Lock);
-        auto It = Cache.Scores.find(TreeKey);
-        if (It != Cache.Scores.end()) {
-          TaskScores[TI] = It->second;
-          return;
-        }
-      }
+    std::vector<CandidateScore> TaskScores(Subsets.size() * NumFolds);
+    auto ScoreFold = [&](size_t FI) {
+      ml::PresortedBase Base(*Data, TrainView.subset(Splits[FI].Train));
+      ml::SubsetForest Forest = ml::DecisionTree::fitSubsets(
+          *Data, LabelOfRow, K, TreeOpts, Base, Subsets);
+      std::vector<CandidateScore> TreeScores;
+      TreeScores.reserve(Forest.Trees.size());
       ColumnProbe Probe(*Data);
-      CandidateScore S = scoreOnColumns(
-          *Data, Spec, FoldTest[FI], std::string(), Probe,
-          [&Tree](size_t, ColumnProbe &P) {
-            return Tree.predictWith([&P](unsigned F) { return P(F); });
-          });
-      {
-        std::lock_guard<std::mutex> Lock(Cache.Lock);
-        Cache.Scores.emplace(std::move(TreeKey), S);
-      }
-      TaskScores[TI] = S;
+      for (const ml::DecisionTree &Tree : Forest.Trees)
+        TreeScores.push_back(scoreOnColumns(
+            *Data, Spec, FoldTest[FI], std::string(), Probe,
+            [&Tree](size_t, ColumnProbe &P) {
+              return Tree.predictWith([&P](unsigned F) { return P(F); });
+            }));
+      for (size_t SI = 0; SI != Subsets.size(); ++SI)
+        TaskScores[SI * NumFolds + FI] = TreeScores[Forest.TreeOf[SI]];
     };
-    if (Options.Pool) {
-      size_t Grain = std::max<size_t>(
-          1, NumTasks / (static_cast<size_t>(Options.Pool->numThreads()) * 8));
-      Options.Pool->parallelFor(0, NumTasks, ScoreTask, Grain);
-    } else {
-      for (size_t TI = 0; TI != NumTasks; ++TI)
-        ScoreTask(TI);
-    }
+    if (Options.Pool)
+      Options.Pool->parallelFor(0, NumFolds, ScoreFold);
+    else
+      for (size_t FI = 0; FI != NumFolds; ++FI)
+        ScoreFold(FI);
     for (size_t SI = 0; SI != Subsets.size(); ++SI) {
       std::string Name = subsetName(Index, Subsets[SI]);
       std::vector<CandidateScore> FoldScores(

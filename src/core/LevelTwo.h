@@ -54,15 +54,16 @@ struct LevelTwoOptions {
   ml::DecisionTreeOptions Tree;
   ml::IncrementalBayesOptions Bayes;
   /// Optional pool parallelising the classifier zoo's cross-validated
-  /// subset-tree sweep ((z+1)^u - 1 candidates). Results are identical
-  /// with or without it.
+  /// subset-tree sweep ((z+1)^u - 1 candidates) over folds. Results are
+  /// identical with or without it.
   support::ThreadPool *Pool = nullptr;
-  /// Run the zoo over the columnar ml::Dataset substrate: presorted tree
-  /// fits, direct-column candidate scoring, a per-fold fitted-tree
-  /// evaluation cache, and chunked fold x subset parallelism. Produces
-  /// bit-identical results to the row-major path (pinned by LevelTwoTest
-  /// parity and the golden retrain suite); disabled by the `pbt-bench
-  /// trainbench` pre-optimisation baseline.
+  /// Run the zoo over the columnar ml::Dataset substrate: per fold, all
+  /// subset trees grown together over one presorted base
+  /// (ml::DecisionTree::fitSubsets), each distinct tree scored once by
+  /// direct-column reads. Produces bit-identical results to the
+  /// row-major path (pinned by LevelTwoTest parity and the golden retrain
+  /// suite); disabled by the `pbt-bench trainbench` pre-optimisation
+  /// baseline.
   bool UseDataset = true;
 };
 

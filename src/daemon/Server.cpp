@@ -57,6 +57,13 @@ std::string jsonEscape(const std::string &S) {
   return Out;
 }
 
+/// A finite double as a JSON number (the retrain timings).
+std::string jsonDouble(double V) {
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
+  return Buf;
+}
+
 } // namespace
 
 Server::Server(ModelRegistry &Registry, ServerOptions Options)
@@ -559,7 +566,10 @@ std::string Server::statsJson() const {
     J += ", \"drift_detections\": " + std::to_string(A.DriftDetections);
     J += ", \"retrains\": " + std::to_string(A.Retrains);
     J += ", \"swaps\": " + std::to_string(A.Swaps);
+    J += ", \"rejected_candidates\": " + std::to_string(A.RejectedCandidates);
     J += ", \"skipped_retrains\": " + std::to_string(A.SkippedRetrains);
+    J += ", \"retrain_seconds_total\": " + jsonDouble(A.RetrainSecondsTotal);
+    J += ", \"last_retrain_ms\": " + jsonDouble(A.LastRetrainSeconds * 1e3);
     J += ", \"last_skip_reason\": \"" + jsonEscape(A.LastSkipReason) + "\"";
     J += "}";
   }

@@ -176,6 +176,8 @@ public:
     assert(F < D->numFeatures() && "feature out of range");
     return Cols.data() + static_cast<size_t>(F) * N;
   }
+  /// Every column, feature-major: column(F) == columns() + F * size().
+  const uint32_t *columns() const { return Cols.data(); }
 
 private:
   void build(const std::vector<uint32_t> &RowIds);

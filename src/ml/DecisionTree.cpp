@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <numeric>
 
 using namespace pbt;
@@ -30,19 +31,81 @@ static double gini(const std::vector<double> &Counts, double Total) {
   return 1.0 - SumSq / (Total * Total);
 }
 
+/// Leaf label for a class histogram: the expected-cost-minimising class
+/// under the cost matrix, else the majority class.
+static unsigned leafLabel(const std::vector<double> &ClassCounts,
+                          const DecisionTreeOptions &Options) {
+  if (Options.Costs && !Options.Costs->empty())
+    return Options.Costs->cheapestPrediction(ClassCounts);
+  return static_cast<unsigned>(std::distance(
+      ClassCounts.begin(),
+      std::max_element(ClassCounts.begin(), ClassCounts.end())));
+}
+
 unsigned DecisionTree::makeLeaf(const std::vector<double> &ClassCounts,
                                 const DecisionTreeOptions &Options) {
   Node L;
   L.IsLeaf = true;
-  if (Options.Costs && !Options.Costs->empty()) {
-    L.Label = Options.Costs->cheapestPrediction(ClassCounts);
-  } else {
-    L.Label = static_cast<unsigned>(std::distance(
-        ClassCounts.begin(),
-        std::max_element(ClassCounts.begin(), ClassCounts.end())));
-  }
+  L.Label = leafLabel(ClassCounts, Options);
   Nodes.push_back(L);
   return static_cast<unsigned>(Nodes.size() - 1);
+}
+
+namespace {
+/// The best split of one feature at one node.
+struct SplitChoice {
+  /// Gains must beat this floor to split at all.
+  double Gain = 1e-12;
+  double Threshold = 0.0;
+  bool Found = false;
+};
+} // namespace
+
+/// Scans the \p N rows of one value-ordered presorted column \p Col
+/// (values \p Vals) for its best split: the maximal Gini gain above the
+/// 1e-12 floor, taken at the first value boundary reaching it. Picking
+/// the feature whose best gain is strictly greatest, in candidate order,
+/// then selects the same (feature, threshold) as one running scan over
+/// every candidate's boundaries would. \p LeftCounts is scratch.
+static SplitChoice bestSplitOf(const uint32_t *Col, size_t N,
+                               const double *Vals,
+                               const std::vector<unsigned> &Y,
+                               const std::vector<double> &Counts,
+                               double ParentImpurity,
+                               const DecisionTreeOptions &Options,
+                               std::vector<double> &LeftCounts) {
+  SplitChoice Best;
+  double Total = static_cast<double>(N);
+  unsigned NumClasses = static_cast<unsigned>(Counts.size());
+  std::fill(LeftCounts.begin(), LeftCounts.end(), 0.0);
+  for (size_t I = 0; I + 1 < N; ++I) {
+    LeftCounts[Y[Col[I]]] += 1.0;
+    double Va = Vals[Col[I]], Vb = Vals[Col[I + 1]];
+    if (Va == Vb)
+      continue;
+    double NLeft = static_cast<double>(I + 1);
+    double NRight = Total - NLeft;
+    if (NLeft < Options.MinSamplesLeaf || NRight < Options.MinSamplesLeaf)
+      continue;
+    double RightImpurity;
+    {
+      // Right counts = Counts - LeftCounts.
+      double SumSq = 0.0;
+      for (unsigned C = 0; C != NumClasses; ++C) {
+        double R = Counts[C] - LeftCounts[C];
+        SumSq += R * R;
+      }
+      RightImpurity = 1.0 - SumSq / (NRight * NRight);
+    }
+    double Gain = ParentImpurity - (NLeft / Total) * gini(LeftCounts, NLeft) -
+                  (NRight / Total) * RightImpurity;
+    if (Gain > Best.Gain) {
+      Best.Gain = Gain;
+      Best.Threshold = (Va + Vb) / 2.0;
+      Best.Found = true;
+    }
+  }
+  return Best;
 }
 
 unsigned DecisionTree::build(const linalg::Matrix &X,
@@ -153,10 +216,11 @@ unsigned DecisionTree::build(const linalg::Matrix &X,
 
 /// The presorted (SPRINT-style) twin of build(): candidate sweeps walk
 /// the view's value-ordered row lists, so the per-(node, feature) sort
-/// disappears; the boundary scan, gain arithmetic and tie rules are
-/// copied verbatim from build(), which is what makes the produced tree
-/// bit-identical (the sweep only reads label counts on each side of a
-/// value boundary, invariant to order within equal-value runs).
+/// disappears; the boundary scan and gain arithmetic are build()'s, and
+/// bestSplitOf's per-feature maxima combine under the same tie rules,
+/// which is what makes the produced tree bit-identical (the sweep only
+/// reads label counts on each side of a value boundary, invariant to
+/// order within equal-value runs).
 unsigned DecisionTree::buildPresorted(const ml::Dataset &Data,
                                       const std::vector<unsigned> &Y,
                                       unsigned NumClasses,
@@ -188,35 +252,13 @@ unsigned DecisionTree::buildPresorted(const ml::Dataset &Data,
   std::vector<double> LeftCounts(NumClasses);
   for (unsigned CI = 0, CE = View.numFeatures(); CI != CE; ++CI) {
     unsigned F = View.featureAt(CI);
-    const uint32_t *Col = View.column(CI);
-    const double *Vals = Data.featureCol(F);
-    std::fill(LeftCounts.begin(), LeftCounts.end(), 0.0);
-    for (size_t I = Begin; I + 1 < End; ++I) {
-      LeftCounts[Y[Col[I]]] += 1.0;
-      double Va = Vals[Col[I]], Vb = Vals[Col[I + 1]];
-      if (Va == Vb)
-        continue;
-      double NLeft = static_cast<double>(I - Begin + 1);
-      double NRight = Total - NLeft;
-      if (NLeft < Options.MinSamplesLeaf || NRight < Options.MinSamplesLeaf)
-        continue;
-      double RightImpurity;
-      {
-        // Right counts = Counts - LeftCounts.
-        double SumSq = 0.0;
-        for (unsigned C = 0; C != NumClasses; ++C) {
-          double R = Counts[C] - LeftCounts[C];
-          SumSq += R * R;
-        }
-        RightImpurity = 1.0 - SumSq / (NRight * NRight);
-      }
-      double Gain = ParentImpurity - (NLeft / Total) * gini(LeftCounts, NLeft) -
-                    (NRight / Total) * RightImpurity;
-      if (Gain > BestGain) {
-        BestGain = Gain;
-        BestFeature = static_cast<int>(F);
-        BestThreshold = (Va + Vb) / 2.0;
-      }
+    SplitChoice C =
+        bestSplitOf(View.column(CI) + Begin, End - Begin, Data.featureCol(F),
+                    Y, Counts, ParentImpurity, Options, LeftCounts);
+    if (C.Found && C.Gain > BestGain) {
+      BestGain = C.Gain;
+      BestFeature = static_cast<int>(F);
+      BestThreshold = C.Threshold;
     }
   }
 
@@ -274,6 +316,228 @@ void DecisionTree::fit(const ml::Dataset &Data, const std::vector<unsigned> &Y,
   Scratch.reserve(View.size());
   buildPresorted(Data, Y, NumClasses, Options, View, 0, View.size(), 0,
                  Scratch);
+}
+
+/// Grows every subset tree of one row set at once (see fitSubsets). A
+/// node is visited once per distinct root-to-node path; the subsets on
+/// that path ("members") share its label counts, leaf tests, per-feature
+/// best splits and partitions, and each member appends the node to its
+/// own tree in its own pre-order, so each tree's node numbering is the
+/// one an independent fit emits. Subsets are also tracked in equivalence
+/// classes of identical trees so far, refined whenever two members of a
+/// class choose differently; the final classes are the distinct trees.
+class DecisionTree::SharedGrower {
+public:
+  SharedGrower(const ml::Dataset &Data, const std::vector<unsigned> &Y,
+               unsigned NumClasses, const DecisionTreeOptions &Options,
+               const std::vector<std::vector<unsigned>> &Subsets)
+      : Data(Data), Y(Y), NumClasses(NumClasses), Options(Options),
+        M(Data.numFeatures()), Feats(Subsets), Trees(Subsets.size()),
+        ClassOf(Subsets.size(), 0) {
+    for (std::vector<unsigned> &F : Feats) {
+      if (F.empty()) {
+        F.resize(M);
+        std::iota(F.begin(), F.end(), 0u);
+      }
+#ifndef NDEBUG
+      for (unsigned Feature : F)
+        assert(Feature < M && "subset feature out of range");
+#endif
+    }
+  }
+
+  /// Grows the node holding the \p N rows of \p Cols (all M presorted
+  /// columns, feature-major) for \p Members.
+  void grow(const uint32_t *Cols, size_t N,
+            const std::vector<unsigned> &Members, unsigned Depth) {
+    assert(N > 0 && "empty node");
+    double Total = static_cast<double>(N);
+    std::vector<double> Counts(NumClasses, 0.0);
+    for (size_t I = 0; I != N; ++I)
+      Counts[Y[Cols[I]]] += 1.0;
+
+    bool Pure = false;
+    for (double C : Counts)
+      if (C == Total)
+        Pure = true;
+    if (Pure || Depth >= Options.MaxDepth || N < Options.MinSamplesSplit) {
+      addLeaf(Members, Counts);
+      return;
+    }
+
+    // Each feature's best split, once, for every feature a member may use.
+    std::vector<uint8_t> Needed(M, 0);
+    for (unsigned S : Members)
+      for (unsigned F : Feats[S])
+        Needed[F] = 1;
+    double ParentImpurity = gini(Counts, Total);
+    std::vector<SplitChoice> Best(M);
+    std::vector<double> LeftCounts(NumClasses);
+    for (unsigned F = 0; F != M; ++F)
+      if (Needed[F])
+        Best[F] = bestSplitOf(Cols + static_cast<size_t>(F) * N, N,
+                              Data.featureCol(F), Y, Counts, ParentImpurity,
+                              Options, LeftCounts);
+
+    // Each member's split: its strictly best feature, in its own order
+    // (-1: no split clears the floor). Members choosing alike form one
+    // group, in order of first appearance.
+    std::vector<int> GroupOfChoice(M + 1, -1);
+    std::vector<int> GroupFeature;
+    std::vector<std::vector<unsigned>> Groups;
+    std::vector<int> Choice(Members.size());
+    for (size_t I = 0; I != Members.size(); ++I) {
+      double Gain = 1e-12;
+      int Pick = -1;
+      for (unsigned F : Feats[Members[I]])
+        if (Best[F].Found && Best[F].Gain > Gain) {
+          Gain = Best[F].Gain;
+          Pick = static_cast<int>(F);
+        }
+      Choice[I] = Pick;
+      int &G = GroupOfChoice[static_cast<size_t>(Pick + 1)];
+      if (G < 0) {
+        G = static_cast<int>(Groups.size());
+        Groups.emplace_back();
+        GroupFeature.push_back(Pick);
+      }
+      Groups[static_cast<size_t>(G)].push_back(Members[I]);
+    }
+    refineClasses(Members, Choice);
+
+    for (size_t G = 0; G != Groups.size(); ++G) {
+      const std::vector<unsigned> &Group = Groups[G];
+      if (GroupFeature[G] < 0) {
+        addLeaf(Group, Counts);
+        continue;
+      }
+      unsigned F = static_cast<unsigned>(GroupFeature[G]);
+      double Threshold = Best[F].Threshold;
+      const double *SplitVals = Data.featureCol(F);
+      size_t NLeft = 0;
+      for (size_t I = 0; I != N; ++I)
+        NLeft += SplitVals[Cols[I]] <= Threshold;
+      if (NLeft == 0 || NLeft == N) {
+        addLeaf(Group, Counts); // Degenerate split; should not happen.
+        continue;
+      }
+      // Stable partition of every column into the two children's
+      // buffers: each stays value-ordered for its own feature.
+      size_t NRight = N - NLeft;
+      std::vector<uint32_t> Left(static_cast<size_t>(M) * NLeft),
+          Right(static_cast<size_t>(M) * NRight);
+      for (unsigned C = 0; C != M; ++C) {
+        const uint32_t *Col = Cols + static_cast<size_t>(C) * N;
+        uint32_t *L = Left.data() + static_cast<size_t>(C) * NLeft;
+        uint32_t *R = Right.data() + static_cast<size_t>(C) * NRight;
+        for (size_t I = 0; I != N; ++I) {
+          uint32_t Row = Col[I];
+          if (SplitVals[Row] <= Threshold)
+            *L++ = Row;
+          else
+            *R++ = Row;
+        }
+      }
+
+      std::vector<unsigned> Self(Group.size());
+      for (size_t I = 0; I != Group.size(); ++I) {
+        std::vector<Node> &T = Trees[Group[I]];
+        Self[I] = static_cast<unsigned>(T.size());
+        Node Split;
+        Split.IsLeaf = false;
+        Split.Feature = static_cast<int>(F);
+        Split.Threshold = Threshold;
+        Split.Left = Self[I] + 1; // pre-order: the left child comes next
+        T.push_back(Split);
+      }
+      grow(Left.data(), NLeft, Group, Depth + 1);
+      for (size_t I = 0; I != Group.size(); ++I) {
+        std::vector<Node> &T = Trees[Group[I]];
+        T[Self[I]].Right = static_cast<unsigned>(T.size());
+      }
+      grow(Right.data(), NRight, Group, Depth + 1);
+    }
+  }
+
+  /// One tree per final class, in order of first subset.
+  SubsetForest finish() {
+    SubsetForest Out;
+    Out.TreeOf.resize(Trees.size());
+    std::vector<int> TreeOfClass(NumIds, -1);
+    for (size_t S = 0; S != Trees.size(); ++S) {
+      int &T = TreeOfClass[ClassOf[S]];
+      if (T < 0) {
+        T = static_cast<int>(Out.Trees.size());
+        Out.Trees.emplace_back();
+        Out.Trees.back().Nodes = std::move(Trees[S]);
+        Out.Trees.back().NumFeatures = M;
+      }
+      Out.TreeOf[S] = static_cast<unsigned>(T);
+    }
+    return Out;
+  }
+
+private:
+  void addLeaf(const std::vector<unsigned> &Members,
+               const std::vector<double> &Counts) {
+    Node Leaf;
+    Leaf.IsLeaf = true;
+    Leaf.Label = leafLabel(Counts, Options);
+    for (unsigned S : Members)
+      Trees[S].push_back(Leaf);
+  }
+
+  /// Splits each class whose members chose differently at this node: the
+  /// first choice seen keeps the class id, every other (class, choice)
+  /// pair gets a fresh one.
+  void refineClasses(const std::vector<unsigned> &Members,
+                     const std::vector<int> &Choice) {
+    constexpr int Unset = std::numeric_limits<int>::min();
+    std::vector<int> Kept(NumIds, Unset);
+    std::map<std::pair<unsigned, int>, unsigned> Fresh;
+    for (size_t I = 0; I != Members.size(); ++I) {
+      unsigned &Class = ClassOf[Members[I]];
+      if (Kept[Class] == Unset)
+        Kept[Class] = Choice[I];
+      if (Kept[Class] == Choice[I])
+        continue;
+      auto It = Fresh.emplace(std::make_pair(Class, Choice[I]), NumIds).first;
+      if (It->second == NumIds)
+        ++NumIds;
+      Class = It->second;
+    }
+  }
+
+  const ml::Dataset &Data;
+  const std::vector<unsigned> &Y;
+  unsigned NumClasses;
+  const DecisionTreeOptions &Options;
+  unsigned M;
+  /// Per subset: its candidate features, in order.
+  std::vector<std::vector<unsigned>> Feats;
+  /// Per subset: its tree's nodes so far.
+  std::vector<std::vector<Node>> Trees;
+  /// Per subset: its class of identical trees so far.
+  std::vector<unsigned> ClassOf;
+  unsigned NumIds = 1;
+};
+
+SubsetForest
+DecisionTree::fitSubsets(const ml::Dataset &Data,
+                         const std::vector<unsigned> &Y, unsigned NumClasses,
+                         const DecisionTreeOptions &Options,
+                         const ml::PresortedBase &Base,
+                         const std::vector<std::vector<unsigned>> &Subsets) {
+  assert(Y.size() == Data.numRows() && "labels must cover every dataset row");
+  assert(NumClasses >= 1 && "need at least one class");
+  assert(Base.size() > 0 && "cannot train on zero samples");
+  assert(Data.numFeatures() > 0 && "need at least one feature");
+  SharedGrower Grower(Data, Y, NumClasses, Options, Subsets);
+  std::vector<unsigned> All(Subsets.size());
+  std::iota(All.begin(), All.end(), 0u);
+  if (!All.empty())
+    Grower.grow(Base.columns(), Base.size(), All, 0);
+  return Grower.finish();
 }
 
 void DecisionTree::fit(const linalg::Matrix &X, const std::vector<unsigned> &Y,

@@ -37,7 +37,9 @@ namespace ml {
 struct CompiledArena;
 struct CompiledClassifier;
 class Dataset;
+class PresortedBase;
 class PresortedView;
+struct SubsetForest;
 
 struct DecisionTreeOptions {
   unsigned MaxDepth = 12;
@@ -72,6 +74,25 @@ public:
            unsigned NumClasses, const DecisionTreeOptions &Options,
            ml::PresortedView &View);
 
+  /// Fits one tree per feature subset of \p Subsets over the rows of
+  /// \p Base, growing them all together: each node's label counts, leaf
+  /// tests and per-feature best splits are computed once for every
+  /// subset that reaches it, each subset takes the best of its own
+  /// features (in its listed order, strictly greater gain wins), and the
+  /// subsets that pick the same split share one partition and recurse
+  /// together. Every tree is exactly the one fit(Data, ..., View) would
+  /// produce on PresortedView(Base, Subset) -- same splits, same node
+  /// order, same structuralKey() -- but the zoo's heavily overlapping
+  /// subsets visit each distinct node once instead of once per subset.
+  /// An empty subset means all features; Options.AllowedFeatures is
+  /// ignored.
+  static SubsetForest fitSubsets(const ml::Dataset &Data,
+                                 const std::vector<unsigned> &Y,
+                                 unsigned NumClasses,
+                                 const DecisionTreeOptions &Options,
+                                 const ml::PresortedBase &Base,
+                                 const std::vector<std::vector<unsigned>> &Subsets);
+
   /// Predicted class for a dense feature row.
   unsigned predict(const std::vector<double> &Row) const;
   unsigned predict(const double *Row, size_t Width) const;
@@ -97,8 +118,7 @@ public:
   }
 
   /// Stable byte encoding of the fitted structure (nodes in emission
-  /// order). Two trees with equal keys decide identically on every input,
-  /// which is what the Level-2 zoo's fold evaluation cache keys on.
+  /// order). Two trees with equal keys decide identically on every input.
   std::string structuralKey() const;
 
   /// Features actually referenced by at least one internal node.
@@ -146,8 +166,19 @@ private:
   unsigned makeLeaf(const std::vector<double> &ClassCounts,
                     const DecisionTreeOptions &Options);
 
+  class SharedGrower;
+
   std::vector<Node> Nodes;
   size_t NumFeatures = 0;
+};
+
+/// The subset trees of one row set, deduplicated: subsets whose fits
+/// coincide share one tree.
+struct SubsetForest {
+  /// One tree per distinct fitted structure, ordered by first subset.
+  std::vector<DecisionTree> Trees;
+  /// Per subset (parallel to the subsets fitted): its tree in Trees.
+  std::vector<unsigned> TreeOf;
 };
 
 } // namespace ml

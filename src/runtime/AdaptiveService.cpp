@@ -103,10 +103,6 @@ uint64_t AdaptiveService::epoch() const {
   return Ep ? Ep->Model.Meta.Epoch : 0;
 }
 
-void AdaptiveService::clearMemo() {
-  Memo.assign(Memo.size(), MemoEntry());
-}
-
 void AdaptiveService::recordTotals(const Decision &D) {
   DecisionCount.fetch_add(1, std::memory_order_relaxed);
   if (D.Memoized)
@@ -147,12 +143,14 @@ double AdaptiveService::featureAt(size_t Input, unsigned Flat, Decision *D) {
   if (E.Have.empty()) {
     unsigned NumFlat = Index->numFlat();
     E.Values.assign(NumFlat, 0.0);
+    E.Costs.assign(NumFlat, 0.0);
     E.Have.assign(NumFlat, 0);
   }
   if (!E.Have[Flat]) {
     support::CostCounter C;
     E.Values[Flat] = Program.extractFeature(Input, Index->propertyOf(Flat),
                                             Index->levelOf(Flat), C);
+    E.Costs[Flat] = C.units();
     E.Have[Flat] = 1;
     if (D) {
       D->FeatureCost += C.units();
@@ -169,6 +167,23 @@ const double *AdaptiveService::fullFeatures(size_t Input) {
   for (unsigned Flat = 0; Flat != NumFlat; ++Flat)
     featureAt(Input, Flat, nullptr);
   return Memo[Input].Values.data();
+}
+
+void AdaptiveService::sampleFeatureTables(const std::vector<size_t> &Sample,
+                                          linalg::Matrix &Values,
+                                          linalg::Matrix &Costs) const {
+  unsigned NumFlat = Index->numFlat();
+  Values = linalg::Matrix(Sample.size(), NumFlat);
+  Costs = linalg::Matrix(Sample.size(), NumFlat);
+  for (size_t Row = 0; Row != Sample.size(); ++Row) {
+    const MemoEntry &E = Memo[Sample[Row]];
+    for (unsigned Flat = 0; Flat != NumFlat; ++Flat) {
+      assert(!E.Have.empty() && E.Have[Flat] &&
+             "reservoir input without a complete memo row");
+      Values.at(Row, Flat) = E.Values[Flat];
+      Costs.at(Row, Flat) = E.Costs[Flat];
+    }
+  }
 }
 
 unsigned AdaptiveService::assignCluster(const ModelEpoch &Ep,
@@ -311,6 +326,16 @@ bool AdaptiveService::adaptNow() {
     if (!Opt.Pool)
       Opt.Pool = Opts.Pool;
     clampRetrainOptions(Opt, Sample.size());
+    // Reuse instead of recomputing, with byte-identical results: every
+    // sampled input was served, so its full feature row and extraction
+    // costs are already memoized; and landmark tunings repeat across
+    // retrains over overlapping samples, so they replay from TuneMemo.
+    linalg::Matrix SampleFeatures, SampleCosts;
+    sampleFeatureTables(Sample, SampleFeatures, SampleCosts);
+    Opt.L1.Features = &SampleFeatures;
+    Opt.L1.ExtractCosts = &SampleCosts;
+    Opt.L1.TuneMemo = &Tunes;
+    Opt.L1.InputIds = &Sample;
     core::TrainedSystem Sys = core::trainSystem(View, Opt);
     Candidate->Model = serialize::makeModel(
         Ep->Model.Meta.Benchmark, Ep->Model.Meta.Scale,
@@ -332,6 +357,10 @@ bool AdaptiveService::adaptNow() {
   }
   Attempt.RetrainSeconds = RetrainTimer.elapsedSeconds();
   RetrainCount.fetch_add(1, std::memory_order_relaxed);
+  atomicAdd(RetrainSeconds, Attempt.RetrainSeconds);
+  LastRetrainSeconds.store(Attempt.RetrainSeconds, std::memory_order_relaxed);
+  if (Opts.OnCandidate)
+    Opts.OnCandidate(Candidate->Model, Sample);
   if (!Candidate->Compiled.ready()) {
     RejectCount.fetch_add(1, std::memory_order_relaxed);
     Monitor.rebaseToWindow();
@@ -412,6 +441,8 @@ AdaptiveService::StatsSnapshot AdaptiveService::stats() const {
   S.Swaps = SwapCount.load(std::memory_order_relaxed);
   S.RejectedCandidates = RejectCount.load(std::memory_order_relaxed);
   S.SkippedRetrains = SkipCount.load(std::memory_order_relaxed);
+  S.RetrainSecondsTotal = RetrainSeconds.load(std::memory_order_relaxed);
+  S.LastRetrainSeconds = LastRetrainSeconds.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> Lock(SwapMutex);
     S.LastSkipReason = LastSkipReason;

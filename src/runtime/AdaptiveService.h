@@ -19,6 +19,16 @@
 /// decisions already handed out stay valid (each Decision holds its
 /// epoch alive).
 ///
+/// The shadow retrain runs synchronously inside serve(), so its cost is
+/// serving latency. It reuses what the service already holds instead of
+/// recomputing it, with byte-identical candidates (pinned by
+/// RetrainReuseTest): Level 1 reads every sampled input's feature values
+/// and extraction costs from the feature memo (each was served, so each
+/// row is complete), and landmark tunings that repeat an earlier
+/// retrain's (same ordered tuning inputs, same derived seed) replay from
+/// a bounded core::LandmarkTuneMemo. Stats report the retrain time spent
+/// in total and by the last retrain.
+///
 /// Model epochs are versioned: every swap bumps ModelMeta::Epoch, which
 /// the v2 serialization format records, so a persisted snapshot of an
 /// adapted model carries its adaptation generation. Cost accounting is
@@ -46,6 +56,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -73,6 +84,13 @@ struct AdaptiveServiceOptions {
   size_t MinRetrainInputs = 16;
   /// Parallelises shadow retraining (and decideBatch when forwarded).
   support::ThreadPool *Pool = nullptr;
+  /// Observer of every shadow-retrained candidate, before the shadow
+  /// gate, with the reservoir sample (base-program input ids, in order)
+  /// it was trained on: audit and replay tooling. Runs on the serving
+  /// thread inside adaptNow().
+  std::function<void(const serialize::TrainedModel &Candidate,
+                     const std::vector<size_t> &Sample)>
+      OnCandidate;
 };
 
 class AdaptiveService {
@@ -137,6 +155,10 @@ public:
     uint64_t Swaps = 0;
     uint64_t RejectedCandidates = 0;
     uint64_t SkippedRetrains = 0;
+    /// Wall seconds of every completed shadow retrain (pipeline +
+    /// compile), and of the most recent one.
+    double RetrainSecondsTotal = 0.0;
+    double LastRetrainSeconds = 0.0;
     /// Why the most recent drift response skipped retraining (empty when
     /// none ever skipped): the caught retrain exception's message, or the
     /// insufficient-evidence diagnosis. Without this, a tenant whose
@@ -195,9 +217,6 @@ public:
   const ml::Reservoir &reservoir() const { return Traffic; }
   const AdaptiveServiceOptions &options() const { return Opts; }
 
-  /// Drops memoized features and cached decisions.
-  void clearMemo();
-
   /// Clamps a pipeline-options template to what a traffic sample of
   /// \p SampleSize inputs can support (landmark count, CV folds, tuning
   /// neighbourhood). Used before every shadow retrain; exposed so
@@ -209,6 +228,8 @@ public:
 private:
   struct MemoEntry {
     std::vector<double> Values;
+    /// Extraction cost (CostCounter units) paid for each value.
+    std::vector<double> Costs;
     std::vector<char> Have;
     /// Cached production decision and the internal epoch Id it belongs
     /// to; a swap invalidates it by Id mismatch, not by touching memory.
@@ -232,6 +253,14 @@ private:
   /// monitor was rebased to (an external swapModel() landed), rebase to
   /// it before observing.
   void syncMonitorTo(const EpochPtr &Ep);
+  /// The Level-1 feature tables of a retrain over \p Sample (row I is
+  /// input Sample[I]), read from the memo -- exactly what extraction over
+  /// a SubsetProgram of the sample would produce. serve() completes an
+  /// input's memo row before adding it to the reservoir, and memo rows
+  /// are never dropped, so every sampled row is complete.
+  void sampleFeatureTables(const std::vector<size_t> &Sample,
+                           linalg::Matrix &Values,
+                           linalg::Matrix &Costs) const;
   unsigned assignCluster(const ModelEpoch &Ep, const double *Features);
   /// Mean run cost of serving \p Inputs with \p Ep's decisions (runs the
   /// program; the shadow evaluation).
@@ -268,13 +297,17 @@ private:
   ml::Reservoir Traffic;
   /// Reservoir sample buffer, reused across retrain rounds.
   std::vector<size_t> SampleBuf;
+  /// Landmark tunings shared by every shadow retrain (fixed tuner options
+  /// and one base program, so results are keyed by base-program ids).
+  core::LandmarkTuneMemo Tunes;
 
   // Lifetime accounting; atomics because swapModel() updates SwapCount
   // from a foreign thread while the serving thread reads/writes the rest.
   std::atomic<uint64_t> DecisionCount{0}, MemoizedCount{0}, ExtractedCount{0},
       DriftCount{0}, RetrainCount{0}, SwapCount{0}, RejectCount{0},
       SkipCount{0};
-  std::atomic<double> CostPaid{0.0}, MonitorCost{0.0};
+  std::atomic<double> CostPaid{0.0}, MonitorCost{0.0}, RetrainSeconds{0.0},
+      LastRetrainSeconds{0.0};
 };
 
 } // namespace runtime

@@ -20,11 +20,13 @@
 #include "registry/BenchmarkRegistry.h"
 #include "runtime/PredictionService.h"
 #include "serialize/ModelIO.h"
+#include "streams/WorkloadStream.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -535,6 +537,46 @@ TEST(DaemonServerTest, AdaptModeServesAndObserves) {
   // The tenant's AdaptiveService actually observed the traffic.
   daemon::Tenant *T = H.Registry.find("sort1");
   ASSERT_NE(T, nullptr);
-  EXPECT_GT(T->Service->stats().Decisions, 0u);
   EXPECT_GT(T->Service->reservoir().seen(), 0u);
+
+  // A cycled abrupt regime flip makes the drift monitor fire.
+  streams::WorkloadStreamOptions Flip;
+  Flip.Kind = streams::Schedule::Abrupt;
+  Flip.Requests = 128;
+  Flip.Seed = 0xADA97;
+  Flip.KeyProperty = 2; // sortedness
+  streams::WorkloadStream Stream(*T->Program, Flip);
+  for (size_t Tick = 0; Tick + 4 <= 4 * Stream.length(); Tick += 4) {
+    std::vector<uint64_t> Inputs;
+    for (size_t K = Tick; K != Tick + 4; ++K)
+      Inputs.push_back(Stream.inputAt(K % Stream.length()));
+    ASSERT_EQ(C.predict(Inputs, Choices, Err),
+              daemon::DaemonClient::PredictOutcome::Ok)
+        << Err;
+  }
+  runtime::AdaptiveService::StatsSnapshot A = T->Service->stats();
+  EXPECT_GT(A.Decisions, 0u);
+
+  // ...and the Stats JSON reports its retrain outcomes and cost.
+  ASSERT_GT(A.Retrains, 0u) << "the traffic must drive shadow retrains";
+  std::string Json = H.Srv->statsJson();
+  auto Field = [&](const std::string &Key) {
+    std::string Needle = "\"" + Key + "\": ";
+    size_t P = Json.find(Needle);
+    EXPECT_NE(P, std::string::npos) << Key << " missing from " << Json;
+    return P == std::string::npos
+               ? -1.0
+               : std::strtod(Json.c_str() + P + Needle.size(), nullptr);
+  };
+  EXPECT_EQ(Field("rejected_candidates"),
+            static_cast<double>(A.RejectedCandidates));
+  EXPECT_EQ(Field("retrains"), static_cast<double>(A.Retrains));
+  double TotalS = Field("retrain_seconds_total");
+  double LastMs = Field("last_retrain_ms");
+  EXPECT_GT(TotalS, 0.0);
+  EXPECT_NEAR(TotalS, A.RetrainSecondsTotal, 1e-5 * A.RetrainSecondsTotal);
+  EXPECT_GT(LastMs, 0.0);
+  EXPECT_NEAR(LastMs, A.LastRetrainSeconds * 1e3,
+              1e-5 * A.LastRetrainSeconds * 1e3);
+  EXPECT_LE(LastMs, TotalS * 1e3 * (1 + 1e-5));
 }
