@@ -38,26 +38,6 @@ void core::extractAllFeatures(const runtime::TunableProgram &Program,
       ExtractRow(I);
 }
 
-const runtime::Configuration *
-LandmarkTuneMemo::find(const std::vector<size_t> &Inputs,
-                       uint64_t Seed) {
-  auto It = Entries.find(std::make_pair(Inputs, Seed));
-  if (It == Entries.end()) {
-    ++Misses;
-    return nullptr;
-  }
-  ++Hits;
-  return &It->second;
-}
-
-void LandmarkTuneMemo::insert(std::vector<size_t> Inputs, uint64_t Seed,
-                              runtime::Configuration Best) {
-  if (Entries.size() >= Capacity) // unbounded streams: cap, then refill
-    Entries.clear();
-  if (Capacity != 0)
-    Entries.emplace(std::make_pair(std::move(Inputs), Seed), std::move(Best));
-}
-
 LevelOneResult core::runLevelOne(const runtime::TunableProgram &Program,
                                  const std::vector<size_t> &TrainRows,
                                  const LevelOneOptions &Options) {
@@ -144,34 +124,9 @@ LevelOneResult core::runLevelOne(const runtime::TunableProgram &Program,
   }
 
   R.Landmarks.assign(K, runtime::Configuration());
-  auto SeedOf = [&](size_t C) {
-    return Options.Seed * 7919 + C; // independent stream per cluster
-  };
-  // Remembered tunings resolve serially first; only the misses tune
-  // (pooled when a pool is given) and are remembered serially after.
-  assert(!Options.TuneMemo == !Options.InputIds &&
-         "a tune memo needs the inputs' base ids");
-  std::vector<std::vector<size_t>> MemoKeys;
-  std::vector<size_t> ToTune;
-  if (Options.TuneMemo) {
-    MemoKeys.resize(K);
-    for (unsigned C = 0; C != K; ++C) {
-      for (size_t Input : TuningSets[C])
-        MemoKeys[C].push_back((*Options.InputIds)[Input]);
-      if (const runtime::Configuration *Hit =
-              Options.TuneMemo->find(MemoKeys[C], SeedOf(C)))
-        R.Landmarks[C] = *Hit;
-      else
-        ToTune.push_back(C);
-    }
-  } else {
-    for (unsigned C = 0; C != K; ++C)
-      ToTune.push_back(C);
-  }
-  auto TuneOne = [&](size_t I) {
-    size_t C = ToTune[I];
+  auto TuneOne = [&](size_t C) {
     autotuner::AutotunerOptions TOpts = Options.Tuner;
-    TOpts.Seed = SeedOf(C);
+    TOpts.Seed = Options.Seed * 7919 + C; // independent stream per cluster
     // Landmark tuning parallelises over clusters; the inner evaluation
     // loop stays sequential to avoid nested parallelism.
     TOpts.Pool = nullptr;
@@ -179,14 +134,10 @@ LevelOneResult core::runLevelOne(const runtime::TunableProgram &Program,
     R.Landmarks[C] = Tuner.tune(Program, TuningSets[C]).Best;
   };
   if (Options.Pool)
-    Options.Pool->parallelFor(0, ToTune.size(), TuneOne);
+    Options.Pool->parallelFor(0, K, TuneOne);
   else
-    for (size_t I = 0; I != ToTune.size(); ++I)
-      TuneOne(I);
-  if (Options.TuneMemo)
-    for (size_t C : ToTune)
-      Options.TuneMemo->insert(std::move(MemoKeys[C]), SeedOf(C),
-                               R.Landmarks[C]);
+    for (unsigned C = 0; C != K; ++C)
+      TuneOne(C);
 
   // Step 4: performance measurement -- every landmark on every input,
   // with each *distinct* configuration measured once per input and its

@@ -33,7 +33,6 @@
 #include "runtime/TunableProgram.h"
 #include "support/ThreadPool.h"
 
-#include <map>
 #include <vector>
 
 namespace pbt {
@@ -47,36 +46,6 @@ enum class LandmarkSelection {
   KMeansCentroids,
   /// Tune on uniformly random training inputs (the ablation baseline).
   UniformRandom,
-};
-
-/// Landmark tunings remembered across training runs. A tune() result is
-/// a pure function of the tuner options, the ordered tuning inputs and
-/// the tuner seed, so a caller that retrains repeatedly over views of one
-/// base program with fixed tuner options (runtime::AdaptiveService) keys
-/// results on (the tuning inputs' base-program ids, in order; the derived
-/// tuner seed) and replays a repeat exactly instead of re-running the
-/// evolutionary search. Bounded: an insert into a full memo clears it
-/// first. Not thread-safe; runLevelOne touches it only serially.
-class LandmarkTuneMemo {
-public:
-  explicit LandmarkTuneMemo(size_t Capacity = 4096) : Capacity(Capacity) {}
-
-  /// The remembered best configuration, or null.
-  const runtime::Configuration *find(const std::vector<size_t> &Inputs,
-                                     uint64_t Seed);
-  void insert(std::vector<size_t> Inputs, uint64_t Seed,
-              runtime::Configuration Best);
-
-  size_t size() const { return Entries.size(); }
-  size_t capacity() const { return Capacity; }
-  uint64_t hits() const { return Hits; }
-  uint64_t misses() const { return Misses; }
-
-private:
-  size_t Capacity;
-  std::map<std::pair<std::vector<size_t>, uint64_t>, runtime::Configuration>
-      Entries;
-  uint64_t Hits = 0, Misses = 0;
 };
 
 struct LevelOneOptions {
@@ -103,11 +72,6 @@ struct LevelOneOptions {
   /// program. When set (both), Step 1 copies them instead of extracting.
   const linalg::Matrix *Features = nullptr;
   const linalg::Matrix *ExtractCosts = nullptr;
-  /// Cross-run landmark memo, and the base-program id of every program
-  /// input that its keys are made of (both or neither). The caller
-  /// guarantees Tuner options are the same on every run sharing the memo.
-  LandmarkTuneMemo *TuneMemo = nullptr;
-  const std::vector<size_t> *InputIds = nullptr;
 };
 
 struct LevelOneResult {

@@ -326,16 +326,13 @@ bool AdaptiveService::adaptNow() {
     if (!Opt.Pool)
       Opt.Pool = Opts.Pool;
     clampRetrainOptions(Opt, Sample.size());
-    // Reuse instead of recomputing, with byte-identical results: every
-    // sampled input was served, so its full feature row and extraction
-    // costs are already memoized; and landmark tunings repeat across
-    // retrains over overlapping samples, so they replay from TuneMemo.
+    // Every sampled input was served, so its full feature row and
+    // extraction costs are already memoized: Level 1 reads them instead
+    // of re-extracting, with byte-identical results.
     linalg::Matrix SampleFeatures, SampleCosts;
     sampleFeatureTables(Sample, SampleFeatures, SampleCosts);
     Opt.L1.Features = &SampleFeatures;
     Opt.L1.ExtractCosts = &SampleCosts;
-    Opt.L1.TuneMemo = &Tunes;
-    Opt.L1.InputIds = &Sample;
     core::TrainedSystem Sys = core::trainSystem(View, Opt);
     Candidate->Model = serialize::makeModel(
         Ep->Model.Meta.Benchmark, Ep->Model.Meta.Scale,
@@ -359,8 +356,6 @@ bool AdaptiveService::adaptNow() {
   RetrainCount.fetch_add(1, std::memory_order_relaxed);
   atomicAdd(RetrainSeconds, Attempt.RetrainSeconds);
   LastRetrainSeconds.store(Attempt.RetrainSeconds, std::memory_order_relaxed);
-  if (Opts.OnCandidate)
-    Opts.OnCandidate(Candidate->Model, Sample);
   if (!Candidate->Compiled.ready()) {
     RejectCount.fetch_add(1, std::memory_order_relaxed);
     Monitor.rebaseToWindow();

@@ -20,14 +20,12 @@
 /// epoch alive).
 ///
 /// The shadow retrain runs synchronously inside serve(), so its cost is
-/// serving latency. It reuses what the service already holds instead of
-/// recomputing it, with byte-identical candidates (pinned by
-/// RetrainReuseTest): Level 1 reads every sampled input's feature values
-/// and extraction costs from the feature memo (each was served, so each
-/// row is complete), and landmark tunings that repeat an earlier
-/// retrain's (same ordered tuning inputs, same derived seed) replay from
-/// a bounded core::LandmarkTuneMemo. Stats report the retrain time spent
-/// in total and by the last retrain.
+/// serving latency. Its Level 1 reads every sampled input's feature
+/// values and extraction costs from the feature memo instead of
+/// re-extracting them (each sampled input was served, so each row is
+/// complete), with byte-identical candidates (pinned by
+/// RetrainReuseTest). Stats report the retrain time spent in total and by
+/// the last retrain.
 ///
 /// Model epochs are versioned: every swap bumps ModelMeta::Epoch, which
 /// the v2 serialization format records, so a persisted snapshot of an
@@ -56,7 +54,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -84,13 +81,6 @@ struct AdaptiveServiceOptions {
   size_t MinRetrainInputs = 16;
   /// Parallelises shadow retraining (and decideBatch when forwarded).
   support::ThreadPool *Pool = nullptr;
-  /// Observer of every shadow-retrained candidate, before the shadow
-  /// gate, with the reservoir sample (base-program input ids, in order)
-  /// it was trained on: audit and replay tooling. Runs on the serving
-  /// thread inside adaptNow().
-  std::function<void(const serialize::TrainedModel &Candidate,
-                     const std::vector<size_t> &Sample)>
-      OnCandidate;
 };
 
 class AdaptiveService {
@@ -297,9 +287,6 @@ private:
   ml::Reservoir Traffic;
   /// Reservoir sample buffer, reused across retrain rounds.
   std::vector<size_t> SampleBuf;
-  /// Landmark tunings shared by every shadow retrain (fixed tuner options
-  /// and one base program, so results are keyed by base-program ids).
-  core::LandmarkTuneMemo Tunes;
 
   // Lifetime accounting; atomics because swapModel() updates SwapCount
   // from a foreign thread while the serving thread reads/writes the rest.

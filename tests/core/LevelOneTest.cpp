@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
 #include <set>
 
 using namespace pbt;
@@ -150,78 +149,32 @@ TEST_F(LevelOneTest, LandmarkCountClampedToTrainSize) {
   EXPECT_LE(R.Landmarks.size(), 3u);
 }
 
-// A remembered tuning replays the cold tune exactly, serially or pooled,
-// and every landmark of a repeated run is a hit.
-TEST_F(LevelOneTest, TuneMemoReplaysColdTunesExactly) {
+// Tables handed in by the caller (the adaptive service's feature memo)
+// stand in for Step 1's extraction without changing any result.
+TEST_F(LevelOneTest, PrecomputedFeatureTablesMatchExtraction) {
+  linalg::Matrix Values, Costs;
+  extractAllFeatures(*Program, Values, Costs);
   LevelOneOptions O;
-  O.NumLandmarks = 4;
+  O.NumLandmarks = 5;
   O.Seed = 13;
-  O.Tuner.PopulationSize = 6;
-  O.Tuner.Generations = 4;
-  LevelOneResult Cold = runLevelOne(*Program, TrainRows, O);
-  size_t K = Cold.Landmarks.size();
+  O.Tuner.PopulationSize = 8;
+  O.Tuner.Generations = 6;
+  O.Features = &Values;
+  O.ExtractCosts = &Costs;
+  LevelOneResult R = runLevelOne(*Program, TrainRows, O);
 
-  LandmarkTuneMemo Memo;
-  std::vector<size_t> Ids(Program->numInputs());
-  std::iota(Ids.begin(), Ids.end(), 0);
-  O.TuneMemo = &Memo;
-  O.InputIds = &Ids;
-  LevelOneResult First = runLevelOne(*Program, TrainRows, O);
-  EXPECT_EQ(Memo.misses(), K);
-  EXPECT_EQ(Memo.hits(), 0u);
-  EXPECT_EQ(Memo.size(), K);
-  support::ThreadPool Pool(2);
-  O.Pool = &Pool;
-  LevelOneResult Second = runLevelOne(*Program, TrainRows, O);
-  EXPECT_EQ(Memo.hits(), K);
-  EXPECT_EQ(Memo.size(), K);
-
-  ASSERT_EQ(First.Landmarks.size(), K);
-  ASSERT_EQ(Second.Landmarks.size(), K);
-  for (size_t L = 0; L != K; ++L) {
-    EXPECT_EQ(First.Landmarks[L], Cold.Landmarks[L]) << L;
-    EXPECT_EQ(Second.Landmarks[L], Cold.Landmarks[L]) << L;
-  }
-  for (size_t I = 0; I != Cold.Time.rows(); ++I)
-    for (size_t L = 0; L != K; ++L)
-      EXPECT_EQ(Second.Time.at(I, L), Cold.Time.at(I, L));
-}
-
-// Keys are the ordered base ids plus the tuner seed: the same inputs in
-// another order, or another seed, is a different tune.
-TEST_F(LevelOneTest, TuneMemoMissesOnOtherSeedOrRowOrder) {
-  autotuner::AutotunerOptions TOpts;
-  TOpts.PopulationSize = 6;
-  TOpts.Generations = 4;
-  TOpts.Seed = 21;
-  std::vector<size_t> Rows{3, 5, 7};
-  runtime::Configuration Best =
-      autotuner::EvolutionaryAutotuner(TOpts).tune(*Program, Rows).Best;
-
-  LandmarkTuneMemo Memo;
-  Memo.insert(Rows, TOpts.Seed, Best);
-  const runtime::Configuration *Hit = Memo.find(Rows, TOpts.Seed);
-  ASSERT_NE(Hit, nullptr);
-  EXPECT_EQ(*Hit, autotuner::EvolutionaryAutotuner(TOpts).tune(*Program, Rows)
-                      .Best);
-  EXPECT_EQ(Memo.find(Rows, TOpts.Seed + 1), nullptr);
-  EXPECT_EQ(Memo.find({7, 5, 3}, TOpts.Seed), nullptr);
-  EXPECT_EQ(Memo.find({3, 5}, TOpts.Seed), nullptr);
-  EXPECT_EQ(Memo.hits(), 1u);
-  EXPECT_EQ(Memo.misses(), 3u);
-}
-
-TEST_F(LevelOneTest, TuneMemoNeverExceedsItsCapacity) {
-  runtime::Configuration Config = Program->space().defaultConfig();
-  LandmarkTuneMemo Memo(3);
-  for (size_t I = 0; I != 10; ++I) {
-    Memo.insert({I, I + 1}, 1, Config);
-    EXPECT_LE(Memo.size(), Memo.capacity());
-    EXPECT_NE(Memo.find({I, I + 1}, 1), nullptr) << "newest entry kept";
-  }
-  LandmarkTuneMemo Off(0);
-  Off.insert({1}, 1, Config);
-  EXPECT_EQ(Off.size(), 0u);
+  auto ExpectSame = [](const linalg::Matrix &A, const linalg::Matrix &B) {
+    ASSERT_EQ(A.rows(), B.rows());
+    ASSERT_EQ(A.cols(), B.cols());
+    for (size_t I = 0; I != A.rows(); ++I)
+      for (size_t J = 0; J != A.cols(); ++J)
+        EXPECT_EQ(A.at(I, J), B.at(I, J)) << I << "," << J;
+  };
+  ExpectSame(R.Features, Result->Features);
+  ExpectSame(R.ExtractCosts, Result->ExtractCosts);
+  ExpectSame(R.Time, Result->Time);
+  EXPECT_EQ(R.Representatives, Result->Representatives);
+  EXPECT_EQ(R.Landmarks, Result->Landmarks);
 }
 
 } // namespace
