@@ -365,8 +365,7 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
         "--socket=" + Socket,
         "--model=" + Opts.Model,
         "--workers=" + std::to_string(Opts.Workers),
-        "--queue=" + std::to_string(Opts.QueueCapacity),
-        "--batch-max=" + std::to_string(Opts.BatchMax)};
+        "--queue=" + std::to_string(Opts.QueueCapacity)};
     if (Opts.Adapt)
       Args.push_back("--adapt");
     Server = ::fork();

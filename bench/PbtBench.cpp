@@ -116,9 +116,10 @@ static void printUsage() {
       "  --server-exe=PATH    loadgen: pbt-serve binary for --spawn\n"
       "                       (default: pbt-serve beside pbt-bench)\n"
       "  --connections=N      loadgen: concurrent client connections\n"
-      "  --queue=N            loadgen --spawn: server request-queue bound\n"
-      "  --workers=N          loadgen --spawn: server batch workers\n"
-      "  --batch-max=N        loadgen --spawn: server micro-batch cap\n"
+      "  --queue=N            loadgen --spawn: server Predicts waiting for a\n"
+      "                       slot\n"
+      "  --workers=N          loadgen --spawn: server Predicts served\n"
+      "                       concurrently\n"
       "  --adapt              loadgen --spawn: per-tenant drift adaptation\n"
       "  --replicas=N         rollout: simulated serving replicas (default 3)\n"
       "  --cycles=N           rollout: staged rollout cycles (default 8)\n"
@@ -257,9 +258,6 @@ static ParseResult parseSharedOptions(std::vector<std::string> &Args,
     } else if (const char *V = Value("--workers")) {
       if (!parseUnsigned(V, Opts.Workers) || Opts.Workers < 1)
         return badValue("--workers", V, "a positive integer");
-    } else if (const char *V = Value("--batch-max")) {
-      if (!parseUnsigned(V, Opts.BatchMax) || Opts.BatchMax < 1)
-        return badValue("--batch-max", V, "a positive integer");
     } else if (Arg == "--mix") {
       Opts.StreamMix = true;
     } else if (Arg == "--adapt") {

@@ -1411,8 +1411,8 @@ int benchharness::runStreamMix(const DriverOptions &Opts) {
   }
 
   // The tenant table is the daemon's own: the same registry type
-  // pbt-serve hands its batch workers, each tenant named by its model's
-  // benchmark key with the program rebuilt from recorded provenance.
+  // pbt-serve serves from, each tenant named by its model's benchmark
+  // key with the program rebuilt from recorded provenance.
   daemon::ModelRegistryOptions RO;
   RO.Window = std::max(8u, Opts.StreamWindow);
   RO.Reservoir = std::max(8u, Opts.StreamReservoir);

@@ -91,12 +91,11 @@ struct DriverOptions {
   std::string ServerExe;
   /// `loadgen` only: concurrent client connections (--connections).
   unsigned Connections = 4;
-  /// `loadgen --spawn` only: server request-queue bound (--queue).
+  /// `loadgen --spawn` only: server Predicts waiting for a slot (--queue).
   unsigned QueueCapacity = 64;
-  /// `loadgen --spawn` only: server batch workers (--workers).
+  /// `loadgen --spawn` only: server Predicts served concurrently
+  /// (--workers).
   unsigned Workers = 2;
-  /// `loadgen --spawn` only: server micro-batch cap (--batch-max).
-  unsigned BatchMax = 64;
   /// `loadgen --spawn` only: per-tenant drift adaptation (--adapt).
   bool Adapt = false;
   /// `rollout` only: serving replicas in the simulated fleet (--replicas).

@@ -13,10 +13,10 @@
 /// like `pbt-bench predict`/`stream` do -- and is addressed by name on
 /// the wire (Hello).
 ///
-/// AdaptiveService's contract is one serving thread; in the daemon any
-/// batch worker may pick up any tenant's requests, so each tenant
-/// carries a ServeMutex that makes "the serving thread" a role the
-/// workers pass around rather than a fixed thread. Registration happens
+/// AdaptiveService's contract is one serving thread; in the daemon every
+/// session thread serves its own client's requests to any tenant, so
+/// each tenant carries a ServeMutex that makes "the serving thread" a
+/// role the sessions pass around rather than a fixed thread. Registration happens
 /// at startup, before the server accepts connections; lookups afterwards
 /// are read-only and lock-free.
 ///
@@ -40,14 +40,14 @@ namespace pbt {
 namespace daemon {
 
 /// One hot model: the rebuilt program, its adaptive serving loop, and
-/// the mutex that serializes serving across batch workers.
+/// the mutex that serializes serving across session threads.
 struct Tenant {
   std::string Name;
   std::string ModelPath;
   std::string Benchmark;
   registry::ProgramPtr Program;
   std::unique_ptr<runtime::AdaptiveService> Service;
-  /// Serializes serve()/decideBatch()/adaptNow() across batch workers
+  /// Serializes serve()/decideBatch()/adaptNow() across session threads
   /// (AdaptiveService expects a single serving thread).
   std::mutex ServeMutex;
   /// Atomic: store hot-swaps update it while Hello handlers read it.

@@ -1,20 +1,21 @@
-//===- daemon/RequestQueue.h - Bounded MPMC queue --------------------------==//
+//===- daemon/RequestQueue.h - Predict admission gate ----------------------==//
 //
 // Part of the pbtuner project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The admission-control heart of pbt-serve: a bounded multi-producer
-/// multi-consumer queue between session threads (producers) and batch
-/// workers (consumers). Admission is tryPush -- a full queue refuses the
-/// request immediately so the session can answer Shed, and memory use is
-/// bounded by construction; the queue never grows past its capacity no
-/// matter how many clients pile on. Consumers block on pop() and can
-/// gather micro-batches with timed tryPopFor(). close() wakes everyone;
-/// items still queued at close() drain normally (pop keeps returning
-/// them until empty), so every admitted request is answered even during
-/// shutdown.
+/// The admission-control heart of pbt-serve. Session threads serve their
+/// own Predicts; the gate bounds how many do so at once (Slots) and how
+/// many more may wait for a slot (Capacity) -- the daemon's request
+/// queue is the line of sessions waiting here. A Predict that finds the
+/// line full is refused at once so the session can answer Shed, so the
+/// backlog never grows past Capacity no matter how many clients pile on.
+///
+/// The gate barges: a freed slot goes to whichever thread takes it
+/// first, a newcomer included, not to the oldest waiter. Handing slots
+/// over in FIFO order costs a wakeup per request and convoys under
+/// overload.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,94 +25,81 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <mutex>
-#include <utility>
 
 namespace pbt {
 namespace daemon {
 
-template <typename T> class BoundedQueue {
+class AdmissionGate {
 public:
-  explicit BoundedQueue(size_t Capacity) : Cap(Capacity ? Capacity : 1) {}
+  /// At most \p Slots threads inside at once and \p Capacity waiting for
+  /// a slot; 0 means 1 for both.
+  AdmissionGate(size_t Slots, size_t Capacity)
+      : Slots(Slots ? Slots : 1), Cap(Capacity ? Capacity : 1) {}
 
-  /// Admission: enqueues unless full or closed. Never blocks.
-  bool tryPush(T &&Item) {
+  struct Entry {
+    /// False: refused, because Capacity threads were already waiting.
+    bool Admitted = false;
+    /// Threads waiting when this one arrived, itself included when it
+    /// joined them; 0 when a slot was free.
+    size_t Waiting = 0;
+    /// Admitted after every slot was found busy, and how long it waited.
+    bool Waited = false;
+    std::chrono::nanoseconds WaitTime{0};
+  };
+
+  /// Takes a slot, waiting for one while the line has room. An admitted
+  /// caller must call leave() exactly once.
+  Entry enter() {
+    Entry E;
+    std::unique_lock<std::mutex> Lock(Mutex);
+    if (Busy < Slots) {
+      ++Busy;
+      E.Admitted = true;
+      return E;
+    }
+    if (Waiters >= Cap) {
+      E.Waiting = Waiters;
+      return E;
+    }
+    E.Waiting = ++Waiters;
+    auto T0 = std::chrono::steady_clock::now();
+    SlotFree.wait(Lock, [&] { return Busy < Slots; });
+    --Waiters;
+    ++Busy;
+    E.Admitted = E.Waited = true;
+    E.WaitTime = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::chrono::steady_clock::now() - T0);
+    return E;
+  }
+
+  /// Frees the caller's slot.
+  void leave() {
+    bool Wake;
     {
       std::lock_guard<std::mutex> Lock(Mutex);
-      if (Done || Items.size() >= Cap)
-        return false;
-      Items.push_back(std::move(Item));
+      --Busy;
+      Wake = Waiters > 0;
     }
-    NotEmpty.notify_one();
-    return true;
+    if (Wake)
+      SlotFree.notify_one();
   }
 
-  /// Blocks until an item is available or the queue is closed *and*
-  /// drained. Returns false only in the latter case.
-  bool pop(T &Out) {
-    std::unique_lock<std::mutex> Lock(Mutex);
-    NotEmpty.wait(Lock, [&] { return Done || !Items.empty(); });
-    if (Items.empty())
-      return false;
-    Out = std::move(Items.front());
-    Items.pop_front();
-    return true;
-  }
-
-  /// Non-blocking pop.
-  bool tryPop(T &Out) {
+  size_t waiting() const {
     std::lock_guard<std::mutex> Lock(Mutex);
-    if (Items.empty())
-      return false;
-    Out = std::move(Items.front());
-    Items.pop_front();
-    return true;
+    return Waiters;
   }
 
-  /// Pop with a deadline; the micro-batch gather primitive. Returns
-  /// false on timeout or on closed-and-drained.
-  template <typename Rep, typename Period>
-  bool tryPopFor(T &Out, std::chrono::duration<Rep, Period> Wait) {
-    std::unique_lock<std::mutex> Lock(Mutex);
-    if (!NotEmpty.wait_for(Lock, Wait,
-                           [&] { return Done || !Items.empty(); }))
-      return false;
-    if (Items.empty())
-      return false;
-    Out = std::move(Items.front());
-    Items.pop_front();
-    return true;
-  }
-
-  /// Stops admission and wakes all blocked consumers; queued items
-  /// remain poppable until drained.
-  void close() {
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      Done = true;
-    }
-    NotEmpty.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    return Done;
-  }
-
-  size_t depth() const {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    return Items.size();
-  }
-
+  size_t slots() const { return Slots; }
   size_t capacity() const { return Cap; }
 
 private:
+  const size_t Slots;
   const size_t Cap;
   mutable std::mutex Mutex;
-  std::condition_variable NotEmpty;
-  std::deque<T> Items;
-  bool Done = false;
+  std::condition_variable SlotFree;
+  size_t Busy = 0;
+  size_t Waiters = 0;
 };
 
 } // namespace daemon

@@ -6,7 +6,6 @@
 
 #include "daemon/Server.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -68,11 +67,9 @@ std::string jsonDouble(double V) {
 
 Server::Server(ModelRegistry &Registry, ServerOptions Options)
     : Registry(Registry), Opts(std::move(Options)),
-      Queue(Opts.QueueCapacity) {
+      Gate(Opts.Workers, Opts.QueueCapacity) {
   if (Opts.Workers == 0)
     Opts.Workers = 1;
-  if (Opts.BatchMax == 0)
-    Opts.BatchMax = 1;
 }
 
 Server::~Server() { stop(); }
@@ -114,8 +111,6 @@ bool Server::start(std::string &Err) {
   Started = true;
   StopFlag.store(false);
   Acceptor = std::thread([this] { acceptLoop(); });
-  for (unsigned I = 0; I < Opts.Workers; ++I)
-    Workers.emplace_back([this] { workerLoop(); });
   return true;
 }
 
@@ -137,8 +132,8 @@ void Server::stop() {
     Acceptor.join();
   Listeners.clear(); // closes fds, unlinks Unix paths
 
-  // Unblock every session read; their admitted requests are still served
-  // because the workers only exit after the queue drains below.
+  // Unblock every session read; a session inside a Predict (or waiting
+  // at the gate) still serves and answers it before its thread ends.
   {
     std::lock_guard<std::mutex> Lock(SessionsMutex);
     for (auto &S : Sessions)
@@ -159,12 +154,6 @@ void Server::stop() {
     if (S->Fd >= 0)
       ::close(S->Fd);
   }
-
-  Queue.close();
-  for (std::thread &W : Workers)
-    if (W.joinable())
-      W.join();
-  Workers.clear();
 
   Started = false;
 }
@@ -321,33 +310,37 @@ bool Server::handleMessage(Session *S, const Message &M, Tenant *&Attached) {
                FrameStatus::Ok;
       }
 
-    auto R = std::make_unique<Request>();
-    R->T = Attached;
-    R->Inputs.assign(M.Inputs.begin(), M.Inputs.end());
-    std::future<std::vector<PredictedChoice>> Reply = R->Reply.get_future();
-
-    if (!Queue.tryPush(std::move(R))) {
-      // Admission control: the bounded queue is full (or shutting
-      // down); refuse now rather than queue without limit.
+    AdmissionGate::Entry E = Gate.enter();
+    if (!E.Admitted) {
+      // Admission control: the line of Predicts waiting for a slot is
+      // full; refuse now rather than queue without limit.
       ShedCount.fetch_add(1, std::memory_order_relaxed);
       Attached->Shed.fetch_add(1, std::memory_order_relaxed);
-      return writeFrame(S->Fd, makeShed(static_cast<uint32_t>(Queue.depth()),
+      return writeFrame(S->Fd, makeShed(static_cast<uint32_t>(E.Waiting),
                                         "request queue full")) ==
              FrameStatus::Ok;
     }
-    // Recorded after the push so the high-water mark never exceeds the
-    // configured capacity (a shed is not a depth).
-    noteQueueDepth(Queue.depth());
+    if (E.Waited) {
+      noteQueueDepth(E.Waiting);
+      AdmissionWaitCount.fetch_add(1, std::memory_order_relaxed);
+      AdmissionWaitNs.fetch_add(static_cast<uint64_t>(E.WaitTime.count()),
+                                std::memory_order_relaxed);
+    }
     RequestCount.fetch_add(1, std::memory_order_relaxed);
     Attached->Requests.fetch_add(1, std::memory_order_relaxed);
+    std::vector<PredictedChoice> Choices;
     try {
-      std::vector<PredictedChoice> Choices = Reply.get();
-      return writeFrame(S->Fd, makePredictions(Choices)) == FrameStatus::Ok;
-    } catch (const std::exception &E) {
+      Choices = serve(*Attached, M.Inputs);
+    } catch (const std::exception &Ex) {
+      Gate.leave();
       Attached->Errors.fetch_add(1, std::memory_order_relaxed);
       return writeFrame(S->Fd, makeError(std::string("serving failed: ") +
-                                         E.what())) == FrameStatus::Ok;
+                                         Ex.what())) == FrameStatus::Ok;
     }
+    // The slot bounds serving, not the reply write: a client slow to
+    // read its answer must not hold a slot.
+    Gate.leave();
+    return writeFrame(S->Fd, makePredictions(Choices)) == FrameStatus::Ok;
   }
 
   case MsgType::Stats:
@@ -396,7 +389,7 @@ bool Server::handleMessage(Session *S, const Message &M, Tenant *&Attached) {
 }
 
 //===----------------------------------------------------------------------===//
-// Batch workers
+// Serving
 //===----------------------------------------------------------------------===//
 
 void Server::noteQueueDepth(size_t Depth) {
@@ -407,97 +400,30 @@ void Server::noteQueueDepth(size_t Depth) {
   }
 }
 
-void Server::workerLoop() {
-  std::vector<RequestPtr> Batch;
-  RequestPtr First;
-  while (Queue.pop(First)) {
-    Batch.clear();
-    Batch.push_back(std::move(First));
-
-    // Adaptive micro-batching: the deeper the backlog, the longer this
-    // worker lingers to gather a bigger batch; an idle queue costs no
-    // added latency at all.
-    size_t Depth = Queue.depth();
-    noteQueueDepth(Depth);
-    uint64_t WindowUs =
-        std::min<uint64_t>(Opts.WindowMaxUs,
-                           static_cast<uint64_t>(Depth) * Opts.WindowPerDepthUs);
-    auto Deadline =
-        std::chrono::steady_clock::now() + std::chrono::microseconds(WindowUs);
-    while (Batch.size() < Opts.BatchMax) {
-      RequestPtr Next;
-      if (WindowUs == 0) {
-        if (!Queue.tryPop(Next))
-          break;
-      } else {
-        auto Left = Deadline - std::chrono::steady_clock::now();
-        if (Left.count() <= 0 || !Queue.tryPopFor(Next, Left))
-          break;
-      }
-      Batch.push_back(std::move(Next));
+std::vector<PredictedChoice>
+Server::serve(Tenant &T, const std::vector<uint64_t> &Inputs) {
+  std::vector<size_t> In(Inputs.begin(), Inputs.end());
+  std::vector<runtime::AdaptiveService::Decision> Decisions;
+  {
+    std::lock_guard<std::mutex> Lock(T.ServeMutex);
+    if (Opts.Adapt) {
+      // Observing mode: feed the tenant's drift monitor and reservoir;
+      // serve() runs the adaptation loop inline.
+      Decisions.reserve(In.size());
+      for (size_t Input : In)
+        Decisions.push_back(T.Service->serve(Input));
+    } else {
+      Decisions = T.Service->decideBatch(In, nullptr);
     }
-
-    BatchCount.fetch_add(1, std::memory_order_relaxed);
-    BatchedRequestCount.fetch_add(Batch.size(), std::memory_order_relaxed);
-    serveBatch(Batch);
   }
-}
-
-void Server::serveBatch(std::vector<RequestPtr> &Batch) {
-  // Group by tenant, order-preserving: decisions are per-input
-  // deterministic, so grouping never changes an answer, only batching
-  // efficiency.
-  for (size_t I = 0; I < Batch.size(); ++I) {
-    if (!Batch[I])
-      continue;
-    Tenant *T = Batch[I]->T;
-    std::vector<Request *> Group;
-    std::vector<size_t> AllInputs;
-    for (size_t J = I; J < Batch.size(); ++J) {
-      if (!Batch[J] || Batch[J]->T != T)
-        continue;
-      Group.push_back(Batch[J].get());
-      AllInputs.insert(AllInputs.end(), Batch[J]->Inputs.begin(),
-                       Batch[J]->Inputs.end());
-    }
-
-    try {
-      std::vector<runtime::AdaptiveService::Decision> Decisions;
-      Decisions.reserve(AllInputs.size());
-      {
-        std::lock_guard<std::mutex> Lock(T->ServeMutex);
-        if (Opts.Adapt) {
-          // Observing mode: feed the tenant's drift monitor and
-          // reservoir; serve() runs the adaptation loop inline.
-          for (size_t In : AllInputs)
-            Decisions.push_back(T->Service->serve(In));
-        } else {
-          Decisions = T->Service->decideBatch(AllInputs, nullptr);
-        }
-      }
-      size_t Cursor = 0;
-      for (Request *R : Group) {
-        std::vector<PredictedChoice> Choices;
-        Choices.reserve(R->Inputs.size());
-        for (size_t K = 0; K < R->Inputs.size(); ++K, ++Cursor)
-          Choices.push_back({Decisions[Cursor].Landmark,
-                             Decisions[Cursor].Epoch});
-        R->Reply.set_value(std::move(Choices));
-      }
-      DecisionCount.fetch_add(AllInputs.size(), std::memory_order_relaxed);
-      T->Decisions.fetch_add(AllInputs.size(), std::memory_order_relaxed);
-      T->Batches.fetch_add(1, std::memory_order_relaxed);
-    } catch (...) {
-      std::exception_ptr E = std::current_exception();
-      for (Request *R : Group)
-        R->Reply.set_exception(E);
-    }
-
-    // Consume the group (including Batch[I] itself).
-    for (size_t J = I; J < Batch.size(); ++J)
-      if (Batch[J] && Batch[J]->T == T)
-        Batch[J].reset();
-  }
+  std::vector<PredictedChoice> Choices;
+  Choices.reserve(Decisions.size());
+  for (const runtime::AdaptiveService::Decision &D : Decisions)
+    Choices.push_back({D.Landmark, D.Epoch});
+  DecisionCount.fetch_add(In.size(), std::memory_order_relaxed);
+  T.Decisions.fetch_add(In.size(), std::memory_order_relaxed);
+  T.Batches.fetch_add(1, std::memory_order_relaxed);
+  return Choices;
 }
 
 //===----------------------------------------------------------------------===//
@@ -511,9 +437,11 @@ ServerStats Server::stats() const {
   S.Decisions = DecisionCount.load(std::memory_order_relaxed);
   S.Shed = ShedCount.load(std::memory_order_relaxed);
   S.Malformed = MalformedCount.load(std::memory_order_relaxed);
-  S.Batches = BatchCount.load(std::memory_order_relaxed);
-  S.BatchedRequests = BatchedRequestCount.load(std::memory_order_relaxed);
+  S.Batches = S.BatchedRequests = S.Requests;
   S.MaxQueueDepth = MaxDepth.load(std::memory_order_relaxed);
+  S.AdmissionWaits = AdmissionWaitCount.load(std::memory_order_relaxed);
+  S.AdmissionWaitUsTotal =
+      AdmissionWaitNs.load(std::memory_order_relaxed) / 1000;
   S.ShedSessions = ShedSessionCount.load(std::memory_order_relaxed);
   S.Stalled = StalledCount.load(std::memory_order_relaxed);
   return S;
@@ -530,12 +458,14 @@ std::string Server::statsJson() const {
   J += ", \"batches\": " + std::to_string(S.Batches);
   J += ", \"batched_requests\": " + std::to_string(S.BatchedRequests);
   J += ", \"max_queue_depth\": " + std::to_string(S.MaxQueueDepth);
+  J += ", \"admission_waits\": " + std::to_string(S.AdmissionWaits);
+  J += ", \"admission_wait_us_total\": " +
+       std::to_string(S.AdmissionWaitUsTotal);
   J += ", \"shed_sessions\": " + std::to_string(S.ShedSessions);
   J += ", \"stalled\": " + std::to_string(S.Stalled);
   J += ", \"max_sessions\": " + std::to_string(Opts.MaxSessions);
-  J += ", \"queue_capacity\": " + std::to_string(Queue.capacity());
+  J += ", \"queue_capacity\": " + std::to_string(Gate.capacity());
   J += ", \"workers\": " + std::to_string(Opts.Workers);
-  J += ", \"batch_max\": " + std::to_string(Opts.BatchMax);
   J += std::string(", \"adapt\": ") + (Opts.Adapt ? "true" : "false");
   J += ", \"tenants\": [";
   for (size_t I = 0;; ++I) {

@@ -9,27 +9,25 @@
 /// see daemon/Transport.h) answering framed prediction requests
 /// (daemon/Protocol.h) for the tenants of a ModelRegistry.
 ///
-/// Thread shape: one accept thread (poll-based, so it can stop), one
-/// session thread per connection, and a fixed pool of batch workers
-/// behind one BoundedQueue. A session validates and enqueues each
-/// Predict and waits for its future; admission control is the queue
-/// bound -- when it is full the session answers Shed immediately, so
-/// backlog never grows without limit and a client always learns its
-/// fate. Workers gather adaptive micro-batches: the gather window
-/// widens in proportion to queue depth (amortising per-batch cost under
-/// backlog) and collapses to zero when idle (no added latency), capped
-/// at BatchMax requests. A gathered batch is grouped by tenant and each
-/// group is served under that tenant's ServeMutex with
-/// AdaptiveService::decideBatch -- the same input-id-sharded arena walk
-/// as PredictionService::decideBatch, so daemon answers are
+/// Thread shape: one accept thread (poll-based, so it can stop) and one
+/// session thread per connection. The thread that reads a Predict
+/// answers it: it passes the admission gate (daemon/RequestQueue.h),
+/// serves the inputs under the tenant's ServeMutex with
+/// AdaptiveService::decideBatch (or serve() with Adapt), leaves the
+/// gate, and writes the reply. The gate is the admission control: at
+/// most Workers Predicts are served at once and at most QueueCapacity
+/// more wait for a slot; a Predict that finds the line full is answered
+/// Shed immediately, so backlog never grows without limit and a client
+/// always learns its fate. decideBatch is the same input-id-sharded
+/// arena walk as PredictionService::decideBatch, so daemon answers are
 /// choice-identical to an in-process replay (the loadgen harness and
 /// the daemon tests assert exactly that).
 ///
 /// Shutdown (requestStop(), a Shutdown frame, or a signal) is clean by
 /// construction: the accept loop notices the flag at its next poll
-/// tick, session sockets are shut down to unblock their reads, and the
-/// queue drains before workers exit, so every admitted request is
-/// answered.
+/// tick, and session sockets are shut down to unblock their reads; a
+/// session inside a Predict, or waiting at the gate, still serves it
+/// before its thread is joined, so every admitted request is answered.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +42,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -75,16 +72,12 @@ struct ServerOptions {
   /// session thread mid-frame. Idle sessions are unaffected. 0 = no
   /// deadline (the pre-TCP behavior).
   double ReadDeadline = 30.0;
-  /// Batch worker threads.
+  /// Predicts served concurrently (session threads past the admission
+  /// gate at once). 0 = 1.
   unsigned Workers = 2;
-  /// Request-queue bound: the admission-control knob.
+  /// Predicts waiting for a slot: the admission-control knob. A Predict
+  /// that finds this many waiting is answered Shed. 0 = 1.
   size_t QueueCapacity = 64;
-  /// Micro-batch cap per worker gather.
-  unsigned BatchMax = 64;
-  /// Gather window added per queued request (adaptive micro-batching);
-  /// depth * this, capped below, is how long a worker waits for more.
-  unsigned WindowPerDepthUs = 25;
-  unsigned WindowMaxUs = 2000;
   /// Serve through AdaptiveService::serve() (drift observation + online
   /// adaptation) instead of frozen decideBatch.
   bool Adapt = false;
@@ -96,9 +89,15 @@ struct ServerStats {
   uint64_t Decisions = 0;
   uint64_t Shed = 0;
   uint64_t Malformed = 0;
+  /// Each served Predict is one batch of one request.
   uint64_t Batches = 0;
   uint64_t BatchedRequests = 0;
+  /// Peak number of Predicts waiting at the admission gate.
   uint64_t MaxQueueDepth = 0;
+  /// Predicts admitted after finding every slot busy, and their summed
+  /// wait for a slot.
+  uint64_t AdmissionWaits = 0;
+  uint64_t AdmissionWaitUsTotal = 0;
   /// Connections refused with Shed because MaxSessions was reached.
   uint64_t ShedSessions = 0;
   /// Sessions dropped for stalling mid-frame past ReadDeadline.
@@ -113,7 +112,7 @@ public:
   Server(const Server &) = delete;
   Server &operator=(const Server &) = delete;
 
-  /// Binds, listens, and starts the accept + worker threads. False with
+  /// Binds, listens, and starts the accept thread. False with
   /// \p Err set on any socket failure (stale path, path too long, ...).
   bool start(std::string &Err);
 
@@ -126,7 +125,7 @@ public:
   void waitForStop();
 
   /// Full teardown: stops accepting, unblocks and joins sessions,
-  /// drains the queue, joins workers, unlinks the socket. Idempotent.
+  /// unlinks the socket. Idempotent.
   void stop();
 
   bool running() const { return Started && !StopFlag.load(); }
@@ -141,13 +140,6 @@ public:
   std::string statsJson() const;
 
 private:
-  struct Request {
-    Tenant *T = nullptr;
-    std::vector<size_t> Inputs;
-    std::promise<std::vector<PredictedChoice>> Reply;
-  };
-  using RequestPtr = std::unique_ptr<Request>;
-
   struct Session {
     int Fd = -1;
     std::thread Thread;
@@ -156,16 +148,17 @@ private:
 
   void acceptLoop();
   void sessionLoop(Session *S);
-  void workerLoop();
   /// One decoded client frame -> exactly one response frame. False ends
   /// the session (Shutdown, or a response write failure).
   bool handleMessage(Session *S, const Message &M, Tenant *&Attached);
-  void serveBatch(std::vector<RequestPtr> &Batch);
+  /// Serves one admitted Predict under \p T's ServeMutex.
+  std::vector<PredictedChoice> serve(Tenant &T,
+                                     const std::vector<uint64_t> &Inputs);
   void noteQueueDepth(size_t Depth);
 
   ModelRegistry &Registry;
   ServerOptions Opts;
-  BoundedQueue<RequestPtr> Queue;
+  AdmissionGate Gate;
 
   std::vector<Listener> Listeners;
   bool Started = false;
@@ -174,13 +167,12 @@ private:
   std::condition_variable StopCv;
 
   std::thread Acceptor;
-  std::vector<std::thread> Workers;
   std::mutex SessionsMutex;
   std::vector<std::unique_ptr<Session>> Sessions;
 
   std::atomic<uint64_t> ConnCount{0}, RequestCount{0}, DecisionCount{0},
-      ShedCount{0}, MalformedCount{0}, BatchCount{0}, BatchedRequestCount{0},
-      MaxDepth{0}, ShedSessionCount{0}, StalledCount{0};
+      ShedCount{0}, MalformedCount{0}, MaxDepth{0}, AdmissionWaitCount{0},
+      AdmissionWaitNs{0}, ShedSessionCount{0}, StalledCount{0};
 };
 
 } // namespace daemon

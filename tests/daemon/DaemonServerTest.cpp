@@ -4,7 +4,7 @@
 // registration from persisted model files, choice parity between daemon
 // answers and an in-process PredictionService replay, multi-tenant
 // isolation, admission control (deterministic shedding with the serve
-// path stalled), clean shutdown with the queue draining, and the
+// path stalled, no queueing when idle), clean shutdown, and the
 // protocol fuzz wall -- truncated frames, oversized length prefixes,
 // garbage payloads, hostile tenant names and mid-request disconnects
 // must never crash or wedge the server. Runs under the sanitizer CI
@@ -154,7 +154,6 @@ TEST(DaemonServerTest, ConcurrentClientsAllGetParityAnswers) {
   daemon::ServerOptions SO;
   SO.Workers = 3;
   SO.QueueCapacity = 64;
-  SO.BatchMax = 8;
   Harness H(SO);
 
   const std::vector<unsigned> Oracle = [] {
@@ -204,7 +203,7 @@ TEST(DaemonServerTest, ConcurrentClientsAllGetParityAnswers) {
     T.join();
   EXPECT_EQ(Failures.load(), 0);
   EXPECT_EQ(Mismatches.load(), 0)
-      << "daemon batching/interleaving changed an answer";
+      << "daemon interleaving changed an answer";
 }
 
 TEST(DaemonServerTest, MultiTenantServingAndListing) {
@@ -270,13 +269,12 @@ TEST(DaemonServerTest, ShedsDeterministicallyWhenServingStalls) {
   daemon::ServerOptions SO;
   SO.Workers = 1;
   SO.QueueCapacity = 1;
-  SO.BatchMax = 1;
   Harness H(SO);
   daemon::Tenant *T = H.Registry.find("sort1");
   ASSERT_NE(T, nullptr);
 
-  // Stall the serve path: the single worker will pop one request and
-  // block on the tenant mutex, so the 1-slot queue must shed overflow.
+  // Stall the serve path: the one request past the gate blocks on the
+  // tenant mutex, so the 1-place line must shed overflow.
   std::unique_lock<std::mutex> Stall(T->ServeMutex);
 
   std::atomic<int> Ok{0}, Shed{0}, Errors{0};
@@ -301,13 +299,13 @@ TEST(DaemonServerTest, ShedsDeterministicallyWhenServingStalls) {
     }
   };
 
-  // First request occupies the worker: it is popped (leaving the queue
-  // empty) and its serve blocks on the held mutex.
+  // First request takes the only slot and its serve blocks on the held
+  // mutex.
   std::thread Pioneer(OneClient);
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
 
-  // Now flood. Exactly one flood request fills the 1-slot queue and
-  // stays there (the worker is stalled, so nothing drains); the other
+  // Now flood. Exactly one flood request joins the 1-place line and
+  // stays there (the slot is stalled, so nothing leaves); the other
   // three must be shed with an immediate reply -- poll for those
   // replies while the stall is still held.
   std::vector<std::thread> Flood;
@@ -328,6 +326,43 @@ TEST(DaemonServerTest, ShedsDeterministicallyWhenServingStalls) {
   daemon::ServerStats Stats = H.Srv->stats();
   EXPECT_EQ(Stats.Shed, static_cast<uint64_t>(Shed.load()));
   EXPECT_EQ(Stats.Decisions, static_cast<uint64_t>(Ok.load()));
+  EXPECT_EQ(Stats.MaxQueueDepth, 1u);
+  EXPECT_EQ(Stats.AdmissionWaits, 1u) << "only the queued request waited";
+  EXPECT_GT(Stats.AdmissionWaitUsTotal, 0u);
+  std::string Json = H.Srv->statsJson();
+  EXPECT_NE(Json.find("\"admission_waits\": 1,"), std::string::npos) << Json;
+}
+
+TEST(DaemonServerTest, IdleDaemonServesWithoutQueueing) {
+  // One client sends one Predict at a time to a daemon with two slots:
+  // each is served on arrival, so nothing ever waits and every Predict
+  // is its own batch.
+  daemon::ServerOptions SO;
+  SO.Workers = 2;
+  Harness H(SO);
+  daemon::DaemonClient C;
+  std::string Err;
+  ASSERT_TRUE(C.connect(H.Socket, Err)) << Err;
+  daemon::DaemonClient::AttachInfo Info;
+  ASSERT_TRUE(C.attach("sort1", Info, Err)) << Err;
+  constexpr uint64_t kPredicts = 50;
+  std::vector<daemon::PredictedChoice> Choices;
+  for (uint64_t I = 0; I < kPredicts; ++I)
+    ASSERT_EQ(C.predict({I % Info.NumInputs}, Choices, Err),
+              daemon::DaemonClient::PredictOutcome::Ok)
+        << Err;
+
+  daemon::ServerStats Stats = H.Srv->stats();
+  EXPECT_EQ(Stats.Requests, kPredicts);
+  EXPECT_EQ(Stats.MaxQueueDepth, 0u);
+  EXPECT_EQ(Stats.Batches, Stats.Requests);
+  EXPECT_EQ(Stats.BatchedRequests, Stats.Requests);
+  // The same over the wire, where the top-level keys come first.
+  std::string Json;
+  ASSERT_TRUE(C.stats(Json, Err)) << Err;
+  EXPECT_NE(Json.find("\"max_queue_depth\": 0,"), std::string::npos) << Json;
+  EXPECT_EQ(Json.find("\"batches\": "), Json.find("\"batches\": 50,"))
+      << Json;
 }
 
 TEST(DaemonServerTest, ShutdownFrameStopsServerAndDrainsAdmitted) {

@@ -121,7 +121,6 @@ TEST(MixedTenantsTest, ThreeTenantsOneMixedStreamFullParity) {
   SO.SocketPath = freshSocket();
   SO.Workers = 3;
   SO.QueueCapacity = 64;
-  SO.BatchMax = 8;
   daemon::Server Server(Registry, SO);
   std::string Err;
   ASSERT_TRUE(Server.start(Err)) << Err;

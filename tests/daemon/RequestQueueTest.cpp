@@ -1,11 +1,10 @@
 //===- tests/daemon/RequestQueueTest.cpp -------------------------------------=//
 //
-// The bounded MPMC queue that is pbt-serve's admission controller:
-// capacity is a hard bound (tryPush refuses, never blocks, never
-// grows), FIFO order, timed pops for micro-batch gathering, and the
-// drain-on-close guarantee that every admitted item is still popped
-// after close(). The concurrency sweep (many producers, many consumers,
-// racing close) is the TSan target for the daemon's queue.
+// The admission gate that is pbt-serve's admission controller: the
+// line of Predicts waiting for a slot is hard-bounded (enter() refuses
+// at once, never grows the line), zero sizes clamp to one, and under a
+// multi-thread hammer no more than Slots threads are ever inside and
+// no entrant is lost. The hammer is the TSan target for the gate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,124 +13,97 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
 
 using namespace pbt::daemon;
 
 TEST(RequestQueueTest, CapacityIsAHardBound) {
-  BoundedQueue<int> Q(3);
-  EXPECT_EQ(Q.capacity(), 3u);
-  EXPECT_TRUE(Q.tryPush(1));
-  EXPECT_TRUE(Q.tryPush(2));
-  EXPECT_TRUE(Q.tryPush(3));
-  EXPECT_FALSE(Q.tryPush(4)) << "full queue must shed";
-  EXPECT_EQ(Q.depth(), 3u);
-  int V = 0;
-  EXPECT_TRUE(Q.tryPop(V));
-  EXPECT_EQ(V, 1);
-  EXPECT_TRUE(Q.tryPush(4)) << "freed slot readmits";
-}
+  AdmissionGate G(1, 3);
+  EXPECT_EQ(G.capacity(), 3u);
+  ASSERT_TRUE(G.enter().Admitted);
 
-TEST(RequestQueueTest, FifoOrder) {
-  BoundedQueue<int> Q(8);
-  for (int I = 0; I < 8; ++I)
-    ASSERT_TRUE(Q.tryPush(std::move(I)));
-  for (int I = 0; I < 8; ++I) {
-    int V = -1;
-    ASSERT_TRUE(Q.pop(V));
-    EXPECT_EQ(V, I);
-  }
+  std::atomic<int> Admitted{0};
+  std::vector<std::thread> Waiters;
+  for (int I = 0; I < 3; ++I)
+    Waiters.emplace_back([&] {
+      AdmissionGate::Entry E = G.enter();
+      EXPECT_TRUE(E.Admitted);
+      EXPECT_TRUE(E.Waited);
+      Admitted.fetch_add(1);
+      G.leave();
+    });
+  while (G.waiting() < 3)
+    std::this_thread::yield();
+
+  AdmissionGate::Entry Full = G.enter();
+  EXPECT_FALSE(Full.Admitted) << "a full line must shed";
+  EXPECT_EQ(Full.Waiting, 3u);
+  EXPECT_EQ(Admitted.load(), 0);
+
+  G.leave();
+  for (std::thread &T : Waiters)
+    T.join();
+  EXPECT_EQ(Admitted.load(), 3);
+  EXPECT_EQ(G.waiting(), 0u);
+  AdmissionGate::Entry Again = G.enter();
+  EXPECT_TRUE(Again.Admitted) << "a freed slot readmits";
+  EXPECT_FALSE(Again.Waited);
+  G.leave();
 }
 
 TEST(RequestQueueTest, ZeroCapacityClampsToOne) {
-  BoundedQueue<int> Q(0);
-  EXPECT_EQ(Q.capacity(), 1u);
-  EXPECT_TRUE(Q.tryPush(1));
-  EXPECT_FALSE(Q.tryPush(2));
-}
-
-TEST(RequestQueueTest, TryPopForTimesOutEmpty) {
-  BoundedQueue<int> Q(2);
-  int V = 0;
-  auto T0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(Q.tryPopFor(V, std::chrono::milliseconds(30)));
-  auto Waited = std::chrono::steady_clock::now() - T0;
-  EXPECT_GE(Waited, std::chrono::milliseconds(25));
-}
-
-TEST(RequestQueueTest, CloseWakesBlockedConsumer) {
-  BoundedQueue<int> Q(2);
-  std::atomic<bool> Returned{false};
-  std::thread Consumer([&] {
-    int V = 0;
-    EXPECT_FALSE(Q.pop(V)) << "pop after close-and-drain returns false";
-    Returned.store(true);
+  AdmissionGate G(0, 0);
+  EXPECT_EQ(G.slots(), 1u);
+  EXPECT_EQ(G.capacity(), 1u);
+  ASSERT_TRUE(G.enter().Admitted);
+  std::thread Waiter([&] {
+    EXPECT_TRUE(G.enter().Admitted);
+    G.leave();
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(Returned.load());
-  Q.close();
-  Consumer.join();
-  EXPECT_TRUE(Returned.load());
-  EXPECT_FALSE(Q.tryPush(1)) << "closed queue admits nothing";
-}
-
-TEST(RequestQueueTest, CloseDrainsQueuedItems) {
-  // The shutdown guarantee: items admitted before close() are still
-  // popped, so every accepted request gets an answer.
-  BoundedQueue<int> Q(4);
-  ASSERT_TRUE(Q.tryPush(10));
-  ASSERT_TRUE(Q.tryPush(11));
-  Q.close();
-  int V = 0;
-  EXPECT_TRUE(Q.pop(V));
-  EXPECT_EQ(V, 10);
-  EXPECT_TRUE(Q.pop(V));
-  EXPECT_EQ(V, 11);
-  EXPECT_FALSE(Q.pop(V));
+  while (G.waiting() < 1)
+    std::this_thread::yield();
+  AdmissionGate::Entry E = G.enter();
+  EXPECT_FALSE(E.Admitted);
+  EXPECT_EQ(E.Waiting, 1u);
+  G.leave();
+  Waiter.join();
 }
 
 TEST(RequestQueueTest, MpmcNoLossNoDuplication) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 3;
-  constexpr int kPerProducer = 500;
-  BoundedQueue<int> Q(16);
+  // Many threads enter and leave at once, retrying on shed like a
+  // client would: never more than Slots inside, every refusal reports a
+  // full line, and every entrant is admitted exactly once.
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 500;
+  constexpr int kSlots = 3;
+  AdmissionGate G(kSlots, 2);
 
-  std::atomic<int> Accepted{0};
-  std::vector<std::thread> Producers;
-  for (int P = 0; P < kProducers; ++P)
-    Producers.emplace_back([&, P] {
-      for (int I = 0; I < kPerProducer; ++I) {
-        int Item = P * kPerProducer + I;
-        // Spin on shed like a real session would retry; counts every
-        // item exactly once when finally admitted.
-        while (!Q.tryPush(std::move(Item)))
+  std::atomic<int> Inside{0}, MaxInside{0}, Admitted{0};
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < kThreads; ++T)
+    Threads.emplace_back([&] {
+      for (int I = 0; I < kPerThread; ++I) {
+        AdmissionGate::Entry E;
+        while (!(E = G.enter()).Admitted) {
+          EXPECT_EQ(E.Waiting, 2u);
           std::this_thread::yield();
-        Accepted.fetch_add(1);
+        }
+        int Now = Inside.fetch_add(1) + 1;
+        int Max = MaxInside.load();
+        while (Now > Max && !MaxInside.compare_exchange_weak(Max, Now)) {
+        }
+        std::this_thread::yield();
+        Inside.fetch_sub(1);
+        G.leave();
+        Admitted.fetch_add(1);
       }
     });
-
-  std::mutex SeenMutex;
-  std::set<int> Seen;
-  std::vector<std::thread> Consumers;
-  for (int C = 0; C < kConsumers; ++C)
-    Consumers.emplace_back([&] {
-      int V = 0;
-      while (Q.pop(V)) {
-        std::lock_guard<std::mutex> Lock(SeenMutex);
-        EXPECT_TRUE(Seen.insert(V).second) << "duplicate " << V;
-      }
-    });
-
-  for (auto &T : Producers)
-    T.join();
-  Q.close();
-  for (auto &T : Consumers)
+  for (std::thread &T : Threads)
     T.join();
 
-  EXPECT_EQ(Accepted.load(), kProducers * kPerProducer);
-  EXPECT_EQ(Seen.size(), static_cast<size_t>(kProducers * kPerProducer));
+  EXPECT_EQ(Admitted.load(), kThreads * kPerThread);
+  EXPECT_LE(MaxInside.load(), kSlots);
+  EXPECT_GT(MaxInside.load(), 0);
+  EXPECT_EQ(G.waiting(), 0u);
 }

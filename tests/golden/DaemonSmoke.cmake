@@ -19,7 +19,7 @@ file(MAKE_DIRECTORY ${WORK_DIR})
 execute_process(
   COMMAND ${PBT_BENCH} loadgen --spawn --server-exe=${PBT_SERVE}
           --model=${GOLDEN_DIR}/sort1.pbt
-          --connections=4 --workers=2 --queue=16 --batch-max=8
+          --connections=4 --workers=2 --queue=16
           --seconds=0.4 --threads=2
           --json --out-dir=${WORK_DIR}
   RESULT_VARIABLE LOADGEN_RESULT

@@ -76,10 +76,9 @@ void usage(const char *Argv0) {
       "                     epoch (checksum-verified) and hot-swaps the\n"
       "                     tenant whenever a rollout promotes a new one\n"
       "  --store-poll-ms=N  store promotion poll interval (default 250)\n"
-      "  --workers=N        batch worker threads (default 2)\n"
-      "  --queue=N          bounded request queue capacity (default 64);\n"
-      "                     a full queue sheds, it never grows\n"
-      "  --batch-max=N      micro-batch cap per worker gather (default 64)\n"
+      "  --workers=N        Predicts served concurrently (default 2)\n"
+      "  --queue=N          Predicts waiting for a slot (default 64); a\n"
+      "                     Predict that finds the line full is shed\n"
       "  --adapt            serve through the drift-adaptation loop\n"
       "                     (per-tenant DriftMonitor + shadow retrain)\n"
       "  --window=N         drift-monitor window per tenant (default 64)\n"
@@ -164,9 +163,6 @@ int main(int argc, char **argv) {
       if (!support::parseUnsigned(V, Cap, 1u << 20))
         return badValue("--queue", V, "an integer in [0, 2^20]");
       SO.QueueCapacity = Cap;
-    } else if (const char *V = Value("--batch-max=")) {
-      if (!support::parseUnsigned(V, SO.BatchMax, daemon::kMaxBatchInputs))
-        return badValue("--batch-max", V, "an integer in [0, 65536]");
     } else if (Arg == "--adapt") {
       SO.Adapt = true;
       RO.AutoAdapt = true;
@@ -265,10 +261,10 @@ int main(int argc, char **argv) {
       Where += (Where.empty() ? "" : ", ") + E;
     std::fprintf(stderr,
                  "pbt-serve: listening on %s (%zu tenant%s: %s; workers=%u "
-                 "queue=%zu batch-max=%u max-sessions=%u%s)\n",
+                 "queue=%zu max-sessions=%u%s)\n",
                  Where.c_str(), Registry.size(),
                  Registry.size() == 1 ? "" : "s", Names.c_str(), SO.Workers,
-                 SO.QueueCapacity, SO.BatchMax, SO.MaxSessions,
+                 SO.QueueCapacity, SO.MaxSessions,
                  SO.Adapt ? " adapt" : "");
     std::fflush(stderr);
   }
