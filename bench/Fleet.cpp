@@ -15,7 +15,7 @@
 /// The wall's invariants (any violation is a nonzero exit):
 ///
 ///   * parity  -- every successful answer matches an in-process
-///     PredictionService replay of the same model (promotions are clone
+///     AdaptiveService replay of the same model (promotions are clone
 ///     epochs, so decisions are epoch-invariant by construction);
 ///   * no loss -- no predict() call exhausts the replica list while a
 ///     survivor is healthy (Shed is an answer, not a loss);
@@ -35,7 +35,7 @@
 #include "daemon/Client.h"
 #include "fleet/Supervisor.h"
 #include "rollout/RolloutController.h"
-#include "runtime/PredictionService.h"
+#include "runtime/AdaptiveService.h"
 #include "serialize/ModelIO.h"
 #include "support/Cost.h"
 #include "support/Random.h"
@@ -196,20 +196,24 @@ int runFleet(const DriverOptions &Opts, const char *Argv0) {
                  St.Error.c_str());
     return 1;
   }
-  runtime::PredictionService Parity;
-  St = Parity.loadFile(ModelPath);
-  if (St)
-    St = Parity.bind(*E.Program);
-  if (!St || !Parity.ready()) {
+  serialize::TrainedModel ParityModel;
+  St = serialize::loadModelFile(ModelPath, ParityModel);
+  if (!St) {
     std::fprintf(stderr, "pbt-bench fleet: parity replica: %s\n",
                  St.Error.c_str());
+    return 1;
+  }
+  runtime::AdaptiveService Parity(*E.Program, std::move(ParityModel));
+  if (!Parity.ready()) {
+    std::fprintf(stderr, "pbt-bench fleet: parity replica: %s\n",
+                 Parity.status().Error.c_str());
     return 1;
   }
   std::vector<size_t> AllInputs(E.Program->numInputs());
   for (size_t I = 0; I < AllInputs.size(); ++I)
     AllInputs[I] = I;
-  std::vector<runtime::PredictionService::Decision> GoldenDecisions =
-      Parity.decideBatch(AllInputs, Opts.Pool);
+  std::vector<runtime::AdaptiveService::Decision> GoldenDecisions =
+      Parity.decideBatch(AllInputs);
   std::vector<uint32_t> Golden(GoldenDecisions.size());
   for (size_t I = 0; I < Golden.size(); ++I)
     Golden[I] = GoldenDecisions[I].Landmark;

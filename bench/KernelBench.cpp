@@ -30,12 +30,13 @@
 #include "ml/KMeans.h"
 #include "pde/Poisson2D.h"
 #include "registry/BenchmarkRegistry.h"
-#include "runtime/PredictionService.h"
+#include "runtime/AdaptiveService.h"
 #include "serialize/ModelIO.h"
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -271,16 +272,17 @@ BENCHMARK(BM_MatrixTranspose)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 
 //===----------------------------------------------------------------------===//
-// Serving kernels: compiled vs interpreted decisions from one trained
-// sort1 model (memoized features -- the steady serving state the
-// acceptance bar measures; `pbt-bench serve` reports the same ratio over
-// whole batches).
+// Serving kernels: decisions from one trained sort1 model through the
+// serving core (memoized features -- the steady serving state), plus the
+// compiled-vs-interpreted classifier pair over the recorded feature
+// table.
 //===----------------------------------------------------------------------===//
 
 namespace {
 struct ServeFixture {
   registry::ProgramPtr Program;
-  runtime::PredictionService Service;
+  std::unique_ptr<runtime::AdaptiveService> Service;
+  runtime::AdaptiveService::EpochPtr Epoch;
   std::vector<size_t> Rows;
 };
 
@@ -296,11 +298,12 @@ ServeFixture &serveFixture() {
     serialize::TrainedModel Model =
         serialize::makeModel("sort1", Scale, Fac.defaultProgramSeed(),
                              *S->Program, std::move(System));
-    S->Service = runtime::PredictionService(std::move(Model));
-    S->Service.bind(*S->Program);
-    S->Rows = S->Service.model().System.TestRows;
+    S->Service = std::make_unique<runtime::AdaptiveService>(*S->Program,
+                                                            std::move(Model));
+    S->Epoch = S->Service->currentEpoch();
+    S->Rows = S->Epoch->Model.System.TestRows;
     for (size_t Row : S->Rows)
-      S->Service.decide(Row); // warm the feature memo
+      S->Service->decide(Row); // warm the feature memo
     return S;
   }();
   return *F;
@@ -313,31 +316,20 @@ static void BM_ServeDecideCompiled(benchmark::State &State) {
   ServeFixture &F = serveFixture();
   size_t I = 0;
   for (auto _ : State) {
-    runtime::PredictionService::Decision D =
-        F.Service.decide(F.Rows[I++ % F.Rows.size()]);
+    runtime::AdaptiveService::Decision D =
+        F.Service->decide(F.Rows[I++ % F.Rows.size()]);
     benchmark::DoNotOptimize(D.Landmark);
   }
 }
 BENCHMARK(BM_ServeDecideCompiled);
-
-static void BM_ServeDecideInterpreted(benchmark::State &State) {
-  ServeFixture &F = serveFixture();
-  size_t I = 0;
-  for (auto _ : State) {
-    runtime::PredictionService::Decision D =
-        F.Service.decideInterpreted(F.Rows[I++ % F.Rows.size()]);
-    benchmark::DoNotOptimize(D.Landmark);
-  }
-}
-BENCHMARK(BM_ServeDecideInterpreted);
 
 /// Classifier-only pair (decision cache bypassed): the compiled arena
 /// walk vs the polymorphic classifier over the same recorded feature
 /// table -- the regression signal for the lowering itself.
 static void BM_ClassifyCompiled(benchmark::State &State) {
   ServeFixture &F = serveFixture();
-  const runtime::CompiledModel &M = F.Service.compiled();
-  const linalg::Matrix &Features = F.Service.model().System.L1.Features;
+  const runtime::CompiledModel &M = F.Epoch->Compiled;
+  const linalg::Matrix &Features = F.Epoch->Model.System.L1.Features;
   runtime::CompiledModel::Scratch S = M.makeScratch();
   size_t I = 0;
   for (auto _ : State) {
@@ -351,7 +343,7 @@ BENCHMARK(BM_ClassifyCompiled);
 
 static void BM_ClassifyInterpreted(benchmark::State &State) {
   ServeFixture &F = serveFixture();
-  const core::TrainedSystem &System = F.Service.model().System;
+  const core::TrainedSystem &System = F.Epoch->Model.System;
   size_t I = 0;
   for (auto _ : State) {
     size_t Row = F.Rows[I++ % F.Rows.size()];

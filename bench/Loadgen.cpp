@@ -19,11 +19,11 @@
 ///     and the shed rate at the overload boundary.
 ///
 /// Every landmark the daemon answered during the sustained phase is
-/// then replayed in-process through PredictionService::decideBatch on
-/// the same model file; any divergence is a nonzero exit. That is the
+/// then replayed in-process through AdaptiveService::decideBatch on the
+/// same model file; any divergence is a nonzero exit. That is the
 /// serving-stack parity wall extended across the process boundary: the
-/// daemon may batch, shard, and interleave tenants however load
-/// dictates, but it must never change an answer.
+/// daemon may interleave sessions and tenants however load dictates,
+/// but it must never change an answer.
 ///
 /// With --spawn the harness forks its own pbt-serve (so CI needs no
 /// background-process choreography) and shuts it down over the
@@ -35,7 +35,7 @@
 
 #include "daemon/Client.h"
 #include "daemon/Protocol.h"
-#include "runtime/PredictionService.h"
+#include "runtime/AdaptiveService.h"
 #include "serialize/ModelIO.h"
 #include "streams/WorkloadStream.h"
 #include "support/Statistics.h"
@@ -64,6 +64,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Inputs per sustained-phase Predict.
+constexpr unsigned kRequestInputs = 256;
+
 double secondsSince(Clock::time_point T0) {
   return std::chrono::duration<double>(Clock::now() - T0).count();
 }
@@ -76,7 +79,7 @@ struct LoadTenant {
   std::string ModelPath;
   std::string Benchmark;
   registry::ProgramPtr Program;
-  std::unique_ptr<runtime::PredictionService> Replica;
+  std::unique_ptr<runtime::AdaptiveService> Replica;
   std::unique_ptr<streams::WorkloadStream> Stream;
 };
 
@@ -181,8 +184,8 @@ std::string dirnameOf(const std::string &Path) {
 }
 
 /// One connection's sustained-phase loop: attach, then replay this
-/// connection's stride of the tenant's stream in --batch chunks until
-/// the deadline.
+/// connection's stride of the tenant's stream in kRequestInputs chunks
+/// until the deadline.
 void sustainedConn(const std::string &Socket, const LoadTenant &T,
                    unsigned Stride, unsigned Offset, unsigned BatchSize,
                    Clock::time_point Deadline, ConnResult &R) {
@@ -298,7 +301,7 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
   }
 
   // Build the in-process tenant replicas: model -> provenance program ->
-  // PredictionService (parity) + WorkloadStream (the request schedule).
+  // AdaptiveService (parity) + WorkloadStream (the request schedule).
   std::vector<LoadTenant> Tenants;
   for (const auto &[Name, Path] : splitModelSpec(Opts.Model)) {
     LoadTenant T;
@@ -324,13 +327,11 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
     T.Program =
         Factory->makeProgram(Model.Meta.Scale, Model.Meta.ProgramSeed);
 
-    T.Replica = std::make_unique<runtime::PredictionService>();
-    serialize::LoadStatus St = T.Replica->loadFile(Path);
-    if (St)
-      St = T.Replica->bind(*T.Program);
-    if (!St || !T.Replica->ready()) {
+    T.Replica = std::make_unique<runtime::AdaptiveService>(*T.Program,
+                                                           std::move(Model));
+    if (!T.Replica->ready()) {
       std::fprintf(stderr, "pbt-bench loadgen: parity replica for '%s': %s\n",
-                   Path.c_str(), St.Error.c_str());
+                   Path.c_str(), T.Replica->status().Error.c_str());
       return 1;
     }
 
@@ -427,8 +428,7 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
 
   double Seconds = std::max(0.05, Opts.Seconds);
   unsigned Conns = std::max(1u, Opts.Connections);
-  unsigned BatchSize =
-      std::max(1u, std::min(Opts.Batch, daemon::kMaxBatchInputs));
+  unsigned BatchSize = std::min(kRequestInputs, daemon::kMaxBatchInputs);
 
   // Sustained phase.
   std::vector<ConnResult> SusConns(Conns);
@@ -505,8 +505,8 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
       for (const auto &[In, L] : Answers)
         Inputs.push_back(static_cast<size_t>(In));
       std::sort(Inputs.begin(), Inputs.end());
-      std::vector<runtime::PredictionService::Decision> Local =
-          Tenants[TIdx].Replica->decideBatch(Inputs, Opts.Pool);
+      std::vector<runtime::AdaptiveService::Decision> Local =
+          Tenants[TIdx].Replica->decideBatch(Inputs);
       for (size_t K = 0; K < Inputs.size(); ++K) {
         ++ParityInputs;
         uint32_t DaemonL = Answers[static_cast<uint64_t>(Inputs[K])];

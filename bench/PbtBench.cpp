@@ -58,7 +58,6 @@ static void printUsage() {
       "  kernels              substrate micro-benchmarks (google-benchmark)\n"
       "  train                train once, persist models for `predict`\n"
       "  predict              serve per-input decisions from a saved model\n"
-      "  serve                compiled-path serving throughput/latency report\n"
       "  stream               nonstationary-traffic adaptation report;\n"
       "                       with --mix, a multi-tenant mixed-schedule\n"
       "                       replay through the daemon model registry\n"
@@ -86,16 +85,16 @@ static void printUsage() {
       "  --out-dir=DIR        directory for CSV series and models (default: .)\n"
       "  --trials=N           random subsets per fig8 landmark count\n"
       "  --out=FILE           train: model path (single benchmark only)\n"
-      "  --model=FILE[,FILE]  predict/serve: model file(s) to serve from\n"
-      "                       (serve accepts a comma-separated list)\n"
-      "  --rows=WHICH         predict/serve: test|train|all recorded rows\n"
+      "  --model=FILE[,FILE]  predict/stream/loadgen: model file(s) to serve\n"
+      "                       from (stream --mix and loadgen accept a\n"
+      "                       comma-separated list)\n"
+      "  --rows=WHICH         predict: test|train|all recorded rows\n"
       "  --repeat=N           predict: passes over the rows (memo check);\n"
       "                       trainbench: timing passes per path (best-of)\n"
       "  --csv=FILE           predict: write per-input decisions as CSV\n"
-      "  --batch=N            serve: decisions per decideBatch call\n"
-      "  --seconds=S          serve: wall-clock budget per phase;\n"
-      "                       stream: wall-clock cap per serving loop\n"
-      "  --json               serve/stream/kernels: also write\n"
+      "  --seconds=S          stream: wall-clock cap per serving loop;\n"
+      "                       loadgen: sustained-phase length\n"
+      "  --json               report subcommands: also write\n"
       "                       BENCH_<sub>.json into --out-dir\n"
       "  --schedule=KIND      stream: abrupt|ramp|periodic mixture\n"
       "  --requests=N         stream: request count (the deterministic\n"
@@ -213,9 +212,6 @@ static ParseResult parseSharedOptions(std::vector<std::string> &Args,
         return badValue("--repeat", V, "a positive integer");
     } else if (const char *V = Value("--csv")) {
       Opts.Csv = V;
-    } else if (const char *V = Value("--batch")) {
-      if (!parseUnsigned(V, Opts.Batch) || Opts.Batch < 1)
-        return badValue("--batch", V, "a positive integer");
     } else if (const char *V = Value("--seconds")) {
       double S = 0.0;
       if (!parseDouble(V, S) || S <= 0.0)
@@ -352,16 +348,14 @@ int main(int argc, char **argv) {
       return runKernels(Opts, KArgc, KArgv.data());
     }
 
-    // The remaining subcommands train pipelines or serve batches: give
-    // them the pool (not constructed at all under --sequential).
+    // The remaining subcommands train or retrain pipelines: give them
+    // the pool (not constructed at all under --sequential).
     std::optional<support::ThreadPool> Pool;
     if (!Opts.Sequential) {
       Pool.emplace(Opts.Threads);
       Opts.Pool = &*Pool;
     }
 
-    if (Sub == "serve")
-      return runServe(Opts);
     if (Sub == "loadgen")
       return runLoadgen(Opts, argv[0]);
     if (Sub == "rollout")

@@ -8,16 +8,12 @@
 
 #include "benchmarks/SortAlgorithms.h"
 #include "benchmarks/SortBenchmark.h"
-#include "core/FeatureProbe.h"
 #include "core/TheoreticalModel.h"
 #include "daemon/ModelRegistry.h"
 #include "runtime/AdaptiveService.h"
-#include "runtime/PredictionService.h"
-#include "runtime/SimdLanes.h"
 #include "serialize/ModelIO.h"
 #include "streams/WorkloadStream.h"
 #include "support/Cost.h"
-#include "support/SimdDispatch.h"
 #include "support/Statistics.h"
 #include "support/Table.h"
 
@@ -25,6 +21,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -304,24 +301,24 @@ int benchharness::runTrain(const DriverOptions &Opts) {
   return 0;
 }
 
-/// Shared by predict/serve: load --model, rebuild the exact program the
-/// model was trained on from its recorded provenance (the registry key,
-/// scale, and seed all live in the file), and bind. Returns a nonzero
-/// exit code on failure, 0 on success.
-static int loadAndBind(const DriverOptions &Opts, const char *Sub,
-                       runtime::PredictionService &Service,
-                       registry::ProgramPtr &Program) {
+/// Loads --model, rebuilds the exact program the model was trained on
+/// from its recorded provenance (the registry key, scale, and seed all
+/// live in the file), and builds the serving core over the pair. Returns
+/// a nonzero exit code on failure, 0 on success.
+static int loadService(const DriverOptions &Opts, const char *Sub,
+                       registry::ProgramPtr &Program,
+                       std::unique_ptr<runtime::AdaptiveService> &Service) {
   if (Opts.Model.empty()) {
     std::fprintf(stderr, "pbt-bench %s: --model=FILE is required\n", Sub);
     return 1;
   }
-  serialize::LoadStatus Loaded = Service.loadFile(Opts.Model);
+  serialize::TrainedModel Model;
+  serialize::LoadStatus Loaded = serialize::loadModelFile(Opts.Model, Model);
   if (!Loaded) {
     std::fprintf(stderr, "pbt-bench %s: cannot load '%s': %s\n", Sub,
                  Opts.Model.c_str(), Loaded.Error.c_str());
     return 1;
   }
-  const serialize::TrainedModel &Model = Service.model();
   const registry::BenchmarkFactory *Factory =
       registry::BenchmarkRegistry::instance().lookup(Model.Meta.Benchmark);
   if (!Factory) {
@@ -331,10 +328,11 @@ static int loadAndBind(const DriverOptions &Opts, const char *Sub,
     return 1;
   }
   Program = Factory->makeProgram(Model.Meta.Scale, Model.Meta.ProgramSeed);
-  serialize::LoadStatus Bound = Service.bind(*Program);
-  if (!Bound) {
+  Service = std::make_unique<runtime::AdaptiveService>(*Program,
+                                                       std::move(Model));
+  if (!Service->ready()) {
     std::fprintf(stderr, "pbt-bench %s: model/program mismatch: %s\n", Sub,
-                 Bound.Error.c_str());
+                 Service->status().Error.c_str());
     return 1;
   }
   return 0;
@@ -364,11 +362,12 @@ static bool selectRows(const DriverOptions &Opts, const char *Sub,
 }
 
 int benchharness::runPredict(const DriverOptions &Opts) {
-  runtime::PredictionService Service;
   registry::ProgramPtr Program;
-  if (int Failed = loadAndBind(Opts, "predict", Service, Program))
+  std::unique_ptr<runtime::AdaptiveService> Service;
+  if (int Failed = loadService(Opts, "predict", Program, Service))
     return Failed;
-  const serialize::TrainedModel &Model = Service.model();
+  runtime::AdaptiveService::EpochPtr Epoch = Service->currentEpoch();
+  const serialize::TrainedModel &Model = Epoch->Model;
 
   std::vector<size_t> Rows;
   if (!selectRows(Opts, "predict", Model, Rows))
@@ -381,7 +380,7 @@ int benchharness::runPredict(const DriverOptions &Opts) {
   unsigned Repeat = std::max(1u, Opts.Repeat);
   for (unsigned Pass = 0; Pass != Repeat; ++Pass) {
     for (size_t Row : Rows) {
-      runtime::PredictionService::Decision D = Service.decide(Row);
+      runtime::AdaptiveService::Decision D = Service->decide(Row);
       if (Pass != 0)
         continue; // later passes only exercise the memo
       Table.addRow({Program->describeInput(Row), std::to_string(D.Landmark),
@@ -396,7 +395,7 @@ int benchharness::runPredict(const DriverOptions &Opts) {
     return 1;
   }
 
-  const runtime::PredictionService::Stats &S = Service.stats();
+  runtime::AdaptiveService::StatsSnapshot S = Service->stats();
   std::printf("Online decisions from %s (benchmark %s, %zu rows, "
               "%u pass%s, production classifier: %s)\n\n%s\n",
               Opts.Model.c_str(), Model.Meta.Benchmark.c_str(), Rows.size(),
@@ -404,277 +403,16 @@ int benchharness::runPredict(const DriverOptions &Opts) {
               Model.System.L2.SelectedName.c_str(), Table.format().c_str());
   std::printf("Service stats: %llu calls, %llu memoized, %llu features "
               "extracted, total extraction cost %.1f units\n",
-              static_cast<unsigned long long>(S.Calls),
-              static_cast<unsigned long long>(S.MemoizedCalls),
+              static_cast<unsigned long long>(S.Decisions),
+              static_cast<unsigned long long>(S.MemoizedDecisions),
               static_cast<unsigned long long>(S.FeaturesExtracted),
               S.FeatureCostPaid);
   return 0;
 }
 
 //===----------------------------------------------------------------------===//
-// serve
+// JSON helpers
 //===----------------------------------------------------------------------===//
-
-namespace {
-/// One measured serving mode.
-struct ServePhase {
-  double DecisionsPerSec = 0.0;
-  double P50BatchUs = 0.0;
-  double P99BatchUs = 0.0;
-  uint64_t Decisions = 0;
-  uint64_t Batches = 0;
-};
-} // namespace
-
-/// Runs decideBatch over \p Batch repeatedly for ~\p Seconds of wall
-/// clock, recording each call's latency.
-static ServePhase measureCompiled(runtime::PredictionService &Service,
-                                  const std::vector<size_t> &Batch,
-                                  support::ThreadPool *Pool, double Seconds) {
-  ServePhase P;
-  std::vector<double> Latencies;
-  // One untimed warm-up pass: first-touch faults, pool wake-up and any
-  // one-time setup never land in a latency sample (the percentiles must
-  // reflect steady-state serving).
-  Service.decideBatch(Batch, Pool);
-  support::WallTimer Total;
-  double Elapsed = 0.0;
-  do {
-    support::WallTimer T;
-    std::vector<runtime::PredictionService::Decision> D =
-        Service.decideBatch(Batch, Pool);
-    Latencies.push_back(T.elapsedSeconds());
-    P.Decisions += D.size();
-    Elapsed = Total.elapsedSeconds();
-  } while (Elapsed < Seconds);
-  P.Batches = Latencies.size();
-  P.DecisionsPerSec =
-      Elapsed > 0.0 ? static_cast<double>(P.Decisions) / Elapsed : 0.0;
-  P.P50BatchUs = support::quantile(Latencies, 0.5) * 1e6;
-  P.P99BatchUs = support::quantile(Latencies, 0.99) * 1e6;
-  return P;
-}
-
-/// Cold serving: every pass drops the memo first, so each decision pays
-/// feature extraction -- the fresh-traffic regime where batching across
-/// the pool actually amortises (hot repeat decisions are one cached load
-/// and too cheap to shard profitably).
-static ServePhase measureCold(runtime::PredictionService &Service,
-                              const std::vector<size_t> &Batch,
-                              support::ThreadPool *Pool, double Seconds) {
-  ServePhase P;
-  std::vector<double> Latencies;
-  // Untimed warm-up pass (see measureCompiled).
-  Service.clearMemo();
-  Service.decideBatch(Batch, Pool);
-  support::WallTimer Total;
-  double Elapsed = 0.0;
-  double Spent = 0.0;
-  do {
-    // The memo teardown is serving-infrastructure bookkeeping, not
-    // per-batch serving work: exclude it from the batch latency but
-    // count it against the phase budget.
-    Service.clearMemo();
-    support::WallTimer T;
-    std::vector<runtime::PredictionService::Decision> D =
-        Service.decideBatch(Batch, Pool);
-    Latencies.push_back(T.elapsedSeconds());
-    Spent += Latencies.back();
-    P.Decisions += D.size();
-    Elapsed = Total.elapsedSeconds();
-  } while (Elapsed < Seconds);
-  P.Batches = Latencies.size();
-  P.DecisionsPerSec =
-      Spent > 0.0 ? static_cast<double>(P.Decisions) / Spent : 0.0;
-  P.P50BatchUs = support::quantile(Latencies, 0.5) * 1e6;
-  P.P99BatchUs = support::quantile(Latencies, 0.99) * 1e6;
-  return P;
-}
-
-/// Decision-classification phases with the feature memo warm AND
-/// complete: every pass drops only the cached decisions -- outside the
-/// timed region, like measureCold's teardown -- so each timed batch
-/// re-classifies every input from memoized features, through the
-/// dispatched SIMD lanes or (with \p LaneServing off) the frozen scalar
-/// compiled path. The scalar-vs-SIMD ratio of this phase at the pool's
-/// thread count is the number BENCH_serve.json pins.
-static ServePhase measureDecide(runtime::PredictionService &Service,
-                                const std::vector<size_t> &Batch,
-                                support::ThreadPool *Pool, double Seconds,
-                                bool LaneServing) {
-  bool Restore = Service.laneServing();
-  Service.setLaneServing(LaneServing);
-  ServePhase P;
-  std::vector<double> Latencies;
-  // Untimed warm-up pass (see measureCompiled).
-  Service.clearDecisions();
-  Service.decideBatch(Batch, Pool);
-  support::WallTimer Total;
-  double Elapsed = 0.0;
-  double Spent = 0.0;
-  do {
-    Service.clearDecisions();
-    support::WallTimer T;
-    std::vector<runtime::PredictionService::Decision> D =
-        Service.decideBatch(Batch, Pool);
-    Latencies.push_back(T.elapsedSeconds());
-    Spent += Latencies.back();
-    P.Decisions += D.size();
-    Elapsed = Total.elapsedSeconds();
-  } while (Elapsed < Seconds);
-  Service.setLaneServing(Restore);
-  P.Batches = Latencies.size();
-  P.DecisionsPerSec =
-      Spent > 0.0 ? static_cast<double>(P.Decisions) / Spent : 0.0;
-  P.P50BatchUs = support::quantile(Latencies, 0.5) * 1e6;
-  P.P99BatchUs = support::quantile(Latencies, 0.99) * 1e6;
-  return P;
-}
-
-/// Classifier-only phases: drive the lowered production classifier (and
-/// its interpreted twin) directly over the model's recorded feature
-/// table, bypassing the service's decision cache. This is the pure
-/// "arena walk vs polymorphic walk over memoized features" ratio -- the
-/// regression signal for the compiled subsystem itself, independent of
-/// how effective decision caching is.
-static ServePhase measureClassifyCompiled(
-    const runtime::CompiledModel &Compiled, const linalg::Matrix &Features,
-    const std::vector<size_t> &Batch, double Seconds) {
-  ServePhase P;
-  std::vector<double> Latencies;
-  runtime::CompiledModel::Scratch S = Compiled.makeScratch();
-  // Untimed warm-up pass (see measureCompiled).
-  for (size_t Row : Batch)
-    (void)Compiled.decideProduction(
-        S, [&Features, Row](unsigned F) { return Features.at(Row, F); });
-  support::WallTimer Total;
-  double Elapsed = 0.0;
-  do {
-    support::WallTimer T;
-    for (size_t Row : Batch) {
-      unsigned L = Compiled.decideProduction(
-          S, [&Features, Row](unsigned F) { return Features.at(Row, F); });
-      (void)L;
-    }
-    Latencies.push_back(T.elapsedSeconds());
-    P.Decisions += Batch.size();
-    Elapsed = Total.elapsedSeconds();
-  } while (Elapsed < Seconds);
-  P.Batches = Latencies.size();
-  P.DecisionsPerSec =
-      Elapsed > 0.0 ? static_cast<double>(P.Decisions) / Elapsed : 0.0;
-  P.P50BatchUs = support::quantile(Latencies, 0.5) * 1e6;
-  P.P99BatchUs = support::quantile(Latencies, 0.99) * 1e6;
-  return P;
-}
-
-/// Lane twin of measureClassifyCompiled: the same rows from the same
-/// recorded feature table, classified a lane at a time through the
-/// dispatched engine's classifyProductionBlock. Against the scalar
-/// compiled phase this is the pure kernel ratio, with feature plumbing
-/// and the decision cache held constant.
-static ServePhase measureClassifyLanes(const runtime::CompiledModel &Compiled,
-                                       const runtime::LaneEngine &Engine,
-                                       const linalg::Matrix &Features,
-                                       const std::vector<size_t> &Batch,
-                                       double Seconds) {
-  ServePhase P;
-  std::vector<double> Latencies;
-  runtime::CompiledModel::Scratch S = Compiled.makeScratch();
-  const std::vector<uint32_t> &Reads = Compiled.productionReads();
-  const unsigned W = Engine.Width;
-  unsigned Labels[runtime::kMaxLaneWidth];
-  auto Pass = [&]() {
-    for (size_t Base = 0; Base < Batch.size(); Base += W) {
-      unsigned Count =
-          static_cast<unsigned>(std::min<size_t>(W, Batch.size() - Base));
-      for (unsigned L = 0; L != Count; ++L) {
-        size_t Row = Batch[Base + L];
-        for (uint32_t F : Reads)
-          S.LaneBlock[static_cast<size_t>(F) * W + L] = Features.at(Row, F);
-      }
-      Compiled.classifyProductionBlock(Engine, S, Count, Labels);
-    }
-  };
-  // Untimed warm-up pass (see measureCompiled).
-  Pass();
-  support::WallTimer Total;
-  double Elapsed = 0.0;
-  do {
-    support::WallTimer T;
-    Pass();
-    Latencies.push_back(T.elapsedSeconds());
-    P.Decisions += Batch.size();
-    Elapsed = Total.elapsedSeconds();
-  } while (Elapsed < Seconds);
-  P.Batches = Latencies.size();
-  P.DecisionsPerSec =
-      Elapsed > 0.0 ? static_cast<double>(P.Decisions) / Elapsed : 0.0;
-  P.P50BatchUs = support::quantile(Latencies, 0.5) * 1e6;
-  P.P99BatchUs = support::quantile(Latencies, 0.99) * 1e6;
-  return P;
-}
-
-static ServePhase measureClassifyInterpreted(
-    const core::InputClassifier &Classifier, const linalg::Matrix &Features,
-    const linalg::Matrix &Costs, const std::vector<size_t> &Batch,
-    double Seconds) {
-  ServePhase P;
-  std::vector<double> Latencies;
-  // Untimed warm-up pass (see measureCompiled).
-  for (size_t Row : Batch) {
-    core::FeatureProbe Probe = core::probeFromTable(Features, Costs, Row);
-    (void)Classifier.classify(Probe);
-  }
-  support::WallTimer Total;
-  double Elapsed = 0.0;
-  do {
-    support::WallTimer T;
-    for (size_t Row : Batch) {
-      core::FeatureProbe Probe = core::probeFromTable(Features, Costs, Row);
-      unsigned L = Classifier.classify(Probe);
-      (void)L;
-    }
-    Latencies.push_back(T.elapsedSeconds());
-    P.Decisions += Batch.size();
-    Elapsed = Total.elapsedSeconds();
-  } while (Elapsed < Seconds);
-  P.Batches = Latencies.size();
-  P.DecisionsPerSec =
-      Elapsed > 0.0 ? static_cast<double>(P.Decisions) / Elapsed : 0.0;
-  P.P50BatchUs = support::quantile(Latencies, 0.5) * 1e6;
-  P.P99BatchUs = support::quantile(Latencies, 0.99) * 1e6;
-  return P;
-}
-
-/// The pre-compile baseline: a plain single-threaded decideInterpreted()
-/// loop over \p Batch, timed per pass so the two paths see identical
-/// work per "batch".
-static ServePhase measureInterpreted(runtime::PredictionService &Service,
-                                     const std::vector<size_t> &Batch,
-                                     double Seconds) {
-  ServePhase P;
-  std::vector<double> Latencies;
-  // Untimed warm-up pass (see measureCompiled).
-  for (size_t Row : Batch)
-    Service.decideInterpreted(Row);
-  support::WallTimer Total;
-  double Elapsed = 0.0;
-  do {
-    support::WallTimer T;
-    for (size_t Row : Batch)
-      Service.decideInterpreted(Row);
-    Latencies.push_back(T.elapsedSeconds());
-    P.Decisions += Batch.size();
-    Elapsed = Total.elapsedSeconds();
-  } while (Elapsed < Seconds);
-  P.Batches = Latencies.size();
-  P.DecisionsPerSec =
-      Elapsed > 0.0 ? static_cast<double>(P.Decisions) / Elapsed : 0.0;
-  P.P50BatchUs = support::quantile(Latencies, 0.5) * 1e6;
-  P.P99BatchUs = support::quantile(Latencies, 0.99) * 1e6;
-  return P;
-}
 
 std::string benchharness::jsonNumber(double V) {
   char Buf[64];
@@ -714,22 +452,8 @@ std::string benchharness::jsonString(const std::string &S) {
   return Out;
 }
 
-static std::string jsonPhase(const ServePhase &P) {
-  // A phase that recorded no batches has no latency sample to take a
-  // percentile of: support::quantile on an empty vector returns 0.0,
-  // which would read as an impossible zero-latency measurement. Report
-  // the percentiles as null so downstream consumers see "empty phase",
-  // never a fake sample.
-  bool Empty = P.Batches == 0;
-  return "{\"decisions_per_sec\": " + jsonNumber(P.DecisionsPerSec) +
-         ", \"p50_batch_us\": " + (Empty ? "null" : jsonNumber(P.P50BatchUs)) +
-         ", \"p99_batch_us\": " + (Empty ? "null" : jsonNumber(P.P99BatchUs)) +
-         ", \"decisions\": " + std::to_string(P.Decisions) +
-         ", \"batches\": " + std::to_string(P.Batches) + "}";
-}
-
-/// Splits a comma-separated --model value: `serve` accepts a list so one
-/// run (and one BENCH_serve.json) covers every golden model.
+/// Splits a comma-separated --model value (`stream --mix` takes one
+/// model per tenant).
 static std::vector<std::string> splitModels(const std::string &Value) {
   std::vector<std::string> Out;
   size_t Start = 0;
@@ -742,201 +466,6 @@ static std::vector<std::string> splitModels(const std::string &Value) {
     Start = Comma + 1;
   }
   return Out;
-}
-
-/// Ratio of two phase throughputs (0 when the denominator is empty).
-static double speedupOf(const ServePhase &Num, const ServePhase &Den) {
-  return Den.DecisionsPerSec > 0.0
-             ? Num.DecisionsPerSec / Den.DecisionsPerSec
-             : 0.0;
-}
-
-/// Benchmarks one model file end to end and appends its JSON object
-/// (one entry of the report's "models" array) to \p Json. Returns a
-/// nonzero exit code when the model cannot be loaded; a parity failure
-/// clears \p ChoicesMatch but still reports the numbers.
-static int serveOneModel(const DriverOptions &Opts, const std::string &Path,
-                         std::string &Json, bool &ChoicesMatch) {
-  DriverOptions ModelOpts = Opts;
-  ModelOpts.Model = Path;
-  runtime::PredictionService Service;
-  registry::ProgramPtr Program;
-  // Load + arena lowering is a one-time cost, reported on its own line:
-  // it must never land inside a measured region, so no latency
-  // percentile (in particular no cold-phase p99) includes compile time.
-  support::WallTimer LoadTimer;
-  if (int Failed = loadAndBind(ModelOpts, "serve", Service, Program))
-    return Failed;
-  double LoadCompileSeconds = LoadTimer.elapsedSeconds();
-  const serialize::TrainedModel &Model = Service.model();
-
-  std::vector<size_t> Rows;
-  if (!selectRows(ModelOpts, "serve", Model, Rows))
-    return 1;
-  if (Rows.empty()) {
-    std::fprintf(stderr, "pbt-bench serve: '%s' records no %s rows\n",
-                 Path.c_str(), Opts.Rows.c_str());
-    return 1;
-  }
-
-  // The request stream: the recorded rows cycled up to the batch size.
-  unsigned BatchSize = std::max(1u, Opts.Batch);
-  std::vector<size_t> Batch(BatchSize);
-  for (unsigned I = 0; I != BatchSize; ++I)
-    Batch[I] = Rows[I % Rows.size()];
-
-  // Warm the feature memo once so every phase measures pure decision
-  // throughput (the steady serving state; extraction is paid exactly
-  // once per input either way and reported by `predict`).
-  Service.decideBatch(Rows, nullptr);
-
-  // Parity gate: the compiled path must agree with the interpreted
-  // classifier on every row before any number is reported.
-  for (size_t Row : Rows)
-    if (Service.decide(Row).Landmark !=
-        Service.decideInterpreted(Row).Landmark)
-      ChoicesMatch = false;
-
-  double Seconds = std::max(0.01, Opts.Seconds);
-  ServePhase Interpreted = measureInterpreted(Service, Batch, Seconds);
-  ServePhase Single = measureCompiled(Service, Batch, nullptr, Seconds);
-  ServePhase Batched = measureCompiled(Service, Batch, Opts.Pool, Seconds);
-  ServePhase ColdSingle = measureCold(Service, Batch, nullptr, Seconds);
-  ServePhase ColdBatched = measureCold(Service, Batch, Opts.Pool, Seconds);
-
-  // Decision-classification phases, scalar vs SIMD side by side. The
-  // cold phases above dropped the memo; rebuild it feature-complete so
-  // every model kind is lane-eligible (steady-state serving keeps the
-  // memo warm anyway -- this is the regime the tentpole targets).
-  Service.decideBatch(Rows, nullptr);
-  for (size_t Row : Rows)
-    Service.warmFeatureMemo(Row);
-  ServePhase DecideScalarSingle =
-      measureDecide(Service, Batch, nullptr, Seconds, /*LaneServing=*/false);
-  ServePhase DecideSimdSingle =
-      measureDecide(Service, Batch, nullptr, Seconds, /*LaneServing=*/true);
-  ServePhase DecideScalarThreads =
-      measureDecide(Service, Batch, Opts.Pool, Seconds, /*LaneServing=*/false);
-  ServePhase DecideSimdThreads =
-      measureDecide(Service, Batch, Opts.Pool, Seconds, /*LaneServing=*/true);
-
-  // Classifier-only ratios (decision cache bypassed): the compiled arena
-  // walk and its lane twin vs the polymorphic classifier, all over the
-  // same recorded features.
-  ServePhase ClassifyCompiled = measureClassifyCompiled(
-      Service.compiled(), Model.System.L1.Features, Batch, Seconds);
-  ServePhase ClassifyLanes = measureClassifyLanes(
-      Service.compiled(), runtime::laneEngine(Service.simdTier()),
-      Model.System.L1.Features, Batch, Seconds);
-  ServePhase ClassifyInterpreted = measureClassifyInterpreted(
-      *Model.System.L2.Production, Model.System.L1.Features,
-      Model.System.L1.ExtractCosts, Batch, Seconds);
-
-  Json += std::string("    {\n") +
-          "      \"model\": \"" + jsonString(Path) + "\",\n" +
-          "      \"benchmark\": \"" + jsonString(Model.Meta.Benchmark) +
-          "\",\n" +
-          "      \"classifier\": \"" + jsonString(Model.System.L2.SelectedName) +
-          "\",\n" +
-          "      \"rows\": " + std::to_string(Rows.size()) + ",\n" +
-          "      \"arena_bytes\": " +
-          std::to_string(Service.compiled().arenaBytes()) + ",\n" +
-          "      \"load_compile_seconds\": " + jsonNumber(LoadCompileSeconds) +
-          ",\n" +
-          "      \"choices_match_interpreted\": " +
-          (ChoicesMatch ? "true" : "false") + ",\n" +
-          "      \"interpreted_single\": " + jsonPhase(Interpreted) + ",\n" +
-          "      \"compiled_single\": " + jsonPhase(Single) + ",\n" +
-          "      \"compiled_batched\": " + jsonPhase(Batched) + ",\n" +
-          "      \"compiled_cold_single\": " + jsonPhase(ColdSingle) + ",\n" +
-          "      \"compiled_cold_batched\": " + jsonPhase(ColdBatched) +
-          ",\n" +
-          "      \"decide_scalar_single\": " + jsonPhase(DecideScalarSingle) +
-          ",\n" +
-          "      \"decide_simd_single\": " + jsonPhase(DecideSimdSingle) +
-          ",\n" +
-          "      \"decide_scalar_threads\": " + jsonPhase(DecideScalarThreads) +
-          ",\n" +
-          "      \"decide_simd_threads\": " + jsonPhase(DecideSimdThreads) +
-          ",\n" +
-          "      \"classify_compiled_single\": " + jsonPhase(ClassifyCompiled) +
-          ",\n" +
-          "      \"classify_lanes_single\": " + jsonPhase(ClassifyLanes) +
-          ",\n" +
-          "      \"classify_interpreted_single\": " +
-          jsonPhase(ClassifyInterpreted) + ",\n" +
-          "      \"compiled_vs_interpreted_speedup\": " +
-          jsonNumber(speedupOf(Single, Interpreted)) + ",\n" +
-          "      \"classify_compiled_vs_interpreted_speedup\": " +
-          jsonNumber(speedupOf(ClassifyCompiled, ClassifyInterpreted)) +
-          ",\n" +
-          "      \"classify_lanes_vs_compiled_speedup\": " +
-          jsonNumber(speedupOf(ClassifyLanes, ClassifyCompiled)) + ",\n" +
-          "      \"batched_vs_single_scaling\": " +
-          jsonNumber(speedupOf(Batched, Single)) + ",\n" +
-          "      \"cold_batched_vs_single_scaling\": " +
-          jsonNumber(speedupOf(ColdBatched, ColdSingle)) + ",\n" +
-          "      \"simd_vs_scalar_single_speedup\": " +
-          jsonNumber(speedupOf(DecideSimdSingle, DecideScalarSingle)) + ",\n" +
-          "      \"simd_vs_scalar_threads_speedup\": " +
-          jsonNumber(speedupOf(DecideSimdThreads, DecideScalarThreads)) +
-          "\n" +
-          "    }";
-  std::fprintf(stderr,
-               "[serve] %-12s simd/scalar %.2fx single, %.2fx pooled "
-               "(%s lanes)\n",
-               Model.Meta.Benchmark.c_str(),
-               speedupOf(DecideSimdSingle, DecideScalarSingle),
-               speedupOf(DecideSimdThreads, DecideScalarThreads),
-               support::simdTierName(Service.simdTier()));
-  return 0;
-}
-
-int benchharness::runServe(const DriverOptions &Opts) {
-  std::vector<std::string> Models = splitModels(Opts.Model);
-  if (Models.empty()) {
-    std::fprintf(stderr,
-                 "pbt-bench serve: --model=FILE[,FILE...] is required\n");
-    return 1;
-  }
-  unsigned Threads = Opts.Pool ? Opts.Pool->numThreads() : 1;
-  const runtime::LaneEngine &Active =
-      runtime::laneEngine(support::activeSimdTier());
-
-  std::string Json =
-      std::string("{\n") +
-      "  \"subcommand\": \"serve\",\n" +
-      "  \"threads\": " + std::to_string(Threads) + ",\n" +
-      "  \"batch\": " + std::to_string(std::max(1u, Opts.Batch)) + ",\n" +
-      "  \"seconds_per_phase\": " +
-      jsonNumber(std::max(0.01, Opts.Seconds)) + ",\n" +
-      "  \"simd_tier\": \"" + support::simdTierName(Active.Tier) + "\",\n" +
-      "  \"simd_lane_width\": " + std::to_string(Active.Width) + ",\n" +
-      "  \"models\": [\n";
-  bool AllMatch = true;
-  for (size_t I = 0; I != Models.size(); ++I) {
-    bool ChoicesMatch = true;
-    if (int Failed = serveOneModel(Opts, Models[I], Json, ChoicesMatch))
-      return Failed;
-    AllMatch = AllMatch && ChoicesMatch;
-    Json += I + 1 != Models.size() ? ",\n" : "\n";
-  }
-  Json += "  ]\n}\n";
-
-  std::fputs(Json.c_str(), stdout);
-  if (Opts.Json) {
-    std::string Path = csvPath(Opts, "BENCH_serve.json");
-    FILE *Out = std::fopen(Path.c_str(), "wb");
-    if (!Out || std::fwrite(Json.data(), 1, Json.size(), Out) != Json.size()) {
-      if (Out)
-        std::fclose(Out);
-      std::fprintf(stderr, "pbt-bench serve: cannot write '%s'\n",
-                   Path.c_str());
-      return 1;
-    }
-    std::fclose(Out);
-  }
-  return AllMatch ? 0 : 1;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1495,14 +1024,15 @@ int benchharness::runStreamMix(const DriverOptions &Opts) {
       break; // wall-clock cap; --requests is the deterministic bound
   }
 
-  // The parity wall: an independent PredictionService replay of each
+  // The parity wall: an independent AdaptiveService replay of each
   // tenant's model file over exactly its subsequence of the mix must
   // agree decision for decision with what the registry served.
   size_t Mismatches = 0;
   for (size_t I = 0; I != Registry.size(); ++I) {
     daemon::Tenant *T = Registry.at(I);
-    runtime::PredictionService Replay;
-    serialize::LoadStatus St = Replay.loadFile(T->ModelPath);
+    serialize::TrainedModel ReplayModel;
+    serialize::LoadStatus St =
+        serialize::loadModelFile(T->ModelPath, ReplayModel);
     if (!St) {
       std::fprintf(stderr, "pbt-bench stream --mix: parity reload '%s': %s\n",
                    T->ModelPath.c_str(), St.Error.c_str());
@@ -1511,16 +1041,16 @@ int benchharness::runStreamMix(const DriverOptions &Opts) {
     const registry::BenchmarkFactory &F =
         registry::BenchmarkRegistry::instance().get(T->Benchmark);
     registry::ProgramPtr Program = F.makeProgram(
-        Replay.model().Meta.Scale, Replay.model().Meta.ProgramSeed);
-    serialize::LoadStatus Bound = Replay.bind(*Program);
-    if (!Bound) {
+        ReplayModel.Meta.Scale, ReplayModel.Meta.ProgramSeed);
+    runtime::AdaptiveService Replay(*Program, std::move(ReplayModel));
+    if (!Replay.ready()) {
       std::fprintf(stderr, "pbt-bench stream --mix: parity bind '%s': %s\n",
-                   T->Name.c_str(), Bound.Error.c_str());
+                   T->Name.c_str(), Replay.status().Error.c_str());
       return 1;
     }
     std::vector<size_t> Inputs = Mixed->tenantInputs(static_cast<unsigned>(I));
     Inputs.resize(Traces[I].Landmarks.size()); // the served prefix
-    std::vector<runtime::PredictionService::Decision> Ref =
+    std::vector<runtime::AdaptiveService::Decision> Ref =
         Replay.decideBatch(Inputs);
     for (size_t R = 0; R != Ref.size(); ++R)
       if (Ref[R].Landmark != Traces[I].Landmarks[R]) {

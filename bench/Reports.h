@@ -41,9 +41,9 @@ struct DriverOptions {
   /// `train` only: explicit model output path (single benchmark); when
   /// empty each model lands in OutDir/<name>.pbt.
   std::string Out;
-  /// `predict`/`serve`/`stream`: the model file to serve from (--model).
-  /// `serve` accepts a comma-separated list and reports every entry in
-  /// one JSON "models" array.
+  /// `predict`/`stream`/`loadgen`: the model file to serve from
+  /// (--model). `stream --mix` and `loadgen` accept a comma-separated
+  /// list, one tenant per entry.
   std::string Model;
   /// `predict` only: which recorded rows to serve (--rows=test|train|all).
   std::string Rows = "test";
@@ -52,11 +52,10 @@ struct DriverOptions {
   unsigned Repeat = 1;
   /// `predict` only: optional CSV of per-input decisions (--csv).
   std::string Csv;
-  /// `serve` only: decisions per decideBatch call (--batch).
-  unsigned Batch = 256;
-  /// `serve` only: wall-clock budget per measurement phase (--seconds).
+  /// `stream`: wall-clock cap per serving loop; `loadgen`: length of
+  /// the sustained phase (--seconds).
   double Seconds = 1.0;
-  /// `serve`/`stream`/`kernels`: also write BENCH_<sub>.json into OutDir
+  /// Report subcommands: also write BENCH_<sub>.json into OutDir
   /// (--json), the machine-readable perf-trajectory record CI uploads as
   /// artifacts.
   bool Json = false;
@@ -117,8 +116,8 @@ struct DriverOptions {
   support::ThreadPool *Pool = nullptr;
 };
 
-/// JSON emission helpers shared by the report subcommands (serve, stream,
-/// trainbench, loadgen): a %.6g number and a string escaped for embedding
+/// JSON emission helpers shared by the report subcommands (stream,
+/// trainbench, loadgen, ...): a %.6g number and a string escaped for embedding
 /// in a JSON literal.
 std::string jsonNumber(double V);
 std::string jsonString(const std::string &S);
@@ -150,15 +149,8 @@ int runKernels(const DriverOptions &Opts, int Argc, char **Argv);
 /// system as a versioned model file for later `predict` processes.
 int runTrain(const DriverOptions &Opts);
 /// `predict`: load a persisted model in a fresh process and serve
-/// per-input configuration decisions through a PredictionService.
+/// per-input configuration decisions through an AdaptiveService.
 int runPredict(const DriverOptions &Opts);
-/// `serve`: the serving-throughput harness. Loads a model, compiles it,
-/// warms the feature memo, then measures the interpreted baseline, the
-/// compiled single-thread path, and the compiled batched path over the
-/// thread pool, reporting decisions/sec and p50/p99 batch latency as
-/// machine-readable JSON (stdout; also OutDir/BENCH_serve.json with
-/// --json).
-int runServe(const DriverOptions &Opts);
 /// `trainbench`: the training-performance harness. For each suite entry
 /// it times `Pipeline::train` end to end on the pre-optimisation
 /// reference path (physical sort kernels, no autotuner memo, no
@@ -185,7 +177,7 @@ int runStream(const DriverOptions &Opts);
 /// per-tenant seeds -- interleaves them into one deterministic
 /// streams::MixedStream, and replays the global sequence through each
 /// tenant's registered service. Every decision is parity-checked against
-/// an independent in-process PredictionService replay of the same model
+/// an independent in-process AdaptiveService replay of the same model
 /// file; any divergence is a nonzero exit. Per-tenant decisions/sec and
 /// the interleave census go to JSON (stdout; also
 /// OutDir/BENCH_stream_mix.json with --json).
@@ -206,7 +198,7 @@ int runInteract(const DriverOptions &Opts);
 /// measuring sustained decisions/sec with p50/p99/p999 request latency,
 /// then an oversubscribed saturation phase recording shed behavior at
 /// the admission-control boundary. Every daemon decision is compared
-/// with an in-process PredictionService::decideBatch replay of the same
+/// with an in-process AdaptiveService::decideBatch replay of the same
 /// model and inputs; any divergence is a nonzero exit. JSON to stdout;
 /// also OutDir/BENCH_serve_daemon.json with --json. \p Argv0 locates the
 /// default pbt-serve binary for --spawn.
@@ -237,7 +229,7 @@ int runRollout(const DriverOptions &Opts);
 /// to restart each one and the fleet to reconverge onto CURRENT, then
 /// crash-loops one replica into quarantine and proves the survivors
 /// keep answering. Every successful prediction is parity-checked
-/// against an in-process PredictionService replay; any mismatch, any
+/// against an in-process AdaptiveService replay; any mismatch, any
 /// lost admitted request, or a reconvergence failure is a nonzero exit.
 /// Reports availability, failover latency p50/p99, restart/quarantine
 /// counts as JSON (stdout; also OutDir/BENCH_fleet.json with --json).

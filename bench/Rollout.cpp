@@ -17,7 +17,7 @@
 
 #include "core/Pipeline.h"
 #include "rollout/RolloutController.h"
-#include "runtime/PredictionService.h"
+#include "runtime/AdaptiveService.h"
 #include "serialize/ModelIO.h"
 #include "store/ModelStore.h"
 #include "support/Cost.h"
@@ -62,7 +62,7 @@ struct Series {
 };
 
 /// Decisions (landmark per probe input) of a service -- the golden unit.
-std::vector<unsigned> probeChoices(runtime::PredictionService &Service,
+std::vector<unsigned> probeChoices(runtime::AdaptiveService &Service,
                                    const std::vector<size_t> &Probe) {
   std::vector<unsigned> Out;
   Out.reserve(Probe.size());

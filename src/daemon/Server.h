@@ -18,10 +18,11 @@
 /// most Workers Predicts are served at once and at most QueueCapacity
 /// more wait for a slot; a Predict that finds the line full is answered
 /// Shed immediately, so backlog never grows without limit and a client
-/// always learns its fate. decideBatch is the same input-id-sharded
-/// arena walk as PredictionService::decideBatch, so daemon answers are
-/// choice-identical to an in-process replay (the loadgen harness and
-/// the daemon tests assert exactly that).
+/// always learns its fate. The session calls decideBatch without a
+/// pool, so a Predict is one inline arena walk on the session thread,
+/// and its answers are choice-identical to an in-process AdaptiveService
+/// replay of the same model (the loadgen harness and the daemon tests
+/// assert exactly that).
 ///
 /// Shutdown (requestStop(), a Shutdown frame, or a signal) is clean by
 /// construction: the accept loop notices the flag at its next poll

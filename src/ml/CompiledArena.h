@@ -46,8 +46,7 @@ namespace ml {
 /// Append-only backing store shared by every classifier lowered into one
 /// CompiledModel. Offsets (not pointers) address into it, so the arena
 /// can be moved/copied freely and stays cache-dense. Storage is 64-byte
-/// aligned so the SIMD serving tiers can use full-width aligned loads
-/// over it without ever splitting a cache line.
+/// aligned, so each section starts on a cache-line boundary.
 struct CompiledArena {
   support::CacheAlignedVector<double> F64;
   support::CacheAlignedVector<int32_t> I32;

@@ -6,7 +6,6 @@
 
 #include "rollout/RolloutController.h"
 
-#include "runtime/AdaptiveService.h"
 #include "runtime/SubsetProgram.h"
 #include "support/Cost.h"
 #include "support/Random.h"
@@ -33,11 +32,12 @@ LoadStatus Replica::adoptText(uint64_t NewEpoch, const std::string &Text) {
     return LoadStatus::failure("epoch " + std::to_string(NewEpoch) +
                                " image does not parse: " + St.Error);
   }
-  auto Next = std::make_unique<runtime::PredictionService>(std::move(Model));
-  St = Next->bind(Program);
-  if (!St)
+  auto Next =
+      std::make_unique<runtime::AdaptiveService>(Program, std::move(Model));
+  if (!Next->ready())
     return LoadStatus::failure("epoch " + std::to_string(NewEpoch) +
-                               " does not fit the bound program: " + St.Error);
+                               " does not fit the bound program: " +
+                               Next->status().Error);
   Service = std::move(Next);
   Epoch = NewEpoch;
   ++Swaps;
@@ -103,16 +103,16 @@ RolloutController::RolloutController(const runtime::TunableProgram &Program,
   Sample = std::move(All);
 }
 
-double RolloutController::shadowScore(runtime::PredictionService &Service) {
+double RolloutController::shadowScore(runtime::AdaptiveService &Service) {
   std::lock_guard<std::mutex> Lock(Mu);
   return shadowScoreLocked(Service);
 }
 
 double
-RolloutController::shadowScoreLocked(runtime::PredictionService &Service) {
+RolloutController::shadowScoreLocked(runtime::AdaptiveService &Service) {
   double Total = 0.0;
   for (size_t Input : Sample) {
-    runtime::PredictionService::Decision D = Service.decide(Input);
+    runtime::AdaptiveService::Decision D = Service.decide(Input);
     Total += Program.runOnce(Input, *D.Config).TimeUnits;
   }
   return Sample.empty() ? 0.0 : Total / static_cast<double>(Sample.size());
@@ -271,8 +271,9 @@ Publisher::retrainAndRollout(const std::vector<size_t> &SampleInputs,
 
   // Provenance comes from the serving champion: the candidate is the
   // same benchmark at the same scale, retrained on recent traffic.
-  const serialize::ModelMeta &Meta =
-      Controller.replica(0).service().model().Meta;
+  runtime::AdaptiveService::EpochPtr Champion =
+      Controller.replica(0).service().currentEpoch();
+  const serialize::ModelMeta &Meta = Champion->Model.Meta;
 
   serialize::TrainedModel Candidate;
   try {

@@ -20,11 +20,12 @@
 /// trusting.
 ///
 /// The fleet is simulated in-process -- each Replica is a
-/// runtime::PredictionService plus the store-reader loop a real serving
-/// process would run -- so the whole state machine is testable under the
-/// randomized fault-injection wall (and TSan: replicas may sync on their
-/// own threads; the store's atomic-rename protocol is the only shared
-/// state). A killed-and-restarted fleet resumes from the MANIFEST:
+/// runtime::AdaptiveService (the serving core pbt-serve runs) plus the
+/// store-reader loop a real serving process would run -- so the whole
+/// state machine is testable under the randomized fault-injection wall
+/// (and TSan: replicas may sync on their own threads; the store's
+/// atomic-rename protocol is the only shared state). A
+/// killed-and-restarted fleet resumes from the MANIFEST:
 /// ModelStore::open() rolls interrupted promotions forward and demotes
 /// mid-flight candidates, and resume() converges every replica onto the
 /// surviving CURRENT epoch.
@@ -41,7 +42,7 @@
 #define PBT_ROLLOUT_ROLLOUTCONTROLLER_H
 
 #include "core/Pipeline.h"
-#include "runtime/PredictionService.h"
+#include "runtime/AdaptiveService.h"
 #include "store/ModelStore.h"
 
 #include <atomic>
@@ -55,8 +56,9 @@
 namespace pbt {
 namespace rollout {
 
-/// One simulated serving replica: a PredictionService plus the
-/// poll-CURRENT / load-verified / hot-swap loop a real replica runs.
+/// One simulated serving replica: an AdaptiveService per adopted epoch
+/// plus the poll-CURRENT / load-verified / hot-swap loop a real replica
+/// runs.
 /// Thread contract: one thread drives a given Replica at a time;
 /// different Replicas are fully independent (the store directory is the
 /// only shared state, and it is reader-safe by atomic rename).
@@ -79,7 +81,7 @@ public:
   /// Epoch currently serving (0 = none yet).
   uint64_t epoch() const { return Epoch; }
   bool serving() const { return Service && Service->ready(); }
-  runtime::PredictionService &service() { return *Service; }
+  runtime::AdaptiveService &service() { return *Service; }
 
   /// Store images rejected by size/checksum verification before a good
   /// epoch loaded -- every one is a torn read that never reached a
@@ -94,7 +96,7 @@ private:
 
   const runtime::TunableProgram &Program;
   std::string StoreDir;
-  std::unique_ptr<runtime::PredictionService> Service;
+  std::unique_ptr<runtime::AdaptiveService> Service;
   uint64_t Epoch = 0;
   uint64_t TornPrevented = 0;
   uint64_t Syncs = 0;
@@ -173,11 +175,11 @@ public:
 
   /// Mean run cost of serving the shadow sample with \p Service's
   /// decisions -- the canary comparison metric. Exposed for tests.
-  double shadowScore(runtime::PredictionService &Service);
+  double shadowScore(runtime::AdaptiveService &Service);
 
 private:
   serialize::LoadStatus syncReplicasLocked();
-  double shadowScoreLocked(runtime::PredictionService &Service);
+  double shadowScoreLocked(runtime::AdaptiveService &Service);
 
   const runtime::TunableProgram &Program;
   store::ModelStore Store;

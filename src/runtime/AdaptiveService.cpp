@@ -236,9 +236,9 @@ AdaptiveService::decideBatch(const std::vector<size_t> &Inputs,
     for (size_t I = 0; I != Inputs.size(); ++I)
       Out[I] = decideWith(*Ep, Inputs[I], S);
   } else {
-    // Shard by input id (PredictionService's lock-free memo-ownership
-    // rule): every occurrence of one input is served by exactly one
-    // worker, so decisions cannot depend on the shard count.
+    // Shard by input id, the lock-free memo-ownership rule: every
+    // occurrence of one input is served by exactly one worker, so
+    // decisions cannot depend on the shard count.
     std::vector<CompiledModel::Scratch> Scratches;
     Scratches.reserve(Shards);
     for (unsigned S = 0; S != Shards; ++S)

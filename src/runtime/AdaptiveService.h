@@ -34,11 +34,14 @@
 /// swap history records the shadow scores that justified (or rejected)
 /// each candidate.
 ///
+/// This is the one serving core: the daemon, the rollout replicas, the
+/// bench harnesses and every in-process parity replay decide through it.
+///
 /// Threading contract: decide()/decideBatch()/serve() are driven by one
-/// serving thread (decideBatch may internally shard across a pool, as
-/// PredictionService does); swapModel() may be called concurrently from
-/// any other thread. A batch reads the epoch pointer exactly once, so
-/// every decision inside one batch comes from the same epoch.
+/// serving thread at a time (decideBatch may internally shard across a
+/// pool it is handed); swapModel() may be called concurrently from any
+/// other thread. A batch reads the epoch pointer exactly once, so every
+/// decision inside one batch comes from the same epoch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -137,8 +140,8 @@ public:
     uint64_t FeaturesExtracted = 0;
     double FeatureCostPaid = 0.0;
     /// Extraction paid by the drift monitor's full-vector observation
-    /// (kept apart from per-decision cost so serving accounting matches
-    /// PredictionService).
+    /// (kept apart from per-decision cost, so FeatureCostPaid counts only
+    /// what the classifier examined).
     double MonitorCostPaid = 0.0;
     uint64_t DriftDetections = 0;
     uint64_t Retrains = 0;
@@ -176,9 +179,12 @@ public:
   /// Decide without observing: no monitor, no reservoir, no adaptation.
   Decision decide(size_t Input);
 
-  /// Batched decide (no observation), sharded by input id exactly like
-  /// PredictionService::decideBatch: decisions are identical for every
-  /// thread count, and the whole batch is served by one epoch snapshot.
+  /// Batched decide (no observation); the whole batch is served by one
+  /// epoch snapshot. Without a pool (what every production caller
+  /// passes) the batch runs inline on the calling thread. With one, the
+  /// inputs are sharded by input id, so every occurrence of an input is
+  /// decided by the shard that owns its memo entry: decisions are
+  /// identical for every thread count.
   std::vector<Decision> decideBatch(const std::vector<size_t> &Inputs,
                                     support::ThreadPool *Pool = nullptr);
 
@@ -257,6 +263,8 @@ private:
   double shadowScore(const ModelEpoch &Ep, const std::vector<size_t> &Inputs);
   void publish(std::shared_ptr<ModelEpoch> Next, SwapRecord *Attempt);
   void recordTotals(const Decision &D);
+  /// Bumps SkipCount and records \p Reason as the last skip diagnosis.
+  void recordSkip(std::string Reason);
 
   const TunableProgram &Program;
   AdaptiveServiceOptions Opts;
@@ -265,9 +273,6 @@ private:
 
   /// The atomically swapped serving state. Readers snapshot with
   /// std::atomic_load; publishers serialize on SwapMutex.
-  /// Bumps SkipCount and records \p Reason as the last skip diagnosis.
-  void recordSkip(std::string Reason);
-
   EpochPtr Current;
   std::atomic<uint64_t> EpochCounter{0};
   mutable std::mutex SwapMutex;

@@ -14,51 +14,13 @@
 using namespace pbt;
 using namespace pbt::runtime;
 
-/// The flat features \p C can ever examine, sorted and deduplicated
-/// (see CompiledModel::productionReads).
-static std::vector<uint32_t> readSetOf(const ml::CompiledClassifier &C,
-                                       const ml::CompiledArena &Arena) {
-  std::vector<uint32_t> Reads;
-  switch (C.Kind) {
-  case ml::CompiledKind::Constant:
-  case ml::CompiledKind::MaxApriori:
-    break;
-  case ml::CompiledKind::Tree: {
-    const int32_t *Feature = Arena.I32.data() + C.TreeFeature;
-    for (uint32_t N = 0; N != C.NumNodes; ++N)
-      if (Feature[N] >= 0)
-        Reads.push_back(static_cast<uint32_t>(Feature[N]));
-    break;
-  }
-  case ml::CompiledKind::Bayes: {
-    const int32_t *Order = Arena.I32.data() + C.OrderBase;
-    for (uint32_t P = 0; P != C.OrderLen; ++P)
-      Reads.push_back(static_cast<uint32_t>(Order[P]));
-    break;
-  }
-  case ml::CompiledKind::OneLevel:
-    for (uint32_t F = 0; F != C.Dim; ++F)
-      Reads.push_back(F);
-    break;
-  }
-  std::sort(Reads.begin(), Reads.end());
-  Reads.erase(std::unique(Reads.begin(), Reads.end()), Reads.end());
-  return Reads;
-}
-
 CompiledModel CompiledModel::compileClassifiers(
-    const core::InputClassifier &Production,
-    const core::InputClassifier *OneLevel, unsigned NumFlat,
+    const core::InputClassifier &Production, unsigned NumFlat,
     unsigned NumLandmarks) {
   CompiledModel M;
   M.NumFlat = NumFlat;
   M.NumLandmarks = NumLandmarks;
   Production.compileInto(M.Arena, M.Production);
-  if (OneLevel) {
-    OneLevel->compileInto(M.Arena, M.Baseline);
-    M.HasOneLevel = true;
-  }
-  M.ProductionReads = readSetOf(M.Production, M.Arena);
   M.Ready = true;
   return M;
 }
@@ -68,7 +30,7 @@ CompiledModel CompiledModel::compile(const serialize::TrainedModel &Model) {
   if (!S.L2.Production || S.L1.Landmarks.empty())
     return CompiledModel();
   CompiledModel M = compileClassifiers(
-      *S.L2.Production, S.OneLevel.get(), Model.Meta.numFlatFeatures(),
+      *S.L2.Production, Model.Meta.numFlatFeatures(),
       static_cast<unsigned>(S.L1.Landmarks.size()));
   // Inline the landmark configurations: a flat values-by-arity table so
   // decision -> configuration is one multiply-add away.
@@ -92,20 +54,7 @@ CompiledModel CompiledModel::compile(const serialize::TrainedModel &Model) {
 
 CompiledModel::Scratch CompiledModel::makeScratch() const {
   Scratch S;
-  unsigned Classes = std::max(
-      {NumLandmarks, Production.Classes, Baseline.Classes, 1u});
-  unsigned Dim = std::max({NumFlat, Production.Dim, Baseline.Dim, 1u});
-  S.LogPost.assign(Classes, 0.0);
-  S.Row.assign(Dim, 0.0);
-  // Lane-major SIMD working memory, sized for the widest engine so one
-  // Scratch serves every dispatch tier. Sections are multiples of a
-  // cache line (8 doubles / 16 int32s), keeping every laneView pointer
-  // 64-byte aligned.
-  S.LaneClasses = Classes;
-  S.LaneDim = Dim;
-  S.LaneBlock.assign(static_cast<size_t>(Dim) * kMaxLaneWidth, 0.0);
-  S.LaneF64.assign(
-      (static_cast<size_t>(Classes) + Dim + 3) * kMaxLaneWidth, 0.0);
-  S.LaneI32.assign(5 * 2 * static_cast<size_t>(kMaxLaneWidth), 0);
+  S.LogPost.assign(std::max({NumLandmarks, Production.Classes, 1u}), 0.0);
+  S.Row.assign(std::max({NumFlat, Production.Dim, 1u}), 0.0);
   return S;
 }

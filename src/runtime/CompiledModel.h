@@ -18,13 +18,13 @@
 /// InputClassifier path. The golden-file suite pins this against the
 /// committed *.choices.csv decisions.
 ///
-/// Besides the two classifiers (production + one-level baseline), the
-/// landmark Configurations are inlined into the arena as a flat
-/// values-by-arity table, so "decision -> configuration values" is one
-/// offset computation instead of a vector-of-vectors walk.
+/// Besides the production classifier, the landmark Configurations are
+/// inlined into the arena as a flat values-by-arity table, so "decision
+/// -> configuration values" is one offset computation instead of a
+/// vector-of-vectors walk.
 ///
 /// Feature access is a template parameter (any `double(unsigned)`
-/// callable), which lets PredictionService plug in its memo-backed
+/// callable), which lets AdaptiveService plug in its memo-backed
 /// extractor with zero indirection on the hot path.
 ///
 //===----------------------------------------------------------------------===//
@@ -33,8 +33,6 @@
 #define PBT_RUNTIME_COMPILEDMODEL_H
 
 #include "ml/CompiledArena.h"
-#include "runtime/SimdLanes.h"
-#include "support/AlignedAlloc.h"
 
 #include <cassert>
 #include <cmath>
@@ -60,66 +58,29 @@ public:
     std::vector<double> LogPost;
     /// One-level dense feature row (>= the flat feature count).
     std::vector<double> Row;
-
-    /// Lane-major staging block for the SIMD engines: feature F of lane
-    /// element I sits at LaneBlock[F * Width + I] for the serving
-    /// engine's Width. Sized Dim * kMaxLaneWidth (enough for any tier)
-    /// and zero-initialized so idle lanes always read defined values.
-    support::CacheAlignedVector<double> LaneBlock;
-    /// Backing store carved into LaneScratchView sections; every
-    /// section starts on a 64-byte boundary.
-    support::CacheAlignedVector<double> LaneF64;
-    support::CacheAlignedVector<int32_t> LaneI32;
-    /// Section sizes recorded by makeScratch for the carve below.
-    unsigned LaneClasses = 0;
-    unsigned LaneDim = 0;
-
-    /// Carves the lane working-memory view out of LaneF64/LaneI32. The
-    /// carve is tier-independent: sections are sized for kMaxLaneWidth,
-    /// and narrower engines simply use a shorter stride within them.
-    LaneScratchView laneView() {
-      constexpr unsigned W = kMaxLaneWidth;
-      constexpr unsigned WI32 = 2 * kMaxLaneWidth; // 64B of int32 each
-      LaneScratchView V;
-      double *F = LaneF64.data();
-      V.LogPost = F;
-      V.Row = F + static_cast<size_t>(LaneClasses) * W;
-      V.V = V.Row + static_cast<size_t>(LaneDim) * W;
-      V.T = V.V + W;
-      V.MaxLog = V.T + W;
-      int32_t *I = LaneI32.data();
-      V.Node = I;
-      V.Lo = I + WI32;
-      V.Hi = I + 2 * WI32;
-      V.Best = I + 3 * WI32;
-      V.State = I + 4 * WI32;
-      return V;
-    }
   };
 
   CompiledModel() = default;
 
-  /// Lowers a loaded model (production classifier, one-level baseline,
-  /// landmark configurations). Returns a non-ready model when \p Model
-  /// has no production classifier or no landmarks.
+  /// Lowers a loaded model (production classifier, landmark
+  /// configurations). Returns a non-ready model when \p Model has no
+  /// production classifier or no landmarks.
   static CompiledModel compile(const serialize::TrainedModel &Model);
 
   /// Lower-level entry used by tests and compile(): lowers the given
-  /// classifiers directly. \p OneLevel may be null (no baseline).
+  /// classifier directly.
   static CompiledModel compileClassifiers(
-      const core::InputClassifier &Production,
-      const core::InputClassifier *OneLevel, unsigned NumFlat,
+      const core::InputClassifier &Production, unsigned NumFlat,
       unsigned NumLandmarks);
 
   bool ready() const { return Ready; }
-  bool hasOneLevel() const { return HasOneLevel; }
   unsigned numFlat() const { return NumFlat; }
   unsigned numLandmarks() const { return NumLandmarks; }
 
-  /// Scratch pre-sized for both classifiers of this model.
+  /// Scratch pre-sized for this model's classifier.
   Scratch makeScratch() const;
 
-  /// Arena footprint in bytes (reports/serve diagnostics).
+  /// Arena footprint in bytes (diagnostics).
   size_t arenaBytes() const {
     return Arena.F64.size() * sizeof(double) +
            Arena.I32.size() * sizeof(int32_t);
@@ -154,60 +115,7 @@ public:
     return classify(Production, S, Get);
   }
 
-  /// Decides through the lowered one-level baseline.
-  template <typename GetFeature>
-  unsigned decideOneLevel(Scratch &S, GetFeature &&Get) const {
-    assert(Ready && HasOneLevel && "no compiled one-level baseline");
-    return classify(Baseline, S, Get);
-  }
-
-  /// Kind tags, so the batch driver can tell which classifiers consume
-  /// every flat feature (OneLevel) versus an examined subset.
-  ml::CompiledKind productionKind() const { return Production.Kind; }
-  ml::CompiledKind baselineKind() const { return Baseline.Kind; }
-  /// Feature-space dimension of a OneLevel production classifier: the
-  /// exact flat range [0, Dim) a cold classification extracts.
-  unsigned productionDim() const { return Production.Dim; }
-
-  /// The flat features the production classifier can ever examine
-  /// (sorted, deduplicated): a tree's split features, a Bayes model's
-  /// acquisition order, a OneLevel's full [0, Dim). Lane staging fills
-  /// exactly this set -- for subset classifiers that is far fewer
-  /// copies than the whole flat space, and features outside it are
-  /// never read by any kernel.
-  const std::vector<uint32_t> &productionReads() const {
-    return ProductionReads;
-  }
-
-  /// Classifies \p Count (<= E.Width) inputs staged lane-major in
-  /// S.LaneBlock (stride E.Width) through the production classifier
-  /// with lane engine \p E, writing labels to Out[0..Count). Decisions
-  /// are bit-identical to decideProduction on the same feature values.
-  void classifyProductionBlock(const LaneEngine &E, Scratch &S,
-                               unsigned Count, unsigned *Out) const {
-    assert(Ready && "classify on a non-ready CompiledModel");
-    classifyBlock(Production, E, S, Count, Out);
-  }
-
-  /// Same, through the one-level baseline.
-  void classifyBaselineBlock(const LaneEngine &E, Scratch &S,
-                             unsigned Count, unsigned *Out) const {
-    assert(Ready && HasOneLevel && "no compiled one-level baseline");
-    classifyBlock(Baseline, E, S, Count, Out);
-  }
-
 private:
-  void classifyBlock(const ml::CompiledClassifier &C, const LaneEngine &E,
-                     Scratch &S, unsigned Count, unsigned *Out) const {
-    assert(Count >= 1 && Count <= E.Width && "lane count out of range");
-    assert(S.LaneBlock.size() >= static_cast<size_t>(E.Width) *
-                                     (S.LaneDim ? S.LaneDim : 1) &&
-           "lane scratch from a different model");
-    LaneModelView M{Arena.F64.data(), Arena.I32.data(), &C};
-    LaneScratchView V = S.laneView();
-    E.ClassifyBlock(M, S.LaneBlock.data(), Count, Out, V);
-  }
-
   /// The single dispatch point: one switch on the kind tag, then pure
   /// array walks. Each case replays its interpreter counterpart
   /// operation-for-operation (see the parity notes inline) so decisions
@@ -329,11 +237,8 @@ private:
 
   ml::CompiledArena Arena;
   ml::CompiledClassifier Production{};
-  ml::CompiledClassifier Baseline{};
-  std::vector<uint32_t> ProductionReads;
   std::vector<uint64_t> LandmarkMasks;
   bool Ready = false;
-  bool HasOneLevel = false;
   unsigned NumFlat = 0;
   unsigned NumLandmarks = 0;
   unsigned Arity = 0;

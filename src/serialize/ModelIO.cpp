@@ -7,7 +7,6 @@
 #include "serialize/ModelIO.h"
 
 #include "core/Classifiers.h"
-#include "runtime/CompiledModel.h"
 
 #include <cmath>
 #include <fstream>
@@ -713,22 +712,6 @@ LoadStatus serialize::loadModelFile(const std::string &Path,
   if (!St)
     return LoadStatus::failure("'" + Path + "': " + St.Error);
   return St;
-}
-
-LoadStatus serialize::loadCompiledModelFile(const std::string &Path,
-                                            TrainedModel &Out,
-                                            runtime::CompiledModel &Compiled) {
-  TrainedModel Loaded;
-  LoadStatus Status = loadModelFile(Path, Loaded);
-  if (!Status)
-    return Status;
-  // The loader's bounds checks (labels below the landmark count, features
-  // below the flat count, children after parents) are exactly the
-  // invariants the lowering relies on, so compiling a freshly loaded
-  // model cannot produce out-of-arena offsets.
-  Compiled = runtime::CompiledModel::compile(Loaded);
-  Out = std::move(Loaded);
-  return LoadStatus::success();
 }
 
 LoadStatus serialize::validateAgainst(const TrainedModel &Model,

@@ -8,7 +8,7 @@
 /// Round-trips a fully trained two-level system through the versioned text
 /// format of serialize/TextFormat.h, decoupling expensive offline training
 /// from cheap online selection: `pbt-bench train` persists a TrainedModel,
-/// a fresh process loads it into a runtime::PredictionService, and the
+/// a fresh process loads it into a runtime::AdaptiveService, and the
 /// golden-file regression suite pins the serialized bytes.
 ///
 /// A TrainedModel is a core::TrainedSystem (evidence tables, normalizer,
@@ -36,9 +36,6 @@
 #include <vector>
 
 namespace pbt {
-namespace runtime {
-class CompiledModel;
-} // namespace runtime
 namespace serialize {
 
 /// Current format version; bump when the schema changes shape. Loaders
@@ -143,17 +140,9 @@ LoadStatus writeModelText(const std::string &Path, const std::string &Text);
 LoadStatus saveModelFile(const std::string &Path, const TrainedModel &Model);
 LoadStatus loadModelFile(const std::string &Path, TrainedModel &Out);
 
-/// Loads a model file and, on success, lowers it straight into its
-/// compiled serving form (runtime/CompiledModel.h) -- the one-step path
-/// PredictionService and `pbt-bench serve` use so a freshly loaded model
-/// is immediately servable at arena speed. On failure both outputs are
-/// untouched.
-LoadStatus loadCompiledModelFile(const std::string &Path, TrainedModel &Out,
-                                 runtime::CompiledModel &Compiled);
-
 /// Checks that \p Model matches \p Program (feature declarations,
 /// configuration arity, input count covering the recorded rows) -- the
-/// gate a PredictionService runs before serving decisions.
+/// gate an AdaptiveService runs before serving decisions.
 LoadStatus validateAgainst(const TrainedModel &Model,
                            const runtime::TunableProgram &Program);
 

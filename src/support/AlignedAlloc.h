@@ -6,10 +6,9 @@
 ///
 /// \file
 /// A minimal C++17 allocator that over-aligns every allocation. The
-/// compiled serving substrate keeps its arenas and lane-major scratch in
-/// std::vector<T, AlignedAllocator<T, 64>> so SIMD loads and gathers
-/// over them never split a cache line: one lane (8 doubles) is exactly
-/// one 64-byte line, and every lane-major row starts on a line boundary.
+/// compiled serving substrate keeps its arenas in
+/// std::vector<T, AlignedAllocator<T, 64>> so each arena section starts
+/// on a cache-line boundary.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,9 +6,6 @@
 
 #include "support/SimdDispatch.h"
 
-#include <cstdlib>
-#include <cstring>
-
 using namespace pbt;
 using namespace pbt::support;
 
@@ -24,24 +21,6 @@ const char *support::simdTierName(SimdTier Tier) {
   return "scalar";
 }
 
-bool support::parseSimdTier(const char *Text, SimdTier &Out) {
-  if (!Text)
-    return false;
-  if (std::strcmp(Text, "scalar") == 0) {
-    Out = SimdTier::Scalar;
-    return true;
-  }
-  if (std::strcmp(Text, "sse42") == 0) {
-    Out = SimdTier::Sse42;
-    return true;
-  }
-  if (std::strcmp(Text, "avx2") == 0) {
-    Out = SimdTier::Avx2;
-    return true;
-  }
-  return false;
-}
-
 SimdTier support::detectSimdTier() {
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -53,25 +32,7 @@ SimdTier support::detectSimdTier() {
   return SimdTier::Scalar;
 }
 
-SimdTier support::resolveSimdTier(const char *EnvValue, SimdTier Detected) {
-  SimdTier Requested;
-  if (!parseSimdTier(EnvValue, Requested))
-    return Detected;
-  return clampSimdTier(Requested, Detected);
-}
-
 SimdTier support::activeSimdTier() {
-  static const SimdTier Active =
-      resolveSimdTier(std::getenv("PBT_SIMD"), detectSimdTier());
+  static const SimdTier Active = detectSimdTier();
   return Active;
-}
-
-std::vector<SimdTier> support::availableSimdTiers() {
-  std::vector<SimdTier> Tiers = {SimdTier::Scalar};
-  SimdTier Best = detectSimdTier();
-  if (Best >= SimdTier::Sse42)
-    Tiers.push_back(SimdTier::Sse42);
-  if (Best >= SimdTier::Avx2)
-    Tiers.push_back(SimdTier::Avx2);
-  return Tiers;
 }

@@ -1,21 +1,14 @@
-//===- support/SimdDispatch.h - Runtime ISA tier selection ----------------==//
+//===- support/SimdDispatch.h - Host ISA tier detection --------------------==//
 //
 // Part of the pbtuner project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runtime SIMD dispatch for the vectorized serving path. The host's
-/// best usable tier is probed once (CPUID via __builtin_cpu_supports on
-/// x86; everything else is Scalar), and the `PBT_SIMD` environment
-/// variable can force a LOWER tier -- `scalar`, `sse42` or `avx2` -- so
-/// tests and CI can pin the dispatch independent of the host. A request
-/// above what the host supports clamps down to the detected tier: the
-/// override exists to exercise fallbacks, never to crash the process
-/// with an illegal instruction.
-///
-/// The tiers order Scalar < Sse42 < Avx2, so "best available" is a
-/// plain max and clamping is a plain min.
+/// The host's best SIMD tier, probed once (CPUID via
+/// __builtin_cpu_supports on x86; everything else is Scalar). Benchmark
+/// host records carry its name so numbers measured on different hosts
+/// are never compared as if they were one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +16,6 @@
 #define PBT_SUPPORT_SIMDDISPATCH_H
 
 #include <cstdint>
-#include <vector>
 
 namespace pbt {
 namespace support {
@@ -34,35 +26,14 @@ enum class SimdTier : uint8_t {
   Avx2 = 2,
 };
 
-/// Stable lowercase name ("scalar" / "sse42" / "avx2"); what PBT_SIMD
-/// accepts and what reports print.
+/// Stable lowercase name ("scalar" / "sse42" / "avx2") for reports.
 const char *simdTierName(SimdTier Tier);
 
-/// Parses a PBT_SIMD value. Returns false (leaving \p Out untouched) on
-/// anything but the three tier names.
-bool parseSimdTier(const char *Text, SimdTier &Out);
-
-/// The best tier the host can execute, ignoring any override.
+/// The best tier the host can execute.
 SimdTier detectSimdTier();
 
-/// Pure override policy: the tier to serve with given a requested and a
-/// detected tier (min of the two -- never dispatch above the host).
-inline SimdTier clampSimdTier(SimdTier Requested, SimdTier Detected) {
-  return Requested < Detected ? Requested : Detected;
-}
-
-/// Resolves an override string against a detected tier: empty/invalid
-/// text keeps the detected tier, a valid one clamps as above. Split out
-/// from the environment read so tests can drive it directly.
-SimdTier resolveSimdTier(const char *EnvValue, SimdTier Detected);
-
-/// The process-wide serving tier: detectSimdTier() filtered through the
-/// PBT_SIMD environment variable, computed once and cached.
+/// detectSimdTier(), computed once and cached for the process.
 SimdTier activeSimdTier();
-
-/// Every tier valid on this host, Scalar first (the tiers parity suites
-/// must iterate).
-std::vector<SimdTier> availableSimdTiers();
 
 } // namespace support
 } // namespace pbt

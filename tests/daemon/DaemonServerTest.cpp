@@ -2,7 +2,7 @@
 //
 // The pbt-serve daemon end to end over a real Unix socket: tenant
 // registration from persisted model files, choice parity between daemon
-// answers and an in-process PredictionService replay, multi-tenant
+// answers and an in-process AdaptiveService replay, multi-tenant
 // isolation, admission control (deterministic shedding with the serve
 // path stalled, no queueing when idle), clean shutdown, and the
 // protocol fuzz wall -- truncated frames, oversized length prefixes,
@@ -18,7 +18,7 @@
 #include "daemon/Server.h"
 
 #include "registry/BenchmarkRegistry.h"
-#include "runtime/PredictionService.h"
+#include "runtime/AdaptiveService.h"
 #include "serialize/ModelIO.h"
 #include "streams/WorkloadStream.h"
 
@@ -99,17 +99,18 @@ struct Harness {
 };
 
 /// The in-process oracle: landmark decisions straight from
-/// PredictionService::decideBatch on the same model file.
+/// AdaptiveService::decideBatch on the same model file.
 std::vector<unsigned> inProcessLandmarks(const std::vector<size_t> &Inputs) {
-  runtime::PredictionService Service;
-  EXPECT_TRUE(Service.loadFile(modelPath()).Ok);
+  serialize::TrainedModel Model;
+  EXPECT_TRUE(serialize::loadModelFile(modelPath(), Model).Ok);
   const registry::BenchmarkFactory &F =
       registry::BenchmarkRegistry::instance().get("sort1");
   registry::ProgramPtr P = F.makeProgram(kScale, F.defaultProgramSeed());
-  EXPECT_TRUE(Service.bind(*P).Ok);
+  runtime::AdaptiveService Service(*P, std::move(Model));
+  EXPECT_TRUE(Service.ready()) << Service.status().Error;
   std::vector<unsigned> Out;
-  for (const runtime::PredictionService::Decision &D :
-       Service.decideBatch(Inputs, nullptr))
+  for (const runtime::AdaptiveService::Decision &D :
+       Service.decideBatch(Inputs))
     Out.push_back(D.Landmark);
   return Out;
 }
@@ -158,9 +159,9 @@ TEST(DaemonServerTest, ConcurrentClientsAllGetParityAnswers) {
 
   const std::vector<unsigned> Oracle = [] {
     std::vector<size_t> All;
-    runtime::PredictionService Probe;
-    EXPECT_TRUE(Probe.loadFile(modelPath()).Ok);
-    const size_t N = Probe.model().System.L1.Features.rows();
+    serialize::TrainedModel Probe;
+    EXPECT_TRUE(serialize::loadModelFile(modelPath(), Probe).Ok);
+    const size_t N = Probe.System.L1.Features.rows();
     for (size_t I = 0; I < N; ++I)
       All.push_back(I);
     return inProcessLandmarks(All);

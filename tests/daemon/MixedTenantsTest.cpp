@@ -6,7 +6,7 @@
 // streams::MixedStream -- one client thread per tenant, each driving
 // exactly its tenant's subsequence of the global mixed schedule over the
 // real Unix-socket protocol. Every daemon answer must match an
-// independent in-process PredictionService replay of the same model
+// independent in-process AdaptiveService replay of the same model
 // file, and the per-tenant accounting must add up to the mix. Runs under
 // the sanitizer CI matrix like every integration-labelled test.
 //
@@ -17,7 +17,7 @@
 #include "daemon/Server.h"
 
 #include "registry/BenchmarkRegistry.h"
-#include "runtime/PredictionService.h"
+#include "runtime/AdaptiveService.h"
 #include "serialize/ModelIO.h"
 #include "streams/WorkloadStream.h"
 
@@ -70,19 +70,20 @@ std::string freshSocket() {
 }
 
 /// The in-process oracle for one tenant: decisions straight from a fresh
-/// PredictionService over the same model file and provenance-rebuilt
+/// AdaptiveService over the same model file and provenance-rebuilt
 /// program the daemon serves from.
 std::vector<unsigned> oracleLandmarks(const std::string &Name,
                                       const std::vector<size_t> &Inputs) {
-  runtime::PredictionService Service;
-  EXPECT_TRUE(Service.loadFile(tenantModelPath(Name)).Ok);
+  serialize::TrainedModel Model;
+  EXPECT_TRUE(serialize::loadModelFile(tenantModelPath(Name), Model).Ok);
   const registry::BenchmarkFactory &F =
       registry::BenchmarkRegistry::instance().get(Name);
   registry::ProgramPtr P = F.makeProgram(kScale, F.defaultProgramSeed());
-  EXPECT_TRUE(Service.bind(*P).Ok);
+  runtime::AdaptiveService Service(*P, std::move(Model));
+  EXPECT_TRUE(Service.ready()) << Service.status().Error;
   std::vector<unsigned> Out;
-  for (const runtime::PredictionService::Decision &D :
-       Service.decideBatch(Inputs, nullptr))
+  for (const runtime::AdaptiveService::Decision &D :
+       Service.decideBatch(Inputs))
     Out.push_back(D.Landmark);
   return Out;
 }

@@ -17,7 +17,7 @@
 #include "daemon/Transport.h"
 
 #include "registry/BenchmarkRegistry.h"
-#include "runtime/PredictionService.h"
+#include "runtime/AdaptiveService.h"
 #include "serialize/ModelIO.h"
 
 #include <gtest/gtest.h>
@@ -88,15 +88,16 @@ struct Harness {
 };
 
 std::vector<unsigned> inProcessLandmarks(const std::vector<size_t> &Inputs) {
-  runtime::PredictionService Service;
-  EXPECT_TRUE(Service.loadFile(modelPath()).Ok);
+  serialize::TrainedModel Model;
+  EXPECT_TRUE(serialize::loadModelFile(modelPath(), Model).Ok);
   const registry::BenchmarkFactory &F =
       registry::BenchmarkRegistry::instance().get("sort1");
   registry::ProgramPtr P = F.makeProgram(kScale, F.defaultProgramSeed());
-  EXPECT_TRUE(Service.bind(*P).Ok);
+  runtime::AdaptiveService Service(*P, std::move(Model));
+  EXPECT_TRUE(Service.ready()) << Service.status().Error;
   std::vector<unsigned> Out;
-  for (const runtime::PredictionService::Decision &D :
-       Service.decideBatch(Inputs, nullptr))
+  for (const runtime::AdaptiveService::Decision &D :
+       Service.decideBatch(Inputs))
     Out.push_back(D.Landmark);
   return Out;
 }

@@ -27,9 +27,9 @@ endfunction()
 
 # pbt-bench: garbage, half-parses, sign and range violations.
 expect_rejection("bad --seconds value 'banana'"
-  ${PBT_BENCH} serve --model=x.pbt --seconds=banana)
+  ${PBT_BENCH} loadgen --model=x.pbt --seconds=banana)
 expect_rejection("bad --seconds value '1e'"
-  ${PBT_BENCH} serve --model=x.pbt --seconds=1e)
+  ${PBT_BENCH} loadgen --model=x.pbt --seconds=1e)
 expect_rejection("bad --threads value '-2'"
   ${PBT_BENCH} stream --model=x.pbt --threads=-2)
 expect_rejection("bad --requests value '12abc'"

@@ -5,7 +5,7 @@
 #      through sustained + saturation phases, and shuts the server down
 #      over the protocol (no orphaned daemons, no leftover sockets).
 #   2. Every daemon answer is checked against an in-process
-#      PredictionService::decideBatch replay; a single differing
+#      AdaptiveService::decideBatch replay; a single differing
 #      landmark fails the run (exit 1), so exit 0 *is* the parity gate.
 #   3. The BENCH_serve_daemon.json record must carry the fields CI
 #      uploads: both phases, tail percentiles (p999), shed accounting

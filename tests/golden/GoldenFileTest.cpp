@@ -10,8 +10,9 @@
 //       committed bytes exactly (catches silent behavioral drift anywhere
 //       in the two-level pipeline -- feature extraction, clustering,
 //       tuning, measurement, cost matrix, classifier selection), and
-//   (3) a fresh PredictionService serving the committed model makes
-//       exactly the per-input choices recorded in <name>.choices.csv.
+//   (3) a fresh AdaptiveService serving the committed model makes
+//       exactly the per-input choices recorded in <name>.choices.csv,
+//       and so does the model's core classifier driven directly.
 //
 // The committed bytes were generated on Linux/glibc (the CI platform).
 // Training is bit-deterministic for a given libm; a different libc may
@@ -31,8 +32,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/FeatureProbe.h"
 #include "registry/BenchmarkRegistry.h"
-#include "runtime/PredictionService.h"
+#include "runtime/AdaptiveService.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -123,28 +125,36 @@ TEST_P(GoldenFileTest, RetrainingReproducesCommittedBytes) {
          "goldens; see the file header)";
 }
 
-TEST_P(GoldenFileTest, PredictionServiceReproducesCommittedChoices) {
+TEST_P(GoldenFileTest, AdaptiveServiceReproducesCommittedChoices) {
   std::string Name = GetParam();
-  runtime::PredictionService Service;
-  serialize::LoadStatus Status = Service.loadFile(goldenPath(Name + ".pbt"));
+  serialize::TrainedModel Loaded;
+  serialize::LoadStatus Status =
+      serialize::loadModelFile(goldenPath(Name + ".pbt"), Loaded);
   ASSERT_TRUE(Status.Ok) << Status.Error;
 
-  const serialize::TrainedModel &Model = Service.model();
   const registry::BenchmarkFactory &F =
-      registry::BenchmarkRegistry::instance().get(Model.Meta.Benchmark);
+      registry::BenchmarkRegistry::instance().get(Loaded.Meta.Benchmark);
   registry::ProgramPtr Program =
-      F.makeProgram(Model.Meta.Scale, Model.Meta.ProgramSeed);
-  serialize::LoadStatus Bound = Service.bind(*Program);
-  ASSERT_TRUE(Bound.Ok) << Bound.Error;
+      F.makeProgram(Loaded.Meta.Scale, Loaded.Meta.ProgramSeed);
+  runtime::AdaptiveService Service(*Program, std::move(Loaded));
+  ASSERT_TRUE(Service.ready()) << Service.status().Error;
+  const serialize::TrainedModel &Model = Service.currentEpoch()->Model;
+  runtime::FeatureIndex Index(Model.Meta.Features);
 
   std::vector<std::pair<size_t, unsigned>> Expected =
       readChoices(goldenPath(Name + ".choices.csv"));
   ASSERT_EQ(Expected.size(), Model.System.TestRows.size());
   for (const auto &[Input, Landmark] : Expected) {
-    runtime::PredictionService::Decision D = Service.decide(Input);
+    runtime::AdaptiveService::Decision D = Service.decide(Input);
     EXPECT_EQ(D.Landmark, Landmark)
         << Name << " input " << Input
         << ": online decision drifted from the committed choice";
+    core::FeatureProbe Probe = core::probeFromProgram(*Program, Input, Index);
+    EXPECT_EQ(Model.System.L2.Production->classify(Probe), Landmark)
+        << Name << " input " << Input
+        << ": core classifier drifted from the committed choice";
+    EXPECT_DOUBLE_EQ(D.FeatureCost, Probe.totalCost());
+    EXPECT_EQ(D.FeaturesExtracted, Probe.numExtracted());
   }
 }
 

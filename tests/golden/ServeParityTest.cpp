@@ -1,25 +1,26 @@
 //===- tests/golden/ServeParityTest.cpp --------------------------------------=//
 //
 // The serving-path half of the golden suite: for every committed golden
-// model, the compiled fast path, the interpreted reference path, the
-// batch API, and the batch API under 1/2/8 worker threads must all make
-// exactly the per-input choices recorded in <name>.choices.csv. This is
-// the pin behind the compiled subsystem's "bit-identical lowering" claim
-// and behind decideBatch's "decisions never depend on the shard count"
+// model, the serving core (AdaptiveService, compiled arena walk), the
+// core classifier driven directly through a FeatureProbe, the batch API,
+// and the batch API under 1/2/8 worker threads must all make exactly the
+// per-input choices recorded in <name>.choices.csv. This is the pin
+// behind the compiled subsystem's "bit-identical lowering" claim and
+// behind decideBatch's "decisions never depend on the shard count"
 // claim.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/FeatureProbe.h"
 #include "registry/BenchmarkRegistry.h"
-#include "runtime/PredictionService.h"
-#include "runtime/SimdLanes.h"
-#include "support/SimdDispatch.h"
+#include "runtime/AdaptiveService.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,22 +58,24 @@ std::vector<std::pair<size_t, unsigned>> readChoices(const std::string &Path) {
   return Out;
 }
 
-/// One freshly loaded-and-bound service per call: every scenario below
-/// must reproduce the goldens from a cold start.
+/// One freshly loaded service per call: every scenario below must
+/// reproduce the goldens from a cold start.
 struct Loaded {
-  runtime::PredictionService Service;
   registry::ProgramPtr Program;
+  std::unique_ptr<runtime::AdaptiveService> Service;
 };
 
 void loadGolden(const std::string &Name, Loaded &L) {
-  serialize::LoadStatus Status = L.Service.loadFile(goldenPath(Name + ".pbt"));
+  serialize::TrainedModel Model;
+  serialize::LoadStatus Status =
+      serialize::loadModelFile(goldenPath(Name + ".pbt"), Model);
   ASSERT_TRUE(Status.Ok) << Status.Error;
-  const serialize::TrainedModel &Model = L.Service.model();
   const registry::BenchmarkFactory &F =
       registry::BenchmarkRegistry::instance().get(Model.Meta.Benchmark);
   L.Program = F.makeProgram(Model.Meta.Scale, Model.Meta.ProgramSeed);
-  serialize::LoadStatus Bound = L.Service.bind(*L.Program);
-  ASSERT_TRUE(Bound.Ok) << Bound.Error;
+  L.Service =
+      std::make_unique<runtime::AdaptiveService>(*L.Program, std::move(Model));
+  ASSERT_TRUE(L.Service->ready()) << L.Service->status().Error;
 }
 
 class ServeParityTest : public ::testing::TestWithParam<const char *> {};
@@ -85,17 +88,22 @@ TEST_P(ServeParityTest, CompiledAndInterpretedMatchGoldenChoices) {
       readChoices(goldenPath(Name + ".choices.csv"));
   ASSERT_FALSE(Expected.empty());
 
+  // The reference: the model's own polymorphic production classifier,
+  // probing the live program input directly.
+  const serialize::TrainedModel &Model = L.Service->currentEpoch()->Model;
+  runtime::FeatureIndex Index(Model.Meta.Features);
   for (const auto &[Input, Landmark] : Expected) {
-    runtime::PredictionService::Decision Compiled = L.Service.decide(Input);
-    runtime::PredictionService::Decision Interpreted =
-        L.Service.decideInterpreted(Input);
+    runtime::AdaptiveService::Decision Compiled = L.Service->decide(Input);
+    core::FeatureProbe Probe =
+        core::probeFromProgram(*L.Program, Input, Index);
+    unsigned Interpreted = Model.System.L2.Production->classify(Probe);
     EXPECT_EQ(Compiled.Landmark, Landmark)
         << Name << " input " << Input << ": compiled decision drifted";
-    EXPECT_EQ(Interpreted.Landmark, Landmark)
+    EXPECT_EQ(Interpreted, Landmark)
         << Name << " input " << Input << ": interpreted decision drifted";
     // Both paths pay the same extraction on their first (cold) call.
-    EXPECT_DOUBLE_EQ(Compiled.FeatureCost, Interpreted.FeatureCost);
-    EXPECT_EQ(Compiled.FeaturesExtracted, Interpreted.FeaturesExtracted);
+    EXPECT_DOUBLE_EQ(Compiled.FeatureCost, Probe.totalCost());
+    EXPECT_EQ(Compiled.FeaturesExtracted, Probe.numExtracted());
   }
 }
 
@@ -107,17 +115,17 @@ TEST_P(ServeParityTest, BatchMatchesSingleDecisions) {
   Loaded Single;
   loadGolden(Name, Single);
   std::vector<size_t> Inputs;
-  std::vector<runtime::PredictionService::Decision> PerCall;
+  std::vector<runtime::AdaptiveService::Decision> PerCall;
   for (const auto &[Input, Landmark] : Expected) {
     Inputs.push_back(Input);
-    PerCall.push_back(Single.Service.decide(Input));
+    PerCall.push_back(Single.Service->decide(Input));
     ASSERT_EQ(PerCall.back().Landmark, Landmark);
   }
 
   Loaded Batched;
   loadGolden(Name, Batched);
-  std::vector<runtime::PredictionService::Decision> Batch =
-      Batched.Service.decideBatch(Inputs);
+  std::vector<runtime::AdaptiveService::Decision> Batch =
+      Batched.Service->decideBatch(Inputs);
   ASSERT_EQ(Batch.size(), PerCall.size());
   for (size_t I = 0; I != Batch.size(); ++I) {
     EXPECT_EQ(Batch[I].Landmark, PerCall[I].Landmark) << "input " << Inputs[I];
@@ -127,9 +135,10 @@ TEST_P(ServeParityTest, BatchMatchesSingleDecisions) {
   }
   // Deterministic lifetime accounting: one batch == the same calls made
   // one at a time.
-  EXPECT_EQ(Batched.Service.stats().Calls, Single.Service.stats().Calls);
-  EXPECT_DOUBLE_EQ(Batched.Service.stats().FeatureCostPaid,
-                   Single.Service.stats().FeatureCostPaid);
+  EXPECT_EQ(Batched.Service->stats().Decisions,
+            Single.Service->stats().Decisions);
+  EXPECT_DOUBLE_EQ(Batched.Service->stats().FeatureCostPaid,
+                   Single.Service->stats().FeatureCostPaid);
 }
 
 TEST_P(ServeParityTest, ThreadCountInvariance) {
@@ -146,18 +155,18 @@ TEST_P(ServeParityTest, ThreadCountInvariance) {
   std::reverse(Inputs.begin() + static_cast<long>(Expected.size()),
                Inputs.end());
 
-  std::vector<std::vector<runtime::PredictionService::Decision>> Runs;
+  std::vector<std::vector<runtime::AdaptiveService::Decision>> Runs;
   for (unsigned Threads : {1u, 2u, 8u}) {
     support::ThreadPool Pool(Threads);
     Loaded L;
     loadGolden(Name, L);
-    Runs.push_back(L.Service.decideBatch(Inputs, &Pool));
+    Runs.push_back(L.Service->decideBatch(Inputs, &Pool));
   }
   // And the poolless reference.
   {
     Loaded L;
     loadGolden(Name, L);
-    Runs.push_back(L.Service.decideBatch(Inputs, nullptr));
+    Runs.push_back(L.Service->decideBatch(Inputs, nullptr));
   }
 
   for (size_t Run = 1; Run != Runs.size(); ++Run) {
@@ -184,8 +193,8 @@ TEST_P(ServeParityTest, RepeatDecisionsAreCachedAndIdentical) {
       readChoices(goldenPath(Name + ".choices.csv"));
   bool ExtractsFeatures = false;
   for (const auto &[Input, Landmark] : Expected) {
-    runtime::PredictionService::Decision First = L.Service.decide(Input);
-    runtime::PredictionService::Decision Second = L.Service.decide(Input);
+    runtime::AdaptiveService::Decision First = L.Service->decide(Input);
+    runtime::AdaptiveService::Decision Second = L.Service->decide(Input);
     ExtractsFeatures |= First.FeaturesExtracted > 0;
     EXPECT_EQ(First.Landmark, Landmark);
     EXPECT_EQ(Second.Landmark, Landmark);
@@ -193,65 +202,18 @@ TEST_P(ServeParityTest, RepeatDecisionsAreCachedAndIdentical) {
     EXPECT_EQ(Second.FeatureCost, 0.0);
     EXPECT_EQ(Second.FeaturesExtracted, 0u);
   }
-  // clearMemo really drops the decision cache too: the next call pays
-  // extraction again and still answers identically. A model whose
-  // production classifier reads no features (e.g. svd's static-best)
-  // never pays extraction, so its fresh decisions legitimately report
-  // Memoized under the FeaturesExtracted==0 rule.
-  L.Service.clearMemo();
-  runtime::PredictionService::Decision Fresh =
-      L.Service.decide(Expected.front().first);
-  EXPECT_EQ(Fresh.Landmark, Expected.front().second);
+  // A fresh service pays extraction again and still answers
+  // identically. A model whose production classifier reads no features
+  // (e.g. svd's static-best) never pays extraction, so its fresh
+  // decisions legitimately report Memoized under the
+  // FeaturesExtracted==0 rule.
+  Loaded Fresh;
+  loadGolden(Name, Fresh);
+  runtime::AdaptiveService::Decision D =
+      Fresh.Service->decide(Expected.front().first);
+  EXPECT_EQ(D.Landmark, Expected.front().second);
   if (ExtractsFeatures)
-    EXPECT_FALSE(Fresh.Memoized);
-}
-
-TEST_P(ServeParityTest, LaneServingMatchesGoldensOnEveryTier) {
-  // The SIMD serving wall against the committed decisions: every
-  // dispatch tier this host can execute must reproduce the golden
-  // choices through the lane-batched path -- cold, and again re-decided
-  // from a warm feature memo (where lanes serve every model kind) with
-  // duplicated inputs in the batch.
-  std::string Name = GetParam();
-  std::vector<std::pair<size_t, unsigned>> Expected =
-      readChoices(goldenPath(Name + ".choices.csv"));
-  ASSERT_FALSE(Expected.empty());
-
-  for (const runtime::LaneEngine *E : runtime::availableLaneEngines()) {
-    Loaded L;
-    loadGolden(Name, L);
-    L.Service.setSimdTier(E->Tier);
-    ASSERT_EQ(L.Service.simdTier(), E->Tier);
-    ASSERT_EQ(L.Service.laneWidth(), E->Width);
-
-    std::vector<size_t> Inputs;
-    for (const auto &Choice : Expected)
-      Inputs.push_back(Choice.first);
-    std::vector<runtime::PredictionService::Decision> Cold =
-        L.Service.decideBatch(Inputs);
-    ASSERT_EQ(Cold.size(), Expected.size());
-    for (size_t I = 0; I != Expected.size(); ++I)
-      EXPECT_EQ(Cold[I].Landmark, Expected[I].second)
-          << Name << " tier " << support::simdTierName(E->Tier)
-          << " input " << Inputs[I] << ": cold lane decision drifted";
-
-    // Re-decide from the warm memo: feature values stay cached, so the
-    // whole batch is lane-eligible; duplicates exercise in-lane repeats.
-    L.Service.clearDecisions();
-    std::vector<size_t> Doubled;
-    for (size_t Input : Inputs) {
-      Doubled.push_back(Input);
-      Doubled.push_back(Input);
-    }
-    std::vector<runtime::PredictionService::Decision> Warm =
-        L.Service.decideBatch(Doubled);
-    for (size_t I = 0; I != Doubled.size(); ++I) {
-      EXPECT_EQ(Warm[I].Landmark, Expected[I / 2].second)
-          << Name << " tier " << support::simdTierName(E->Tier)
-          << " input " << Doubled[I] << ": warm lane decision drifted";
-      EXPECT_EQ(Warm[I].FeatureCost, 0.0);
-    }
-  }
+    EXPECT_FALSE(D.Memoized);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, ServeParityTest,

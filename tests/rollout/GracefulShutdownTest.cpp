@@ -14,7 +14,7 @@
 
 #include "core/Pipeline.h"
 #include "registry/BenchmarkRegistry.h"
-#include "runtime/PredictionService.h"
+#include "runtime/AdaptiveService.h"
 #include "serialize/ModelIO.h"
 #include "store/ModelStore.h"
 #include "support/FaultInject.h"

@@ -14,7 +14,7 @@
 
 #include "core/Pipeline.h"
 #include "registry/BenchmarkRegistry.h"
-#include "runtime/PredictionService.h"
+#include "runtime/AdaptiveService.h"
 #include "serialize/ModelIO.h"
 #include "store/ModelStore.h"
 #include "support/FaultInject.h"
@@ -103,7 +103,7 @@ TEST_F(RolloutTest, StartSeedsTheBootstrapEpochFleetWide) {
     EXPECT_EQ(R.epoch(), 1u);
     // The image is self-describing: Meta.Epoch matches the store epoch
     // it landed as.
-    EXPECT_EQ(R.service().model().Meta.Epoch, 1u);
+    EXPECT_EQ(R.service().currentEpoch()->Model.Meta.Epoch, 1u);
   }
   EXPECT_EQ(Ctl->modelStore().record(1)->State, store::EpochState::Active);
 
@@ -129,7 +129,7 @@ TEST_F(RolloutTest, EqualCandidatePromotesThroughTheCanary) {
   EXPECT_EQ(Ctl->currentEpoch(), 2u);
   for (size_t I = 0; I != Ctl->replicaCount(); ++I) {
     EXPECT_EQ(Ctl->replica(I).epoch(), 2u);
-    EXPECT_EQ(Ctl->replica(I).service().model().Meta.Epoch, 2u);
+    EXPECT_EQ(Ctl->replica(I).service().currentEpoch()->Model.Meta.Epoch, 2u);
   }
   EXPECT_EQ(Ctl->modelStore().record(2)->State, store::EpochState::Active);
   EXPECT_EQ(Ctl->modelStore().record(1)->State, store::EpochState::Retired);

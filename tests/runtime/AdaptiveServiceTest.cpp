@@ -1,7 +1,8 @@
 //===- tests/runtime/AdaptiveServiceTest.cpp ---------------------------------=//
 //
-// The adaptive serving wrapper in isolation: construction/validation,
-// parity with PredictionService on the same model, epoch-keyed decision
+// The serving core in isolation: construction/validation, parity with
+// the model's own core classifier (live probes and the recorded training
+// tables), feature memoization and its accounting, epoch-keyed decision
 // caching across hot swaps, batch thread-count invariance, and the
 // concurrency stress the subsystem's thread contract promises -- many
 // small decideBatch calls on an oversubscribed pool racing a hot-swapper
@@ -11,8 +12,8 @@
 
 #include "runtime/AdaptiveService.h"
 
+#include "core/FeatureProbe.h"
 #include "registry/BenchmarkRegistry.h"
-#include "runtime/PredictionService.h"
 #include "runtime/SubsetProgram.h"
 #include "support/ThreadPool.h"
 
@@ -85,28 +86,64 @@ TEST(AdaptiveServiceTest, RejectsMismatchedProgram) {
   EXPECT_FALSE(Service.ready());
   EXPECT_FALSE(Service.status().Ok);
   EXPECT_FALSE(Service.status().Error.empty());
+
+  // A structurally valid model whose landmark values fall outside the
+  // program's declared parameter ranges must not be served either: the
+  // values feed enum casts and array indexing inside the benchmarks.
+  registry::ProgramPtr P = makeProgram();
+  serialize::TrainedModel OutOfRange = cloneModel(modelBytes());
+  OutOfRange.System.L1.Landmarks[0].set(0, 1e9);
+  runtime::AdaptiveService Bad(*P, std::move(OutOfRange));
+  EXPECT_FALSE(Bad.ready());
+  EXPECT_NE(Bad.status().Error.find("outside its declared range"),
+            std::string::npos)
+      << Bad.status().Error;
 }
 
-TEST(AdaptiveServiceTest, DecisionsMatchPredictionService) {
+TEST(AdaptiveServiceTest, DecisionsMatchTheCoreClassifier) {
   registry::ProgramPtr P = makeProgram();
   runtime::AdaptiveService Adaptive(*P, cloneModel(modelBytes()));
   ASSERT_TRUE(Adaptive.ready()) << Adaptive.status().Error;
+  const serialize::TrainedModel &Model = Adaptive.currentEpoch()->Model;
+  const core::InputClassifier &Production = *Model.System.L2.Production;
+  runtime::FeatureIndex Index(Model.Meta.Features);
 
-  runtime::PredictionService Reference(cloneModel(modelBytes()));
-  ASSERT_TRUE(Reference.bind(*P).Ok);
-
+  double ColdCost = 0.0;
   for (size_t I = 0; I != P->numInputs(); ++I) {
     runtime::AdaptiveService::Decision A = Adaptive.decide(I);
-    runtime::PredictionService::Decision R = Reference.decide(I);
-    EXPECT_EQ(A.Landmark, R.Landmark) << "input " << I;
-    EXPECT_DOUBLE_EQ(A.FeatureCost, R.FeatureCost);
-    EXPECT_EQ(A.FeaturesExtracted, R.FeaturesExtracted);
-    EXPECT_EQ(A.Config->values(), R.Config->values());
+    core::FeatureProbe Probe = core::probeFromProgram(*P, I, Index);
+    unsigned R = Production.classify(Probe);
+    EXPECT_EQ(A.Landmark, R) << "input " << I;
+    EXPECT_DOUBLE_EQ(A.FeatureCost, Probe.totalCost());
+    EXPECT_EQ(A.FeaturesExtracted, Probe.numExtracted());
+    ASSERT_NE(A.Config, nullptr);
+    EXPECT_EQ(A.Config->values(), Model.System.L1.Landmarks[R].values());
+    ColdCost += A.FeatureCost;
   }
-  // Repeat decisions are memoized with identical semantics.
+  // Serving from bytes reproduces the in-process system: the recorded
+  // training tables drive the same classifier to the same choice, and
+  // live extraction pays exactly the recorded cost.
+  for (size_t Row : Model.System.TestRows) {
+    core::FeatureProbe Table = core::probeFromTable(
+        Model.System.L1.Features, Model.System.L1.ExtractCosts, Row);
+    EXPECT_EQ(Adaptive.decide(Row).Landmark, Production.classify(Table))
+        << "row " << Row;
+    core::FeatureProbe Live = core::probeFromProgram(*P, Row, Index);
+    Production.classify(Live);
+    EXPECT_DOUBLE_EQ(Live.totalCost(), Table.totalCost()) << "row " << Row;
+  }
+
+  // Repeat decisions are memoized: no extraction, and the lifetime
+  // accounting charges each input's features exactly once.
   runtime::AdaptiveService::Decision Second = Adaptive.decide(0);
   EXPECT_TRUE(Second.Memoized);
   EXPECT_EQ(Second.FeatureCost, 0.0);
+  EXPECT_EQ(Second.FeaturesExtracted, 0u);
+  runtime::AdaptiveService::StatsSnapshot S = Adaptive.stats();
+  EXPECT_EQ(S.Decisions, P->numInputs() + Model.System.TestRows.size() + 1);
+  EXPECT_GE(S.MemoizedDecisions, Model.System.TestRows.size() + 1);
+  EXPECT_DOUBLE_EQ(S.FeatureCostPaid, ColdCost);
+  EXPECT_EQ(S.MonitorCostPaid, 0.0); // decide() never observes
 }
 
 TEST(AdaptiveServiceTest, ServeObservesIntoMonitorAndReservoir) {
@@ -145,8 +182,8 @@ TEST(AdaptiveServiceTest, SwapModelBumpsEpochAndInvalidatesDecisionCache) {
   // Decisions now come from the new model -- cached landmarks from the
   // old epoch must not leak through. Features stay memoized, so any
   // recomputation is free of extraction cost.
-  runtime::PredictionService Alt(cloneModel(altModelBytes()));
-  ASSERT_TRUE(Alt.bind(*P).Ok);
+  runtime::AdaptiveService Alt(*P, cloneModel(altModelBytes()));
+  ASSERT_TRUE(Alt.ready());
   bool AnyChanged = false;
   for (size_t I = 0; I != P->numInputs(); ++I) {
     runtime::AdaptiveService::Decision D = Service.decide(I);
@@ -211,8 +248,8 @@ TEST(AdaptiveServiceTest, ScratchAndMonitorFollowTheModelAcrossSwaps) {
   ASSERT_GT(BigLandmarks, SmallLandmarks)
       << "models coincide in landmark count; the resize goes untested";
 
-  runtime::PredictionService Reference(cloneModel(modelBytes()));
-  ASSERT_TRUE(Reference.bind(*P).Ok);
+  runtime::AdaptiveService Reference(*P, cloneModel(modelBytes()));
+  ASSERT_TRUE(Reference.ready());
   for (size_t I = 0; I != P->numInputs(); ++I) {
     runtime::AdaptiveService::Decision D = Service.serve(I);
     EXPECT_EQ(D.Landmark, Reference.decide(I).Landmark) << "input " << I;

@@ -13,11 +13,9 @@
 #include "runtime/CompiledModel.h"
 
 #include "core/Classifiers.h"
-#include "runtime/SimdLanes.h"
 #include "serialize/ModelIO.h"
 #include "support/AlignedAlloc.h"
 #include "support/Random.h"
-#include "support/SimdDispatch.h"
 
 #include <gtest/gtest.h>
 
@@ -92,48 +90,12 @@ unsigned compiledDecide(const runtime::CompiledModel &M,
   return L;
 }
 
-/// Asserts that every available SIMD lane engine classifies blocks of
-/// rows decision-identically to the scalar compiled path, for every
-/// partial lane count 1..Width.
-void expectLaneParity(const runtime::CompiledModel &M, const Table &T) {
-  runtime::CompiledModel::Scratch SScalar = M.makeScratch();
-  runtime::CompiledModel::Scratch SLane = M.makeScratch();
-  // The declared read set must be sorted, unique and in range -- lane
-  // staging fills exactly this set and nothing else.
-  const std::vector<uint32_t> &Reads = M.productionReads();
-  for (size_t I = 0; I != Reads.size(); ++I) {
-    EXPECT_LT(Reads[I], kNumFlat);
-    if (I)
-      EXPECT_LT(Reads[I - 1], Reads[I]);
-  }
-  for (const runtime::LaneEngine *E : runtime::availableLaneEngines()) {
-    for (unsigned Count = 1; Count <= E->Width; ++Count) {
-      for (size_t Base = 0; Base + Count <= T.X.rows(); Base += Count) {
-        // Poison the whole block, then stage only the declared read
-        // set: a kernel examining any undeclared feature diverges
-        // loudly instead of passing on stale-but-plausible values.
-        std::fill(SLane.LaneBlock.begin(), SLane.LaneBlock.end(), 1e300);
-        for (unsigned L = 0; L != Count; ++L)
-          for (uint32_t F : Reads)
-            SLane.LaneBlock[static_cast<size_t>(F) * E->Width + L] =
-                T.X.at(Base + L, F);
-        unsigned Out[runtime::kMaxLaneWidth] = {0};
-        M.classifyProductionBlock(*E, SLane, Count, Out);
-        for (unsigned L = 0; L != Count; ++L)
-          EXPECT_EQ(Out[L], compiledDecide(M, SScalar, T.X, Base + L))
-              << support::simdTierName(E->Tier) << " lane " << L << " of "
-              << Count << " diverged on row " << Base + L;
-      }
-    }
-  }
-}
-
 /// Asserts interpreted/compiled parity for \p Classifier over every row,
 /// both compiled directly and compiled from a serialized round trip.
 void expectParity(const core::InputClassifier &Classifier,
                   const Table &T) {
   runtime::CompiledModel Direct = runtime::CompiledModel::compileClassifiers(
-      Classifier, nullptr, kNumFlat, kNumClasses);
+      Classifier, kNumFlat, kNumClasses);
   ASSERT_TRUE(Direct.ready());
 
   serialize::Writer W;
@@ -143,7 +105,7 @@ void expectParity(const core::InputClassifier &Classifier,
       serialize::loadClassifier(R, kNumClasses, kNumFlat);
   ASSERT_NE(Loaded, nullptr) << R.error();
   runtime::CompiledModel RoundTripped =
-      runtime::CompiledModel::compileClassifiers(*Loaded, nullptr, kNumFlat,
+      runtime::CompiledModel::compileClassifiers(*Loaded, kNumFlat,
                                                  kNumClasses);
   ASSERT_TRUE(RoundTripped.ready());
 
@@ -165,10 +127,6 @@ void expectParity(const core::InputClassifier &Classifier,
         << Classifier.describe()
         << " diverged after serialize/load/compile on row " << Row;
   }
-
-  // And the SIMD lane engines must agree with the scalar walk they
-  // replay, on every tier this host can execute and every partial lane.
-  expectLaneParity(Direct, T);
 }
 
 TEST(CompiledModelTest, ConstantClassifierParity) {
@@ -248,9 +206,9 @@ TEST(CompiledModelTest, OneLevelClassifierParity) {
   expectParity(C, T);
 }
 
-TEST(CompiledModelTest, ArenaAndLaneScratchAre64ByteAligned) {
-  // The SIMD tiers use full-width aligned loads over the arena and the
-  // lane scratch; both must sit on cache-line boundaries.
+TEST(CompiledModelTest, ArenaIs64ByteAligned) {
+  // Both arena sections start on a cache-line boundary, so a compiled
+  // model's hot tables never straddle a line they do not need.
   auto Aligned = [](const void *P) {
     return reinterpret_cast<uintptr_t>(P) % support::kCacheLineBytes == 0;
   };
@@ -262,26 +220,6 @@ TEST(CompiledModelTest, ArenaAndLaneScratchAre64ByteAligned) {
   Arena.appendI32(I, 3);
   EXPECT_TRUE(Aligned(Arena.F64.data()));
   EXPECT_TRUE(Aligned(Arena.I32.data()));
-
-  Table T = makeTable(19);
-  std::vector<unsigned> Order = {2, 0, 7};
-  ml::IncrementalBayes Model;
-  Model.fit(T.X, T.Y, kNumClasses, Order, ml::IncrementalBayesOptions());
-  core::IncrementalClassifier C(std::move(Model), "incremental{align}");
-  runtime::CompiledModel M = runtime::CompiledModel::compileClassifiers(
-      C, nullptr, kNumFlat, kNumClasses);
-  ASSERT_TRUE(M.ready());
-
-  runtime::CompiledModel::Scratch S = M.makeScratch();
-  EXPECT_TRUE(Aligned(S.LaneBlock.data()));
-  EXPECT_TRUE(Aligned(S.LaneF64.data()));
-  EXPECT_TRUE(Aligned(S.LaneI32.data()));
-  // Every carved lane-view section must stay on a 64-byte boundary.
-  runtime::LaneScratchView V = S.laneView();
-  for (const double *P : {V.LogPost, V.Row, V.V, V.T, V.MaxLog})
-    EXPECT_TRUE(Aligned(P));
-  for (const int32_t *P : {V.Node, V.Lo, V.Hi, V.Best, V.State})
-    EXPECT_TRUE(Aligned(P));
 }
 
 TEST(CompiledModelTest, NotReadyWithoutClassifiers) {
@@ -311,7 +249,6 @@ TEST(CompiledModelTest, CompileInlinesLandmarkConfigurations) {
 
   runtime::CompiledModel M = runtime::CompiledModel::compile(Model);
   ASSERT_TRUE(M.ready());
-  EXPECT_FALSE(M.hasOneLevel());
   EXPECT_EQ(M.numLandmarks(), 4u);
   ASSERT_EQ(M.landmarkArity(), 3u);
   for (unsigned L = 0; L != 4; ++L) {

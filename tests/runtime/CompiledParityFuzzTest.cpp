@@ -1,31 +1,31 @@
 //===- tests/runtime/CompiledParityFuzzTest.cpp ------------------------------=//
 //
 // Randomized compiled-vs-interpreted parity: the golden suite pins the
-// two committed models, but the lowering claim is universal -- for ANY
-// loadable model, decide() must equal decideInterpreted(). This fuzzer
-// generates ~200 random TrainedModels spanning every classifier kind the
-// zoo can select (constant, max-apriori, subset tree, incremental Bayes,
-// one-level nearest-centroid) over both flat and conditional
-// (hierarchical) configuration spaces, serves random inputs through a
-// PredictionService bound to a matching synthetic program, and asserts
-// landmark, extraction-cost and examined-feature parity between the
-// compiled and interpreted paths -- for the production classifier and
-// the one-level baseline alike.
+// committed models, but the lowering claim is universal -- for ANY
+// loadable model, the serving core's decide() must equal the model's own
+// InputClassifier::classify(). This fuzzer generates ~200 random
+// TrainedModels spanning every classifier kind the zoo can select
+// (constant, max-apriori, subset tree, incremental Bayes, one-level
+// nearest-centroid) over both flat and conditional (hierarchical)
+// configuration spaces, serves every input through an AdaptiveService
+// bound to a matching synthetic program, and asserts landmark,
+// extraction-cost and examined-feature parity against the classifier
+// driven directly through a FeatureProbe -- plus lowering parity of each
+// model's one-level baseline.
 //
 // Everything is seeded through support/Random, so a failure reproduces
 // from its printed model index alone.
 //
 //===----------------------------------------------------------------------===//
 
-#include "runtime/PredictionService.h"
+#include "runtime/AdaptiveService.h"
 
 #include "core/Classifiers.h"
+#include "core/FeatureProbe.h"
 #include "registry/BenchmarkRegistry.h"
 #include "runtime/CompiledModel.h"
-#include "runtime/SimdLanes.h"
 #include "runtime/TunableProgram.h"
 #include "support/Random.h"
-#include "support/SimdDispatch.h"
 
 #include <gtest/gtest.h>
 
@@ -39,7 +39,7 @@ using namespace pbt;
 namespace {
 
 /// A synthetic program whose features are a stored random table: exactly
-/// what a PredictionService needs to serve decisions (the run() cost
+/// what an AdaptiveService needs to serve decisions (the run() cost
 /// model never executes here).
 class TableProgram : public runtime::TunableProgram {
 public:
@@ -155,6 +155,8 @@ FuzzCase makeCase(unsigned CaseIndex) {
   M.Meta.ProgramSeed = CaseIndex;
   M.Meta.Features = Props;
   M.Meta.Space = Space;
+  // The training table the model records (its drift reference).
+  M.System.L1.Features = X;
   // randomConfig returns canonical points (dead branches pinned), which
   // is exactly what the loader and validateAgainst demand of landmarks.
   for (unsigned L = 0; L != K; ++L)
@@ -250,154 +252,48 @@ TEST(CompiledParityFuzzTest, RandomModelsDecideIdenticallyOnBothPaths) {
     ++PerKind[CaseIndex % 5];
     std::string Kind = C.Model.System.L2.Production->describe();
 
-    runtime::PredictionService Service(std::move(C.Model));
-    ASSERT_TRUE(Service.bind(*C.Program).Ok)
-        << "case " << CaseIndex << " (" << Kind << ")";
-    ASSERT_TRUE(Service.ready());
+    runtime::AdaptiveService Service(*C.Program, std::move(C.Model));
+    ASSERT_TRUE(Service.ready())
+        << "case " << CaseIndex << " (" << Kind
+        << "): " << Service.status().Error;
+    const serialize::TrainedModel &Model = Service.currentEpoch()->Model;
+    runtime::FeatureIndex Index(Model.Meta.Features);
+    const unsigned NumFlat = Index.numFlat();
+    const unsigned K = static_cast<unsigned>(Model.System.L1.Landmarks.size());
+    // The one-level baseline is not served, but its lowering is the same
+    // OneLevel kind a production classifier can be: compile it alone.
+    runtime::CompiledModel Baseline =
+        runtime::CompiledModel::compileClassifiers(*Model.System.OneLevel,
+                                                   NumFlat, K);
+    runtime::CompiledModel::Scratch BaselineScratch = Baseline.makeScratch();
 
     for (size_t Input = 0; Input != C.Program->numInputs(); ++Input) {
-      // Fresh-input order: compiled first here, interpreted first on odd
-      // inputs, so both paths get to be the cold one.
-      runtime::PredictionService::Decision A, B;
-      if (Input % 2 == 0) {
-        A = Service.decide(Input);
-        B = Service.decideInterpreted(Input);
-      } else {
-        B = Service.decideInterpreted(Input);
-        A = Service.decide(Input);
-      }
-      ASSERT_EQ(A.Landmark, B.Landmark)
+      runtime::AdaptiveService::Decision A = Service.decide(Input);
+      core::FeatureProbe Probe =
+          core::probeFromProgram(*C.Program, Input, Index);
+      unsigned B = Model.System.L2.Production->classify(Probe);
+      ASSERT_EQ(A.Landmark, B)
           << "case " << CaseIndex << " (" << Kind << ") input " << Input
           << ": compiled and interpreted decisions diverge";
-      // The two paths keep separate feature memos, so each input's first
-      // call on either path is cold: identical extraction work and cost.
-      EXPECT_DOUBLE_EQ(A.FeatureCost, B.FeatureCost)
+      // Each input's first decide is cold: identical extraction work
+      // and cost to the fresh probe's.
+      EXPECT_DOUBLE_EQ(A.FeatureCost, Probe.totalCost())
           << "case " << CaseIndex << " (" << Kind << ") input " << Input;
-      EXPECT_EQ(A.FeaturesExtracted, B.FeaturesExtracted)
+      EXPECT_EQ(A.FeaturesExtracted, Probe.numExtracted())
           << "case " << CaseIndex << " (" << Kind << ") input " << Input;
 
-      // Baseline parity on the same input.
-      runtime::PredictionService::Decision OA = Service.decideOneLevel(Input);
-      runtime::PredictionService::Decision OB =
-          Service.decideOneLevelInterpreted(Input);
-      ASSERT_EQ(OA.Landmark, OB.Landmark)
-          << "case " << CaseIndex << " input " << Input
-          << ": one-level baseline diverges";
+      // Baseline lowering parity on the same input.
+      core::FeatureProbe OneProbe =
+          core::probeFromProgram(*C.Program, Input, Index);
+      unsigned OB = Model.System.OneLevel->classify(OneProbe);
+      unsigned OA = Baseline.decideProduction(
+          BaselineScratch, [&](unsigned Flat) { return OneProbe.value(Flat); });
+      ASSERT_EQ(OA, OB) << "case " << CaseIndex << " input " << Input
+                        << ": one-level baseline diverges";
     }
   }
   for (unsigned Kind = 0; Kind != 5; ++Kind)
     EXPECT_GE(PerKind[Kind], 40u) << "kind " << Kind << " under-covered";
-}
-
-/// Full-Decision equality between two services serving the same batch
-/// stream: one lane-serving at a pinned SIMD tier, one with lanes off
-/// (the frozen scalar compiled oracle) -- plus the interpreted path as
-/// the outer oracle for the chosen landmarks.
-void expectLaneBatchParity(runtime::PredictionService &LaneService,
-                           runtime::PredictionService &ScalarService,
-                           const std::vector<size_t> &Batch,
-                           unsigned CaseIndex, const char *Phase) {
-  std::vector<runtime::PredictionService::Decision> A =
-      LaneService.decideBatch(Batch);
-  std::vector<runtime::PredictionService::Decision> B =
-      ScalarService.decideBatch(Batch);
-  ASSERT_EQ(A.size(), B.size());
-  const char *Tier = support::simdTierName(LaneService.simdTier());
-  for (size_t I = 0; I != Batch.size(); ++I) {
-    ASSERT_EQ(A[I].Landmark, B[I].Landmark)
-        << "case " << CaseIndex << " " << Phase << " tier " << Tier
-        << " position " << I << " input " << Batch[I]
-        << ": lane and scalar decisions diverge";
-    EXPECT_DOUBLE_EQ(A[I].FeatureCost, B[I].FeatureCost)
-        << "case " << CaseIndex << " " << Phase << " tier " << Tier
-        << " position " << I;
-    EXPECT_EQ(A[I].FeaturesExtracted, B[I].FeaturesExtracted)
-        << "case " << CaseIndex << " " << Phase << " tier " << Tier
-        << " position " << I;
-    EXPECT_EQ(A[I].Memoized, B[I].Memoized)
-        << "case " << CaseIndex << " " << Phase << " tier " << Tier
-        << " position " << I;
-    ASSERT_EQ(A[I].Landmark,
-              ScalarService.decideInterpreted(Batch[I]).Landmark)
-        << "case " << CaseIndex << " " << Phase << " tier " << Tier
-        << " position " << I << ": lane diverges from interpreted oracle";
-  }
-}
-
-/// The SIMD parity wall proper: every fuzz model served through every
-/// dispatch tier this host can execute, with the scalar compiled path
-/// (lane serving off) and the interpreted classifier as frozen oracles.
-/// Covers cold batches with in-lane duplicate inputs, lane-remainder
-/// batch sizes 1..2*Width, and a forced memo-complete pass so the
-/// tree/Bayes lane kernels run too (cold tree/Bayes inputs take the
-/// scalar fallback by design -- lazy extraction is value-dependent).
-TEST(CompiledParityFuzzTest, LaneServingMatchesScalarOnEveryTier) {
-  std::vector<const runtime::LaneEngine *> Engines =
-      runtime::availableLaneEngines();
-  ASSERT_FALSE(Engines.empty());
-  EXPECT_EQ(Engines.front()->Tier, support::SimdTier::Scalar);
-  for (const runtime::LaneEngine *E : Engines) {
-    EXPECT_EQ(&runtime::laneEngine(E->Tier), E);
-    EXPECT_GE(E->Width, 4u);
-    EXPECT_LE(E->Width, runtime::kMaxLaneWidth);
-    ASSERT_NE(E->ClassifyBlock, nullptr);
-  }
-
-  constexpr unsigned kModels = 60;
-  for (unsigned CaseIndex = 0; CaseIndex != kModels; ++CaseIndex) {
-    for (const runtime::LaneEngine *E : Engines) {
-      // makeCase is deterministic in its index: two builds of the same
-      // case give the lane and scalar services identical models.
-      FuzzCase LaneCase = makeCase(CaseIndex);
-      FuzzCase ScalarCase = makeCase(CaseIndex);
-      runtime::PredictionService LaneService(std::move(LaneCase.Model));
-      runtime::PredictionService ScalarService(std::move(ScalarCase.Model));
-      LaneService.setSimdTier(E->Tier);
-      ASSERT_EQ(LaneService.simdTier(), E->Tier); // host-executable tier
-      ASSERT_TRUE(LaneService.laneServing());
-      ScalarService.setLaneServing(false);
-      ASSERT_TRUE(LaneService.bind(*LaneCase.Program).Ok);
-      ASSERT_TRUE(ScalarService.bind(*ScalarCase.Program).Ok);
-
-      const size_t N = LaneCase.Program->numInputs();
-      // Cold pass with each input duplicated adjacently: the repeat of
-      // an input still queued in a pending lane must flush and serve
-      // from the fresh decision cache, in batch order.
-      std::vector<size_t> Cold;
-      for (size_t I = 0; I != N; ++I) {
-        Cold.push_back(I);
-        Cold.push_back(I);
-      }
-      expectLaneBatchParity(LaneService, ScalarService, Cold, CaseIndex,
-                            "cold");
-
-      // Lane-remainder sizes 1..2*Width over re-decided warm inputs.
-      for (unsigned Size = 1; Size <= 2 * E->Width; ++Size) {
-        LaneService.clearDecisions();
-        ScalarService.clearDecisions();
-        std::vector<size_t> Batch;
-        for (unsigned I = 0; I != Size; ++I)
-          Batch.push_back(I % N);
-        expectLaneBatchParity(LaneService, ScalarService, Batch, CaseIndex,
-                              "remainder");
-      }
-
-      // Force memo completeness through the all-features one-level
-      // baseline, then re-decide: tree/Bayes models now take the lane
-      // path instead of the cold scalar fallback.
-      for (size_t I = 0; I != N; ++I) {
-        LaneService.decideOneLevel(I);
-        ScalarService.decideOneLevel(I);
-      }
-      LaneService.clearDecisions();
-      ScalarService.clearDecisions();
-      std::vector<size_t> Warm(N);
-      std::iota(Warm.begin(), Warm.end(), size_t{0});
-      std::reverse(Warm.begin(), Warm.end());
-      expectLaneBatchParity(LaneService, ScalarService, Warm, CaseIndex,
-                            "memo-complete");
-    }
-  }
 }
 
 /// The same fuzz population, additionally pushed through the serializer:
@@ -448,10 +344,10 @@ TEST(CompiledParityFuzzTest, SerializedRoundTripPreservesDecisions) {
           << "case " << CaseIndex << " landmark " << L;
     }
 
-    runtime::PredictionService Original(std::move(C.Model));
-    runtime::PredictionService Reloaded(std::move(Loaded));
-    ASSERT_TRUE(Original.bind(*C.Program).Ok);
-    ASSERT_TRUE(Reloaded.bind(*C.Program).Ok);
+    runtime::AdaptiveService Original(*C.Program, std::move(C.Model));
+    runtime::AdaptiveService Reloaded(*C.Program, std::move(Loaded));
+    ASSERT_TRUE(Original.ready()) << Original.status().Error;
+    ASSERT_TRUE(Reloaded.ready()) << Reloaded.status().Error;
     for (size_t Input = 0; Input != C.Program->numInputs(); ++Input)
       ASSERT_EQ(Original.decide(Input).Landmark,
                 Reloaded.decide(Input).Landmark)

@@ -1,11 +1,8 @@
 //===- tests/support/SimdDispatchTest.cpp ------------------------------------=//
 //
-// The runtime ISA dispatch policy for vectorized serving: tier names
-// round-trip through the PBT_SIMD parser, override resolution only ever
-// clamps DOWN (a request above the host's capability must not dispatch
-// an inexecutable tier), and the host's available-tier list is what the
-// parity suites iterate -- Scalar always present, ascending, topped by
-// the detected tier.
+// The host ISA tier that benchmark host records name: every tier has a
+// stable, distinct lowercase name, and the cached active tier is the
+// detected one.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 using namespace pbt;
@@ -20,59 +18,15 @@ using support::SimdTier;
 
 namespace {
 
-TEST(SimdDispatchTest, TierNamesRoundTripThroughParser) {
-  for (SimdTier Tier :
-       {SimdTier::Scalar, SimdTier::Sse42, SimdTier::Avx2}) {
-    SimdTier Parsed = SimdTier::Scalar;
-    ASSERT_TRUE(support::parseSimdTier(support::simdTierName(Tier), Parsed))
-        << support::simdTierName(Tier);
-    EXPECT_EQ(Parsed, Tier);
-  }
-}
-
-TEST(SimdDispatchTest, ParserRejectsUnknownText) {
-  SimdTier Out = SimdTier::Avx2;
-  EXPECT_FALSE(support::parseSimdTier(nullptr, Out));
-  EXPECT_FALSE(support::parseSimdTier("", Out));
-  EXPECT_FALSE(support::parseSimdTier("avx512", Out));
-  EXPECT_FALSE(support::parseSimdTier("SSE42", Out)); // names are lowercase
-  // A failed parse must leave the output untouched.
-  EXPECT_EQ(Out, SimdTier::Avx2);
-}
-
-TEST(SimdDispatchTest, ClampNeverRisesAboveDetected) {
-  using support::clampSimdTier;
-  EXPECT_EQ(clampSimdTier(SimdTier::Avx2, SimdTier::Scalar),
-            SimdTier::Scalar);
-  EXPECT_EQ(clampSimdTier(SimdTier::Avx2, SimdTier::Sse42), SimdTier::Sse42);
-  EXPECT_EQ(clampSimdTier(SimdTier::Scalar, SimdTier::Avx2),
-            SimdTier::Scalar);
-  EXPECT_EQ(clampSimdTier(SimdTier::Sse42, SimdTier::Sse42),
-            SimdTier::Sse42);
-}
-
-TEST(SimdDispatchTest, ResolutionUsesDetectedUnlessValidOverride) {
-  using support::resolveSimdTier;
-  // No/invalid override: serve at the detected tier.
-  EXPECT_EQ(resolveSimdTier(nullptr, SimdTier::Avx2), SimdTier::Avx2);
-  EXPECT_EQ(resolveSimdTier("", SimdTier::Sse42), SimdTier::Sse42);
-  EXPECT_EQ(resolveSimdTier("turbo", SimdTier::Avx2), SimdTier::Avx2);
-  // Valid override: clamped against the detected tier.
-  EXPECT_EQ(resolveSimdTier("scalar", SimdTier::Avx2), SimdTier::Scalar);
-  EXPECT_EQ(resolveSimdTier("sse42", SimdTier::Avx2), SimdTier::Sse42);
-  EXPECT_EQ(resolveSimdTier("avx2", SimdTier::Scalar), SimdTier::Scalar);
-}
-
-TEST(SimdDispatchTest, AvailableTiersAscendFromScalarToDetected) {
-  std::vector<SimdTier> Tiers = support::availableSimdTiers();
-  ASSERT_FALSE(Tiers.empty());
-  EXPECT_EQ(Tiers.front(), SimdTier::Scalar);
-  EXPECT_EQ(Tiers.back(), support::detectSimdTier());
-  for (size_t I = 1; I < Tiers.size(); ++I)
-    EXPECT_LT(static_cast<int>(Tiers[I - 1]), static_cast<int>(Tiers[I]));
-  // The active serving tier must always be executable here.
-  EXPECT_LE(static_cast<int>(support::activeSimdTier()),
-            static_cast<int>(support::detectSimdTier()));
+TEST(SimdDispatchTest, TierNamesAreStableAndDistinct) {
+  EXPECT_STREQ(support::simdTierName(SimdTier::Scalar), "scalar");
+  EXPECT_STREQ(support::simdTierName(SimdTier::Sse42), "sse42");
+  EXPECT_STREQ(support::simdTierName(SimdTier::Avx2), "avx2");
+  std::set<std::string> Names;
+  for (SimdTier Tier : {SimdTier::Scalar, SimdTier::Sse42, SimdTier::Avx2})
+    Names.insert(support::simdTierName(Tier));
+  EXPECT_EQ(Names.size(), 3u);
+  EXPECT_EQ(support::activeSimdTier(), support::detectSimdTier());
 }
 
 } // namespace
