@@ -2,11 +2,12 @@
 //
 // The serving core in isolation: construction/validation, parity with
 // the model's own core classifier (live probes and the recorded training
-// tables), feature memoization and its accounting, epoch-keyed decision
-// caching across hot swaps, batch thread-count invariance, and the
-// concurrency stress the subsystem's thread contract promises -- many
-// small decideBatch calls on an oversubscribed pool racing a hot-swapper
-// thread (the TSan target).
+// tables) and with the in-process system's choices after a round trip
+// through bytes or disk, feature memoization and its accounting,
+// epoch-keyed decision caching across hot swaps, batch thread-count
+// invariance, and the concurrency stress the subsystem's thread contract
+// promises -- many small decideBatch calls on an oversubscribed pool
+// racing a hot-swapper thread (the TSan target).
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -30,19 +34,46 @@ namespace {
 
 constexpr double kScale = 0.1;
 
+/// One registry benchmark trained in process, with the decisions the
+/// in-process system makes on its test rows recorded before the system
+/// is moved into its serialized form.
+struct Trained {
+  std::vector<unsigned> ProductionChoices; // per test row
+  std::vector<double> ProductionCosts;
+  std::string Bytes; // serialized model
+};
+
+Trained trainAndSerialize(const std::string &Name) {
+  const registry::BenchmarkFactory &F =
+      registry::BenchmarkRegistry::instance().get(Name);
+  registry::ProgramPtr P = F.makeProgram(kScale, F.defaultProgramSeed());
+  core::TrainedSystem Sys = core::trainSystem(*P, F.defaultOptions(kScale));
+  Trained T;
+  for (size_t Row : Sys.TestRows) {
+    core::FeatureProbe Probe =
+        core::probeFromTable(Sys.L1.Features, Sys.L1.ExtractCosts, Row);
+    T.ProductionChoices.push_back(Sys.L2.Production->classify(Probe));
+    T.ProductionCosts.push_back(Probe.totalCost());
+  }
+  serialize::TrainedModel M = serialize::makeModel(
+      Name, kScale, F.defaultProgramSeed(), *P, std::move(Sys));
+  T.Bytes = serialize::serializeModel(M);
+  return T;
+}
+
 /// Trains the sort1 model once per process; tests clone it through the
 /// serializer (TrainedModel is move-only).
-const std::string &modelBytes() {
-  static const std::string Bytes = [] {
-    const registry::BenchmarkFactory &F =
-        registry::BenchmarkRegistry::instance().get("sort1");
-    registry::ProgramPtr P = F.makeProgram(kScale, F.defaultProgramSeed());
-    core::TrainedSystem Sys = core::trainSystem(*P, F.defaultOptions(kScale));
-    serialize::TrainedModel M = serialize::makeModel(
-        "sort1", kScale, F.defaultProgramSeed(), *P, std::move(Sys));
-    return serialize::serializeModel(M);
-  }();
-  return Bytes;
+const Trained &sortModel() {
+  static const Trained T = trainAndSerialize("sort1");
+  return T;
+}
+
+const std::string &modelBytes() { return sortModel().Bytes; }
+
+/// The variable-accuracy benchmark, trained once per process.
+const Trained &binpackingModel() {
+  static const Trained T = trainAndSerialize("binpacking");
+  return T;
 }
 
 /// A second, genuinely different model: trained on the first half of the
@@ -72,24 +103,54 @@ serialize::TrainedModel cloneModel(const std::string &Bytes) {
   return M;
 }
 
-registry::ProgramPtr makeProgram() {
+registry::ProgramPtr makeProgram(const std::string &Name = "sort1") {
   const registry::BenchmarkFactory &F =
-      registry::BenchmarkRegistry::instance().get("sort1");
+      registry::BenchmarkRegistry::instance().get(Name);
   return F.makeProgram(kScale, F.defaultProgramSeed());
 }
 
+/// Serves every test row of \p T through \p Service and checks the
+/// choices (and, when \p CheckCost, the extraction paid) against what the
+/// in-process system decided before serialization.
+void expectInProcessChoices(runtime::AdaptiveService &Service,
+                            const Trained &T, bool CheckCost) {
+  const serialize::TrainedModel &Model = Service.currentEpoch()->Model;
+  const std::vector<size_t> &Rows = Model.System.TestRows;
+  ASSERT_EQ(Rows.size(), T.ProductionChoices.size());
+  for (size_t I = 0; I != Rows.size(); ++I) {
+    runtime::AdaptiveService::Decision D = Service.decide(Rows[I]);
+    EXPECT_EQ(D.Landmark, T.ProductionChoices[I]) << "row " << Rows[I];
+    ASSERT_NE(D.Config, nullptr);
+    EXPECT_EQ(D.Config->values(),
+              Model.System.L1.Landmarks[D.Landmark].values());
+    // Live extraction pays exactly what the precomputed tables recorded.
+    if (CheckCost)
+      EXPECT_DOUBLE_EQ(D.FeatureCost, T.ProductionCosts[I])
+          << "row " << Rows[I];
+  }
+}
+
 TEST(AdaptiveServiceTest, RejectsMismatchedProgram) {
-  const registry::BenchmarkFactory &F =
-      registry::BenchmarkRegistry::instance().get("binpacking");
-  registry::ProgramPtr Wrong = F.makeProgram(kScale, F.defaultProgramSeed());
+  registry::ProgramPtr Wrong = makeProgram("binpacking");
   runtime::AdaptiveService Service(*Wrong, cloneModel(modelBytes()));
   EXPECT_FALSE(Service.ready());
   EXPECT_FALSE(Service.status().Ok);
   EXPECT_FALSE(Service.status().Error.empty());
+}
 
+TEST(AdaptiveServiceTest, RejectsModelOfAnotherBenchmark) {
+  // The reverse pairing: a binpacking model offered to the sort1 program.
+  registry::ProgramPtr P = makeProgram();
+  runtime::AdaptiveService Service(*P, cloneModel(binpackingModel().Bytes));
+  EXPECT_FALSE(Service.ready());
+  EXPECT_FALSE(Service.status().Ok);
+  EXPECT_FALSE(Service.status().Error.empty());
+}
+
+TEST(AdaptiveServiceTest, RejectsOutOfRangeLandmarkValues) {
   // A structurally valid model whose landmark values fall outside the
-  // program's declared parameter ranges must not be served either: the
-  // values feed enum casts and array indexing inside the benchmarks.
+  // program's declared parameter ranges must not be served: the values
+  // feed enum casts and array indexing inside the benchmarks.
   registry::ProgramPtr P = makeProgram();
   serialize::TrainedModel OutOfRange = cloneModel(modelBytes());
   OutOfRange.System.L1.Landmarks[0].set(0, 1e9);
@@ -100,6 +161,20 @@ TEST(AdaptiveServiceTest, RejectsMismatchedProgram) {
       << Bad.status().Error;
 }
 
+TEST(AdaptiveServiceTest, SerializedTextRoundTripsByteIdentically) {
+  serialize::TrainedModel Loaded;
+  serialize::LoadStatus Status = serialize::loadModel(modelBytes(), Loaded);
+  ASSERT_TRUE(Status.Ok) << Status.Error;
+  EXPECT_EQ(serialize::serializeModel(Loaded), modelBytes());
+
+  // Binding and compiling for service leaves the model's bytes alone.
+  registry::ProgramPtr P = makeProgram();
+  runtime::AdaptiveService Service(*P, std::move(Loaded));
+  ASSERT_TRUE(Service.ready()) << Service.status().Error;
+  EXPECT_EQ(serialize::serializeModel(Service.currentEpoch()->Model),
+            modelBytes());
+}
+
 TEST(AdaptiveServiceTest, DecisionsMatchTheCoreClassifier) {
   registry::ProgramPtr P = makeProgram();
   runtime::AdaptiveService Adaptive(*P, cloneModel(modelBytes()));
@@ -108,7 +183,6 @@ TEST(AdaptiveServiceTest, DecisionsMatchTheCoreClassifier) {
   const core::InputClassifier &Production = *Model.System.L2.Production;
   runtime::FeatureIndex Index(Model.Meta.Features);
 
-  double ColdCost = 0.0;
   for (size_t I = 0; I != P->numInputs(); ++I) {
     runtime::AdaptiveService::Decision A = Adaptive.decide(I);
     core::FeatureProbe Probe = core::probeFromProgram(*P, I, Index);
@@ -118,30 +192,78 @@ TEST(AdaptiveServiceTest, DecisionsMatchTheCoreClassifier) {
     EXPECT_EQ(A.FeaturesExtracted, Probe.numExtracted());
     ASSERT_NE(A.Config, nullptr);
     EXPECT_EQ(A.Config->values(), Model.System.L1.Landmarks[R].values());
-    ColdCost += A.FeatureCost;
   }
-  // Serving from bytes reproduces the in-process system: the recorded
-  // training tables drive the same classifier to the same choice, and
-  // live extraction pays exactly the recorded cost.
+  // The recorded training tables drive the loaded classifier to the same
+  // choice as live extraction.
   for (size_t Row : Model.System.TestRows) {
     core::FeatureProbe Table = core::probeFromTable(
         Model.System.L1.Features, Model.System.L1.ExtractCosts, Row);
     EXPECT_EQ(Adaptive.decide(Row).Landmark, Production.classify(Table))
         << "row " << Row;
-    core::FeatureProbe Live = core::probeFromProgram(*P, Row, Index);
-    Production.classify(Live);
-    EXPECT_DOUBLE_EQ(Live.totalCost(), Table.totalCost()) << "row " << Row;
   }
+}
 
-  // Repeat decisions are memoized: no extraction, and the lifetime
-  // accounting charges each input's features exactly once.
-  runtime::AdaptiveService::Decision Second = Adaptive.decide(0);
+TEST(AdaptiveServiceTest, ReproducesInProcessChoicesOnFreshLoad) {
+  registry::ProgramPtr P = makeProgram();
+  runtime::AdaptiveService Service(*P, cloneModel(modelBytes()));
+  ASSERT_TRUE(Service.ready()) << Service.status().Error;
+  expectInProcessChoices(Service, sortModel(), /*CheckCost=*/true);
+}
+
+TEST(AdaptiveServiceTest, BinPackingReproducesInProcessChoices) {
+  // The variable-accuracy benchmark of the acceptance bar: serving from
+  // bytes must equal the in-process system on every test input.
+  const Trained &T = binpackingModel();
+  serialize::TrainedModel Loaded;
+  ASSERT_TRUE(serialize::loadModel(T.Bytes, Loaded).Ok);
+  EXPECT_EQ(serialize::serializeModel(Loaded), T.Bytes);
+  registry::ProgramPtr P = makeProgram("binpacking");
+  runtime::AdaptiveService Service(*P, std::move(Loaded));
+  ASSERT_TRUE(Service.ready()) << Service.status().Error;
+  expectInProcessChoices(Service, T, /*CheckCost=*/true);
+}
+
+TEST(AdaptiveServiceTest, FileRoundTripThroughDisk) {
+  std::string Path = ::testing::TempDir() + "pbt-service-roundtrip-" +
+                     std::to_string(::getpid()) + ".pbt";
+  serialize::TrainedModel Model = cloneModel(modelBytes());
+  ASSERT_TRUE(serialize::saveModelFile(Path, Model).Ok);
+
+  serialize::TrainedModel FromDisk;
+  serialize::LoadStatus Status = serialize::loadModelFile(Path, FromDisk);
+  std::remove(Path.c_str());
+  ASSERT_TRUE(Status.Ok) << Status.Error;
+  registry::ProgramPtr P = makeProgram();
+  runtime::AdaptiveService Service(*P, std::move(FromDisk));
+  ASSERT_TRUE(Service.ready()) << Service.status().Error;
+  expectInProcessChoices(Service, sortModel(), /*CheckCost=*/false);
+}
+
+TEST(AdaptiveServiceTest, MemoizesFeatureExtractionPerInput) {
+  registry::ProgramPtr P = makeProgram();
+  runtime::AdaptiveService Service(*P, cloneModel(modelBytes()));
+  ASSERT_TRUE(Service.ready()) << Service.status().Error;
+
+  size_t Row = Service.currentEpoch()->Model.System.TestRows.front();
+  runtime::AdaptiveService::Decision First = Service.decide(Row);
+  runtime::AdaptiveService::Decision Second = Service.decide(Row);
+  EXPECT_EQ(First.Landmark, Second.Landmark);
   EXPECT_TRUE(Second.Memoized);
   EXPECT_EQ(Second.FeatureCost, 0.0);
   EXPECT_EQ(Second.FeaturesExtracted, 0u);
-  runtime::AdaptiveService::StatsSnapshot S = Adaptive.stats();
-  EXPECT_EQ(S.Decisions, P->numInputs() + Model.System.TestRows.size() + 1);
-  EXPECT_GE(S.MemoizedDecisions, Model.System.TestRows.size() + 1);
+
+  // Every input's features are charged exactly once over the service's
+  // lifetime, however often it is decided.
+  double ColdCost = First.FeatureCost;
+  for (size_t I = 0; I != P->numInputs(); ++I)
+    if (I != Row)
+      ColdCost += Service.decide(I).FeatureCost;
+  for (size_t I = 0; I != P->numInputs(); ++I)
+    EXPECT_TRUE(Service.decide(I).Memoized) << "input " << I;
+
+  runtime::AdaptiveService::StatsSnapshot S = Service.stats();
+  EXPECT_EQ(S.Decisions, 2 * P->numInputs() + 1);
+  EXPECT_GE(S.MemoizedDecisions, P->numInputs() + 1);
   EXPECT_DOUBLE_EQ(S.FeatureCostPaid, ColdCost);
   EXPECT_EQ(S.MonitorCostPaid, 0.0); // decide() never observes
 }
