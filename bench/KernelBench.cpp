@@ -362,43 +362,35 @@ BENCHMARK(BM_ClassifyInterpreted);
 // wall-clock effect on multi-core hosts.
 //===----------------------------------------------------------------------===//
 
-static void BM_PipelineTrain(benchmark::State &State, bool Pooled,
-                             bool FastPath) {
+static void BM_PipelineTrain(benchmark::State &State, bool Pooled) {
   const double Scale = 0.2; // small: ~32 inputs, 5 landmarks
   // Pool lives outside the timed loop (and only for the pooled variant)
   // so the comparison measures the pipeline, not thread startup.
   std::optional<support::ThreadPool> Pool;
   if (Pooled)
     Pool.emplace();
-  bench::setSortSimulation(FastPath);
   for (auto _ : State) {
     std::vector<registry::SuiteEntry> Suite = registry::makeSuite(
         {"sort2"}, Scale, Pooled ? &*Pool : nullptr);
     registry::SuiteEntry &E = Suite.front();
-    E.Options.L1.Tuner.Memoize = FastPath;
-    E.Options.L1.DedupMeasurementSweep = FastPath;
-    E.Options.L2.UseDataset = FastPath;
     core::TrainedSystem System = core::trainSystem(*E.Program, E.Options);
     core::EvaluationResult R =
         core::evaluateSystem(*E.Program, System, E.Options.Pool);
     benchmark::DoNotOptimize(R.TwoLevelWithFeat);
   }
-  bench::setSortSimulation(true);
   State.counters["threads"] =
       Pooled ? support::ThreadPool::hardwareThreads() : 1;
 }
-BENCHMARK_CAPTURE(BM_PipelineTrain, sequential, false, true)
+BENCHMARK_CAPTURE(BM_PipelineTrain, sequential, false)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_PipelineTrain, pooled, true, true)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_PipelineTrain, sequential_legacy, false, false)
+BENCHMARK_CAPTURE(BM_PipelineTrain, pooled, true)
     ->Unit(benchmark::kMillisecond);
 
-/// The Level-2 classifier zoo alone (the tentpole's core refactor): one
-/// trained Level-1 fixture, the full cross-validated candidate sweep per
-/// iteration -- row-major reference vs the columnar ml::Dataset path
-/// (presorted tree fits, direct-column scoring, fitted-tree eval cache).
-static void BM_LevelTwoZoo(benchmark::State &State, bool UseDataset) {
+/// The Level-2 classifier zoo alone: one trained Level-1 fixture, the
+/// full cross-validated candidate sweep per iteration over the columnar
+/// ml::Dataset substrate (shared-growth subset trees, direct-column
+/// scoring).
+static void BM_LevelTwoZoo(benchmark::State &State) {
   struct ZooFixture {
     registry::ProgramPtr Program;
     core::PipelineOptions Options;
@@ -418,18 +410,13 @@ static void BM_LevelTwoZoo(benchmark::State &State, bool UseDataset) {
     Z->L1 = core::runLevelOne(*Z->Program, Z->TrainRows, Z->Options.L1);
     return Z;
   }();
-  core::LevelTwoOptions L2 = F->Options.L2;
-  L2.UseDataset = UseDataset;
   for (auto _ : State) {
     core::LevelTwoResult R =
-        core::runLevelTwo(*F->Program, F->L1, F->TrainRows, L2);
+        core::runLevelTwo(*F->Program, F->L1, F->TrainRows, F->Options.L2);
     benchmark::DoNotOptimize(R.SelectedName.data());
   }
 }
-BENCHMARK_CAPTURE(BM_LevelTwoZoo, dataset, true)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_LevelTwoZoo, legacy, false)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LevelTwoZoo)->Unit(benchmark::kMillisecond);
 
 /// OutDir-qualified path of the machine-readable kernels record.
 static std::string kernelsJsonPath(const benchharness::DriverOptions &Opts) {

@@ -63,8 +63,6 @@ static void printUsage() {
       "                       replay through the daemon model registry\n"
       "  interact             input-vs-config interaction-strength sweep;\n"
       "                       BENCH_interact.json report\n"
-      "  trainbench           training-performance report: fast vs\n"
-      "                       pre-optimisation path, byte-identity gated\n"
       "  loadgen              drive a pbt-serve daemon over N concurrent\n"
       "                       connections; BENCH_serve_daemon.json report\n"
       "  rollout              staged fleet-rollout harness over the crash-\n"
@@ -89,8 +87,7 @@ static void printUsage() {
       "                       from (stream --mix and loadgen accept a\n"
       "                       comma-separated list)\n"
       "  --rows=WHICH         predict: test|train|all recorded rows\n"
-      "  --repeat=N           predict: passes over the rows (memo check);\n"
-      "                       trainbench: timing passes per path (best-of)\n"
+      "  --repeat=N           predict: passes over the rows (memo check)\n"
       "  --csv=FILE           predict: write per-input decisions as CSV\n"
       "  --seconds=S          stream: wall-clock cap per serving loop;\n"
       "                       loadgen: sustained-phase length\n"
@@ -368,8 +365,6 @@ int main(int argc, char **argv) {
       return runInteract(Opts);
     if (Sub == "train")
       return runTrain(Opts);
-    if (Sub == "trainbench")
-      return runTrainBench(Opts);
     if (Sub == "table1")
       return runTable1(Opts);
     if (Sub == "fig6")

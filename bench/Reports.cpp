@@ -6,8 +6,6 @@
 
 #include "Reports.h"
 
-#include "benchmarks/SortAlgorithms.h"
-#include "benchmarks/SortBenchmark.h"
 #include "core/TheoreticalModel.h"
 #include "daemon/ModelRegistry.h"
 #include "runtime/AdaptiveService.h"
@@ -466,134 +464,6 @@ static std::vector<std::string> splitModels(const std::string &Value) {
     Start = Comma + 1;
   }
   return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// trainbench
-//===----------------------------------------------------------------------===//
-
-/// Flips every exactness-preserving training optimisation this PR
-/// introduced. The "legacy" configuration reproduces the pre-optimisation
-/// path: physical sort kernels (no simulation, no run memo), re-evaluated
-/// autotuner candidates, duplicate measurement sweeps, and the row-major
-/// Level-2 zoo.
-static void applyTrainingPathMode(core::PipelineOptions &Opt, bool Fast) {
-  Opt.L1.Tuner.Memoize = Fast;
-  Opt.L1.DedupMeasurementSweep = Fast;
-  Opt.L2.UseDataset = Fast;
-}
-
-int benchharness::runTrainBench(const DriverOptions &Opts) {
-  // Factory names only -- every timing pass constructs its own fresh
-  // program, so materialising a suite's programs up front (suiteFor)
-  // would generate every input vector once just to discard it.
-  std::vector<std::string> Names =
-      Opts.Only.empty() ? registry::BenchmarkRegistry::instance().names()
-                        : Opts.Only;
-  unsigned Repeat = std::max(1u, Opts.Repeat);
-
-  struct BenchRow {
-    std::string Name;
-    double LegacySeconds = 0.0;
-    double FastSeconds = 0.0;
-    bool BytesMatch = false;
-    std::string Selected;
-    size_t ModelBytes = 0;
-  };
-  std::vector<BenchRow> Results;
-  bool AllMatch = true;
-
-  for (const std::string &Name : Names) {
-    const registry::BenchmarkFactory &F =
-        registry::BenchmarkRegistry::instance().get(Name);
-    BenchRow Row;
-    Row.Name = Name;
-    double Best[2] = {1e300, 1e300};
-    std::string Bytes[2];
-    // Interleaved passes, best-of: alternating legacy/fast inside each
-    // repeat cancels the machine's slow drift; a fresh program per pass
-    // keeps the sort-kernel run memo cold, so "fast" is a from-scratch
-    // training time, not a warm-cache replay.
-    for (unsigned R = 0; R != Repeat; ++R) {
-      for (int Mode = 0; Mode != 2; ++Mode) {
-        bool Fast = Mode == 1;
-        bench::setSortSimulation(Fast);
-        registry::ProgramPtr Program =
-            F.makeProgram(Opts.Scale, F.defaultProgramSeed());
-        core::PipelineOptions Opt = F.defaultOptions(Opts.Scale);
-        Opt.Pool = Opts.Pool;
-        applyTrainingPathMode(Opt, Fast);
-        support::WallTimer T;
-        core::TrainedSystem Sys = core::trainSystem(*Program, Opt);
-        Best[Mode] = std::min(Best[Mode], T.elapsedSeconds());
-        if (R == 0) {
-          serialize::TrainedModel Model = serialize::makeModel(
-              Name, Opts.Scale, F.defaultProgramSeed(), *Program,
-              std::move(Sys));
-          Bytes[Mode] = serialize::serializeModel(Model);
-          if (Fast)
-            Row.Selected = Model.System.L2.SelectedName;
-        }
-      }
-    }
-    bench::setSortSimulation(true);
-    Row.LegacySeconds = Best[0];
-    Row.FastSeconds = Best[1];
-    Row.BytesMatch = Bytes[0] == Bytes[1];
-    Row.ModelBytes = Bytes[1].size();
-    AllMatch = AllMatch && Row.BytesMatch;
-    std::fprintf(stderr,
-                 "[trainbench] %-12s legacy %.3fs  fast %.3fs  %.2fx  %s\n",
-                 Name.c_str(), Row.LegacySeconds, Row.FastSeconds,
-                 Row.FastSeconds > 0.0 ? Row.LegacySeconds / Row.FastSeconds
-                                       : 0.0,
-                 Row.BytesMatch ? "bytes-identical" : "BYTE MISMATCH");
-    Results.push_back(std::move(Row));
-  }
-
-  bench::SortRunMemoStats Memo = bench::sortRunMemoStats();
-  std::string Json = std::string("{\n") +
-                     "  \"subcommand\": \"trainbench\",\n" +
-                     "  \"scale\": " + jsonNumber(Opts.Scale) + ",\n" +
-                     "  \"threads\": " +
-                     std::to_string(Opts.Pool ? Opts.Pool->numThreads() : 1) +
-                     ",\n" +
-                     "  \"repeat\": " + std::to_string(Repeat) + ",\n" +
-                     "  \"sort_run_memo\": {\"hits\": " +
-                     std::to_string(Memo.Hits) +
-                     ", \"misses\": " + std::to_string(Memo.Misses) + "},\n" +
-                     "  \"benchmarks\": [";
-  for (size_t I = 0; I != Results.size(); ++I) {
-    const BenchRow &Row = Results[I];
-    double Speedup =
-        Row.FastSeconds > 0.0 ? Row.LegacySeconds / Row.FastSeconds : 0.0;
-    Json += std::string(I ? "," : "") + "\n    {\"benchmark\": \"" +
-            jsonString(Row.Name) + "\"" +
-            ", \"legacy_train_seconds\": " + jsonNumber(Row.LegacySeconds) +
-            ", \"train_seconds\": " + jsonNumber(Row.FastSeconds) +
-            ", \"speedup\": " + jsonNumber(Speedup) +
-            ", \"bytes_match\": " + (Row.BytesMatch ? "true" : "false") +
-            ", \"model_bytes\": " + std::to_string(Row.ModelBytes) +
-            ", \"selected_classifier\": \"" + jsonString(Row.Selected) +
-            "\"}";
-  }
-  Json += Results.empty() ? "]\n" : "\n  ]\n";
-  Json += "}\n";
-
-  std::fputs(Json.c_str(), stdout);
-  if (Opts.Json) {
-    std::string Path = csvPath(Opts, "BENCH_train.json");
-    FILE *Out = std::fopen(Path.c_str(), "wb");
-    if (!Out || std::fwrite(Json.data(), 1, Json.size(), Out) != Json.size()) {
-      if (Out)
-        std::fclose(Out);
-      std::fprintf(stderr, "pbt-bench trainbench: cannot write '%s'\n",
-                   Path.c_str());
-      return 1;
-    }
-    std::fclose(Out);
-  }
-  return AllMatch ? 0 : 1;
 }
 
 //===----------------------------------------------------------------------===//

@@ -117,8 +117,8 @@ struct DriverOptions {
 };
 
 /// JSON emission helpers shared by the report subcommands (stream,
-/// trainbench, loadgen, ...): a %.6g number and a string escaped for embedding
-/// in a JSON literal.
+/// loadgen, ...): a %.6g number and a string escaped for embedding in a
+/// JSON literal.
 std::string jsonNumber(double V);
 std::string jsonString(const std::string &S);
 
@@ -151,17 +151,6 @@ int runTrain(const DriverOptions &Opts);
 /// `predict`: load a persisted model in a fresh process and serve
 /// per-input configuration decisions through an AdaptiveService.
 int runPredict(const DriverOptions &Opts);
-/// `trainbench`: the training-performance harness. For each suite entry
-/// it times `Pipeline::train` end to end on the pre-optimisation
-/// reference path (physical sort kernels, no autotuner memo, no
-/// measurement dedup, row-major Level 2) and on the default fast path
-/// (charge-exact kernel simulation + run memo, memoized tuning, columnar
-/// ml::Dataset Level 2), interleaved best-of `--repeat` passes, and
-/// verifies the two paths' serialized models are byte-identical -- the
-/// refactor changes how training computes, never what it computes. Exits
-/// nonzero on any byte mismatch. JSON to stdout; also
-/// OutDir/BENCH_train.json with --json.
-int runTrainBench(const DriverOptions &Opts);
 /// `stream`: the nonstationary-traffic harness. Loads a model, replays a
 /// seeded mixture-schedule request stream (streams/WorkloadStream.h)
 /// against an AdaptiveService AND a frozen no-adaptation control of the

@@ -47,13 +47,6 @@ struct AutotunerOptions {
   /// Optional pool for parallel candidate evaluation. Results are
   /// identical with or without it (the cost model is deterministic).
   support::ThreadPool *Pool = nullptr;
-  /// Memoize (configuration -> outcome) within one tune() call. Elitism,
-  /// low-rate mutation and crossover of converging parents re-emit
-  /// previously measured configurations constantly (up to ~85% of
-  /// evaluations on the discrete-heavy benchmarks); the program runs are
-  /// deterministic, so replaying the recorded outcome is exact. Disabled
-  /// by the `pbt-bench trainbench` pre-optimisation baseline.
-  bool Memoize = true;
 };
 
 /// Outcome of a tuning run.

@@ -7,7 +7,6 @@
 #include "benchmarks/SortAlgorithms.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -17,16 +16,6 @@
 
 using namespace pbt;
 using namespace pbt::bench;
-
-static std::atomic<bool> SortSimulation{true};
-
-bool bench::sortSimulationEnabled() {
-  return SortSimulation.load(std::memory_order_relaxed);
-}
-
-void bench::setSortSimulation(bool Enabled) {
-  SortSimulation.store(Enabled, std::memory_order_relaxed);
-}
 
 bool bench::isSorted(const std::vector<double> &V, size_t Lo, size_t Hi) {
   for (size_t I = Lo; I + 1 < Hi; ++I)
@@ -120,7 +109,7 @@ void bench::insertionSort(std::vector<double> &V, size_t Lo, size_t Hi,
   // Below this size the physical quadratic loop is faster than building
   // the rank index; both paths are exact, so the cutover is wall-clock
   // tuning only.
-  if (Hi - Lo >= 48 && sortSimulationEnabled()) {
+  if (Hi - Lo >= 48) {
     insertionSortSimulated(V, Lo, Hi, Cost);
     return;
   }
@@ -160,13 +149,8 @@ void bench::radixSort(std::vector<double> &V, size_t Lo, size_t Hi,
   if (N < 2)
     return;
   // Radix is a terminal choice (never recurses), so one per-thread pair of
-  // key buffers can serve every call; the reference path keeps the
-  // original per-call allocations.
-  thread_local std::vector<uint64_t> TLKeys, TLScratch;
-  std::vector<uint64_t> LocalKeys, LocalScratch;
-  bool Reuse = sortSimulationEnabled();
-  std::vector<uint64_t> &Keys = Reuse ? TLKeys : LocalKeys;
-  std::vector<uint64_t> &Scratch = Reuse ? TLScratch : LocalScratch;
+  // key buffers can serve every call.
+  thread_local std::vector<uint64_t> Keys, Scratch;
   Keys.resize(N);
   Scratch.resize(N);
   for (size_t I = 0; I != N; ++I)
@@ -180,17 +164,12 @@ void bench::radixSort(std::vector<double> &V, size_t Lo, size_t Hi,
     for (size_t I = 0; I != N; ++I)
       ++Counts[(Keys[I] >> Shift) & 0xff];
     // A pass whose byte is constant scatters every key to its own slot (a
-    // stable identity permutation); in simulation mode skip the physical
-    // scatter and charge the same histogram + move work arithmetically.
-    // Doubles from a common magnitude range share their top exponent
-    // bytes, so this routinely saves several of the eight passes.
-    bool Identity = false;
-    if (Reuse)
-      for (size_t C : Counts)
-        if (C == N) {
-          Identity = true;
-          break;
-        }
+    // stable identity permutation); skip the physical scatter and charge
+    // the same histogram + move work arithmetically. Doubles from a common
+    // magnitude range share their top exponent bytes, so this routinely
+    // saves several of the eight passes.
+    bool Identity =
+        std::find(std::begin(Counts), std::end(Counts), N) != std::end(Counts);
     if (!Identity) {
       size_t Total = 0;
       for (size_t &C : Counts) {
@@ -227,61 +206,42 @@ void bench::bitonicSort(std::vector<double> &V, size_t Lo, size_t Hi,
   while (P < N)
     P <<= 1;
   // Terminal like radix: the padded network buffer is reusable per thread.
-  thread_local std::vector<double> TLBuf;
-  std::vector<double> LocalBuf;
-  std::vector<double> &Buf = sortSimulationEnabled() ? TLBuf : LocalBuf;
+  thread_local std::vector<double> Buf;
   Buf.assign(P, std::numeric_limits<double>::infinity());
   std::copy(V.begin() + static_cast<long>(Lo),
             V.begin() + static_cast<long>(Hi), Buf.begin());
   Cost.addMoves(static_cast<double>(N));
 
   double Compares = 0.0, Moves = 0.0;
-  // Classic iterative bitonic network.
-  bool Fast = sortSimulationEnabled();
+  // Classic iterative bitonic network. Each round's compare-exchange
+  // pairs (ascending I with bit J clear, partner I + J) are enumerated
+  // directly block by block, and the data-independent per-round compare
+  // count (P/2 pairs) is charged arithmetically.
   for (size_t K = 2; K <= P; K <<= 1) {
     for (size_t J = K >> 1; J > 0; J >>= 1) {
-      if (Fast) {
-        // Identical pair sequence to the reference loop below (ascending I
-        // with bit J clear), but enumerated directly instead of skipping
-        // half the indices, and with the data-independent per-round
-        // compare count (P/2 pairs) charged arithmetically.
-        for (size_t Base = 0; Base != P; Base += 2 * J) {
-          bool Ascending = (Base & K) == 0;
-          // Branch-free exchange: select-on-swap compiles to conditional
-          // moves, and Moves accumulates 3.0 or the exact 0.0 -- the same
-          // sum as the reference's conditional add.
-          if (Ascending) {
-            for (size_t I = Base; I != Base + J; ++I) {
-              double A = Buf[I], B = Buf[I + J];
-              bool Sw = A > B;
-              Buf[I] = Sw ? B : A;
-              Buf[I + J] = Sw ? A : B;
-              Moves += Sw ? 3.0 : 0.0;
-            }
-          } else {
-            for (size_t I = Base; I != Base + J; ++I) {
-              double A = Buf[I], B = Buf[I + J];
-              bool Sw = A < B;
-              Buf[I] = Sw ? B : A;
-              Buf[I + J] = Sw ? A : B;
-              Moves += Sw ? 3.0 : 0.0;
-            }
+      for (size_t Base = 0; Base != P; Base += 2 * J) {
+        bool Ascending = (Base & K) == 0;
+        // Branch-free exchange: select-on-swap compiles to conditional
+        // moves, and Moves accumulates 3.0 or the exact 0.0 per pair.
+        if (Ascending) {
+          for (size_t I = Base; I != Base + J; ++I) {
+            double A = Buf[I], B = Buf[I + J];
+            bool Sw = A > B;
+            Buf[I] = Sw ? B : A;
+            Buf[I + J] = Sw ? A : B;
+            Moves += Sw ? 3.0 : 0.0;
+          }
+        } else {
+          for (size_t I = Base; I != Base + J; ++I) {
+            double A = Buf[I], B = Buf[I + J];
+            bool Sw = A < B;
+            Buf[I] = Sw ? B : A;
+            Buf[I + J] = Sw ? A : B;
+            Moves += Sw ? 3.0 : 0.0;
           }
         }
-        Compares += static_cast<double>(P / 2);
-        continue;
       }
-      for (size_t I = 0; I != P; ++I) {
-        size_t L = I ^ J;
-        if (L <= I)
-          continue;
-        bool Ascending = (I & K) == 0;
-        Compares += 1.0;
-        if ((Ascending && Buf[I] > Buf[L]) || (!Ascending && Buf[I] < Buf[L])) {
-          std::swap(Buf[I], Buf[L]);
-          Moves += 3.0;
-        }
-      }
+      Compares += static_cast<double>(P / 2);
     }
   }
   std::copy(Buf.begin(), Buf.begin() + static_cast<long>(N),
@@ -299,8 +259,8 @@ void PolySorter::quickSort(std::vector<double> &V, size_t Lo, size_t Hi,
   // Iterates on the larger side to bound stack depth in those cases.
   size_t CurLo = Lo, CurHi = Hi;
   while (CurHi - CurLo > 1) {
-    // Simulation fast path: once the range is non-decreasing, the physical
-    // loop is fully determined -- the pivot is the minimum, so every
+    // Sorted-range fast path: once the range is non-decreasing, the
+    // physical loop is fully determined -- the pivot is the minimum, so every
     // partition compares k-1 elements, performs exactly the two pivot
     // swaps (6 moves) which cancel each other, leaves the array unchanged
     // and loops into the still-sorted right side of size k-1. Charge that
@@ -310,7 +270,7 @@ void PolySorter::quickSort(std::vector<double> &V, size_t Lo, size_t Hi,
     // The early-exit isSorted probe costs at most one extra pass over a
     // range that was about to be scanned anyway, and catches ranges that
     // *become* sorted mid-descent.
-    if (sortSimulationEnabled() && isSorted(V, CurLo, CurHi)) {
+    if (isSorted(V, CurLo, CurHi)) {
       size_t K = CurHi - CurLo;
       while (K > 1) {
         Cost.addCompares(static_cast<double>(K - 1));
@@ -381,38 +341,26 @@ void PolySorter::mergeSort(std::vector<double> &V, size_t Lo, size_t Hi,
   }
 
   // Split into Ways chunks and sort each through the selector. Bounds and
-  // Head live across the child recursion, so in simulation mode they use
-  // fixed stack arrays (the config space caps mergeWays at 16) instead of
-  // per-level heap vectors.
-  bool Reuse = sortSimulationEnabled() && Ways <= 16;
-  size_t BoundsStack[17], HeadStack[16];
-  std::vector<size_t> BoundsHeap, HeadHeap;
-  if (!Reuse) {
-    BoundsHeap.resize(Ways + 1);
-    HeadHeap.resize(Ways);
-  }
-  size_t *Bounds = Reuse ? BoundsStack : BoundsHeap.data();
-  size_t *Head = Reuse ? HeadStack : HeadHeap.data();
+  // Head live across the child recursion in fixed stack arrays (the
+  // constructor caps the way count at MaxMergeWays).
+  size_t Bounds[MaxMergeWays + 1], Head[MaxMergeWays];
   for (unsigned W = 0; W <= Ways; ++W)
     Bounds[W] = Lo + N * W / Ways;
   for (unsigned W = 0; W != Ways; ++W)
     sortRange(V, Bounds[W], Bounds[W + 1], Cost);
 
-  // K-way merge by linear scan over the run heads (Ways is small). The
-  // output buffer is only live between the child recursion above and the
-  // copy-back below, so one per-thread buffer serves every level.
-  thread_local std::vector<double> TLOut;
-  std::vector<double> LocalOut;
-  std::vector<double> &Out = Reuse ? TLOut : LocalOut;
+  // K-way merge of the run heads. The output buffer is only live between
+  // the child recursion above and the copy-back below, so one per-thread
+  // buffer serves every level.
+  thread_local std::vector<double> Out;
   Out.clear();
   Out.reserve(N);
   for (unsigned W = 0; W != Ways; ++W)
     Head[W] = Bounds[W];
   double Compares = 0.0, Moves = 0.0;
-  if (Reuse && Ways == 2) {
-    // Two runs: a direct two-pointer merge. Ties take run 0 (the lowest
-    // index, as the reference scan does); one compare per output while
-    // both runs are non-empty, none after -- the reference charge.
+  if (Ways == 2) {
+    // Two runs: a direct two-pointer merge. Ties take run 0; one compare
+    // per output while both runs are non-empty, none after.
     size_t A = Bounds[0], AEnd = Bounds[1];
     size_t B = Bounds[1], BEnd = Bounds[2];
     while (A != AEnd && B != BEnd) {
@@ -424,15 +372,15 @@ void PolySorter::mergeSort(std::vector<double> &V, size_t Lo, size_t Hi,
     Out.insert(Out.end(), V.begin() + static_cast<long>(B),
                V.begin() + static_cast<long>(BEnd));
     Moves += static_cast<double>(N);
-  } else if (Reuse) {
-    // Heap-based take: the reference scan below selects the minimal head
-    // with ties to the lowest run index and charges (#non-empty runs - 1)
-    // compares per output -- a count independent of the values given the
-    // emptying schedule. A (value, run) min-heap with lexicographic order
-    // reproduces the exact take sequence, so the arithmetic charge equals
-    // the reference accumulation while the physical work drops from
-    // O(ways) to O(log ways) per output.
-    std::pair<double, unsigned> Heap[16];
+  } else {
+    // The merge's charge model is a linear scan over the run heads: take
+    // the minimal head, ties to the lowest run index, paying (#non-empty
+    // runs - 1) compares per output -- a count independent of the values
+    // given the emptying schedule. A (value, run) min-heap with
+    // lexicographic order reproduces that exact take sequence, so the
+    // charge is added arithmetically while the physical work is
+    // O(log ways) per output.
+    std::pair<double, unsigned> Heap[MaxMergeWays];
     size_t HeapN = 0;
     auto Less = [](const std::pair<double, unsigned> &A,
                    const std::pair<double, unsigned> &B) {
@@ -474,24 +422,6 @@ void PolySorter::mergeSort(std::vector<double> &V, size_t Lo, size_t Hi,
       }
       if (HeapN)
         SiftDown();
-    }
-  } else {
-    for (size_t Produced = 0; Produced != N; ++Produced) {
-      unsigned Best = Ways;
-      for (unsigned W = 0; W != Ways; ++W) {
-        if (Head[W] == Bounds[W + 1])
-          continue;
-        if (Best == Ways) {
-          Best = W;
-          continue;
-        }
-        Compares += 1.0;
-        if (V[Head[W]] < V[Head[Best]])
-          Best = W;
-      }
-      assert(Best != Ways && "merge ran out of elements");
-      Out.push_back(V[Head[Best]++]);
-      Moves += 1.0;
     }
   }
   std::copy(Out.begin(), Out.end(), V.begin() + static_cast<long>(Lo));

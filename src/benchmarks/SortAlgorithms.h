@@ -16,6 +16,16 @@
 /// classic pathological behaviour on sorted and heavily duplicated inputs
 /// that the paper cites as a source of input sensitivity.
 ///
+/// The pipeline consumes only the deterministic cost charges and the
+/// sorted output of a run, so kernels whose physical execution is
+/// asymptotically slower than their *accounting* are simulated: the
+/// charges are computed by a cheaper exact formula (insertion sort via
+/// inversion counting, quicksort's sorted-range degeneration in closed
+/// form, the k-way merge's head scan via a heap) and the output produced
+/// by an equivalent sort. Charges and output bytes are identical to the
+/// physical algorithms -- pinned against a test-only physical reference
+/// by SortSimulationTest and by the golden retrain suite.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PBT_BENCHMARKS_SORTALGORITHMS_H
@@ -25,6 +35,7 @@
 #include "support/Cost.h"
 #include "support/Random.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -40,21 +51,6 @@ enum class SortAlgo : unsigned {
   Bitonic = 4,
 };
 inline constexpr unsigned NumSortAlgos = 5;
-
-/// Charge-exact simulation mode for the sort kernels (default: enabled).
-///
-/// The pipeline consumes only the deterministic cost charges and the
-/// sorted output of a run, so kernels whose physical execution is
-/// asymptotically slower than their *accounting* can be simulated: the
-/// charges are computed by a cheaper exact formula (insertion sort via
-/// inversion counting, quicksort's sorted-range degeneration in closed
-/// form) and the output produced by an equivalent sort. Charges and
-/// output bytes are identical to the physical execution -- pinned by
-/// SortSimulationParity tests and the golden retrain suite. Disabling
-/// restores the physical reference path (used by parity tests and the
-/// `pbt-bench trainbench` pre-optimisation baseline).
-bool sortSimulationEnabled();
-void setSortSimulation(bool Enabled);
 
 /// In-place insertion sort of V[Lo, Hi).
 void insertionSort(std::vector<double> &V, size_t Lo, size_t Hi,
@@ -76,13 +72,19 @@ void bitonicSort(std::vector<double> &V, size_t Lo, size_t Hi,
 /// polyalgorithms.
 class PolySorter {
 public:
+  /// The way-count range; the Sort benchmark's config space spans it.
+  static constexpr unsigned MinMergeWays = 2, MaxMergeWays = 16;
+
+  /// \p MergeWays is clamped to [MinMergeWays, MaxMergeWays].
   PolySorter(runtime::Selector Selector, unsigned MergeWays)
-      : Sel(std::move(Selector)), MergeWays(MergeWays < 2 ? 2 : MergeWays) {}
+      : Sel(std::move(Selector)),
+        MergeWays(std::clamp(MergeWays, MinMergeWays, MaxMergeWays)) {}
 
   /// Sorts V in place.
   void sort(std::vector<double> &V, support::CostCounter &Cost) const;
 
   const runtime::Selector &selector() const { return Sel; }
+  unsigned mergeWays() const { return MergeWays; }
 
 private:
   void sortRange(std::vector<double> &V, size_t Lo, size_t Hi,

@@ -25,7 +25,6 @@ namespace {
 /// requires an intervening destruction -- but bumping on both sides
 /// keeps the invariant robust to unconventional allocation schemes).
 std::atomic<uint64_t> BenchGeneration{1};
-std::atomic<uint64_t> MemoHits{0}, MemoMisses{0};
 } // namespace
 
 SortBenchmark::SortBenchmark(const Options &Opts) : Opts(Opts) {
@@ -36,7 +35,9 @@ SortBenchmark::SortBenchmark(const Options &Opts) : Opts(Opts) {
   Scheme = runtime::SelectorScheme::declare(
       Space, "sort", Opts.SelectorLevels, NumSortAlgos, /*MinCutoff=*/4,
       /*MaxCutoff=*/2 * Opts.MaxSize);
-  MergeWaysParam = Space.addInteger("sort.mergeWays", 2, 16, /*LogScale=*/true);
+  MergeWaysParam =
+      Space.addInteger("sort.mergeWays", PolySorter::MinMergeWays,
+                       PolySorter::MaxMergeWays, /*LogScale=*/true);
 
   // Inputs.
   support::Rng Rng(Opts.Seed);
@@ -247,13 +248,6 @@ void truncateKeyTo(const std::vector<uint64_t> &Key, uint64_t N,
 }
 } // namespace
 
-SortRunMemoStats bench::sortRunMemoStats() {
-  SortRunMemoStats S;
-  S.Hits = MemoHits.load(std::memory_order_relaxed);
-  S.Misses = MemoMisses.load(std::memory_order_relaxed);
-  return S;
-}
-
 SortBenchmark::~SortBenchmark() {
   BenchGeneration.fetch_add(1, std::memory_order_relaxed);
 }
@@ -264,16 +258,6 @@ runtime::RunResult SortBenchmark::run(size_t Input,
   assert(Input < Inputs.size() && "input out of range");
   runtime::RunResult R;
   R.Accuracy = 1.0;
-  if (!sortSimulationEnabled()) {
-    double Before = Cost.units();
-    std::vector<double> Work = Inputs[Input];
-    Cost.addMoves(static_cast<double>(Work.size())); // initial copy
-    PolySorter Sorter = sorterFor(Config);
-    Sorter.sort(Work, Cost);
-    R.TimeUnits = Cost.units() - Before;
-    return R;
-  }
-
   thread_local SortRunScratch S;
   uint64_t Gen = BenchGeneration.load(std::memory_order_relaxed);
   if (S.Bench != this || S.Generation != Gen) {
@@ -286,9 +270,8 @@ runtime::RunResult SortBenchmark::run(size_t Input,
   if (!S.Sorter || S.ConfigValues != Config.values()) {
     S.Sorter.emplace(sorterFor(Config));
     S.ConfigValues = Config.values();
-    uint64_t Ways = std::max<uint64_t>(
-        2, static_cast<uint64_t>(Config.integer(MergeWaysParam)));
-    canonicalConfigKey(S.Sorter->selector(), Ways, Opts.MaxSize, S.Key);
+    canonicalConfigKey(S.Sorter->selector(), S.Sorter->mergeWays(),
+                       Opts.MaxSize, S.Key);
   }
 
   // The strongest collapse first: when the top-level choice is a terminal
@@ -306,7 +289,6 @@ runtime::RunResult SortBenchmark::run(size_t Input,
   auto MemoKey = std::make_pair(S.RunKey, Input);
   auto It = S.Memo.find(MemoKey);
   if (It != S.Memo.end()) {
-    MemoHits.fetch_add(1, std::memory_order_relaxed);
     const RunOutcome &O = It->second;
     Cost.addCompares(O.Compares);
     Cost.addMoves(O.Moves);
@@ -315,7 +297,6 @@ runtime::RunResult SortBenchmark::run(size_t Input,
     return R;
   }
 
-  MemoMisses.fetch_add(1, std::memory_order_relaxed);
   support::CostCounter Local;
   S.Work = Inputs[Input];
   Local.addMoves(static_cast<double>(S.Work.size())); // initial copy

@@ -33,15 +33,6 @@
 namespace pbt {
 namespace bench {
 
-/// Process-wide counters of the canonical-configuration run memo (see
-/// SortBenchmark.cpp): how many run() calls replayed a recorded outcome
-/// vs executed the kernels. Diagnostics for `pbt-bench trainbench`.
-struct SortRunMemoStats {
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-};
-SortRunMemoStats sortRunMemoStats();
-
 class SortBenchmark : public runtime::TunableProgram {
 public:
   enum class Dataset {

@@ -55,17 +55,6 @@ core::bestLandmarkWithin(const linalg::Matrix &Time, const linalg::Matrix &Acc,
 }
 
 std::vector<unsigned>
-core::labelRows(const linalg::Matrix &Time, const linalg::Matrix &Acc,
-                const std::vector<size_t> &Rows,
-                const std::optional<runtime::AccuracySpec> &Spec) {
-  std::vector<unsigned> Labels;
-  Labels.reserve(Rows.size());
-  for (size_t Row : Rows)
-    Labels.push_back(bestLandmark(Time, Acc, Row, Spec));
-  return Labels;
-}
-
-std::vector<unsigned>
 core::labelAllRows(const linalg::Matrix &Time, const linalg::Matrix &Acc,
                    const std::optional<runtime::AccuracySpec> &Spec) {
   std::vector<unsigned> Labels;

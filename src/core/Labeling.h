@@ -36,12 +36,6 @@ unsigned bestLandmark(const linalg::Matrix &Time, const linalg::Matrix &Acc,
                       size_t Row,
                       const std::optional<runtime::AccuracySpec> &Spec);
 
-/// Labels for each row in \p Rows (indices into the tables).
-std::vector<unsigned>
-labelRows(const linalg::Matrix &Time, const linalg::Matrix &Acc,
-          const std::vector<size_t> &Rows,
-          const std::optional<runtime::AccuracySpec> &Spec);
-
 /// Labels for *every* table row: the ml::Dataset label column. Computed
 /// once per training run and then shared by the Level-2 refinement, the
 /// dynamic oracle, and evaluation (all of which would otherwise re-derive

@@ -147,14 +147,9 @@ LevelOneResult core::runLevelOne(const runtime::TunableProgram &Program,
   R.Time = linalg::Matrix(N, K);
   R.Acc = linalg::Matrix(N, K);
   std::vector<unsigned> MeasureAs(K);
+  std::map<std::vector<double>, unsigned> Seen;
   for (unsigned L = 0; L != K; ++L)
-    MeasureAs[L] = L;
-  if (Options.DedupMeasurementSweep) {
-    std::map<std::vector<double>, unsigned> Seen;
-    for (unsigned L = 0; L != K; ++L)
-      MeasureAs[L] =
-          Seen.emplace(R.Landmarks[L].values(), L).first->second;
-  }
+    MeasureAs[L] = Seen.emplace(R.Landmarks[L].values(), L).first->second;
   auto MeasureRow = [&](size_t I) {
     for (unsigned L = 0; L != K; ++L) {
       if (MeasureAs[L] != L)

@@ -62,11 +62,6 @@ struct LevelOneOptions {
   /// Optional pool parallelising landmark tuning and the measurement
   /// sweep. Results are identical with or without it.
   support::ThreadPool *Pool = nullptr;
-  /// Measure one sweep column per *distinct* landmark configuration and
-  /// copy it to duplicates (clusters routinely converge to the same
-  /// config; the duplicate runs would repeat bit-identically). Disabled
-  /// by the `pbt-bench trainbench` pre-optimisation baseline.
-  bool DedupMeasurementSweep = true;
   /// Step-1 tables the caller already holds: the flat feature values and
   /// extraction costs (N x M) extractAllFeatures would produce for the
   /// program. When set (both), Step 1 copies them instead of extracting.

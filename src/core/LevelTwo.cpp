@@ -89,16 +89,7 @@ core::enumerateFeatureSubsets(const runtime::FeatureIndex &Index) {
 }
 
 namespace {
-/// Everything needed to score candidates against measured evidence.
-struct ScoringContext {
-  const linalg::Matrix &Features;
-  const linalg::Matrix &ExtractCosts;
-  const linalg::Matrix &Time;
-  const linalg::Matrix &Acc;
-  const std::optional<runtime::AccuracySpec> &Spec;
-};
-
-/// Direct-column feature reader for the dataset path: replays
+/// Direct-column feature reader for candidate scoring: replays
 /// FeatureProbe's accounting -- each feature's extraction cost charged
 /// exactly once, at first touch, in touch order -- against the columnar
 /// tables, without the per-row vector allocations and std::function
@@ -135,8 +126,8 @@ private:
 };
 } // namespace
 
-/// scoreOnRows' twin over dataset columns: identical accumulation order,
-/// so every score is bit-identical to the row-major path.
+/// Scores \p Predict (returning a landmark and accumulating feature cost
+/// via the probe) over dataset rows \p Rows.
 template <class PredictFn>
 static CandidateScore
 scoreOnColumns(const ml::Dataset &D,
@@ -162,33 +153,6 @@ scoreOnColumns(const ml::Dataset &D,
   S.Satisfaction =
       static_cast<double>(Meets) / static_cast<double>(Rows.size());
   S.Valid = !Spec || S.Satisfaction >= Spec->SatisfactionThreshold;
-  return S;
-}
-
-/// Scores \p Predict (returning a landmark and accumulating feature cost
-/// via the probe) over table rows \p Rows.
-static CandidateScore
-scoreOnRows(const ScoringContext &Ctx, const std::vector<size_t> &Rows,
-            const std::string &Name,
-            const std::function<unsigned(FeatureProbe &, size_t)> &Predict) {
-  CandidateScore S;
-  S.Name = Name;
-  if (Rows.empty())
-    return S;
-  double SumWith = 0.0, SumWithout = 0.0;
-  size_t Meets = 0;
-  for (size_t Row : Rows) {
-    FeatureProbe Probe = probeFromTable(Ctx.Features, Ctx.ExtractCosts, Row);
-    unsigned Pred = Predict(Probe, Row);
-    SumWithout += Ctx.Time.at(Row, Pred);
-    SumWith += Ctx.Time.at(Row, Pred) + Probe.totalCost();
-    if (!Ctx.Spec || Ctx.Acc.at(Row, Pred) >= Ctx.Spec->AccuracyThreshold)
-      ++Meets;
-  }
-  S.Objective = SumWith / static_cast<double>(Rows.size());
-  S.ObjectiveNoFeat = SumWithout / static_cast<double>(Rows.size());
-  S.Satisfaction = static_cast<double>(Meets) / static_cast<double>(Rows.size());
-  S.Valid = !Ctx.Spec || S.Satisfaction >= Ctx.Spec->SatisfactionThreshold;
   return S;
 }
 
@@ -266,29 +230,21 @@ LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
   runtime::FeatureIndex Index(Program.features());
 
   // The columnar substrate: passed through by the pipeline (extracted
-  // once per training run), columnarized locally for direct callers, or
-  // absent entirely on the row-major reference path.
+  // once per training run) or columnarized locally for direct callers.
   std::optional<ml::Dataset> LocalData;
-  if (Options.UseDataset && !Data) {
+  if (!Data) {
     LocalData.emplace(L1.Features, L1.ExtractCosts, L1.Time, L1.Acc,
                       Spec ? std::optional<double>(Spec->AccuracyThreshold)
                            : std::nullopt);
     LocalData->setLabels(labelAllRows(L1.Time, L1.Acc, Spec));
     Data = &*LocalData;
   }
-  if (!Options.UseDataset)
-    Data = nullptr;
-  assert((!Data || Data->hasLabels()) &&
-         "dataset must carry its label column");
+  assert(Data->hasLabels() && "dataset must carry its label column");
 
   // --- Cluster refinement: performance-based re-labelling. ---
-  if (Data) {
-    R.TrainLabels.reserve(TrainRows.size());
-    for (size_t Row : TrainRows)
-      R.TrainLabels.push_back(Data->label(Row));
-  } else {
-    R.TrainLabels = labelRows(L1.Time, L1.Acc, TrainRows, Spec);
-  }
+  R.TrainLabels.reserve(TrainRows.size());
+  for (size_t Row : TrainRows)
+    R.TrainLabels.push_back(Data->label(Row));
   size_t Moved = 0;
   for (size_t I = 0; I != TrainRows.size(); ++I)
     if (R.TrainLabels[I] != L1.Clusters.Assignment[I])
@@ -302,16 +258,13 @@ LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
   R.Costs = buildCostMatrix(L1.Time, L1.Acc, TrainRows, R.TrainLabels, K, Spec,
                             Options.Eta);
 
-  ScoringContext Ctx{L1.Features, L1.ExtractCosts, L1.Time, L1.Acc, Spec};
-
   // Labels addressed by global row id (for training on fold subsets).
   std::vector<unsigned> LabelOfRow(L1.Features.rows(), 0);
   for (size_t I = 0; I != TrainRows.size(); ++I)
     LabelOfRow[TrainRows[I]] = R.TrainLabels[I];
 
   // Cross-validation folds over positions in TrainRows, materialised to
-  // global row ids exactly once (the row-major path used to re-gather
-  // them per candidate per fold).
+  // global row ids exactly once.
   support::Rng Rng(Options.Seed);
   unsigned Folds = std::max(2u, Options.CVFolds);
   std::vector<ml::FoldSplit> Splits =
@@ -336,16 +289,10 @@ LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
     for (size_t FI = 0; FI != NumFolds; ++FI) {
       unsigned Static =
           selectStaticOracle(L1.Time, L1.Acc, FoldTrain[FI], Spec);
-      if (Data) {
-        ColumnProbe Probe(*Data);
-        FoldScores.push_back(scoreOnColumns(
-            *Data, Spec, FoldTest[FI], "static-best", Probe,
-            [&](size_t, ColumnProbe &) { return Static; }));
-      } else {
-        FoldScores.push_back(scoreOnRows(
-            Ctx, FoldTest[FI], "static-best",
-            [&](FeatureProbe &, size_t) { return Static; }));
-      }
+      ColumnProbe Probe(*Data);
+      FoldScores.push_back(scoreOnColumns(
+          *Data, Spec, FoldTest[FI], "static-best", Probe,
+          [&](size_t, ColumnProbe &) { return Static; }));
     }
     R.Candidates.push_back(averageScores("static-best", FoldScores, Spec,
                                          Options.SelectionMargin));
@@ -361,92 +308,55 @@ LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
       for (size_t Row : FoldTrain[FI])
         Y.push_back(LabelOfRow[Row]);
       Prior.fit(Y, K);
-      if (Data) {
-        ColumnProbe Probe(*Data);
-        FoldScores.push_back(scoreOnColumns(
-            *Data, Spec, FoldTest[FI], "max-apriori", Probe,
-            [&](size_t, ColumnProbe &) { return Prior.predict(); }));
-      } else {
-        FoldScores.push_back(scoreOnRows(
-            Ctx, FoldTest[FI], "max-apriori",
-            [&](FeatureProbe &, size_t) { return Prior.predict(); }));
-      }
+      ColumnProbe Probe(*Data);
+      FoldScores.push_back(scoreOnColumns(
+          *Data, Spec, FoldTest[FI], "max-apriori", Probe,
+          [&](size_t, ColumnProbe &) { return Prior.predict(); }));
     }
     R.Candidates.push_back(averageScores("max-apriori", FoldScores, Spec, Options.SelectionMargin));
   }
 
-  // --- Candidates (2)/(3): exhaustive per-property subset trees. Each
-  // (subset, fold) fit is independent, so the sweep runs on the pool;
-  // scores land in an index-addressed array and the selection below
-  // stays sequential, making pooled and serial runs identical. ---
+  // --- Candidates (2)/(3): exhaustive per-property subset trees. Per
+  // fold, the whole subset zoo grows together over one presorted base
+  // (ml::DecisionTree::fitSubsets) -- overlapping subsets share most of
+  // their nodes -- and each distinct tree is scored once: a held-out
+  // score depends only on the fitted structure, so subsets sharing a tree
+  // share its score. Folds are independent, so the pool splits the sweep
+  // by fold; scores land in an index-addressed array and the selection
+  // below stays sequential, making every thread count identical. Fold row
+  // sets compose as views of the training view. ---
   std::vector<std::vector<unsigned>> Subsets = enumerateFeatureSubsets(Index);
   std::vector<CandidateScore> SubsetScores(Subsets.size());
-
-  if (Data) {
-    // Dataset path: per fold, the whole subset zoo grows together over
-    // one presorted base (ml::DecisionTree::fitSubsets) -- overlapping
-    // subsets share most of their nodes -- and each distinct tree is
-    // scored once: a held-out score depends only on the fitted
-    // structure, so subsets sharing a tree share its score. Folds are
-    // independent, so the pool splits the sweep by fold; results are
-    // identical for every thread count. Fold row sets compose as views
-    // of the training view.
-    ml::RowView TrainView = ml::RowView::of(*Data, TrainRows);
-    std::vector<CandidateScore> TaskScores(Subsets.size() * NumFolds);
-    auto ScoreFold = [&](size_t FI) {
-      ml::PresortedBase Base(*Data, TrainView.subset(Splits[FI].Train));
-      ml::SubsetForest Forest = ml::DecisionTree::fitSubsets(
-          *Data, LabelOfRow, K, TreeOpts, Base, Subsets);
-      std::vector<CandidateScore> TreeScores;
-      TreeScores.reserve(Forest.Trees.size());
-      ColumnProbe Probe(*Data);
-      for (const ml::DecisionTree &Tree : Forest.Trees)
-        TreeScores.push_back(scoreOnColumns(
-            *Data, Spec, FoldTest[FI], std::string(), Probe,
-            [&Tree](size_t, ColumnProbe &P) {
-              return Tree.predictWith([&P](unsigned F) { return P(F); });
-            }));
-      for (size_t SI = 0; SI != Subsets.size(); ++SI)
-        TaskScores[SI * NumFolds + FI] = TreeScores[Forest.TreeOf[SI]];
-    };
-    if (Options.Pool)
-      Options.Pool->parallelFor(0, NumFolds, ScoreFold);
-    else
-      for (size_t FI = 0; FI != NumFolds; ++FI)
-        ScoreFold(FI);
-    for (size_t SI = 0; SI != Subsets.size(); ++SI) {
-      std::string Name = subsetName(Index, Subsets[SI]);
-      std::vector<CandidateScore> FoldScores(
-          TaskScores.begin() + SI * NumFolds,
-          TaskScores.begin() + (SI + 1) * NumFolds);
-      SubsetScores[SI] =
-          averageScores(Name, FoldScores, Spec, Options.SelectionMargin);
-    }
-  } else {
-    auto ScoreSubset = [&](size_t SI) {
-      const std::vector<unsigned> &Subset = Subsets[SI];
-      std::string Name = subsetName(Index, Subset);
-      ml::DecisionTreeOptions SubOpts = TreeOpts;
-      SubOpts.AllowedFeatures = Subset;
-
-      std::vector<CandidateScore> FoldScores;
-      for (size_t FI = 0; FI != NumFolds; ++FI) {
-        ml::DecisionTree Tree;
-        Tree.fit(L1.Features, LabelOfRow, K, SubOpts, FoldTrain[FI]);
-        FoldScores.push_back(scoreOnRows(
-            Ctx, FoldTest[FI], Name, [&](FeatureProbe &Probe, size_t) {
-              return Tree.predictLazy(
-                  [&Probe](unsigned F) { return Probe.value(F); });
-            }));
-      }
-      SubsetScores[SI] =
-          averageScores(Name, FoldScores, Spec, Options.SelectionMargin);
-    };
-    if (Options.Pool)
-      Options.Pool->parallelFor(0, Subsets.size(), ScoreSubset);
-    else
-      for (size_t SI = 0; SI != Subsets.size(); ++SI)
-        ScoreSubset(SI);
+  ml::RowView TrainView = ml::RowView::of(*Data, TrainRows);
+  std::vector<CandidateScore> TaskScores(Subsets.size() * NumFolds);
+  auto ScoreFold = [&](size_t FI) {
+    ml::PresortedBase Base(*Data, TrainView.subset(Splits[FI].Train));
+    ml::SubsetForest Forest = ml::DecisionTree::fitSubsets(
+        *Data, LabelOfRow, K, TreeOpts, Base, Subsets);
+    std::vector<CandidateScore> TreeScores;
+    TreeScores.reserve(Forest.Trees.size());
+    ColumnProbe Probe(*Data);
+    for (const ml::DecisionTree &Tree : Forest.Trees)
+      TreeScores.push_back(scoreOnColumns(
+          *Data, Spec, FoldTest[FI], std::string(), Probe,
+          [&Tree](size_t, ColumnProbe &P) {
+            return Tree.predictWith([&P](unsigned F) { return P(F); });
+          }));
+    for (size_t SI = 0; SI != Subsets.size(); ++SI)
+      TaskScores[SI * NumFolds + FI] = TreeScores[Forest.TreeOf[SI]];
+  };
+  if (Options.Pool)
+    Options.Pool->parallelFor(0, NumFolds, ScoreFold);
+  else
+    for (size_t FI = 0; FI != NumFolds; ++FI)
+      ScoreFold(FI);
+  for (size_t SI = 0; SI != Subsets.size(); ++SI) {
+    std::string Name = subsetName(Index, Subsets[SI]);
+    std::vector<CandidateScore> FoldScores(
+        TaskScores.begin() + SI * NumFolds,
+        TaskScores.begin() + (SI + 1) * NumFolds);
+    SubsetScores[SI] =
+        averageScores(Name, FoldScores, Spec, Options.SelectionMargin);
   }
 
   size_t BestSubsetIdx = 0;
@@ -476,23 +386,12 @@ LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
       ml::IncrementalBayes Bayes;
       Bayes.fit(L1.Features, LabelOfRow, K, Order, Options.Bayes,
                 FoldTrain[FI]);
-      if (Data) {
-        ColumnProbe Probe(*Data);
-        FoldScores.push_back(scoreOnColumns(
-            *Data, Spec, FoldTest[FI], Name, Probe,
-            [&Bayes](size_t, ColumnProbe &P) {
-              return Bayes.predictWith([&P](unsigned F) { return P(F); })
-                  .Label;
-            }));
-      } else {
-        FoldScores.push_back(
-            scoreOnRows(Ctx, FoldTest[FI], Name, [&](FeatureProbe &Probe,
-                                                     size_t) {
-              return Bayes
-                  .predictLazy([&Probe](unsigned F) { return Probe.value(F); })
-                  .Label;
-            }));
-      }
+      ColumnProbe Probe(*Data);
+      FoldScores.push_back(scoreOnColumns(
+          *Data, Spec, FoldTest[FI], Name, Probe,
+          [&Bayes](size_t, ColumnProbe &P) {
+            return Bayes.predictWith([&P](unsigned F) { return P(F); }).Label;
+          }));
     }
     R.Candidates.push_back(averageScores(Name, FoldScores, Spec, Options.SelectionMargin));
   }
@@ -547,13 +446,9 @@ LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
     ml::DecisionTreeOptions SubOpts = TreeOpts;
     SubOpts.AllowedFeatures = Subsets[SubsetIdx];
     ml::DecisionTree Tree;
-    if (Data) {
-      ml::PresortedBase TrainBase(*Data, ml::RowView::of(*Data, TrainRows));
-      ml::PresortedView View(TrainBase, Subsets[SubsetIdx]);
-      Tree.fit(*Data, LabelOfRow, K, SubOpts, View);
-    } else {
-      Tree.fit(L1.Features, LabelOfRow, K, SubOpts, TrainRows);
-    }
+    ml::PresortedBase TrainBase(*Data, TrainView);
+    ml::PresortedView View(TrainBase, Subsets[SubsetIdx]);
+    Tree.fit(*Data, LabelOfRow, K, SubOpts, View);
     R.Production = std::make_unique<SubsetTreeClassifier>(
         std::move(Tree), Subsets[SubsetIdx], R.SelectedName);
   }

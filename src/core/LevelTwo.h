@@ -57,14 +57,6 @@ struct LevelTwoOptions {
   /// subset-tree sweep ((z+1)^u - 1 candidates) over folds. Results are
   /// identical with or without it.
   support::ThreadPool *Pool = nullptr;
-  /// Run the zoo over the columnar ml::Dataset substrate: per fold, all
-  /// subset trees grown together over one presorted base
-  /// (ml::DecisionTree::fitSubsets), each distinct tree scored once by
-  /// direct-column reads. Produces bit-identical results to the
-  /// row-major path (pinned by LevelTwoTest parity and the golden retrain
-  /// suite); disabled by the `pbt-bench trainbench` pre-optimisation
-  /// baseline.
-  bool UseDataset = true;
 };
 
 /// Cross-validated evaluation of one candidate classifier.
@@ -107,10 +99,12 @@ ml::CostMatrix buildCostMatrix(const linalg::Matrix &Time,
 std::vector<std::vector<unsigned>>
 enumerateFeatureSubsets(const runtime::FeatureIndex &Index);
 
-/// Runs Level 2 on top of a Level 1 result. \p Data, when given, is the
-/// columnar substrate extracted once by the pipeline (its label column
-/// must be attached); when null and Options.UseDataset is set, a local
-/// Dataset is columnarized from the L1 tables.
+/// Runs Level 2 on top of a Level 1 result over the columnar ml::Dataset
+/// substrate: per fold, all subset trees grow together over one presorted
+/// base (ml::DecisionTree::fitSubsets) and each distinct tree is scored
+/// once by direct-column reads. \p Data, when given, is the substrate
+/// extracted once by the pipeline (its label column must be attached);
+/// when null, a local Dataset is columnarized from the L1 tables.
 LevelTwoResult runLevelTwo(const runtime::TunableProgram &Program,
                            const LevelOneResult &L1,
                            const std::vector<size_t> &TrainRows,

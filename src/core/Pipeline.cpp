@@ -40,13 +40,11 @@ TrainedSystem core::trainSystem(const runtime::TunableProgram &Program,
   // tables. The label column is attached here so the labelling rule runs
   // once per training run.
   std::optional<runtime::AccuracySpec> Spec = Program.accuracy();
-  if (L2Opts.UseDataset) {
-    auto Data = std::make_shared<ml::Dataset>(
-        S.L1.Features, S.L1.ExtractCosts, S.L1.Time, S.L1.Acc,
-        Spec ? std::optional<double>(Spec->AccuracyThreshold) : std::nullopt);
-    Data->setLabels(labelAllRows(S.L1.Time, S.L1.Acc, Spec));
-    S.Data = std::move(Data);
-  }
+  auto Data = std::make_shared<ml::Dataset>(
+      S.L1.Features, S.L1.ExtractCosts, S.L1.Time, S.L1.Acc,
+      Spec ? std::optional<double>(Spec->AccuracyThreshold) : std::nullopt);
+  Data->setLabels(labelAllRows(S.L1.Time, S.L1.Acc, Spec));
+  S.Data = std::move(Data);
   S.L2 = runLevelTwo(Program, S.L1, S.TrainRows, L2Opts, S.Data.get());
 
   S.StaticOracleLandmark =

@@ -52,8 +52,8 @@ struct TrainedSystem {
   /// The columnar training substrate, extracted once per training run
   /// from the L1 evidence tables (label column attached) and threaded
   /// through Level 2 and evaluation. Never serialized -- it is a pure
-  /// reorganisation of L1; absent when L2.UseDataset was disabled or the
-  /// system was loaded from a model file.
+  /// reorganisation of L1; absent when the system was loaded from a model
+  /// file or its training state was dropped.
   std::shared_ptr<const ml::Dataset> Data;
 };
 

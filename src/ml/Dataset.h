@@ -28,8 +28,9 @@
 ///     instead of sorting inside every node.
 ///
 /// Everything a Dataset serves is a pure reorganisation of the evidence
-/// tables: consumers produce bit-identical results to the row-major path
-/// (pinned by the golden retrain suite and LevelTwo parity tests).
+/// tables: consumers produce bit-identical results to reading the
+/// row-major matrices (pinned by DatasetTest and the golden retrain
+/// suite).
 ///
 //===----------------------------------------------------------------------===//
 

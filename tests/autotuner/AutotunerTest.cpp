@@ -166,32 +166,26 @@ TEST(AutotunerTest, ParallelEvaluationMatchesSequential) {
   EXPECT_EQ(A.Best, B.Best) << "cost model determinism is scheduling-proof";
 }
 
-TEST(AutotunerTest, MemoizedEvaluationMatchesUnmemoized) {
-  // The run memo only replays deterministic outcomes, so the whole search
-  // trajectory -- not just the winner -- must be unchanged, with and
-  // without a pool in the mix.
+TEST(AutotunerTest, PooledSearchReproducesSerialTrajectory) {
+  // The run memo resolves hits serially and only the misses fan out, so a
+  // pool must reproduce the whole serial search trajectory -- not just the
+  // winner -- with and without an accuracy spec.
   for (bool WithAccuracy : {false, true}) {
     QuadraticProgram P(WithAccuracy);
     AutotunerOptions O;
     O.PopulationSize = 14;
     O.Generations = 10;
     O.Seed = 17;
-    O.Memoize = false;
-    TuneResult Plain = EvolutionaryAutotuner(O).tune(P, 0);
-    O.Memoize = true;
-    TuneResult Memo = EvolutionaryAutotuner(O).tune(P, 0);
-    EXPECT_EQ(Plain.Best, Memo.Best);
-    EXPECT_EQ(Plain.BestOutcome.TimeUnits, Memo.BestOutcome.TimeUnits);
-    EXPECT_EQ(Plain.BestOutcome.Accuracy, Memo.BestOutcome.Accuracy);
-    EXPECT_EQ(Plain.History, Memo.History);
-    EXPECT_EQ(Plain.Evaluations, Memo.Evaluations)
-        << "hits still count as search effort";
-
+    TuneResult Serial = EvolutionaryAutotuner(O).tune(P, 0);
     support::ThreadPool Pool(3);
     O.Pool = &Pool;
     TuneResult Pooled = EvolutionaryAutotuner(O).tune(P, 0);
-    EXPECT_EQ(Plain.Best, Pooled.Best);
-    EXPECT_EQ(Plain.History, Pooled.History);
+    EXPECT_EQ(Serial.Best, Pooled.Best);
+    EXPECT_EQ(Serial.BestOutcome.TimeUnits, Pooled.BestOutcome.TimeUnits);
+    EXPECT_EQ(Serial.BestOutcome.Accuracy, Pooled.BestOutcome.Accuracy);
+    EXPECT_EQ(Serial.History, Pooled.History);
+    EXPECT_EQ(Serial.Evaluations, Pooled.Evaluations)
+        << "memo hits count as search effort on both paths";
   }
 }
 

@@ -18,17 +18,19 @@ Poisson2DBenchmark::Options tinyOptions() {
 }
 
 /// Builds a configuration for the PDE scheme parameter order:
-/// solver, cycles, pre, post, mu, smoother, omega, statIters, cgIters.
+/// solver, cycles, pre, post, mu, smoother, omega, statIters, cgIters,
+/// cgTolerance.
 runtime::Configuration pdeConfig(unsigned Solver, int64_t Cycles = 8,
                                  int64_t Pre = 2, int64_t Post = 2,
                                  int64_t Mu = 1, unsigned Smoother = 1,
                                  double Omega = 1.5, int64_t StatIters = 100,
-                                 int64_t CGIters = 200) {
+                                 int64_t CGIters = 200,
+                                 double CGTol = 1e-12) {
   return runtime::Configuration(std::vector<double>{
       static_cast<double>(Solver), static_cast<double>(Cycles),
       static_cast<double>(Pre), static_cast<double>(Post),
       static_cast<double>(Mu), static_cast<double>(Smoother), Omega,
-      static_cast<double>(StatIters), static_cast<double>(CGIters)});
+      static_cast<double>(StatIters), static_cast<double>(CGIters), CGTol});
 }
 
 TEST(Poisson2DBenchmarkTest, DirectSolverMeetsAccuracyTarget) {

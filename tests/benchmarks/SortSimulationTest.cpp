@@ -1,11 +1,12 @@
 //===- tests/benchmarks/SortSimulationTest.cpp -------------------------------=//
 //
-// The charge-exact simulation contract: with simulation enabled (the
-// default), every sort kernel and SortBenchmark::run produce exactly the
-// bytes and exactly the cost-category charges of the physical reference
-// path -- across input families, sizes, selector shapes, and repeated
-// runs (the canonical-configuration memo replays must be exact too).
+// The charge-exact simulation contract: every sort kernel and
+// SortBenchmark::run produce exactly the bytes and exactly the
+// cost-category charges of the test-only physical reference -- across
+// input families, sizes, selector shapes, and repeated runs (the
+// canonical-configuration memo replays must be exact too).
 
+#include "PhysicalSortReference.h"
 #include "benchmarks/SortAlgorithms.h"
 #include "benchmarks/SortBenchmark.h"
 #include "support/Random.h"
@@ -19,12 +20,6 @@ using namespace pbt::bench;
 
 namespace {
 
-/// Restores the default (enabled) simulation mode on scope exit so a
-/// failing assertion cannot leak reference mode into other tests.
-struct SimModeGuard {
-  ~SimModeGuard() { setSortSimulation(true); }
-};
-
 void expectSameCharges(const support::CostCounter &A,
                        const support::CostCounter &B, const char *What) {
   EXPECT_EQ(A.compares(), B.compares()) << What;
@@ -35,7 +30,6 @@ void expectSameCharges(const support::CostCounter &A,
 }
 
 TEST(SortSimulationTest, KernelsMatchPhysicalReferenceExactly) {
-  SimModeGuard Guard;
   support::Rng GenRng(777);
   for (unsigned Trial = 0; Trial != 60; ++Trial) {
     SortGen G = static_cast<SortGen>(GenRng.index(NumSortGens));
@@ -55,12 +49,10 @@ TEST(SortSimulationTest, KernelsMatchPhysicalReferenceExactly) {
     unsigned Ways = 2 + static_cast<unsigned>(GenRng.index(15));
     PolySorter Sorter(Sel, Ways);
 
-    setSortSimulation(false);
     std::vector<double> Physical = Input;
     support::CostCounter PhysicalCost;
-    Sorter.sort(Physical, PhysicalCost);
+    reference::physicalSort(Sorter, Physical, PhysicalCost);
 
-    setSortSimulation(true);
     std::vector<double> Simulated = Input;
     support::CostCounter SimulatedCost;
     Sorter.sort(Simulated, SimulatedCost);
@@ -72,7 +64,6 @@ TEST(SortSimulationTest, KernelsMatchPhysicalReferenceExactly) {
 }
 
 TEST(SortSimulationTest, BenchmarkRunsMatchPhysicalAndMemoReplaysExactly) {
-  SimModeGuard Guard;
   SortBenchmark::Options Opts;
   Opts.Data = SortBenchmark::Dataset::SyntheticMix;
   Opts.NumInputs = 24;
@@ -86,11 +77,10 @@ TEST(SortSimulationTest, BenchmarkRunsMatchPhysicalAndMemoReplaysExactly) {
     runtime::Configuration Config = Bench.space().randomConfig(Rng);
     size_t Input = Rng.index(Bench.numInputs());
 
-    setSortSimulation(false);
     support::CostCounter Physical;
-    runtime::RunResult PR = Bench.run(Input, Config, Physical);
+    runtime::RunResult PR =
+        reference::physicalRun(Bench, Input, Config, Physical);
 
-    setSortSimulation(true);
     support::CostCounter First;
     runtime::RunResult FR = Bench.run(Input, Config, First);
     // Run again: canonical-memo replays (hits are certain the second

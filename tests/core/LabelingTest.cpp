@@ -75,7 +75,7 @@ TEST(LabelingTest, BestLandmarkWithinSubset) {
 
 TEST(LabelingTest, LabelRowsMapsEveryRow) {
   Tables T = makeTables();
-  std::vector<unsigned> L = labelRows(T.Time, T.Acc, {0, 1, 2}, std::nullopt);
+  std::vector<unsigned> L = labelAllRows(T.Time, T.Acc, std::nullopt);
   EXPECT_EQ(L, (std::vector<unsigned>{0, 1, 2}));
 }
 
