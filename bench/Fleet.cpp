@@ -457,18 +457,8 @@ int runFleet(const DriverOptions &Opts, const char *Argv0) {
   J += "}\n";
   std::fputs(J.c_str(), stdout);
 
-  if (Opts.Json) {
-    std::string Path = Opts.OutDir + "/BENCH_fleet.json";
-    if (FILE *Out = std::fopen(Path.c_str(), "w")) {
-      std::fputs(J.c_str(), Out);
-      std::fclose(Out);
-      std::fprintf(stderr, "[fleet] wrote %s\n", Path.c_str());
-    } else {
-      std::fprintf(stderr, "pbt-bench fleet: cannot write '%s'\n",
-                   Path.c_str());
-      return 1;
-    }
-  }
+  if (Opts.Json && !writeReport(Opts, "fleet", "BENCH_fleet.json", J))
+    return 1;
 
   // --- The wall. ------------------------------------------------------
   int Rc = 0;

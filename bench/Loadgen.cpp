@@ -579,20 +579,9 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
   Json += "}\n";
 
   std::fputs(Json.c_str(), stdout);
-  if (Opts.Json) {
-    std::string Path = (Opts.OutDir.empty() || Opts.OutDir == ".")
-                           ? std::string("BENCH_serve_daemon.json")
-                           : Opts.OutDir + "/BENCH_serve_daemon.json";
-    FILE *Out = std::fopen(Path.c_str(), "wb");
-    if (!Out || std::fwrite(Json.data(), 1, Json.size(), Out) != Json.size()) {
-      if (Out)
-        std::fclose(Out);
-      std::fprintf(stderr, "pbt-bench loadgen: cannot write '%s'\n",
-                   Path.c_str());
-      return 1;
-    }
-    std::fclose(Out);
-  }
+  if (Opts.Json &&
+      !writeReport(Opts, "loadgen", "BENCH_serve_daemon.json", Json))
+    return 1;
 
   if (!ParityOk) {
     std::fprintf(stderr, "pbt-bench loadgen: daemon decisions diverged from "

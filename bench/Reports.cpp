@@ -418,6 +418,22 @@ std::string benchharness::jsonNumber(double V) {
   return Buf;
 }
 
+bool benchharness::writeReport(const DriverOptions &Opts, const char *Sub,
+                               const std::string &Name,
+                               const std::string &Json) {
+  std::string Path = csvPath(Opts, Name);
+  FILE *Out = std::fopen(Path.c_str(), "wb");
+  bool Ok =
+      Out && std::fwrite(Json.data(), 1, Json.size(), Out) == Json.size();
+  // A full disk often surfaces only when the buffered bytes are flushed.
+  if (Out && std::fclose(Out) != 0)
+    Ok = false;
+  if (!Ok)
+    std::fprintf(stderr, "pbt-bench %s: cannot write '%s'\n", Sub,
+                 Path.c_str());
+  return Ok;
+}
+
 /// Escapes a string for embedding in a JSON literal (paths and names are
 /// user-controlled; a quote or backslash must not corrupt the report).
 std::string benchharness::jsonString(const std::string &S) {
@@ -606,7 +622,6 @@ int benchharness::runStream(const DriverOptions &Opts) {
   AO.MinRetrainInputs = std::min<size_t>(16, AO.ReservoirSize);
   AO.Retrain = registry::reservoirRetrainOptions(*Factory, UniverseScale,
                                                  AO.ReservoirSize, Opts.Pool);
-  AO.Pool = Opts.Pool;
 
   // Frozen control: a second service from the same bytes, never adapted.
   serialize::TrainedModel FrozenInitial;
@@ -781,18 +796,8 @@ int benchharness::runStream(const DriverOptions &Opts) {
   Json += "}\n";
 
   std::fputs(Json.c_str(), stdout);
-  if (Opts.Json) {
-    std::string Path = csvPath(Opts, "BENCH_stream.json");
-    FILE *Out = std::fopen(Path.c_str(), "wb");
-    if (!Out || std::fwrite(Json.data(), 1, Json.size(), Out) != Json.size()) {
-      if (Out)
-        std::fclose(Out);
-      std::fprintf(stderr, "pbt-bench stream: cannot write '%s'\n",
-                   Path.c_str());
-      return 1;
-    }
-    std::fclose(Out);
-  }
+  if (Opts.Json && !writeReport(Opts, "stream", "BENCH_stream.json", Json))
+    return 1;
   return 0;
 }
 
@@ -968,18 +973,9 @@ int benchharness::runStreamMix(const DriverOptions &Opts) {
   Json += "}\n";
 
   std::fputs(Json.c_str(), stdout);
-  if (Opts.Json) {
-    std::string Path = csvPath(Opts, "BENCH_stream_mix.json");
-    FILE *Out = std::fopen(Path.c_str(), "wb");
-    if (!Out || std::fwrite(Json.data(), 1, Json.size(), Out) != Json.size()) {
-      if (Out)
-        std::fclose(Out);
-      std::fprintf(stderr, "pbt-bench stream --mix: cannot write '%s'\n",
-                   Path.c_str());
-      return 1;
-    }
-    std::fclose(Out);
-  }
+  if (Opts.Json &&
+      !writeReport(Opts, "stream --mix", "BENCH_stream_mix.json", Json))
+    return 1;
   return Mismatches == 0 ? 0 : 1;
 }
 
@@ -1077,18 +1073,9 @@ int benchharness::runInteract(const DriverOptions &Opts) {
                "(PBT_BENCH_SCALE=%.2f):\n\n%s\n",
                Opts.Scale, Table.format().c_str());
   std::fputs(Json.c_str(), stdout);
-  if (Opts.Json) {
-    std::string Path = csvPath(Opts, "BENCH_interact.json");
-    FILE *Out = std::fopen(Path.c_str(), "wb");
-    if (!Out || std::fwrite(Json.data(), 1, Json.size(), Out) != Json.size()) {
-      if (Out)
-        std::fclose(Out);
-      std::fprintf(stderr, "pbt-bench interact: cannot write '%s'\n",
-                   Path.c_str());
-      return 1;
-    }
-    std::fclose(Out);
-  }
+  if (Opts.Json &&
+      !writeReport(Opts, "interact", "BENCH_interact.json", Json))
+    return 1;
   return 0;
 }
 

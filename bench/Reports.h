@@ -122,6 +122,13 @@ struct DriverOptions {
 std::string jsonNumber(double V);
 std::string jsonString(const std::string &S);
 
+/// Writes the report \p Json to \p Name in Opts.OutDir (the cwd when
+/// OutDir is "." or empty). A failed open, short write or failed close
+/// prints "pbt-bench <Sub>: cannot write '<path>'" and returns false;
+/// the subcommand then exits 1.
+bool writeReport(const DriverOptions &Opts, const char *Sub,
+                 const std::string &Name, const std::string &Json);
+
 /// Builds the suite the subcommand operates on (Only or the full suite).
 std::vector<registry::SuiteEntry> suiteFor(const DriverOptions &Opts);
 

@@ -259,18 +259,8 @@ int runRollout(const DriverOptions &Opts) {
   J += "}\n";
   std::fputs(J.c_str(), stdout);
 
-  if (Opts.Json) {
-    std::string Path = Opts.OutDir + "/BENCH_rollout.json";
-    if (FILE *Out = std::fopen(Path.c_str(), "w")) {
-      std::fputs(J.c_str(), Out);
-      std::fclose(Out);
-      std::fprintf(stderr, "[rollout] wrote %s\n", Path.c_str());
-    } else {
-      std::fprintf(stderr, "pbt-bench rollout: cannot write '%s'\n",
-                   Path.c_str());
-      return 1;
-    }
-  }
+  if (Opts.Json && !writeReport(Opts, "rollout", "BENCH_rollout.json", J))
+    return 1;
 
   if (GoldenMismatches != 0) {
     std::fprintf(stderr,

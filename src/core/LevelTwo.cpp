@@ -436,21 +436,15 @@ LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
     R.Production =
         std::make_unique<IncrementalClassifier>(std::move(Bayes), R.SelectedName);
   } else {
-    // A subset tree: find its subset by name.
-    size_t SubsetIdx = BestSubsetIdx;
-    for (size_t SI = 0; SI != Subsets.size(); ++SI)
-      if (subsetName(Index, Subsets[SI]) == R.SelectedName) {
-        SubsetIdx = SI;
-        break;
-      }
-    ml::DecisionTreeOptions SubOpts = TreeOpts;
-    SubOpts.AllowedFeatures = Subsets[SubsetIdx];
-    ml::DecisionTree Tree;
+    // A subset tree: candidates 2 .. 2+S-1 are the subsets in order.
+    assert(Selected >= 2 && Selected - 2 < Subsets.size() &&
+           "selected candidate is not a subset tree");
+    const std::vector<unsigned> &Subset = Subsets[Selected - 2];
     ml::PresortedBase TrainBase(*Data, TrainView);
-    ml::PresortedView View(TrainBase, Subsets[SubsetIdx]);
-    Tree.fit(*Data, LabelOfRow, K, SubOpts, View);
+    ml::SubsetForest Forest = ml::DecisionTree::fitSubsets(
+        *Data, LabelOfRow, K, TreeOpts, TrainBase, {Subset});
     R.Production = std::make_unique<SubsetTreeClassifier>(
-        std::move(Tree), Subsets[SubsetIdx], R.SelectedName);
+        std::move(Forest.Trees[0]), Subset, R.SelectedName);
   }
   return R;
 }

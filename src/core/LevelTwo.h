@@ -102,9 +102,11 @@ enumerateFeatureSubsets(const runtime::FeatureIndex &Index);
 /// Runs Level 2 on top of a Level 1 result over the columnar ml::Dataset
 /// substrate: per fold, all subset trees grow together over one presorted
 /// base (ml::DecisionTree::fitSubsets) and each distinct tree is scored
-/// once by direct-column reads. \p Data, when given, is the substrate
-/// extracted once by the pipeline (its label column must be attached);
-/// when null, a local Dataset is columnarized from the L1 tables.
+/// once by direct-column reads; a selected subset tree is retrained by
+/// the same grower over all training rows. \p Data, when given, is the
+/// substrate extracted once by the pipeline (its label column must be
+/// attached); when null, a local Dataset is columnarized from the L1
+/// tables.
 LevelTwoResult runLevelTwo(const runtime::TunableProgram &Program,
                            const LevelOneResult &L1,
                            const std::vector<size_t> &TrainRows,

@@ -33,7 +33,6 @@ buildService(const registry::BenchmarkFactory &Factory,
   AO.Retrain = registry::reservoirRetrainOptions(
       Factory, Model.Meta.Scale, AO.ReservoirSize, Opts.Pool);
   AO.AutoAdapt = Opts.AutoAdapt;
-  AO.Pool = Opts.Pool;
   return std::make_unique<runtime::AdaptiveService>(Program, std::move(Model),
                                                     AO);
 }

@@ -76,7 +76,9 @@ struct ModelRegistryOptions {
   unsigned Window = 64;
   /// Shadow-retrain reservoir capacity per tenant (--reservoir).
   unsigned Reservoir = 48;
-  /// serve()-driven drift adaptation; off = frozen decideBatch serving.
+  /// serve()-driven drift adaptation: the Server answers through
+  /// AdaptiveService::serve() (drift observation + online adaptation);
+  /// off = frozen decideBatch serving.
   bool AutoAdapt = false;
   /// Parallelises per-tenant shadow retraining; may be null.
   support::ThreadPool *Pool = nullptr;

@@ -406,7 +406,7 @@ Server::serve(Tenant &T, const std::vector<uint64_t> &Inputs) {
   std::vector<runtime::AdaptiveService::Decision> Decisions;
   {
     std::lock_guard<std::mutex> Lock(T.ServeMutex);
-    if (Opts.Adapt) {
+    if (Registry.options().AutoAdapt) {
       // Observing mode: feed the tenant's drift monitor and reservoir;
       // serve() runs the adaptation loop inline.
       Decisions.reserve(In.size());
@@ -466,7 +466,8 @@ std::string Server::statsJson() const {
   J += ", \"max_sessions\": " + std::to_string(Opts.MaxSessions);
   J += ", \"queue_capacity\": " + std::to_string(Gate.capacity());
   J += ", \"workers\": " + std::to_string(Opts.Workers);
-  J += std::string(", \"adapt\": ") + (Opts.Adapt ? "true" : "false");
+  J += std::string(", \"adapt\": ") +
+       (Registry.options().AutoAdapt ? "true" : "false");
   J += ", \"tenants\": [";
   for (size_t I = 0;; ++I) {
     Tenant *T = Registry.at(I);

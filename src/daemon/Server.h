@@ -13,16 +13,16 @@
 /// session thread per connection. The thread that reads a Predict
 /// answers it: it passes the admission gate (daemon/RequestQueue.h),
 /// serves the inputs under the tenant's ServeMutex with
-/// AdaptiveService::decideBatch (or serve() with Adapt), leaves the
-/// gate, and writes the reply. The gate is the admission control: at
-/// most Workers Predicts are served at once and at most QueueCapacity
-/// more wait for a slot; a Predict that finds the line full is answered
-/// Shed immediately, so backlog never grows without limit and a client
-/// always learns its fate. The session calls decideBatch without a
-/// pool, so a Predict is one inline arena walk on the session thread,
-/// and its answers are choice-identical to an in-process AdaptiveService
-/// replay of the same model (the loadgen harness and the daemon tests
-/// assert exactly that).
+/// AdaptiveService::decideBatch (or serve() when the registry's
+/// AutoAdapt is on), leaves the gate, and writes the reply. The gate is
+/// the admission control: at most Workers Predicts are served at once
+/// and at most QueueCapacity more wait for a slot; a Predict that finds
+/// the line full is answered Shed immediately, so backlog never grows
+/// without limit and a client always learns its fate. The session calls
+/// decideBatch without a pool, so a Predict is one inline arena walk on
+/// the session thread, and its answers are choice-identical to an
+/// in-process AdaptiveService replay of the same model (the loadgen
+/// harness and the daemon tests assert exactly that).
 ///
 /// Shutdown (requestStop(), a Shutdown frame, or a signal) is clean by
 /// construction: the accept loop notices the flag at its next poll
@@ -79,9 +79,6 @@ struct ServerOptions {
   /// Predicts waiting for a slot: the admission-control knob. A Predict
   /// that finds this many waiting is answered Shed. 0 = 1.
   size_t QueueCapacity = 64;
-  /// Serve through AdaptiveService::serve() (drift observation + online
-  /// adaptation) instead of frozen decideBatch.
-  bool Adapt = false;
 };
 
 struct ServerStats {

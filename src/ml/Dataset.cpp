@@ -126,18 +126,3 @@ void PresortedBase::build(const std::vector<uint32_t> &RowIds) {
     (void)W;
   }
 }
-
-PresortedView::PresortedView(const PresortedBase &Base,
-                             const std::vector<unsigned> &Features)
-    : D(&Base.dataset()), N(Base.size()) {
-  if (Features.empty()) {
-    Feats.resize(D->numFeatures());
-    std::iota(Feats.begin(), Feats.end(), 0u);
-  } else {
-    Feats = Features;
-  }
-  Cols.resize(Feats.size() * N);
-  for (size_t CI = 0; CI != Feats.size(); ++CI)
-    std::copy(Base.column(Feats[CI]), Base.column(Feats[CI]) + N,
-              Cols.data() + CI * N);
-}

@@ -23,9 +23,9 @@
 ///   * the label column (best-landmark labelling, computed once by
 ///     core/Labeling and attached here);
 ///   * a global presorted-feature index: each feature column argsorted
-///     once (ties by row id). Tree builds walk rank-filtered views of
-///     this index SPRINT-style (PresortedBase / PresortedView below)
-///     instead of sorting inside every node.
+///     once (ties by row id). Tree builds walk rank-filtered copies of
+///     this index SPRINT-style (PresortedBase below, consumed by
+///     DecisionTree::fitSubsets) instead of sorting inside every node.
 ///
 /// Everything a Dataset serves is a pure reorganisation of the evidence
 /// tables: consumers produce bit-identical results to reading the
@@ -186,41 +186,6 @@ private:
   const Dataset *D;
   size_t N = 0;
   std::vector<uint32_t> Cols; // numFeatures() x N
-};
-
-/// The mutable per-fit view a DecisionTree build consumes: copies of the
-/// base's presorted columns for the candidate features, partitioned in
-/// place (stably, by the chosen split) as nodes are split -- so the whole
-/// build performs no sorting at all.
-class PresortedView {
-public:
-  /// \p Features lists the candidate features (empty = all, in order).
-  PresortedView(const PresortedBase &Base,
-                const std::vector<unsigned> &Features);
-
-  const Dataset &dataset() const { return *D; }
-  size_t size() const { return N; }
-  unsigned numFeatures() const {
-    return static_cast<unsigned>(Feats.size());
-  }
-  unsigned featureAt(unsigned CI) const {
-    assert(CI < Feats.size() && "candidate index out of range");
-    return Feats[CI];
-  }
-  uint32_t *column(unsigned CI) {
-    assert(CI < Feats.size() && "candidate index out of range");
-    return Cols.data() + static_cast<size_t>(CI) * N;
-  }
-  const uint32_t *column(unsigned CI) const {
-    assert(CI < Feats.size() && "candidate index out of range");
-    return Cols.data() + static_cast<size_t>(CI) * N;
-  }
-
-private:
-  const Dataset *D;
-  size_t N = 0;
-  std::vector<unsigned> Feats;
-  std::vector<uint32_t> Cols; // Feats.size() x N
 };
 
 } // namespace ml

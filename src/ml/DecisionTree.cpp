@@ -214,110 +214,6 @@ unsigned DecisionTree::build(const linalg::Matrix &X,
   return Self;
 }
 
-/// The presorted (SPRINT-style) twin of build(): candidate sweeps walk
-/// the view's value-ordered row lists, so the per-(node, feature) sort
-/// disappears; the boundary scan and gain arithmetic are build()'s, and
-/// bestSplitOf's per-feature maxima combine under the same tie rules,
-/// which is what makes the produced tree bit-identical (the sweep only
-/// reads label counts on each side of a value boundary, invariant to
-/// order within equal-value runs).
-unsigned DecisionTree::buildPresorted(const ml::Dataset &Data,
-                                      const std::vector<unsigned> &Y,
-                                      unsigned NumClasses,
-                                      const DecisionTreeOptions &Options,
-                                      ml::PresortedView &View, size_t Begin,
-                                      size_t End, unsigned Depth,
-                                      std::vector<uint32_t> &Scratch) {
-  assert(End > Begin && "empty node");
-  double Total = static_cast<double>(End - Begin);
-  const uint32_t *AnyCol = View.column(0);
-  std::vector<double> Counts(NumClasses, 0.0);
-  for (size_t I = Begin; I != End; ++I)
-    Counts[Y[AnyCol[I]]] += 1.0;
-
-  bool Pure = false;
-  for (double C : Counts)
-    if (C == Total)
-      Pure = true;
-
-  if (Pure || Depth >= Options.MaxDepth ||
-      End - Begin < Options.MinSamplesSplit)
-    return makeLeaf(Counts, Options);
-
-  double ParentImpurity = gini(Counts, Total);
-  double BestGain = 1e-12;
-  int BestFeature = -1;
-  double BestThreshold = 0.0;
-
-  std::vector<double> LeftCounts(NumClasses);
-  for (unsigned CI = 0, CE = View.numFeatures(); CI != CE; ++CI) {
-    unsigned F = View.featureAt(CI);
-    SplitChoice C =
-        bestSplitOf(View.column(CI) + Begin, End - Begin, Data.featureCol(F),
-                    Y, Counts, ParentImpurity, Options, LeftCounts);
-    if (C.Found && C.Gain > BestGain) {
-      BestGain = C.Gain;
-      BestFeature = static_cast<int>(F);
-      BestThreshold = C.Threshold;
-    }
-  }
-
-  if (BestFeature < 0)
-    return makeLeaf(Counts, Options);
-
-  // Stable in-place partition of every candidate column by the chosen
-  // split: left rows compact forward (overwriting only positions already
-  // read), right rows stage in the scratch buffer and copy back. Each
-  // column stays value-ordered for its own feature, so children need no
-  // re-sorting.
-  const double *SplitVals = Data.featureCol(static_cast<unsigned>(BestFeature));
-  size_t MidPos = Begin;
-  for (unsigned CI = 0, CE = View.numFeatures(); CI != CE; ++CI) {
-    uint32_t *Col = View.column(CI);
-    Scratch.clear();
-    size_t Write = Begin;
-    for (size_t I = Begin; I != End; ++I) {
-      uint32_t Row = Col[I];
-      if (SplitVals[Row] <= BestThreshold)
-        Col[Write++] = Row;
-      else
-        Scratch.push_back(Row);
-    }
-    std::copy(Scratch.begin(), Scratch.end(), Col + Write);
-    MidPos = Write;
-  }
-  if (MidPos == Begin || MidPos == End)
-    return makeLeaf(Counts, Options); // Degenerate split; should not happen.
-
-  unsigned Self = static_cast<unsigned>(Nodes.size());
-  Nodes.emplace_back();
-  Nodes[Self].IsLeaf = false;
-  Nodes[Self].Feature = BestFeature;
-  Nodes[Self].Threshold = BestThreshold;
-  unsigned Left = buildPresorted(Data, Y, NumClasses, Options, View, Begin,
-                                 MidPos, Depth + 1, Scratch);
-  unsigned Right = buildPresorted(Data, Y, NumClasses, Options, View, MidPos,
-                                  End, Depth + 1, Scratch);
-  Nodes[Self].Left = Left;
-  Nodes[Self].Right = Right;
-  return Self;
-}
-
-void DecisionTree::fit(const ml::Dataset &Data, const std::vector<unsigned> &Y,
-                       unsigned NumClasses, const DecisionTreeOptions &Options,
-                       ml::PresortedView &View) {
-  assert(Y.size() == Data.numRows() && "labels must cover every dataset row");
-  assert(NumClasses >= 1 && "need at least one class");
-  assert(View.size() > 0 && "cannot train on zero samples");
-  assert(View.numFeatures() > 0 && "need at least one candidate feature");
-  Nodes.clear();
-  NumFeatures = Data.numFeatures();
-  std::vector<uint32_t> Scratch;
-  Scratch.reserve(View.size());
-  buildPresorted(Data, Y, NumClasses, Options, View, 0, View.size(), 0,
-                 Scratch);
-}
-
 /// Grows every subset tree of one row set at once (see fitSubsets). A
 /// node is visited once per distinct root-to-node path; the subsets on
 /// that path ("members") share its label counts, leaf tests, per-feature

@@ -20,7 +20,6 @@
 #include "linalg/Matrix.h"
 #include "ml/CostMatrix.h"
 
-#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -38,7 +37,6 @@ struct CompiledArena;
 struct CompiledClassifier;
 class Dataset;
 class PresortedBase;
-class PresortedView;
 struct SubsetForest;
 
 struct DecisionTreeOptions {
@@ -61,31 +59,21 @@ public:
            unsigned NumClasses, const DecisionTreeOptions &Options = {},
            const std::vector<size_t> &SampleIndices = {});
 
-  /// Trains over a columnar ml::Dataset through a presorted view: node
-  /// sweeps walk the per-feature value-ordered row lists and the chosen
-  /// split stably partitions them in place (SPRINT-style), so the build
-  /// performs no sorting at all. Produces exactly the tree fit() would on
-  /// the equivalent row-major inputs -- same splits, same node order,
-  /// same serialized bytes (pinned by DatasetTest and the golden suite).
-  /// \p Y holds one label per *global* dataset row; \p View's features
-  /// are the split candidates (Options.AllowedFeatures is ignored here).
-  /// \p View is consumed (its columns end up partitioned).
-  void fit(const ml::Dataset &Data, const std::vector<unsigned> &Y,
-           unsigned NumClasses, const DecisionTreeOptions &Options,
-           ml::PresortedView &View);
-
   /// Fits one tree per feature subset of \p Subsets over the rows of
   /// \p Base, growing them all together: each node's label counts, leaf
   /// tests and per-feature best splits are computed once for every
   /// subset that reaches it, each subset takes the best of its own
   /// features (in its listed order, strictly greater gain wins), and the
   /// subsets that pick the same split share one partition and recurse
-  /// together. Every tree is exactly the one fit(Data, ..., View) would
-  /// produce on PresortedView(Base, Subset) -- same splits, same node
-  /// order, same structuralKey() -- but the zoo's heavily overlapping
-  /// subsets visit each distinct node once instead of once per subset.
-  /// An empty subset means all features; Options.AllowedFeatures is
-  /// ignored.
+  /// together. Every tree is exactly the one the row-major fit() grows
+  /// over the same rows with AllowedFeatures = the subset -- same
+  /// splits, same node order, same structuralKey() -- but no node sorts
+  /// anything: sweeps walk \p Base's value-ordered row lists, and a split
+  /// stably partitions them into the children's. The zoo's heavily
+  /// overlapping subsets visit each distinct node once instead of once
+  /// per subset, and a single-subset call is the production retrain.
+  /// \p Y holds one label per *global* dataset row. An empty subset
+  /// means all features; Options.AllowedFeatures is ignored.
   static SubsetForest fitSubsets(const ml::Dataset &Data,
                                  const std::vector<unsigned> &Y,
                                  unsigned NumClasses,
@@ -158,11 +146,6 @@ private:
                  std::vector<size_t> &Indices, size_t Begin, size_t End,
                  unsigned Depth,
                  std::vector<std::pair<double, unsigned>> &Scratch);
-  unsigned buildPresorted(const ml::Dataset &Data,
-                          const std::vector<unsigned> &Y, unsigned NumClasses,
-                          const DecisionTreeOptions &Options,
-                          ml::PresortedView &View, size_t Begin, size_t End,
-                          unsigned Depth, std::vector<uint32_t> &Scratch);
   unsigned makeLeaf(const std::vector<double> &ClassCounts,
                     const DecisionTreeOptions &Options);
 

@@ -323,8 +323,6 @@ bool AdaptiveService::adaptNow() {
   try {
     SubsetProgram View(Program, Sample);
     core::PipelineOptions Opt = Opts.Retrain;
-    if (!Opt.Pool)
-      Opt.Pool = Opts.Pool;
     clampRetrainOptions(Opt, Sample.size());
     // Every sampled input was served, so its full feature row and
     // extraction costs are already memoized: Level 1 reads them instead

@@ -71,7 +71,7 @@ struct AdaptiveServiceOptions {
   uint64_t ReservoirSeed = 0x5EED;
   /// Pipeline options template for shadow retraining. Landmark count, CV
   /// folds and tuning neighbourhood are clamped to what the reservoir can
-  /// support; Pool defaults to the service pool below.
+  /// support; its Pool parallelises the retrain.
   core::PipelineOptions Retrain;
   /// A candidate is swapped in only when its shadow-scored mean cost is
   /// below champion * (1 - SwapMargin).
@@ -82,8 +82,6 @@ struct AdaptiveServiceOptions {
   /// Fewest reservoir entries (and, /2, distinct inputs) worth retraining
   /// on; drift flags before that only rebase the monitor.
   size_t MinRetrainInputs = 16;
-  /// Parallelises shadow retraining (and decideBatch when forwarded).
-  support::ThreadPool *Pool = nullptr;
 };
 
 class AdaptiveService {

@@ -545,13 +545,11 @@ TEST(DaemonServerTest, FuzzWallGarbageTenantNamesAndPayloads) {
 //===----------------------------------------------------------------------===//
 
 TEST(DaemonServerTest, AdaptModeServesAndObserves) {
-  daemon::ServerOptions SO;
-  SO.Adapt = true;
   daemon::ModelRegistryOptions RO;
   RO.AutoAdapt = true;
   RO.Window = 16;
   RO.Reservoir = 16;
-  Harness H(SO, RO);
+  Harness H({}, RO);
 
   daemon::DaemonClient C;
   std::string Err;

@@ -3,10 +3,9 @@
 // The columnar training substrate's contract: a Dataset is a pure
 // reorganisation of the evidence tables (columns mirror the matrices,
 // the presorted index matches a naive per-column sort, meets bits match
-// the threshold predicate), row views compose, presorted bases/views
-// filter correctly, and -- the load-bearing claim -- a DecisionTree fit
-// through a PresortedView is structurally identical to the row-major
-// fit it replaces.
+// the threshold predicate), row views compose, presorted bases filter
+// correctly, and -- the load-bearing claim -- a DecisionTree fit over a
+// PresortedBase is structurally identical to the row-major reference fit.
 
 #include "ml/Dataset.h"
 #include "ml/DecisionTree.h"
@@ -144,25 +143,6 @@ TEST(DatasetTest, PresortedBaseFiltersTheGlobalIndex) {
   }
 }
 
-TEST(DatasetTest, PresortedViewSelectsFeatures) {
-  Tables T = makeTables(16, 4, 2, 17);
-  Dataset D(T.Features, T.Costs, T.Time, T.Acc, std::nullopt);
-  std::vector<size_t> Rows(16);
-  std::iota(Rows.begin(), Rows.end(), 0);
-  PresortedBase Base(D, Rows);
-
-  PresortedView Two(Base, {3, 1});
-  ASSERT_EQ(Two.numFeatures(), 2u);
-  EXPECT_EQ(Two.featureAt(0), 3u);
-  EXPECT_EQ(Two.featureAt(1), 1u);
-  for (unsigned CI = 0; CI != 2; ++CI)
-    for (size_t I = 0; I != Two.size(); ++I)
-      EXPECT_EQ(Two.column(CI)[I], Base.column(Two.featureAt(CI))[I]);
-
-  PresortedView AllF(Base, {});
-  EXPECT_EQ(AllF.numFeatures(), D.numFeatures());
-}
-
 /// The exactness claim the Level-2 rewrite rests on: presorted fits
 /// produce the very tree the row-major fit would, across random tables,
 /// subset choices, and tree shapes.
@@ -199,11 +179,11 @@ TEST(DatasetTest, PresortedTreeFitMatchesRowMajorFit) {
     RowMajor.fit(T.Features, Y, K, Opts, Rows);
 
     PresortedBase Base(D, Rows);
-    PresortedView View(Base, Feats);
-    DecisionTree Presorted;
-    Presorted.fit(D, Y, K, Opts, View);
+    SubsetForest Presorted =
+        DecisionTree::fitSubsets(D, Y, K, Opts, Base, {Feats});
+    ASSERT_EQ(Presorted.Trees.size(), 1u);
 
-    EXPECT_EQ(Presorted.structuralKey(), RowMajor.structuralKey())
+    EXPECT_EQ(Presorted.Trees[0].structuralKey(), RowMajor.structuralKey())
         << "trial " << Trial << " (N=" << N << ", M=" << M << ", K=" << K
         << ")";
   }

@@ -2,7 +2,9 @@
 //
 // DecisionTree::fitSubsets grows a whole feature-subset zoo together; its
 // contract is that every subset's tree is exactly the independent
-// presorted fit over the same rows and features. The tables here are
+// row-major fit over the same rows with the subset as AllowedFeatures.
+// It is Level 2's only tree grower (the zoo and the production retrain
+// alike), so that fit is the reference it answers to. The tables here are
 // built to stress the tie rules that contract rests on: feature values
 // from a tiny alphabet (long equal-value runs), duplicated rows,
 // duplicated feature columns (equal gains on different features, so the
@@ -80,7 +82,7 @@ std::vector<std::vector<unsigned>> makeSubsets(unsigned M, support::Rng &Rng) {
   return Out;
 }
 
-TEST(SubsetForestTest, SharedGrowthMatchesIndependentPresortedFits) {
+TEST(SubsetForestTest, SharedGrowthMatchesIndependentRowMajorFits) {
   support::Rng Rng(2024);
   size_t Checked = 0;
   for (unsigned Trial = 0; Trial != 40; ++Trial) {
@@ -121,9 +123,10 @@ TEST(SubsetForestTest, SharedGrowthMatchesIndependentPresortedFits) {
 
       for (size_t SI = 0; SI != Subsets.size(); ++SI) {
         ASSERT_LT(Forest.TreeOf[SI], Forest.Trees.size());
-        PresortedView View(Base, Subsets[SI]);
+        DecisionTreeOptions SubOpts = Opts;
+        SubOpts.AllowedFeatures = Subsets[SI];
         DecisionTree Independent;
-        Independent.fit(D, T.Y, K, Opts, View);
+        Independent.fit(T.Features, T.Y, K, SubOpts, Rows);
         EXPECT_EQ(Forest.Trees[Forest.TreeOf[SI]].structuralKey(),
                   Independent.structuralKey())
             << "trial " << Trial << " fold " << Fold << " subset " << SI

@@ -79,7 +79,6 @@ runtime::AdaptiveServiceOptions serviceOptions(const Scenario &S,
   O.MinRetrainInputs = 16;
   O.Retrain = registry::reservoirRetrainOptions(F, kScale, O.ReservoirSize,
                                                 Pool);
-  O.Pool = Pool;
   return O;
 }
 

@@ -79,8 +79,8 @@ void usage(const char *Argv0) {
       "  --workers=N        Predicts served concurrently (default 2)\n"
       "  --queue=N          Predicts waiting for a slot (default 64); a\n"
       "                     Predict that finds the line full is shed\n"
-      "  --adapt            serve through the drift-adaptation loop\n"
-      "                     (per-tenant DriftMonitor + shadow retrain)\n"
+      "  --adapt            serve every tenant through the drift-adaptation\n"
+      "                     loop (per-tenant DriftMonitor + shadow retrain)\n"
       "  --window=N         drift-monitor window per tenant (default 64)\n"
       "  --reservoir=N      retrain reservoir per tenant (default 48)\n"
       "  --threads=N        retrain thread pool size (default 0 = none)\n",
@@ -164,7 +164,6 @@ int main(int argc, char **argv) {
         return badValue("--queue", V, "an integer in [0, 2^20]");
       SO.QueueCapacity = Cap;
     } else if (Arg == "--adapt") {
-      SO.Adapt = true;
       RO.AutoAdapt = true;
     } else if (const char *V = Value("--window=")) {
       if (!support::parseUnsigned(V, RO.Window, 1u << 20))
@@ -265,7 +264,7 @@ int main(int argc, char **argv) {
                  Where.c_str(), Registry.size(),
                  Registry.size() == 1 ? "" : "s", Names.c_str(), SO.Workers,
                  SO.QueueCapacity, SO.MaxSessions,
-                 SO.Adapt ? " adapt" : "");
+                 Registry.options().AutoAdapt ? " adapt" : "");
     std::fflush(stderr);
   }
 
