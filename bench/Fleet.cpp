@@ -66,11 +66,6 @@ double monotonic() {
       .count();
 }
 
-std::string dirnameOf(const std::string &Path) {
-  size_t Slash = Path.rfind('/');
-  return Slash == std::string::npos ? std::string(".") : Path.substr(0, Slash);
-}
-
 /// What one load thread saw. Shed is admission control (an answer);
 /// Lost is a predict() that exhausted every replica -- the wall's
 /// no-loss invariant says this stays zero while a survivor lives.
@@ -144,12 +139,6 @@ void loadThread(const std::vector<std::string> &Endpoints,
   }
   R.Client = C.stats();
   C.close();
-}
-
-std::string jsonQuantile(const std::vector<double> &V, double Q) {
-  if (V.empty())
-    return "null";
-  return jsonNumber(support::quantile(V, Q));
 }
 
 } // namespace

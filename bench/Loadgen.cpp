@@ -34,6 +34,7 @@
 #include "Reports.h"
 
 #include "daemon/Client.h"
+#include "daemon/ModelRegistry.h"
 #include "daemon/Protocol.h"
 #include "runtime/AdaptiveService.h"
 #include "serialize/ModelIO.h"
@@ -122,14 +123,6 @@ PhaseSummary mergeConns(std::vector<ConnResult> &Conns, double Seconds) {
   return P;
 }
 
-std::string jsonQuantile(const std::vector<double> &V, double Q) {
-  // An empty phase has no percentiles; support::quantile would
-  // fabricate 0.0 (the zero-batch bug the serve harness had).
-  if (V.empty())
-    return "null";
-  return jsonNumber(support::quantile(V, Q));
-}
-
 std::string jsonPhaseSummary(const PhaseSummary &P, unsigned Connections) {
   double Dps = P.Seconds > 0 ? static_cast<double>(P.Decisions) / P.Seconds
                              : 0.0;
@@ -151,36 +144,6 @@ std::string jsonPhaseSummary(const PhaseSummary &P, unsigned Connections) {
                               : jsonNumber(support::maxOf(P.LatenciesUs)));
   J += "}";
   return J;
-}
-
-/// Splits --model=a.pbt,fast=b.pbt into (name, path); empty name means
-/// "the model's benchmark key" (mirrors pbt-serve).
-std::vector<std::pair<std::string, std::string>>
-splitModelSpec(const std::string &Spec) {
-  std::vector<std::pair<std::string, std::string>> Out;
-  size_t Start = 0;
-  while (Start <= Spec.size()) {
-    size_t Comma = Spec.find(',', Start);
-    std::string Entry = Spec.substr(
-        Start, Comma == std::string::npos ? std::string::npos : Comma - Start);
-    if (!Entry.empty()) {
-      size_t Eq = Entry.find('=');
-      if (Eq == std::string::npos)
-        Out.emplace_back("", Entry);
-      else
-        Out.emplace_back(Entry.substr(0, Eq), Entry.substr(Eq + 1));
-    }
-    if (Comma == std::string::npos)
-      break;
-    Start = Comma + 1;
-  }
-  return Out;
-}
-
-std::string dirnameOf(const std::string &Path) {
-  size_t Slash = Path.rfind('/');
-  return Slash == std::string::npos ? std::string(".")
-                                    : Path.substr(0, Slash);
 }
 
 /// One connection's sustained-phase loop: attach, then replay this
@@ -303,7 +266,7 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
   // Build the in-process tenant replicas: model -> provenance program ->
   // AdaptiveService (parity) + WorkloadStream (the request schedule).
   std::vector<LoadTenant> Tenants;
-  for (const auto &[Name, Path] : splitModelSpec(Opts.Model)) {
+  for (const auto &[Name, Path] : daemon::splitModelSpec(Opts.Model)) {
     LoadTenant T;
     T.ModelPath = Path;
     serialize::TrainedModel Model;

@@ -131,20 +131,6 @@ static void printUsage() {
       "google-benchmark flags (e.g. --benchmark_filter=...) instead.\n");
 }
 
-static std::vector<std::string> splitCommas(const std::string &Text) {
-  std::vector<std::string> Out;
-  size_t Start = 0;
-  while (Start <= Text.size()) {
-    size_t Comma = Text.find(',', Start);
-    if (Comma == std::string::npos)
-      Comma = Text.size();
-    if (Comma > Start)
-      Out.push_back(Text.substr(Start, Comma - Start));
-    Start = Comma + 1;
-  }
-  return Out;
-}
-
 enum class ParseResult { Ok, Error, Help };
 
 /// Loud rejection of a malformed numeric value: the checked parsers

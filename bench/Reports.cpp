@@ -466,20 +466,30 @@ std::string benchharness::jsonString(const std::string &S) {
   return Out;
 }
 
-/// Splits a comma-separated --model value (`stream --mix` takes one
-/// model per tenant).
-static std::vector<std::string> splitModels(const std::string &Value) {
+std::string benchharness::jsonQuantile(const std::vector<double> &V,
+                                       double Q) {
+  if (V.empty())
+    return "null";
+  return jsonNumber(support::quantile(V, Q));
+}
+
+std::vector<std::string> benchharness::splitCommas(const std::string &Text) {
   std::vector<std::string> Out;
   size_t Start = 0;
-  while (Start <= Value.size()) {
-    size_t Comma = Value.find(',', Start);
+  while (Start <= Text.size()) {
+    size_t Comma = Text.find(',', Start);
     if (Comma == std::string::npos)
-      Comma = Value.size();
+      Comma = Text.size();
     if (Comma > Start)
-      Out.push_back(Value.substr(Start, Comma - Start));
+      Out.push_back(Text.substr(Start, Comma - Start));
     Start = Comma + 1;
   }
   return Out;
+}
+
+std::string benchharness::dirnameOf(const std::string &Path) {
+  size_t Slash = Path.rfind('/');
+  return Slash == std::string::npos ? std::string(".") : Path.substr(0, Slash);
 }
 
 //===----------------------------------------------------------------------===//
@@ -806,7 +816,8 @@ int benchharness::runStream(const DriverOptions &Opts) {
 //===----------------------------------------------------------------------===//
 
 int benchharness::runStreamMix(const DriverOptions &Opts) {
-  std::vector<std::string> Models = splitModels(Opts.Model);
+  // `stream --mix` takes one model per tenant.
+  std::vector<std::string> Models = splitCommas(Opts.Model);
   if (Models.size() < 2) {
     std::fprintf(stderr,
                  "pbt-bench stream --mix: --model=a.pbt,b.pbt,... needs at "

@@ -121,6 +121,17 @@ struct DriverOptions {
 /// JSON literal.
 std::string jsonNumber(double V);
 std::string jsonString(const std::string &S);
+/// Quantile \p Q of \p V as a JSON number; "null" when \p V is empty
+/// (an empty phase has no percentiles, and support::quantile would
+/// fabricate 0.0).
+std::string jsonQuantile(const std::vector<double> &V, double Q);
+
+/// Splits a comma-separated option value (--only, --model), dropping
+/// empty entries.
+std::vector<std::string> splitCommas(const std::string &Text);
+
+/// The directory part of \p Path; "." when it has none.
+std::string dirnameOf(const std::string &Path);
 
 /// Writes the report \p Json to \p Name in Opts.OutDir (the cwd when
 /// OutDir is "." or empty). A failed open, short write or failed close

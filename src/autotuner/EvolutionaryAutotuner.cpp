@@ -82,9 +82,9 @@ EvolutionaryAutotuner::tune(const runtime::TunableProgram &Program,
       Pop[I].Outcome.TimeUnits = TimeSum / static_cast<double>(Inputs.size());
       Pop[I].Outcome.Accuracy = AccMin;
     };
-    // Resolve hits sequentially, evaluate only the misses (in parallel when
-    // pooled), then record them. Misses within one batch that share a
-    // configuration are evaluated redundantly but identically.
+    // Resolve hits, evaluate only the misses, then record them. Misses
+    // within one batch that share a configuration are evaluated
+    // redundantly but identically.
     std::vector<size_t> Misses;
     for (size_t I = Begin; I != Pop.size(); ++I) {
       auto It = Memo.find(Pop[I].Config.values());
@@ -93,12 +93,8 @@ EvolutionaryAutotuner::tune(const runtime::TunableProgram &Program,
       else
         Misses.push_back(I);
     }
-    if (Options.Pool)
-      Options.Pool->parallelFor(0, Misses.size(),
-                                [&](size_t M) { EvalOne(Misses[M]); });
-    else
-      for (size_t M : Misses)
-        EvalOne(M);
+    for (size_t M : Misses)
+      EvalOne(M);
     for (size_t I : Misses)
       Memo.emplace(Pop[I].Config.values(), Pop[I].Outcome);
     Evaluations += static_cast<unsigned>(Pop.size() - Begin);

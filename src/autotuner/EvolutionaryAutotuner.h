@@ -24,7 +24,6 @@
 #define PBT_AUTOTUNER_EVOLUTIONARYAUTOTUNER_H
 
 #include "runtime/TunableProgram.h"
-#include "support/ThreadPool.h"
 
 #include <optional>
 #include <vector>
@@ -44,9 +43,6 @@ struct AutotunerOptions {
   /// Mutation step size as a fraction of each parameter's range.
   double MutationStrength = 0.15;
   uint64_t Seed = 0;
-  /// Optional pool for parallel candidate evaluation. Results are
-  /// identical with or without it (the cost model is deterministic).
-  support::ThreadPool *Pool = nullptr;
 };
 
 /// Outcome of a tuning run.

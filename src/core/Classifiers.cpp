@@ -10,16 +10,3 @@ using namespace pbt;
 using namespace pbt::core;
 
 InputClassifier::~InputClassifier() = default;
-
-void OneLevelClassifier::compileInto(ml::CompiledArena &A,
-                                     ml::CompiledClassifier &Out) const {
-  Out.Kind = ml::CompiledKind::OneLevel;
-  Out.NumCentroids = static_cast<uint32_t>(Centroids.rows());
-  Out.Dim = static_cast<uint32_t>(Centroids.cols());
-  // Matrix is already dense row-major; inline it verbatim.
-  Out.CentroidBase = A.appendF64(Centroids.data().data(),
-                                 Centroids.data().size());
-  Out.NormBase = Norm.compileInto(A);
-  std::vector<int32_t> CL(ClusterLandmark.begin(), ClusterLandmark.end());
-  Out.ClusterLandmarkBase = A.appendI32(CL.data(), CL.size());
-}

@@ -14,7 +14,8 @@
 ///
 /// The traditional one-level baseline (nearest centroid in normalized raw
 /// feature space, all features extracted) implements the same interface,
-/// so the evaluation harness treats every method uniformly.
+/// so the evaluation harness treats every method uniformly. It is never
+/// served: runtime::CompiledModel lowers only the four Level-2 kinds.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +23,6 @@
 #define PBT_CORE_CLASSIFIERS_H
 
 #include "core/FeatureProbe.h"
-#include "ml/CompiledArena.h"
 #include "ml/DecisionTree.h"
 #include "ml/IncrementalBayes.h"
 #include "ml/KMeans.h"
@@ -52,12 +52,6 @@ public:
 
   /// Human-readable description for reports.
   virtual std::string describe() const = 0;
-
-  /// Lowers this classifier into the pointer-free arena form served by
-  /// runtime::CompiledModel. Decisions over the lowered form must be
-  /// bit-identical to classify() given the same feature values.
-  virtual void compileInto(ml::CompiledArena &A,
-                           ml::CompiledClassifier &Out) const = 0;
 };
 
 /// (0) Constant: always predicts one fixed landmark, extracting no
@@ -72,11 +66,6 @@ public:
   unsigned classify(FeatureProbe &) const override { return Landmark; }
   std::vector<unsigned> referencedFeatures() const override { return {}; }
   std::string describe() const override { return "static-best"; }
-  void compileInto(ml::CompiledArena &,
-                   ml::CompiledClassifier &Out) const override {
-    Out.Kind = ml::CompiledKind::Constant;
-    Out.Landmark = Landmark;
-  }
 
   unsigned landmark() const { return Landmark; }
 
@@ -93,10 +82,6 @@ public:
   unsigned classify(FeatureProbe &) const override { return Model.predict(); }
   std::vector<unsigned> referencedFeatures() const override { return {}; }
   std::string describe() const override { return "max-apriori"; }
-  void compileInto(ml::CompiledArena &A,
-                   ml::CompiledClassifier &Out) const override {
-    Model.compileInto(A, Out);
-  }
 
   const ml::MaxApriori &model() const { return Model; }
 
@@ -119,10 +104,6 @@ public:
   }
   std::vector<unsigned> referencedFeatures() const override { return Subset; }
   std::string describe() const override { return Name; }
-  void compileInto(ml::CompiledArena &A,
-                   ml::CompiledClassifier &Out) const override {
-    Tree.compileInto(A, Out);
-  }
 
   const ml::DecisionTree &tree() const { return Tree; }
   const std::vector<unsigned> &subset() const { return Subset; }
@@ -149,10 +130,6 @@ public:
     return Model.featureOrder();
   }
   std::string describe() const override { return Name; }
-  void compileInto(ml::CompiledArena &A,
-                   ml::CompiledClassifier &Out) const override {
-    Model.compileInto(A, Out);
-  }
 
   const ml::IncrementalBayes &model() const { return Model; }
 
@@ -188,8 +165,6 @@ public:
     return All;
   }
   std::string describe() const override { return "one-level"; }
-  void compileInto(ml::CompiledArena &A,
-                   ml::CompiledClassifier &Out) const override;
 
   const linalg::Matrix &centroids() const { return Centroids; }
   const ml::Normalizer &norm() const { return Norm; }

@@ -127,9 +127,6 @@ LevelOneResult core::runLevelOne(const runtime::TunableProgram &Program,
   auto TuneOne = [&](size_t C) {
     autotuner::AutotunerOptions TOpts = Options.Tuner;
     TOpts.Seed = Options.Seed * 7919 + C; // independent stream per cluster
-    // Landmark tuning parallelises over clusters; the inner evaluation
-    // loop stays sequential to avoid nested parallelism.
-    TOpts.Pool = nullptr;
     autotuner::EvolutionaryAutotuner Tuner(TOpts);
     R.Landmarks[C] = Tuner.tune(Program, TuningSets[C]).Best;
   };

@@ -39,6 +39,28 @@ buildService(const registry::BenchmarkFactory &Factory,
 
 } // namespace
 
+std::vector<std::pair<std::string, std::string>>
+splitModelSpec(const std::string &Spec) {
+  std::vector<std::pair<std::string, std::string>> Out;
+  size_t Start = 0;
+  while (Start <= Spec.size()) {
+    size_t Comma = Spec.find(',', Start);
+    std::string Entry = Spec.substr(
+        Start, Comma == std::string::npos ? std::string::npos : Comma - Start);
+    if (!Entry.empty()) {
+      size_t Eq = Entry.find('=');
+      if (Eq == std::string::npos)
+        Out.emplace_back("", Entry);
+      else
+        Out.emplace_back(Entry.substr(0, Eq), Entry.substr(Eq + 1));
+    }
+    if (Comma == std::string::npos)
+      break;
+    Start = Comma + 1;
+  }
+  return Out;
+}
+
 serialize::LoadStatus
 ModelRegistry::buildTenant(const std::string &Name,
                            const std::string &SourceDesc,
@@ -157,8 +179,6 @@ size_t ModelRegistry::pollStores() {
       continue;
     }
 
-    unsigned Landmarks =
-        static_cast<unsigned>(Model.System.L1.Landmarks.size());
     // swapModel is the operator-push path: validated against the bound
     // program, thread-safe against serving workers, no shadow gate (the
     // store's canary already gated this epoch).
@@ -168,7 +188,6 @@ size_t ModelRegistry::pollStores() {
       continue;
     }
     T->StoreEpoch.store(V.Epoch);
-    T->Landmarks = Landmarks;
     T->StoreSwaps.fetch_add(1);
     ++Swapped;
   }

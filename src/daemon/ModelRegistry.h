@@ -34,6 +34,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace pbt {
@@ -50,7 +51,10 @@ struct Tenant {
   /// Serializes serve()/decideBatch()/adaptNow() across session threads
   /// (AdaptiveService expects a single serving thread).
   std::mutex ServeMutex;
-  /// Atomic: store hot-swaps update it while Hello handlers read it.
+  /// The landmark count of the model the tenant was registered with;
+  /// never updated afterwards. Hello and Stats report the serving
+  /// epoch's count instead. Kept only because perfbench's serving
+  /// harness reads it.
   std::atomic<unsigned> Landmarks{0};
   /// Store-backed tenants (addStoreTenant): the watched store directory
   /// and the store epoch currently serving. Empty/0 for file tenants.
@@ -83,6 +87,14 @@ struct ModelRegistryOptions {
   /// Parallelises per-tenant shadow retraining; may be null.
   support::ThreadPool *Pool = nullptr;
 };
+
+/// Splits a tenant list such as `a.pbt,fast=b.pbt` (pbt-serve's --model
+/// and --store, loadgen's --model) into (name, path) pairs in order. An
+/// entry without '=' gets an empty name, which the registry resolves to
+/// the model's benchmark key; otherwise the name ends at the first '='.
+/// Empty entries are skipped.
+std::vector<std::pair<std::string, std::string>>
+splitModelSpec(const std::string &Spec);
 
 class ModelRegistry {
 public:

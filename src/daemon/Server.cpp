@@ -288,9 +288,13 @@ bool Server::handleMessage(Session *S, const Message &M, Tenant *&Attached) {
       return writeFrame(S->Fd, makeError("unknown tenant '" + M.Text +
                                          "'")) == FrameStatus::Ok;
     Attached = T;
-    return writeFrame(S->Fd,
-                      makeTenantOk(T->Service->epoch(), T->Landmarks,
-                                   T->Program->numInputs())) ==
+    // Epoch and landmark count come from one snapshot: a published
+    // retrain or store swap changes both.
+    runtime::AdaptiveService::EpochPtr Ep = T->Service->currentEpoch();
+    uint32_t Landmarks =
+        static_cast<uint32_t>(Ep->Model.System.L1.Landmarks.size());
+    return writeFrame(S->Fd, makeTenantOk(Ep->Model.Meta.Epoch, Landmarks,
+                                          T->Program->numInputs())) ==
            FrameStatus::Ok;
   }
 
@@ -474,13 +478,15 @@ std::string Server::statsJson() const {
     if (!T)
       break;
     runtime::AdaptiveService::StatsSnapshot A = T->Service->stats();
+    runtime::AdaptiveService::EpochPtr Ep = T->Service->currentEpoch();
     if (I)
       J += ", ";
     J += "{\"name\": \"" + jsonEscape(T->Name) + "\"";
     J += ", \"benchmark\": \"" + jsonEscape(T->Benchmark) + "\"";
     J += ", \"model\": \"" + jsonEscape(T->ModelPath) + "\"";
-    J += ", \"epoch\": " + std::to_string(T->Service->epoch());
-    J += ", \"landmarks\": " + std::to_string(T->Landmarks);
+    J += ", \"epoch\": " + std::to_string(Ep->Model.Meta.Epoch);
+    J += ", \"landmarks\": " +
+         std::to_string(Ep->Model.System.L1.Landmarks.size());
     J += ", \"inputs\": " + std::to_string(T->Program->numInputs());
     J += ", \"requests\": " +
          std::to_string(T->Requests.load(std::memory_order_relaxed));

@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The data substrate of the compiled inference path: every trained
-/// learner can lower itself ("compile") into one shared, contiguous,
+/// The data substrate of the compiled inference path: each learner a
+/// production classifier wraps (decision tree, incremental Bayes,
+/// max-apriori) lowers itself ("compile") into one shared, contiguous,
 /// pointer-free arena of doubles and 32-bit integers. A lowered
 /// classifier is then nothing but a CompiledClassifier descriptor --
 /// a kind tag plus offsets into the arena -- so online classification
@@ -21,10 +22,6 @@
 ///    class-conditional log-probability tables flattened row-major, and
 ///    the priors pre-logged so the per-decision loop starts from plain
 ///    loads.
-///  - OneLevel: centroids flattened row-major, the normalizer fused
-///    into per-feature (offset, scale) pairs (scale == 0 encodes the
-///    zero-variance "map to 0" rule, hoisting the epsilon test out of
-///    the hot loop), and the centroid-to-landmark table.
 ///
 /// This header lives in ml/ (not runtime/) so each learner can declare a
 /// compileInto hook without a layering inversion; runtime/CompiledModel.h
@@ -35,21 +32,19 @@
 #ifndef PBT_ML_COMPILEDARENA_H
 #define PBT_ML_COMPILEDARENA_H
 
-#include "support/AlignedAlloc.h"
-
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace pbt {
 namespace ml {
 
 /// Append-only backing store shared by every classifier lowered into one
 /// CompiledModel. Offsets (not pointers) address into it, so the arena
-/// can be moved/copied freely and stays cache-dense. Storage is 64-byte
-/// aligned, so each section starts on a cache-line boundary.
+/// can be moved/copied freely and stays cache-dense.
 struct CompiledArena {
-  support::CacheAlignedVector<double> F64;
-  support::CacheAlignedVector<int32_t> I32;
+  std::vector<double> F64;
+  std::vector<int32_t> I32;
 
   /// Appends \p N doubles and returns the offset of the first.
   uint32_t appendF64(const double *V, size_t N) {
@@ -69,13 +64,10 @@ struct CompiledArena {
 enum class CompiledKind : uint8_t {
   /// Fixed landmark, no feature access (constant and max-apriori).
   Constant,
-  MaxApriori,
   /// Decision tree over flat features (struct-of-arrays nodes).
   Tree,
   /// Incremental naive Bayes with sequential feature acquisition.
   Bayes,
-  /// Nearest centroid in normalized feature space (one-level baseline).
-  OneLevel,
 };
 
 /// One lowered classifier: a kind tag plus arena offsets. Produced by the
@@ -83,7 +75,7 @@ enum class CompiledKind : uint8_t {
 struct CompiledClassifier {
   CompiledKind Kind = CompiledKind::Constant;
 
-  /// Constant / MaxApriori: the fixed prediction.
+  /// Constant: the fixed prediction.
   uint32_t Landmark = 0;
 
   /// Tree: parallel node arrays (see file comment for leaf encoding).
@@ -102,13 +94,6 @@ struct CompiledClassifier {
   uint32_t LogProbBase = 0;  ///< F64 base, OrderLen * Classes * Bins
   uint32_t LogPriorBase = 0; ///< F64 base, Classes (already logged)
   double PosteriorThreshold = 0.0;
-
-  /// OneLevel: centroids + fused normalizer + landmark table.
-  uint32_t CentroidBase = 0; ///< F64 base, NumCentroids * Dim
-  uint32_t NumCentroids = 0;
-  uint32_t Dim = 0;
-  uint32_t NormBase = 0; ///< F64 base, Dim (offset, scale) pairs
-  uint32_t ClusterLandmarkBase = 0; ///< I32 base, NumCentroids entries
 };
 
 } // namespace ml

@@ -14,7 +14,7 @@ using namespace pbt::ml;
 
 void MaxApriori::compileInto(CompiledArena &, CompiledClassifier &Out) const {
   assert(Trained && "compileInto() before fit()/loadFrom()");
-  Out.Kind = CompiledKind::MaxApriori;
+  Out.Kind = CompiledKind::Constant;
   Out.Landmark = Mode;
 }
 

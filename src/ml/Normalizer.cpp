@@ -6,7 +6,6 @@
 
 #include "ml/Normalizer.h"
 
-#include "ml/CompiledArena.h"
 #include "serialize/TextFormat.h"
 
 #include <cassert>
@@ -48,18 +47,6 @@ void Normalizer::transformRow(std::vector<double> &Row) const {
   assert(Row.size() == Mean.size() && "column count mismatch");
   for (size_t J = 0; J != Row.size(); ++J)
     Row[J] = Std[J] > 1e-12 ? (Row[J] - Mean[J]) / Std[J] : 0.0;
-}
-
-uint32_t Normalizer::compileInto(CompiledArena &A) const {
-  std::vector<double> Pairs(2 * Mean.size());
-  for (size_t J = 0; J != Mean.size(); ++J) {
-    Pairs[2 * J] = Mean[J];
-    // transformRow's zero-variance rule (Std <= 1e-12 maps to 0) becomes
-    // a sentinel scale, keeping the served transform bit-identical while
-    // hoisting the epsilon comparison out of the hot loop.
-    Pairs[2 * J + 1] = Std[J] > 1e-12 ? Std[J] : 0.0;
-  }
-  return A.appendF64(Pairs.data(), Pairs.size());
 }
 
 void Normalizer::saveTo(serialize::Writer &W) const {

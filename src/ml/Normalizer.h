@@ -16,7 +16,6 @@
 
 #include "linalg/Matrix.h"
 
-#include <cstdint>
 #include <vector>
 
 namespace pbt {
@@ -25,8 +24,6 @@ class Writer;
 class Reader;
 } // namespace serialize
 namespace ml {
-
-struct CompiledArena;
 
 /// Fits per-column mean/stddev on a data matrix and maps rows into z-score
 /// space. Columns with (near-)zero variance map to 0, so constant features
@@ -50,14 +47,6 @@ public:
   /// round trip; see serialize/TextFormat.h).
   void saveTo(serialize::Writer &W) const;
   bool loadFrom(serialize::Reader &R);
-
-  /// Compile hook for the serving path: appends per-feature
-  /// (offset, scale) pairs to \p A and returns their base offset. The
-  /// near-zero-variance test is resolved at compile time (scale == 0
-  /// encodes "map to 0"), so the per-decision transform is a branch on a
-  /// loaded value plus one subtract and one divide -- bit-identical to
-  /// transformRow().
-  uint32_t compileInto(CompiledArena &A) const;
 
 private:
   std::vector<double> Mean;

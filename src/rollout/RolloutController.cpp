@@ -18,6 +18,9 @@ namespace rollout {
 
 using serialize::LoadStatus;
 
+/// Seed of the canary shadow sample.
+static constexpr uint64_t kShadowSeed = 0xCA9A23;
+
 //===----------------------------------------------------------------------===//
 // Replica
 //===----------------------------------------------------------------------===//
@@ -88,13 +91,13 @@ RolloutController::RolloutController(const runtime::TunableProgram &Program,
     Fleet.push_back(std::make_unique<Replica>(Program, StoreDir));
 
   // Seeded shadow sample: distinct inputs via partial Fisher-Yates so
-  // the canary verdict is reproducible per (seed, program).
+  // the canary verdict is reproducible per program.
   size_t N = Program.numInputs();
   std::vector<size_t> All(N);
   for (size_t I = 0; I != N; ++I)
     All[I] = I;
   size_t Want = std::min(Opts.ShadowSample == 0 ? N : Opts.ShadowSample, N);
-  support::Rng Rng(Opts.ShadowSeed);
+  support::Rng Rng(kShadowSeed);
   for (size_t I = 0; I != Want; ++I) {
     size_t J = I + Rng.index(N - I);
     std::swap(All[I], All[J]);
@@ -216,9 +219,10 @@ LoadStatus RolloutController::rollout(serialize::TrainedModel Candidate,
     return St;
   }
   Report.CandidateScore = shadowScoreLocked(Canary.service());
-  bool Promote =
-      Report.CandidateScore <=
-      Report.ChampionScore * (1.0 + Opts.CanaryMargin);
+  // The canary is a regression gate, not an optimizer: the publisher
+  // already decided the candidate is worth shipping, so equality passes
+  // and only a measurably worse candidate rolls back.
+  bool Promote = Report.CandidateScore <= Report.ChampionScore;
   Report.CanarySeconds = CanaryTimer.elapsedSeconds();
 
   // --- Promote fleet-wide, or roll the canary back. ---

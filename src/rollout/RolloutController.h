@@ -108,12 +108,6 @@ struct RolloutOptions {
   size_t Replicas = 3;
   /// Inputs in the canary shadow sample (clamped to the program).
   size_t ShadowSample = 24;
-  uint64_t ShadowSeed = 0xCA9A23;
-  /// Promote when candidate cost <= champion cost * (1 + Margin): the
-  /// canary is a regression gate, not an optimizer -- the publisher
-  /// already decided the candidate is worth shipping, so equality
-  /// passes and only a measurably worse candidate rolls back.
-  double CanaryMargin = 0.0;
   /// Finished (Retired/RolledBack) epochs kept for fallback before GC.
   size_t KeepFinished = 4;
 };

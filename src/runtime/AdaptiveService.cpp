@@ -16,6 +16,10 @@
 using namespace pbt;
 using namespace pbt::runtime;
 
+/// Seeds the recent-traffic reservoir, so which inputs a retrain learns
+/// from is reproducible per traffic sequence.
+static constexpr uint64_t kReservoirSeed = 0x5EED;
+
 /// C++17 std::atomic<double> has no fetch_add; the accounting adds are
 /// single-writer in practice, but keep them race-free regardless.
 static void atomicAdd(std::atomic<double> &A, double V) {
@@ -40,7 +44,7 @@ AdaptiveService::AdaptiveService(const TunableProgram &Program,
   Memo.assign(Program.numInputs(), MemoEntry());
   Monitor = DriftMonitor::referenceFrom(Initial, Opts.Monitor);
   Traffic = ml::Reservoir(std::max<size_t>(1, Opts.ReservoirSize),
-                          Opts.ReservoirSeed);
+                          kReservoirSeed);
 
   auto First = std::make_shared<ModelEpoch>();
   First->Model = std::move(Initial);

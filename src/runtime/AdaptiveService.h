@@ -68,7 +68,6 @@ struct AdaptiveServiceOptions {
   DriftMonitorOptions Monitor;
   /// Recent-traffic sample the shadow retrain learns from.
   size_t ReservoirSize = 48;
-  uint64_t ReservoirSeed = 0x5EED;
   /// Pipeline options template for shadow retraining. Landmark count, CV
   /// folds and tuning neighbourhood are clamped to what the reservoir can
   /// support; its Pool parallelises the retrain.

@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compiled inference path: a loaded serialize::TrainedModel is
-/// lowered once into one contiguous, pointer-free arena (via the
-/// learners' compileInto hooks, see ml/CompiledArena.h), and every online
-/// decision afterwards is array walks over hot cache lines -- no virtual
-/// dispatch, no std::function allocation, no tree-node pointer chasing.
+/// The compiled inference path: a loaded serialize::TrainedModel's
+/// production classifier is lowered once into one contiguous,
+/// pointer-free arena (via the learners' compileInto hooks, see
+/// ml/CompiledArena.h), and every online decision afterwards is array
+/// walks over hot cache lines -- no virtual dispatch, no std::function
+/// allocation, no tree-node pointer chasing.
 ///
 /// The lowering is semantics-preserving by construction: for the same
 /// feature values, a compiled decision replays exactly the arithmetic of
@@ -18,10 +19,9 @@
 /// InputClassifier path. The golden-file suite pins this against the
 /// committed *.choices.csv decisions.
 ///
-/// Besides the production classifier, the landmark Configurations are
-/// inlined into the arena as a flat values-by-arity table, so "decision
-/// -> configuration values" is one offset computation instead of a
-/// vector-of-vectors walk.
+/// Only the four kinds Level 2 selects lower: constant (static-best),
+/// max-apriori, subset tree and incremental Bayes. A model whose
+/// production classifier is anything else compiles to a non-ready model.
 ///
 /// Feature access is a template parameter (any `double(unsigned)`
 /// callable), which lets AdaptiveService plug in its memo-backed
@@ -36,7 +36,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 namespace pbt {
@@ -56,56 +55,26 @@ public:
   struct Scratch {
     /// Bayes posterior accumulator (>= the class count).
     std::vector<double> LogPost;
-    /// One-level dense feature row (>= the flat feature count).
-    std::vector<double> Row;
   };
 
   CompiledModel() = default;
 
-  /// Lowers a loaded model (production classifier, landmark
-  /// configurations). Returns a non-ready model when \p Model has no
-  /// production classifier or no landmarks.
+  /// Lowers a loaded model's production classifier. Returns a non-ready
+  /// model when \p Model has no landmarks or no production classifier of
+  /// a lowerable kind.
   static CompiledModel compile(const serialize::TrainedModel &Model);
 
   /// Lower-level entry used by tests and compile(): lowers the given
-  /// classifier directly.
-  static CompiledModel compileClassifiers(
-      const core::InputClassifier &Production, unsigned NumFlat,
-      unsigned NumLandmarks);
+  /// classifier directly, or returns a non-ready model when it is not one
+  /// of the four Level-2 kinds.
+  static CompiledModel
+  compileClassifiers(const core::InputClassifier &Production,
+                     unsigned NumLandmarks);
 
   bool ready() const { return Ready; }
-  unsigned numFlat() const { return NumFlat; }
-  unsigned numLandmarks() const { return NumLandmarks; }
 
   /// Scratch pre-sized for this model's classifier.
   Scratch makeScratch() const;
-
-  /// Arena footprint in bytes (diagnostics).
-  size_t arenaBytes() const {
-    return Arena.F64.size() * sizeof(double) +
-           Arena.I32.size() * sizeof(int32_t);
-  }
-
-  /// Landmark configuration values inlined into the arena; valid while
-  /// this model is alive. Arity is uniform across landmarks.
-  unsigned landmarkArity() const { return Arity; }
-  const double *landmarkValues(unsigned Landmark) const {
-    assert(Landmark < NumLandmarks && "landmark out of range");
-    return Arena.F64.data() + LandmarkBase +
-           static_cast<size_t>(Landmark) * Arity;
-  }
-
-  /// Which parameters *exist* under landmark \p Landmark (bit P set =
-  /// parameter P is active in the model's conditional config space),
-  /// precomputed once at compile time from the recorded space. Inactive
-  /// positions of landmarkValues hold the canonical pin value; consumers
-  /// applying a decision (or diffing two landmarks) can mask them out
-  /// instead of re-walking parent chains per decision. All-ones over the
-  /// arity when the model carries no space (legacy/synthetic models).
-  uint64_t landmarkActiveMask(unsigned Landmark) const {
-    assert(Landmark < NumLandmarks && "landmark out of range");
-    return LandmarkMasks.empty() ? fullMask(Arity) : LandmarkMasks[Landmark];
-  }
 
   /// Decides through the lowered production classifier. \p Get is
   /// invoked as Get(flatFeature) only for features actually examined.
@@ -127,7 +96,6 @@ private:
     const int32_t *I32 = Arena.I32.data();
     switch (C.Kind) {
     case ml::CompiledKind::Constant:
-    case ml::CompiledKind::MaxApriori:
       return C.Landmark;
 
     case ml::CompiledKind::Tree: {
@@ -195,54 +163,15 @@ private:
       }
       return Best;
     }
-
-    case ml::CompiledKind::OneLevel: {
-      // OneLevelClassifier::classify: extract every feature in flat
-      // order, apply the fused normalizer, nearest centroid wins.
-      const unsigned Dim = C.Dim;
-      double *Row = S.Row.data();
-      assert(S.Row.size() >= Dim && "scratch too small");
-      for (unsigned F = 0; F != Dim; ++F)
-        Row[F] = Get(F);
-      const double *Norm = F64 + C.NormBase;
-      for (unsigned F = 0; F != Dim; ++F) {
-        double Scale = Norm[2 * F + 1];
-        Row[F] = Scale != 0.0 ? (Row[F] - Norm[2 * F]) / Scale : 0.0;
-      }
-      const double *Centroids = F64 + C.CentroidBase;
-      double BestD = std::numeric_limits<double>::max();
-      unsigned BestK = 0;
-      for (unsigned K = 0; K != C.NumCentroids; ++K) {
-        const double *P = Centroids + static_cast<size_t>(K) * Dim;
-        double Sum = 0.0;
-        for (unsigned F = 0; F != Dim; ++F) {
-          double Delta = P[F] - Row[F];
-          Sum += Delta * Delta;
-        }
-        if (Sum < BestD) {
-          BestD = Sum;
-          BestK = K;
-        }
-      }
-      return static_cast<unsigned>(I32[C.ClusterLandmarkBase + BestK]);
-    }
     }
     assert(false && "unknown compiled classifier kind");
     return 0;
   }
 
-  static uint64_t fullMask(unsigned Bits) {
-    return Bits >= 64 ? ~uint64_t(0) : (uint64_t(1) << Bits) - 1;
-  }
-
   ml::CompiledArena Arena;
   ml::CompiledClassifier Production{};
-  std::vector<uint64_t> LandmarkMasks;
   bool Ready = false;
-  unsigned NumFlat = 0;
   unsigned NumLandmarks = 0;
-  unsigned Arity = 0;
-  uint32_t LandmarkBase = 0;
 };
 
 } // namespace runtime

@@ -151,42 +151,4 @@ TEST(AutotunerTest, ImprovesOverDefaultConfig) {
   EXPECT_LE(R.BestOutcome.TimeUnits, DefaultCost);
 }
 
-TEST(AutotunerTest, ParallelEvaluationMatchesSequential) {
-  QuadraticProgram P(false);
-  AutotunerOptions O;
-  O.PopulationSize = 16;
-  O.Generations = 12;
-  O.Seed = 6;
-  EvolutionaryAutotuner Seq(O);
-  TuneResult A = Seq.tune(P, 0);
-  support::ThreadPool Pool(4);
-  O.Pool = &Pool;
-  EvolutionaryAutotuner Par(O);
-  TuneResult B = Par.tune(P, 0);
-  EXPECT_EQ(A.Best, B.Best) << "cost model determinism is scheduling-proof";
-}
-
-TEST(AutotunerTest, PooledSearchReproducesSerialTrajectory) {
-  // The run memo resolves hits serially and only the misses fan out, so a
-  // pool must reproduce the whole serial search trajectory -- not just the
-  // winner -- with and without an accuracy spec.
-  for (bool WithAccuracy : {false, true}) {
-    QuadraticProgram P(WithAccuracy);
-    AutotunerOptions O;
-    O.PopulationSize = 14;
-    O.Generations = 10;
-    O.Seed = 17;
-    TuneResult Serial = EvolutionaryAutotuner(O).tune(P, 0);
-    support::ThreadPool Pool(3);
-    O.Pool = &Pool;
-    TuneResult Pooled = EvolutionaryAutotuner(O).tune(P, 0);
-    EXPECT_EQ(Serial.Best, Pooled.Best);
-    EXPECT_EQ(Serial.BestOutcome.TimeUnits, Pooled.BestOutcome.TimeUnits);
-    EXPECT_EQ(Serial.BestOutcome.Accuracy, Pooled.BestOutcome.Accuracy);
-    EXPECT_EQ(Serial.History, Pooled.History);
-    EXPECT_EQ(Serial.Evaluations, Pooled.Evaluations)
-        << "memo hits count as search effort on both paths";
-  }
-}
-
 } // namespace

@@ -19,6 +19,7 @@
 
 #include "registry/BenchmarkRegistry.h"
 #include "runtime/AdaptiveService.h"
+#include "runtime/SubsetProgram.h"
 #include "serialize/ModelIO.h"
 #include "streams/WorkloadStream.h"
 
@@ -55,6 +56,24 @@ const std::string &modelBytes() {
     return serialize::serializeModel(M);
   }();
   return Bytes;
+}
+
+/// A smaller sort1 model (the AdaptiveServiceTest idiom): trained with
+/// the reservoir-retrain options on the first half of the inputs, the
+/// way an adapting tenant's retrain is, so it has fewer landmarks.
+serialize::TrainedModel smallModel() {
+  const registry::BenchmarkFactory &F =
+      registry::BenchmarkRegistry::instance().get("sort1");
+  registry::ProgramPtr P = F.makeProgram(kScale, F.defaultProgramSeed());
+  std::vector<size_t> Half;
+  for (size_t I = 0; I != P->numInputs() / 2; ++I)
+    Half.push_back(I);
+  runtime::SubsetProgram View(*P, Half);
+  core::PipelineOptions Opt =
+      registry::reservoirRetrainOptions(F, kScale, Half.size(), nullptr);
+  core::TrainedSystem Sys = core::trainSystem(View, Opt);
+  return serialize::makeModel("sort1", kScale, F.defaultProgramSeed(), View,
+                              std::move(Sys));
 }
 
 const std::string &modelPath() {
@@ -260,6 +279,41 @@ TEST(DaemonServerTest, PredictValidation) {
   EXPECT_EQ(C.predict({0}, Choices, Err),
             daemon::DaemonClient::PredictOutcome::Ok)
       << Err;
+}
+
+TEST(DaemonServerTest, HelloAndStatsReportTheServingEpochsLandmarks) {
+  Harness H;
+  daemon::DaemonClient C;
+  std::string Err;
+  ASSERT_TRUE(C.connect(H.Socket, Err)) << Err;
+  daemon::DaemonClient::AttachInfo Before;
+  ASSERT_TRUE(C.attach("sort1", Before, Err)) << Err;
+
+  // Publish a smaller epoch through the tenant's own service, as an
+  // adapting tenant's retrain does.
+  serialize::TrainedModel Small = smallModel();
+  uint32_t SmallLandmarks =
+      static_cast<uint32_t>(Small.System.L1.Landmarks.size());
+  ASSERT_NE(SmallLandmarks, Before.Landmarks)
+      << "models coincide in landmark count; the report goes untested";
+  Small.Meta.Epoch = Before.Epoch + 1;
+  daemon::Tenant *T = H.Registry.find("sort1");
+  ASSERT_NE(T, nullptr);
+  serialize::LoadStatus St = T->Service->swapModel(std::move(Small));
+  ASSERT_TRUE(St.Ok) << St.Error;
+
+  daemon::DaemonClient::AttachInfo After;
+  ASSERT_TRUE(C.attach("sort1", After, Err)) << Err;
+  EXPECT_EQ(After.Landmarks, SmallLandmarks);
+  EXPECT_EQ(After.Epoch, Before.Epoch + 1);
+
+  std::string Json = H.Srv->statsJson();
+  const std::string Needle = "\"landmarks\": ";
+  size_t P = Json.find(Needle);
+  ASSERT_NE(P, std::string::npos) << Json;
+  EXPECT_EQ(std::strtoul(Json.c_str() + P + Needle.size(), nullptr, 10),
+            SmallLandmarks)
+      << Json;
 }
 
 //===----------------------------------------------------------------------===//

@@ -103,6 +103,14 @@ serialize::TrainedModel cloneModel(const std::string &Bytes) {
   return M;
 }
 
+/// The sort1 model with its one-level baseline promoted to production: a
+/// loadable model that fits the program but that no trainer produces.
+serialize::TrainedModel oneLevelModel() {
+  serialize::TrainedModel M = cloneModel(modelBytes());
+  M.System.L2.Production = std::move(M.System.OneLevel);
+  return M;
+}
+
 registry::ProgramPtr makeProgram(const std::string &Name = "sort1") {
   const registry::BenchmarkFactory &F =
       registry::BenchmarkRegistry::instance().get(Name);
@@ -347,6 +355,20 @@ TEST(AdaptiveServiceTest, SwapModelValidatesThePushedModel) {
   EXPECT_FALSE(Pushed.Error.empty());
   EXPECT_EQ(Service.epoch(), E0);
   EXPECT_EQ(Service.stats().Swaps, 0u);
+
+  // A one-level production classifier fits the program but is no kind
+  // Level 2 selects: the service refuses it at construction and on a
+  // push, and the held epoch keeps serving.
+  runtime::AdaptiveService Refused(*Sort, oneLevelModel());
+  EXPECT_FALSE(Refused.ready());
+  EXPECT_FALSE(Refused.status().Error.empty());
+  unsigned Before = Service.decide(0).Landmark;
+  Pushed = Service.swapModel(oneLevelModel());
+  EXPECT_FALSE(Pushed.Ok);
+  EXPECT_FALSE(Pushed.Error.empty());
+  EXPECT_EQ(Service.epoch(), E0);
+  EXPECT_EQ(Service.stats().Swaps, 0u);
+  EXPECT_EQ(Service.decide(0).Landmark, Before);
 }
 
 TEST(AdaptiveServiceTest, ScratchAndMonitorFollowTheModelAcrossSwaps) {

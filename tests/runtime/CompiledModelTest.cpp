@@ -2,11 +2,12 @@
 //
 // The compiled inference path must be a faithful lowering: for every
 // classifier kind the paper's Level 2 can select (constant, max-apriori,
-// subset tree, incremental Bayes, one-level nearest-centroid), a
-// CompiledModel decision over the same feature values must equal the
-// interpreted InputClassifier::classify() decision -- and examine exactly
-// the same features. The suite drives every kind over many random rows,
-// directly and after a serialize -> load -> compile round trip.
+// subset tree, incremental Bayes), a CompiledModel decision over the same
+// feature values must equal the interpreted InputClassifier::classify()
+// decision -- and examine exactly the same features. The suite drives
+// every kind over many random rows, directly and after a serialize ->
+// load -> compile round trip. Any other kind (the one-level baseline)
+// must compile to a non-ready model.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +15,6 @@
 
 #include "core/Classifiers.h"
 #include "serialize/ModelIO.h"
-#include "support/AlignedAlloc.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -55,7 +55,7 @@ Table makeTable(uint64_t Seed) {
       L += 2;
     T.Y[I] = L % kNumClasses;
   }
-  // Column 5 is constant: exercises the normalizer's zero-variance rule.
+  // Column 5 is constant: a degenerate feature the Bayes orders include.
   for (size_t I = 0; I != kNumRows; ++I)
     T.X.at(I, 5) = 3.25;
   return T;
@@ -94,8 +94,8 @@ unsigned compiledDecide(const runtime::CompiledModel &M,
 /// both compiled directly and compiled from a serialized round trip.
 void expectParity(const core::InputClassifier &Classifier,
                   const Table &T) {
-  runtime::CompiledModel Direct = runtime::CompiledModel::compileClassifiers(
-      Classifier, kNumFlat, kNumClasses);
+  runtime::CompiledModel Direct =
+      runtime::CompiledModel::compileClassifiers(Classifier, kNumClasses);
   ASSERT_TRUE(Direct.ready());
 
   serialize::Writer W;
@@ -105,8 +105,7 @@ void expectParity(const core::InputClassifier &Classifier,
       serialize::loadClassifier(R, kNumClasses, kNumFlat);
   ASSERT_NE(Loaded, nullptr) << R.error();
   runtime::CompiledModel RoundTripped =
-      runtime::CompiledModel::compileClassifiers(*Loaded, kNumFlat,
-                                                 kNumClasses);
+      runtime::CompiledModel::compileClassifiers(*Loaded, kNumClasses);
   ASSERT_TRUE(RoundTripped.ready());
 
   runtime::CompiledModel::Scratch SDirect = Direct.makeScratch();
@@ -191,35 +190,17 @@ TEST(CompiledModelTest, IncrementalUnreachableThresholdParity) {
   expectParity(C, T);
 }
 
-TEST(CompiledModelTest, OneLevelClassifierParity) {
-  Table T = makeTable(17);
+/// The one-level baseline over \p T: a classifier Level 2 never selects.
+std::unique_ptr<core::OneLevelClassifier> makeOneLevel(const Table &T) {
   ml::Normalizer Norm;
   Norm.fit(T.X);
-  linalg::Matrix Normalized = Norm.transform(T.X);
   ml::KMeansOptions Options;
   Options.K = kNumClasses;
   Options.Seed = 5;
-  ml::KMeansResult Clusters = ml::kMeans(Normalized, Options);
-  std::vector<unsigned> ClusterLandmark = {1, 3, 0, 2};
-  core::OneLevelClassifier C(std::move(Clusters.Centroids), std::move(Norm),
-                             std::move(ClusterLandmark));
-  expectParity(C, T);
-}
-
-TEST(CompiledModelTest, ArenaIs64ByteAligned) {
-  // Both arena sections start on a cache-line boundary, so a compiled
-  // model's hot tables never straddle a line they do not need.
-  auto Aligned = [](const void *P) {
-    return reinterpret_cast<uintptr_t>(P) % support::kCacheLineBytes == 0;
-  };
-
-  ml::CompiledArena Arena;
-  const double F[3] = {1.0, 2.0, 3.0};
-  const int32_t I[3] = {4, 5, 6};
-  Arena.appendF64(F, 3);
-  Arena.appendI32(I, 3);
-  EXPECT_TRUE(Aligned(Arena.F64.data()));
-  EXPECT_TRUE(Aligned(Arena.I32.data()));
+  ml::KMeansResult Clusters = ml::kMeans(Norm.transform(T.X), Options);
+  return std::make_unique<core::OneLevelClassifier>(
+      std::move(Clusters.Centroids), std::move(Norm),
+      std::vector<unsigned>{1, 3, 0, 2});
 }
 
 TEST(CompiledModelTest, NotReadyWithoutClassifiers) {
@@ -227,66 +208,18 @@ TEST(CompiledModelTest, NotReadyWithoutClassifiers) {
   EXPECT_FALSE(M.ready());
   serialize::TrainedModel Empty;
   EXPECT_FALSE(runtime::CompiledModel::compile(Empty).ready());
-}
 
-TEST(CompiledModelTest, CompileInlinesLandmarkConfigurations) {
-  // compile(TrainedModel) also flattens the landmark configurations into
-  // the arena; check the inlined values against the originals.
-  Table T = makeTable(18);
-  serialize::TrainedModel Model;
-  Model.Meta.Features = {{"a", 3u}, {"b", 3u}, {"c", 3u}};
-  ASSERT_EQ(Model.Meta.numFlatFeatures(), kNumFlat);
-  Model.System.L1.Landmarks = {
-      runtime::Configuration({1.0, 2.0, 3.0}),
-      runtime::Configuration({4.0, 5.0, 6.0}),
-      runtime::Configuration({7.0, 8.0, 9.0}),
-      runtime::Configuration({10.0, 11.0, 12.0}),
-  };
-  ml::MaxApriori Prior;
-  Prior.fit(T.Y, kNumClasses);
-  Model.System.L2.Production =
-      std::make_unique<core::MaxAprioriClassifier>(std::move(Prior));
-
-  runtime::CompiledModel M = runtime::CompiledModel::compile(Model);
-  ASSERT_TRUE(M.ready());
-  EXPECT_EQ(M.numLandmarks(), 4u);
-  ASSERT_EQ(M.landmarkArity(), 3u);
-  for (unsigned L = 0; L != 4; ++L) {
-    const double *V = M.landmarkValues(L);
-    for (unsigned P = 0; P != 3; ++P)
-      EXPECT_EQ(V[P], Model.System.L1.Landmarks[L].real(P));
-    // No recorded space: every parameter reads as active.
-    EXPECT_EQ(M.landmarkActiveMask(L), uint64_t(0b111));
-  }
-  EXPECT_GT(M.arenaBytes(), 0u);
-}
-
-TEST(CompiledModelTest, CompilePrecomputesLandmarkActiveMasks) {
-  // With a conditional space recorded in the model's provenance, compile
-  // precomputes which parameters exist under each landmark.
-  Table T = makeTable(18);
-  serialize::TrainedModel Model;
-  Model.Meta.Features = {{"a", 3u}, {"b", 3u}, {"c", 3u}};
-  runtime::ConfigSpace &Space = Model.Meta.Space;
-  Space.addCategorical("solver", 2);
-  Space.addReal("tolerance", 0.0, 1.0);
-  Space.addInteger("sweeps", 1, 8);
-  Space.makeConditional(1, 0, {1}); // tolerance only under solver=1
-  Space.makeConditional(2, 0, {0}); // sweeps only under solver=0
-  Model.System.L1.Landmarks = {
-      runtime::Configuration({0.0, 0.5, 3.0}),
-      runtime::Configuration({1.0, 0.25, 4.0}),
-  };
-  ml::MaxApriori Prior;
-  Prior.fit(T.Y, kNumClasses);
-  Model.System.L2.Production =
-      std::make_unique<core::MaxAprioriClassifier>(std::move(Prior));
-
-  runtime::CompiledModel M = runtime::CompiledModel::compile(Model);
-  ASSERT_TRUE(M.ready());
-  ASSERT_EQ(M.numLandmarks(), 2u);
-  EXPECT_EQ(M.landmarkActiveMask(0), uint64_t(0b101)); // solver + sweeps
-  EXPECT_EQ(M.landmarkActiveMask(1), uint64_t(0b011)); // solver + tolerance
+  // A one-level production classifier is not a kind Level 2 selects, so
+  // it does not lower, alone or as a whole model's production classifier.
+  Table T = makeTable(17);
+  EXPECT_FALSE(
+      runtime::CompiledModel::compileClassifiers(*makeOneLevel(T), kNumClasses)
+          .ready());
+  serialize::TrainedModel OneLevel;
+  for (unsigned L = 0; L != kNumClasses; ++L)
+    OneLevel.System.L1.Landmarks.push_back(runtime::Configuration({1.0 * L}));
+  OneLevel.System.L2.Production = makeOneLevel(T);
+  EXPECT_FALSE(runtime::CompiledModel::compile(OneLevel).ready());
 }
 
 } // namespace

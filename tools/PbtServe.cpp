@@ -93,28 +93,6 @@ int badValue(const char *Flag, const std::string &Value, const char *Expect) {
   return 2;
 }
 
-/// Splits --model=a.pbt,fast=b.pbt into (name, path) pairs; empty name
-/// means "use the model's benchmark key".
-void splitModelSpec(const std::string &Spec,
-                    std::vector<std::pair<std::string, std::string>> &Out) {
-  size_t Start = 0;
-  while (Start <= Spec.size()) {
-    size_t Comma = Spec.find(',', Start);
-    std::string Entry = Spec.substr(
-        Start, Comma == std::string::npos ? std::string::npos : Comma - Start);
-    if (!Entry.empty()) {
-      size_t Eq = Entry.find('=');
-      if (Eq == std::string::npos)
-        Out.emplace_back("", Entry);
-      else
-        Out.emplace_back(Entry.substr(0, Eq), Entry.substr(Eq + 1));
-    }
-    if (Comma == std::string::npos)
-      break;
-    Start = Comma + 1;
-  }
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -149,9 +127,11 @@ int main(int argc, char **argv) {
           SO.MaxSessions == 0)
         return badValue("--max-sessions", V, "an integer in [1, 65536]");
     } else if (const char *V = Value("--model=")) {
-      splitModelSpec(V, Models);
+      for (auto &Spec : daemon::splitModelSpec(V))
+        Models.push_back(std::move(Spec));
     } else if (const char *V = Value("--store=")) {
-      splitModelSpec(V, Stores);
+      for (auto &Spec : daemon::splitModelSpec(V))
+        Stores.push_back(std::move(Spec));
     } else if (const char *V = Value("--store-poll-ms=")) {
       if (!support::parseUnsigned(V, StorePollMs, 60000) || StorePollMs == 0)
         return badValue("--store-poll-ms", V, "an integer in [1, 60000]");
