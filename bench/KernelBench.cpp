@@ -49,13 +49,9 @@ using namespace pbt;
 // Sorting kernels
 //===----------------------------------------------------------------------===//
 
-static void BM_Sort(benchmark::State &State, bench::SortAlgo Algo,
-                    bench::SortGen Gen) {
-  support::Rng Rng(1);
-  size_t N = static_cast<size_t>(State.range(0));
-  std::vector<double> Input = bench::generateSortInput(Gen, N, Rng);
-  runtime::Selector Always({{UINT64_MAX, static_cast<unsigned>(Algo)}});
-  bench::PolySorter Sorter(Always, 4);
+/// Times \p Sorter on copies of \p Input and reports its work units.
+static void timeSort(benchmark::State &State, const bench::PolySorter &Sorter,
+                     const std::vector<double> &Input) {
   double Units = 0.0;
   for (auto _ : State) {
     std::vector<double> Work = Input;
@@ -65,6 +61,15 @@ static void BM_Sort(benchmark::State &State, bench::SortAlgo Algo,
     benchmark::DoNotOptimize(Work.data());
   }
   State.counters["work_units"] = Units;
+}
+
+static void BM_Sort(benchmark::State &State, bench::SortAlgo Algo,
+                    bench::SortGen Gen) {
+  support::Rng Rng(1);
+  size_t N = static_cast<size_t>(State.range(0));
+  std::vector<double> Input = bench::generateSortInput(Gen, N, Rng);
+  runtime::Selector Always({{UINT64_MAX, static_cast<unsigned>(Algo)}});
+  timeSort(State, bench::PolySorter(Always, 4), Input);
 }
 
 BENCHMARK_CAPTURE(BM_Sort, insertion_random, bench::SortAlgo::Insertion,
@@ -88,6 +93,31 @@ BENCHMARK_CAPTURE(BM_Sort, radix_random, bench::SortAlgo::Radix,
 BENCHMARK_CAPTURE(BM_Sort, bitonic_random, bench::SortAlgo::Bitonic,
                   bench::SortGen::Uniform)
     ->Arg(1024);
+
+/// sort1's shapes: registry-like input (sorted runs over a small,
+/// heavily duplicated value pool), sorted by \p Top above 128 elements
+/// and by \p Leaf at or below, with 16 merge ways -- the 16-way merges
+/// over whole inputs and the radix and bitonic leaves that adapt's
+/// retrains run.
+static void BM_SortRegistry(benchmark::State &State, bench::SortAlgo Top,
+                            bench::SortAlgo Leaf) {
+  support::Rng Rng(1);
+  std::vector<double> Input = bench::generateRegistryLikeInput(
+      static_cast<size_t>(State.range(0)), Rng);
+  runtime::Selector Sel({{129, static_cast<unsigned>(Leaf)},
+                         {UINT64_MAX, static_cast<unsigned>(Top)}});
+  timeSort(State, bench::PolySorter(Sel, 16), Input);
+}
+
+BENCHMARK_CAPTURE(BM_SortRegistry, merge16_insertion_leaves,
+                  bench::SortAlgo::Merge, bench::SortAlgo::Insertion)
+    ->Arg(2048);
+BENCHMARK_CAPTURE(BM_SortRegistry, radix_leaf, bench::SortAlgo::Radix,
+                  bench::SortAlgo::Radix)
+    ->Arg(32)->Arg(128);
+BENCHMARK_CAPTURE(BM_SortRegistry, bitonic_leaf, bench::SortAlgo::Bitonic,
+                  bench::SortAlgo::Bitonic)
+    ->Arg(32)->Arg(128);
 
 static void BM_PolySortFigure2(benchmark::State &State) {
   support::Rng Rng(2);

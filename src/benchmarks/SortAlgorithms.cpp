@@ -153,37 +153,34 @@ void bench::radixSort(std::vector<double> &V, size_t Lo, size_t Hi,
   thread_local std::vector<uint64_t> Keys, Scratch;
   Keys.resize(N);
   Scratch.resize(N);
-  for (size_t I = 0; I != N; ++I)
+  // A pass whose byte is the same in every key scatters each key to its
+  // own slot (a stable identity permutation), so only the bytes where
+  // some key differs from the first need their histogram and scatter.
+  // Doubles from a common magnitude range share their top exponent bytes,
+  // and small integers their low mantissa bytes, so this routinely skips
+  // several of the eight passes.
+  uint64_t First = orderedKey(V[Lo]), Varying = 0;
+  for (size_t I = 0; I != N; ++I) {
     Keys[I] = orderedKey(V[Lo + I]);
-  Cost.addOther(static_cast<double>(N)); // key transform
+    Varying |= Keys[I] ^ First;
+  }
 
   size_t Counts[256];
-  for (unsigned Pass = 0; Pass != 8; ++Pass) {
-    unsigned Shift = Pass * 8;
+  for (unsigned Shift = 0; Shift != 64; Shift += 8) {
+    if (((Varying >> Shift) & 0xff) == 0)
+      continue;
     std::fill(std::begin(Counts), std::end(Counts), 0);
     for (size_t I = 0; I != N; ++I)
       ++Counts[(Keys[I] >> Shift) & 0xff];
-    // A pass whose byte is constant scatters every key to its own slot (a
-    // stable identity permutation); skip the physical scatter and charge
-    // the same histogram + move work arithmetically. Doubles from a common
-    // magnitude range share their top exponent bytes, so this routinely
-    // saves several of the eight passes.
-    bool Identity =
-        std::find(std::begin(Counts), std::end(Counts), N) != std::end(Counts);
-    if (!Identity) {
-      size_t Total = 0;
-      for (size_t &C : Counts) {
-        size_t Old = C;
-        C = Total;
-        Total += Old;
-      }
-      for (size_t I = 0; I != N; ++I)
-        Scratch[Counts[(Keys[I] >> Shift) & 0xff]++] = Keys[I];
-      Keys.swap(Scratch);
+    size_t Total = 0;
+    for (size_t &C : Counts) {
+      size_t Old = C;
+      C = Total;
+      Total += Old;
     }
-    // One histogram touch plus one scatter move per element per pass.
-    Cost.addOther(static_cast<double>(N));
-    Cost.addMoves(static_cast<double>(N));
+    for (size_t I = 0; I != N; ++I)
+      Scratch[Counts[(Keys[I] >> Shift) & 0xff]++] = Keys[I];
+    Keys.swap(Scratch);
   }
 
   for (size_t I = 0; I != N; ++I) {
@@ -194,7 +191,11 @@ void bench::radixSort(std::vector<double> &V, size_t Lo, size_t Hi,
     std::memcpy(&D, &Bits, sizeof(D));
     V[Lo + I] = D;
   }
-  Cost.addMoves(static_cast<double>(N)); // write back
+  // Every pass is charged, skipped or not: the key transform plus one
+  // histogram touch per element per pass, and one scatter move per
+  // element per pass plus the write back.
+  Cost.addOther(9.0 * static_cast<double>(N));
+  Cost.addMoves(9.0 * static_cast<double>(N));
 }
 
 void bench::bitonicSort(std::vector<double> &V, size_t Lo, size_t Hi,
@@ -212,24 +213,25 @@ void bench::bitonicSort(std::vector<double> &V, size_t Lo, size_t Hi,
             V.begin() + static_cast<long>(Hi), Buf.begin());
   Cost.addMoves(static_cast<double>(N));
 
-  double Compares = 0.0, Moves = 0.0;
   // Classic iterative bitonic network. Each round's compare-exchange
   // pairs (ascending I with bit J clear, partner I + J) are enumerated
-  // directly block by block, and the data-independent per-round compare
-  // count (P/2 pairs) is charged arithmetically.
+  // directly block by block. The compare count is data-independent (P/2
+  // pairs per round), and each exchange moves 3 elements, so both are
+  // charged once at the end from integer counts.
+  size_t Rounds = 0, Swaps = 0;
   for (size_t K = 2; K <= P; K <<= 1) {
     for (size_t J = K >> 1; J > 0; J >>= 1) {
       for (size_t Base = 0; Base != P; Base += 2 * J) {
         bool Ascending = (Base & K) == 0;
         // Branch-free exchange: select-on-swap compiles to conditional
-        // moves, and Moves accumulates 3.0 or the exact 0.0 per pair.
+        // moves, and the swap count adds 0 or 1 per pair.
         if (Ascending) {
           for (size_t I = Base; I != Base + J; ++I) {
             double A = Buf[I], B = Buf[I + J];
             bool Sw = A > B;
             Buf[I] = Sw ? B : A;
             Buf[I + J] = Sw ? A : B;
-            Moves += Sw ? 3.0 : 0.0;
+            Swaps += Sw;
           }
         } else {
           for (size_t I = Base; I != Base + J; ++I) {
@@ -237,18 +239,17 @@ void bench::bitonicSort(std::vector<double> &V, size_t Lo, size_t Hi,
             bool Sw = A < B;
             Buf[I] = Sw ? B : A;
             Buf[I + J] = Sw ? A : B;
-            Moves += Sw ? 3.0 : 0.0;
+            Swaps += Sw;
           }
         }
       }
-      Compares += static_cast<double>(P / 2);
+      ++Rounds;
     }
   }
   std::copy(Buf.begin(), Buf.begin() + static_cast<long>(N),
             V.begin() + static_cast<long>(Lo));
-  Moves += static_cast<double>(N);
-  Cost.addCompares(Compares);
-  Cost.addMoves(Moves);
+  Cost.addCompares(static_cast<double>(Rounds * (P / 2)));
+  Cost.addMoves(static_cast<double>(3 * Swaps + N));
 }
 
 void PolySorter::quickSort(std::vector<double> &V, size_t Lo, size_t Hi,
@@ -340,94 +341,68 @@ void PolySorter::mergeSort(std::vector<double> &V, size_t Lo, size_t Hi,
     return;
   }
 
-  // Split into Ways chunks and sort each through the selector. Bounds and
-  // Head live across the child recursion in fixed stack arrays (the
-  // constructor caps the way count at MaxMergeWays).
-  size_t Bounds[MaxMergeWays + 1], Head[MaxMergeWays];
+  // Split into Ways chunks and sort each through the selector. Bounds
+  // lives across the child recursion in a fixed stack array (the
+  // constructor caps the way count at MaxMergeWays); every chunk is
+  // non-empty because N > Ways.
+  size_t Bounds[MaxMergeWays + 1];
   for (unsigned W = 0; W <= Ways; ++W)
     Bounds[W] = Lo + N * W / Ways;
   for (unsigned W = 0; W != Ways; ++W)
     sortRange(V, Bounds[W], Bounds[W + 1], Cost);
 
-  // K-way merge of the run heads. The output buffer is only live between
-  // the child recursion above and the copy-back below, so one per-thread
-  // buffer serves every level.
-  thread_local std::vector<double> Out;
-  Out.clear();
-  Out.reserve(N);
-  for (unsigned W = 0; W != Ways; ++W)
-    Head[W] = Bounds[W];
-  double Compares = 0.0, Moves = 0.0;
-  if (Ways == 2) {
-    // Two runs: a direct two-pointer merge. Ties take run 0; one compare
-    // per output while both runs are non-empty, none after.
-    size_t A = Bounds[0], AEnd = Bounds[1];
-    size_t B = Bounds[1], BEnd = Bounds[2];
-    while (A != AEnd && B != BEnd) {
-      Compares += 1.0;
-      Out.push_back(V[B] < V[A] ? V[B++] : V[A++]);
-    }
-    Out.insert(Out.end(), V.begin() + static_cast<long>(A),
-               V.begin() + static_cast<long>(AEnd));
-    Out.insert(Out.end(), V.begin() + static_cast<long>(B),
-               V.begin() + static_cast<long>(BEnd));
-    Moves += static_cast<double>(N);
-  } else {
-    // The merge's charge model is a linear scan over the run heads: take
-    // the minimal head, ties to the lowest run index, paying (#non-empty
-    // runs - 1) compares per output -- a count independent of the values
-    // given the emptying schedule. A (value, run) min-heap with
-    // lexicographic order reproduces that exact take sequence, so the
-    // charge is added arithmetically while the physical work is
-    // O(log ways) per output.
-    std::pair<double, unsigned> Heap[MaxMergeWays];
-    size_t HeapN = 0;
-    auto Less = [](const std::pair<double, unsigned> &A,
-                   const std::pair<double, unsigned> &B) {
-      return A.first < B.first || (A.first == B.first && A.second < B.second);
-    };
-    auto SiftDown = [&] {
-      size_t I = 0;
-      while (true) {
-        size_t Kid = 2 * I + 1;
-        if (Kid >= HeapN)
-          break;
-        if (Kid + 1 < HeapN && Less(Heap[Kid + 1], Heap[Kid]))
-          ++Kid;
-        if (!Less(Heap[Kid], Heap[I]))
-          break;
-        std::swap(Heap[Kid], Heap[I]);
-        I = Kid;
-      }
-    };
-    for (unsigned W = 0; W != Ways; ++W) { // every run starts non-empty
-      size_t I = HeapN++;
-      Heap[I] = {V[Head[W]], W};
-      while (I > 0 && Less(Heap[I], Heap[(I - 1) / 2])) {
-        std::swap(Heap[I], Heap[(I - 1) / 2]);
-        I = (I - 1) / 2;
-      }
-    }
-    size_t NonEmpty = Ways;
-    for (size_t Produced = 0; Produced != N; ++Produced) {
-      Compares += static_cast<double>(NonEmpty - 1);
-      unsigned W = Heap[0].second;
-      Out.push_back(Heap[0].first);
-      Moves += 1.0;
-      if (++Head[W] != Bounds[W + 1]) {
-        Heap[0] = {V[Head[W]], W};
-      } else {
-        --NonEmpty;
-        Heap[0] = Heap[--HeapN];
-      }
-      if (HeapN)
-        SiftDown();
-    }
+  // The merge's charge model is a linear scan over the run heads: take
+  // the minimal head, ties to the lowest run index, paying (#non-empty
+  // runs - 1) compares per output. That take order is a stable merge in
+  // run order, and run W stays non-empty through the output position P_W
+  // of its last element e_W, so the scan pays sum_W (P_W + 1) - N
+  // compares in total.
+  //
+  // The output is produced by merging adjacent groups of runs pairwise,
+  // bottom up, with ties to the left group -- the same stable order. So
+  // Taken[W], the elements of W's group taken no later than e_W, starts
+  // at W's length, and each pairwise merge adds the other group's
+  // elements that precede e_W: those < e_W when the other group comes
+  // later, those <= e_W when it comes earlier (ties go to the lower run).
+  // One binary search per run and level; after the last level Taken[W]
+  // is P_W + 1. The ping-pong buffer is only live between the child
+  // recursion above and the copy-back below, so one per-thread buffer
+  // serves every level.
+  double Last[MaxMergeWays];
+  size_t Taken[MaxMergeWays];
+  for (unsigned W = 0; W != Ways; ++W) {
+    Last[W] = V[Bounds[W + 1] - 1];
+    Taken[W] = Bounds[W + 1] - Bounds[W];
   }
-  std::copy(Out.begin(), Out.end(), V.begin() + static_cast<long>(Lo));
-  Moves += static_cast<double>(N);
-  Cost.addCompares(Compares);
-  Cost.addMoves(Moves);
+  thread_local std::vector<double> Buf;
+  if (Buf.size() < N)
+    Buf.resize(N);
+  double *Src = V.data() + Lo, *Dst = Buf.data();
+  for (unsigned Width = 1; Width < Ways; Width <<= 1) {
+    for (unsigned W = 0; W < Ways; W += 2 * Width) {
+      unsigned MidRun = std::min(W + Width, Ways);
+      unsigned EndRun = std::min(W + 2 * Width, Ways);
+      double *Begin = Src + (Bounds[W] - Lo);
+      double *Mid = Src + (Bounds[MidRun] - Lo);
+      double *End = Src + (Bounds[EndRun] - Lo);
+      for (unsigned U = W; U != MidRun; ++U)
+        Taken[U] += static_cast<size_t>(
+            std::lower_bound(Mid, End, Last[U]) - Mid);
+      for (unsigned U = MidRun; U != EndRun; ++U)
+        Taken[U] += static_cast<size_t>(
+            std::upper_bound(Begin, Mid, Last[U]) - Begin);
+      std::merge(Begin, Mid, Mid, End, Dst + (Bounds[W] - Lo));
+    }
+    std::swap(Src, Dst);
+  }
+  if (Src != V.data() + Lo)
+    std::copy(Src, Src + N, V.data() + Lo);
+  size_t Compares = 0;
+  for (unsigned W = 0; W != Ways; ++W)
+    Compares += Taken[W];
+  // One move per output plus the copy-back.
+  Cost.addCompares(static_cast<double>(Compares - N));
+  Cost.addMoves(2.0 * static_cast<double>(N));
 }
 
 void PolySorter::sortRange(std::vector<double> &V, size_t Lo, size_t Hi,

@@ -21,10 +21,11 @@
 /// asymptotically slower than their *accounting* are simulated: the
 /// charges are computed by a cheaper exact formula (insertion sort via
 /// inversion counting, quicksort's sorted-range degeneration in closed
-/// form, the k-way merge's head scan via a heap) and the output produced
-/// by an equivalent sort. Charges and output bytes are identical to the
-/// physical algorithms -- pinned against a test-only physical reference
-/// by SortSimulationTest and by the golden retrain suite.
+/// form, the k-way merge's head scan from each run's last output
+/// position) and the output produced by an equivalent sort. Charges and
+/// output bytes are identical to the physical algorithms -- pinned
+/// against a test-only physical reference by SortSimulationTest and by
+/// the golden retrain suite.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -10,8 +10,8 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
-#include <map>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 using namespace pbt;
@@ -164,6 +164,18 @@ struct RunOutcome {
   double Compares = 0.0, Moves = 0.0, Other = 0.0;
 };
 
+/// Hash of a run-memo key: the words mixed in order.
+struct RunKeyHash {
+  size_t operator()(const std::vector<uint64_t> &Key) const {
+    uint64_t H = 0x9e3779b97f4a7c15ull ^ Key.size();
+    for (uint64_t W : Key) {
+      H = (H ^ W) * 0xff51afd7ed558ccdull;
+      H ^= H >> 32;
+    }
+    return static_cast<size_t>(H);
+  }
+};
+
 /// Per-thread run scratch: the work copy every run sorts, the last decoded
 /// sorter, and the canonical-configuration run memo. The autotuner
 /// evaluates one configuration over a whole tuning neighbourhood back to
@@ -174,7 +186,8 @@ struct RunOutcome {
 /// (cutoffs beyond MaxSize, levels shadowed by earlier ones, mergeWays
 /// with merge unreachable) and replays their recorded charges instead of
 /// re-running the program. Decoding and the kernels are deterministic, so
-/// both reuses are exact.
+/// both reuses are exact. Each run builds its memo key in RunKey and looks
+/// it up in place, so a hit copies nothing; only a miss stores a copy.
 struct SortRunScratch {
   std::vector<double> Work;
   const void *Bench = nullptr;
@@ -182,8 +195,9 @@ struct SortRunScratch {
   std::vector<double> ConfigValues;
   std::optional<PolySorter> Sorter;
   std::vector<uint64_t> Key;     // canonical segments up to MaxSize
-  std::vector<uint64_t> RunKey;  // Key truncated to one input's length
-  std::map<std::pair<std::vector<uint64_t>, size_t>, RunOutcome> Memo;
+  std::vector<uint64_t> RunKey;  // Key truncated to one input's length,
+                                 // then the input index
+  std::unordered_map<std::vector<uint64_t>, RunOutcome, RunKeyHash> Memo;
 };
 
 /// Canonical form of (selector, mergeWays) restricted to sizes [0, MaxN]:
@@ -286,8 +300,8 @@ runtime::RunResult SortBenchmark::run(size_t Input,
   } else {
     truncateKeyTo(S.Key, Inputs[Input].size(), S.RunKey);
   }
-  auto MemoKey = std::make_pair(S.RunKey, Input);
-  auto It = S.Memo.find(MemoKey);
+  S.RunKey.push_back(Input);
+  auto It = S.Memo.find(S.RunKey);
   if (It != S.Memo.end()) {
     const RunOutcome &O = It->second;
     Cost.addCompares(O.Compares);
@@ -309,7 +323,7 @@ runtime::RunResult SortBenchmark::run(size_t Input,
   O.Compares = Local.compares();
   O.Moves = Local.moves();
   O.Other = Local.other();
-  S.Memo.emplace(std::move(MemoKey), O);
+  S.Memo.emplace(S.RunKey, O);
   return R;
 }
 

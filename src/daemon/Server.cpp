@@ -56,7 +56,8 @@ std::string jsonEscape(const std::string &S) {
   return Out;
 }
 
-/// A finite double as a JSON number (the retrain timings).
+/// A finite double as a JSON number, to 6 significant digits (the retrain
+/// timings and the feature cost totals).
 std::string jsonDouble(double V) {
   char Buf[32];
   std::snprintf(Buf, sizeof(Buf), "%.6g", V);
@@ -507,6 +508,8 @@ std::string Server::statsJson() const {
     J += ", \"skipped_retrains\": " + std::to_string(A.SkippedRetrains);
     J += ", \"retrain_seconds_total\": " + jsonDouble(A.RetrainSecondsTotal);
     J += ", \"last_retrain_ms\": " + jsonDouble(A.LastRetrainSeconds * 1e3);
+    J += ", \"monitor_cost_paid\": " + jsonDouble(A.MonitorCostPaid);
+    J += ", \"feature_cost_paid\": " + jsonDouble(A.FeatureCostPaid);
     J += ", \"last_skip_reason\": \"" + jsonEscape(A.LastSkipReason) + "\"";
     J += "}";
   }

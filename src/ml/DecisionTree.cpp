@@ -14,8 +14,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
-#include <limits>
-#include <map>
+#include <deque>
 #include <numeric>
 
 using namespace pbt;
@@ -217,18 +216,21 @@ unsigned DecisionTree::build(const linalg::Matrix &X,
 /// Grows every subset tree of one row set at once (see fitSubsets). A
 /// node is visited once per distinct root-to-node path; the subsets on
 /// that path ("members") share its label counts, leaf tests, per-feature
-/// best splits and partitions, and each member appends the node to its
-/// own tree in its own pre-order, so each tree's node numbering is the
-/// one an independent fit emits. Subsets are also tracked in equivalence
-/// classes of identical trees so far, refined whenever two members of a
-/// class choose differently; the final classes are the distinct trees.
+/// best splits and partitions. Subsets are tracked in equivalence classes
+/// of identical trees so far, refined whenever two members of a class
+/// choose differently; the final classes are the distinct trees. A class
+/// always reaches a node whole (its members chose alike at every
+/// ancestor), so each class keeps one node list, and a node is appended
+/// once per class that reaches it, in that class's pre-order -- the node
+/// numbering an independent fit emits. A class that splits off starts
+/// from a copy of its parent class's list.
 class DecisionTree::SharedGrower {
 public:
   SharedGrower(const ml::Dataset &Data, const std::vector<unsigned> &Y,
                unsigned NumClasses, const DecisionTreeOptions &Options,
                const std::vector<std::vector<unsigned>> &Subsets)
       : Data(Data), Y(Y), NumClasses(NumClasses), Options(Options),
-        M(Data.numFeatures()), Feats(Subsets), Trees(Subsets.size()),
+        M(Data.numFeatures()), Feats(Subsets), ClassNodes(1),
         ClassOf(Subsets.size(), 0) {
     for (std::vector<unsigned> &F : Feats) {
       if (F.empty()) {
@@ -247,8 +249,12 @@ public:
   void grow(const uint32_t *Cols, size_t N,
             const std::vector<unsigned> &Members, unsigned Depth) {
     assert(N > 0 && "empty node");
+    while (Frames.size() <= Depth)
+      Frames.emplace_back();
+    Frame &Fr = Frames[Depth];
     double Total = static_cast<double>(N);
-    std::vector<double> Counts(NumClasses, 0.0);
+    std::vector<double> &Counts = Fr.Counts;
+    Counts.assign(NumClasses, 0.0);
     for (size_t I = 0; I != N; ++I)
       Counts[Y[Cols[I]]] += 1.0;
 
@@ -262,13 +268,15 @@ public:
     }
 
     // Each feature's best split, once, for every feature a member may use.
-    std::vector<uint8_t> Needed(M, 0);
+    std::vector<uint8_t> &Needed = Fr.Needed;
+    Needed.assign(M, 0);
     for (unsigned S : Members)
       for (unsigned F : Feats[S])
         Needed[F] = 1;
     double ParentImpurity = gini(Counts, Total);
-    std::vector<SplitChoice> Best(M);
-    std::vector<double> LeftCounts(NumClasses);
+    std::vector<SplitChoice> &Best = Fr.Best;
+    Best.assign(M, SplitChoice());
+    LeftCounts.resize(NumClasses);
     for (unsigned F = 0; F != M; ++F)
       if (Needed[F])
         Best[F] = bestSplitOf(Cols + static_cast<size_t>(F) * N, N,
@@ -278,10 +286,14 @@ public:
     // Each member's split: its strictly best feature, in its own order
     // (-1: no split clears the floor). Members choosing alike form one
     // group, in order of first appearance.
-    std::vector<int> GroupOfChoice(M + 1, -1);
-    std::vector<int> GroupFeature;
-    std::vector<std::vector<unsigned>> Groups;
-    std::vector<int> Choice(Members.size());
+    std::vector<int> &GroupOfChoice = Fr.GroupOfChoice;
+    GroupOfChoice.assign(M + 1, -1);
+    std::vector<int> &GroupFeature = Fr.GroupFeature;
+    GroupFeature.clear();
+    std::vector<std::vector<unsigned>> &Groups = Fr.Groups;
+    size_t NumGroups = 0;
+    std::vector<int> &Choice = Fr.Choice;
+    Choice.resize(Members.size());
     for (size_t I = 0; I != Members.size(); ++I) {
       double Gain = 1e-12;
       int Pick = -1;
@@ -293,15 +305,17 @@ public:
       Choice[I] = Pick;
       int &G = GroupOfChoice[static_cast<size_t>(Pick + 1)];
       if (G < 0) {
-        G = static_cast<int>(Groups.size());
-        Groups.emplace_back();
+        G = static_cast<int>(NumGroups++);
+        if (Groups.size() < NumGroups)
+          Groups.emplace_back();
+        Groups[static_cast<size_t>(G)].clear();
         GroupFeature.push_back(Pick);
       }
       Groups[static_cast<size_t>(G)].push_back(Members[I]);
     }
     refineClasses(Members, Choice);
 
-    for (size_t G = 0; G != Groups.size(); ++G) {
+    for (size_t G = 0; G != NumGroups; ++G) {
       const std::vector<unsigned> &Group = Groups[G];
       if (GroupFeature[G] < 0) {
         addLeaf(Group, Counts);
@@ -320,8 +334,9 @@ public:
       // Stable partition of every column into the two children's
       // buffers: each stays value-ordered for its own feature.
       size_t NRight = N - NLeft;
-      std::vector<uint32_t> Left(static_cast<size_t>(M) * NLeft),
-          Right(static_cast<size_t>(M) * NRight);
+      std::vector<uint32_t> &Left = Fr.Left, &Right = Fr.Right;
+      Left.resize(static_cast<size_t>(M) * NLeft);
+      Right.resize(static_cast<size_t>(M) * NRight);
       for (unsigned C = 0; C != M; ++C) {
         const uint32_t *Col = Cols + static_cast<size_t>(C) * N;
         uint32_t *L = Left.data() + static_cast<size_t>(C) * NLeft;
@@ -335,20 +350,27 @@ public:
         }
       }
 
-      std::vector<unsigned> Self(Group.size());
+      // Each member records where its class put the split node: a class
+      // that splits off inside the left subtree copies the list with the
+      // node at the same index, so the Right patch finds it there too.
+      Node Split;
+      Split.IsLeaf = false;
+      Split.Feature = static_cast<int>(F);
+      Split.Threshold = Threshold;
+      std::vector<unsigned> &Self = Fr.Self;
+      Self.resize(Group.size());
+      beginClassPass();
       for (size_t I = 0; I != Group.size(); ++I) {
-        std::vector<Node> &T = Trees[Group[I]];
-        Self[I] = static_cast<unsigned>(T.size());
-        Node Split;
-        Split.IsLeaf = false;
-        Split.Feature = static_cast<int>(F);
-        Split.Threshold = Threshold;
-        Split.Left = Self[I] + 1; // pre-order: the left child comes next
-        T.push_back(Split);
+        std::vector<Node> &T = ClassNodes[ClassOf[Group[I]]];
+        if (firstVisit(ClassOf[Group[I]])) {
+          Split.Left = static_cast<unsigned>(T.size()) + 1; // pre-order
+          T.push_back(Split);
+        }
+        Self[I] = static_cast<unsigned>(T.size()) - 1;
       }
       grow(Left.data(), NLeft, Group, Depth + 1);
       for (size_t I = 0; I != Group.size(); ++I) {
-        std::vector<Node> &T = Trees[Group[I]];
+        std::vector<Node> &T = ClassNodes[ClassOf[Group[I]]];
         T[Self[I]].Right = static_cast<unsigned>(T.size());
       }
       grow(Right.data(), NRight, Group, Depth + 1);
@@ -358,14 +380,14 @@ public:
   /// One tree per final class, in order of first subset.
   SubsetForest finish() {
     SubsetForest Out;
-    Out.TreeOf.resize(Trees.size());
-    std::vector<int> TreeOfClass(NumIds, -1);
-    for (size_t S = 0; S != Trees.size(); ++S) {
+    Out.TreeOf.resize(ClassOf.size());
+    std::vector<int> TreeOfClass(ClassNodes.size(), -1);
+    for (size_t S = 0; S != ClassOf.size(); ++S) {
       int &T = TreeOfClass[ClassOf[S]];
       if (T < 0) {
         T = static_cast<int>(Out.Trees.size());
         Out.Trees.emplace_back();
-        Out.Trees.back().Nodes = std::move(Trees[S]);
+        Out.Trees.back().Nodes = std::move(ClassNodes[ClassOf[S]]);
         Out.Trees.back().NumFeatures = M;
       }
       Out.TreeOf[S] = static_cast<unsigned>(T);
@@ -379,28 +401,52 @@ private:
     Node Leaf;
     Leaf.IsLeaf = true;
     Leaf.Label = leafLabel(Counts, Options);
+    beginClassPass();
     for (unsigned S : Members)
-      Trees[S].push_back(Leaf);
+      if (firstVisit(ClassOf[S]))
+        ClassNodes[ClassOf[S]].push_back(Leaf);
+  }
+
+  /// Starts a pass over some members' classes; firstVisit() is then true
+  /// once per class.
+  void beginClassPass() {
+    ++Pass;
+    PassOf.resize(ClassNodes.size(), 0);
+  }
+  bool firstVisit(unsigned Class) {
+    if (PassOf[Class] == Pass)
+      return false;
+    PassOf[Class] = Pass;
+    return true;
   }
 
   /// Splits each class whose members chose differently at this node: the
   /// first choice seen keeps the class id, every other (class, choice)
-  /// pair gets a fresh one.
+  /// pair gets a fresh id whose node list starts as a copy of the
+  /// class's.
   void refineClasses(const std::vector<unsigned> &Members,
                      const std::vector<int> &Choice) {
-    constexpr int Unset = std::numeric_limits<int>::min();
-    std::vector<int> Kept(NumIds, Unset);
-    std::map<std::pair<unsigned, int>, unsigned> Fresh;
+    beginClassPass();
+    Kept.resize(ClassNodes.size());
+    Fresh.clear();
     for (size_t I = 0; I != Members.size(); ++I) {
       unsigned &Class = ClassOf[Members[I]];
-      if (Kept[Class] == Unset)
+      if (firstVisit(Class))
         Kept[Class] = Choice[I];
       if (Kept[Class] == Choice[I])
         continue;
-      auto It = Fresh.emplace(std::make_pair(Class, Choice[I]), NumIds).first;
-      if (It->second == NumIds)
-        ++NumIds;
-      Class = It->second;
+      auto It = std::find_if(Fresh.begin(), Fresh.end(),
+                             [&](const FreshClass &F) {
+                               return F.From == Class && F.Choice == Choice[I];
+                             });
+      if (It == Fresh.end()) {
+        Fresh.push_back(
+            {Class, Choice[I], static_cast<unsigned>(ClassNodes.size())});
+        It = Fresh.end() - 1;
+        std::vector<Node> Copy = ClassNodes[Class];
+        ClassNodes.push_back(std::move(Copy));
+      }
+      Class = It->Id;
     }
   }
 
@@ -411,11 +457,36 @@ private:
   unsigned M;
   /// Per subset: its candidate features, in order.
   std::vector<std::vector<unsigned>> Feats;
-  /// Per subset: its tree's nodes so far.
-  std::vector<std::vector<Node>> Trees;
+  /// Per class: its tree's nodes so far.
+  std::vector<std::vector<Node>> ClassNodes;
   /// Per subset: its class of identical trees so far.
   std::vector<unsigned> ClassOf;
-  unsigned NumIds = 1;
+  /// Per-depth scratch of grow(): a node's buffers stay live while its
+  /// children grow one level down, and the nodes of one depth reuse them,
+  /// so growing allocates per depth rather than per node.
+  struct Frame {
+    std::vector<double> Counts;
+    std::vector<uint8_t> Needed;
+    std::vector<SplitChoice> Best;
+    std::vector<int> GroupOfChoice, GroupFeature, Choice;
+    std::vector<std::vector<unsigned>> Groups;
+    std::vector<uint32_t> Left, Right;
+    std::vector<unsigned> Self;
+  };
+  std::deque<Frame> Frames;
+  /// bestSplitOf's and refineClasses' scratch, dead once each call
+  /// returns: per class, the first choice seen; the classes split off.
+  std::vector<double> LeftCounts;
+  std::vector<int> Kept;
+  struct FreshClass {
+    unsigned From;
+    int Choice;
+    unsigned Id;
+  };
+  std::vector<FreshClass> Fresh;
+  /// Per class: the last pass that visited it (see beginClassPass).
+  std::vector<uint64_t> PassOf;
+  uint64_t Pass = 0;
 };
 
 SubsetForest

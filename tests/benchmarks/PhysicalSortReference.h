@@ -8,8 +8,9 @@
 /// Test-only physical reference for the Sort benchmark. Production kernels
 /// charge some of their cost arithmetically (insertion sort by inversion
 /// counting, quicksort's sorted-range degeneration in closed form, the
-/// k-way merge through a heap, radix's identity passes, bitonic's
-/// per-round compare count). This reference executes every algorithm
+/// k-way merge's compares from each run's last output position, radix's
+/// constant-byte passes, bitonic's per-round compare count and swap
+/// total). This reference executes every algorithm
 /// literally, charging each compare and move as it happens, so
 /// SortSimulationTest can pin production's output bytes and per-category
 /// charges against it.

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 using namespace pbt;
@@ -31,10 +32,26 @@ void expectSameCharges(const support::CostCounter &A,
 
 TEST(SortSimulationTest, KernelsMatchPhysicalReferenceExactly) {
   support::Rng GenRng(777);
-  for (unsigned Trial = 0; Trial != 60; ++Trial) {
+  // Trials 0-59 draw the SortGen families; 60-99 draw sort1's
+  // duplicate-heavy registry-like runs; 100-139 mix -0.0 and +0.0 into
+  // either, ties that compare equal but differ in bytes. Duplicates and
+  // signed zeros are the ties the k-way merge's charge and output and
+  // radix's constant-byte passes must reproduce exactly.
+  for (unsigned Trial = 0; Trial != 140; ++Trial) {
     SortGen G = static_cast<SortGen>(GenRng.index(NumSortGens));
     size_t N = 8 + GenRng.index(1500);
-    std::vector<double> Input = generateSortInput(G, N, GenRng);
+    const char *Family = sortGenName(G);
+    std::vector<double> Input;
+    if (Trial >= 60 && (Trial < 100 || GenRng.chance(0.5))) {
+      Input = generateRegistryLikeInput(N, GenRng);
+      Family = "registry";
+    } else {
+      Input = generateSortInput(G, N, GenRng);
+    }
+    if (Trial >= 100)
+      for (double &X : Input)
+        if (GenRng.chance(0.2))
+          X = GenRng.chance(0.5) ? -0.0 : 0.0;
 
     // A random selector over random cutoffs (including degenerate ones)
     // and a random way count drive the full polyalgorithm recursion.
@@ -46,7 +63,10 @@ TEST(SortSimulationTest, KernelsMatchPhysicalReferenceExactly) {
     Levels.push_back({UINT64_MAX,
                       static_cast<unsigned>(GenRng.index(NumSortAlgos))});
     runtime::Selector Sel(std::move(Levels));
-    unsigned Ways = 2 + static_cast<unsigned>(GenRng.index(15));
+    unsigned Ways =
+        PolySorter::MinMergeWays +
+        static_cast<unsigned>(GenRng.index(PolySorter::MaxMergeWays -
+                                           PolySorter::MinMergeWays + 1));
     PolySorter Sorter(Sel, Ways);
 
     std::vector<double> Physical = Input;
@@ -57,9 +77,11 @@ TEST(SortSimulationTest, KernelsMatchPhysicalReferenceExactly) {
     support::CostCounter SimulatedCost;
     Sorter.sort(Simulated, SimulatedCost);
 
-    ASSERT_EQ(Simulated, Physical)
-        << "trial " << Trial << " gen " << sortGenName(G) << " n=" << N;
-    expectSameCharges(SimulatedCost, PhysicalCost, sortGenName(G));
+    // Byte equality: operator== would let -0.0 and +0.0 swap places.
+    ASSERT_EQ(0, std::memcmp(Simulated.data(), Physical.data(),
+                             N * sizeof(double)))
+        << "trial " << Trial << " gen " << Family << " n=" << N;
+    expectSameCharges(SimulatedCost, PhysicalCost, Family);
   }
 }
 

@@ -668,3 +668,46 @@ TEST(DaemonServerTest, AdaptModeServesAndObserves) {
               1e-5 * A.LastRetrainSeconds * 1e3);
   EXPECT_LE(LastMs, TotalS * 1e3 * (1 + 1e-5));
 }
+
+TEST(DaemonServerTest, StatsReportMonitorAndFeatureCostPerTenant) {
+  // Cold Predicts (no input memoized yet) pay feature extraction. Only an
+  // adapting tenant's drift monitor pays for its own observations, and
+  // Stats reports both costs as the service keeps them.
+  for (bool Adapt : {true, false}) {
+    daemon::ModelRegistryOptions RO;
+    RO.AutoAdapt = Adapt;
+    Harness H({}, RO);
+    daemon::DaemonClient C;
+    std::string Err;
+    ASSERT_TRUE(C.connect(H.Socket, Err)) << Err;
+    daemon::DaemonClient::AttachInfo Info;
+    ASSERT_TRUE(C.attach("sort1", Info, Err)) << Err;
+    std::vector<daemon::PredictedChoice> Choices;
+    for (uint64_t I = 0; I + 4 <= Info.NumInputs; I += 4)
+      ASSERT_EQ(C.predict({I, I + 1, I + 2, I + 3}, Choices, Err),
+                daemon::DaemonClient::PredictOutcome::Ok)
+          << Err;
+
+    runtime::AdaptiveService::StatsSnapshot A =
+        H.Registry.find("sort1")->Service->stats();
+    std::string Json = H.Srv->statsJson();
+    auto Field = [&](const std::string &Key) {
+      std::string Needle = "\"" + Key + "\": ";
+      size_t P = Json.find(Needle);
+      EXPECT_NE(P, std::string::npos) << Key << " missing from " << Json;
+      return P == std::string::npos
+                 ? -1.0
+                 : std::strtod(Json.c_str() + P + Needle.size(), nullptr);
+    };
+    double Monitor = Field("monitor_cost_paid");
+    double Feature = Field("feature_cost_paid");
+    // Stats prints 6 significant digits.
+    EXPECT_NEAR(Monitor, A.MonitorCostPaid, 1e-5 * A.MonitorCostPaid);
+    EXPECT_NEAR(Feature, A.FeatureCostPaid, 1e-5 * A.FeatureCostPaid);
+    EXPECT_GT(Feature, 0.0) << "cold Predicts extract features";
+    if (Adapt)
+      EXPECT_GT(Monitor, 0.0) << "the drift monitor observes cold inputs";
+    else
+      EXPECT_EQ(Monitor, 0.0) << "no monitor runs without --adapt";
+  }
+}

@@ -12,8 +12,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/LevelTwo.h"
 #include "ml/Dataset.h"
 #include "ml/DecisionTree.h"
+#include "runtime/TunableProgram.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -136,6 +138,60 @@ TEST(SubsetForestTest, SharedGrowthMatchesIndependentRowMajorFits) {
     }
   }
   EXPECT_GT(Checked, 1000u);
+}
+
+TEST(SubsetForestTest, ZooShapedIndexMatchesIndependentFits) {
+  // Level 2's own zoo: the 255 per-property subsets of a 4-property x
+  // 3-level index, deep trees and leaf minimums of 3 over 19-row folds
+  // with duplicate rows. Classes of identical trees split below a node's
+  // left child here, so a class created mid-subtree must still patch the
+  // Right child of every split node it copied from its parent class.
+  runtime::FeatureIndex Index(
+      {{"deviation", 3}, {"duplication", 3}, {"sortedness", 3},
+       {"testsort", 3}});
+  std::vector<std::vector<unsigned>> Subsets =
+      core::enumerateFeatureSubsets(Index);
+  ASSERT_EQ(Subsets.size(), 255u);
+  support::Rng Rng(2026);
+  size_t Checked = 0, MaxTrees = 0;
+  for (unsigned Trial = 0; Trial != 12; ++Trial) {
+    unsigned K = 2 + static_cast<unsigned>(Rng.index(3));
+    Table T = makeTable(24, Index.numFlat(), K, Rng);
+    Dataset D(T.Features, T.Costs, T.Time, T.Acc, std::nullopt);
+    CostMatrix Costs(K);
+    for (unsigned I = 0; I != K; ++I)
+      for (unsigned J = 0; J != K; ++J)
+        Costs.at(I, J) = I == J ? 0.0 : static_cast<double>(1 + Rng.index(4));
+    DecisionTreeOptions Opts;
+    Opts.MaxDepth = 8;
+    Opts.MinSamplesLeaf = 3;
+    if (Trial % 2)
+      Opts.Costs = &Costs;
+
+    for (unsigned Fold = 0; Fold != 3; ++Fold) {
+      std::vector<size_t> Rows(24);
+      std::iota(Rows.begin(), Rows.end(), 0);
+      for (size_t I = 0; I != 5; ++I) // drop 5 rows: a 19-row fold
+        Rows.erase(Rows.begin() + static_cast<long>(Rng.index(Rows.size())));
+      PresortedBase Base(D, Rows);
+      SubsetForest Forest =
+          DecisionTree::fitSubsets(D, T.Y, K, Opts, Base, Subsets);
+      ASSERT_EQ(Forest.TreeOf.size(), Subsets.size());
+      MaxTrees = std::max(MaxTrees, Forest.Trees.size());
+      for (size_t SI = 0; SI != Subsets.size(); ++SI) {
+        DecisionTreeOptions SubOpts = Opts;
+        SubOpts.AllowedFeatures = Subsets[SI];
+        DecisionTree Independent;
+        Independent.fit(T.Features, T.Y, K, SubOpts, Rows);
+        EXPECT_EQ(Forest.Trees[Forest.TreeOf[SI]].structuralKey(),
+                  Independent.structuralKey())
+            << "trial " << Trial << " fold " << Fold << " subset " << SI;
+        ++Checked;
+      }
+    }
+  }
+  EXPECT_EQ(Checked, 12u * 3u * 255u);
+  EXPECT_GT(MaxTrees, 10u) << "the zoo must grow many distinct trees";
 }
 
 TEST(SubsetForestTest, TreesAreOrderedByFirstSubsetAndFullyUsed) {
