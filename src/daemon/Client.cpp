@@ -93,6 +93,7 @@ void DaemonClient::close() {
     ::close(Fd);
     Fd = -1;
   }
+  Reader.reset();
 }
 
 bool DaemonClient::roundTrip(const std::string &Payload, Message &Reply,
@@ -107,7 +108,7 @@ bool DaemonClient::roundTrip(const std::string &Payload, Message &Reply,
     return false;
   }
   std::string In;
-  FrameStatus FS = readFrame(Fd, In);
+  FrameStatus FS = Reader.read(Fd, In);
   if (FS != FrameStatus::Ok) {
     Err = FS == FrameStatus::Closed ? "server closed the connection"
                                     : "response read failed";

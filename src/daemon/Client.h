@@ -129,6 +129,8 @@ private:
 
   ClientOptions Opts;
   int Fd = -1;
+  /// Reply reader for this connection; reset by connect() and close().
+  FrameReader Reader;
   bool TransportFailed = false;
 };
 

@@ -6,12 +6,17 @@
 
 #include "daemon/Protocol.h"
 
+#include "daemon/Transport.h"
+
+#include <algorithm>
+#include <cassert>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace pbt {
@@ -20,33 +25,86 @@ namespace daemon {
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Little-endian append/read helpers
+// Little-endian store/load helpers
 //===----------------------------------------------------------------------===//
 
-void putU8(std::string &B, uint8_t V) { B.push_back(static_cast<char>(V)); }
-
-void putU16(std::string &B, uint16_t V) {
-  putU8(B, static_cast<uint8_t>(V));
-  putU8(B, static_cast<uint8_t>(V >> 8));
+// Byte-wise shifts through a raw pointer: portable across host byte
+// orders, and compilers merge them into single word stores and loads.
+void storeU16(uint8_t *P, uint16_t V) {
+  P[0] = static_cast<uint8_t>(V);
+  P[1] = static_cast<uint8_t>(V >> 8);
 }
 
-void putU32(std::string &B, uint32_t V) {
+void storeU32(uint8_t *P, uint32_t V) {
   for (int I = 0; I < 4; ++I)
-    putU8(B, static_cast<uint8_t>(V >> (8 * I)));
+    P[I] = static_cast<uint8_t>(V >> (8 * I));
 }
 
-void putU64(std::string &B, uint64_t V) {
+void storeU64(uint8_t *P, uint64_t V) {
   for (int I = 0; I < 8; ++I)
-    putU8(B, static_cast<uint8_t>(V >> (8 * I)));
+    P[I] = static_cast<uint8_t>(V >> (8 * I));
 }
 
-void putStr(std::string &B, const std::string &S) {
-  // Builders truncate at the wire cap instead of producing an invalid
-  // frame the peer would drop the connection over.
-  size_t N = S.size() < kMaxStringBytes ? S.size() : kMaxStringBytes - 1;
-  putU16(B, static_cast<uint16_t>(N));
-  B.append(S.data(), N);
+uint32_t loadU32(const uint8_t *P) {
+  uint32_t V = 0;
+  for (int I = 0; I < 4; ++I)
+    V |= static_cast<uint32_t>(P[I]) << (8 * I);
+  return V;
 }
+
+uint64_t loadU64(const uint8_t *P) {
+  uint64_t V = 0;
+  for (int I = 0; I < 8; ++I)
+    V |= static_cast<uint64_t>(P[I]) << (8 * I);
+  return V;
+}
+
+/// Builders truncate strings at the wire cap instead of producing an
+/// invalid frame the peer would drop the connection over.
+size_t wireStrLen(const std::string &S) {
+  return S.size() < kMaxStringBytes ? S.size() : kMaxStringBytes - 1;
+}
+
+/// Wire bytes of a string field: the 2-byte length plus the bytes.
+size_t strBytes(const std::string &S) { return 2 + wireStrLen(S); }
+
+/// Payload builder over an exactly-sized buffer: the constructor takes
+/// the body size, so each field is a store at the cursor with no
+/// capacity check or regrowth.
+class WireWriter {
+public:
+  WireWriter(MsgType Type, size_t BodyBytes)
+      : B(1 + BodyBytes, '\0'), Cur(reinterpret_cast<uint8_t *>(&B[0])) {
+    *Cur++ = static_cast<uint8_t>(Type);
+  }
+
+  void u32(uint32_t V) {
+    storeU32(Cur, V);
+    Cur += 4;
+  }
+
+  void u64(uint64_t V) {
+    storeU64(Cur, V);
+    Cur += 8;
+  }
+
+  void str(const std::string &S) {
+    size_t N = wireStrLen(S);
+    storeU16(Cur, static_cast<uint16_t>(N));
+    std::memcpy(Cur + 2, S.data(), N);
+    Cur += 2 + N;
+  }
+
+  std::string take() {
+    assert(Cur == reinterpret_cast<uint8_t *>(&B[0]) + B.size() &&
+           "payload size mismatch");
+    return std::move(B);
+  }
+
+private:
+  std::string B;
+  uint8_t *Cur;
+};
 
 /// Cursor over a received payload. Every take checks the remaining
 /// length; once a take fails the reader stays failed.
@@ -55,61 +113,71 @@ public:
   WireReader(const uint8_t *Data, size_t Size) : Cur(Data), Left(Size) {}
 
   bool u8(uint8_t &V) {
-    if (Left < 1)
-      return fail();
-    V = *Cur;
-    Cur += 1;
-    Left -= 1;
-    return true;
+    const uint8_t *P = take(1);
+    if (P)
+      V = *P;
+    return P != nullptr;
   }
 
   bool u16(uint16_t &V) {
-    if (Left < 2)
-      return fail();
-    V = static_cast<uint16_t>(Cur[0]) | static_cast<uint16_t>(Cur[1]) << 8;
-    Cur += 2;
-    Left -= 2;
-    return true;
+    const uint8_t *P = take(2);
+    if (P)
+      V = static_cast<uint16_t>(P[0] | P[1] << 8);
+    return P != nullptr;
   }
 
   bool u32(uint32_t &V) {
-    if (Left < 4)
-      return fail();
-    V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(Cur[I]) << (8 * I);
-    Cur += 4;
-    Left -= 4;
-    return true;
+    const uint8_t *P = take(4);
+    if (P)
+      V = loadU32(P);
+    return P != nullptr;
   }
 
   bool u64(uint64_t &V) {
-    if (Left < 8)
-      return fail();
-    V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(Cur[I]) << (8 * I);
-    Cur += 8;
-    Left -= 8;
-    return true;
+    const uint8_t *P = take(8);
+    if (P)
+      V = loadU64(P);
+    return P != nullptr;
   }
 
   bool str(std::string &S) {
     uint16_t N = 0;
     if (!u16(N))
       return false;
-    if (N >= kMaxStringBytes || Left < N)
+    if (N >= kMaxStringBytes)
       return fail();
-    S.assign(reinterpret_cast<const char *>(Cur), N);
-    Cur += N;
-    Left -= N;
-    return true;
+    const uint8_t *P = take(N);
+    if (P)
+      S.assign(reinterpret_cast<const char *>(P), N);
+    return P != nullptr;
+  }
+
+  /// \p Count fixed-width entries of \p Width bytes each, checked against
+  /// the remaining bytes once: the start of the run, or null (and
+  /// failed) when the payload is too short to hold them.
+  const uint8_t *array(uint32_t Count, size_t Width) {
+    if (Count > Left / Width) {
+      fail();
+      return nullptr;
+    }
+    return take(Count * Width);
   }
 
   /// A valid payload is consumed exactly: trailing bytes are garbage.
   bool done() const { return !Failed && Left == 0; }
 
 private:
+  const uint8_t *take(size_t N) {
+    if (Left < N) {
+      fail();
+      return nullptr;
+    }
+    const uint8_t *P = Cur;
+    Cur += N;
+    Left -= N;
+    return P;
+  }
+
   bool fail() {
     Failed = true;
     return false;
@@ -123,62 +191,6 @@ private:
 //===----------------------------------------------------------------------===//
 // Raw fd helpers
 //===----------------------------------------------------------------------===//
-
-/// Reads exactly \p Len bytes. Returns 1 on success, 0 on clean EOF
-/// before the first byte, -1 on mid-read EOF, -2 on errno failure.
-int readAll(int Fd, void *Buf, size_t Len) {
-  char *P = static_cast<char *>(Buf);
-  size_t Got = 0;
-  while (Got < Len) {
-    ssize_t N = ::recv(Fd, P + Got, Len - Got, 0);
-    if (N == 0)
-      return Got == 0 ? 0 : -1;
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return Got == 0 && (errno == ECONNRESET) ? 0 : -2;
-    }
-    Got += static_cast<size_t>(N);
-  }
-  return 1;
-}
-
-/// readAll with a wall-clock deadline: poll-before-recv so a peer that
-/// stalls mid-frame cannot block forever. Returns 1 on success, -1 on
-/// mid-read EOF, -2 on errno failure, -3 on deadline expiry. EINTR on
-/// either syscall retries with the remaining budget recomputed.
-int readAllDeadline(int Fd, void *Buf, size_t Len,
-                    std::chrono::steady_clock::time_point Deadline) {
-  char *P = static_cast<char *>(Buf);
-  size_t Got = 0;
-  while (Got < Len) {
-    auto Now = std::chrono::steady_clock::now();
-    if (Now >= Deadline)
-      return -3;
-    auto LeftMs =
-        std::chrono::duration_cast<std::chrono::milliseconds>(Deadline - Now)
-            .count();
-    struct pollfd Pfd = {Fd, POLLIN, 0};
-    int PR = ::poll(&Pfd, 1, static_cast<int>(LeftMs) + 1);
-    if (PR < 0) {
-      if (errno == EINTR)
-        continue;
-      return -2;
-    }
-    if (PR == 0)
-      return -3;
-    ssize_t N = ::recv(Fd, P + Got, Len - Got, 0);
-    if (N == 0)
-      return -1;
-    if (N < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
-        continue;
-      return -2;
-    }
-    Got += static_cast<size_t>(N);
-  }
-  return 1;
-}
 
 bool writeAll(int Fd, const void *Buf, size_t Len) {
   const char *P = static_cast<const char *>(Buf);
@@ -195,6 +207,43 @@ bool writeAll(int Fd, const void *Buf, size_t Len) {
   return true;
 }
 
+/// One blocking recv into \p Buf, EINTR retried: the wait for a frame
+/// to start, and every read when there is no deadline.
+ssize_t recvBlocking(int Fd, void *Buf, size_t Len) {
+  for (;;) {
+    ssize_t N = ::recv(Fd, Buf, Len, 0);
+    if (N >= 0 || errno != EINTR)
+      return N;
+  }
+}
+
+/// Up to \p Len bytes of a frame already underway, by \p Deadline: a
+/// nonblocking recv first, then poll only when nothing is there yet.
+/// Returns the byte count (0 = EOF), -1 on errno failure, -2 on
+/// deadline expiry. EINTR on either syscall retries with the remaining
+/// budget recomputed.
+ssize_t recvBy(int Fd, void *Buf, size_t Len,
+               std::chrono::steady_clock::time_point Deadline) {
+  for (;;) {
+    ssize_t N = ::recv(Fd, Buf, Len, MSG_DONTWAIT);
+    if (N >= 0)
+      return N;
+    if (errno == EINTR)
+      continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK)
+      return -1;
+    auto Now = std::chrono::steady_clock::now();
+    if (Now >= Deadline)
+      return -2;
+    struct pollfd Pfd = {Fd, POLLIN, 0};
+    int PR = ::poll(&Pfd, 1, pollTimeoutMs(Deadline - Now));
+    if (PR < 0 && errno != EINTR)
+      return -1;
+    if (PR == 0)
+      return -2;
+  }
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -202,19 +251,17 @@ bool writeAll(int Fd, const void *Buf, size_t Len) {
 //===----------------------------------------------------------------------===//
 
 std::string makeHello(const std::string &Tenant) {
-  std::string B;
-  putU8(B, static_cast<uint8_t>(MsgType::Hello));
-  putStr(B, Tenant);
-  return B;
+  WireWriter W(MsgType::Hello, strBytes(Tenant));
+  W.str(Tenant);
+  return W.take();
 }
 
 std::string makePredict(const std::vector<uint64_t> &Inputs) {
-  std::string B;
-  putU8(B, static_cast<uint8_t>(MsgType::Predict));
-  putU32(B, static_cast<uint32_t>(Inputs.size()));
+  WireWriter W(MsgType::Predict, 4 + 8 * Inputs.size());
+  W.u32(static_cast<uint32_t>(Inputs.size()));
   for (uint64_t In : Inputs)
-    putU64(B, In);
-  return B;
+    W.u64(In);
+  return W.take();
 }
 
 std::string makeStats() {
@@ -235,54 +282,51 @@ std::string makePing() {
 
 std::string makeTenantOk(uint64_t Epoch, uint32_t Landmarks,
                          uint64_t NumInputs) {
-  std::string B;
-  putU8(B, static_cast<uint8_t>(MsgType::TenantOk));
-  putU64(B, Epoch);
-  putU32(B, Landmarks);
-  putU64(B, NumInputs);
-  return B;
+  WireWriter W(MsgType::TenantOk, 8 + 4 + 8);
+  W.u64(Epoch);
+  W.u32(Landmarks);
+  W.u64(NumInputs);
+  return W.take();
 }
 
 std::string makePredictions(const std::vector<PredictedChoice> &Choices) {
-  std::string B;
-  putU8(B, static_cast<uint8_t>(MsgType::Predictions));
-  putU32(B, static_cast<uint32_t>(Choices.size()));
+  WireWriter W(MsgType::Predictions, 4 + 12 * Choices.size());
+  W.u32(static_cast<uint32_t>(Choices.size()));
   for (const PredictedChoice &C : Choices) {
-    putU32(B, C.Landmark);
-    putU64(B, C.Epoch);
+    W.u32(C.Landmark);
+    W.u64(C.Epoch);
   }
-  return B;
+  return W.take();
 }
 
 std::string makeShed(uint32_t QueueDepth, const std::string &Reason) {
-  std::string B;
-  putU8(B, static_cast<uint8_t>(MsgType::Shed));
-  putU32(B, QueueDepth);
-  putStr(B, Reason);
-  return B;
+  WireWriter W(MsgType::Shed, 4 + strBytes(Reason));
+  W.u32(QueueDepth);
+  W.str(Reason);
+  return W.take();
 }
 
 std::string makeError(const std::string &Message) {
-  std::string B;
-  putU8(B, static_cast<uint8_t>(MsgType::Error));
-  putStr(B, Message);
-  return B;
+  WireWriter W(MsgType::Error, strBytes(Message));
+  W.str(Message);
+  return W.take();
 }
 
 std::string makeStatsReply(const std::string &Json) {
-  std::string B;
-  putU8(B, static_cast<uint8_t>(MsgType::StatsReply));
-  putStr(B, Json);
-  return B;
+  WireWriter W(MsgType::StatsReply, strBytes(Json));
+  W.str(Json);
+  return W.take();
 }
 
 std::string makeTenantList(const std::vector<std::string> &Names) {
-  std::string B;
-  putU8(B, static_cast<uint8_t>(MsgType::TenantList));
-  putU32(B, static_cast<uint32_t>(Names.size()));
+  size_t Body = 4;
   for (const std::string &N : Names)
-    putStr(B, N);
-  return B;
+    Body += strBytes(N);
+  WireWriter W(MsgType::TenantList, Body);
+  W.u32(static_cast<uint32_t>(Names.size()));
+  for (const std::string &N : Names)
+    W.str(N);
+  return W.take();
 }
 
 std::string makeBye() {
@@ -291,17 +335,19 @@ std::string makeBye() {
 
 std::string makeHealth(uint64_t Pid, uint32_t Sessions,
                        const std::vector<TenantHealth> &Tenants) {
-  std::string B;
-  putU8(B, static_cast<uint8_t>(MsgType::Health));
-  putU64(B, Pid);
-  putU32(B, Sessions);
-  putU32(B, static_cast<uint32_t>(Tenants.size()));
+  size_t Body = 8 + 4 + 4;
+  for (const TenantHealth &T : Tenants)
+    Body += strBytes(T.Name) + 8 + 8;
+  WireWriter W(MsgType::Health, Body);
+  W.u64(Pid);
+  W.u32(Sessions);
+  W.u32(static_cast<uint32_t>(Tenants.size()));
   for (const TenantHealth &T : Tenants) {
-    putStr(B, T.Name);
-    putU64(B, T.ServiceEpoch);
-    putU64(B, T.StoreEpoch);
+    W.str(T.Name);
+    W.u64(T.ServiceEpoch);
+    W.u64(T.StoreEpoch);
   }
-  return B;
+  return W.take();
 }
 
 //===----------------------------------------------------------------------===//
@@ -322,13 +368,14 @@ bool decodeMessage(const uint8_t *Data, size_t Size, Message &Out) {
     uint32_t Count = 0;
     if (!R.u32(Count) || Count == 0 || Count > kMaxBatchInputs)
       return false;
-    Out.Inputs.reserve(Count);
-    for (uint32_t I = 0; I < Count; ++I) {
-      uint64_t In = 0;
-      if (!R.u64(In))
-        return false;
-      Out.Inputs.push_back(In);
-    }
+    // The count is checked against the bytes actually present before
+    // anything is sized off it.
+    const uint8_t *P = R.array(Count, 8);
+    if (!P)
+      return false;
+    Out.Inputs.resize(Count);
+    for (uint32_t I = 0; I < Count; ++I)
+      Out.Inputs[I] = loadU64(P + 8 * I);
     return R.done();
   }
   case MsgType::Stats:
@@ -344,12 +391,13 @@ bool decodeMessage(const uint8_t *Data, size_t Size, Message &Out) {
     uint32_t Count = 0;
     if (!R.u32(Count) || Count > kMaxBatchInputs)
       return false;
-    Out.Choices.reserve(Count);
+    const uint8_t *P = R.array(Count, 12);
+    if (!P)
+      return false;
+    Out.Choices.resize(Count);
     for (uint32_t I = 0; I < Count; ++I) {
-      PredictedChoice C;
-      if (!R.u32(C.Landmark) || !R.u64(C.Epoch))
-        return false;
-      Out.Choices.push_back(C);
+      Out.Choices[I].Landmark = loadU32(P + 12 * I);
+      Out.Choices[I].Epoch = loadU64(P + 12 * I + 4);
     }
     return R.done();
   }
@@ -398,72 +446,101 @@ bool decodeMessage(const uint8_t *Data, size_t Size, Message &Out) {
 // Framed IO
 //===----------------------------------------------------------------------===//
 
-FrameStatus readFrame(int Fd, std::string &Payload) {
-  uint8_t Hdr[4];
-  int R = readAll(Fd, Hdr, sizeof(Hdr));
-  if (R == 0)
-    return FrameStatus::Closed;
-  if (R == -1)
-    return FrameStatus::Truncated;
-  if (R < 0)
-    return FrameStatus::IoError;
-  uint32_t Len = 0;
-  for (int I = 0; I < 4; ++I)
-    Len |= static_cast<uint32_t>(Hdr[I]) << (8 * I);
-  if (Len == 0 || Len > kMaxFrameBytes)
-    return FrameStatus::TooLarge;
-  Payload.resize(Len);
-  R = readAll(Fd, &Payload[0], Len);
-  if (R == 1)
-    return FrameStatus::Ok;
-  return R == -2 ? FrameStatus::IoError : FrameStatus::Truncated;
-}
-
-FrameStatus readFrameDeadline(int Fd, std::string &Payload,
+FrameStatus FrameReader::read(int Fd, std::string &Payload,
                               double DeadlineSeconds) {
-  if (DeadlineSeconds <= 0)
-    return readFrame(Fd, Payload);
-  // Block without a deadline for the first byte: idle sessions are
-  // legitimate. Once a frame has started, the rest must arrive in time.
-  uint8_t Hdr[4];
-  int R = readAll(Fd, Hdr, 1);
-  if (R == 0)
-    return FrameStatus::Closed;
-  if (R == -1)
-    return FrameStatus::Truncated;
-  if (R < 0)
-    return FrameStatus::IoError;
-  auto Deadline = std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(DeadlineSeconds));
-  R = readAllDeadline(Fd, Hdr + 1, 3, Deadline);
-  if (R != 1)
-    return R == -3   ? FrameStatus::TimedOut
-           : R == -1 ? FrameStatus::Truncated
+  // Every failure leaves the stream position lost: drop what is held.
+  auto Fail = [this](FrameStatus Status) {
+    reset();
+    return Status;
+  };
+  // recvBy's and recvBlocking's results, mapped for a frame underway.
+  auto MidFrame = [](ssize_t N) {
+    return N == 0    ? FrameStatus::Truncated
+           : N == -2 ? FrameStatus::TimedOut
                      : FrameStatus::IoError;
-  uint32_t Len = 0;
-  for (int I = 0; I < 4; ++I)
-    Len |= static_cast<uint32_t>(Hdr[I]) << (8 * I);
+  };
+
+  // Wait, unbounded, for a frame to start -- unless a previous recv
+  // already delivered its first bytes.
+  if (Begin == End) {
+    Begin = End = 0;
+    ssize_t N = recvBlocking(Fd, Buf, kBufferBytes);
+    if (N <= 0)
+      return Fail(N == 0 || errno == ECONNRESET ? FrameStatus::Closed
+                                                : FrameStatus::IoError);
+    End = static_cast<size_t>(N);
+  }
+
+  // A byte of this frame is held: from here on it must finish in time.
+  // The cap (about 31 years) keeps the clock arithmetic from overflowing.
+  const bool Bounded = DeadlineSeconds > 0;
+  std::chrono::steady_clock::time_point Deadline;
+  if (Bounded)
+    Deadline = std::chrono::steady_clock::now() +
+               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                   std::chrono::duration<double>(
+                       std::min(DeadlineSeconds, 1e9)));
+  auto Recv = [&](void *Dst, size_t Len) {
+    return Bounded ? recvBy(Fd, Dst, Len, Deadline)
+                   : recvBlocking(Fd, Dst, Len);
+  };
+
+  while (End - Begin < 4) {
+    if (Begin > 0) { // keep the partial header at the front
+      std::memmove(Buf, Buf + Begin, End - Begin);
+      End -= Begin;
+      Begin = 0;
+    }
+    ssize_t N = Recv(Buf + End, kBufferBytes - End);
+    if (N <= 0)
+      return Fail(MidFrame(N));
+    End += static_cast<size_t>(N);
+  }
+  uint32_t Len = loadU32(Buf + Begin);
+  Begin += 4;
   if (Len == 0 || Len > kMaxFrameBytes)
-    return FrameStatus::TooLarge;
+    return Fail(FrameStatus::TooLarge);
+
   Payload.resize(Len);
-  R = readAllDeadline(Fd, &Payload[0], Len, Deadline);
-  if (R == 1)
-    return FrameStatus::Ok;
-  return R == -3   ? FrameStatus::TimedOut
-         : R == -1 ? FrameStatus::Truncated
-                   : FrameStatus::IoError;
+  size_t Held = std::min<size_t>(End - Begin, Len);
+  std::memcpy(&Payload[0], Buf + Begin, Held);
+  Begin += Held;
+  // The rest of the frame goes straight into the payload: exactly the
+  // missing bytes, so nothing past this frame is consumed.
+  for (size_t Got = Held; Got < Len;) {
+    ssize_t N = Recv(&Payload[Got], Len - Got);
+    if (N <= 0)
+      return Fail(MidFrame(N));
+    Got += static_cast<size_t>(N);
+  }
+  return FrameStatus::Ok;
 }
 
 FrameStatus writeFrame(int Fd, const std::string &Payload) {
   if (Payload.empty() || Payload.size() > kMaxFrameBytes)
     return FrameStatus::TooLarge;
   uint8_t Hdr[4];
-  uint32_t Len = static_cast<uint32_t>(Payload.size());
-  for (int I = 0; I < 4; ++I)
-    Hdr[I] = static_cast<uint8_t>(Len >> (8 * I));
-  if (!writeAll(Fd, Hdr, sizeof(Hdr)) ||
-      !writeAll(Fd, Payload.data(), Payload.size()))
+  storeU32(Hdr, static_cast<uint32_t>(Payload.size()));
+  struct iovec Iov[2] = {{Hdr, sizeof(Hdr)},
+                         {const_cast<char *>(Payload.data()), Payload.size()}};
+  struct msghdr Msg = {};
+  Msg.msg_iov = Iov;
+  Msg.msg_iovlen = 2;
+  ssize_t N;
+  do
+    N = ::sendmsg(Fd, &Msg, MSG_NOSIGNAL);
+  while (N < 0 && errno == EINTR);
+  if (N < 0)
+    return FrameStatus::IoError;
+  // A short write finishes with the plain send loop.
+  size_t Sent = static_cast<size_t>(N);
+  if (Sent < sizeof(Hdr)) {
+    if (!writeAll(Fd, Hdr + Sent, sizeof(Hdr) - Sent))
+      return FrameStatus::IoError;
+    Sent = sizeof(Hdr);
+  }
+  Sent -= sizeof(Hdr);
+  if (!writeAll(Fd, Payload.data() + Sent, Payload.size() - Sent))
     return FrameStatus::IoError;
   return FrameStatus::Ok;
 }

@@ -19,6 +19,15 @@
 /// failure, never a crash, over-read, or huge allocation. That is the
 /// property the daemon fuzz wall (tests/daemon/) hammers on.
 ///
+/// Framed IO costs one syscall per frame each way in the common case.
+/// writeFrame gathers the header and the payload into one sendmsg (two
+/// iovecs, no copy). A FrameReader, held per connection, pulls up to
+/// FrameReader::kBufferBytes per recv, so a whole request or reply --
+/// a 64-input Predict is 521 B, its Predictions 777 B -- arrives in one
+/// recv, and bytes of a following frame stay buffered for the next
+/// read. A Predict round trip is thus four socket syscalls: the
+/// client's sendmsg and recv, and the server's recv and sendmsg.
+///
 /// A session speaks: Hello (attach to a tenant by name), then any mix of
 /// Predict (a batch of input ids answered by Predictions, or Shed when
 /// the server's bounded request queue is full), Stats, ListTenants, and
@@ -143,19 +152,38 @@ enum class FrameStatus {
   TimedOut, ///< frame started but did not finish within the deadline
 };
 
-/// Reads one length-prefixed frame into \p Payload. Handles partial
-/// reads; never allocates more than kMaxFrameBytes.
-FrameStatus readFrame(int Fd, std::string &Payload);
+/// Per-connection buffered frame reader. Holds at most kBufferBytes
+/// read from its socket and never grows: a frame larger than what the
+/// buffer holds is finished by reading straight into the payload.
+/// Bytes past the end of a frame (a pipelined next frame) stay held for
+/// the next read(). One reader per connection, reset on connect and
+/// close; not thread-safe.
+class FrameReader {
+public:
+  static constexpr size_t kBufferBytes = 4096;
 
-/// Like readFrame, but once the first byte of a frame has arrived the
-/// rest of it must arrive within \p DeadlineSeconds, or the read fails
-/// with TimedOut. Waiting for a frame to *start* is unbounded -- an idle
-/// session is legitimate; a peer that stalls mid-frame is not allowed to
-/// pin a session thread. DeadlineSeconds <= 0 degrades to readFrame.
-FrameStatus readFrameDeadline(int Fd, std::string &Payload,
-                              double DeadlineSeconds);
+  /// Reads one length-prefixed frame from \p Fd into \p Payload, never
+  /// allocating more than kMaxFrameBytes. Waiting for a frame to
+  /// *start* is unbounded -- an idle session is legitimate. Once any
+  /// byte of the frame is held (a leftover byte counts), the rest must
+  /// arrive within \p DeadlineSeconds or the read fails with TimedOut,
+  /// so a peer that stalls mid-frame cannot pin the reading thread.
+  /// DeadlineSeconds <= 0 means no deadline. Any status but Ok drops
+  /// the held bytes: the stream position is lost.
+  FrameStatus read(int Fd, std::string &Payload, double DeadlineSeconds = 0);
 
-/// Writes one length-prefixed frame. Handles partial writes; a peer that
+  /// Drops every held byte.
+  void reset() { Begin = End = 0; }
+  /// Bytes held past the last frame returned.
+  size_t buffered() const { return End - Begin; }
+
+private:
+  uint8_t Buf[kBufferBytes];
+  size_t Begin = 0, End = 0;
+};
+
+/// Writes one length-prefixed frame: header and payload in one gathered
+/// sendmsg; a short write is finished by a send loop. A peer that
 /// disappeared mid-write is IoError, never SIGPIPE.
 FrameStatus writeFrame(int Fd, const std::string &Payload);
 

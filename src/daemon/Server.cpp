@@ -246,7 +246,7 @@ void Server::sessionLoop(Session *S) {
   Tenant *Attached = nullptr;
   std::string Payload;
   while (!StopFlag.load()) {
-    FrameStatus FS = readFrameDeadline(S->Fd, Payload, Opts.ReadDeadline);
+    FrameStatus FS = S->Reader.read(S->Fd, Payload, Opts.ReadDeadline);
     if (FS == FrameStatus::Closed)
       break;
     if (FS == FrameStatus::TimedOut) {

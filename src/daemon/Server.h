@@ -22,7 +22,10 @@
 /// decideBatch without a pool, so a Predict is one inline arena walk on
 /// the session thread, and its answers are choice-identical to an
 /// in-process AdaptiveService replay of the same model (the loadgen
-/// harness and the daemon tests assert exactly that).
+/// harness and the daemon tests assert exactly that). The session's own
+/// FrameReader and writeFrame make a request one recv and its reply one
+/// sendmsg in the common case; the stall guard (ReadDeadline) costs a
+/// poll only when a frame's bytes are not all there yet.
 ///
 /// Shutdown (requestStop(), a Shutdown frame, or a signal) is clean by
 /// construction: the accept loop notices the flag at its next poll
@@ -140,6 +143,9 @@ public:
 private:
   struct Session {
     int Fd = -1;
+    /// Only the session thread reads; leftover bytes of a pipelined
+    /// next frame wait here between requests.
+    FrameReader Reader;
     std::thread Thread;
     std::atomic<bool> Finished{false};
   };

@@ -8,6 +8,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <utility>
 
@@ -219,6 +220,13 @@ void Listener::close() {
     ::unlink(Bound.Path.c_str());
 }
 
+int pollTimeoutMs(std::chrono::duration<double, std::milli> Left) {
+  double Ms = Left.count();
+  if (Ms < 0)
+    return 0;
+  return Ms >= INT_MAX - 1 ? INT_MAX : static_cast<int>(Ms) + 1;
+}
+
 int connectEndpoint(const Endpoint &E, double TimeoutSeconds,
                     std::string &Err) {
   sockaddr_storage Addr{};
@@ -264,13 +272,10 @@ int connectEndpoint(const Endpoint &E, double TimeoutSeconds,
       auto Now = std::chrono::steady_clock::now();
       if (Now >= Deadline)
         return Abort("connect('" + Name + "'): timed out");
-      auto LeftMs = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        Deadline - Now)
-                        .count();
       pollfd PFD{};
       PFD.fd = Fd;
       PFD.events = POLLOUT;
-      int Ready = ::poll(&PFD, 1, static_cast<int>(LeftMs) + 1);
+      int Ready = ::poll(&PFD, 1, pollTimeoutMs(Deadline - Now));
       if (Ready < 0) {
         if (errno == EINTR)
           continue;

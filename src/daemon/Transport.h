@@ -27,6 +27,7 @@
 #ifndef PBT_DAEMON_TRANSPORT_H
 #define PBT_DAEMON_TRANSPORT_H
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -88,6 +89,12 @@ private:
 /// blocking fd, or -1 with \p Err set.
 int connectEndpoint(const Endpoint &E, double TimeoutSeconds,
                     std::string &Err);
+
+/// The poll() timeout for a wait of \p Left: whole milliseconds rounded
+/// up, so the wait never ends before its deadline, and clamped to
+/// INT_MAX, so a deadline weeks away cannot wrap into poll's negative
+/// "wait forever".
+int pollTimeoutMs(std::chrono::duration<double, std::milli> Left);
 
 } // namespace daemon
 } // namespace pbt

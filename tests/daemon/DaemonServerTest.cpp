@@ -502,7 +502,7 @@ TEST(DaemonServerTest, FuzzWallTruncatedAndOversizedFrames) {
     ASSERT_TRUE(C.sendRaw(Hdr, 4));
     std::string Reply;
     // The server answers Error (best effort) and drops the connection.
-    daemon::FrameStatus FS = daemon::readFrame(C.fd(), Reply);
+    daemon::FrameStatus FS = daemon::FrameReader().read(C.fd(), Reply);
     if (FS == daemon::FrameStatus::Ok) {
       daemon::Message M;
       ASSERT_TRUE(daemon::decodeMessage(Reply, M));
@@ -556,7 +556,7 @@ TEST(DaemonServerTest, FuzzWallGarbageTenantNamesAndPayloads) {
       Payload.push_back(static_cast<char>(R.next()));
     (void)daemon::writeFrame(C.fd(), Payload);
     std::string Reply;
-    (void)daemon::readFrame(C.fd(), Reply); // Error or close; either is fine
+    (void)daemon::FrameReader().read(C.fd(), Reply); // Error or close; either is fine
     C.close();
   }
   expectServerAlive(H.Socket);
@@ -582,7 +582,7 @@ TEST(DaemonServerTest, FuzzWallGarbageTenantNamesAndPayloads) {
     ASSERT_TRUE(C.connect(H.Socket, Err)) << Err;
     (void)daemon::writeFrame(C.fd(), daemon::makePredictions({{1, 1}}));
     std::string Reply;
-    daemon::FrameStatus FS = daemon::readFrame(C.fd(), Reply);
+    daemon::FrameStatus FS = daemon::FrameReader().read(C.fd(), Reply);
     if (FS == daemon::FrameStatus::Ok) {
       daemon::Message M;
       ASSERT_TRUE(daemon::decodeMessage(Reply, M));

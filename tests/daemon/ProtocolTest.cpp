@@ -202,6 +202,35 @@ TEST(ProtocolTest, LyingCountsRejected) {
   EXPECT_FALSE(decodeMessage(S, M));
 }
 
+TEST(ProtocolTest, LyingCountsAreRejectedBeforeReserving) {
+  // 9 bytes claiming the 65,536-input cap: the count passes the cap
+  // check but not the bytes present, and nothing may be sized off it.
+  std::string P;
+  P.push_back(static_cast<char>(MsgType::Predict));
+  P.append("\x00\x00\x01\x00", 4); // 65536, little-endian
+  P.append(4, '\x07');
+  ASSERT_EQ(P.size(), 9u);
+  Message M;
+  EXPECT_FALSE(decodeMessage(P, M));
+  EXPECT_EQ(M.Inputs.capacity(), 0u);
+
+  std::string C;
+  C.push_back(static_cast<char>(MsgType::Predictions));
+  C.append("\x00\x00\x01\x00", 4);
+  C.append(12, '\x07'); // one entry of the 65,536 claimed
+  Message N;
+  EXPECT_FALSE(decodeMessage(C, N));
+  EXPECT_EQ(N.Choices.capacity(), 0u);
+}
+
+TEST(ProtocolTest, BuildersSizeSixtyFourInputFramesExactly) {
+  std::vector<uint64_t> Inputs(64, 3);
+  std::vector<PredictedChoice> Choices(64, {2, 9});
+  // 1 tag + 4 count + 64 x 8, and 1 tag + 4 count + 64 x (4 + 8).
+  EXPECT_EQ(makePredict(Inputs).size(), 517u);
+  EXPECT_EQ(makePredictions(Choices).size(), 773u);
+}
+
 TEST(ProtocolTest, BuilderTruncatesOversizedStrings) {
   // Builders clamp at the wire cap instead of emitting an invalid frame.
   std::string Long(2 * kMaxStringBytes, 'x');

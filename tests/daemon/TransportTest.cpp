@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -239,6 +240,19 @@ TEST(TransportTest, PingReportsPidSessionsAndTenantEpochs) {
 // Read deadline: a mid-frame stall is dropped, an idle session is not
 //===----------------------------------------------------------------------===//
 
+TEST(TransportTest, PollTimeoutRoundsUpAndClampsToIntMax) {
+  using Ms = std::chrono::duration<double, std::milli>;
+  EXPECT_EQ(pollTimeoutMs(Ms(0)), 1);
+  EXPECT_EQ(pollTimeoutMs(Ms(0.4)), 1);
+  EXPECT_EQ(pollTimeoutMs(Ms(250)), 251);
+  EXPECT_EQ(pollTimeoutMs(Ms(-5)), 0);
+  // ~35 days: past INT_MAX milliseconds, where a plain int cast wraps
+  // negative and poll would wait forever.
+  EXPECT_EQ(pollTimeoutMs(Ms(3e9)), INT_MAX);
+  EXPECT_EQ(pollTimeoutMs(std::chrono::hours(24 * 365)), INT_MAX);
+  EXPECT_GT(pollTimeoutMs(std::chrono::seconds(3'000'000)), 0);
+}
+
 TEST(TransportTest, MidFrameStallIsDroppedIdleSessionIsNot) {
   daemon::ServerOptions SO;
   SO.ReadDeadline = 0.15;
@@ -307,7 +321,7 @@ TEST(TransportTest, ConnectionStormShedsOverSessionCap) {
     ASSERT_GE(Fd, 0) << Err;
     std::string Payload;
     Message M;
-    if (readFrame(Fd, Payload) == FrameStatus::Ok &&
+    if (FrameReader().read(Fd, Payload) == FrameStatus::Ok &&
         decodeMessage(Payload, M) && M.Type == MsgType::Shed) {
       EXPECT_NE(M.Text.find("session limit"), std::string::npos) << M.Text;
       ++Refused;
