@@ -132,7 +132,8 @@ pde::Grid3D bench::generateBetaField(BetaGen G, size_t N, support::Rng &Rng) {
   return B;
 }
 
-Helmholtz3DBenchmark::Helmholtz3DBenchmark(const Options &Opts) : Opts(Opts) {
+Helmholtz3DBenchmark::Helmholtz3DBenchmark(const Options &Opts)
+    : Opts(Opts), Truths(Opts.NumInputs) {
   assert(pde::Grid3D::validMultigridSize(Opts.GridN) &&
          "grid size must be 2^l + 1");
   Scheme = PDEConfigScheme::declare(Space, "helmholtz3d",
@@ -141,7 +142,6 @@ Helmholtz3DBenchmark::Helmholtz3DBenchmark(const Options &Opts) : Opts(Opts) {
 
   support::Rng Rng(Opts.Seed);
   Problems.reserve(Opts.NumInputs);
-  References.reserve(Opts.NumInputs);
   Tags.reserve(Opts.NumInputs);
   for (size_t I = 0; I != Opts.NumInputs; ++I) {
     HelmholtzGen FG = static_cast<HelmholtzGen>(Rng.index(NumHelmholtzGens));
@@ -152,9 +152,17 @@ Helmholtz3DBenchmark::Helmholtz3DBenchmark(const Options &Opts) : Opts(Opts) {
     P.Alpha = std::exp(Rng.uniform(std::log(0.1), std::log(100.0)));
     Problems.push_back(std::move(P));
     Tags.push_back(std::string(helmholtzGenName(FG)) + "/" + betaGenName(BG));
-    References.push_back(pde::helmholtzReferenceSolution(Problems.back()));
-    ReferenceRMS.push_back(References.back().rms());
   }
+}
+
+const Helmholtz3DBenchmark::GroundTruth &
+Helmholtz3DBenchmark::groundTruth(size_t Input) const {
+  GroundTruth &T = Truths[Input];
+  std::call_once(T.Once, [&] {
+    T.Reference = pde::helmholtzReferenceSolution(Problems[Input]);
+    T.RMS = T.Reference.rms();
+  });
+  return T;
 }
 
 std::vector<runtime::FeatureInfo> Helmholtz3DBenchmark::features() const {
@@ -241,8 +249,9 @@ Helmholtz3DBenchmark::run(size_t Input, const runtime::Configuration &Config,
 
   runtime::RunResult R;
   R.TimeUnits = Cost.units() - Before;
-  double ErrInitial = ReferenceRMS[Input];
-  double ErrFinal = U.rmsDistance(References[Input]);
+  const GroundTruth &Truth = groundTruth(Input);
+  double ErrInitial = Truth.RMS;
+  double ErrFinal = U.rmsDistance(Truth.Reference);
   if (ErrInitial <= 1e-300)
     R.Accuracy = 16.0;
   else if (ErrFinal <= 1e-300)

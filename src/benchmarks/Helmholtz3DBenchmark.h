@@ -13,6 +13,10 @@
 /// balance, which shifts the best solver and multigrid cycle shape.
 /// Features: residual measure, deviation, zeros count of the input.
 ///
+/// The reference solution is ground truth for scoring a run only: it is
+/// computed on the input's first run(), never at construction, so a
+/// program that only serves decisions never pays for it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PBT_BENCHMARKS_HELMHOLTZ3DBENCHMARK_H
@@ -23,6 +27,7 @@
 #include "runtime/TunableProgram.h"
 #include "support/Random.h"
 
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -85,13 +90,22 @@ public:
   const std::string &inputTag(size_t I) const { return Tags[I]; }
 
 private:
+  /// One input's converged reference solution and its RMS, filled once
+  /// by the input's first run(); call_once makes concurrent first runs
+  /// from a training pool share one computation.
+  struct GroundTruth {
+    std::once_flag Once;
+    pde::Grid3D Reference;
+    double RMS = 0.0;
+  };
+  const GroundTruth &groundTruth(size_t Input) const;
+
   Options Opts;
   runtime::ConfigSpace Space;
   PDEConfigScheme Scheme;
   std::vector<pde::HelmholtzProblem> Problems;
-  std::vector<pde::Grid3D> References;
-  std::vector<double> ReferenceRMS;
   std::vector<std::string> Tags;
+  mutable std::vector<GroundTruth> Truths;
 };
 
 } // namespace bench

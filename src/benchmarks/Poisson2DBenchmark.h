@@ -14,6 +14,10 @@
 /// are cheap for smoothers, so the best solver and cycle shape vary per
 /// input. Features: residual measure, deviation, zeros count of the input.
 ///
+/// The reference solution is ground truth for scoring a run only: it is
+/// computed on the input's first run(), never at construction, so a
+/// program that only serves decisions never pays for it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PBT_BENCHMARKS_POISSON2DBENCHMARK_H
@@ -24,6 +28,7 @@
 #include "runtime/TunableProgram.h"
 #include "support/Random.h"
 
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -72,18 +77,26 @@ public:
                          support::CostCounter &Cost) const override;
 
   const pde::Grid2D &input(size_t I) const { return Inputs[I]; }
-  const pde::Grid2D &reference(size_t I) const { return References[I]; }
   const std::string &inputTag(size_t I) const { return Tags[I]; }
   const PDEConfigScheme &scheme() const { return Scheme; }
 
 private:
+  /// One input's converged reference solution and its RMS, filled once
+  /// by the input's first run(); call_once makes concurrent first runs
+  /// from a training pool share one computation.
+  struct GroundTruth {
+    std::once_flag Once;
+    pde::Grid2D Reference;
+    double RMS = 0.0;
+  };
+  const GroundTruth &groundTruth(size_t Input) const;
+
   Options Opts;
   runtime::ConfigSpace Space;
   PDEConfigScheme Scheme;
   std::vector<pde::Grid2D> Inputs;
-  std::vector<pde::Grid2D> References;
-  std::vector<double> ReferenceRMS;
   std::vector<std::string> Tags;
+  mutable std::vector<GroundTruth> Truths;
 };
 
 } // namespace bench

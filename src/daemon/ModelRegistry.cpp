@@ -9,12 +9,19 @@
 #include "store/ModelStore.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 namespace pbt {
 namespace daemon {
 
 namespace {
+
+double msSince(std::chrono::steady_clock::time_point Start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - Start)
+      .count();
+}
 
 /// Builds the AdaptiveService for \p Model under \p Opts; shared by the
 /// file path, the store path, and store hot-swaps (a swapped-in epoch
@@ -99,6 +106,7 @@ serialize::LoadStatus ModelRegistry::publishTenant(std::unique_ptr<Tenant> T) {
 
 serialize::LoadStatus ModelRegistry::addTenant(const std::string &Name,
                                                const std::string &ModelPath) {
+  auto Start = std::chrono::steady_clock::now();
   serialize::TrainedModel Model;
   serialize::LoadStatus Loaded = serialize::loadModelFile(ModelPath, Model);
   if (!Loaded)
@@ -108,12 +116,14 @@ serialize::LoadStatus ModelRegistry::addTenant(const std::string &Name,
       buildTenant(Name, ModelPath, std::move(Model), T);
   if (!Built)
     return Built;
+  T->BuildMs = msSince(Start);
   return publishTenant(std::move(T));
 }
 
 serialize::LoadStatus
 ModelRegistry::addStoreTenant(const std::string &Name,
                               const std::string &StoreDir) {
+  auto Start = std::chrono::steady_clock::now();
   store::VerifiedModel V;
   serialize::LoadStatus St = store::loadCurrentVerified(StoreDir, V);
   if (!St)
@@ -131,6 +141,7 @@ ModelRegistry::addStoreTenant(const std::string &Name,
   T->StoreDir = StoreDir;
   T->StoreEpoch.store(V.Epoch);
   T->StoreRejects.store(V.RejectedLoads);
+  T->BuildMs = msSince(Start);
   return publishTenant(std::move(T));
 }
 

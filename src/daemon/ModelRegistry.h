@@ -61,6 +61,11 @@ struct Tenant {
   /// StoreEpoch is atomic so stats readers race cleanly with the poller.
   std::string StoreDir;
   std::atomic<uint64_t> StoreEpoch{0};
+  /// Wall time registration spent on this tenant, in ms: model load,
+  /// then makeProgram, then service build. Written before the tenant is
+  /// published; Stats reports it so an operator can see which tenant
+  /// slows a replica's start.
+  double BuildMs = 0.0;
   // Daemon-side accounting (the service keeps its own decision totals).
   std::atomic<uint64_t> Requests{0};
   std::atomic<uint64_t> Decisions{0};

@@ -511,6 +511,9 @@ std::string Server::statsJson() const {
     J += ", \"monitor_cost_paid\": " + jsonDouble(A.MonitorCostPaid);
     J += ", \"feature_cost_paid\": " + jsonDouble(A.FeatureCostPaid);
     J += ", \"last_skip_reason\": \"" + jsonEscape(A.LastSkipReason) + "\"";
+    // Last, so readers that take a key's first match still see the keys
+    // above unchanged.
+    J += ", \"build_ms\": " + jsonDouble(T->BuildMs);
     J += "}";
   }
   J += "]}";

@@ -7,6 +7,7 @@
 #include "registry/BenchmarkRegistry.h"
 
 #include "runtime/AdaptiveService.h"
+#include "support/ParseNumber.h"
 
 #include <algorithm>
 #include <cmath>
@@ -146,8 +147,9 @@ double registry::scaleFromEnv() {
   const char *Env = std::getenv("PBT_BENCH_SCALE");
   if (!Env)
     return 1.0;
-  double Scale = std::atof(Env);
-  if (Scale <= 0.0)
+  // The rule --scale uses: a whole, finite, positive number.
+  double Scale = 0.0;
+  if (!support::parseDouble(Env, Scale) || Scale <= 0.0)
     return 1.0;
   return std::clamp(Scale, 0.1, 100.0);
 }

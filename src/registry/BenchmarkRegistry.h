@@ -150,7 +150,9 @@ core::PipelineOptions reservoirRetrainOptions(const BenchmarkFactory &Factory,
 /// splits meaningful.
 size_t scaledInputCount(double Scale, size_t Base);
 
-/// Reads PBT_BENCH_SCALE (default 1.0, clamped to [0.1, 100]).
+/// Reads PBT_BENCH_SCALE, clamped to [0.1, 100]. Unset, or anything
+/// support::parseDouble rejects or that is not positive ("nan", "inf",
+/// "2x", "0"), gives 1.0.
 double scaleFromEnv();
 
 /// One ready-to-train suite row (the former bench harness SuiteEntry).

@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -314,6 +315,23 @@ TEST(DaemonServerTest, HelloAndStatsReportTheServingEpochsLandmarks) {
   EXPECT_EQ(std::strtoul(Json.c_str() + P + Needle.size(), nullptr, 10),
             SmallLandmarks)
       << Json;
+}
+
+TEST(DaemonServerTest, StatsReportEachTenantsBuildTimeLast) {
+  Harness H({}, {}, {"alpha", "beta", "gamma"});
+  std::string Json = H.Srv->statsJson();
+  const std::string Needle = "\"build_ms\": ";
+  size_t Seen = 0;
+  for (size_t P = Json.find(Needle); P != std::string::npos;
+       P = Json.find(Needle, P + 1)) {
+    char *End = nullptr;
+    double Ms = std::strtod(Json.c_str() + P + Needle.size(), &End);
+    EXPECT_TRUE(std::isfinite(Ms)) << Json;
+    EXPECT_GE(Ms, 0.0) << Json;
+    EXPECT_EQ(*End, '}') << "build_ms must close its tenant object: " << Json;
+    ++Seen;
+  }
+  EXPECT_EQ(Seen, H.Registry.size()) << Json;
 }
 
 //===----------------------------------------------------------------------===//

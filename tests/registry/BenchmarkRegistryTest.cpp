@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 using namespace pbt;
 using namespace pbt::registry;
@@ -96,6 +99,29 @@ TEST(BenchmarkRegistryTest, MakeSuiteWiresPoolIntoOptions) {
   ASSERT_EQ(Suite.size(), 1u);
   EXPECT_EQ(Suite[0].Options.Pool, &Pool);
   EXPECT_EQ(Suite[0].Name, "binpacking");
+}
+
+// PBT_BENCH_SCALE follows --scale's parse rule. "nan" used to pass every
+// check and reach a NaN-to-size_t cast; "2x" used to read as 2.
+TEST(BenchmarkRegistryTest, ScaleFromEnvRejectsWhatScaleRejects) {
+  const char *Old = std::getenv("PBT_BENCH_SCALE");
+  std::optional<std::string> Saved;
+  if (Old)
+    Saved = Old;
+  auto ScaleOf = [](const char *Value) {
+    setenv("PBT_BENCH_SCALE", Value, /*overwrite=*/1);
+    return scaleFromEnv();
+  };
+  EXPECT_EQ(ScaleOf("nan"), 1.0);
+  EXPECT_EQ(ScaleOf("inf"), 1.0);
+  EXPECT_EQ(ScaleOf("2x"), 1.0);
+  EXPECT_EQ(ScaleOf("0"), 1.0);
+  EXPECT_EQ(ScaleOf("0.5"), 0.5);
+  EXPECT_EQ(ScaleOf("0.01"), 0.1); // clamped
+  unsetenv("PBT_BENCH_SCALE");
+  EXPECT_EQ(scaleFromEnv(), 1.0);
+  if (Saved)
+    setenv("PBT_BENCH_SCALE", Saved->c_str(), 1);
 }
 
 TEST(BenchmarkRegistryTest, DescribeIsNonEmptyForEveryEntry) {
