@@ -9,8 +9,9 @@
 /// sorting algorithms across input families, the bin packing heuristics,
 /// the SVD methods, the PDE smoothers/solvers, K-means, and classifier
 /// prediction -- plus wall-clock comparisons of sequential vs pooled
-/// pipeline training and evaluation, and one pbt-serve wire round trip
-/// (framing plus codec, no decide). Kernel benchmarks measure real time
+/// pipeline training and evaluation, one pbt-serve wire round trip
+/// (framing plus codec, no decide), and the memo-warm inline retrain of
+/// an adapting tenant. Kernel benchmarks measure real time
 /// of our implementations (the pipeline itself uses the deterministic
 /// cost model). When google-benchmark is unavailable the subcommand
 /// degrades to an explanatory stub.
@@ -25,6 +26,7 @@
 #include "benchmarks/SortAlgorithms.h"
 #include "core/FeatureProbe.h"
 #include "core/Pipeline.h"
+#include "daemon/ModelRegistry.h"
 #include "daemon/Protocol.h"
 #include "daemon/Server.h"
 #include "linalg/SVD.h"
@@ -36,9 +38,11 @@
 #include "registry/BenchmarkRegistry.h"
 #include "runtime/AdaptiveService.h"
 #include "serialize/ModelIO.h"
+#include "streams/WorkloadStream.h"
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <numeric>
@@ -514,6 +518,57 @@ static void BM_LevelTwoZoo(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_LevelTwoZoo)->Unit(benchmark::kMillisecond);
+
+/// The inline retrain of a `pbt-serve --adapt` tenant, memo-warm: the
+/// perfbench `adapt` workload's sort1 stream (abrupt, 500 ticks, its
+/// pinned stream seed) replayed through serve() on an AutoAdapt registry
+/// tenant of the golden sort1 model. One untimed pass first fills the
+/// feature and run memos, as the daemon's first cycle does. Each
+/// iteration replays the stream once; `retrain_median_us` is the median
+/// wall time of the timed passes' retrains (pipeline plus compile), the
+/// part of the adapt tail that the retrain itself owns.
+static void BM_RetrainWarm(benchmark::State &State) {
+  daemon::ModelRegistryOptions RO;
+  RO.AutoAdapt = true;
+  daemon::ModelRegistry Registry(RO);
+  serialize::LoadStatus St =
+      Registry.addTenant("sort1", PBT_GOLDEN_DIR "/sort1.pbt");
+  if (!St) {
+    State.SkipWithError(("sort1 tenant: " + St.Error).c_str());
+    return;
+  }
+  daemon::Tenant &T = *Registry.find("sort1");
+  streams::WorkloadStreamOptions SO;
+  SO.Kind = streams::Schedule::Abrupt;
+  SO.Requests = 500;
+  // perfbench's adapt stream seed for round 0, connection 0, tenant 0.
+  const uint64_t StreamSeed = 0xADA97;
+  SO.Seed = ((StreamSeed * 1000003u + 0) * 131u + 0) * 131u + 0;
+  streams::WorkloadStream Stream(*T.Program, SO);
+  runtime::AdaptiveService &Svc = *T.Service;
+  for (size_t Input : Stream.sequence())
+    Svc.serve(Input);
+  uint64_t WarmRetrains = Svc.stats().Retrains;
+  for (auto _ : State)
+    for (size_t Input : Stream.sequence())
+      benchmark::DoNotOptimize(Svc.serve(Input).Landmark);
+  // The history keeps only the most recent attempts; the timed ones are
+  // its tail.
+  size_t Timed = static_cast<size_t>(Svc.stats().Retrains - WarmRetrains);
+  std::vector<runtime::AdaptiveService::SwapRecord> History = Svc.history();
+  Timed = std::min(Timed, History.size());
+  std::vector<double> Us;
+  for (size_t I = History.size() - Timed; I != History.size(); ++I)
+    Us.push_back(History[I].RetrainSeconds * 1e6);
+  if (Us.empty()) {
+    State.SkipWithError("the timed passes made no retrain");
+    return;
+  }
+  std::nth_element(Us.begin(), Us.begin() + Us.size() / 2, Us.end());
+  State.counters["retrain_median_us"] = Us[Us.size() / 2];
+  State.counters["retrains"] = static_cast<double>(Us.size());
+}
+BENCHMARK(BM_RetrainWarm)->Unit(benchmark::kMillisecond);
 
 /// OutDir-qualified path of the machine-readable kernels record.
 static std::string kernelsJsonPath(const benchharness::DriverOptions &Opts) {

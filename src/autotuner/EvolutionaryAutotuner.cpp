@@ -8,7 +8,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <cstring>
+#include <unordered_map>
 
 using namespace pbt;
 using namespace pbt::autotuner;
@@ -37,6 +38,26 @@ struct Candidate {
   Configuration Config;
   RunResult Outcome;
 };
+
+/// Hashes a configuration's values consistently with vector<double>
+/// equality: +0.0 == -0.0, so both hash as +0.0. (NaN never equals
+/// itself, so a NaN-holding configuration never hits, whatever its hash.)
+struct ValuesHash {
+  size_t operator()(const std::vector<double> &Values) const {
+    uint64_t H = 0x9e3779b97f4a7c15ull ^ Values.size();
+    for (double V : Values) {
+      if (V == 0.0)
+        V = 0.0;
+      uint64_t Bits;
+      std::memcpy(&Bits, &V, sizeof Bits);
+      // Integral values differ only in their high bits; the shift folds
+      // them back down for the bucket modulo.
+      H = (H ^ Bits) * 0xff51afd7ed558ccdull;
+      H ^= H >> 32;
+    }
+    return static_cast<size_t>(H);
+  }
+};
 } // namespace
 
 TuneResult EvolutionaryAutotuner::tune(const runtime::TunableProgram &Program,
@@ -59,53 +80,55 @@ EvolutionaryAutotuner::tune(const runtime::TunableProgram &Program,
   support::Rng Rng(Options.Seed);
   unsigned Evaluations = 0;
 
+  // Mean time, worst-case accuracy over the tuning inputs.
+  auto Measure = [&](const Configuration &Config) {
+    double TimeSum = 0.0;
+    double AccMin = 1e300;
+    for (size_t Input : Inputs) {
+      support::CostCounter C;
+      runtime::RunResult R = Program.run(Input, Config, C);
+      TimeSum += R.TimeUnits;
+      AccMin = std::min(AccMin, R.Accuracy);
+    }
+    runtime::RunResult Out;
+    Out.TimeUnits = TimeSum / static_cast<double>(Inputs.size());
+    Out.Accuracy = AccMin;
+    return Out;
+  };
+
   // (configuration values -> measured outcome) within this tune() call.
   // Elitism, low-rate mutation and crossover of converging parents re-emit
   // already measured configurations constantly (up to ~85% of evaluations
   // on the discrete-heavy benchmarks). The program runs are deterministic,
-  // so a repeat replays its recorded outcome exactly. Hits still count as
+  // so a repeat replays its recorded outcome exactly, and each distinct
+  // configuration runs once per tune() -- a batch is measured in order,
+  // so a repeat within it hits its first occurrence. Hits still count as
   // Evaluations -- that counter reports the search effort, not the run
-  // budget.
-  std::map<std::vector<double>, runtime::RunResult> Memo;
-
+  // budget. Every batch but the first is at most PopulationSize new
+  // entries, so the reserve keeps the table from ever rehashing.
+  std::unordered_map<std::vector<double>, runtime::RunResult, ValuesHash>
+      Memo;
+  Memo.reserve(static_cast<size_t>(Options.PopulationSize) *
+               (Options.Generations + 1));
   auto EvaluateAll = [&](std::vector<Candidate> &Pop, size_t Begin) {
-    auto EvalOne = [&](size_t I) {
-      // Mean time, worst-case accuracy over the tuning inputs.
-      double TimeSum = 0.0;
-      double AccMin = 1e300;
-      for (size_t Input : Inputs) {
-        support::CostCounter C;
-        runtime::RunResult R = Program.run(Input, Pop[I].Config, C);
-        TimeSum += R.TimeUnits;
-        AccMin = std::min(AccMin, R.Accuracy);
-      }
-      Pop[I].Outcome.TimeUnits = TimeSum / static_cast<double>(Inputs.size());
-      Pop[I].Outcome.Accuracy = AccMin;
-    };
-    // Resolve hits, evaluate only the misses, then record them. Misses
-    // within one batch that share a configuration are evaluated
-    // redundantly but identically.
-    std::vector<size_t> Misses;
     for (size_t I = Begin; I != Pop.size(); ++I) {
-      auto It = Memo.find(Pop[I].Config.values());
-      if (It != Memo.end())
-        Pop[I].Outcome = It->second;
-      else
-        Misses.push_back(I);
+      auto [It, Inserted] = Memo.try_emplace(Pop[I].Config.values());
+      if (Inserted)
+        It->second = Measure(Pop[I].Config);
+      Pop[I].Outcome = It->second;
     }
-    for (size_t M : Misses)
-      EvalOne(M);
-    for (size_t I : Misses)
-      Memo.emplace(Pop[I].Config.values(), Pop[I].Outcome);
     Evaluations += static_cast<unsigned>(Pop.size() - Begin);
   };
 
   // Seed population: the deterministic default config plus random samples.
-  std::vector<Candidate> Population;
-  Population.reserve(Options.PopulationSize);
-  Population.push_back({Space.defaultConfig(), {}});
-  while (Population.size() < Options.PopulationSize)
-    Population.push_back({Space.randomConfig(Rng), {}});
+  // Population and Next keep their storage across generations: each
+  // generation writes its children into the configurations the one
+  // before last held.
+  std::vector<Candidate> Population(Options.PopulationSize);
+  std::vector<Candidate> Next(Options.PopulationSize);
+  Population[0].Config = Space.defaultConfig();
+  for (size_t I = 1; I != Population.size(); ++I)
+    Population[I].Config = Space.randomConfig(Rng);
   EvaluateAll(Population, 0);
 
   auto Better = [&](const Candidate &A, const Candidate &B) {
@@ -130,30 +153,25 @@ EvolutionaryAutotuner::tune(const runtime::TunableProgram &Program,
     return Population[Best];
   };
 
+  // Elitism: carry over the best candidates unchanged (already sorted).
+  const unsigned Elites =
+      std::min<unsigned>(Options.EliteCount, Options.PopulationSize);
   for (unsigned Gen = 0; Gen != Options.Generations; ++Gen) {
-    std::vector<Candidate> Next;
-    Next.reserve(Options.PopulationSize);
-    // Elitism: carry over the best candidates unchanged (already sorted).
-    unsigned Elites =
-        std::min<unsigned>(Options.EliteCount, Options.PopulationSize);
     for (unsigned I = 0; I != Elites; ++I)
-      Next.push_back(Population[I]);
-
-    size_t FreshBegin = Next.size();
-    while (Next.size() < Options.PopulationSize) {
-      Configuration Child;
+      Next[I] = Population[I];
+    for (size_t I = Elites; I != Next.size(); ++I) {
+      Configuration &Child = Next[I].Config;
       if (Rng.chance(Options.CrossoverRate)) {
         const Candidate &A = TournamentPick();
         const Candidate &B = TournamentPick();
-        Child = Space.crossover(A.Config, B.Config, Rng);
+        Space.crossover(A.Config, B.Config, Rng, Child);
       } else {
-        Child = TournamentPick().Config;
+        Child.values() = TournamentPick().Config.values();
       }
       Space.mutate(Child, Rng, Options.MutationRate, Options.MutationStrength);
-      Next.push_back({std::move(Child), {}});
     }
-    EvaluateAll(Next, FreshBegin);
-    Population = std::move(Next);
+    EvaluateAll(Next, Elites);
+    std::swap(Population, Next);
     SortByFitness(Population);
     Result.History.push_back(Population.front().Outcome.TimeUnits);
   }

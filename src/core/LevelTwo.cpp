@@ -156,24 +156,26 @@ scoreOnColumns(const ml::Dataset &D,
   return S;
 }
 
-/// Averages per-fold scores into one candidate score. Validity follows
-/// the paper's satisfaction-threshold rule applied to the pooled held-out
-/// satisfaction rate, tightened by the selection margin.
+/// Averages the per-fold scores [\p Begin, \p End) into one candidate
+/// score. Validity follows the paper's satisfaction-threshold rule
+/// applied to the pooled held-out satisfaction rate, tightened by the
+/// selection margin.
 static CandidateScore
-averageScores(const std::string &Name, const std::vector<CandidateScore> &Folds,
+averageScores(std::string Name, const CandidateScore *Begin,
+              const CandidateScore *End,
               const std::optional<runtime::AccuracySpec> &Spec,
               double SelectionMargin) {
   CandidateScore S;
-  S.Name = Name;
-  if (Folds.empty())
+  S.Name = std::move(Name);
+  if (Begin == End)
     return S;
   S.Satisfaction = 0.0; // default is 1.0; reset before accumulating
-  for (const CandidateScore &F : Folds) {
-    S.Objective += F.Objective;
-    S.ObjectiveNoFeat += F.ObjectiveNoFeat;
-    S.Satisfaction += F.Satisfaction;
+  for (const CandidateScore *F = Begin; F != End; ++F) {
+    S.Objective += F->Objective;
+    S.ObjectiveNoFeat += F->ObjectiveNoFeat;
+    S.Satisfaction += F->Satisfaction;
   }
-  double N = static_cast<double>(Folds.size());
+  double N = static_cast<double>(End - Begin);
   S.Objective /= N;
   S.ObjectiveNoFeat /= N;
   S.Satisfaction /= N;
@@ -183,16 +185,29 @@ averageScores(const std::string &Name, const std::vector<CandidateScore> &Folds,
   return S;
 }
 
-/// Subset name like "tree{sortedness@1,deviation@0}".
+static CandidateScore
+averageScores(std::string Name, const std::vector<CandidateScore> &Folds,
+              const std::optional<runtime::AccuracySpec> &Spec,
+              double SelectionMargin) {
+  return averageScores(std::move(Name), Folds.data(),
+                       Folds.data() + Folds.size(), Spec, SelectionMargin);
+}
+
+/// Subset name like "tree{sortedness@1,deviation@0}", built in place.
 static std::string subsetName(const runtime::FeatureIndex &Index,
                               const std::vector<unsigned> &Subset) {
-  std::string Name = "tree{";
+  std::string Name;
+  Name.reserve(64);
+  Name += "tree{";
   for (size_t I = 0; I != Subset.size(); ++I) {
     if (I)
-      Name += ",";
-    Name += Index.flatName(Subset[I]);
+      Name += ',';
+    unsigned P = Index.propertyOf(Subset[I]);
+    Name += Index.propertyName(P);
+    Name += '@';
+    Name += std::to_string(Subset[I] - Index.flat(P, 0));
   }
-  Name += "}";
+  Name += '}';
   return Name;
 }
 
@@ -326,6 +341,7 @@ LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
   // below stays sequential, making every thread count identical. Fold row
   // sets compose as views of the training view. ---
   std::vector<std::vector<unsigned>> Subsets = enumerateFeatureSubsets(Index);
+  R.Candidates.reserve(Subsets.size() + 4);
   std::vector<CandidateScore> SubsetScores(Subsets.size());
   ml::RowView TrainView = ml::RowView::of(*Data, TrainRows);
   std::vector<CandidateScore> TaskScores(Subsets.size() * NumFolds);
@@ -351,12 +367,10 @@ LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
     for (size_t FI = 0; FI != NumFolds; ++FI)
       ScoreFold(FI);
   for (size_t SI = 0; SI != Subsets.size(); ++SI) {
-    std::string Name = subsetName(Index, Subsets[SI]);
-    std::vector<CandidateScore> FoldScores(
-        TaskScores.begin() + SI * NumFolds,
-        TaskScores.begin() + (SI + 1) * NumFolds);
+    const CandidateScore *Fold = TaskScores.data() + SI * NumFolds;
     SubsetScores[SI] =
-        averageScores(Name, FoldScores, Spec, Options.SelectionMargin);
+        averageScores(subsetName(Index, Subsets[SI]), Fold, Fold + NumFolds,
+                      Spec, Options.SelectionMargin);
   }
 
   size_t BestSubsetIdx = 0;
@@ -371,7 +385,10 @@ LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
   }
 
   // --- Candidate (4): incremental feature examination, over all features
-  // and over the best subset, cheapest first. ---
+  // and over the best subset, cheapest first. A feature's tables depend
+  // only on the feature and the fold's rows, and the best subset's
+  // features are among all of them, so each fold fits once over all
+  // features and the best-subset model reuses those tables. ---
   std::vector<unsigned> AllFlat(Index.numFlat());
   std::iota(AllFlat.begin(), AllFlat.end(), 0);
   std::vector<std::pair<std::string, std::vector<unsigned>>> IncrementalRuns =
@@ -380,12 +397,17 @@ LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
        {"incremental{best-subset}",
         cheapestFirstOrder(L1.ExtractCosts, TrainRows,
                            Subsets[BestSubsetIdx])}};
-  for (const auto &[Name, Order] : IncrementalRuns) {
+  std::vector<ml::IncrementalBayes> FoldBayes(NumFolds);
+  for (size_t FI = 0; FI != NumFolds; ++FI)
+    FoldBayes[FI].fit(L1.Features, LabelOfRow, K, IncrementalRuns[0].second,
+                      Options.Bayes, FoldTrain[FI]);
+  for (size_t Run = 0; Run != IncrementalRuns.size(); ++Run) {
+    const auto &[Name, Order] = IncrementalRuns[Run];
     std::vector<CandidateScore> FoldScores;
     for (size_t FI = 0; FI != NumFolds; ++FI) {
-      ml::IncrementalBayes Bayes;
-      Bayes.fit(L1.Features, LabelOfRow, K, Order, Options.Bayes,
-                FoldTrain[FI]);
+      if (Run != 0)
+        FoldBayes[FI] = FoldBayes[FI].withOrder(Order);
+      const ml::IncrementalBayes &Bayes = FoldBayes[FI];
       ColumnProbe Probe(*Data);
       FoldScores.push_back(scoreOnColumns(
           *Data, Spec, FoldTest[FI], Name, Probe,

@@ -7,6 +7,7 @@
 #include "core/Pipeline.h"
 #include "core/Labeling.h"
 #include "ml/CrossValidation.h"
+#include "support/Cost.h"
 
 #include <algorithm>
 #include <cassert>
@@ -33,12 +34,15 @@ TrainedSystem core::trainSystem(const runtime::TunableProgram &Program,
   LevelTwoOptions L2Opts = Options.L2;
   if (!L2Opts.Pool)
     L2Opts.Pool = Options.Pool;
+  support::WallTimer Level1Timer;
   S.L1 = runLevelOne(Program, S.TrainRows, L1Opts);
+  S.Level1Seconds = Level1Timer.elapsedSeconds();
 
   // Columnarize the evidence exactly once; Level 2 and evaluation share
   // this substrate (row-index views) instead of re-reading the row-major
   // tables. The label column is attached here so the labelling rule runs
   // once per training run.
+  support::WallTimer Level2Timer;
   std::optional<runtime::AccuracySpec> Spec = Program.accuracy();
   auto Data = std::make_shared<ml::Dataset>(
       S.L1.Features, S.L1.ExtractCosts, S.L1.Time, S.L1.Acc,
@@ -46,6 +50,7 @@ TrainedSystem core::trainSystem(const runtime::TunableProgram &Program,
   Data->setLabels(labelAllRows(S.L1.Time, S.L1.Acc, Spec));
   S.Data = std::move(Data);
   S.L2 = runLevelTwo(Program, S.L1, S.TrainRows, L2Opts, S.Data.get());
+  S.Level2Seconds = Level2Timer.elapsedSeconds();
 
   S.StaticOracleLandmark =
       selectStaticOracle(S.L1.Time, S.L1.Acc, S.TrainRows, Spec);

@@ -55,6 +55,11 @@ struct TrainedSystem {
   /// reorganisation of L1; absent when the system was loaded from a model
   /// file or its training state was dropped.
   std::shared_ptr<const ml::Dataset> Data;
+  /// Wall seconds trainSystem spent in Level 1 (runLevelOne) and in
+  /// Level 2 (columnarizing the evidence and runLevelTwo). Like Data,
+  /// never serialized: zero on a loaded model.
+  double Level1Seconds = 0.0;
+  double Level2Seconds = 0.0;
 };
 
 /// Per-method evaluation summary on the test rows: the paper's Table 1

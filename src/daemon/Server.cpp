@@ -514,6 +514,10 @@ std::string Server::statsJson() const {
     // Last, so readers that take a key's first match still see the keys
     // above unchanged.
     J += ", \"build_ms\": " + jsonDouble(T->BuildMs);
+    J += ", \"retrain_level1_ms_total\": " +
+         jsonDouble(A.RetrainLevel1SecondsTotal * 1e3);
+    J += ", \"retrain_level2_ms_total\": " +
+         jsonDouble(A.RetrainLevel2SecondsTotal * 1e3);
     J += "}";
   }
   J += "]}";

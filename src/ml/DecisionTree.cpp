@@ -224,35 +224,50 @@ unsigned DecisionTree::build(const linalg::Matrix &X,
 /// once per class that reaches it, in that class's pre-order -- the node
 /// numbering an independent fit emits. A class that splits off starts
 /// from a copy of its parent class's list.
+///
+/// A node holds only the presorted columns its members can read: a
+/// split partitions the columns of the features some member of the
+/// splitting group lists, since no node below it reads any other.
 class DecisionTree::SharedGrower {
 public:
   SharedGrower(const ml::Dataset &Data, const std::vector<unsigned> &Y,
                unsigned NumClasses, const DecisionTreeOptions &Options,
                const std::vector<std::vector<unsigned>> &Subsets)
       : Data(Data), Y(Y), NumClasses(NumClasses), Options(Options),
-        M(Data.numFeatures()), Feats(Subsets), ClassNodes(1),
-        ClassOf(Subsets.size(), 0) {
-    for (std::vector<unsigned> &F : Feats) {
-      if (F.empty()) {
-        F.resize(M);
-        std::iota(F.begin(), F.end(), 0u);
-      }
+        M(Data.numFeatures()), Subsets(Subsets), AllFeatures(M),
+        ClassNodes(1), ClassOf(Subsets.size(), 0),
+        GoesLeft(Data.numRows()) {
+    std::iota(AllFeatures.begin(), AllFeatures.end(), 0u);
 #ifndef NDEBUG
+    for (const std::vector<unsigned> &F : Subsets)
       for (unsigned Feature : F)
         assert(Feature < M && "subset feature out of range");
 #endif
-    }
   }
 
-  /// Grows the node holding the \p N rows of \p Cols (all M presorted
-  /// columns, feature-major) for \p Members.
-  void grow(const uint32_t *Cols, size_t N,
+  /// Grows the root over \p Base's columns for every subset.
+  void growRoot(const ml::PresortedBase &Base) {
+    std::vector<unsigned> All(Subsets.size());
+    std::iota(All.begin(), All.end(), 0u);
+    std::vector<int32_t> Slot(M, -1);
+    for (unsigned S : All)
+      for (unsigned F : feats(S))
+        Slot[F] = static_cast<int32_t>(F);
+    if (!All.empty())
+      grow(Base.columns(), Base.size(), Slot, All, 0);
+  }
+
+  /// Grows the node holding the \p N rows of \p Cols for \p Members.
+  /// \p Slot maps each feature some member lists to its value-ordered
+  /// row list, Cols + Slot[F] * N, and every other feature to -1.
+  void grow(const uint32_t *Cols, size_t N, const std::vector<int32_t> &Slot,
             const std::vector<unsigned> &Members, unsigned Depth) {
     assert(N > 0 && "empty node");
     while (Frames.size() <= Depth)
       Frames.emplace_back();
     Frame &Fr = Frames[Depth];
     double Total = static_cast<double>(N);
+    // Every held column lists the node's rows; the first one counts them.
     std::vector<double> &Counts = Fr.Counts;
     Counts.assign(NumClasses, 0.0);
     for (size_t I = 0; I != N; ++I)
@@ -268,18 +283,13 @@ public:
     }
 
     // Each feature's best split, once, for every feature a member may use.
-    std::vector<uint8_t> &Needed = Fr.Needed;
-    Needed.assign(M, 0);
-    for (unsigned S : Members)
-      for (unsigned F : Feats[S])
-        Needed[F] = 1;
     double ParentImpurity = gini(Counts, Total);
     std::vector<SplitChoice> &Best = Fr.Best;
     Best.assign(M, SplitChoice());
     LeftCounts.resize(NumClasses);
     for (unsigned F = 0; F != M; ++F)
-      if (Needed[F])
-        Best[F] = bestSplitOf(Cols + static_cast<size_t>(F) * N, N,
+      if (Slot[F] >= 0)
+        Best[F] = bestSplitOf(Cols + static_cast<size_t>(Slot[F]) * N, N,
                               Data.featureCol(F), Y, Counts, ParentImpurity,
                               Options, LeftCounts);
 
@@ -297,7 +307,7 @@ public:
     for (size_t I = 0; I != Members.size(); ++I) {
       double Gain = 1e-12;
       int Pick = -1;
-      for (unsigned F : Feats[Members[I]])
+      for (unsigned F : feats(Members[I]))
         if (Best[F].Found && Best[F].Gain > Gain) {
           Gain = Best[F].Gain;
           Pick = static_cast<int>(F);
@@ -325,28 +335,47 @@ public:
       double Threshold = Best[F].Threshold;
       const double *SplitVals = Data.featureCol(F);
       size_t NLeft = 0;
-      for (size_t I = 0; I != N; ++I)
-        NLeft += SplitVals[Cols[I]] <= Threshold;
+      for (size_t I = 0; I != N; ++I) {
+        uint32_t Row = Cols[I];
+        GoesLeft[Row] = SplitVals[Row] <= Threshold;
+        NLeft += GoesLeft[Row];
+      }
       if (NLeft == 0 || NLeft == N) {
         addLeaf(Group, Counts); // Degenerate split; should not happen.
         continue;
       }
-      // Stable partition of every column into the two children's
-      // buffers: each stays value-ordered for its own feature.
+      // The children hold the columns of the group's features, each
+      // stably partitioned so it stays value-ordered for its feature.
+      std::vector<int32_t> &ChildSlot = Fr.ChildSlot;
+      ChildSlot.assign(M, -1);
+      for (unsigned S : Group)
+        for (unsigned C : feats(S))
+          ChildSlot[C] = 0;
+      size_t Held = 0;
+      for (unsigned C = 0; C != M; ++C)
+        if (ChildSlot[C] >= 0)
+          ChildSlot[C] = static_cast<int32_t>(Held++);
+      // Branch-free: every row is written to both sides and only the
+      // side it goes to advances. The other side's write lands on a slot
+      // a later row (or the next column, filled after this one) takes,
+      // or on the one spare slot past the last column.
       size_t NRight = N - NLeft;
       std::vector<uint32_t> &Left = Fr.Left, &Right = Fr.Right;
-      Left.resize(static_cast<size_t>(M) * NLeft);
-      Right.resize(static_cast<size_t>(M) * NRight);
+      Left.resize(Held * NLeft + 1);
+      Right.resize(Held * NRight + 1);
       for (unsigned C = 0; C != M; ++C) {
-        const uint32_t *Col = Cols + static_cast<size_t>(C) * N;
-        uint32_t *L = Left.data() + static_cast<size_t>(C) * NLeft;
-        uint32_t *R = Right.data() + static_cast<size_t>(C) * NRight;
+        if (ChildSlot[C] < 0)
+          continue;
+        const uint32_t *Col = Cols + static_cast<size_t>(Slot[C]) * N;
+        uint32_t *L = Left.data() + static_cast<size_t>(ChildSlot[C]) * NLeft;
+        uint32_t *R = Right.data() + static_cast<size_t>(ChildSlot[C]) * NRight;
         for (size_t I = 0; I != N; ++I) {
           uint32_t Row = Col[I];
-          if (SplitVals[Row] <= Threshold)
-            *L++ = Row;
-          else
-            *R++ = Row;
+          size_t GoLeft = GoesLeft[Row];
+          *L = Row;
+          *R = Row;
+          L += GoLeft;
+          R += GoLeft ^ 1;
         }
       }
 
@@ -368,12 +397,12 @@ public:
         }
         Self[I] = static_cast<unsigned>(T.size()) - 1;
       }
-      grow(Left.data(), NLeft, Group, Depth + 1);
+      grow(Left.data(), NLeft, ChildSlot, Group, Depth + 1);
       for (size_t I = 0; I != Group.size(); ++I) {
         std::vector<Node> &T = ClassNodes[ClassOf[Group[I]]];
         T[Self[I]].Right = static_cast<unsigned>(T.size());
       }
-      grow(Right.data(), NRight, Group, Depth + 1);
+      grow(Right.data(), NRight, ChildSlot, Group, Depth + 1);
     }
   }
 
@@ -450,13 +479,19 @@ private:
     }
   }
 
+  /// Subset \p S's candidate features, in order (an empty subset means
+  /// all of them).
+  const std::vector<unsigned> &feats(unsigned S) const {
+    return Subsets[S].empty() ? AllFeatures : Subsets[S];
+  }
+
   const ml::Dataset &Data;
   const std::vector<unsigned> &Y;
   unsigned NumClasses;
   const DecisionTreeOptions &Options;
   unsigned M;
-  /// Per subset: its candidate features, in order.
-  std::vector<std::vector<unsigned>> Feats;
+  const std::vector<std::vector<unsigned>> &Subsets;
+  std::vector<unsigned> AllFeatures;
   /// Per class: its tree's nodes so far.
   std::vector<std::vector<Node>> ClassNodes;
   /// Per subset: its class of identical trees so far.
@@ -466,14 +501,18 @@ private:
   /// so growing allocates per depth rather than per node.
   struct Frame {
     std::vector<double> Counts;
-    std::vector<uint8_t> Needed;
     std::vector<SplitChoice> Best;
     std::vector<int> GroupOfChoice, GroupFeature, Choice;
     std::vector<std::vector<unsigned>> Groups;
+    /// The children's column slots, and their row lists.
+    std::vector<int32_t> ChildSlot;
     std::vector<uint32_t> Left, Right;
     std::vector<unsigned> Self;
   };
   std::deque<Frame> Frames;
+  /// Per dataset row: whether it goes left at the split being
+  /// partitioned (read only before the children grow).
+  std::vector<uint8_t> GoesLeft;
   /// bestSplitOf's and refineClasses' scratch, dead once each call
   /// returns: per class, the first choice seen; the classes split off.
   std::vector<double> LeftCounts;
@@ -500,10 +539,7 @@ DecisionTree::fitSubsets(const ml::Dataset &Data,
   assert(Base.size() > 0 && "cannot train on zero samples");
   assert(Data.numFeatures() > 0 && "need at least one feature");
   SharedGrower Grower(Data, Y, NumClasses, Options, Subsets);
-  std::vector<unsigned> All(Subsets.size());
-  std::iota(All.begin(), All.end(), 0u);
-  if (!All.empty())
-    Grower.grow(Base.columns(), Base.size(), All, 0);
+  Grower.growRoot(Base);
   return Grower.finish();
 }
 

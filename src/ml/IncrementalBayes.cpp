@@ -83,15 +83,41 @@ void IncrementalBayes::fit(const linalg::Matrix &X,
     }
     std::vector<double> LP(Counts.size());
     for (unsigned C = 0; C != NumClasses; ++C) {
+      const double *Row = Counts.data() + static_cast<size_t>(C) * Bins;
       double Total = 0.0;
       for (unsigned B = 0; B != Bins; ++B)
-        Total += Counts[static_cast<size_t>(C) * Bins + B];
+        Total += Row[B];
+      // A class holds only a few training rows, so neighbouring regions
+      // mostly share one count; an equal count repeats the same log.
       for (unsigned B = 0; B != Bins; ++B)
         LP[static_cast<size_t>(C) * Bins + B] =
-            std::log(Counts[static_cast<size_t>(C) * Bins + B] / Total);
+            B != 0 && Row[B] == Row[B - 1]
+                ? LP[static_cast<size_t>(C) * Bins + B - 1]
+                : std::log(Row[B] / Total);
     }
     LogProb[Pos] = std::move(LP);
   }
+}
+
+IncrementalBayes
+IncrementalBayes::withOrder(const std::vector<unsigned> &NewOrder) const {
+  assert(!NewOrder.empty() && "need at least one feature");
+  IncrementalBayes Out;
+  Out.Order = NewOrder;
+  Out.Priors = Priors;
+  Out.NumClasses = NumClasses;
+  Out.Bins = Bins;
+  Out.PosteriorThreshold = PosteriorThreshold;
+  Out.Edges.reserve(NewOrder.size());
+  Out.LogProb.reserve(NewOrder.size());
+  for (unsigned F : NewOrder) {
+    size_t Pos = static_cast<size_t>(
+        std::find(Order.begin(), Order.end(), F) - Order.begin());
+    assert(Pos != Order.size() && "feature not in this model's order");
+    Out.Edges.push_back(Edges[Pos]);
+    Out.LogProb.push_back(LogProb[Pos]);
+  }
+  return Out;
 }
 
 unsigned IncrementalBayes::regionOf(unsigned OrderPos, double Value) const {

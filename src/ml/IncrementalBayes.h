@@ -65,6 +65,12 @@ public:
            const IncrementalBayesOptions &Options = {},
            const std::vector<size_t> &SampleIndices = {});
 
+  /// The model fit() trains over the same rows with acquisition order
+  /// \p NewOrder, whose features must all be in featureOrder(). A
+  /// feature's edges and log-probability table depend only on the feature
+  /// and the training rows, not on its position, so they are copied.
+  IncrementalBayes withOrder(const std::vector<unsigned> &NewOrder) const;
+
   /// Predicts with lazy feature access: \p GetFeature(F) returns the value
   /// of (original-space) feature F and is invoked only for features that
   /// are actually examined.

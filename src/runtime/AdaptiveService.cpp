@@ -93,9 +93,15 @@ void AdaptiveService::publish(std::shared_ptr<ModelEpoch> Next,
         std::max(Next->Model.Meta.Epoch, Cur->Model.Meta.Epoch + 1);
   if (Attempt) {
     Attempt->ToEpoch = Next->Model.Meta.Epoch;
-    Swaps.push_back(*Attempt);
+    appendHistory(*Attempt);
   }
   std::atomic_store(&Current, EpochPtr(std::move(Next)));
+}
+
+void AdaptiveService::appendHistory(const SwapRecord &Attempt) {
+  Swaps.push_back(Attempt);
+  if (Swaps.size() > MaxSwapHistory)
+    Swaps.pop_front();
 }
 
 AdaptiveService::EpochPtr AdaptiveService::currentEpoch() const {
@@ -324,6 +330,7 @@ bool AdaptiveService::adaptNow() {
 
   support::WallTimer RetrainTimer;
   auto Candidate = std::make_shared<ModelEpoch>();
+  double Level1Seconds = 0.0, Level2Seconds = 0.0;
   try {
     SubsetProgram View(Program, Sample);
     core::PipelineOptions Opt = Opts.Retrain;
@@ -336,6 +343,8 @@ bool AdaptiveService::adaptNow() {
     Opt.L1.Features = &SampleFeatures;
     Opt.L1.ExtractCosts = &SampleCosts;
     core::TrainedSystem Sys = core::trainSystem(View, Opt);
+    Level1Seconds = Sys.Level1Seconds;
+    Level2Seconds = Sys.Level2Seconds;
     Candidate->Model = serialize::makeModel(
         Ep->Model.Meta.Benchmark, Ep->Model.Meta.Scale,
         Ep->Model.Meta.ProgramSeed, View, std::move(Sys));
@@ -357,6 +366,8 @@ bool AdaptiveService::adaptNow() {
   Attempt.RetrainSeconds = RetrainTimer.elapsedSeconds();
   RetrainCount.fetch_add(1, std::memory_order_relaxed);
   atomicAdd(RetrainSeconds, Attempt.RetrainSeconds);
+  atomicAdd(RetrainLevel1Seconds, Level1Seconds);
+  atomicAdd(RetrainLevel2Seconds, Level2Seconds);
   LastRetrainSeconds.store(Attempt.RetrainSeconds, std::memory_order_relaxed);
   if (!Candidate->Compiled.ready()) {
     RejectCount.fetch_add(1, std::memory_order_relaxed);
@@ -379,7 +390,7 @@ bool AdaptiveService::adaptNow() {
     {
       std::lock_guard<std::mutex> Lock(SwapMutex);
       Attempt.ToEpoch = Candidate->Model.Meta.Epoch;
-      Swaps.push_back(Attempt);
+      appendHistory(Attempt);
     }
     // The distribution did move; the champion just remains the best
     // answer for it. Adopt the new regime as reference.
@@ -440,6 +451,10 @@ AdaptiveService::StatsSnapshot AdaptiveService::stats() const {
   S.SkippedRetrains = SkipCount.load(std::memory_order_relaxed);
   S.RetrainSecondsTotal = RetrainSeconds.load(std::memory_order_relaxed);
   S.LastRetrainSeconds = LastRetrainSeconds.load(std::memory_order_relaxed);
+  S.RetrainLevel1SecondsTotal =
+      RetrainLevel1Seconds.load(std::memory_order_relaxed);
+  S.RetrainLevel2SecondsTotal =
+      RetrainLevel2Seconds.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> Lock(SwapMutex);
     S.LastSkipReason = LastSkipReason;
@@ -449,5 +464,5 @@ AdaptiveService::StatsSnapshot AdaptiveService::stats() const {
 
 std::vector<AdaptiveService::SwapRecord> AdaptiveService::history() const {
   std::lock_guard<std::mutex> Lock(SwapMutex);
-  return Swaps;
+  return std::vector<SwapRecord>(Swaps.begin(), Swaps.end());
 }

@@ -24,15 +24,16 @@
 /// values and extraction costs from the feature memo instead of
 /// re-extracting them (each sampled input was served, so each row is
 /// complete), with byte-identical candidates (pinned by
-/// RetrainReuseTest). Stats report the retrain time spent in total and by
-/// the last retrain.
+/// RetrainReuseTest). Stats report the retrain time spent in total, by
+/// the last retrain, and in each of the pipeline's two levels.
 ///
 /// Model epochs are versioned: every swap bumps ModelMeta::Epoch, which
 /// the v2 serialization format records, so a persisted snapshot of an
 /// adapted model carries its adaptation generation. Cost accounting is
 /// preserved across swaps -- lifetime totals keep accumulating, and the
 /// swap history records the shadow scores that justified (or rejected)
-/// each candidate.
+/// each of the most recent candidates (bounded, so a long-lived tenant's
+/// memory does not grow with its retrain count).
 ///
 /// This is the one serving core: the daemon, the rollout replicas, the
 /// bench harnesses and every in-process parity replay decide through it.
@@ -57,6 +58,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -149,6 +151,10 @@ public:
     /// compile), and of the most recent one.
     double RetrainSecondsTotal = 0.0;
     double LastRetrainSeconds = 0.0;
+    /// The pipeline's Level-1 and Level-2 shares of RetrainSecondsTotal
+    /// (core::TrainedSystem::Level1Seconds / Level2Seconds, summed).
+    double RetrainLevel1SecondsTotal = 0.0;
+    double RetrainLevel2SecondsTotal = 0.0;
     /// Why the most recent drift response skipped retraining (empty when
     /// none ever skipped): the caught retrain exception's message, or the
     /// insufficient-evidence diagnosis. Without this, a tenant whose
@@ -205,7 +211,11 @@ public:
   const TunableProgram &program() const { return Program; }
 
   StatsSnapshot stats() const;
+  /// The most recent adaptation attempts, oldest first: at most
+  /// MaxSwapHistory of them, the oldest dropped first. stats() counts
+  /// every attempt.
   std::vector<SwapRecord> history() const;
+  static constexpr size_t MaxSwapHistory = 1024;
   const DriftMonitor &monitor() const { return Monitor; }
   const ml::Reservoir &reservoir() const { return Traffic; }
   const AdaptiveServiceOptions &options() const { return Opts; }
@@ -259,6 +269,9 @@ private:
   /// program; the shadow evaluation).
   double shadowScore(const ModelEpoch &Ep, const std::vector<size_t> &Inputs);
   void publish(std::shared_ptr<ModelEpoch> Next, SwapRecord *Attempt);
+  /// Appends \p Attempt to the history, dropping the oldest record past
+  /// MaxSwapHistory. Caller holds SwapMutex.
+  void appendHistory(const SwapRecord &Attempt);
   void recordTotals(const Decision &D);
   /// Bumps SkipCount and records \p Reason as the last skip diagnosis.
   void recordSkip(std::string Reason);
@@ -273,7 +286,7 @@ private:
   EpochPtr Current;
   std::atomic<uint64_t> EpochCounter{0};
   mutable std::mutex SwapMutex;
-  std::vector<SwapRecord> Swaps;   // guarded by SwapMutex
+  std::deque<SwapRecord> Swaps;    // guarded by SwapMutex
   std::string LastSkipReason;      // guarded by SwapMutex
 
   std::optional<FeatureIndex> Index;
@@ -296,7 +309,8 @@ private:
       DriftCount{0}, RetrainCount{0}, SwapCount{0}, RejectCount{0},
       SkipCount{0};
   std::atomic<double> CostPaid{0.0}, MonitorCost{0.0}, RetrainSeconds{0.0},
-      LastRetrainSeconds{0.0};
+      LastRetrainSeconds{0.0}, RetrainLevel1Seconds{0.0},
+      RetrainLevel2Seconds{0.0};
 };
 
 } // namespace runtime

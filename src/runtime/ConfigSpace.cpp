@@ -13,6 +13,18 @@
 using namespace pbt;
 using namespace pbt::runtime;
 
+unsigned ConfigSpace::addParam(ParamSpec P) {
+  LogBounds L;
+  if (P.LogScale) {
+    L.Min = std::log(P.Min);
+    L.Max = std::log(P.Max);
+    L.Span = L.Max - L.Min;
+  }
+  Params.push_back(std::move(P));
+  Logs.push_back(L);
+  return static_cast<unsigned>(Params.size() - 1);
+}
+
 unsigned ConfigSpace::addCategorical(std::string Name, unsigned Cardinality) {
   assert(Cardinality >= 1 && "categorical parameter needs at least 1 choice");
   ParamSpec P;
@@ -21,8 +33,7 @@ unsigned ConfigSpace::addCategorical(std::string Name, unsigned Cardinality) {
   P.Min = 0.0;
   P.Max = static_cast<double>(Cardinality - 1);
   P.Cardinality = Cardinality;
-  Params.push_back(std::move(P));
-  return static_cast<unsigned>(Params.size() - 1);
+  return addParam(std::move(P));
 }
 
 unsigned ConfigSpace::addInteger(std::string Name, int64_t Min, int64_t Max,
@@ -35,8 +46,7 @@ unsigned ConfigSpace::addInteger(std::string Name, int64_t Min, int64_t Max,
   P.Min = static_cast<double>(Min);
   P.Max = static_cast<double>(Max);
   P.LogScale = LogScale;
-  Params.push_back(std::move(P));
-  return static_cast<unsigned>(Params.size() - 1);
+  return addParam(std::move(P));
 }
 
 unsigned ConfigSpace::addReal(std::string Name, double Min, double Max,
@@ -49,8 +59,7 @@ unsigned ConfigSpace::addReal(std::string Name, double Min, double Max,
   P.Min = Min;
   P.Max = Max;
   P.LogScale = LogScale;
-  Params.push_back(std::move(P));
-  return static_cast<unsigned>(Params.size() - 1);
+  return addParam(std::move(P));
 }
 
 int ConfigSpace::indexOf(const std::string &Name) const {
@@ -76,6 +85,7 @@ void ConfigSpace::makeConditional(unsigned Index, unsigned Parent,
   }
   Params[Index].Parent = static_cast<int>(Parent);
   Params[Index].ParentMask = Mask;
+  HasConditional = true;
 }
 
 bool ConfigSpace::active(const Configuration &Config, unsigned Index) const {
@@ -126,6 +136,8 @@ double ConfigSpace::canonicalValue(unsigned Index) const {
 
 void ConfigSpace::canonicalize(Configuration &Config) const {
   assert(Config.size() == Params.size() && "configuration/space mismatch");
+  if (!HasConditional)
+    return;
   // One pass suffices: activity tests the *whole* parent chain, so
   // pinning an inactive categorical parent to category 0 can never flip a
   // descendant's activity -- the descendant's chain walk already fails at
@@ -135,15 +147,17 @@ void ConfigSpace::canonicalize(Configuration &Config) const {
       Config.set(static_cast<unsigned>(I), defaultValue(Params[I]));
 }
 
-/// Draws a uniform value for \p P, respecting integrality and log scaling.
-static double sampleParam(const ParamSpec &P, support::Rng &Rng) {
+/// Draws a uniform value for parameter \p Index, respecting integrality
+/// and log scaling.
+double ConfigSpace::sampleParam(unsigned Index, support::Rng &Rng) const {
+  const ParamSpec &P = Params[Index];
+  const LogBounds &L = Logs[Index];
   switch (P.Kind) {
   case ParamKind::Categorical:
     return static_cast<double>(Rng.index(P.Cardinality));
   case ParamKind::Integer: {
     if (P.LogScale) {
-      double L = Rng.uniform(std::log(P.Min), std::log(P.Max));
-      double V = std::round(std::exp(L));
+      double V = std::round(std::exp(Rng.uniform(L.Min, L.Max)));
       return std::clamp(V, P.Min, P.Max);
     }
     return static_cast<double>(
@@ -151,7 +165,7 @@ static double sampleParam(const ParamSpec &P, support::Rng &Rng) {
   }
   case ParamKind::Real:
     if (P.LogScale)
-      return std::exp(Rng.uniform(std::log(P.Min), std::log(P.Max)));
+      return std::exp(Rng.uniform(L.Min, L.Max));
     return Rng.uniform(P.Min, P.Max);
   }
   assert(false && "unknown parameter kind");
@@ -161,7 +175,7 @@ static double sampleParam(const ParamSpec &P, support::Rng &Rng) {
 Configuration ConfigSpace::randomConfig(support::Rng &Rng) const {
   std::vector<double> V(Params.size());
   for (size_t I = 0; I != Params.size(); ++I)
-    V[I] = sampleParam(Params[I], Rng);
+    V[I] = sampleParam(static_cast<unsigned>(I), Rng);
   Configuration Config(std::move(V));
   canonicalize(Config);
   return Config;
@@ -178,7 +192,7 @@ Configuration ConfigSpace::defaultConfig() const {
 void ConfigSpace::mutate(Configuration &Config, support::Rng &Rng, double Rate,
                          double Strength) const {
   assert(Config.size() == Params.size() && "configuration/space mismatch");
-  uint64_t WasActive = activeMask(Config);
+  uint64_t WasActive = HasConditional ? activeMask(Config) : ~uint64_t(0);
   for (size_t I = 0; I != Params.size(); ++I) {
     // Dead-branch parameters don't exist under this config; spending the
     // mutation budget on them would only churn values canonicalize pins
@@ -191,7 +205,8 @@ void ConfigSpace::mutate(Configuration &Config, support::Rng &Rng, double Rate,
     // A small fraction of mutations restart the parameter entirely; this is
     // the PetaBricks-style "reset" mutator that keeps search ergodic.
     if (Rng.chance(0.2)) {
-      Config.set(static_cast<unsigned>(I), sampleParam(P, Rng));
+      Config.set(static_cast<unsigned>(I),
+                 sampleParam(static_cast<unsigned>(I), Rng));
       continue;
     }
     double V = Config.real(static_cast<unsigned>(I));
@@ -204,9 +219,8 @@ void ConfigSpace::mutate(Configuration &Config, support::Rng &Rng, double Rate,
     case ParamKind::Real: {
       double NewV;
       if (P.LogScale) {
-        double Span = std::log(P.Max) - std::log(P.Min);
         double L = std::log(std::max(V, P.Min)) +
-                   Rng.gaussian(0.0, std::max(1e-12, Strength * Span));
+                   Rng.gaussian(0.0, std::max(1e-12, Strength * Logs[I].Span));
         NewV = std::exp(L);
       } else {
         double Span = P.Max - P.Min;
@@ -223,6 +237,8 @@ void ConfigSpace::mutate(Configuration &Config, support::Rng &Rng, double Rate,
     }
     }
   }
+  if (!HasConditional)
+    return;
   // A parent flip may have opened a branch: parameters active now but not
   // before carry only their pinned value, so give each a fresh uniform
   // sample. Forward order settles nested chains -- resampling a
@@ -230,22 +246,30 @@ void ConfigSpace::mutate(Configuration &Config, support::Rng &Rng, double Rate,
   // visited after it with their parent's value already final.
   for (size_t I = 0; I != Params.size(); ++I)
     if (!((WasActive >> I) & 1) && active(Config, static_cast<unsigned>(I)))
-      Config.set(static_cast<unsigned>(I), sampleParam(Params[I], Rng));
+      Config.set(static_cast<unsigned>(I),
+                 sampleParam(static_cast<unsigned>(I), Rng));
   canonicalize(Config);
 }
 
 Configuration ConfigSpace::crossover(const Configuration &A,
                                      const Configuration &B,
                                      support::Rng &Rng) const {
+  Configuration Child;
+  crossover(A, B, Rng, Child);
+  return Child;
+}
+
+void ConfigSpace::crossover(const Configuration &A, const Configuration &B,
+                            support::Rng &Rng, Configuration &Child) const {
   assert(A.size() == Params.size() && B.size() == Params.size() &&
          "configuration/space mismatch");
-  std::vector<double> V(Params.size());
+  assert(&Child != &A && &Child != &B && "crossover child aliases a parent");
+  std::vector<double> &V = Child.values();
+  V.resize(Params.size());
   for (size_t I = 0; I != Params.size(); ++I)
     V[I] = Rng.chance(0.5) ? A.real(static_cast<unsigned>(I))
                            : B.real(static_cast<unsigned>(I));
-  Configuration Child(std::move(V));
   canonicalize(Child);
-  return Child;
 }
 
 void ConfigSpace::repair(Configuration &Config) const {

@@ -144,6 +144,10 @@ public:
   /// Uniform crossover of two parents; the child is canonicalized.
   Configuration crossover(const Configuration &A, const Configuration &B,
                           support::Rng &Rng) const;
+  /// The same crossover written into \p Child, reusing its storage (the
+  /// autotuner's generation loop). \p Child must not alias a parent.
+  void crossover(const Configuration &A, const Configuration &B,
+                 support::Rng &Rng, Configuration &Child) const;
 
   /// Clamp every value into its declared range, rounding integers and
   /// categoricals, then canonicalize. Mutation keeps configs valid; this
@@ -158,7 +162,21 @@ public:
   double searchSpaceLog10(double RealResolution = 1e4) const;
 
 private:
+  /// log(Min), log(Max) and their difference for a log-scaled parameter,
+  /// computed once at declaration; zero otherwise.
+  struct LogBounds {
+    double Min = 0.0, Max = 0.0, Span = 0.0;
+  };
+
+  unsigned addParam(ParamSpec P);
+  double sampleParam(unsigned Index, support::Rng &Rng) const;
+
   std::vector<ParamSpec> Params;
+  std::vector<LogBounds> Logs; // parallel to Params
+  /// Some parameter was made conditional. Without one every parameter is
+  /// always active and every configuration is canonical, so the
+  /// activity and canonicalization passes are skipped.
+  bool HasConditional = false;
 };
 
 /// One point in a ConfigSpace. Values are stored as doubles; integer and

@@ -55,24 +55,21 @@ SelectorScheme SelectorScheme::declare(ConfigSpace &Space,
 
 Selector SelectorScheme::instantiate(const Configuration &Config) const {
   assert(NumLevels >= 1 && "scheme was not declared");
-  // Gather (cutoff, choice) pairs. Stored cutoffs are unordered; sorting
-  // them makes every encoding decode to a monotone rule.
-  std::vector<uint64_t> Cutoffs;
-  Cutoffs.reserve(NumLevels - 1);
+  // Gather the cutoffs straight into the level list and sort them there
+  // (stored cutoffs are unordered; sorting them makes every encoding
+  // decode to a monotone rule), then attach the choices in level order.
+  std::vector<Selector::Level> Levels(NumLevels);
   for (unsigned I = 0; I + 1 < NumLevels; ++I)
-    Cutoffs.push_back(
-        static_cast<uint64_t>(Config.integer(FirstCutoffParam + I)));
-  std::sort(Cutoffs.begin(), Cutoffs.end());
-
-  std::vector<Selector::Level> Levels;
-  Levels.reserve(NumLevels);
+    Levels[I].Cutoff =
+        static_cast<uint64_t>(Config.integer(FirstCutoffParam + I));
+  std::sort(Levels.begin(), Levels.end() - 1,
+            [](const Selector::Level &A, const Selector::Level &B) {
+              return A.Cutoff < B.Cutoff;
+            });
+  Levels.back().Cutoff = std::numeric_limits<uint64_t>::max();
   for (unsigned I = 0; I != NumLevels; ++I) {
-    Selector::Level L;
-    L.Cutoff = I + 1 < NumLevels ? Cutoffs[I]
-                                 : std::numeric_limits<uint64_t>::max();
-    L.Choice = Config.category(FirstChoiceParam + I);
-    assert(L.Choice < NumChoices && "choice out of range");
-    Levels.push_back(L);
+    Levels[I].Choice = Config.category(FirstChoiceParam + I);
+    assert(Levels[I].Choice < NumChoices && "choice out of range");
   }
   return Selector(std::move(Levels));
 }

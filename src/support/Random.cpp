@@ -19,56 +19,12 @@ static uint64_t splitMix64(uint64_t &X) {
   return Z ^ (Z >> 31);
 }
 
-static uint64_t rotl(uint64_t X, int K) {
-  return (X << K) | (X >> (64 - K));
-}
-
 Rng::Rng(uint64_t Seed) {
   // SplitMix64 expansion guarantees a non-degenerate xoshiro state even for
   // adversarial seeds such as 0.
   uint64_t S = Seed;
   for (uint64_t &Word : State)
     Word = splitMix64(S);
-}
-
-uint64_t Rng::next() {
-  uint64_t Result = rotl(State[1] * 5, 7) * 9;
-  uint64_t T = State[1] << 17;
-  State[2] ^= State[0];
-  State[3] ^= State[1];
-  State[1] ^= State[2];
-  State[0] ^= State[3];
-  State[2] ^= T;
-  State[3] = rotl(State[3], 45);
-  return Result;
-}
-
-double Rng::uniform() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double Lo, double Hi) {
-  assert(Lo <= Hi && "empty uniform range");
-  return Lo + (Hi - Lo) * uniform();
-}
-
-int64_t Rng::range(int64_t Lo, int64_t Hi) {
-  assert(Lo <= Hi && "empty integer range");
-  uint64_t Span = static_cast<uint64_t>(Hi - Lo) + 1;
-  if (Span == 0) // Full 64-bit range.
-    return static_cast<int64_t>(next());
-  // Rejection sampling to avoid modulo bias.
-  uint64_t Limit = UINT64_MAX - UINT64_MAX % Span;
-  uint64_t X = next();
-  while (X >= Limit)
-    X = next();
-  return Lo + static_cast<int64_t>(X % Span);
-}
-
-size_t Rng::index(size_t N) {
-  assert(N > 0 && "index() needs a non-empty range");
-  return static_cast<size_t>(range(0, static_cast<int64_t>(N) - 1));
 }
 
 double Rng::gaussian(double Mean, double StdDev) {
@@ -94,14 +50,6 @@ double Rng::exponential(double Rate) {
   while (U <= 0.0)
     U = uniform();
   return -std::log(U) / Rate;
-}
-
-bool Rng::chance(double P) {
-  if (P <= 0.0)
-    return false;
-  if (P >= 1.0)
-    return true;
-  return uniform() < P;
 }
 
 std::vector<size_t> Rng::sampleWithoutReplacement(size_t N, size_t K) {

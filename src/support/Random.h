@@ -35,20 +35,54 @@ class Rng {
 public:
   explicit Rng(uint64_t Seed = 0x9e3779b97f4a7c15ull);
 
+  // The integer and uniform draws sit in hot loops (the autotuner draws
+  // several per child), so they are inline; the transcendental ones are
+  // not.
+
   /// Next raw 64-bit value.
-  uint64_t next();
+  uint64_t next() {
+    uint64_t Result = rotl(State[1] * 5, 7) * 9;
+    uint64_t T = State[1] << 17;
+    State[2] ^= State[0];
+    State[3] ^= State[1];
+    State[1] ^= State[2];
+    State[0] ^= State[3];
+    State[2] ^= T;
+    State[3] = rotl(State[3], 45);
+    return Result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 random mantissa bits -> uniform in [0, 1).
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [Lo, Hi).
-  double uniform(double Lo, double Hi);
+  double uniform(double Lo, double Hi) {
+    assert(Lo <= Hi && "empty uniform range");
+    return Lo + (Hi - Lo) * uniform();
+  }
 
   /// Uniform integer in the inclusive range [Lo, Hi].
-  int64_t range(int64_t Lo, int64_t Hi);
+  int64_t range(int64_t Lo, int64_t Hi) {
+    assert(Lo <= Hi && "empty integer range");
+    uint64_t Span = static_cast<uint64_t>(Hi - Lo) + 1;
+    if (Span == 0) // Full 64-bit range.
+      return static_cast<int64_t>(next());
+    // Rejection sampling to avoid modulo bias.
+    uint64_t Limit = UINT64_MAX - UINT64_MAX % Span;
+    uint64_t X = next();
+    while (X >= Limit)
+      X = next();
+    return Lo + static_cast<int64_t>(X % Span);
+  }
 
   /// Uniform index in [0, N). N must be positive.
-  size_t index(size_t N);
+  size_t index(size_t N) {
+    assert(N > 0 && "index() needs a non-empty range");
+    return static_cast<size_t>(range(0, static_cast<int64_t>(N) - 1));
+  }
 
   /// Standard normal deviate scaled to \p Mean and \p StdDev (Box-Muller).
   double gaussian(double Mean = 0.0, double StdDev = 1.0);
@@ -57,7 +91,13 @@ public:
   double exponential(double Rate = 1.0);
 
   /// Returns true with probability \p P.
-  bool chance(double P);
+  bool chance(double P) {
+    if (P <= 0.0)
+      return false;
+    if (P >= 1.0)
+      return true;
+    return uniform() < P;
+  }
 
   /// Fisher-Yates shuffle.
   template <typename T> void shuffle(std::vector<T> &V) {
@@ -83,6 +123,10 @@ public:
   Rng split();
 
 private:
+  static uint64_t rotl(uint64_t X, int K) {
+    return (X << K) | (X >> (64 - K));
+  }
+
   uint64_t State[4];
   double SpareGaussian = 0.0;
   bool HasSpareGaussian = false;

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <utility>
+#include <vector>
 
 using namespace pbt;
 using namespace pbt::autotuner;
@@ -56,6 +59,46 @@ public:
 private:
   ConfigSpace Space_;
   bool WithAccuracy;
+};
+
+/// A small all-discrete program (3 x 3 x 4 = 36 configurations) that
+/// counts its runs per (configuration, input). A 16-candidate population
+/// over so few points repeats configurations within one generation.
+class CountingProgram : public TunableProgram {
+public:
+  CountingProgram() {
+    Space_.addCategorical("a", 3);
+    Space_.addCategorical("b", 3);
+    Space_.addInteger("c", 1, 4);
+  }
+
+  std::string name() const override { return "counting"; }
+  const ConfigSpace &space() const override { return Space_; }
+  std::vector<FeatureInfo> features() const override { return {{"f", 1}}; }
+  std::optional<AccuracySpec> accuracy() const override {
+    return std::nullopt;
+  }
+  size_t numInputs() const override { return 2; }
+  double extractFeature(size_t, unsigned, unsigned,
+                        support::CostCounter &) const override {
+    return 0.0;
+  }
+  RunResult run(size_t Input, const Configuration &C,
+                support::CostCounter &Cost) const override {
+    ++Runs[{C.values(), Input}];
+    double Units = 1.0 + 7.0 * C.real(0) + 3.0 * C.real(1) +
+                   C.real(2) * static_cast<double>(Input + 1);
+    Cost.addOther(Units);
+    RunResult R;
+    R.TimeUnits = Units;
+    R.Accuracy = 1.0;
+    return R;
+  }
+
+  mutable std::map<std::pair<std::vector<double>, size_t>, unsigned> Runs;
+
+private:
+  ConfigSpace Space_;
 };
 
 TEST(OutcomeBetterTest, TimeOnlyComparesTime) {
@@ -123,6 +166,36 @@ TEST(AutotunerTest, DeterministicForFixedSeed) {
   TuneResult B = Tuner.tune(P, 0);
   EXPECT_EQ(A.Best, B.Best);
   EXPECT_DOUBLE_EQ(A.BestOutcome.TimeUnits, B.BestOutcome.TimeUnits);
+}
+
+TEST(AutotunerTest, RunsEachDistinctConfigurationOncePerInput) {
+  CountingProgram P;
+  AutotunerOptions O;
+  O.PopulationSize = 16;
+  O.Generations = 10;
+  O.Seed = 6;
+  EvolutionaryAutotuner Tuner(O);
+  TuneResult A = Tuner.tune(P, std::vector<size_t>{0, 1});
+  size_t Runs = 0;
+  for (const auto &[Key, Count] : P.Runs) {
+    EXPECT_EQ(Count, 1u) << "configuration run " << Count << " times on input "
+                         << Key.second;
+    Runs += Count;
+  }
+  // Every distinct configuration ran on both inputs, and the search
+  // visited far fewer of them than it evaluated.
+  EXPECT_EQ(Runs % 2, 0u);
+  EXPECT_LT(Runs / 2, A.Evaluations);
+
+  // The runs it skips replay recorded outcomes: a second tune with the
+  // same seed, all memo misses again, returns the same result.
+  P.Runs.clear();
+  TuneResult B = Tuner.tune(P, std::vector<size_t>{0, 1});
+  EXPECT_EQ(A.Best, B.Best);
+  EXPECT_EQ(A.BestOutcome.TimeUnits, B.BestOutcome.TimeUnits);
+  EXPECT_EQ(A.BestOutcome.Accuracy, B.BestOutcome.Accuracy);
+  EXPECT_EQ(A.History, B.History);
+  EXPECT_EQ(A.Evaluations, B.Evaluations);
 }
 
 TEST(AutotunerTest, HistoryIsMonotoneNonIncreasing) {

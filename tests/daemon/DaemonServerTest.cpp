@@ -318,9 +318,13 @@ TEST(DaemonServerTest, HelloAndStatsReportTheServingEpochsLandmarks) {
 }
 
 TEST(DaemonServerTest, StatsReportEachTenantsBuildTimeLast) {
+  // build_ms follows every older key; only the retrain split, added
+  // after it, follows it, and the split closes the tenant object.
   Harness H({}, {}, {"alpha", "beta", "gamma"});
   std::string Json = H.Srv->statsJson();
   const std::string Needle = "\"build_ms\": ";
+  const std::string Tail[] = {", \"retrain_level1_ms_total\": ",
+                              ", \"retrain_level2_ms_total\": "};
   size_t Seen = 0;
   for (size_t P = Json.find(Needle); P != std::string::npos;
        P = Json.find(Needle, P + 1)) {
@@ -328,7 +332,13 @@ TEST(DaemonServerTest, StatsReportEachTenantsBuildTimeLast) {
     double Ms = std::strtod(Json.c_str() + P + Needle.size(), &End);
     EXPECT_TRUE(std::isfinite(Ms)) << Json;
     EXPECT_GE(Ms, 0.0) << Json;
-    EXPECT_EQ(*End, '}') << "build_ms must close its tenant object: " << Json;
+    for (const std::string &Key : Tail) {
+      ASSERT_EQ(std::string(End).rfind(Key, 0), 0u)
+          << "build_ms must be followed only by the retrain split: " << Json;
+      std::strtod(End + Key.size(), &End);
+    }
+    EXPECT_EQ(*End, '}') << "the retrain split must close its tenant object: "
+                         << Json;
     ++Seen;
   }
   EXPECT_EQ(Seen, H.Registry.size()) << Json;
@@ -616,6 +626,28 @@ TEST(DaemonServerTest, FuzzWallGarbageTenantNamesAndPayloads) {
 // Adaptation mode
 //===----------------------------------------------------------------------===//
 
+/// Sends a cycled abrupt regime flip over \p T's inputs (sortedness is
+/// the key), four inputs per Predict. An adapting tenant's drift monitor
+/// fires on it and retrains.
+static void sendAbruptFlip(daemon::DaemonClient &C, const daemon::Tenant &T) {
+  streams::WorkloadStreamOptions Flip;
+  Flip.Kind = streams::Schedule::Abrupt;
+  Flip.Requests = 128;
+  Flip.Seed = 0xADA97;
+  Flip.KeyProperty = 2; // sortedness
+  streams::WorkloadStream Stream(*T.Program, Flip);
+  std::vector<daemon::PredictedChoice> Choices;
+  std::string Err;
+  for (size_t Tick = 0; Tick + 4 <= 4 * Stream.length(); Tick += 4) {
+    std::vector<uint64_t> Inputs;
+    for (size_t K = Tick; K != Tick + 4; ++K)
+      Inputs.push_back(Stream.inputAt(K % Stream.length()));
+    ASSERT_EQ(C.predict(Inputs, Choices, Err),
+              daemon::DaemonClient::PredictOutcome::Ok)
+        << Err;
+  }
+}
+
 TEST(DaemonServerTest, AdaptModeServesAndObserves) {
   daemon::ModelRegistryOptions RO;
   RO.AutoAdapt = true;
@@ -646,20 +678,7 @@ TEST(DaemonServerTest, AdaptModeServesAndObserves) {
   EXPECT_GT(T->Service->reservoir().seen(), 0u);
 
   // A cycled abrupt regime flip makes the drift monitor fire.
-  streams::WorkloadStreamOptions Flip;
-  Flip.Kind = streams::Schedule::Abrupt;
-  Flip.Requests = 128;
-  Flip.Seed = 0xADA97;
-  Flip.KeyProperty = 2; // sortedness
-  streams::WorkloadStream Stream(*T->Program, Flip);
-  for (size_t Tick = 0; Tick + 4 <= 4 * Stream.length(); Tick += 4) {
-    std::vector<uint64_t> Inputs;
-    for (size_t K = Tick; K != Tick + 4; ++K)
-      Inputs.push_back(Stream.inputAt(K % Stream.length()));
-    ASSERT_EQ(C.predict(Inputs, Choices, Err),
-              daemon::DaemonClient::PredictOutcome::Ok)
-        << Err;
-  }
+  sendAbruptFlip(C, *T);
   runtime::AdaptiveService::StatsSnapshot A = T->Service->stats();
   EXPECT_GT(A.Decisions, 0u);
 
@@ -685,6 +704,57 @@ TEST(DaemonServerTest, AdaptModeServesAndObserves) {
   EXPECT_NEAR(LastMs, A.LastRetrainSeconds * 1e3,
               1e-5 * A.LastRetrainSeconds * 1e3);
   EXPECT_LE(LastMs, TotalS * 1e3 * (1 + 1e-5));
+}
+
+TEST(DaemonServerTest, StatsSplitRetrainTimeByLevelPerTenant) {
+  // An adapting tenant's retrains report their Level-1 and Level-2 time;
+  // both are parts of the retrain total. A frozen tenant never retrains.
+  for (bool Adapt : {true, false}) {
+    daemon::ModelRegistryOptions RO;
+    RO.AutoAdapt = Adapt;
+    RO.Window = 16;
+    RO.Reservoir = 16;
+    Harness H({}, RO);
+    daemon::DaemonClient C;
+    std::string Err;
+    ASSERT_TRUE(C.connect(H.Socket, Err)) << Err;
+    daemon::DaemonClient::AttachInfo Info;
+    ASSERT_TRUE(C.attach("sort1", Info, Err)) << Err;
+    daemon::Tenant *T = H.Registry.find("sort1");
+    ASSERT_NE(T, nullptr);
+    sendAbruptFlip(C, *T);
+    runtime::AdaptiveService::StatsSnapshot A = T->Service->stats();
+    if (Adapt)
+      ASSERT_GT(A.Retrains, 0u) << "the traffic must drive shadow retrains";
+    else
+      ASSERT_EQ(A.Retrains, 0u);
+
+    std::string Json = H.Srv->statsJson();
+    auto Field = [&](const std::string &Key) {
+      std::string Needle = "\"" + Key + "\": ";
+      size_t P = Json.find(Needle);
+      EXPECT_NE(P, std::string::npos) << Key << " missing from " << Json;
+      return P == std::string::npos
+                 ? -1.0
+                 : std::strtod(Json.c_str() + P + Needle.size(), nullptr);
+    };
+    double L1Ms = Field("retrain_level1_ms_total");
+    double L2Ms = Field("retrain_level2_ms_total");
+    double TotalMs = Field("retrain_seconds_total") * 1e3;
+    // Stats prints 6 significant digits.
+    EXPECT_NEAR(L1Ms, A.RetrainLevel1SecondsTotal * 1e3,
+                1e-5 * A.RetrainLevel1SecondsTotal * 1e3);
+    EXPECT_NEAR(L2Ms, A.RetrainLevel2SecondsTotal * 1e3,
+                1e-5 * A.RetrainLevel2SecondsTotal * 1e3);
+    if (Adapt) {
+      EXPECT_GT(L1Ms, 0.0) << Json;
+      EXPECT_GT(L2Ms, 0.0) << Json;
+      EXPECT_LE(L1Ms + L2Ms, TotalMs * (1 + 1e-5)) << Json;
+    } else {
+      EXPECT_EQ(L1Ms, 0.0) << Json;
+      EXPECT_EQ(L2Ms, 0.0) << Json;
+    }
+  }
 }
 
 TEST(DaemonServerTest, StatsReportMonitorAndFeatureCostPerTenant) {

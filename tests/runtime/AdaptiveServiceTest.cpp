@@ -295,6 +295,48 @@ TEST(AdaptiveServiceTest, ServeObservesIntoMonitorAndReservoir) {
   EXPECT_EQ(Service.stats().Decisions, 12u);
 }
 
+TEST(AdaptiveServiceTest, SwapHistoryKeepsTheMostRecentAttempts) {
+  // Every adaptation attempt appends one record, so a long-lived tenant
+  // keeps only the newest MaxSwapHistory of them; the counters still
+  // count every attempt.
+  registry::ProgramPtr P = makeProgram();
+  const registry::BenchmarkFactory &F =
+      registry::BenchmarkRegistry::instance().get("sort1");
+  const size_t Sample = 16;
+  runtime::AdaptiveServiceOptions O;
+  O.AutoAdapt = false;
+  O.ReservoirSize = Sample;
+  O.Retrain = registry::reservoirRetrainOptions(F, kScale, Sample, nullptr);
+  // The smallest search: this test counts attempts, not their quality.
+  O.Retrain.L1.Tuner.PopulationSize = 2;
+  O.Retrain.L1.Tuner.Generations = 1;
+  runtime::AdaptiveService Service(*P, cloneModel(modelBytes()), O);
+  ASSERT_TRUE(Service.ready());
+
+  const size_t Max = runtime::AdaptiveService::MaxSwapHistory;
+  const size_t Attempts = Max + 3;
+  for (size_t A = 0; A != Attempts; ++A) {
+    // A fresh reservoir of distinct inputs for each attempt (every
+    // attempt that retrains resets it).
+    for (size_t I = 0; I != Sample; ++I)
+      Service.serve((A + I) % P->numInputs());
+    Service.adaptNow();
+  }
+  runtime::AdaptiveService::StatsSnapshot S = Service.stats();
+  ASSERT_EQ(S.SkippedRetrains, 0u) << S.LastSkipReason;
+  EXPECT_EQ(S.Retrains, Attempts);
+  EXPECT_EQ(S.Swaps + S.RejectedCandidates, Attempts);
+
+  std::vector<runtime::AdaptiveService::SwapRecord> H = Service.history();
+  ASSERT_EQ(H.size(), Max);
+  // Oldest first; the oldest attempts were dropped. Attempt A (from 0)
+  // saw Sample * (A + 1) decisions.
+  EXPECT_EQ(H.front().AtDecision, Sample * (Attempts - Max + 1));
+  EXPECT_EQ(H.back().AtDecision, Sample * Attempts);
+  for (size_t I = 1; I != H.size(); ++I)
+    EXPECT_EQ(H[I].AtDecision, H[I - 1].AtDecision + Sample) << I;
+}
+
 TEST(AdaptiveServiceTest, SwapModelBumpsEpochAndInvalidatesDecisionCache) {
   registry::ProgramPtr P = makeProgram();
   runtime::AdaptiveService Service(*P, cloneModel(modelBytes()));
