@@ -624,14 +624,9 @@ int benchharness::runStream(const DriverOptions &Opts) {
     return 1;
   }
 
-  runtime::AdaptiveServiceOptions AO;
-  AO.Monitor.Window = std::max(8u, Opts.StreamWindow);
-  AO.Monitor.MinSamples = AO.Monitor.Window / 2;
-  AO.Monitor.Cooldown = AO.Monitor.Window;
-  AO.ReservoirSize = std::max(8u, Opts.StreamReservoir);
-  AO.MinRetrainInputs = std::min<size_t>(16, AO.ReservoirSize);
-  AO.Retrain = registry::reservoirRetrainOptions(*Factory, UniverseScale,
-                                                 AO.ReservoirSize, Opts.Pool);
+  runtime::AdaptiveServiceOptions AO = registry::adaptiveServiceOptions(
+      *Factory, UniverseScale, Opts.StreamWindow, Opts.StreamReservoir,
+      Opts.Pool);
 
   // Frozen control: a second service from the same bytes, never adapted.
   serialize::TrainedModel FrozenInitial;

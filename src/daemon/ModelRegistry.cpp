@@ -8,7 +8,6 @@
 
 #include "store/ModelStore.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -21,27 +20,6 @@ double msSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - Start)
       .count();
-}
-
-/// Builds the AdaptiveService for \p Model under \p Opts; shared by the
-/// file path, the store path, and store hot-swaps (a swapped-in epoch
-/// gets a fresh drift monitor and reservoir -- its serving history
-/// starts at the promotion).
-std::unique_ptr<runtime::AdaptiveService>
-buildService(const registry::BenchmarkFactory &Factory,
-             runtime::TunableProgram &Program, serialize::TrainedModel Model,
-             const ModelRegistryOptions &Opts) {
-  runtime::AdaptiveServiceOptions AO;
-  AO.Monitor.Window = std::max(8u, Opts.Window);
-  AO.Monitor.MinSamples = AO.Monitor.Window / 2;
-  AO.Monitor.Cooldown = AO.Monitor.Window;
-  AO.ReservoirSize = std::max(8u, Opts.Reservoir);
-  AO.MinRetrainInputs = std::min<size_t>(16, AO.ReservoirSize);
-  AO.Retrain = registry::reservoirRetrainOptions(
-      Factory, Model.Meta.Scale, AO.ReservoirSize, Opts.Pool);
-  AO.AutoAdapt = Opts.AutoAdapt;
-  return std::make_unique<runtime::AdaptiveService>(Program, std::move(Model),
-                                                    AO);
 }
 
 } // namespace
@@ -86,7 +64,11 @@ ModelRegistry::buildTenant(const std::string &Name,
   T->Benchmark = Model.Meta.Benchmark;
   T->Program = Factory->makeProgram(Model.Meta.Scale, Model.Meta.ProgramSeed);
   T->Landmarks = static_cast<unsigned>(Model.System.L1.Landmarks.size());
-  T->Service = buildService(*Factory, *T->Program, std::move(Model), Opts);
+  runtime::AdaptiveServiceOptions AO = registry::adaptiveServiceOptions(
+      *Factory, Model.Meta.Scale, Opts.Window, Opts.Reservoir, Opts.Pool);
+  AO.AutoAdapt = Opts.AutoAdapt;
+  T->Service = std::make_unique<runtime::AdaptiveService>(
+      *T->Program, std::move(Model), AO);
   if (!T->Service->ready())
     return T->Service->status();
   Out = std::move(T);
@@ -157,44 +139,21 @@ size_t ModelRegistry::pollStores() {
 
   size_t Swapped = 0;
   for (Tenant *T : Watched) {
-    uint64_t Pointed = 0;
-    if (!store::readCurrentPointer(T->StoreDir, Pointed))
-      continue;
-    if (Pointed == 0 || Pointed == T->StoreEpoch.load())
-      continue;
-
     store::VerifiedModel V;
-    serialize::LoadStatus St = store::loadCurrentVerified(T->StoreDir, V);
-    if (!St) {
+    if (!store::followCurrent(T->StoreDir, T->StoreEpoch.load(), V)) {
       T->StoreRejects.fetch_add(1);
       continue; // nothing loadable; keep serving the held epoch
     }
     T->StoreRejects.fetch_add(V.RejectedLoads);
-    if (V.Epoch == T->StoreEpoch.load())
-      continue; // fallback converged on what we already serve
+    if (V.Epoch == 0)
+      continue;
 
+    // swapModel checks the bound program and the serving provenance (a
+    // foreign store is refused, not served), is safe against serving
+    // workers, and skips the shadow gate (the store's canary ran it).
     serialize::TrainedModel Model;
-    St = serialize::loadModel(V.Text, Model);
-    if (!St) {
-      T->StoreRejects.fetch_add(1);
-      continue;
-    }
-    // Provenance must match: the tenant's compiled program was built for
-    // the original model's (benchmark, scale, seed); a store that starts
-    // publishing a different program is refused, not served.
-    const serialize::ModelMeta &Now = T->Service->currentEpoch()->Model.Meta;
-    if (Model.Meta.Benchmark != Now.Benchmark ||
-        Model.Meta.Scale != Now.Scale ||
-        Model.Meta.ProgramSeed != Now.ProgramSeed) {
-      T->StoreRejects.fetch_add(1);
-      continue;
-    }
-
-    // swapModel is the operator-push path: validated against the bound
-    // program, thread-safe against serving workers, no shadow gate (the
-    // store's canary already gated this epoch).
-    St = T->Service->swapModel(std::move(Model));
-    if (!St) {
+    if (!serialize::loadModel(V.Text, Model) ||
+        !T->Service->swapModel(std::move(Model))) {
       T->StoreRejects.fetch_add(1);
       continue;
     }

@@ -11,8 +11,7 @@
 using namespace pbt;
 using namespace pbt::ml;
 
-Reservoir::Reservoir(size_t Capacity, uint64_t Seed, ReservoirPolicy Policy)
-    : Capacity(Capacity), Policy(Policy), Seed(Seed), Rng(Seed) {
+Reservoir::Reservoir(size_t Capacity) : Capacity(Capacity) {
   Items.reserve(Capacity);
 }
 
@@ -24,18 +23,10 @@ void Reservoir::add(size_t Item) {
     Items.push_back(Item);
     return;
   }
-  if (Policy == ReservoirPolicy::Recent) {
-    // Ring overwrite: the oldest item leaves, arrival order is recovered
-    // by sample() from the cursor.
-    Items[Next] = Item;
-    Next = (Next + 1) % Capacity;
-    return;
-  }
-  // Algorithm R: the i-th item (1-based) replaces a uniformly random slot
-  // with probability Capacity / i.
-  uint64_t Slot = Rng.next() % Seen;
-  if (Slot < Capacity)
-    Items[static_cast<size_t>(Slot)] = Item;
+  // Ring overwrite: the oldest item leaves, arrival order is recovered
+  // by sample() from the cursor.
+  Items[Next] = Item;
+  Next = (Next + 1) % Capacity;
 }
 
 std::vector<size_t> Reservoir::sample() const {
@@ -47,8 +38,7 @@ std::vector<size_t> Reservoir::sample() const {
 void Reservoir::sampleInto(std::vector<size_t> &Out) const {
   Out.clear();
   Out.reserve(Items.size());
-  if (Policy != ReservoirPolicy::Recent || Items.size() < Capacity ||
-      Next == 0) {
+  if (Items.size() < Capacity || Next == 0) {
     Out.insert(Out.end(), Items.begin(), Items.end());
     return;
   }
@@ -68,5 +58,4 @@ void Reservoir::reset() {
   Items.clear();
   Seen = 0;
   Next = 0;
-  Rng = support::Rng(Seed);
 }

@@ -1,4 +1,4 @@
-//===- ml/Reservoir.h - Deterministic stream sampling -----------------------==//
+//===- ml/Reservoir.h - Sliding-window stream sampling ----------------------==//
 //
 // Part of the pbtuner project.
 //
@@ -10,26 +10,16 @@
 /// detected, the shadow pipeline retrains on the sampler's current
 /// contents instead of the full (unavailable) live distribution.
 ///
-/// Two policies share one class:
-///
-///   * Recent  -- a sliding-window reservoir: the sample is exactly the
-///                last `Capacity` stream items. This is the adaptation
-///                default: after a distribution shift the window fills
-///                with post-shift traffic, so the retrain sees the new
-///                regime, not a uniform mix dominated by history.
-///   * Uniform -- Vitter's algorithm R: each item seen since the last
-///                reset() is retained with equal probability. Used when
-///                the goal is a summary of everything served.
-///
-/// Both are deterministic: the same seed and the same add() sequence
-/// produce the same sample on every platform (support/Random).
+/// The sample is a sliding window: exactly the last `Capacity` stream
+/// items. After a distribution shift the window fills with post-shift
+/// traffic, so the retrain sees the new regime, not a uniform mix
+/// dominated by history. The same add() sequence always produces the
+/// same sample.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PBT_ML_RESERVOIR_H
 #define PBT_ML_RESERVOIR_H
-
-#include "support/Random.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -38,22 +28,15 @@
 namespace pbt {
 namespace ml {
 
-enum class ReservoirPolicy {
-  Recent,  ///< sliding window: the last Capacity items
-  Uniform, ///< algorithm R: uniform over items since the last reset()
-};
-
 class Reservoir {
 public:
   Reservoir() = default;
-  Reservoir(size_t Capacity, uint64_t Seed,
-            ReservoirPolicy Policy = ReservoirPolicy::Recent);
+  explicit Reservoir(size_t Capacity);
 
   /// Offers one stream item to the sampler.
   void add(size_t Item);
 
-  /// The retained items. Recent policy: arrival order (oldest first).
-  /// Uniform policy: slot order (an unordered uniform sample).
+  /// The retained items in arrival order (oldest first).
   std::vector<size_t> sample() const;
 
   /// sample() into a caller-owned buffer (cleared first). The adaptive
@@ -71,20 +54,15 @@ public:
   size_t size() const { return Items.size(); }
   size_t capacity() const { return Capacity; }
   bool full() const { return Items.size() == Capacity; }
-  ReservoirPolicy policy() const { return Policy; }
 
-  /// Empties the sampler and restarts its deterministic stream state, so
-  /// the next fill reflects only post-reset traffic (called after every
-  /// model swap).
+  /// Empties the sampler, so the next fill reflects only post-reset
+  /// traffic (called after every model swap).
   void reset();
 
 private:
   size_t Capacity = 0;
-  ReservoirPolicy Policy = ReservoirPolicy::Recent;
-  uint64_t Seed = 0;
   uint64_t Seen = 0;
-  size_t Next = 0; ///< Recent policy: ring cursor.
-  support::Rng Rng{0};
+  size_t Next = 0; ///< Ring cursor: the slot the next add() overwrites.
   std::vector<size_t> Items;
   /// distinctCount() scratch, reused across retrain rounds.
   mutable std::vector<size_t> Scratch;

@@ -139,6 +139,21 @@ registry::reservoirRetrainOptions(const BenchmarkFactory &Factory,
   return O;
 }
 
+runtime::AdaptiveServiceOptions
+registry::adaptiveServiceOptions(const BenchmarkFactory &Factory, double Scale,
+                                 unsigned Window, unsigned Reservoir,
+                                 support::ThreadPool *Pool) {
+  runtime::AdaptiveServiceOptions AO;
+  AO.Monitor.Window = std::max(8u, Window);
+  AO.Monitor.MinSamples = AO.Monitor.Window / 2;
+  AO.Monitor.Cooldown = AO.Monitor.Window;
+  AO.ReservoirSize = std::max(8u, Reservoir);
+  AO.MinRetrainInputs = std::min<size_t>(16, AO.ReservoirSize);
+  AO.Retrain =
+      reservoirRetrainOptions(Factory, Scale, AO.ReservoirSize, Pool);
+  return AO;
+}
+
 size_t registry::scaledInputCount(double Scale, size_t Base) {
   return std::max<size_t>(24, static_cast<size_t>(Base * Scale));
 }

@@ -30,6 +30,7 @@
 #define PBT_REGISTRY_BENCHMARKREGISTRY_H
 
 #include "core/Pipeline.h"
+#include "runtime/AdaptiveService.h"
 #include "runtime/TunableProgram.h"
 #include "support/ThreadPool.h"
 
@@ -145,6 +146,14 @@ core::PipelineOptions paperPipelineOptions(double Scale, uint64_t PipelineSeed);
 core::PipelineOptions reservoirRetrainOptions(const BenchmarkFactory &Factory,
                                               double Scale, size_t SampleSize,
                                               support::ThreadPool *Pool);
+
+/// The AdaptiveServiceOptions pbt-serve's tenants and `pbt-bench stream`
+/// share: a \p Window-decision drift window and a \p Reservoir-input
+/// sample (each at least 8), retraining with reservoirRetrainOptions.
+runtime::AdaptiveServiceOptions
+adaptiveServiceOptions(const BenchmarkFactory &Factory, double Scale,
+                       unsigned Window, unsigned Reservoir,
+                       support::ThreadPool *Pool);
 
 /// Scales a base input count, clamped to a floor that keeps train/test
 /// splits meaningful.

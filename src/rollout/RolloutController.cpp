@@ -6,7 +6,6 @@
 
 #include "rollout/RolloutController.h"
 
-#include "runtime/SubsetProgram.h"
 #include "support/Cost.h"
 #include "support/Random.h"
 
@@ -49,20 +48,14 @@ LoadStatus Replica::adoptText(uint64_t NewEpoch, const std::string &Text) {
 
 LoadStatus Replica::sync() {
   ++Syncs;
-  uint64_t Pointed = 0;
-  LoadStatus St = store::readCurrentPointer(StoreDir, Pointed);
-  if (!St)
-    return St;
-  if (Pointed == 0 || Pointed == Epoch)
-    return LoadStatus::success();
   store::VerifiedModel V;
-  St = store::loadCurrentVerified(StoreDir, V);
+  LoadStatus St = store::followCurrent(StoreDir, Epoch, V);
   if (!St)
     return St; // nothing loadable; keep serving the held epoch
   TornPrevented += V.RejectedLoads;
-  if (V.Epoch == Epoch)
-    return LoadStatus::success(); // fallback landed on what we serve
-  return adoptText(V.Epoch, V.Text);
+  // A fresh service, not swapModel(): that would re-stamp Meta.Epoch when
+  // a rolled-back canary reverts to the older champion.
+  return V.Epoch == 0 ? LoadStatus::success() : adoptText(V.Epoch, V.Text);
 }
 
 LoadStatus Replica::adopt(uint64_t NewEpoch) {
@@ -106,11 +99,6 @@ RolloutController::RolloutController(const runtime::TunableProgram &Program,
   Sample = std::move(All);
 }
 
-double RolloutController::shadowScore(runtime::AdaptiveService &Service) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return shadowScoreLocked(Service);
-}
-
 double
 RolloutController::shadowScoreLocked(runtime::AdaptiveService &Service) {
   double Total = 0.0;
@@ -119,11 +107,6 @@ RolloutController::shadowScoreLocked(runtime::AdaptiveService &Service) {
     Total += Program.runOnce(Input, *D.Config).TimeUnits;
   }
   return Sample.empty() ? 0.0 : Total / static_cast<double>(Sample.size());
-}
-
-LoadStatus RolloutController::syncReplicas() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return syncReplicasLocked();
 }
 
 LoadStatus RolloutController::syncReplicasLocked() {
@@ -191,6 +174,12 @@ LoadStatus RolloutController::rollout(serialize::TrainedModel Candidate,
     return St;
   if (Fleet.empty() || !Fleet[0]->serving())
     return LoadStatus::failure("fleet is not serving (call start() first)");
+  // The champion's provenance, before anything is durable: a candidate
+  // for another program would pass the canary on shape alone.
+  St = serialize::checkProvenance(
+      Candidate.Meta, Fleet[0]->service().currentEpoch()->Model.Meta);
+  if (!St)
+    return St;
 
   // --- Publish: durable image + manifest record. ---
   support::WallTimer PublishTimer;
@@ -275,19 +264,11 @@ Publisher::retrainAndRollout(const std::vector<size_t> &SampleInputs,
 
   // Provenance comes from the serving champion: the candidate is the
   // same benchmark at the same scale, retrained on recent traffic.
-  runtime::AdaptiveService::EpochPtr Champion =
-      Controller.replica(0).service().currentEpoch();
-  const serialize::ModelMeta &Meta = Champion->Model.Meta;
-
   serialize::TrainedModel Candidate;
   try {
-    runtime::SubsetProgram View(Program, SampleInputs);
-    core::PipelineOptions Opt = Opts.Retrain;
-    runtime::AdaptiveService::clampRetrainOptions(Opt, SampleInputs.size());
-    core::TrainedSystem Sys = core::trainSystem(View, Opt);
-    Candidate = serialize::makeModel(Meta.Benchmark, Meta.Scale,
-                                     Meta.ProgramSeed, View, std::move(Sys));
-    Candidate.System.Data.reset();
+    Candidate = runtime::AdaptiveService::buildCandidate(
+        Program, SampleInputs, Opts.Retrain,
+        Controller.replica(0).service().currentEpoch()->Model.Meta);
   } catch (const std::exception &E) {
     Why = std::string("candidate retrain failed: ") + E.what();
     return Outcome::NoCandidate;

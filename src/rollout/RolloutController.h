@@ -30,8 +30,9 @@
 /// mid-flight candidates, and resume() converges every replica onto the
 /// surviving CURRENT epoch.
 ///
-/// The Publisher at the bottom is the AdaptiveService-style retrainer
-/// driving the machine: retrain on a traffic sample, then rollout. It
+/// The Publisher at the bottom is the retrainer driving the machine: it
+/// builds a candidate on a traffic sample with the shadow retrain's
+/// builder (AdaptiveService::buildCandidate), then rolls it out. It
 /// honors a stop flag (SIGTERM handlers set it) at phase boundaries, so
 /// shutdown mid-shadow-retrain discards the candidate instead of
 /// publishing a partial epoch.
@@ -149,15 +150,13 @@ public:
 
   /// Publish -> Canary (replica 0 serves it, shadow-scored against the
   /// champion) -> Promote fleet-wide or Rollback. Every transition is
-  /// durable before the fleet moves. The candidate's Meta.Epoch is
-  /// rewritten to the store epoch it lands as, so the image is
-  /// self-describing. Throws support::FaultCrash through from the store
-  /// when a crash failpoint triggers mid-protocol.
+  /// durable before the fleet moves; a candidate whose provenance is not
+  /// the champion's is refused before anything is published. The
+  /// candidate's Meta.Epoch is rewritten to the store epoch it lands as,
+  /// so the image is self-describing. Throws support::FaultCrash through
+  /// from the store when a crash failpoint triggers mid-protocol.
   serialize::LoadStatus rollout(serialize::TrainedModel Candidate,
                                 CycleReport &Out);
-
-  /// Re-syncs every replica onto the store's CURRENT epoch.
-  serialize::LoadStatus syncReplicas();
 
   size_t replicaCount() const { return Fleet.size(); }
   Replica &replica(size_t I) { return *Fleet[I]; }
@@ -167,12 +166,11 @@ public:
     return Store.currentEpoch();
   }
 
-  /// Mean run cost of serving the shadow sample with \p Service's
-  /// decisions -- the canary comparison metric. Exposed for tests.
-  double shadowScore(runtime::AdaptiveService &Service);
-
 private:
+  /// Re-syncs every replica onto the store's CURRENT epoch.
   serialize::LoadStatus syncReplicasLocked();
+  /// Mean run cost of serving the shadow sample with \p Service's
+  /// decisions -- the canary comparison metric.
   double shadowScoreLocked(runtime::AdaptiveService &Service);
 
   const runtime::TunableProgram &Program;

@@ -16,10 +16,6 @@
 using namespace pbt;
 using namespace pbt::runtime;
 
-/// Seeds the recent-traffic reservoir, so which inputs a retrain learns
-/// from is reproducible per traffic sequence.
-static constexpr uint64_t kReservoirSeed = 0x5EED;
-
 /// C++17 std::atomic<double> has no fetch_add; the accounting adds are
 /// single-writer in practice, but keep them race-free regardless.
 static void atomicAdd(std::atomic<double> &A, double V) {
@@ -32,33 +28,46 @@ AdaptiveService::AdaptiveService(const TunableProgram &Program,
                                  serialize::TrainedModel Initial,
                                  AdaptiveServiceOptions Options)
     : Program(Program), Opts(Options) {
-  Status = serialize::validateAgainst(Initial, Program);
+  Status = checkProgram(Initial);
   if (!Status)
     return;
-  if (!Initial.System.L2.Production || Initial.System.L1.Landmarks.empty()) {
-    Status = serialize::LoadStatus::failure(
-        "initial model has no production classifier or no landmarks");
-    return;
-  }
   Index.emplace(Initial.Meta.Features);
   Memo.assign(Program.numInputs(), MemoEntry());
   Monitor = DriftMonitor::referenceFrom(Initial, Opts.Monitor);
-  Traffic = ml::Reservoir(std::max<size_t>(1, Opts.ReservoirSize),
-                          kReservoirSeed);
+  Traffic = ml::Reservoir(std::max<size_t>(1, Opts.ReservoirSize));
 
-  auto First = std::make_shared<ModelEpoch>();
-  First->Model = std::move(Initial);
-  // Serving never reads the columnar training substrate; don't let an
-  // in-memory-trained initial model pin it for the service's lifetime.
-  First->Model.System.Data.reset();
-  First->Compiled = CompiledModel::compile(First->Model);
-  if (!First->Compiled.ready()) {
+  std::shared_ptr<ModelEpoch> First = makeEpoch(std::move(Initial));
+  if (!First) {
     Status = serialize::LoadStatus::failure("initial model failed to compile");
     return;
   }
   publish(std::move(First), nullptr);
   MonitorEpochId = currentEpoch()->Id;
   Ok = true;
+}
+
+serialize::LoadStatus
+AdaptiveService::checkProgram(const serialize::TrainedModel &Model) const {
+  // A model must fit the bound program (feature declarations, landmark
+  // ranges, row bounds) or serving it would index out of its space.
+  serialize::LoadStatus Valid = serialize::validateAgainst(Model, Program);
+  if (Valid &&
+      (!Model.System.L2.Production || Model.System.L1.Landmarks.empty()))
+    return serialize::LoadStatus::failure(
+        "model has no production classifier or no landmarks");
+  return Valid;
+}
+
+std::shared_ptr<AdaptiveService::ModelEpoch>
+AdaptiveService::makeEpoch(serialize::TrainedModel Model) {
+  auto Ep = std::make_shared<ModelEpoch>();
+  Ep->Model = std::move(Model);
+  // Serving never reads the columnar training substrate, and a published
+  // epoch lives as long as serving (and any outstanding Decision) holds
+  // it: drop the dead weight before publishing.
+  Ep->Model.System.Data.reset();
+  Ep->Compiled = CompiledModel::compile(Ep->Model);
+  return Ep->Compiled.ready() ? Ep : nullptr;
 }
 
 CompiledModel::Scratch &AdaptiveService::scratchFor(const ModelEpoch &Ep) {
@@ -299,6 +308,21 @@ void AdaptiveService::clampRetrainOptions(core::PipelineOptions &Opt,
       static_cast<unsigned>(std::max<size_t>(2, TrainCount / 2)));
 }
 
+serialize::TrainedModel AdaptiveService::buildCandidate(
+    const TunableProgram &Program, const std::vector<size_t> &Sample,
+    core::PipelineOptions Retrain, const serialize::ModelMeta &Provenance,
+    const linalg::Matrix *Features, const linalg::Matrix *Costs) {
+  SubsetProgram View(Program, Sample);
+  clampRetrainOptions(Retrain, Sample.size());
+  Retrain.L1.Features = Features;
+  Retrain.L1.ExtractCosts = Costs;
+  serialize::TrainedModel Candidate = serialize::makeModel(
+      Provenance.Benchmark, Provenance.Scale, Provenance.ProgramSeed, View,
+      core::trainSystem(View, Retrain));
+  Candidate.System.Data.reset(); // training-only state
+  return Candidate;
+}
+
 bool AdaptiveService::adaptNow() {
   assert(Ok && "adaptNow() on a non-ready AdaptiveService");
   // serve() invokes the drift response synchronously at the detection, so
@@ -329,31 +353,21 @@ bool AdaptiveService::adaptNow() {
   Attempt.AtDecision = DecisionCount.load(std::memory_order_relaxed);
 
   support::WallTimer RetrainTimer;
-  auto Candidate = std::make_shared<ModelEpoch>();
+  std::shared_ptr<ModelEpoch> Candidate;
   double Level1Seconds = 0.0, Level2Seconds = 0.0;
   try {
-    SubsetProgram View(Program, Sample);
-    core::PipelineOptions Opt = Opts.Retrain;
-    clampRetrainOptions(Opt, Sample.size());
     // Every sampled input was served, so its full feature row and
     // extraction costs are already memoized: Level 1 reads them instead
     // of re-extracting, with byte-identical results.
     linalg::Matrix SampleFeatures, SampleCosts;
     sampleFeatureTables(Sample, SampleFeatures, SampleCosts);
-    Opt.L1.Features = &SampleFeatures;
-    Opt.L1.ExtractCosts = &SampleCosts;
-    core::TrainedSystem Sys = core::trainSystem(View, Opt);
-    Level1Seconds = Sys.Level1Seconds;
-    Level2Seconds = Sys.Level2Seconds;
-    Candidate->Model = serialize::makeModel(
-        Ep->Model.Meta.Benchmark, Ep->Model.Meta.Scale,
-        Ep->Model.Meta.ProgramSeed, View, std::move(Sys));
-    // The columnar substrate is training-only state; a published epoch
-    // lives as long as serving (and any outstanding Decision) holds it,
-    // so drop the dead weight before publishing.
-    Candidate->Model.System.Data.reset();
-    Candidate->Model.Meta.Epoch = Ep->Model.Meta.Epoch + 1;
-    Candidate->Compiled = CompiledModel::compile(Candidate->Model);
+    serialize::TrainedModel Model =
+        buildCandidate(Program, Sample, Opts.Retrain, Ep->Model.Meta,
+                       &SampleFeatures, &SampleCosts);
+    Level1Seconds = Model.System.Level1Seconds;
+    Level2Seconds = Model.System.Level2Seconds;
+    Model.Meta.Epoch = Ep->Model.Meta.Epoch + 1;
+    Candidate = makeEpoch(std::move(Model));
   } catch (const std::exception &E) {
     // A degenerate reservoir (e.g. every sampled input identical in
     // feature space) can defeat the pipeline; serving must not die with
@@ -369,7 +383,7 @@ bool AdaptiveService::adaptNow() {
   atomicAdd(RetrainLevel1Seconds, Level1Seconds);
   atomicAdd(RetrainLevel2Seconds, Level2Seconds);
   LastRetrainSeconds.store(Attempt.RetrainSeconds, std::memory_order_relaxed);
-  if (!Candidate->Compiled.ready()) {
+  if (!Candidate) {
     RejectCount.fetch_add(1, std::memory_order_relaxed);
     Monitor.rebaseToWindow();
     return false;
@@ -411,20 +425,15 @@ bool AdaptiveService::adaptNow() {
 
 serialize::LoadStatus AdaptiveService::swapModel(serialize::TrainedModel Next) {
   assert(Ok && "swapModel() on a non-ready AdaptiveService");
-  // The same gate the constructor runs: a pushed model must fit the
-  // bound program (feature declarations, landmark ranges, row bounds) or
-  // serving it would index out of the program's space.
-  serialize::LoadStatus Valid = serialize::validateAgainst(Next, Program);
+  // Provenance too: a model for another seed of the same benchmark fits
+  // the program's shape but not its inputs.
+  serialize::LoadStatus Valid = checkProgram(Next);
+  if (Valid)
+    Valid = serialize::checkProvenance(Next.Meta, currentEpoch()->Model.Meta);
   if (!Valid)
     return Valid;
-  if (!Next.System.L2.Production || Next.System.L1.Landmarks.empty())
-    return serialize::LoadStatus::failure(
-        "pushed model has no production classifier or no landmarks");
-  auto Ep = std::make_shared<ModelEpoch>();
-  Ep->Model = std::move(Next);
-  Ep->Model.System.Data.reset(); // training-only state; see constructor
-  Ep->Compiled = CompiledModel::compile(Ep->Model);
-  if (!Ep->Compiled.ready())
+  std::shared_ptr<ModelEpoch> Ep = makeEpoch(std::move(Next));
+  if (!Ep)
     return serialize::LoadStatus::failure("pushed model failed to compile");
   publish(std::move(Ep), nullptr);
   SwapCount.fetch_add(1, std::memory_order_relaxed);

@@ -19,6 +19,14 @@
 /// decisions already handed out stay valid (each Decision holds its
 /// epoch alive).
 ///
+/// One route builds every model that reaches serving: buildCandidate()
+/// is called by the shadow retrain and by rollout::Publisher, and every
+/// epoch published here -- initial, retrained or pushed through
+/// swapModel() -- passes one gate that drops training-only state and
+/// compiles. The constructor and swapModel() also check the model
+/// against the bound program, and swapModel() against the serving
+/// epoch's provenance.
+///
 /// The shadow retrain runs synchronously inside serve(), so its cost is
 /// serving latency. Its Level 1 reads every sampled input's feature
 /// values and extraction costs from the feature memo instead of
@@ -198,10 +206,10 @@ public:
 
   /// Publishes \p Next as the new serving epoch without the shadow gate
   /// (operator-pushed models, stress tests). The model is validated
-  /// against the bound program first; on failure nothing is published
-  /// and the error is returned. Safe to call from a thread other than
-  /// the serving thread; the serving thread rebases its DriftMonitor to
-  /// the pushed model on its next serve().
+  /// against the bound program and the serving epoch's provenance first;
+  /// on failure nothing is published and the error is returned. Safe to
+  /// call from a thread other than the serving thread; the serving thread
+  /// rebases its DriftMonitor to the pushed model on its next serve().
   serialize::LoadStatus swapModel(serialize::TrainedModel Next);
 
   /// Snapshot of the current epoch (never null once ready()).
@@ -228,6 +236,20 @@ public:
   static void clampRetrainOptions(core::PipelineOptions &Opt,
                                   size_t SampleSize);
 
+  /// The one candidate builder (the shadow retrain and rollout::Publisher):
+  /// trains on a SubsetProgram view of \p Sample under \p Retrain clamped
+  /// to it, stamped with \p Provenance's benchmark, scale and program
+  /// seed. \p Features / \p Costs, when given, are the sample's Level-1
+  /// tables (row I is Sample[I]), read instead of extracted. Throws what
+  /// the pipeline throws.
+  static serialize::TrainedModel
+  buildCandidate(const TunableProgram &Program,
+                 const std::vector<size_t> &Sample,
+                 core::PipelineOptions Retrain,
+                 const serialize::ModelMeta &Provenance,
+                 const linalg::Matrix *Features = nullptr,
+                 const linalg::Matrix *Costs = nullptr);
+
 private:
   struct MemoEntry {
     std::vector<double> Values;
@@ -240,6 +262,13 @@ private:
     int32_t Decided = -1;
   };
 
+  /// The program check the constructor and swapModel() share:
+  /// serialize::validateAgainst plus a production classifier and landmarks.
+  serialize::LoadStatus
+  checkProgram(const serialize::TrainedModel &Model) const;
+  /// The epoch gate every model passes before it serves: drops the
+  /// training-only substrate and compiles. Null when it does not compile.
+  static std::shared_ptr<ModelEpoch> makeEpoch(serialize::TrainedModel Model);
   Decision decideWith(const ModelEpoch &Ep, size_t Input,
                       CompiledModel::Scratch &S);
   /// Memo-backed feature access: extracts flat feature \p Flat of

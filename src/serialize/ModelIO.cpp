@@ -772,3 +772,13 @@ LoadStatus serialize::validateAgainst(const TrainedModel &Model,
           "model train rows exceed the program's input count");
   return LoadStatus::success();
 }
+
+LoadStatus serialize::checkProvenance(const ModelMeta &Model,
+                                      const ModelMeta &Serving) {
+  if (Model.Benchmark == Serving.Benchmark && Model.Scale == Serving.Scale &&
+      Model.ProgramSeed == Serving.ProgramSeed)
+    return LoadStatus::success();
+  return LoadStatus::failure("model provenance (benchmark '" +
+                             Model.Benchmark + "', scale, program seed) "
+                             "does not match the serving model's");
+}

@@ -146,6 +146,11 @@ LoadStatus loadModelFile(const std::string &Path, TrainedModel &Out);
 LoadStatus validateAgainst(const TrainedModel &Model,
                            const runtime::TunableProgram &Program);
 
+/// Checks that \p Model has \p Serving's benchmark, scale and program
+/// seed, which validateAgainst cannot see (two seeds of one benchmark
+/// share features, space and input count).
+LoadStatus checkProvenance(const ModelMeta &Model, const ModelMeta &Serving);
+
 } // namespace serialize
 } // namespace pbt
 

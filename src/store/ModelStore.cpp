@@ -680,6 +680,19 @@ LoadStatus loadCurrentVerified(const std::string &Dir, VerifiedModel &Out) {
                              "' (first rejection: " + FirstError + ")");
 }
 
+LoadStatus followCurrent(const std::string &Dir, uint64_t Held,
+                         VerifiedModel &Out) {
+  Out = VerifiedModel();
+  uint64_t Pointed = 0;
+  LoadStatus St = readCurrentPointer(Dir, Pointed);
+  if (!St || Pointed == 0 || Pointed == Held)
+    return St;
+  St = loadCurrentVerified(Dir, Out);
+  if (St && Out.Epoch == Held)
+    Out.Epoch = 0; // the fallback converged on what is already served
+  return St;
+}
+
 LoadStatus loadEpochVerified(const std::string &Dir, uint64_t Epoch,
                              std::string &Text) {
   ReaderSnapshot Snap;

@@ -204,6 +204,13 @@ struct VerifiedModel {
 serialize::LoadStatus loadCurrentVerified(const std::string &Dir,
                                           VerifiedModel &Out);
 
+/// The store-follow step of Replica::sync and ModelRegistry::pollStores:
+/// when CURRENT names an epoch other than \p Held, loads it through
+/// loadCurrentVerified. Out.Epoch is 0 when there is nothing new to adopt.
+/// Fails when CURRENT is unreadable or nothing loads.
+serialize::LoadStatus followCurrent(const std::string &Dir, uint64_t Held,
+                                    VerifiedModel &Out);
+
 /// Loads exactly \p Epoch's image, verifying size + checksum against the
 /// MANIFEST -- no fallback. The canary load path: a canary must serve
 /// exactly the candidate or not serve it at all.

@@ -15,6 +15,7 @@
 #include "core/Pipeline.h"
 #include "registry/BenchmarkRegistry.h"
 #include "runtime/AdaptiveService.h"
+#include "runtime/SubsetProgram.h"
 #include "serialize/ModelIO.h"
 #include "store/ModelStore.h"
 #include "support/FaultInject.h"
@@ -197,6 +198,21 @@ TEST_F(GracefulShutdownTest, UninterruptedRetrainShipsACandidate) {
       << Why;
   EXPECT_EQ(Report.CandidateEpoch, 2u);
   ASSERT_NE(Ctl->modelStore().record(2), nullptr);
+
+  // The shipped bytes are plain offline training on the same sample,
+  // stamped with the epoch the image landed as.
+  core::PipelineOptions Opt = publisherOptions().Retrain;
+  runtime::AdaptiveService::clampRetrainOptions(Opt, Sample.size());
+  runtime::SubsetProgram View(*Program, Sample);
+  const registry::BenchmarkFactory &F =
+      registry::BenchmarkRegistry::instance().get("sort1");
+  serialize::TrainedModel Ref =
+      serialize::makeModel("sort1", kScale, F.defaultProgramSeed(), View,
+                           core::trainSystem(View, Opt));
+  Ref.Meta.Epoch = Report.CandidateEpoch;
+  std::string Shipped;
+  ASSERT_TRUE(store::loadEpochVerified(Dir, 2, Shipped).Ok);
+  EXPECT_EQ(Shipped, serialize::serializeModel(Ref));
 }
 
 } // namespace

@@ -152,6 +152,23 @@ TEST_F(RolloutTest, DegradedCandidateRollsBackAndTheCanaryReverts) {
   EXPECT_GT(Ctl->replica(0).swapCount(), Ctl->replica(1).swapCount());
 }
 
+TEST_F(RolloutTest, ForeignProvenanceIsRefusedBeforePublish) {
+  // The champion's clone under another program seed passes
+  // validateAgainst and would score equal at the canary; rollout refuses
+  // it before anything is durable.
+  auto Ctl = makeStarted();
+  serialize::TrainedModel Foreign = cloneModel(modelBytes());
+  Foreign.Meta.ProgramSeed += 1;
+  RolloutController::CycleReport Report;
+  serialize::LoadStatus St = Ctl->rollout(std::move(Foreign), Report);
+  EXPECT_FALSE(St.Ok);
+  EXPECT_NE(St.Error.find("provenance"), std::string::npos) << St.Error;
+  EXPECT_EQ(Ctl->currentEpoch(), 1u);
+  EXPECT_EQ(Ctl->modelStore().records().size(), 1u);
+  for (size_t I = 0; I != Ctl->replicaCount(); ++I)
+    EXPECT_EQ(Ctl->replica(I).epoch(), 1u);
+}
+
 TEST_F(RolloutTest, ResumeConvergesAKilledFleetOntoCurrent) {
   {
     auto Ctl = makeStarted();

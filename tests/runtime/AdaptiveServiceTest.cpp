@@ -411,6 +411,18 @@ TEST(AdaptiveServiceTest, SwapModelValidatesThePushedModel) {
   EXPECT_EQ(Service.epoch(), E0);
   EXPECT_EQ(Service.stats().Swaps, 0u);
   EXPECT_EQ(Service.decide(0).Landmark, Before);
+
+  // A clone of the serving model claiming another program seed fits the
+  // program's shape (same features, space and input count) but names
+  // other inputs: provenance refuses it.
+  serialize::TrainedModel OtherSeed = cloneModel(modelBytes());
+  OtherSeed.Meta.ProgramSeed += 1;
+  Pushed = Service.swapModel(std::move(OtherSeed));
+  EXPECT_FALSE(Pushed.Ok);
+  EXPECT_NE(Pushed.Error.find("provenance"), std::string::npos)
+      << Pushed.Error;
+  EXPECT_EQ(Service.epoch(), E0);
+  EXPECT_EQ(Service.stats().Swaps, 0u);
 }
 
 TEST(AdaptiveServiceTest, ScratchAndMonitorFollowTheModelAcrossSwaps) {
