@@ -21,6 +21,7 @@
 #include "runtime/AdaptiveService.h"
 #include "runtime/SubsetProgram.h"
 #include "serialize/ModelIO.h"
+#include "store/ModelStore.h"
 #include "streams/WorkloadStream.h"
 
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -798,4 +800,83 @@ TEST(DaemonServerTest, StatsReportMonitorAndFeatureCostPerTenant) {
     else
       EXPECT_EQ(Monitor, 0.0) << "no monitor runs without --adapt";
   }
+}
+
+namespace {
+
+/// \p Json with every number outside a string literal replaced by '#'.
+std::string maskNumbers(const std::string &Json) {
+  std::string Out;
+  bool InString = false;
+  for (size_t I = 0; I != Json.size(); ++I) {
+    char C = Json[I];
+    if (InString) {
+      Out += C;
+      if (C == '\\')
+        Out += Json[++I];
+      else if (C == '"')
+        InString = false;
+    } else if (C == '"') {
+      InString = true;
+      Out += C;
+    } else if (C == '-' || (C >= '0' && C <= '9')) {
+      while (I + 1 != Json.size() &&
+             std::string("0123456789+-.eE").find(Json[I + 1]) !=
+                 std::string::npos)
+        ++I;
+      Out += '#';
+    } else {
+      Out += C;
+    }
+  }
+  return Out;
+}
+
+} // namespace
+
+TEST(DaemonServerTest, StatsLayoutIsPinned) {
+  // perfbench reads a Stats key by the first match of `"key": ` and a
+  // tenant by `{"name": "`, so the keys, their order and the separators
+  // are an interface. One file tenant (whose name needs escaping) and
+  // one store tenant.
+  Harness H({}, {}, {"a\"b\\c"});
+  std::string Dir = ::testing::TempDir() + "pbt-dt-stats-store-" +
+                    std::to_string(::getpid());
+  std::filesystem::remove_all(Dir);
+  {
+    store::ModelStore Store(Dir);
+    ASSERT_TRUE(Store.open().Ok);
+    uint64_t Epoch = 0;
+    ASSERT_TRUE(Store.publish(modelBytes(), Epoch).Ok);
+    ASSERT_TRUE(Store.promote(Epoch).Ok);
+  }
+  serialize::LoadStatus St = H.Registry.addStoreTenant("stored", Dir);
+  ASSERT_TRUE(St.Ok) << St.Error;
+
+  auto Tenant = [](const std::string &Name, const std::string &Model) {
+    return "{\"name\": \"" + Name +
+           "\", \"benchmark\": \"sort1\", \"model\": \"" + Model +
+           "\", \"epoch\": #, \"landmarks\": #, \"inputs\": #, "
+           "\"requests\": #, \"decisions\": #, \"batches\": #, "
+           "\"shed\": #, \"errors\": #, \"service_decisions\": #, "
+           "\"memoized\": #, \"drift_detections\": #, \"retrains\": #, "
+           "\"swaps\": #, \"rejected_candidates\": #, "
+           "\"skipped_retrains\": #, \"retrain_seconds_total\": #, "
+           "\"last_retrain_ms\": #, \"monitor_cost_paid\": #, "
+           "\"feature_cost_paid\": #, \"last_skip_reason\": \"\", "
+           "\"build_ms\": #, \"retrain_level1_ms_total\": #, "
+           "\"retrain_level2_ms_total\": #}";
+  };
+  std::string Expected =
+      "{\"connections\": #, \"requests\": #, \"decisions\": #, "
+      "\"shed\": #, \"malformed\": #, \"batches\": #, "
+      "\"batched_requests\": #, \"max_queue_depth\": #, "
+      "\"admission_waits\": #, \"admission_wait_us_total\": #, "
+      "\"shed_sessions\": #, \"stalled\": #, \"max_sessions\": #, "
+      "\"queue_capacity\": #, \"workers\": #, \"adapt\": false, "
+      "\"tenants\": [" +
+      Tenant("a\\\"b\\\\c", modelPath()) + ", " + Tenant("stored", Dir) +
+      "]}";
+  EXPECT_EQ(maskNumbers(H.Srv->statsJson()), Expected);
+  std::filesystem::remove_all(Dir);
 }
