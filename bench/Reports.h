@@ -130,6 +130,9 @@ std::string jsonQuantile(const std::vector<double> &V, double Q);
 /// empty entries.
 std::vector<std::string> splitCommas(const std::string &Text);
 
+/// \p Name inside Opts.OutDir (just \p Name when OutDir is "." or empty).
+std::string csvPath(const DriverOptions &Opts, const std::string &Name);
+
 /// The directory part of \p Path; "." when it has none.
 std::string dirnameOf(const std::string &Path);
 
