@@ -38,8 +38,8 @@
 #include "runtime/AdaptiveService.h"
 #include "serialize/ModelIO.h"
 #include "support/Cost.h"
+#include "support/Json.h"
 #include "support/Random.h"
-#include "support/Statistics.h"
 
 #include <algorithm>
 #include <atomic>
@@ -185,24 +185,18 @@ int runFleet(const DriverOptions &Opts, const char *Argv0) {
                  St.Error.c_str());
     return 1;
   }
-  serialize::TrainedModel ParityModel;
-  St = serialize::loadModelFile(ModelPath, ParityModel);
+  registry::BoundModel Parity;
+  St = loadBoundModel(ModelPath, Parity);
   if (!St) {
     std::fprintf(stderr, "pbt-bench fleet: parity replica: %s\n",
                  St.Error.c_str());
-    return 1;
-  }
-  runtime::AdaptiveService Parity(*E.Program, std::move(ParityModel));
-  if (!Parity.ready()) {
-    std::fprintf(stderr, "pbt-bench fleet: parity replica: %s\n",
-                 Parity.status().Error.c_str());
     return 1;
   }
   std::vector<size_t> AllInputs(E.Program->numInputs());
   for (size_t I = 0; I < AllInputs.size(); ++I)
     AllInputs[I] = I;
   std::vector<runtime::AdaptiveService::Decision> GoldenDecisions =
-      Parity.decideBatch(AllInputs);
+      Parity.Service->decideBatch(AllInputs);
   std::vector<uint32_t> Golden(GoldenDecisions.size());
   for (size_t I = 0; I < Golden.size(); ++I)
     Golden[I] = GoldenDecisions[I].Landmark;
@@ -400,50 +394,46 @@ int runFleet(const DriverOptions &Opts, const char *Argv0) {
   double Availability =
       Answered + Sum.Lost > 0 ? Answered / (Answered + Sum.Lost) : 1.0;
 
-  std::string J = "{\n";
-  J += "  \"subcommand\": \"fleet\",\n";
-  J += "  \"benchmark\": \"" + jsonString(E.Name) + "\",\n";
-  J += "  \"scale\": " + jsonNumber(Opts.Scale) + ",\n";
-  J += "  \"replicas\": " + std::to_string(SUP.Replicas) + ",\n";
-  J += "  \"transport\": \"" + jsonString(Opts.FleetTransport) + "\",\n";
-  J += "  \"connections\": " + std::to_string(Conns) + ",\n";
-  J += "  \"chaos\": " + std::string(Opts.Chaos ? "true" : "false") + ",\n";
-  J += "  \"kills\": " + std::to_string(Kills) + ",\n";
-  J += "  \"promotions_mid_chaos\": " + std::to_string(Promotions) + ",\n";
-  J += "  \"startup_converge_s\": " + jsonNumber(StartupSeconds) + ",\n";
-  J += "  \"requests_ok\": " + std::to_string(Sum.Ok) + ",\n";
-  J += "  \"requests_shed\": " + std::to_string(Sum.Shed) + ",\n";
-  J += "  \"requests_lost\": " + std::to_string(Sum.Lost) + ",\n";
-  J += "  \"decisions\": " + std::to_string(Sum.Decisions) + ",\n";
-  J += "  \"availability\": " + jsonNumber(Availability) + ",\n";
-  J += "  \"latency_p50_us\": " + jsonQuantile(Sum.LatenciesUs, 0.5) + ",\n";
-  J += "  \"latency_p99_us\": " + jsonQuantile(Sum.LatenciesUs, 0.99) + ",\n";
-  J += "  \"failovers\": " + std::to_string(Sum.Failovers) + ",\n";
-  J += "  \"failover_latency_p50_us\": " +
-       jsonQuantile(Sum.FailoverLatenciesUs, 0.5) + ",\n";
-  J += "  \"failover_latency_p99_us\": " +
-       jsonQuantile(Sum.FailoverLatenciesUs, 0.99) + ",\n";
-  J += "  \"mark_downs\": " + std::to_string(Sum.Client.MarkDowns) + ",\n";
-  J += "  \"reconnects\": " + std::to_string(Sum.Client.Reconnects) + ",\n";
-  J += "  \"restarts\": " + std::to_string(Restarts) + ",\n";
-  J += "  \"supervisor_resumes\": " + std::to_string(Resumes.load()) + ",\n";
-  J += "  \"converge_p50_s\": " + jsonQuantile(ConvergeSeconds, 0.5) + ",\n";
-  J += "  \"converge_max_s\": " +
-       (ConvergeSeconds.empty() ? "null"
-                                : jsonNumber(support::maxOf(ConvergeSeconds))) +
-       ",\n";
-  J += "  \"converge_failures\": " + std::to_string(ConvergeFailures) + ",\n";
-  J += "  \"quarantine_engaged\": " +
-       std::string(QuarantineEngaged ? "true" : "false") + ",\n";
-  J += "  \"quarantined\": " + std::to_string(Quarantined) + ",\n";
-  J += "  \"healthy_at_end\": " + std::to_string(HealthyAtEnd) + ",\n";
-  J += "  \"ok_during_quarantine\": " + std::to_string(OkDuringQuarantine) +
-       ",\n";
-  J += "  \"parity_inputs\": " + std::to_string(Sum.ParityChecked) + ",\n";
-  J += "  \"parity_mismatches\": " + std::to_string(Sum.ParityMismatches) +
-       ",\n";
-  J += "  \"final_epoch\": " + std::to_string(Ctl.currentEpoch()) + "\n";
-  J += "}\n";
+  support::JsonWriter W(support::JsonWriter::Layout::Indented);
+  W.beginObject()
+      .string("subcommand", "fleet")
+      .string("benchmark", E.Name)
+      .number("scale", Opts.Scale)
+      .number("replicas", SUP.Replicas)
+      .string("transport", Opts.FleetTransport)
+      .number("connections", Conns)
+      .boolean("chaos", Opts.Chaos)
+      .number("kills", Kills)
+      .number("promotions_mid_chaos", Promotions)
+      .number("startup_converge_s", StartupSeconds)
+      .number("requests_ok", Sum.Ok)
+      .number("requests_shed", Sum.Shed)
+      .number("requests_lost", Sum.Lost)
+      .number("decisions", Sum.Decisions)
+      .number("availability", Availability)
+      .number("latency_p50_us", quantileOrNaN(Sum.LatenciesUs, 0.5))
+      .number("latency_p99_us", quantileOrNaN(Sum.LatenciesUs, 0.99))
+      .number("failovers", Sum.Failovers)
+      .number("failover_latency_p50_us",
+              quantileOrNaN(Sum.FailoverLatenciesUs, 0.5))
+      .number("failover_latency_p99_us",
+              quantileOrNaN(Sum.FailoverLatenciesUs, 0.99))
+      .number("mark_downs", Sum.Client.MarkDowns)
+      .number("reconnects", Sum.Client.Reconnects)
+      .number("restarts", Restarts)
+      .number("supervisor_resumes", Resumes.load())
+      .number("converge_p50_s", quantileOrNaN(ConvergeSeconds, 0.5))
+      .number("converge_max_s", quantileOrNaN(ConvergeSeconds, 1.0))
+      .number("converge_failures", ConvergeFailures)
+      .boolean("quarantine_engaged", QuarantineEngaged)
+      .number("quarantined", Quarantined)
+      .number("healthy_at_end", HealthyAtEnd)
+      .number("ok_during_quarantine", OkDuringQuarantine)
+      .number("parity_inputs", Sum.ParityChecked)
+      .number("parity_mismatches", Sum.ParityMismatches)
+      .number("final_epoch", Ctl.currentEpoch())
+      .end();
+  const std::string &J = W.str();
   std::fputs(J.c_str(), stdout);
 
   if (Opts.Json && !writeReport(Opts, "fleet", "BENCH_fleet.json", J))

@@ -7,6 +7,7 @@
 #include "Reports.h"
 
 #include "support/Cost.h"
+#include "support/Json.h"
 #include "support/Table.h"
 
 #include <algorithm>
@@ -24,15 +25,16 @@ using namespace pbt::benchharness;
 int benchharness::runInteract(const DriverOptions &Opts) {
   std::vector<registry::SuiteEntry> Suite = suiteFor(Opts);
 
-  std::string Json = std::string("{\n") + "  \"subcommand\": \"interact\",\n" +
-                     "  \"scale\": " + jsonNumber(Opts.Scale) + ",\n" +
-                     "  \"workloads\": [";
+  support::JsonWriter W(support::JsonWriter::Layout::Indented);
+  W.beginObject()
+      .string("subcommand", "interact")
+      .number("scale", Opts.Scale)
+      .beginArray("workloads");
   support::TextTable Table;
   Table.setHeader({"Benchmark", "inputs", "landmarks", "interaction",
                    "oracle/static"});
 
-  for (size_t W = 0; W != Suite.size(); ++W) {
-    registry::SuiteEntry &E = Suite[W];
+  for (registry::SuiteEntry &E : Suite) {
     support::WallTimer T;
     core::TrainedSystem System = core::trainSystem(*E.Program, E.Options);
     const linalg::Matrix &C = System.L1.Time; // inputs x landmarks
@@ -93,18 +95,20 @@ int benchharness::runInteract(const DriverOptions &Opts) {
                  E.Name.c_str(), Interaction, Speedup, N, K,
                  T.elapsedSeconds());
     Table.addRow({E.Name, std::to_string(N), std::to_string(K),
-                  jsonNumber(Interaction), support::formatSpeedup(Speedup)});
+                  support::formatDouble(Interaction, 3),
+                  support::formatSpeedup(Speedup)});
 
-    Json += std::string(W ? "," : "") + "\n    {\"name\": \"" +
-            jsonString(E.Name) + "\", \"inputs\": " + std::to_string(N) +
-            ", \"landmarks\": " + std::to_string(K) +
-            ", \"interaction_strength\": " + jsonNumber(Interaction) +
-            ", \"oracle_over_static\": " + jsonNumber(Speedup) +
-            ", \"best_static_landmark\": " + std::to_string(StaticBest) +
-            "}";
+    W.beginObject()
+        .string("name", E.Name)
+        .number("inputs", N)
+        .number("landmarks", K)
+        .number("interaction_strength", Interaction)
+        .number("oracle_over_static", Speedup)
+        .number("best_static_landmark", StaticBest)
+        .end();
   }
-  Json += Suite.empty() ? "]\n" : "\n  ]\n";
-  Json += "}\n";
+  W.end().end();
+  const std::string &Json = W.str();
 
   std::fprintf(stderr,
                "\nInteraction strength per workload "

@@ -39,12 +39,13 @@
 #include "runtime/AdaptiveService.h"
 #include "serialize/ModelIO.h"
 #include "streams/WorkloadStream.h"
-#include "support/Statistics.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -79,8 +80,7 @@ struct LoadTenant {
   std::string Name;
   std::string ModelPath;
   std::string Benchmark;
-  registry::ProgramPtr Program;
-  std::unique_ptr<runtime::AdaptiveService> Replica;
+  registry::BoundModel Replica;
   std::unique_ptr<streams::WorkloadStream> Stream;
 };
 
@@ -123,27 +123,26 @@ PhaseSummary mergeConns(std::vector<ConnResult> &Conns, double Seconds) {
   return P;
 }
 
-std::string jsonPhaseSummary(const PhaseSummary &P, unsigned Connections) {
-  double Dps = P.Seconds > 0 ? static_cast<double>(P.Decisions) / P.Seconds
-                             : 0.0;
+/// Writes \p P as the object member \p Key of \p W.
+void writePhase(support::JsonWriter &W, const char *Key, const PhaseSummary &P,
+                unsigned Connections) {
   double Total = static_cast<double>(P.Requests + P.Shed);
-  std::string J = "{";
-  J += "\"connections\": " + std::to_string(Connections);
-  J += ", \"seconds\": " + jsonNumber(P.Seconds);
-  J += ", \"requests\": " + std::to_string(P.Requests);
-  J += ", \"decisions\": " + std::to_string(P.Decisions);
-  J += ", \"decisions_per_sec\": " + jsonNumber(Dps);
-  J += ", \"shed\": " + std::to_string(P.Shed);
-  J += ", \"shed_rate\": " +
-       (Total > 0 ? jsonNumber(static_cast<double>(P.Shed) / Total) : "null");
-  J += ", \"p50_us\": " + jsonQuantile(P.LatenciesUs, 0.5);
-  J += ", \"p99_us\": " + jsonQuantile(P.LatenciesUs, 0.99);
-  J += ", \"p999_us\": " + jsonQuantile(P.LatenciesUs, 0.999);
-  J += ", \"max_us\": " +
-       (P.LatenciesUs.empty() ? "null"
-                              : jsonNumber(support::maxOf(P.LatenciesUs)));
-  J += "}";
-  return J;
+  W.beginObject(Key)
+      .number("connections", Connections)
+      .number("seconds", P.Seconds)
+      .number("requests", P.Requests)
+      .number("decisions", P.Decisions)
+      .number("decisions_per_sec",
+              P.Seconds > 0 ? static_cast<double>(P.Decisions) / P.Seconds
+                            : 0.0)
+      .number("shed", P.Shed)
+      .number("shed_rate", Total > 0 ? static_cast<double>(P.Shed) / Total
+                                     : std::nan(""))
+      .number("p50_us", quantileOrNaN(P.LatenciesUs, 0.5))
+      .number("p99_us", quantileOrNaN(P.LatenciesUs, 0.99))
+      .number("p999_us", quantileOrNaN(P.LatenciesUs, 0.999))
+      .number("max_us", quantileOrNaN(P.LatenciesUs, 1.0))
+      .end();
 }
 
 /// One connection's sustained-phase loop: attach, then replay this
@@ -269,34 +268,14 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
   for (const auto &[Name, Path] : daemon::splitModelSpec(Opts.Model)) {
     LoadTenant T;
     T.ModelPath = Path;
-    serialize::TrainedModel Model;
-    serialize::LoadStatus Loaded = serialize::loadModelFile(Path, Model);
+    serialize::LoadStatus Loaded = loadBoundModel(Path, T.Replica);
     if (!Loaded) {
       std::fprintf(stderr, "pbt-bench loadgen: cannot load '%s': %s\n",
                    Path.c_str(), Loaded.Error.c_str());
       return 1;
     }
-    T.Benchmark = Model.Meta.Benchmark;
-    T.Name = Name.empty() ? Model.Meta.Benchmark : Name;
-    const registry::BenchmarkFactory *Factory =
-        registry::BenchmarkRegistry::instance().lookup(Model.Meta.Benchmark);
-    if (!Factory) {
-      std::fprintf(stderr,
-                   "pbt-bench loadgen: model benchmark '%s' is not "
-                   "registered\n",
-                   Model.Meta.Benchmark.c_str());
-      return 1;
-    }
-    T.Program =
-        Factory->makeProgram(Model.Meta.Scale, Model.Meta.ProgramSeed);
-
-    T.Replica = std::make_unique<runtime::AdaptiveService>(*T.Program,
-                                                           std::move(Model));
-    if (!T.Replica->ready()) {
-      std::fprintf(stderr, "pbt-bench loadgen: parity replica for '%s': %s\n",
-                   Path.c_str(), T.Replica->status().Error.c_str());
-      return 1;
-    }
+    T.Benchmark = T.Replica.Service->currentEpoch()->Model.Meta.Benchmark;
+    T.Name = Name.empty() ? T.Benchmark : Name;
 
     streams::WorkloadStreamOptions SO;
     SO.Kind = Kind;
@@ -306,7 +285,8 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
     SO.KeyProperty = Opts.StreamKey;
     SO.Period = Opts.StreamPeriod;
     try {
-      T.Stream = std::make_unique<streams::WorkloadStream>(*T.Program, SO);
+      T.Stream =
+          std::make_unique<streams::WorkloadStream>(*T.Replica.Program, SO);
     } catch (const std::invalid_argument &E) {
       std::fprintf(stderr, "pbt-bench loadgen: %s: %s\n", T.Name.c_str(),
                    E.what());
@@ -469,7 +449,7 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
         Inputs.push_back(static_cast<size_t>(In));
       std::sort(Inputs.begin(), Inputs.end());
       std::vector<runtime::AdaptiveService::Decision> Local =
-          Tenants[TIdx].Replica->decideBatch(Inputs);
+          Tenants[TIdx].Replica.Service->decideBatch(Inputs);
       for (size_t K = 0; K < Inputs.size(); ++K) {
         ++ParityInputs;
         uint32_t DaemonL = Answers[static_cast<uint64_t>(Inputs[K])];
@@ -505,41 +485,35 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
   }
   Control.close();
 
-  std::string Json = "{\n  \"subcommand\": \"loadgen\",\n";
-  Json += "  \"socket\": \"" + jsonString(Socket) + "\",\n";
-  Json += std::string("  \"spawned\": ") + (Opts.Spawn ? "true" : "false") +
-          ",\n";
-  Json += "  \"schedule\": \"" + jsonString(Opts.StreamSchedule) + "\",\n";
-  Json += "  \"requests_per_tenant\": " +
-          std::to_string(std::max(1u, Opts.StreamRequests)) + ",\n";
-  Json += "  \"batch\": " + std::to_string(BatchSize) + ",\n";
-  Json += "  \"queue_capacity\": " + std::to_string(Opts.QueueCapacity) +
-          ",\n";
-  Json += "  \"workers\": " + std::to_string(Opts.Workers) + ",\n";
-  Json += std::string("  \"adapt\": ") + (Opts.Adapt ? "true" : "false") +
-          ",\n";
-  Json += "  \"tenants\": [";
-  for (size_t I = 0; I < Tenants.size(); ++I) {
-    if (I)
-      Json += ", ";
-    Json += "{\"name\": \"" + jsonString(Tenants[I].Name) +
-            "\", \"benchmark\": \"" + jsonString(Tenants[I].Benchmark) +
-            "\", \"model\": \"" + jsonString(Tenants[I].ModelPath) +
-            "\", \"inputs\": " +
-            std::to_string(Tenants[I].Program->numInputs()) + "}";
-  }
-  Json += "],\n";
-  Json += "  \"sustained\": " + jsonPhaseSummary(Sustained, Conns) + ",\n";
-  Json += "  \"saturation\": " + jsonPhaseSummary(Saturation, SatConns) +
-          ",\n";
-  Json += "  \"parity_checked\": " +
-          std::string(ParityChecked ? "true" : "false") + ",\n";
-  Json += "  \"parity_inputs\": " + std::to_string(ParityInputs) + ",\n";
-  Json += "  \"choices_match_inprocess\": " +
-          std::string(ParityOk ? "true" : "false") + ",\n";
-  Json += "  \"server_exit\": " + std::to_string(ServerExit) + ",\n";
-  Json += "  \"server_stats\": " + ServerStatsJson + "\n";
-  Json += "}\n";
+  support::JsonWriter W(support::JsonWriter::Layout::Indented);
+  W.beginObject()
+      .string("subcommand", "loadgen")
+      .string("socket", Socket)
+      .boolean("spawned", Opts.Spawn)
+      .string("schedule", Opts.StreamSchedule)
+      .number("requests_per_tenant", std::max(1u, Opts.StreamRequests))
+      .number("batch", BatchSize)
+      .number("queue_capacity", Opts.QueueCapacity)
+      .number("workers", Opts.Workers)
+      .boolean("adapt", Opts.Adapt)
+      .beginArray("tenants");
+  for (const LoadTenant &T : Tenants)
+    W.beginObject()
+        .string("name", T.Name)
+        .string("benchmark", T.Benchmark)
+        .string("model", T.ModelPath)
+        .number("inputs", T.Replica.Program->numInputs())
+        .end();
+  W.end();
+  writePhase(W, "sustained", Sustained, Conns);
+  writePhase(W, "saturation", Saturation, SatConns);
+  W.boolean("parity_checked", ParityChecked)
+      .number("parity_inputs", ParityInputs)
+      .boolean("choices_match_inprocess", ParityOk)
+      .number("server_exit", ServerExit)
+      .raw("server_stats", ServerStatsJson)
+      .end();
+  const std::string &Json = W.str();
 
   std::fputs(Json.c_str(), stdout);
   if (Opts.Json &&

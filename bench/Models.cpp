@@ -65,43 +65,6 @@ int benchharness::runTrain(const DriverOptions &Opts) {
   return 0;
 }
 
-/// Loads --model, rebuilds the exact program the model was trained on
-/// from its recorded provenance (the registry key, scale, and seed all
-/// live in the file), and builds the serving core over the pair. Returns
-/// a nonzero exit code on failure, 0 on success.
-static int loadService(const DriverOptions &Opts, const char *Sub,
-                       registry::ProgramPtr &Program,
-                       std::unique_ptr<runtime::AdaptiveService> &Service) {
-  if (Opts.Model.empty()) {
-    std::fprintf(stderr, "pbt-bench %s: --model=FILE is required\n", Sub);
-    return 1;
-  }
-  serialize::TrainedModel Model;
-  serialize::LoadStatus Loaded = serialize::loadModelFile(Opts.Model, Model);
-  if (!Loaded) {
-    std::fprintf(stderr, "pbt-bench %s: cannot load '%s': %s\n", Sub,
-                 Opts.Model.c_str(), Loaded.Error.c_str());
-    return 1;
-  }
-  const registry::BenchmarkFactory *Factory =
-      registry::BenchmarkRegistry::instance().lookup(Model.Meta.Benchmark);
-  if (!Factory) {
-    std::fprintf(stderr,
-                 "pbt-bench %s: model benchmark '%s' is not registered\n",
-                 Sub, Model.Meta.Benchmark.c_str());
-    return 1;
-  }
-  Program = Factory->makeProgram(Model.Meta.Scale, Model.Meta.ProgramSeed);
-  Service = std::make_unique<runtime::AdaptiveService>(*Program,
-                                                       std::move(Model));
-  if (!Service->ready()) {
-    std::fprintf(stderr, "pbt-bench %s: model/program mismatch: %s\n", Sub,
-                 Service->status().Error.c_str());
-    return 1;
-  }
-  return 0;
-}
-
 /// Decodes --rows (test|train|all) against a loaded model. Returns false
 /// (with a message) on a bad value.
 static bool selectRows(const DriverOptions &Opts, const char *Sub,
@@ -126,11 +89,20 @@ static bool selectRows(const DriverOptions &Opts, const char *Sub,
 }
 
 int benchharness::runPredict(const DriverOptions &Opts) {
-  registry::ProgramPtr Program;
-  std::unique_ptr<runtime::AdaptiveService> Service;
-  if (int Failed = loadService(Opts, "predict", Program, Service))
-    return Failed;
-  runtime::AdaptiveService::EpochPtr Epoch = Service->currentEpoch();
+  if (Opts.Model.empty()) {
+    std::fprintf(stderr, "pbt-bench predict: --model=FILE is required\n");
+    return 1;
+  }
+  registry::BoundModel Bound;
+  serialize::LoadStatus Loaded = loadBoundModel(Opts.Model, Bound);
+  if (!Loaded) {
+    std::fprintf(stderr, "pbt-bench predict: cannot load '%s': %s\n",
+                 Opts.Model.c_str(), Loaded.Error.c_str());
+    return 1;
+  }
+  const runtime::TunableProgram &Program = *Bound.Program;
+  runtime::AdaptiveService &Service = *Bound.Service;
+  runtime::AdaptiveService::EpochPtr Epoch = Service.currentEpoch();
   const serialize::TrainedModel &Model = Epoch->Model;
 
   std::vector<size_t> Rows;
@@ -144,12 +116,12 @@ int benchharness::runPredict(const DriverOptions &Opts) {
   unsigned Repeat = std::max(1u, Opts.Repeat);
   for (unsigned Pass = 0; Pass != Repeat; ++Pass) {
     for (size_t Row : Rows) {
-      runtime::AdaptiveService::Decision D = Service->decide(Row);
+      runtime::AdaptiveService::Decision D = Service.decide(Row);
       if (Pass != 0)
         continue; // later passes only exercise the memo
-      Table.addRow({Program->describeInput(Row), std::to_string(D.Landmark),
+      Table.addRow({Program.describeInput(Row), std::to_string(D.Landmark),
                     support::formatDouble(D.FeatureCost, 1),
-                    Program->describeConfiguration(*D.Config)});
+                    Program.describeConfiguration(*D.Config)});
       Csv.addRow({std::to_string(Row), std::to_string(D.Landmark)});
     }
   }
@@ -159,7 +131,7 @@ int benchharness::runPredict(const DriverOptions &Opts) {
     return 1;
   }
 
-  runtime::AdaptiveService::StatsSnapshot S = Service->stats();
+  runtime::AdaptiveService::StatsSnapshot S = Service.stats();
   std::printf("Online decisions from %s (benchmark %s, %zu rows, "
               "%u pass%s, production classifier: %s)\n\n%s\n",
               Opts.Model.c_str(), Model.Meta.Benchmark.c_str(), Rows.size(),

@@ -6,10 +6,13 @@
 
 #include "Reports.h"
 
+#include "serialize/ModelIO.h"
 #include "support/Statistics.h"
 
+#include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace pbt;
@@ -29,16 +32,6 @@ std::string benchharness::csvPath(const DriverOptions &Opts,
   return Opts.OutDir + "/" + Name;
 }
 
-//===----------------------------------------------------------------------===//
-// JSON helpers
-//===----------------------------------------------------------------------===//
-
-std::string benchharness::jsonNumber(double V) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
-  return Buf;
-}
-
 bool benchharness::writeReport(const DriverOptions &Opts, const char *Sub,
                                const std::string &Name,
                                const std::string &Json) {
@@ -55,43 +48,17 @@ bool benchharness::writeReport(const DriverOptions &Opts, const char *Sub,
   return Ok;
 }
 
-/// Escapes a string for embedding in a JSON literal (paths and names are
-/// user-controlled; a quote or backslash must not corrupt the report).
-std::string benchharness::jsonString(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 2);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
+double benchharness::quantileOrNaN(const std::vector<double> &V, double Q) {
+  return V.empty() ? std::nan("") : support::quantile(V, Q);
 }
 
-std::string benchharness::jsonQuantile(const std::vector<double> &V,
-                                       double Q) {
-  if (V.empty())
-    return "null";
-  return jsonNumber(support::quantile(V, Q));
+serialize::LoadStatus benchharness::loadBoundModel(const std::string &Path,
+                                                   registry::BoundModel &Out) {
+  serialize::TrainedModel Model;
+  serialize::LoadStatus Loaded = serialize::loadModelFile(Path, Model);
+  if (!Loaded)
+    return Loaded;
+  return registry::bindModel(std::move(Model), Out);
 }
 
 std::vector<std::string> benchharness::splitCommas(const std::string &Text) {

@@ -116,15 +116,15 @@ struct DriverOptions {
   support::ThreadPool *Pool = nullptr;
 };
 
-/// JSON emission helpers shared by the report subcommands (stream,
-/// loadgen, ...): a %.6g number and a string escaped for embedding in a
-/// JSON literal.
-std::string jsonNumber(double V);
-std::string jsonString(const std::string &S);
-/// Quantile \p Q of \p V as a JSON number; "null" when \p V is empty
-/// (an empty phase has no percentiles, and support::quantile would
-/// fabricate 0.0).
-std::string jsonQuantile(const std::vector<double> &V, double Q);
+/// Quantile \p Q of \p V, or NaN -- which a report writes as null --
+/// when \p V is empty: an empty phase has no percentiles, and
+/// support::quantile would fabricate 0.0.
+double quantileOrNaN(const std::vector<double> &V, double Q);
+
+/// Loads the model file \p Path and binds it for decide-only serving
+/// (registry::bindModel). The status names the step that failed.
+serialize::LoadStatus loadBoundModel(const std::string &Path,
+                                     registry::BoundModel &Out);
 
 /// Splits a comma-separated option value (--only, --model), dropping
 /// empty entries.

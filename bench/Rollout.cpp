@@ -22,7 +22,9 @@
 #include "store/ModelStore.h"
 #include "support/Cost.h"
 #include "support/FaultInject.h"
+#include "support/Json.h"
 #include "support/Random.h"
+#include "support/Statistics.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -37,29 +39,15 @@ namespace benchharness {
 
 namespace {
 
-struct Series {
-  std::vector<double> V;
-  void add(double X) { V.push_back(X); }
-  double mean() const {
-    if (V.empty())
-      return 0.0;
-    double S = 0.0;
-    for (double X : V)
-      S += X;
-    return S / static_cast<double>(V.size());
-  }
-  double max() const {
-    double M = 0.0;
-    for (double X : V)
-      M = std::max(M, X);
-    return M;
-  }
-  std::string json() const {
-    return "{\"count\": " + std::to_string(V.size()) +
-           ", \"mean_s\": " + jsonNumber(mean()) +
-           ", \"max_s\": " + jsonNumber(max()) + "}";
-  }
-};
+/// Writes the durations \p Seconds as the object member \p Key of \p W.
+void writeSeries(support::JsonWriter &W, const char *Key,
+                 const std::vector<double> &Seconds) {
+  W.beginObject(Key)
+      .number("count", Seconds.size())
+      .number("mean_s", support::mean(Seconds))
+      .number("max_s", Seconds.empty() ? 0.0 : support::maxOf(Seconds))
+      .end();
+}
 
 /// Decisions (landmark per probe input) of a service -- the golden unit.
 std::vector<unsigned> probeChoices(runtime::AdaptiveService &Service,
@@ -144,7 +132,7 @@ int runRollout(const DriverOptions &Opts) {
   FaultInjector &Inj = FaultInjector::instance();
   Inj.reset();
 
-  Series Publish, Canary, Promote, Recovery;
+  std::vector<double> Publish, Canary, Promote, Recovery;
   unsigned Promoted = 0, RolledBack = 0, FailedPublishes = 0;
   unsigned Crashes = 0, Recoveries = 0;
   std::map<std::string, unsigned> FaultsArmed;
@@ -192,7 +180,7 @@ int runRollout(const DriverOptions &Opts) {
                      Crash.what(), Resumed.Error.c_str());
         return 1;
       }
-      Recovery.add(RecoveryTimer.elapsedSeconds());
+      Recovery.push_back(RecoveryTimer.elapsedSeconds());
       ++Recoveries;
       checkGolden(*Ctl);
       continue;
@@ -206,9 +194,9 @@ int runRollout(const DriverOptions &Opts) {
       checkGolden(*Ctl);
       continue;
     }
-    Publish.add(Report.PublishSeconds);
-    Canary.add(Report.CanarySeconds);
-    Promote.add(Report.PromoteSeconds);
+    Publish.push_back(Report.PublishSeconds);
+    Canary.push_back(Report.CanarySeconds);
+    Promote.push_back(Report.PromoteSeconds);
     if (Report.Promoted)
       ++Promoted;
     else
@@ -225,38 +213,33 @@ int runRollout(const DriverOptions &Opts) {
   for (size_t I = 0; I != Ctl->replicaCount(); ++I)
     TornPrevented += Ctl->replica(I).tornReadsPrevented();
 
-  std::string J = "{\n";
-  J += "  \"benchmark\": \"" + jsonString(E.Name) + "\",\n";
-  J += "  \"scale\": " + jsonNumber(Opts.Scale) + ",\n";
-  J += "  \"replicas\": " + std::to_string(Opts.Replicas) + ",\n";
-  J += "  \"cycles\": " + std::to_string(Opts.Cycles) + ",\n";
-  J += "  \"faults_enabled\": " + std::string(Opts.Faults ? "true" : "false") +
-       ",\n";
-  J += "  \"fault_seed\": " + std::to_string(Opts.FaultSeed) + ",\n";
-  J += "  \"faults_armed\": {";
-  {
-    bool First = true;
-    for (const auto &[Name, N] : FaultsArmed) {
-      J += std::string(First ? "" : ", ") + "\"" + jsonString(Name) +
-           "\": " + std::to_string(N);
-      First = false;
-    }
-  }
-  J += "},\n";
-  J += "  \"promoted\": " + std::to_string(Promoted) + ",\n";
-  J += "  \"rolled_back\": " + std::to_string(RolledBack) + ",\n";
-  J += "  \"failed_publishes\": " + std::to_string(FailedPublishes) + ",\n";
-  J += "  \"crashes_injected\": " + std::to_string(Crashes) + ",\n";
-  J += "  \"recoveries\": " + std::to_string(Recoveries) + ",\n";
-  J += "  \"publish\": " + Publish.json() + ",\n";
-  J += "  \"canary\": " + Canary.json() + ",\n";
-  J += "  \"promote\": " + Promote.json() + ",\n";
-  J += "  \"recovery\": " + Recovery.json() + ",\n";
-  J += "  \"current_epoch\": " + std::to_string(Ctl->currentEpoch()) + ",\n";
-  J += "  \"torn_reads_prevented\": " + std::to_string(TornPrevented) + ",\n";
-  J += "  \"torn_reads_served\": 0,\n";
-  J += "  \"golden_mismatches\": " + std::to_string(GoldenMismatches) + "\n";
-  J += "}\n";
+  support::JsonWriter W(support::JsonWriter::Layout::Indented);
+  W.beginObject()
+      .string("benchmark", E.Name)
+      .number("scale", Opts.Scale)
+      .number("replicas", Opts.Replicas)
+      .number("cycles", Opts.Cycles)
+      .boolean("faults_enabled", Opts.Faults)
+      .number("fault_seed", Opts.FaultSeed)
+      .beginObject("faults_armed");
+  for (const auto &[Name, N] : FaultsArmed)
+    W.number(Name, N);
+  W.end()
+      .number("promoted", Promoted)
+      .number("rolled_back", RolledBack)
+      .number("failed_publishes", FailedPublishes)
+      .number("crashes_injected", Crashes)
+      .number("recoveries", Recoveries);
+  writeSeries(W, "publish", Publish);
+  writeSeries(W, "canary", Canary);
+  writeSeries(W, "promote", Promote);
+  writeSeries(W, "recovery", Recovery);
+  W.number("current_epoch", Ctl->currentEpoch())
+      .number("torn_reads_prevented", TornPrevented)
+      .number("torn_reads_served", 0)
+      .number("golden_mismatches", GoldenMismatches)
+      .end();
+  const std::string &J = W.str();
   std::fputs(J.c_str(), stdout);
 
   if (Opts.Json && !writeReport(Opts, "rollout", "BENCH_rollout.json", J))

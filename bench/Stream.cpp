@@ -11,6 +11,7 @@
 #include "serialize/ModelIO.h"
 #include "streams/WorkloadStream.h"
 #include "support/Cost.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -126,22 +127,22 @@ int benchharness::runStream(const DriverOptions &Opts) {
                  Opts.Model.c_str(), Loaded.Error.c_str());
     return 1;
   }
-  const registry::BenchmarkFactory *Factory =
-      registry::BenchmarkRegistry::instance().lookup(Initial.Meta.Benchmark);
-  if (!Factory) {
-    std::fprintf(stderr,
-                 "pbt-bench stream: model benchmark '%s' is not registered\n",
-                 Initial.Meta.Benchmark.c_str());
-    return 1;
-  }
 
   // The traffic universe: the model's own provenance, optionally
   // stretched to a larger --scale (the same generator produces a
   // superset population, so the model still binds).
   double UniverseScale =
       Opts.ScaleExplicit ? Opts.Scale : Initial.Meta.Scale;
-  registry::ProgramPtr Universe =
-      Factory->makeProgram(UniverseScale, Initial.Meta.ProgramSeed);
+  registry::BoundModel AdaptiveBound;
+  Loaded = registry::bindModel(std::move(Initial), AdaptiveBound,
+                               Opts.StreamWindow, Opts.StreamReservoir,
+                               /*AutoAdapt=*/true, Opts.Pool, UniverseScale);
+  if (!Loaded) {
+    std::fprintf(stderr, "pbt-bench stream: %s\n", Loaded.Error.c_str());
+    return 1;
+  }
+  runtime::AdaptiveService &Adaptive = *AdaptiveBound.Service;
+  const runtime::TunableProgram *Universe = AdaptiveBound.Program.get();
 
   streams::WorkloadStreamOptions SO;
   SO.Kind = Kind;
@@ -157,32 +158,20 @@ int benchharness::runStream(const DriverOptions &Opts) {
     return 1;
   }
 
-  runtime::AdaptiveServiceOptions AO = registry::adaptiveServiceOptions(
-      *Factory, UniverseScale, Opts.StreamWindow, Opts.StreamReservoir,
-      Opts.Pool);
-
   // Frozen control: a second service from the same bytes, never adapted.
   serialize::TrainedModel FrozenInitial;
-  if (!serialize::loadModelFile(Opts.Model, FrozenInitial)) {
-    std::fprintf(stderr, "pbt-bench stream: cannot reload '%s'\n",
-                 Opts.Model.c_str());
+  registry::BoundModel FrozenBound;
+  Loaded = serialize::loadModelFile(Opts.Model, FrozenInitial);
+  if (Loaded)
+    Loaded = registry::bindModel(std::move(FrozenInitial), FrozenBound,
+                                 Opts.StreamWindow, Opts.StreamReservoir,
+                                 /*AutoAdapt=*/false, Opts.Pool, UniverseScale);
+  if (!Loaded) {
+    std::fprintf(stderr, "pbt-bench stream: cannot reload '%s': %s\n",
+                 Opts.Model.c_str(), Loaded.Error.c_str());
     return 1;
   }
-  runtime::AdaptiveServiceOptions FO = AO;
-  FO.AutoAdapt = false;
-
-  runtime::AdaptiveService Adaptive(*Universe, std::move(Initial), AO);
-  if (!Adaptive.ready()) {
-    std::fprintf(stderr, "pbt-bench stream: model/universe mismatch: %s\n",
-                 Adaptive.status().Error.c_str());
-    return 1;
-  }
-  runtime::AdaptiveService Frozen(*Universe, std::move(FrozenInitial), FO);
-  if (!Frozen.ready()) {
-    std::fprintf(stderr, "pbt-bench stream: %s\n",
-                 Frozen.status().Error.c_str());
-    return 1;
-  }
+  runtime::AdaptiveService &Frozen = *FrozenBound.Service;
 
   double Seconds = std::max(0.01, Opts.Seconds);
   StreamTrace Ada = replayStream(*Stream, *Universe, Adaptive, true, Seconds,
@@ -253,85 +242,69 @@ int benchharness::runStream(const DriverOptions &Opts) {
     return Served ? Sum / static_cast<double>(Served) : 0.0;
   };
 
-  std::string Json =
-      std::string("{\n") + "  \"subcommand\": \"stream\",\n" +
-      "  \"model\": \"" + jsonString(Opts.Model) + "\",\n" +
-      "  \"benchmark\": \"" +
-      jsonString(Adaptive.currentEpoch()->Model.Meta.Benchmark) + "\",\n" +
-      "  \"schedule\": \"" + streams::scheduleName(Kind) + "\",\n" +
-      "  \"requests\": " + std::to_string(Stream->length()) + ",\n" +
-      "  \"served\": " + std::to_string(Served) + ",\n" +
-      "  \"universe_scale\": " + jsonNumber(UniverseScale) + ",\n" +
-      "  \"universe_inputs\": " + std::to_string(Universe->numInputs()) +
-      ",\n" +
-      "  \"key_property\": " + std::to_string(SO.KeyProperty) + ",\n" +
-      "  \"first_shift_tick\": " + std::to_string(Stream->firstShiftTick()) +
-      ",\n" +
-      "  \"threads\": " +
-      std::to_string(Opts.Pool ? Opts.Pool->numThreads() : 1) + ",\n" +
-      "  \"window\": " + std::to_string(AO.Monitor.Window) + ",\n" +
-      "  \"reservoir\": " + std::to_string(AO.ReservoirSize) + ",\n" +
-      "  \"decisions_per_sec\": " +
-      jsonNumber(Ada.ServeSeconds > 0.0
-                     ? static_cast<double>(Ada.Served) / Ada.ServeSeconds
-                     : 0.0) +
-      ",\n" +
-      "  \"frozen_decisions_per_sec\": " +
-      jsonNumber(Frz.ServeSeconds > 0.0
-                     ? static_cast<double>(Frz.Served) / Frz.ServeSeconds
-                     : 0.0) +
-      ",\n" +
-      "  \"drift_detections\": " + std::to_string(AStats.DriftDetections) +
-      ",\n" +
-      "  \"retrains\": " + std::to_string(AStats.Retrains) + ",\n" +
-      "  \"swaps\": " + std::to_string(AStats.Swaps) + ",\n" +
-      "  \"rejected_candidates\": " +
-      std::to_string(AStats.RejectedCandidates) + ",\n" +
-      "  \"skipped_retrains\": " + std::to_string(AStats.SkippedRetrains) +
-      ",\n" +
-      "  \"last_skip_reason\": \"" + jsonString(AStats.LastSkipReason) +
-      "\",\n" +
-      "  \"final_epoch\": " + std::to_string(Adaptive.epoch()) + ",\n" +
-      "  \"adaptive_mean_cost\": " + jsonNumber(MeanCost(Ada)) + ",\n" +
-      "  \"frozen_mean_cost\": " + jsonNumber(MeanCost(Frz)) + ",\n" +
-      "  \"mean_drift_to_swap_seconds\": " +
-      jsonNumber(AcceptedSwaps ? SwapLatencySum /
-                                     static_cast<double>(AcceptedSwaps)
-                               : 0.0) +
-      ",\n" +
-      "  \"max_drift_to_swap_seconds\": " + jsonNumber(SwapLatencyMax) +
-      ",\n";
-  Json += "  \"swap_history\": [";
-  for (size_t I = 0; I != History.size(); ++I) {
-    const runtime::AdaptiveService::SwapRecord &R = History[I];
-    Json += std::string(I ? "," : "") + "\n    {\"from_epoch\": " +
-            std::to_string(R.FromEpoch) +
-            ", \"to_epoch\": " + std::to_string(R.ToEpoch) +
-            ", \"at_decision\": " + std::to_string(R.AtDecision) +
-            ", \"champion_shadow_cost\": " +
-            jsonNumber(R.ChampionShadowCost) +
-            ", \"candidate_shadow_cost\": " +
-            jsonNumber(R.CandidateShadowCost) +
-            ", \"retrain_seconds\": " + jsonNumber(R.RetrainSeconds) +
-            ", \"shadow_seconds\": " + jsonNumber(R.ShadowSeconds) +
-            ", \"drift_to_swap_seconds\": " +
-            jsonNumber(R.DriftToSwapSeconds) + ", \"accepted\": " +
-            (R.Accepted ? "true" : "false") + "}";
-  }
-  Json += History.empty() ? "],\n" : "\n  ],\n";
-  Json += "  \"segments\": [";
-  for (size_t I = 0; I != Segments.size(); ++I) {
-    const SegmentStats &S = Segments[I];
-    Json += std::string(I ? "," : "") + "\n    {\"from\": " +
-            std::to_string(S.From) + ", \"to\": " + std::to_string(S.To) +
-            ", \"epoch\": " + std::to_string(S.Epoch) +
-            ", \"adaptive_mean_cost\": " + jsonNumber(S.AdaptiveMeanCost) +
-            ", \"frozen_mean_cost\": " + jsonNumber(S.FrozenMeanCost) +
-            ", \"adaptive_regret\": " + jsonNumber(S.AdaptiveRegret) +
-            ", \"frozen_regret\": " + jsonNumber(S.FrozenRegret) + "}";
-  }
-  Json += Segments.empty() ? "]\n" : "\n  ]\n";
-  Json += "}\n";
+  support::JsonWriter W(support::JsonWriter::Layout::Indented);
+  W.beginObject()
+      .string("subcommand", "stream")
+      .string("model", Opts.Model)
+      .string("benchmark", Adaptive.currentEpoch()->Model.Meta.Benchmark)
+      .string("schedule", streams::scheduleName(Kind))
+      .number("requests", Stream->length())
+      .number("served", Served)
+      .number("universe_scale", UniverseScale)
+      .number("universe_inputs", Universe->numInputs())
+      .number("key_property", SO.KeyProperty)
+      .number("first_shift_tick", Stream->firstShiftTick())
+      .number("threads", Opts.Pool ? Opts.Pool->numThreads() : 1)
+      .number("window", Adaptive.options().Monitor.Window)
+      .number("reservoir", Adaptive.options().ReservoirSize)
+      .number("decisions_per_sec",
+              Ada.ServeSeconds > 0.0
+                  ? static_cast<double>(Ada.Served) / Ada.ServeSeconds
+                  : 0.0)
+      .number("frozen_decisions_per_sec",
+              Frz.ServeSeconds > 0.0
+                  ? static_cast<double>(Frz.Served) / Frz.ServeSeconds
+                  : 0.0)
+      .number("drift_detections", AStats.DriftDetections)
+      .number("retrains", AStats.Retrains)
+      .number("swaps", AStats.Swaps)
+      .number("rejected_candidates", AStats.RejectedCandidates)
+      .number("skipped_retrains", AStats.SkippedRetrains)
+      .string("last_skip_reason", AStats.LastSkipReason)
+      .number("final_epoch", Adaptive.epoch())
+      .number("adaptive_mean_cost", MeanCost(Ada))
+      .number("frozen_mean_cost", MeanCost(Frz))
+      .number("mean_drift_to_swap_seconds",
+              AcceptedSwaps
+                  ? SwapLatencySum / static_cast<double>(AcceptedSwaps)
+                  : 0.0)
+      .number("max_drift_to_swap_seconds", SwapLatencyMax)
+      .beginArray("swap_history");
+  for (const runtime::AdaptiveService::SwapRecord &R : History)
+    W.beginObject()
+        .number("from_epoch", R.FromEpoch)
+        .number("to_epoch", R.ToEpoch)
+        .number("at_decision", R.AtDecision)
+        .number("champion_shadow_cost", R.ChampionShadowCost)
+        .number("candidate_shadow_cost", R.CandidateShadowCost)
+        .number("retrain_seconds", R.RetrainSeconds)
+        .number("shadow_seconds", R.ShadowSeconds)
+        .number("drift_to_swap_seconds", R.DriftToSwapSeconds)
+        .boolean("accepted", R.Accepted)
+        .end();
+  W.end().beginArray("segments");
+  for (const SegmentStats &S : Segments)
+    W.beginObject()
+        .number("from", S.From)
+        .number("to", S.To)
+        .number("epoch", S.Epoch)
+        .number("adaptive_mean_cost", S.AdaptiveMeanCost)
+        .number("frozen_mean_cost", S.FrozenMeanCost)
+        .number("adaptive_regret", S.AdaptiveRegret)
+        .number("frozen_regret", S.FrozenRegret)
+        .end();
+  W.end().end();
+  const std::string &Json = W.str();
 
   std::fputs(Json.c_str(), stdout);
   if (Opts.Json && !writeReport(Opts, "stream", "BENCH_stream.json", Json))
@@ -444,28 +417,17 @@ int benchharness::runStreamMix(const DriverOptions &Opts) {
   size_t Mismatches = 0;
   for (size_t I = 0; I != Registry.size(); ++I) {
     daemon::Tenant *T = Registry.at(I);
-    serialize::TrainedModel ReplayModel;
-    serialize::LoadStatus St =
-        serialize::loadModelFile(T->ModelPath, ReplayModel);
+    registry::BoundModel Replay;
+    serialize::LoadStatus St = loadBoundModel(T->ModelPath, Replay);
     if (!St) {
-      std::fprintf(stderr, "pbt-bench stream --mix: parity reload '%s': %s\n",
+      std::fprintf(stderr, "pbt-bench stream --mix: parity replay '%s': %s\n",
                    T->ModelPath.c_str(), St.Error.c_str());
-      return 1;
-    }
-    const registry::BenchmarkFactory &F =
-        registry::BenchmarkRegistry::instance().get(T->Benchmark);
-    registry::ProgramPtr Program = F.makeProgram(
-        ReplayModel.Meta.Scale, ReplayModel.Meta.ProgramSeed);
-    runtime::AdaptiveService Replay(*Program, std::move(ReplayModel));
-    if (!Replay.ready()) {
-      std::fprintf(stderr, "pbt-bench stream --mix: parity bind '%s': %s\n",
-                   T->Name.c_str(), Replay.status().Error.c_str());
       return 1;
     }
     std::vector<size_t> Inputs = Mixed->tenantInputs(static_cast<unsigned>(I));
     Inputs.resize(Traces[I].Landmarks.size()); // the served prefix
     std::vector<runtime::AdaptiveService::Decision> Ref =
-        Replay.decideBatch(Inputs);
+        Replay.Service->decideBatch(Inputs);
     for (size_t R = 0; R != Ref.size(); ++R)
       if (Ref[R].Landmark != Traces[I].Landmarks[R]) {
         ++Mismatches;
@@ -477,39 +439,37 @@ int benchharness::runStreamMix(const DriverOptions &Opts) {
       }
   }
 
-  std::string Json = std::string("{\n") +
-                     "  \"subcommand\": \"stream-mix\",\n" +
-                     "  \"requests\": " + std::to_string(Mixed->length()) +
-                     ",\n" + "  \"served\": " + std::to_string(Served) +
-                     ",\n" + "  \"mix_seed\": " +
-                     std::to_string(MO.Seed) + ",\n" +
-                     "  \"window\": " + std::to_string(RO.Window) + ",\n" +
-                     "  \"reservoir\": " + std::to_string(RO.Reservoir) +
-                     ",\n" + "  \"parity_mismatches\": " +
-                     std::to_string(Mismatches) + ",\n" +
-                     "  \"parity_ok\": " +
-                     (Mismatches == 0 ? "true" : "false") + ",\n";
-  Json += "  \"tenants\": [";
+  support::JsonWriter W(support::JsonWriter::Layout::Indented);
+  W.beginObject()
+      .string("subcommand", "stream-mix")
+      .number("requests", Mixed->length())
+      .number("served", Served)
+      .number("mix_seed", MO.Seed)
+      .number("window", RO.Window)
+      .number("reservoir", RO.Reservoir)
+      .number("parity_mismatches", Mismatches)
+      .boolean("parity_ok", Mismatches == 0)
+      .beginArray("tenants");
   for (size_t I = 0; I != Registry.size(); ++I) {
     daemon::Tenant *T = Registry.at(I);
     const TenantTrace &Trace = Traces[I];
     const streams::WorkloadStream &S = *Streams[I];
-    Json += std::string(I ? "," : "") + "\n    {\"name\": \"" +
-            jsonString(T->Name) + "\", \"benchmark\": \"" +
-            jsonString(T->Benchmark) + "\", \"model\": \"" +
-            jsonString(T->ModelPath) + "\", \"schedule\": \"" +
-            streams::scheduleName(S.options().Kind) + "\", \"requests\": " +
-            std::to_string(Trace.Landmarks.size()) +
-            ", \"decisions_per_sec\": " +
-            jsonNumber(Trace.ServeSeconds > 0.0
-                           ? static_cast<double>(Trace.Landmarks.size()) /
-                                 Trace.ServeSeconds
-                           : 0.0) +
-            ", \"first_shift_tick\": " + std::to_string(S.firstShiftTick()) +
-            "}";
+    W.beginObject()
+        .string("name", T->Name)
+        .string("benchmark", T->Benchmark)
+        .string("model", T->ModelPath)
+        .string("schedule", streams::scheduleName(S.options().Kind))
+        .number("requests", Trace.Landmarks.size())
+        .number("decisions_per_sec",
+                Trace.ServeSeconds > 0.0
+                    ? static_cast<double>(Trace.Landmarks.size()) /
+                          Trace.ServeSeconds
+                    : 0.0)
+        .number("first_shift_tick", S.firstShiftTick())
+        .end();
   }
-  Json += Registry.size() ? "\n  ]\n" : "]\n";
-  Json += "}\n";
+  W.end().end();
+  const std::string &Json = W.str();
 
   std::fputs(Json.c_str(), stdout);
   if (Opts.Json &&

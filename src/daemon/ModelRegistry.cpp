@@ -51,26 +51,20 @@ ModelRegistry::buildTenant(const std::string &Name,
                            const std::string &SourceDesc,
                            serialize::TrainedModel Model,
                            std::unique_ptr<Tenant> &Out) {
-  const registry::BenchmarkFactory *Factory =
-      registry::BenchmarkRegistry::instance().lookup(Model.Meta.Benchmark);
-  if (!Factory)
-    return serialize::LoadStatus::failure("model benchmark '" +
-                                          Model.Meta.Benchmark +
-                                          "' is not registered");
-
+  registry::BoundModel Bound;
+  serialize::LoadStatus St =
+      registry::bindModel(std::move(Model), Bound, Opts.Window, Opts.Reservoir,
+                          Opts.AutoAdapt, Opts.Pool);
+  if (!St)
+    return St;
+  runtime::AdaptiveService::EpochPtr Ep = Bound.Service->currentEpoch();
   auto T = std::make_unique<Tenant>();
-  T->Name = Name.empty() ? Model.Meta.Benchmark : Name;
+  T->Name = Name.empty() ? Ep->Model.Meta.Benchmark : Name;
   T->ModelPath = SourceDesc;
-  T->Benchmark = Model.Meta.Benchmark;
-  T->Program = Factory->makeProgram(Model.Meta.Scale, Model.Meta.ProgramSeed);
-  T->Landmarks = static_cast<unsigned>(Model.System.L1.Landmarks.size());
-  runtime::AdaptiveServiceOptions AO = registry::adaptiveServiceOptions(
-      *Factory, Model.Meta.Scale, Opts.Window, Opts.Reservoir, Opts.Pool);
-  AO.AutoAdapt = Opts.AutoAdapt;
-  T->Service = std::make_unique<runtime::AdaptiveService>(
-      *T->Program, std::move(Model), AO);
-  if (!T->Service->ready())
-    return T->Service->status();
+  T->Benchmark = Ep->Model.Meta.Benchmark;
+  T->Landmarks = static_cast<unsigned>(Ep->Model.System.L1.Landmarks.size());
+  T->Program = std::move(Bound.Program);
+  T->Service = std::move(Bound.Service);
   Out = std::move(T);
   return serialize::LoadStatus::success();
 }

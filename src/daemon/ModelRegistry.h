@@ -8,10 +8,11 @@
 /// The daemon's tenant table: many trained models kept hot in one
 /// pbt-serve process, each compiled into its own AdaptiveService with a
 /// private DriftMonitor, reservoir, and epoch counter. A tenant is built
-/// from a persisted model file -- the model's provenance (benchmark key,
-/// scale, program seed) rebuilds the exact program it was trained on,
-/// like `pbt-bench predict`/`stream` do -- and is addressed by name on
-/// the wire (Hello).
+/// from a persisted model file or a model store by registry::bindModel
+/// -- the model's provenance (benchmark key, scale, program seed)
+/// rebuilds the exact program it was trained on, the one binder every
+/// `pbt-bench` harness uses too -- and is addressed by name on the wire
+/// (Hello).
 ///
 /// AdaptiveService's contract is one serving thread; in the daemon every
 /// session thread serves its own client's requests to any tenant, so

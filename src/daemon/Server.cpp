@@ -6,8 +6,9 @@
 
 #include "daemon/Server.h"
 
+#include "support/Json.h"
+
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
@@ -18,53 +19,6 @@
 
 namespace pbt {
 namespace daemon {
-
-namespace {
-
-/// Minimal JSON string escape (the daemon does not link the bench
-/// harness's helpers).
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
-/// A finite double as a JSON number, to 6 significant digits (the retrain
-/// timings and the feature cost totals).
-std::string jsonDouble(double V) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
-  return Buf;
-}
-
-} // namespace
 
 Server::Server(ModelRegistry &Registry, ServerOptions Options)
     : Registry(Registry), Opts(std::move(Options)),
@@ -454,74 +408,64 @@ ServerStats Server::stats() const {
 
 std::string Server::statsJson() const {
   ServerStats S = stats();
-  std::string J = "{";
-  J += "\"connections\": " + std::to_string(S.Connections);
-  J += ", \"requests\": " + std::to_string(S.Requests);
-  J += ", \"decisions\": " + std::to_string(S.Decisions);
-  J += ", \"shed\": " + std::to_string(S.Shed);
-  J += ", \"malformed\": " + std::to_string(S.Malformed);
-  J += ", \"batches\": " + std::to_string(S.Batches);
-  J += ", \"batched_requests\": " + std::to_string(S.BatchedRequests);
-  J += ", \"max_queue_depth\": " + std::to_string(S.MaxQueueDepth);
-  J += ", \"admission_waits\": " + std::to_string(S.AdmissionWaits);
-  J += ", \"admission_wait_us_total\": " +
-       std::to_string(S.AdmissionWaitUsTotal);
-  J += ", \"shed_sessions\": " + std::to_string(S.ShedSessions);
-  J += ", \"stalled\": " + std::to_string(S.Stalled);
-  J += ", \"max_sessions\": " + std::to_string(Opts.MaxSessions);
-  J += ", \"queue_capacity\": " + std::to_string(Gate.capacity());
-  J += ", \"workers\": " + std::to_string(Opts.Workers);
-  J += std::string(", \"adapt\": ") +
-       (Registry.options().AutoAdapt ? "true" : "false");
-  J += ", \"tenants\": [";
+  support::JsonWriter W(support::JsonWriter::Layout::Compact);
+  W.beginObject()
+      .number("connections", S.Connections)
+      .number("requests", S.Requests)
+      .number("decisions", S.Decisions)
+      .number("shed", S.Shed)
+      .number("malformed", S.Malformed)
+      .number("batches", S.Batches)
+      .number("batched_requests", S.BatchedRequests)
+      .number("max_queue_depth", S.MaxQueueDepth)
+      .number("admission_waits", S.AdmissionWaits)
+      .number("admission_wait_us_total", S.AdmissionWaitUsTotal)
+      .number("shed_sessions", S.ShedSessions)
+      .number("stalled", S.Stalled)
+      .number("max_sessions", Opts.MaxSessions)
+      .number("queue_capacity", Gate.capacity())
+      .number("workers", Opts.Workers)
+      .boolean("adapt", Registry.options().AutoAdapt)
+      .beginArray("tenants");
   for (size_t I = 0;; ++I) {
     Tenant *T = Registry.at(I);
     if (!T)
       break;
     runtime::AdaptiveService::StatsSnapshot A = T->Service->stats();
     runtime::AdaptiveService::EpochPtr Ep = T->Service->currentEpoch();
-    if (I)
-      J += ", ";
-    J += "{\"name\": \"" + jsonEscape(T->Name) + "\"";
-    J += ", \"benchmark\": \"" + jsonEscape(T->Benchmark) + "\"";
-    J += ", \"model\": \"" + jsonEscape(T->ModelPath) + "\"";
-    J += ", \"epoch\": " + std::to_string(Ep->Model.Meta.Epoch);
-    J += ", \"landmarks\": " +
-         std::to_string(Ep->Model.System.L1.Landmarks.size());
-    J += ", \"inputs\": " + std::to_string(T->Program->numInputs());
-    J += ", \"requests\": " +
-         std::to_string(T->Requests.load(std::memory_order_relaxed));
-    J += ", \"decisions\": " +
-         std::to_string(T->Decisions.load(std::memory_order_relaxed));
-    J += ", \"batches\": " +
-         std::to_string(T->Batches.load(std::memory_order_relaxed));
-    J += ", \"shed\": " +
-         std::to_string(T->Shed.load(std::memory_order_relaxed));
-    J += ", \"errors\": " +
-         std::to_string(T->Errors.load(std::memory_order_relaxed));
-    J += ", \"service_decisions\": " + std::to_string(A.Decisions);
-    J += ", \"memoized\": " + std::to_string(A.MemoizedDecisions);
-    J += ", \"drift_detections\": " + std::to_string(A.DriftDetections);
-    J += ", \"retrains\": " + std::to_string(A.Retrains);
-    J += ", \"swaps\": " + std::to_string(A.Swaps);
-    J += ", \"rejected_candidates\": " + std::to_string(A.RejectedCandidates);
-    J += ", \"skipped_retrains\": " + std::to_string(A.SkippedRetrains);
-    J += ", \"retrain_seconds_total\": " + jsonDouble(A.RetrainSecondsTotal);
-    J += ", \"last_retrain_ms\": " + jsonDouble(A.LastRetrainSeconds * 1e3);
-    J += ", \"monitor_cost_paid\": " + jsonDouble(A.MonitorCostPaid);
-    J += ", \"feature_cost_paid\": " + jsonDouble(A.FeatureCostPaid);
-    J += ", \"last_skip_reason\": \"" + jsonEscape(A.LastSkipReason) + "\"";
-    // Last, so readers that take a key's first match still see the keys
-    // above unchanged.
-    J += ", \"build_ms\": " + jsonDouble(T->BuildMs);
-    J += ", \"retrain_level1_ms_total\": " +
-         jsonDouble(A.RetrainLevel1SecondsTotal * 1e3);
-    J += ", \"retrain_level2_ms_total\": " +
-         jsonDouble(A.RetrainLevel2SecondsTotal * 1e3);
-    J += "}";
+    W.beginObject()
+        .string("name", T->Name)
+        .string("benchmark", T->Benchmark)
+        .string("model", T->ModelPath)
+        .number("epoch", Ep->Model.Meta.Epoch)
+        .number("landmarks", Ep->Model.System.L1.Landmarks.size())
+        .number("inputs", T->Program->numInputs())
+        .number("requests", T->Requests.load(std::memory_order_relaxed))
+        .number("decisions", T->Decisions.load(std::memory_order_relaxed))
+        .number("batches", T->Batches.load(std::memory_order_relaxed))
+        .number("shed", T->Shed.load(std::memory_order_relaxed))
+        .number("errors", T->Errors.load(std::memory_order_relaxed))
+        .number("service_decisions", A.Decisions)
+        .number("memoized", A.MemoizedDecisions)
+        .number("drift_detections", A.DriftDetections)
+        .number("retrains", A.Retrains)
+        .number("swaps", A.Swaps)
+        .number("rejected_candidates", A.RejectedCandidates)
+        .number("skipped_retrains", A.SkippedRetrains)
+        .number("retrain_seconds_total", A.RetrainSecondsTotal)
+        .number("last_retrain_ms", A.LastRetrainSeconds * 1e3)
+        .number("monitor_cost_paid", A.MonitorCostPaid)
+        .number("feature_cost_paid", A.FeatureCostPaid)
+        .string("last_skip_reason", A.LastSkipReason)
+        // Last, so readers that take a key's first match still see the
+        // keys above unchanged.
+        .number("build_ms", T->BuildMs)
+        .number("retrain_level1_ms_total", A.RetrainLevel1SecondsTotal * 1e3)
+        .number("retrain_level2_ms_total", A.RetrainLevel2SecondsTotal * 1e3)
+        .end();
   }
-  J += "]}";
-  return J;
+  W.end().end();
+  return W.str();
 }
 
 } // namespace daemon

@@ -27,6 +27,11 @@
 /// sendmsg in the common case; the stall guard (ReadDeadline) costs a
 /// poll only when a frame's bytes are not all there yet.
 ///
+/// The Stats reply is one line of JSON written by support::JsonWriter's
+/// compact layout. Its keys, their order and the `"key": ` separator are
+/// an interface: perfbench reads a key by its first match and a tenant
+/// by `{"name": "`, so a new key goes last in its object.
+///
 /// Shutdown (requestStop(), a Shutdown frame, or a signal) is clean by
 /// construction: the accept loop notices the flag at its next poll
 /// tick, and session sockets are shut down to unblock their reads; a

@@ -154,6 +154,36 @@ registry::adaptiveServiceOptions(const BenchmarkFactory &Factory, double Scale,
   return AO;
 }
 
+serialize::LoadStatus registry::bindModel(serialize::TrainedModel Model,
+                                          BoundModel &Out, unsigned Window,
+                                          unsigned Reservoir, bool AutoAdapt,
+                                          support::ThreadPool *Pool,
+                                          double Scale) {
+  const BenchmarkFactory *Factory =
+      BenchmarkRegistry::instance().lookup(Model.Meta.Benchmark);
+  if (!Factory)
+    return serialize::LoadStatus::failure("model benchmark '" +
+                                          Model.Meta.Benchmark +
+                                          "' is not registered");
+  if (Scale == 0.0)
+    Scale = Model.Meta.Scale;
+  BoundModel B;
+  B.Program = Factory->makeProgram(Scale, Model.Meta.ProgramSeed);
+  runtime::AdaptiveServiceOptions AO =
+      adaptiveServiceOptions(*Factory, Scale, Window, Reservoir, Pool);
+  AO.AutoAdapt = AutoAdapt;
+  B.Service = std::make_unique<runtime::AdaptiveService>(*B.Program,
+                                                         std::move(Model), AO);
+  if (!B.Service->ready())
+    return serialize::LoadStatus::failure("model/program mismatch: " +
+                                          B.Service->status().Error);
+  // The service first: whatever Out held must drop its service before
+  // the program that service refers to.
+  Out.Service = std::move(B.Service);
+  Out.Program = std::move(B.Program);
+  return serialize::LoadStatus::success();
+}
+
 size_t registry::scaledInputCount(double Scale, size_t Base) {
   return std::max<size_t>(24, static_cast<size_t>(Base * Scale));
 }

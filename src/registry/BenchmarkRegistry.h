@@ -155,6 +155,30 @@ adaptiveServiceOptions(const BenchmarkFactory &Factory, double Scale,
                        unsigned Window, unsigned Reservoir,
                        support::ThreadPool *Pool);
 
+/// A model bound for serving: the program its provenance names and a
+/// ready AdaptiveService serving the model over it. Service refers to
+/// Program, so Program is declared first and outlives it.
+struct BoundModel {
+  ProgramPtr Program;
+  std::unique_ptr<runtime::AdaptiveService> Service;
+};
+
+/// Binds a loaded \p Model for serving: looks up the factory registered
+/// under Meta.Benchmark, rebuilds the program with makeProgram(Scale,
+/// Meta.ProgramSeed), and builds a ready AdaptiveService over it with
+/// adaptiveServiceOptions(Factory, Scale, Window, Reservoir, Pool) and
+/// \p AutoAdapt. A \p Scale of 0 is the model's recorded Meta.Scale;
+/// `pbt-bench stream` passes a larger one to stretch its traffic
+/// universe. Decide-only callers keep the defaults: they never fill a
+/// drift window or a reservoir. On failure \p Out is left untouched and
+/// the status names the step that failed: an unregistered benchmark, or
+/// a model that does not fit the rebuilt program.
+serialize::LoadStatus bindModel(serialize::TrainedModel Model,
+                                BoundModel &Out, unsigned Window = 0,
+                                unsigned Reservoir = 0, bool AutoAdapt = false,
+                                support::ThreadPool *Pool = nullptr,
+                                double Scale = 0.0);
+
 /// Scales a base input count, clamped to a floor that keeps train/test
 /// splits meaningful.
 size_t scaledInputCount(double Scale, size_t Base);
