@@ -158,13 +158,11 @@ scoreOnColumns(const ml::Dataset &D,
 
 /// Averages the per-fold scores [\p Begin, \p End) into one candidate
 /// score. Validity follows the paper's satisfaction-threshold rule
-/// applied to the pooled held-out satisfaction rate, tightened by the
-/// selection margin.
+/// applied to the pooled held-out satisfaction rate.
 static CandidateScore
 averageScores(std::string Name, const CandidateScore *Begin,
               const CandidateScore *End,
-              const std::optional<runtime::AccuracySpec> &Spec,
-              double SelectionMargin) {
+              const std::optional<runtime::AccuracySpec> &Spec) {
   CandidateScore S;
   S.Name = std::move(Name);
   if (Begin == End)
@@ -179,18 +177,15 @@ averageScores(std::string Name, const CandidateScore *Begin,
   S.Objective /= N;
   S.ObjectiveNoFeat /= N;
   S.Satisfaction /= N;
-  S.Valid = !Spec ||
-            S.Satisfaction >= std::min(1.0, Spec->SatisfactionThreshold +
-                                                SelectionMargin);
+  S.Valid = !Spec || S.Satisfaction >= Spec->SatisfactionThreshold;
   return S;
 }
 
 static CandidateScore
 averageScores(std::string Name, const std::vector<CandidateScore> &Folds,
-              const std::optional<runtime::AccuracySpec> &Spec,
-              double SelectionMargin) {
+              const std::optional<runtime::AccuracySpec> &Spec) {
   return averageScores(std::move(Name), Folds.data(),
-                       Folds.data() + Folds.size(), Spec, SelectionMargin);
+                       Folds.data() + Folds.size(), Spec);
 }
 
 /// Subset name like "tree{sortedness@1,deviation@0}", built in place.
@@ -309,8 +304,7 @@ LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
           *Data, Spec, FoldTest[FI], "static-best", Probe,
           [&](size_t, ColumnProbe &) { return Static; }));
     }
-    R.Candidates.push_back(averageScores("static-best", FoldScores, Spec,
-                                         Options.SelectionMargin));
+    R.Candidates.push_back(averageScores("static-best", FoldScores, Spec));
   }
 
   // --- Candidate (1): max-a-priori. ---
@@ -328,7 +322,7 @@ LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
           *Data, Spec, FoldTest[FI], "max-apriori", Probe,
           [&](size_t, ColumnProbe &) { return Prior.predict(); }));
     }
-    R.Candidates.push_back(averageScores("max-apriori", FoldScores, Spec, Options.SelectionMargin));
+    R.Candidates.push_back(averageScores("max-apriori", FoldScores, Spec));
   }
 
   // --- Candidates (2)/(3): exhaustive per-property subset trees. Per
@@ -370,7 +364,7 @@ LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
     const CandidateScore *Fold = TaskScores.data() + SI * NumFolds;
     SubsetScores[SI] =
         averageScores(subsetName(Index, Subsets[SI]), Fold, Fold + NumFolds,
-                      Spec, Options.SelectionMargin);
+                      Spec);
   }
 
   size_t BestSubsetIdx = 0;
@@ -415,7 +409,7 @@ LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
             return Bayes.predictWith([&P](unsigned F) { return P(F); }).Label;
           }));
     }
-    R.Candidates.push_back(averageScores(Name, FoldScores, Spec, Options.SelectionMargin));
+    R.Candidates.push_back(averageScores(Name, FoldScores, Spec));
   }
 
   // --- Candidate selection. ---

@@ -46,11 +46,6 @@ struct LevelTwoOptions {
   double Eta = 0.5;
   unsigned CVFolds = 5;
   uint64_t Seed = 43;
-  /// Candidate-selection safety margin: a candidate only counts as valid
-  /// when its cross-validated satisfaction clears the threshold by this
-  /// much, guarding against valid-in-CV-but-invalid-in-production picks
-  /// on small training sets.
-  double SelectionMargin = 0.0;
   ml::DecisionTreeOptions Tree;
   ml::IncrementalBayesOptions Bayes;
   /// Optional pool parallelising the classifier zoo's cross-validated
