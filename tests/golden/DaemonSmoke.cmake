@@ -7,9 +7,9 @@
 #   2. Every daemon answer is checked against an in-process
 #      AdaptiveService::decideBatch replay; a single differing
 #      landmark fails the run (exit 1), so exit 0 *is* the parity gate.
-#   3. The BENCH_serve_daemon.json record must carry the fields CI
-#      uploads: both phases, tail percentiles (p999), shed accounting
-#      and the parity verdict.
+#   3. The BENCH_serve_daemon.json record must parse as JSON and carry
+#      the fields CI uploads: both phases, tail percentiles (p999), shed
+#      accounting and the parity verdict.
 #
 # Invoked by ctest (label: integration) with -DPBT_BENCH, -DPBT_SERVE,
 # -DGOLDEN_DIR and -DWORK_DIR defined.
@@ -35,6 +35,15 @@ if(NOT EXISTS ${WORK_DIR}/BENCH_serve_daemon.json)
 endif()
 
 file(READ ${WORK_DIR}/BENCH_serve_daemon.json DAEMON_JSON)
+# The record must parse as JSON (CMake's parser rejects malformed
+# values, unbalanced brackets and missing commas) and name its
+# subcommand.
+string(JSON SUBCOMMAND ERROR_VARIABLE PARSE_ERROR
+       GET "${DAEMON_JSON}" subcommand)
+if(PARSE_ERROR OR NOT SUBCOMMAND STREQUAL "loadgen")
+  message(FATAL_ERROR
+    "BENCH_serve_daemon.json does not parse as a loadgen report: ${PARSE_ERROR}\n${DAEMON_JSON}")
+endif()
 foreach(field "\"subcommand\": \"loadgen\"" "\"spawned\": true"
         "\"sustained\"" "\"saturation\"" "\"p999_us\""
         "\"decisions_per_sec\"" "\"shed\"" "\"parity_checked\": true"

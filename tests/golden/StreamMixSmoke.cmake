@@ -5,8 +5,9 @@
 #   1. `pbt-bench stream --mix` must exit 0 (nonzero means a served
 #      answer diverged from the per-tenant in-process replay) and emit
 #      the BENCH_stream_mix.json record into its private scratch dir.
-#   2. The record must report the mixed-stream fields the CI artifact
-#      consumers rely on (per-tenant accounting, parity verdict).
+#   2. The record must parse as JSON and report the mixed-stream fields
+#      the CI artifact consumers rely on (per-tenant accounting, parity
+#      verdict).
 #
 # Invoked by ctest (label: integration) with -DPBT_BENCH, -DGOLDEN_DIR
 # and -DWORK_DIR defined. WORK_DIR must be unique to this test: ctest -j
@@ -33,6 +34,15 @@ if(NOT EXISTS ${WORK_DIR}/BENCH_stream_mix.json)
 endif()
 
 file(READ ${WORK_DIR}/BENCH_stream_mix.json MIX_JSON)
+# The record must parse as JSON (CMake's parser rejects malformed
+# values, unbalanced brackets and missing commas) and name its
+# subcommand.
+string(JSON SUBCOMMAND ERROR_VARIABLE PARSE_ERROR
+       GET "${MIX_JSON}" subcommand)
+if(PARSE_ERROR OR NOT SUBCOMMAND STREQUAL "stream-mix")
+  message(FATAL_ERROR
+    "BENCH_stream_mix.json does not parse as a stream-mix report: ${PARSE_ERROR}\n${MIX_JSON}")
+endif()
 foreach(field "\"subcommand\": \"stream-mix\"" "\"parity_ok\": true"
         "\"parity_mismatches\": 0" "\"tenants\"" "\"first_shift_tick\""
         "\"decisions_per_sec\"")

@@ -3,8 +3,9 @@
 #
 #   1. `pbt-bench stream` must exit 0 and emit the BENCH_stream.json
 #      perf-trajectory record into its private scratch dir.
-#   2. The record must report the stream fields the CI artifact
-#      consumers rely on (drift detections, swap history, segments).
+#   2. The record must parse as JSON and report the stream fields the
+#      CI artifact consumers rely on (drift detections, swap history,
+#      segments).
 #
 # Invoked by ctest (label: integration) with -DPBT_BENCH, -DGOLDEN_DIR
 # and -DWORK_DIR defined. WORK_DIR must be unique to this test: ctest -j
@@ -30,6 +31,15 @@ if(NOT EXISTS ${WORK_DIR}/BENCH_stream.json)
 endif()
 
 file(READ ${WORK_DIR}/BENCH_stream.json STREAM_JSON)
+# The record must parse as JSON (CMake's parser rejects malformed
+# values, unbalanced brackets and missing commas) and name its
+# subcommand.
+string(JSON SUBCOMMAND ERROR_VARIABLE PARSE_ERROR
+       GET "${STREAM_JSON}" subcommand)
+if(PARSE_ERROR OR NOT SUBCOMMAND STREQUAL "stream")
+  message(FATAL_ERROR
+    "BENCH_stream.json does not parse as a stream report: ${PARSE_ERROR}\n${STREAM_JSON}")
+endif()
 foreach(field "\"subcommand\": \"stream\"" "\"drift_detections\""
         "\"swap_history\"" "\"segments\"" "\"adaptive_mean_cost\"")
   string(FIND "${STREAM_JSON}" "${field}" FIELD_POS)
