@@ -1,4 +1,4 @@
-//===- bench/Figures.cpp - pbt-bench paper tables and figures --------------==//
+//===- bench/Paper.cpp - pbt-bench paper tables, figures and sweeps --------==//
 //
 // Part of the pbtuner project.
 //
@@ -8,6 +8,7 @@
 
 #include "core/TheoreticalModel.h"
 #include "support/Cost.h"
+#include "support/Json.h"
 #include "support/Statistics.h"
 #include "support/Table.h"
 
@@ -229,6 +230,234 @@ int benchharness::runFig8(const DriverOptions &Opts) {
   }
   std::printf("Shape check: medians rise steeply for the first few "
               "landmarks and plateau, matching the Figure 7b model "
+              "(PBT_BENCH_SCALE=%.2f).\n",
+              Opts.Scale);
+  return 0;
+}
+
+//===----------------------------------------------------------------------===//
+// interact
+//===----------------------------------------------------------------------===//
+
+int benchharness::runInteract(const DriverOptions &Opts) {
+  std::vector<registry::SuiteEntry> Suite = suiteFor(Opts);
+
+  support::JsonWriter W(support::JsonWriter::Layout::Indented);
+  W.beginObject()
+      .string("subcommand", "interact")
+      .number("scale", Opts.Scale)
+      .beginArray("workloads");
+  support::TextTable Table;
+  Table.setHeader({"Benchmark", "inputs", "landmarks", "interaction",
+                   "oracle/static"});
+
+  for (registry::SuiteEntry &E : Suite) {
+    support::WallTimer T;
+    core::TrainedSystem System = core::trainSystem(*E.Program, E.Options);
+    const linalg::Matrix &C = System.L1.Time; // inputs x landmarks
+    size_t N = C.rows(), K = C.cols();
+    if (N == 0 || K == 0)
+      continue;
+
+    // Two-way decomposition of the inputs-by-configs cost surface. The
+    // additive model (grand mean + input effect + config effect) is the
+    // least-squares fit without interaction; the fraction of variance it
+    // cannot explain IS the input-config interaction -- zero would mean
+    // one static choice is as good as an oracle, and the paper's whole
+    // premise (Section 2) is that real workloads leave this large.
+    double Grand = 0.0;
+    std::vector<double> RowMean(N, 0.0), ColMean(K, 0.0);
+    for (size_t I = 0; I != N; ++I)
+      for (size_t J = 0; J != K; ++J) {
+        double V = C.at(I, J);
+        Grand += V;
+        RowMean[I] += V;
+        ColMean[J] += V;
+      }
+    Grand /= static_cast<double>(N * K);
+    for (double &M : RowMean)
+      M /= static_cast<double>(K);
+    for (double &M : ColMean)
+      M /= static_cast<double>(N);
+    double SSTotal = 0.0, SSResid = 0.0;
+    for (size_t I = 0; I != N; ++I)
+      for (size_t J = 0; J != K; ++J) {
+        double V = C.at(I, J);
+        double Fit = RowMean[I] + ColMean[J] - Grand;
+        SSTotal += (V - Grand) * (V - Grand);
+        SSResid += (V - Fit) * (V - Fit);
+      }
+    double Interaction = SSTotal > 0.0 ? SSResid / SSTotal : 0.0;
+
+    // What that interaction buys: dynamic oracle vs the best single
+    // static landmark, as a mean-cost speedup.
+    double OracleMean = 0.0;
+    for (size_t I = 0; I != N; ++I) {
+      double Best = C.at(I, 0);
+      for (size_t J = 1; J != K; ++J)
+        Best = std::min(Best, C.at(I, J));
+      OracleMean += Best;
+    }
+    OracleMean /= static_cast<double>(N);
+    size_t StaticBest = 0;
+    for (size_t J = 1; J != K; ++J)
+      if (ColMean[J] < ColMean[StaticBest])
+        StaticBest = J;
+    double Speedup =
+        OracleMean > 0.0 ? ColMean[StaticBest] / OracleMean : 1.0;
+
+    std::fprintf(stderr,
+                 "[interact] %-12s interaction %.3f, oracle/static %.2fx "
+                 "(%zux%zu table, %.1fs)\n",
+                 E.Name.c_str(), Interaction, Speedup, N, K,
+                 T.elapsedSeconds());
+    Table.addRow({E.Name, std::to_string(N), std::to_string(K),
+                  support::formatDouble(Interaction, 3),
+                  support::formatSpeedup(Speedup)});
+
+    W.beginObject()
+        .string("name", E.Name)
+        .number("inputs", N)
+        .number("landmarks", K)
+        .number("interaction_strength", Interaction)
+        .number("oracle_over_static", Speedup)
+        .number("best_static_landmark", StaticBest)
+        .end();
+  }
+  W.end().end();
+  const std::string &Json = W.str();
+
+  std::fprintf(stderr,
+               "\nInteraction strength per workload "
+               "(PBT_BENCH_SCALE=%.2f):\n\n%s\n",
+               Opts.Scale, Table.format().c_str());
+  std::fputs(Json.c_str(), stdout);
+  if (Opts.Json &&
+      !writeReport(Opts, "interact", "BENCH_interact.json", Json))
+    return 1;
+  return 0;
+}
+
+//===----------------------------------------------------------------------===//
+// ablation-eta
+//===----------------------------------------------------------------------===//
+
+int benchharness::runAblationEta(const DriverOptions &Opts) {
+  const double Etas[] = {0.001, 0.01, 0.1, 0.5, 1.0};
+  std::vector<std::string> Names = Opts.Only;
+  if (Names.empty())
+    Names = {"binpacking", "clustering2", "poisson2d"};
+
+  for (const std::string &Name : Names) {
+    support::TextTable Table;
+    Table.setHeader({"eta", "two-level (w/ feat.)", "satisfaction",
+                     "selected classifier"});
+    for (double Eta : Etas) {
+      std::vector<registry::SuiteEntry> Suite =
+          registry::makeSuite({Name}, Opts.Scale, Opts.Pool);
+      registry::SuiteEntry &E = Suite.front();
+      E.Options.L2.Eta = Eta;
+      core::TrainedSystem System = core::trainSystem(*E.Program, E.Options);
+      core::EvaluationResult R =
+          core::evaluateSystem(*E.Program, System, Opts.Pool);
+      Table.addRow({support::formatDouble(Eta, 3),
+                    support::formatSpeedup(R.TwoLevelWithFeat),
+                    support::formatPercent(R.TwoLevelSatisfaction),
+                    System.L2.SelectedName});
+    }
+    std::printf("Ablation E7 (%s): cost-matrix blend factor eta\n\n%s\n",
+                Name.c_str(), Table.format().c_str());
+  }
+  std::printf("Shape check: speedup/satisfaction should be robust in a "
+              "band around eta = 0.5, the paper's setting "
+              "(PBT_BENCH_SCALE=%.2f).\n",
+              Opts.Scale);
+  return 0;
+}
+
+//===----------------------------------------------------------------------===//
+// ablation-landmarks
+//===----------------------------------------------------------------------===//
+
+int benchharness::runAblationLandmarks(const DriverOptions &Opts) {
+  std::vector<std::string> Names = Opts.Only;
+  if (Names.empty())
+    Names = {"sort2", "clustering2"};
+
+  for (const std::string &Name : Names) {
+    support::TextTable Table;
+    Table.setHeader({"landmarks", "kmeans-selected", "random-selected",
+                     "degradation"});
+    for (unsigned K : {2u, 5u, 8u, 12u}) {
+      double SpeedKMeans = 0.0, SpeedRandom = 0.0;
+      for (core::LandmarkSelection Sel :
+           {core::LandmarkSelection::KMeansCentroids,
+            core::LandmarkSelection::UniformRandom}) {
+        std::vector<registry::SuiteEntry> Suite =
+            registry::makeSuite({Name}, Opts.Scale, Opts.Pool);
+        registry::SuiteEntry &E = Suite.front();
+        E.Options.L1.NumLandmarks = K;
+        E.Options.L1.Selection = Sel;
+        core::TrainedSystem System = core::trainSystem(*E.Program, E.Options);
+        core::EvaluationResult R =
+            core::evaluateSystem(*E.Program, System, Opts.Pool);
+        if (Sel == core::LandmarkSelection::KMeansCentroids)
+          SpeedKMeans = R.DynamicOracle;
+        else
+          SpeedRandom = R.DynamicOracle;
+      }
+      double Degradation =
+          SpeedKMeans > 0.0 ? (SpeedKMeans - SpeedRandom) / SpeedKMeans : 0.0;
+      Table.addRow({std::to_string(K), support::formatSpeedup(SpeedKMeans),
+                    support::formatSpeedup(SpeedRandom),
+                    support::formatPercent(Degradation)});
+    }
+    std::printf("Ablation E5 (%s): landmark selection strategy "
+                "(dynamic-oracle speedup over the static oracle)\n\n%s\n",
+                Name.c_str(), Table.format().c_str());
+  }
+  std::printf("Shape check: random selection degrades small landmark "
+              "counts most; the gap shrinks as counts grow "
+              "(PBT_BENCH_SCALE=%.2f).\n",
+              Opts.Scale);
+  return 0;
+}
+
+//===----------------------------------------------------------------------===//
+// ablation-twolevel
+//===----------------------------------------------------------------------===//
+
+int benchharness::runAblationTwoLevel(const DriverOptions &Opts) {
+  std::vector<registry::SuiteEntry> Suite = suiteFor(Opts);
+
+  support::TextTable Table;
+  Table.setHeader({"Benchmark", "moved", "selected classifier",
+                   "two-level", "one-level", "advantage"});
+
+  for (registry::SuiteEntry &E : Suite) {
+    core::TrainedSystem System = core::trainSystem(*E.Program, E.Options);
+    core::EvaluationResult R =
+        core::evaluateSystem(*E.Program, System, Opts.Pool);
+    double Advantage = R.OneLevelWithFeat > 0.0
+                           ? R.TwoLevelWithFeat / R.OneLevelWithFeat
+                           : 0.0;
+    Table.addRow({E.Name,
+                  support::formatPercent(System.L2.RefinementMoveFraction),
+                  System.L2.SelectedName,
+                  support::formatSpeedup(R.TwoLevelWithFeat),
+                  support::formatSpeedup(R.OneLevelWithFeat),
+                  support::formatSpeedup(Advantage)});
+    std::fprintf(stderr, "[twolevel] %-12s done\n", E.Name.c_str());
+  }
+
+  std::printf("Ablation E6: second-level cluster refinement and classifier "
+              "selection (speedups over the static oracle, with feature "
+              "extraction time)\n\n%s\n",
+              Table.format().c_str());
+  std::printf("Shape check: large 'moved' fractions show the feature-space "
+              "clusters disagree with the performance-space labels (the "
+              "paper reports 73.4%% for kmeans); 'advantage' is the paper's "
+              "two-level-over-one-level factor (up to 34x in the paper) "
               "(PBT_BENCH_SCALE=%.2f).\n",
               Opts.Scale);
   return 0;
