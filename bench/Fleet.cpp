@@ -378,10 +378,8 @@ int runFleet(const DriverOptions &Opts, const char *Argv0) {
     Sum.ParityChecked += R.ParityChecked;
     Sum.ParityMismatches += R.ParityMismatches;
     Sum.Failovers += R.Failovers;
-    Sum.Client.Failovers += R.Client.Failovers;
     Sum.Client.MarkDowns += R.Client.MarkDowns;
     Sum.Client.Reconnects += R.Client.Reconnects;
-    Sum.Client.Exhausted += R.Client.Exhausted;
     Sum.LatenciesUs.insert(Sum.LatenciesUs.end(), R.LatenciesUs.begin(),
                            R.LatenciesUs.end());
     Sum.FailoverLatenciesUs.insert(Sum.FailoverLatenciesUs.end(),
@@ -433,10 +431,7 @@ int runFleet(const DriverOptions &Opts, const char *Argv0) {
       .number("parity_mismatches", Sum.ParityMismatches)
       .number("final_epoch", Ctl.currentEpoch())
       .end();
-  const std::string &J = W.str();
-  std::fputs(J.c_str(), stdout);
-
-  if (Opts.Json && !writeReport(Opts, "fleet", "BENCH_fleet.json", J))
+  if (!emitReport(Opts, "fleet", "BENCH_fleet.json", W.str()))
     return 1;
 
   // --- The wall. ------------------------------------------------------

@@ -570,13 +570,6 @@ static void BM_RetrainWarm(benchmark::State &State) {
 }
 BENCHMARK(BM_RetrainWarm)->Unit(benchmark::kMillisecond);
 
-/// OutDir-qualified path of the machine-readable kernels record.
-static std::string kernelsJsonPath(const benchharness::DriverOptions &Opts) {
-  if (Opts.OutDir.empty() || Opts.OutDir == ".")
-    return "BENCH_kernels.json";
-  return Opts.OutDir + "/BENCH_kernels.json";
-}
-
 int pbt::benchharness::runKernels(const DriverOptions &Opts, int Argc,
                                   char **Argv) {
   // --json lowers to google-benchmark's own JSON reporter so the file
@@ -587,7 +580,7 @@ int pbt::benchharness::runKernels(const DriverOptions &Opts, int Argc,
   Args.push_back(Argv[0]);
   std::string OutFlag, FormatFlag;
   if (Opts.Json) {
-    OutFlag = "--benchmark_out=" + kernelsJsonPath(Opts);
+    OutFlag = "--benchmark_out=" + csvPath(Opts, "BENCH_kernels.json");
     FormatFlag = "--benchmark_out_format=json";
     Args.push_back(OutFlag.data());
     Args.push_back(FormatFlag.data());
@@ -604,8 +597,9 @@ int pbt::benchharness::runKernels(const DriverOptions &Opts, int Argc,
 
 #else // !PBT_HAVE_GOOGLE_BENCHMARK
 
+#include "support/Json.h"
+
 #include <cstdio>
-#include <string>
 
 int pbt::benchharness::runKernels(const DriverOptions &Opts, int, char **) {
   std::fprintf(stderr,
@@ -614,10 +608,12 @@ int pbt::benchharness::runKernels(const DriverOptions &Opts, int, char **) {
                "subcommand.\n");
   // Perf-trajectory pipelines expect the artifact to exist; emit an
   // explicit "not available" marker instead of silently nothing.
-  if (Opts.Json &&
-      writeReport(Opts, "kernels", "BENCH_kernels.json",
-                  "{\"available\": false, "
-                  "\"reason\": \"built without google-benchmark\"}\n"))
+  support::JsonWriter W(support::JsonWriter::Layout::Indented);
+  W.beginObject()
+      .boolean("available", false)
+      .string("reason", "built without google-benchmark")
+      .end();
+  if (Opts.Json && emitReport(Opts, "kernels", "BENCH_kernels.json", W.str()))
     return 0;
   return 2;
 }

@@ -69,10 +69,6 @@ using Clock = std::chrono::steady_clock;
 /// Inputs per sustained-phase Predict.
 constexpr unsigned kRequestInputs = 256;
 
-double secondsSince(Clock::time_point T0) {
-  return std::chrono::duration<double>(Clock::now() - T0).count();
-}
-
 /// One tenant as the harness sees it: the daemon-side name, the model
 /// file, and the in-process replica used for stream generation and the
 /// parity replay.
@@ -84,7 +80,7 @@ struct LoadTenant {
   std::unique_ptr<streams::WorkloadStream> Stream;
 };
 
-/// What one connection thread measured.
+/// What one connection thread, or merged, one phase measured.
 struct ConnResult {
   std::vector<double> LatenciesUs;
   uint64_t Requests = 0;
@@ -96,20 +92,10 @@ struct ConnResult {
   std::string Error;
 };
 
-struct PhaseSummary {
-  double Seconds = 0;
-  uint64_t Requests = 0;
-  uint64_t Decisions = 0;
-  uint64_t Shed = 0;
-  std::vector<double> LatenciesUs;
-  bool Failed = false;
-  std::string Error;
-};
-
-PhaseSummary mergeConns(std::vector<ConnResult> &Conns, double Seconds) {
-  PhaseSummary P;
-  P.Seconds = Seconds;
-  for (ConnResult &C : Conns) {
+/// The phase total of \p Conns (without the parity answers).
+ConnResult mergeConns(const std::vector<ConnResult> &Conns) {
+  ConnResult P;
+  for (const ConnResult &C : Conns) {
     P.Requests += C.Requests;
     P.Decisions += C.Decisions;
     P.Shed += C.Shed;
@@ -123,18 +109,18 @@ PhaseSummary mergeConns(std::vector<ConnResult> &Conns, double Seconds) {
   return P;
 }
 
-/// Writes \p P as the object member \p Key of \p W.
-void writePhase(support::JsonWriter &W, const char *Key, const PhaseSummary &P,
-                unsigned Connections) {
+/// Writes phase \p P, \p Seconds long, as the object member \p Key of
+/// \p W.
+void writePhase(support::JsonWriter &W, const char *Key, const ConnResult &P,
+                double Seconds, unsigned Connections) {
   double Total = static_cast<double>(P.Requests + P.Shed);
   W.beginObject(Key)
       .number("connections", Connections)
-      .number("seconds", P.Seconds)
+      .number("seconds", Seconds)
       .number("requests", P.Requests)
       .number("decisions", P.Decisions)
       .number("decisions_per_sec",
-              P.Seconds > 0 ? static_cast<double>(P.Decisions) / P.Seconds
-                            : 0.0)
+              Seconds > 0 ? static_cast<double>(P.Decisions) / Seconds : 0.0)
       .number("shed", P.Shed)
       .number("shed_rate", Total > 0 ? static_cast<double>(P.Shed) / Total
                                      : std::nan(""))
@@ -396,7 +382,7 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
     for (std::thread &T : Threads)
       T.join();
   }
-  PhaseSummary Sustained = mergeConns(SusConns, Seconds);
+  ConnResult Sustained = mergeConns(SusConns);
   if (Sustained.Failed) {
     std::fprintf(stderr, "pbt-bench loadgen: sustained phase failed: %s\n",
                  Sustained.Error.c_str());
@@ -423,7 +409,7 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
     for (std::thread &T : Threads)
       T.join();
   }
-  PhaseSummary Saturation = mergeConns(SatResults, SatSeconds);
+  ConnResult Saturation = mergeConns(SatResults);
   if (Saturation.Failed) {
     std::fprintf(stderr, "pbt-bench loadgen: saturation phase failed: %s\n",
                  Saturation.Error.c_str());
@@ -505,19 +491,15 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
         .number("inputs", T.Replica.Program->numInputs())
         .end();
   W.end();
-  writePhase(W, "sustained", Sustained, Conns);
-  writePhase(W, "saturation", Saturation, SatConns);
+  writePhase(W, "sustained", Sustained, Seconds, Conns);
+  writePhase(W, "saturation", Saturation, SatSeconds, SatConns);
   W.boolean("parity_checked", ParityChecked)
       .number("parity_inputs", ParityInputs)
       .boolean("choices_match_inprocess", ParityOk)
       .number("server_exit", ServerExit)
       .raw("server_stats", ServerStatsJson)
       .end();
-  const std::string &Json = W.str();
-
-  std::fputs(Json.c_str(), stdout);
-  if (Opts.Json &&
-      !writeReport(Opts, "loadgen", "BENCH_serve_daemon.json", Json))
+  if (!emitReport(Opts, "loadgen", "BENCH_serve_daemon.json", W.str()))
     return 1;
 
   if (!ParityOk) {

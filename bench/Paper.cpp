@@ -325,17 +325,12 @@ int benchharness::runInteract(const DriverOptions &Opts) {
         .end();
   }
   W.end().end();
-  const std::string &Json = W.str();
 
   std::fprintf(stderr,
                "\nInteraction strength per workload "
                "(PBT_BENCH_SCALE=%.2f):\n\n%s\n",
                Opts.Scale, Table.format().c_str());
-  std::fputs(Json.c_str(), stdout);
-  if (Opts.Json &&
-      !writeReport(Opts, "interact", "BENCH_interact.json", Json))
-    return 1;
-  return 0;
+  return emitReport(Opts, "interact", "BENCH_interact.json", W.str()) ? 0 : 1;
 }
 
 //===----------------------------------------------------------------------===//

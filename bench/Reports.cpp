@@ -32,9 +32,12 @@ std::string benchharness::csvPath(const DriverOptions &Opts,
   return Opts.OutDir + "/" + Name;
 }
 
-bool benchharness::writeReport(const DriverOptions &Opts, const char *Sub,
-                               const std::string &Name,
-                               const std::string &Json) {
+bool benchharness::emitReport(const DriverOptions &Opts, const char *Sub,
+                              const std::string &Name,
+                              const std::string &Json) {
+  std::fputs(Json.c_str(), stdout);
+  if (!Opts.Json)
+    return true;
   std::string Path = csvPath(Opts, Name);
   FILE *Out = std::fopen(Path.c_str(), "wb");
   bool Ok =

@@ -136,12 +136,12 @@ std::string csvPath(const DriverOptions &Opts, const std::string &Name);
 /// The directory part of \p Path; "." when it has none.
 std::string dirnameOf(const std::string &Path);
 
-/// Writes the report \p Json to \p Name in Opts.OutDir (the cwd when
-/// OutDir is "." or empty). A failed open, short write or failed close
-/// prints "pbt-bench <Sub>: cannot write '<path>'" and returns false;
-/// the subcommand then exits 1.
-bool writeReport(const DriverOptions &Opts, const char *Sub,
-                 const std::string &Name, const std::string &Json);
+/// Prints the report \p Json to stdout and, under --json, also writes it
+/// to \p Name in Opts.OutDir (the cwd when OutDir is "." or empty). A
+/// failed open, short write or failed close prints "pbt-bench <Sub>:
+/// cannot write '<path>'" and returns false; the subcommand then exits 1.
+bool emitReport(const DriverOptions &Opts, const char *Sub,
+                const std::string &Name, const std::string &Json);
 
 /// Builds the suite the subcommand operates on (Only or the full suite).
 std::vector<registry::SuiteEntry> suiteFor(const DriverOptions &Opts);

@@ -239,10 +239,7 @@ int runRollout(const DriverOptions &Opts) {
       .number("torn_reads_served", 0)
       .number("golden_mismatches", GoldenMismatches)
       .end();
-  const std::string &J = W.str();
-  std::fputs(J.c_str(), stdout);
-
-  if (Opts.Json && !writeReport(Opts, "rollout", "BENCH_rollout.json", J))
+  if (!emitReport(Opts, "rollout", "BENCH_rollout.json", W.str()))
     return 1;
 
   if (GoldenMismatches != 0) {

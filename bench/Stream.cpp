@@ -12,6 +12,7 @@
 #include "streams/WorkloadStream.h"
 #include "support/Cost.h"
 #include "support/Json.h"
+#include "support/Statistics.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -188,14 +189,10 @@ int benchharness::runStream(const DriverOptions &Opts) {
   // Drift-to-swap latency over the accepted swaps: how long live traffic
   // kept being served by the stale champion after each detection. This is
   // the window the columnar training substrate shrinks.
-  double SwapLatencySum = 0.0, SwapLatencyMax = 0.0;
-  size_t AcceptedSwaps = 0;
+  std::vector<double> SwapLatencies;
   for (const runtime::AdaptiveService::SwapRecord &Rec : History)
-    if (Rec.Accepted) {
-      ++AcceptedSwaps;
-      SwapLatencySum += Rec.DriftToSwapSeconds;
-      SwapLatencyMax = std::max(SwapLatencyMax, Rec.DriftToSwapSeconds);
-    }
+    if (Rec.Accepted)
+      SwapLatencies.push_back(Rec.DriftToSwapSeconds);
 
   // Inter-swap segments with mean cost and regret vs each model's own
   // dynamic oracle.
@@ -236,10 +233,7 @@ int benchharness::runStream(const DriverOptions &Opts) {
   }
 
   auto MeanCost = [Served](const StreamTrace &T) {
-    double Sum = 0.0;
-    for (size_t I = 0; I != Served; ++I)
-      Sum += T.Costs[I];
-    return Served ? Sum / static_cast<double>(Served) : 0.0;
+    return support::mean({T.Costs.begin(), T.Costs.begin() + Served});
   };
 
   support::JsonWriter W(support::JsonWriter::Layout::Indented);
@@ -274,11 +268,9 @@ int benchharness::runStream(const DriverOptions &Opts) {
       .number("final_epoch", Adaptive.epoch())
       .number("adaptive_mean_cost", MeanCost(Ada))
       .number("frozen_mean_cost", MeanCost(Frz))
-      .number("mean_drift_to_swap_seconds",
-              AcceptedSwaps
-                  ? SwapLatencySum / static_cast<double>(AcceptedSwaps)
-                  : 0.0)
-      .number("max_drift_to_swap_seconds", SwapLatencyMax)
+      .number("mean_drift_to_swap_seconds", support::mean(SwapLatencies))
+      .number("max_drift_to_swap_seconds",
+              SwapLatencies.empty() ? 0.0 : support::maxOf(SwapLatencies))
       .beginArray("swap_history");
   for (const runtime::AdaptiveService::SwapRecord &R : History)
     W.beginObject()
@@ -304,12 +296,7 @@ int benchharness::runStream(const DriverOptions &Opts) {
         .number("frozen_regret", S.FrozenRegret)
         .end();
   W.end().end();
-  const std::string &Json = W.str();
-
-  std::fputs(Json.c_str(), stdout);
-  if (Opts.Json && !writeReport(Opts, "stream", "BENCH_stream.json", Json))
-    return 1;
-  return 0;
+  return emitReport(Opts, "stream", "BENCH_stream.json", W.str()) ? 0 : 1;
 }
 
 //===----------------------------------------------------------------------===//
@@ -469,11 +456,7 @@ int benchharness::runStreamMix(const DriverOptions &Opts) {
         .end();
   }
   W.end().end();
-  const std::string &Json = W.str();
-
-  std::fputs(Json.c_str(), stdout);
-  if (Opts.Json &&
-      !writeReport(Opts, "stream --mix", "BENCH_stream_mix.json", Json))
+  if (!emitReport(Opts, "stream --mix", "BENCH_stream_mix.json", W.str()))
     return 1;
   return Mismatches == 0 ? 0 : 1;
 }

@@ -139,21 +139,6 @@ registry::reservoirRetrainOptions(const BenchmarkFactory &Factory,
   return O;
 }
 
-runtime::AdaptiveServiceOptions
-registry::adaptiveServiceOptions(const BenchmarkFactory &Factory, double Scale,
-                                 unsigned Window, unsigned Reservoir,
-                                 support::ThreadPool *Pool) {
-  runtime::AdaptiveServiceOptions AO;
-  AO.Monitor.Window = std::max(8u, Window);
-  AO.Monitor.MinSamples = AO.Monitor.Window / 2;
-  AO.Monitor.Cooldown = AO.Monitor.Window;
-  AO.ReservoirSize = std::max(8u, Reservoir);
-  AO.MinRetrainInputs = std::min<size_t>(16, AO.ReservoirSize);
-  AO.Retrain =
-      reservoirRetrainOptions(Factory, Scale, AO.ReservoirSize, Pool);
-  return AO;
-}
-
 serialize::LoadStatus registry::bindModel(serialize::TrainedModel Model,
                                           BoundModel &Out, unsigned Window,
                                           unsigned Reservoir, bool AutoAdapt,
@@ -169,8 +154,13 @@ serialize::LoadStatus registry::bindModel(serialize::TrainedModel Model,
     Scale = Model.Meta.Scale;
   BoundModel B;
   B.Program = Factory->makeProgram(Scale, Model.Meta.ProgramSeed);
-  runtime::AdaptiveServiceOptions AO =
-      adaptiveServiceOptions(*Factory, Scale, Window, Reservoir, Pool);
+  runtime::AdaptiveServiceOptions AO;
+  AO.Monitor.Window = std::max(8u, Window);
+  AO.Monitor.MinSamples = AO.Monitor.Window / 2;
+  AO.Monitor.Cooldown = AO.Monitor.Window;
+  AO.ReservoirSize = std::max(8u, Reservoir);
+  AO.MinRetrainInputs = std::min<size_t>(16, AO.ReservoirSize);
+  AO.Retrain = reservoirRetrainOptions(*Factory, Scale, AO.ReservoirSize, Pool);
   AO.AutoAdapt = AutoAdapt;
   B.Service = std::make_unique<runtime::AdaptiveService>(*B.Program,
                                                          std::move(Model), AO);

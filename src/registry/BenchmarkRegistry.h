@@ -141,19 +141,11 @@ core::PipelineOptions paperPipelineOptions(double Scale, uint64_t PipelineSeed);
 /// \p SampleSize inputs: the factory's defaults at \p Scale with the
 /// landmark count, CV folds and tuning neighbourhood clamped to what the
 /// sample supports, and \p Pool wired in. This is what the adaptive
-/// serving loop (runtime/AdaptiveService.h) and the `pbt-bench stream`
-/// harness hand to every shadow retrain.
+/// serving loop (runtime/AdaptiveService.h) hands to every shadow
+/// retrain; bindModel wires it in.
 core::PipelineOptions reservoirRetrainOptions(const BenchmarkFactory &Factory,
                                               double Scale, size_t SampleSize,
                                               support::ThreadPool *Pool);
-
-/// The AdaptiveServiceOptions pbt-serve's tenants and `pbt-bench stream`
-/// share: a \p Window-decision drift window and a \p Reservoir-input
-/// sample (each at least 8), retraining with reservoirRetrainOptions.
-runtime::AdaptiveServiceOptions
-adaptiveServiceOptions(const BenchmarkFactory &Factory, double Scale,
-                       unsigned Window, unsigned Reservoir,
-                       support::ThreadPool *Pool);
 
 /// A model bound for serving: the program its provenance names and a
 /// ready AdaptiveService serving the model over it. Service refers to
@@ -165,8 +157,9 @@ struct BoundModel {
 
 /// Binds a loaded \p Model for serving: looks up the factory registered
 /// under Meta.Benchmark, rebuilds the program with makeProgram(Scale,
-/// Meta.ProgramSeed), and builds a ready AdaptiveService over it with
-/// adaptiveServiceOptions(Factory, Scale, Window, Reservoir, Pool) and
+/// Meta.ProgramSeed), and builds a ready AdaptiveService over it: a
+/// \p Window-decision drift window and a \p Reservoir-input sample (each
+/// at least 8), retraining with reservoirRetrainOptions on \p Pool, and
 /// \p AutoAdapt. A \p Scale of 0 is the model's recorded Meta.Scale;
 /// `pbt-bench stream` passes a larger one to stretch its traffic
 /// universe. Decide-only callers keep the defaults: they never fill a

@@ -19,9 +19,7 @@ void JsonWriter::next() {
   bool First = Open.back().Empty;
   Open.back().Empty = false;
   if (breaks(Depth)) {
-    if (!First)
-      Out += ',';
-    Out += '\n';
+    Out += First ? "\n" : ",\n";
     Out.append(2 * (Depth + 1), ' ');
   } else if (!First) {
     Out += ", ";
@@ -39,31 +37,21 @@ void JsonWriter::key(std::string_view Key) {
 void JsonWriter::quote(std::string_view S) {
   Out += '"';
   for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
+    if (C == '"' || C == '\\') {
+      Out += '\\';
+      Out += C;
+    } else if (C == '\n') {
       Out += "\\n";
-      break;
-    case '\r':
+    } else if (C == '\r') {
       Out += "\\r";
-      break;
-    case '\t':
+    } else if (C == '\t') {
       Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(C)));
-        Out += Buf;
-      } else {
-        Out += C;
-      }
+    } else if (static_cast<unsigned char>(C) < 0x20) {
+      char Buf[8];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x", static_cast<unsigned>(C));
+      Out += Buf;
+    } else {
+      Out += C;
     }
   }
   Out += '"';

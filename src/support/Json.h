@@ -5,23 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// JsonWriter builds one JSON document in a string. The daemon's Stats
-/// reply and every pbt-bench report are written with it. The writer owns
-/// escaping, the `"key": value` separator, the commas between members and
-/// the shape of empty containers; a caller only says what goes where.
-///
-/// There are two layouts:
-///   * Compact: one line, members separated by ", ". This is the Stats
-///     reply; perfbench finds a key in it by the first match of
-///     `"key": ` and a tenant by `{"name": "`.
-///   * Indented: a report file. The members of the root, and of the
-///     root's direct children, go on their own lines, indented two
-///     spaces per level; deeper containers stay on one line. The
-///     document ends with a newline.
-///
-/// In both layouts an empty container is `{}` or `[]`, a number prints
-/// to six significant digits (%.6g) and a non-finite number prints as
-/// null.
+/// JsonWriter builds one JSON document in a string: the daemon's Stats
+/// reply and every pbt-bench report. It owns escaping, the
+/// `"key": value` separator, the commas between members and empty
+/// containers (`{}`, `[]`). A number prints to six significant digits
+/// (%.6g), a non-finite one as null.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,15 +26,22 @@ namespace support {
 
 class JsonWriter {
 public:
-  enum class Layout { Compact, Indented };
+  enum class Layout {
+    /// One line, members separated by ", ": the Stats reply, where
+    /// perfbench finds a key by its first match of `"key": `.
+    Compact,
+    /// A report file: the members of the root and of its direct
+    /// children one per line, indented two spaces per level; deeper
+    /// containers on one line; a closing newline.
+    Indented,
+  };
 
   explicit JsonWriter(Layout Style) : Style(Style) {}
 
   /// Opens an object: the root, or an element of the innermost array.
   JsonWriter &beginObject();
-  /// Opens an object member \p Key of the innermost object.
+  /// Opens an object or array member \p Key of the innermost object.
   JsonWriter &beginObject(std::string_view Key);
-  /// Opens an array member \p Key of the innermost object.
   JsonWriter &beginArray(std::string_view Key);
   /// Closes the innermost open object or array.
   JsonWriter &end();
@@ -79,8 +74,8 @@ private:
   void key(std::string_view Key);
   void quote(std::string_view S);
   void open(char Bracket);
-  /// Whether the members of the container at \p Depth (0 = the root)
-  /// go on their own lines.
+  /// Whether the container at \p Depth (0 = the root) puts each member
+  /// on its own line.
   bool breaks(size_t Depth) const {
     return Style == Layout::Indented && Depth < 2;
   }
