@@ -31,7 +31,6 @@
 
 #include "Reports.h"
 
-#include "core/Pipeline.h"
 #include "daemon/Client.h"
 #include "fleet/Supervisor.h"
 #include "rollout/RolloutController.h"
@@ -48,6 +47,7 @@
 #include <cstdio>
 #include <deque>
 #include <filesystem>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -152,12 +152,7 @@ int runFleet(const DriverOptions &Opts, const char *Argv0) {
   registry::SuiteEntry &E = Suite.front();
   std::fprintf(stderr, "[fleet] training %s at scale %.2f...\n",
                E.Name.c_str(), Opts.Scale);
-  core::TrainedSystem System = core::trainSystem(*E.Program, E.Options);
-  const registry::BenchmarkFactory &F =
-      registry::BenchmarkRegistry::instance().get(E.Name);
-  serialize::TrainedModel Base = serialize::makeModel(
-      E.Name, Opts.Scale, F.defaultProgramSeed(), *E.Program,
-      std::move(System));
+  serialize::TrainedModel Base = trainModel(Opts, E);
   Base.System.Data.reset();
 
   std::string StoreDir = Opts.OutDir + "/fleet-store";
@@ -185,28 +180,24 @@ int runFleet(const DriverOptions &Opts, const char *Argv0) {
                  St.Error.c_str());
     return 1;
   }
-  registry::BoundModel Parity;
-  St = loadBoundModel(ModelPath, Parity);
-  if (!St) {
+  registry::BoundModel Parity = loadBoundModel(ModelPath);
+  if (!Parity.Status) {
     std::fprintf(stderr, "pbt-bench fleet: parity replica: %s\n",
-                 St.Error.c_str());
+                 Parity.Status.Error.c_str());
     return 1;
   }
   std::vector<size_t> AllInputs(E.Program->numInputs());
-  for (size_t I = 0; I < AllInputs.size(); ++I)
-    AllInputs[I] = I;
-  std::vector<runtime::AdaptiveService::Decision> GoldenDecisions =
-      Parity.Service->decideBatch(AllInputs);
-  std::vector<uint32_t> Golden(GoldenDecisions.size());
-  for (size_t I = 0; I < Golden.size(); ++I)
-    Golden[I] = GoldenDecisions[I].Landmark;
+  std::iota(AllInputs.begin(), AllInputs.end(), 0);
+  std::vector<uint32_t> Golden;
+  for (const runtime::AdaptiveService::Decision &D :
+       Parity.Service->decideBatch(AllInputs))
+    Golden.push_back(D.Landmark);
 
   // --- The supervised fleet: N real pbt-serve processes on the store. -
   bool Tcp = Opts.FleetTransport == "tcp";
   std::atomic<uint64_t> Resumes{0};
   fleet::SupervisorOptions SUP;
-  SUP.ServerExe = Opts.ServerExe.empty() ? dirnameOf(Argv0) + "/pbt-serve"
-                                         : Opts.ServerExe;
+  SUP.ServerExe = serverExe(Opts, Argv0);
   SUP.ServerArgs = {"--store=" + E.Name + "=" + StoreDir,
                     "--store-poll-ms=25",
                     "--workers=" + std::to_string(std::max(1u, Opts.Workers)),

@@ -254,10 +254,10 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
   for (const auto &[Name, Path] : daemon::splitModelSpec(Opts.Model)) {
     LoadTenant T;
     T.ModelPath = Path;
-    serialize::LoadStatus Loaded = loadBoundModel(Path, T.Replica);
-    if (!Loaded) {
+    T.Replica = loadBoundModel(Path);
+    if (!T.Replica.Status) {
       std::fprintf(stderr, "pbt-bench loadgen: cannot load '%s': %s\n",
-                   Path.c_str(), Loaded.Error.c_str());
+                   Path.c_str(), T.Replica.Status.Error.c_str());
       return 1;
     }
     T.Benchmark = T.Replica.Service->currentEpoch()->Model.Meta.Benchmark;
@@ -287,9 +287,7 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
   if (Opts.Spawn) {
     if (Socket.empty())
       Socket = "/tmp/pbt-lg-" + std::to_string(::getpid()) + ".sock";
-    std::string Exe = Opts.ServerExe.empty()
-                          ? dirnameOf(Argv0) + "/pbt-serve"
-                          : Opts.ServerExe;
+    std::string Exe = serverExe(Opts, Argv0);
     std::vector<std::string> Args = {
         Exe,
         "--socket=" + Socket,

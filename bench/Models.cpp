@@ -46,12 +46,7 @@ int benchharness::runTrain(const DriverOptions &Opts) {
                    "model file"});
   for (registry::SuiteEntry &E : Suite) {
     support::WallTimer T;
-    core::TrainedSystem System = core::trainSystem(*E.Program, E.Options);
-    const registry::BenchmarkFactory &F =
-        registry::BenchmarkRegistry::instance().get(E.Name);
-    serialize::TrainedModel Model =
-        serialize::makeModel(E.Name, Opts.Scale, F.defaultProgramSeed(),
-                             *E.Program, std::move(System));
+    serialize::TrainedModel Model = trainModel(Opts, E);
     std::string Path =
         Opts.Out.empty() ? csvPath(Opts, E.Name + ".pbt") : Opts.Out;
     std::string Text = serialize::serializeModel(Model);
@@ -101,11 +96,10 @@ int benchharness::runPredict(const DriverOptions &Opts) {
     std::fprintf(stderr, "pbt-bench predict: --model=FILE is required\n");
     return 1;
   }
-  registry::BoundModel Bound;
-  serialize::LoadStatus Loaded = loadBoundModel(Opts.Model, Bound);
-  if (!Loaded) {
+  registry::BoundModel Bound = loadBoundModel(Opts.Model);
+  if (!Bound.Status) {
     std::fprintf(stderr, "pbt-bench predict: cannot load '%s': %s\n",
-                 Opts.Model.c_str(), Loaded.Error.c_str());
+                 Opts.Model.c_str(), Bound.Status.Error.c_str());
     return 1;
   }
   const runtime::TunableProgram &Program = *Bound.Program;
@@ -161,10 +155,8 @@ int benchharness::runPredict(const DriverOptions &Opts) {
 namespace {
 /// Per-request record of one serving loop over the stream.
 struct StreamTrace {
-  std::vector<unsigned> Landmarks;
   std::vector<uint64_t> Epochs;
   std::vector<double> Costs;
-  std::vector<size_t> DetectTicks;
   std::vector<size_t> SwapTicks;
   /// Every distinct epoch encountered, kept alive for oracle evaluation.
   std::map<uint64_t, runtime::AdaptiveService::EpochPtr> EpochsSeen;
@@ -189,11 +181,8 @@ StreamTrace replayStream(const streams::WorkloadStream &Stream,
     runtime::AdaptiveService::Decision D =
         Adapt ? Service.serve(Input) : Service.decide(Input);
     T.ServeSeconds += Timer.elapsedSeconds();
-    T.Landmarks.push_back(D.Landmark);
     T.Epochs.push_back(D.Epoch);
     T.Costs.push_back(Universe.runOnce(Input, *D.Config).TimeUnits);
-    if (D.DriftFlagged)
-      T.DetectTicks.push_back(Tick);
     if (D.Swapped)
       T.SwapTicks.push_back(Tick);
     T.EpochsSeen.emplace(D.Epoch, D.Hold);
@@ -261,12 +250,12 @@ int benchharness::runStream(const DriverOptions &Opts) {
   // superset population, so the model still binds).
   double UniverseScale =
       Opts.ScaleExplicit ? Opts.Scale : Initial.Meta.Scale;
-  registry::BoundModel AdaptiveBound;
-  Loaded = registry::bindModel(std::move(Initial), AdaptiveBound,
-                               Opts.StreamWindow, Opts.StreamReservoir,
-                               /*AutoAdapt=*/true, Opts.Pool, UniverseScale);
-  if (!Loaded) {
-    std::fprintf(stderr, "pbt-bench stream: %s\n", Loaded.Error.c_str());
+  registry::BoundModel AdaptiveBound = registry::bindModel(
+      std::move(Initial), Opts.StreamWindow, Opts.StreamReservoir,
+      /*AutoAdapt=*/true, Opts.Pool, UniverseScale);
+  if (!AdaptiveBound.Status) {
+    std::fprintf(stderr, "pbt-bench stream: %s\n",
+                 AdaptiveBound.Status.Error.c_str());
     return 1;
   }
   runtime::AdaptiveService &Adaptive = *AdaptiveBound.Service;
@@ -290,10 +279,12 @@ int benchharness::runStream(const DriverOptions &Opts) {
   serialize::TrainedModel FrozenInitial;
   registry::BoundModel FrozenBound;
   Loaded = serialize::loadModelFile(Opts.Model, FrozenInitial);
-  if (Loaded)
-    Loaded = registry::bindModel(std::move(FrozenInitial), FrozenBound,
-                                 Opts.StreamWindow, Opts.StreamReservoir,
-                                 /*AutoAdapt=*/false, Opts.Pool, UniverseScale);
+  if (Loaded) {
+    FrozenBound = registry::bindModel(
+        std::move(FrozenInitial), Opts.StreamWindow, Opts.StreamReservoir,
+        /*AutoAdapt=*/false, Opts.Pool, UniverseScale);
+    Loaded = FrozenBound.Status;
+  }
   if (!Loaded) {
     std::fprintf(stderr, "pbt-bench stream: cannot reload '%s': %s\n",
                  Opts.Model.c_str(), Loaded.Error.c_str());
@@ -531,11 +522,10 @@ int benchharness::runStreamMix(const DriverOptions &Opts) {
   size_t Mismatches = 0;
   for (size_t I = 0; I != Registry.size(); ++I) {
     daemon::Tenant *T = Registry.at(I);
-    registry::BoundModel Replay;
-    serialize::LoadStatus St = loadBoundModel(T->ModelPath, Replay);
-    if (!St) {
+    registry::BoundModel Replay = loadBoundModel(T->ModelPath);
+    if (!Replay.Status) {
       std::fprintf(stderr, "pbt-bench stream --mix: parity replay '%s': %s\n",
-                   T->ModelPath.c_str(), St.Error.c_str());
+                   T->ModelPath.c_str(), Replay.Status.Error.c_str());
       return 1;
     }
     std::vector<size_t> Inputs = Mixed->tenantInputs(static_cast<unsigned>(I));

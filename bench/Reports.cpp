@@ -6,6 +6,7 @@
 
 #include "Reports.h"
 
+#include "core/Pipeline.h"
 #include "serialize/ModelIO.h"
 #include "support/Statistics.h"
 
@@ -55,13 +56,12 @@ double benchharness::quantileOrNaN(const std::vector<double> &V, double Q) {
   return V.empty() ? std::nan("") : support::quantile(V, Q);
 }
 
-serialize::LoadStatus benchharness::loadBoundModel(const std::string &Path,
-                                                   registry::BoundModel &Out) {
+registry::BoundModel benchharness::loadBoundModel(const std::string &Path) {
   serialize::TrainedModel Model;
   serialize::LoadStatus Loaded = serialize::loadModelFile(Path, Model);
   if (!Loaded)
-    return Loaded;
-  return registry::bindModel(std::move(Model), Out);
+    return {Loaded, nullptr, nullptr};
+  return registry::bindModel(std::move(Model));
 }
 
 std::vector<std::string> benchharness::splitCommas(const std::string &Text) {
@@ -78,7 +78,21 @@ std::vector<std::string> benchharness::splitCommas(const std::string &Text) {
   return Out;
 }
 
-std::string benchharness::dirnameOf(const std::string &Path) {
+std::string benchharness::serverExe(const DriverOptions &Opts,
+                                   const char *Argv0) {
+  if (!Opts.ServerExe.empty())
+    return Opts.ServerExe;
+  std::string Path = Argv0;
   size_t Slash = Path.rfind('/');
-  return Slash == std::string::npos ? std::string(".") : Path.substr(0, Slash);
+  return (Slash == std::string::npos ? "." : Path.substr(0, Slash)) +
+         "/pbt-serve";
+}
+
+serialize::TrainedModel benchharness::trainModel(const DriverOptions &Opts,
+                                                 registry::SuiteEntry &E) {
+  const registry::BenchmarkFactory &F =
+      registry::BenchmarkRegistry::instance().get(E.Name);
+  return serialize::makeModel(E.Name, Opts.Scale, F.defaultProgramSeed(),
+                              *E.Program,
+                              core::trainSystem(*E.Program, E.Options));
 }

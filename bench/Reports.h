@@ -122,9 +122,8 @@ struct DriverOptions {
 double quantileOrNaN(const std::vector<double> &V, double Q);
 
 /// Loads the model file \p Path and binds it for decide-only serving
-/// (registry::bindModel). The status names the step that failed.
-serialize::LoadStatus loadBoundModel(const std::string &Path,
-                                     registry::BoundModel &Out);
+/// (registry::bindModel). Status names the step that failed.
+registry::BoundModel loadBoundModel(const std::string &Path);
 
 /// Splits a comma-separated option value (--only, --model), dropping
 /// empty entries.
@@ -133,8 +132,15 @@ std::vector<std::string> splitCommas(const std::string &Text);
 /// \p Name inside Opts.OutDir (just \p Name when OutDir is "." or empty).
 std::string csvPath(const DriverOptions &Opts, const std::string &Name);
 
-/// The directory part of \p Path; "." when it has none.
-std::string dirnameOf(const std::string &Path);
+/// The pbt-serve binary loadgen and fleet start: --server-exe, or the
+/// `pbt-serve` beside \p Argv0.
+std::string serverExe(const DriverOptions &Opts, const char *Argv0);
+
+/// Trains suite entry \p E and packages it with the provenance
+/// registry::bindModel rebuilds: the entry's name, Opts.Scale and the
+/// factory's default program seed.
+serialize::TrainedModel trainModel(const DriverOptions &Opts,
+                                   registry::SuiteEntry &E);
 
 /// Prints the report \p Json to stdout and, under --json, also writes it
 /// to \p Name in Opts.OutDir (the cwd when OutDir is "." or empty). A

@@ -15,7 +15,6 @@
 
 #include "Reports.h"
 
-#include "core/Pipeline.h"
 #include "rollout/RolloutController.h"
 #include "runtime/AdaptiveService.h"
 #include "serialize/ModelIO.h"
@@ -49,16 +48,6 @@ void writeSeries(support::JsonWriter &W, const char *Key,
       .end();
 }
 
-/// Decisions (landmark per probe input) of a service -- the golden unit.
-std::vector<unsigned> probeChoices(runtime::AdaptiveService &Service,
-                                   const std::vector<size_t> &Probe) {
-  std::vector<unsigned> Out;
-  Out.reserve(Probe.size());
-  for (size_t Input : Probe)
-    Out.push_back(Service.decide(Input).Landmark);
-  return Out;
-}
-
 } // namespace
 
 int runRollout(const DriverOptions &Opts) {
@@ -71,12 +60,7 @@ int runRollout(const DriverOptions &Opts) {
   registry::SuiteEntry &E = Suite.front();
   std::fprintf(stderr, "[rollout] training %s at scale %.2f...\n",
                E.Name.c_str(), Opts.Scale);
-  core::TrainedSystem System = core::trainSystem(*E.Program, E.Options);
-  const registry::BenchmarkFactory &F =
-      registry::BenchmarkRegistry::instance().get(E.Name);
-  serialize::TrainedModel Base = serialize::makeModel(
-      E.Name, Opts.Scale, F.defaultProgramSeed(), *E.Program,
-      std::move(System));
+  serialize::TrainedModel Base = trainModel(Opts, E);
   Base.System.Data.reset();
 
   // A fresh store per run: the harness owns the whole lifecycle.
@@ -107,7 +91,10 @@ int runRollout(const DriverOptions &Opts) {
       rollout::Replica &R = C.replica(I);
       if (!R.serving())
         continue;
-      std::vector<unsigned> Choices = probeChoices(R.service(), Probe);
+      std::vector<unsigned> Choices;
+      for (const runtime::AdaptiveService::Decision &D :
+           R.service().decideBatch(Probe))
+        Choices.push_back(D.Landmark);
       auto It = Golden.find(R.epoch());
       if (It == Golden.end())
         Golden.emplace(R.epoch(), std::move(Choices));

@@ -51,21 +51,18 @@ ModelRegistry::buildTenant(const std::string &Name,
                            const std::string &SourceDesc,
                            serialize::TrainedModel Model,
                            std::unique_ptr<Tenant> &Out) {
-  registry::BoundModel Bound;
-  serialize::LoadStatus St =
-      registry::bindModel(std::move(Model), Bound, Opts.Window, Opts.Reservoir,
-                          Opts.AutoAdapt, Opts.Pool);
-  if (!St)
-    return St;
+  registry::BoundModel Bound = registry::bindModel(
+      std::move(Model), Opts.Window, Opts.Reservoir, Opts.AutoAdapt, Opts.Pool);
+  if (!Bound.Status)
+    return Bound.Status;
   runtime::AdaptiveService::EpochPtr Ep = Bound.Service->currentEpoch();
-  auto T = std::make_unique<Tenant>();
-  T->Name = Name.empty() ? Ep->Model.Meta.Benchmark : Name;
-  T->ModelPath = SourceDesc;
-  T->Benchmark = Ep->Model.Meta.Benchmark;
-  T->Landmarks = static_cast<unsigned>(Ep->Model.System.L1.Landmarks.size());
-  T->Program = std::move(Bound.Program);
-  T->Service = std::move(Bound.Service);
-  Out = std::move(T);
+  Out = std::make_unique<Tenant>();
+  Out->Name = Name.empty() ? Ep->Model.Meta.Benchmark : Name;
+  Out->ModelPath = SourceDesc;
+  Out->Benchmark = Ep->Model.Meta.Benchmark;
+  Out->Landmarks = static_cast<unsigned>(Ep->Model.System.L1.Landmarks.size());
+  Out->Program = std::move(Bound.Program);
+  Out->Service = std::move(Bound.Service);
   return serialize::LoadStatus::success();
 }
 
@@ -88,10 +85,9 @@ serialize::LoadStatus ModelRegistry::addTenant(const std::string &Name,
   if (!Loaded)
     return Loaded;
   std::unique_ptr<Tenant> T;
-  serialize::LoadStatus Built =
-      buildTenant(Name, ModelPath, std::move(Model), T);
-  if (!Built)
-    return Built;
+  Loaded = buildTenant(Name, ModelPath, std::move(Model), T);
+  if (!Loaded)
+    return Loaded;
   T->BuildMs = msSince(Start);
   return publishTenant(std::move(T));
 }

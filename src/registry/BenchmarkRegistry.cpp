@@ -139,21 +139,19 @@ registry::reservoirRetrainOptions(const BenchmarkFactory &Factory,
   return O;
 }
 
-serialize::LoadStatus registry::bindModel(serialize::TrainedModel Model,
-                                          BoundModel &Out, unsigned Window,
-                                          unsigned Reservoir, bool AutoAdapt,
-                                          support::ThreadPool *Pool,
-                                          double Scale) {
+BoundModel registry::bindModel(serialize::TrainedModel Model, unsigned Window,
+                               unsigned Reservoir, bool AutoAdapt,
+                               support::ThreadPool *Pool, double Scale) {
+  BoundModel B;
   const BenchmarkFactory *Factory =
       BenchmarkRegistry::instance().lookup(Model.Meta.Benchmark);
-  if (!Factory)
-    return serialize::LoadStatus::failure("model benchmark '" +
-                                          Model.Meta.Benchmark +
-                                          "' is not registered");
+  if (!Factory) {
+    B.Status = serialize::LoadStatus::failure(
+        "model benchmark '" + Model.Meta.Benchmark + "' is not registered");
+    return B;
+  }
   if (Scale == 0.0)
     Scale = Model.Meta.Scale;
-  BoundModel B;
-  B.Program = Factory->makeProgram(Scale, Model.Meta.ProgramSeed);
   runtime::AdaptiveServiceOptions AO;
   AO.Monitor.Window = std::max(8u, Window);
   AO.Monitor.MinSamples = AO.Monitor.Window / 2;
@@ -162,16 +160,13 @@ serialize::LoadStatus registry::bindModel(serialize::TrainedModel Model,
   AO.MinRetrainInputs = std::min<size_t>(16, AO.ReservoirSize);
   AO.Retrain = reservoirRetrainOptions(*Factory, Scale, AO.ReservoirSize, Pool);
   AO.AutoAdapt = AutoAdapt;
+  B.Program = Factory->makeProgram(Scale, Model.Meta.ProgramSeed);
   B.Service = std::make_unique<runtime::AdaptiveService>(*B.Program,
                                                          std::move(Model), AO);
   if (!B.Service->ready())
-    return serialize::LoadStatus::failure("model/program mismatch: " +
-                                          B.Service->status().Error);
-  // The service first: whatever Out held must drop its service before
-  // the program that service refers to.
-  Out.Service = std::move(B.Service);
-  Out.Program = std::move(B.Program);
-  return serialize::LoadStatus::success();
+    B.Status = serialize::LoadStatus::failure("model/program mismatch: " +
+                                              B.Service->status().Error);
+  return B;
 }
 
 size_t registry::scaledInputCount(double Scale, size_t Base) {

@@ -148,29 +148,27 @@ core::PipelineOptions reservoirRetrainOptions(const BenchmarkFactory &Factory,
                                               support::ThreadPool *Pool);
 
 /// A model bound for serving: the program its provenance names and a
-/// ready AdaptiveService serving the model over it. Service refers to
-/// Program, so Program is declared first and outlives it.
+/// ready AdaptiveService over it (use both only when Status is Ok).
+/// Service refers to Program, which is declared first and outlives it.
 struct BoundModel {
+  serialize::LoadStatus Status;
   ProgramPtr Program;
   std::unique_ptr<runtime::AdaptiveService> Service;
 };
 
 /// Binds a loaded \p Model for serving: looks up the factory registered
 /// under Meta.Benchmark, rebuilds the program with makeProgram(Scale,
-/// Meta.ProgramSeed), and builds a ready AdaptiveService over it: a
+/// Meta.ProgramSeed), and builds an AdaptiveService over it: a
 /// \p Window-decision drift window and a \p Reservoir-input sample (each
 /// at least 8), retraining with reservoirRetrainOptions on \p Pool, and
 /// \p AutoAdapt. A \p Scale of 0 is the model's recorded Meta.Scale;
 /// `pbt-bench stream` passes a larger one to stretch its traffic
-/// universe. Decide-only callers keep the defaults: they never fill a
-/// drift window or a reservoir. On failure \p Out is left untouched and
-/// the status names the step that failed: an unregistered benchmark, or
-/// a model that does not fit the rebuilt program.
-serialize::LoadStatus bindModel(serialize::TrainedModel Model,
-                                BoundModel &Out, unsigned Window = 0,
-                                unsigned Reservoir = 0, bool AutoAdapt = false,
-                                support::ThreadPool *Pool = nullptr,
-                                double Scale = 0.0);
+/// universe. Decide-only callers keep the defaults. Status names the
+/// step that failed: an unregistered benchmark, or a model that does not
+/// fit the rebuilt program.
+BoundModel bindModel(serialize::TrainedModel Model, unsigned Window = 0,
+                     unsigned Reservoir = 0, bool AutoAdapt = false,
+                     support::ThreadPool *Pool = nullptr, double Scale = 0.0);
 
 /// Scales a base input count, clamped to a floor that keeps train/test
 /// splits meaningful.
