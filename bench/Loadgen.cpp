@@ -37,7 +37,6 @@
 #include "daemon/ModelRegistry.h"
 #include "daemon/Protocol.h"
 #include "runtime/AdaptiveService.h"
-#include "serialize/ModelIO.h"
 #include "streams/WorkloadStream.h"
 #include "support/Json.h"
 
