@@ -159,11 +159,9 @@ int runFleet(const DriverOptions &Opts, const char *Argv0) {
   std::error_code EC;
   std::filesystem::remove_all(StoreDir, EC);
 
-  // One in-process replica: the publisher's canary. The real fleet is
-  // the external pbt-serve processes below.
-  rollout::RolloutOptions RO;
-  RO.Replicas = 1;
-  RolloutController Ctl(*E.Program, StoreDir, RO);
+  // The publisher. The replicas are the pbt-serve processes below, each
+  // following the store.
+  RolloutController Ctl(*E.Program, StoreDir);
   LoadStatus St = Ctl.start(Base);
   if (!St) {
     std::fprintf(stderr, "pbt-bench fleet: store bootstrap failed: %s\n",
@@ -218,8 +216,7 @@ int runFleet(const DriverOptions &Opts, const char *Argv0) {
   SUP.QuarantineRestarts = 4;
   SUP.QuarantineWindowSeconds = 12.0;
   // The supervisor, not the publisher, drives the resume path: before
-  // each respawn the store's recovery is re-run and the canary
-  // re-synced, so a replacement process always loads a durable CURRENT.
+  // each respawn the publisher reloads its champion from CURRENT.
   SUP.OnRestart = [&](size_t) {
     Ctl.resume();
     Resumes.fetch_add(1, std::memory_order_relaxed);

@@ -6,21 +6,10 @@
 ///
 /// \file
 /// `pbt-bench <subcommand> [options]` reproduces the paper's experiments
-/// over the benchmarks enumerated by the BenchmarkRegistry:
-///
-///   list                the registered workload catalog
-///   table1              Table 1 speedup/satisfaction summary
-///   fig6                per-input speedup distributions
-///   fig7                closed-form landmark model curves
-///   fig8                speedup vs landmark count sweep
-///   ablation-eta        cost-matrix blend factor sweep
-///   ablation-landmarks  K-means vs random landmark selection
-///   ablation-twolevel   refinement disparity + classifier zoo
-///   kernels             google-benchmark substrate micro-benchmarks
-///
-/// Shared options: --scale=S (or PBT_BENCH_SCALE), --only=a,b,c,
-/// --threads=N, --sequential, --out-dir=DIR, --trials=N. Unrecognised
-/// arguments of `kernels` pass through to google-benchmark.
+/// over the benchmarks enumerated by the BenchmarkRegistry and drives the
+/// serving, rollout and fleet harnesses. `pbt-bench --help` lists every
+/// subcommand and option; the README's driver table describes each
+/// subcommand.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,9 +54,10 @@ static void printUsage() {
       "                       BENCH_interact.json report\n"
       "  loadgen              drive a pbt-serve daemon over N concurrent\n"
       "                       connections; BENCH_serve_daemon.json report\n"
-      "  rollout              staged fleet-rollout harness over the crash-\n"
-      "                       safe model store; with --faults, kill-during-\n"
-      "                       publish crash injection + recovery timing;\n"
+      "  rollout              staged publish/canary/promote cycles over the\n"
+      "                       crash-safe model store, checked by store\n"
+      "                       followers; with --faults, kill-during-publish\n"
+      "                       crash injection + recovery timing;\n"
       "                       BENCH_rollout.json report\n"
       "  fleet                supervised cross-process serving fleet: real\n"
       "                       pbt-serve replicas under restart/backoff\n"
@@ -117,7 +107,7 @@ static void printUsage() {
       "  --workers=N          loadgen --spawn: server Predicts served\n"
       "                       concurrently\n"
       "  --adapt              loadgen --spawn: per-tenant drift adaptation\n"
-      "  --replicas=N         rollout: simulated serving replicas (default 3)\n"
+      "  --replicas=N         fleet: pbt-serve replicas (default 3, min 2)\n"
       "  --cycles=N           rollout: staged rollout cycles (default 8)\n"
       "  --faults             rollout: arm one randomized failpoint per\n"
       "                       cycle (crash/corruption injection)\n"

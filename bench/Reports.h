@@ -97,7 +97,8 @@ struct DriverOptions {
   unsigned Workers = 2;
   /// `loadgen --spawn` only: per-tenant drift adaptation (--adapt).
   bool Adapt = false;
-  /// `rollout` only: serving replicas in the simulated fleet (--replicas).
+  /// `fleet` only: pbt-serve replicas to supervise (--replicas); the
+  /// harness runs at least 2.
   unsigned Replicas = 3;
   /// `rollout` only: publish/canary/promote cycles to drive (--cycles).
   unsigned Cycles = 8;
@@ -219,21 +220,25 @@ int runInteract(const DriverOptions &Opts);
 /// also OutDir/BENCH_serve_daemon.json with --json. \p Argv0 locates the
 /// default pbt-serve binary for --spawn.
 int runLoadgen(const DriverOptions &Opts, const char *Argv0);
-/// `rollout`: the crash-safe fleet-rollout harness. Trains one model,
-/// seeds a model store, then drives --cycles staged rollouts (publish ->
-/// canary -> promote/rollback) through a RolloutController fleet of
-/// --replicas in-process replicas, alternating clone candidates (equal
-/// shadow score: promote) with landmark-rotated degraded candidates
-/// (worse: rollback). With --faults each cycle arms one randomized
-/// failpoint (torn write, crash-before-rename, crash-before-manifest,
-/// crash-between-manifest-and-CURRENT, checksum corruption, failing
-/// fsync); an injected crash kills the fleet mid-protocol, and the
-/// harness restarts it from the store, timing recovery and verifying the
-/// recovered fleet's decisions are golden-identical to the last durable
-/// epoch's. Reports publish/canary/promote latency, recovery time, torn
-/// reads prevented, and the zero-torn-reads-served assertion as JSON
-/// (stdout; also OutDir/BENCH_rollout.json with --json). Any torn read
-/// served, golden divergence, or failed recovery is a nonzero exit.
+/// `rollout`: the crash-safe rollout harness. Trains one model, seeds a
+/// model store, then drives --cycles staged rollouts (publish -> canary
+/// -> promote/rollback) through a RolloutController, alternating clone
+/// candidates (equal shadow score: promote) with landmark-rotated
+/// degraded candidates (worse: rollback). With --faults each cycle arms
+/// one randomized failpoint (torn write, crash-before-rename,
+/// crash-before-manifest, crash-between-manifest-and-CURRENT, checksum
+/// corruption, failing or slow fsync); an injected crash kills the
+/// publisher mid-protocol, and the harness restarts it from the store,
+/// timing recovery. Replicas are store followers (daemon::ModelRegistry
+/// store tenants, the code pbt-serve runs): one polls the store after
+/// every cycle and recovery, and a fresh one loads it after every
+/// recovery; each must serve CURRENT with decisions golden-identical to
+/// that epoch's first serving. Reports publish/canary/promote latency,
+/// recovery time, torn reads prevented (images refused by every
+/// controller and follower of the run) and the zero-torn-reads-served
+/// assertion as JSON (stdout; also OutDir/BENCH_rollout.json with
+/// --json). Any torn read served, golden divergence, or failed recovery
+/// is a nonzero exit.
 int runRollout(const DriverOptions &Opts);
 /// `fleet`: the supervised cross-process serving-fleet harness. Trains
 /// one model, seeds a crash-safe model store, fork/execs --replicas

@@ -1,4 +1,4 @@
-//===- bench/Rollout.cpp - pbt-bench rollout: crash-safe fleet harness -----==//
+//===- bench/Rollout.cpp - pbt-bench rollout: crash-safe rollout harness ---==//
 //
 // Part of the pbtuner project.
 //
@@ -6,15 +6,18 @@
 ///
 /// \file
 /// `pbt-bench rollout`: drives publish -> canary -> promote/rollback
-/// cycles through an in-process RolloutController fleet over the
-/// crash-safe model store, optionally under randomized fault injection
-/// (--faults), and reports the rollout-path latencies and crash-recovery
-/// behavior as BENCH_rollout.json. See Reports.h for the contract.
+/// cycles through a RolloutController over the crash-safe model store,
+/// optionally under randomized fault injection (--faults), with store
+/// followers (daemon::ModelRegistry store tenants, what pbt-serve runs)
+/// checking every promoted epoch's decisions, and reports the
+/// rollout-path latencies and crash-recovery behavior as
+/// BENCH_rollout.json. See Reports.h for the contract.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "Reports.h"
 
+#include "daemon/ModelRegistry.h"
 #include "rollout/RolloutController.h"
 #include "runtime/AdaptiveService.h"
 #include "serialize/ModelIO.h"
@@ -68,9 +71,7 @@ int runRollout(const DriverOptions &Opts) {
   std::error_code EC;
   std::filesystem::remove_all(StoreDir, EC);
 
-  rollout::RolloutOptions RO;
-  RO.Replicas = Opts.Replicas;
-  auto Ctl = std::make_unique<RolloutController>(*E.Program, StoreDir, RO);
+  auto Ctl = std::make_unique<RolloutController>(*E.Program, StoreDir);
   LoadStatus St = Ctl->start(Base);
   if (!St) {
     std::fprintf(stderr, "pbt-bench rollout: store bootstrap failed: %s\n",
@@ -78,36 +79,48 @@ int runRollout(const DriverOptions &Opts) {
     return 1;
   }
 
+  // Replicas are store followers, the code pbt-serve runs: one follower
+  // outlives every publisher crash, and after each recovery a fresh one
+  // stands in for a respawned replica.
+  auto follow = [&](daemon::ModelRegistry &Reg) {
+    LoadStatus Added = Reg.addStoreTenant(E.Name, StoreDir);
+    if (!Added)
+      std::fprintf(stderr, "pbt-bench rollout: store follower FAILED: %s\n",
+                   Added.Error.c_str());
+    return Added.Ok;
+  };
+  daemon::ModelRegistry Follower;
+  if (!follow(Follower))
+    return 1;
+
   // Golden decisions per epoch: the first time an epoch serves, its
   // probe choices are recorded; every later sighting (post-promotion
-  // syncs, post-crash recoveries) must reproduce them exactly.
+  // polls, post-crash recoveries) must reproduce them exactly. A
+  // follower that polled but does not serve CURRENT is a mismatch too.
   std::vector<size_t> Probe;
   for (size_t I = 0; I != std::min<size_t>(32, E.Program->numInputs()); ++I)
     Probe.push_back(I);
   std::map<uint64_t, std::vector<unsigned>> Golden;
   uint64_t GoldenMismatches = 0;
-  auto checkGolden = [&](RolloutController &C) {
-    for (size_t I = 0; I != C.replicaCount(); ++I) {
-      rollout::Replica &R = C.replica(I);
-      if (!R.serving())
-        continue;
-      std::vector<unsigned> Choices;
-      for (const runtime::AdaptiveService::Decision &D :
-           R.service().decideBatch(Probe))
-        Choices.push_back(D.Landmark);
-      auto It = Golden.find(R.epoch());
-      if (It == Golden.end())
-        Golden.emplace(R.epoch(), std::move(Choices));
-      else if (It->second != Choices)
-        ++GoldenMismatches;
-    }
+  auto checkGolden = [&](daemon::ModelRegistry &Reg) {
+    Reg.pollStores();
+    daemon::Tenant &T = *Reg.find(E.Name);
+    uint64_t Epoch = T.StoreEpoch.load();
+    if (Epoch != Ctl->currentEpoch() || T.Service->epoch() != Epoch)
+      ++GoldenMismatches;
+    std::vector<unsigned> Choices;
+    for (const runtime::AdaptiveService::Decision &D :
+         T.Service->decideBatch(Probe))
+      Choices.push_back(D.Landmark);
+    if (Golden.emplace(Epoch, Choices).first->second != Choices)
+      ++GoldenMismatches;
   };
-  checkGolden(*Ctl);
+  checkGolden(Follower);
 
   // The randomized failpoint schedule. Crash-class points kill the
-  // "fleet" mid-protocol (FaultCrash); the harness then restarts it from
-  // the store like a supervisor would. Corruption/fsync points degrade
-  // in place and must be survived without a restart.
+  // publisher mid-protocol (FaultCrash); the harness then restarts it
+  // from the store like a supervisor would. Corruption/fsync points
+  // degrade in place and must be survived without a restart.
   const FaultPoint Schedule[] = {
       FaultPoint::TornWrite,     FaultPoint::CrashBeforeRename,
       FaultPoint::CrashBeforeManifest,
@@ -123,6 +136,9 @@ int runRollout(const DriverOptions &Opts) {
   unsigned Promoted = 0, RolledBack = 0, FailedPublishes = 0;
   unsigned Crashes = 0, Recoveries = 0;
   std::map<std::string, unsigned> FaultsArmed;
+  // Torn reads prevented: store images refused before a good epoch
+  // served, by every controller the run restarted and every follower.
+  uint64_t TornPrevented = 0;
 
   for (unsigned Cycle = 0; Cycle != Opts.Cycles; ++Cycle) {
     // Alternate a clone of the base champion (equal shadow score ->
@@ -154,12 +170,13 @@ int runRollout(const DriverOptions &Opts) {
       St = Ctl->rollout(std::move(Candidate), Report);
     } catch (const support::FaultCrash &Crash) {
       ++Crashes;
-      std::fprintf(stderr, "[rollout] cycle %u: %s; restarting fleet\n",
+      std::fprintf(stderr, "[rollout] cycle %u: %s; restarting publisher\n",
                    Cycle, Crash.what());
-      // The fleet "process" died: throw the controller away with the
+      // The publisher "process" died: throw the controller away with the
       // store directory exactly as the crash left it, and restart.
+      TornPrevented += Ctl->rejectedImages();
       support::WallTimer RecoveryTimer;
-      Ctl = std::make_unique<RolloutController>(*E.Program, StoreDir, RO);
+      Ctl = std::make_unique<RolloutController>(*E.Program, StoreDir);
       LoadStatus Resumed = Ctl->resume();
       if (!Resumed) {
         std::fprintf(stderr,
@@ -169,16 +186,21 @@ int runRollout(const DriverOptions &Opts) {
       }
       Recovery.push_back(RecoveryTimer.elapsedSeconds());
       ++Recoveries;
-      checkGolden(*Ctl);
+      checkGolden(Follower);
+      daemon::ModelRegistry Respawned;
+      if (!follow(Respawned))
+        return 1;
+      checkGolden(Respawned);
+      TornPrevented += Respawned.find(E.Name)->StoreRejects.load();
       continue;
     }
     Inj.reset(); // a non-crash fault may still be armed; clear it
 
     if (!St) {
       // Failing fsync / corrupt candidate image: the rollout refused to
-      // ship. Nothing durable may have changed for the fleet.
+      // ship. CURRENT may not have moved.
       ++FailedPublishes;
-      checkGolden(*Ctl);
+      checkGolden(Follower);
       continue;
     }
     Publish.push_back(Report.PublishSeconds);
@@ -188,23 +210,19 @@ int runRollout(const DriverOptions &Opts) {
       ++Promoted;
     else
       ++RolledBack;
-    checkGolden(*Ctl);
+    checkGolden(Follower);
   }
   Inj.reset();
 
-  // Torn reads: every store image rejected by size/checksum verification
-  // before a good epoch served. Prevented is expected to be nonzero
-  // under --faults; SERVED torn reads (a replica acting on a bad image)
-  // would surface as golden mismatches and must be zero.
-  uint64_t TornPrevented = 0;
-  for (size_t I = 0; I != Ctl->replicaCount(); ++I)
-    TornPrevented += Ctl->replica(I).tornReadsPrevented();
+  // SERVED torn reads (a follower acting on a bad image) would surface
+  // as golden mismatches and must be zero.
+  TornPrevented +=
+      Ctl->rejectedImages() + Follower.find(E.Name)->StoreRejects.load();
 
   support::JsonWriter W(support::JsonWriter::Layout::Indented);
   W.beginObject()
       .string("benchmark", E.Name)
       .number("scale", Opts.Scale)
-      .number("replicas", Opts.Replicas)
       .number("cycles", Opts.Cycles)
       .boolean("faults_enabled", Opts.Faults)
       .number("fault_seed", Opts.FaultSeed)
@@ -232,7 +250,7 @@ int runRollout(const DriverOptions &Opts) {
   if (GoldenMismatches != 0) {
     std::fprintf(stderr,
                  "pbt-bench rollout: %llu golden decision mismatches -- a "
-                 "replica served state that diverged from its epoch\n",
+                 "follower served state that diverged from CURRENT\n",
                  static_cast<unsigned long long>(GoldenMismatches));
     return 1;
   }

@@ -23,10 +23,10 @@
 /// endpoint lists stay stable across restarts).
 ///
 /// The OnRestart hook runs before each respawn. The fleet bench points
-/// it at RolloutController::resume(): store recovery is re-run and the
-/// publisher's canary re-synced onto CURRENT before the replacement
-/// process loads the store -- the supervisor, not the publisher, drives
-/// the resume path after a crash.
+/// it at RolloutController::resume(), which reloads the publisher's
+/// champion from CURRENT before the replacement process loads the store
+/// -- the supervisor, not the publisher, drives the resume path after a
+/// crash.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -20,83 +20,14 @@ using serialize::LoadStatus;
 /// Seed of the canary shadow sample.
 static constexpr uint64_t kShadowSeed = 0xCA9A23;
 
-//===----------------------------------------------------------------------===//
-// Replica
-//===----------------------------------------------------------------------===//
-
-LoadStatus Replica::adoptText(uint64_t NewEpoch, const std::string &Text) {
-  serialize::TrainedModel Model;
-  LoadStatus St = serialize::loadModel(Text, Model);
-  if (!St) {
-    // A checksum-valid image that fails to parse is corruption the
-    // checksum cannot see (e.g. a bad publisher); refuse it the same way.
-    ++TornPrevented;
-    return LoadStatus::failure("epoch " + std::to_string(NewEpoch) +
-                               " image does not parse: " + St.Error);
-  }
-  auto Next =
-      std::make_unique<runtime::AdaptiveService>(Program, std::move(Model));
-  if (!Next->ready())
-    return LoadStatus::failure("epoch " + std::to_string(NewEpoch) +
-                               " does not fit the bound program: " +
-                               Next->status().Error);
-  Service = std::move(Next);
-  Epoch = NewEpoch;
-  ++Swaps;
-  return LoadStatus::success();
-}
-
-LoadStatus Replica::sync() {
-  ++Syncs;
-  store::VerifiedModel V;
-  LoadStatus St = store::followCurrent(StoreDir, Epoch, V);
-  if (!St)
-    return St; // nothing loadable; keep serving the held epoch
-  TornPrevented += V.RejectedLoads;
-  // A fresh service, not swapModel(): that would re-stamp Meta.Epoch when
-  // a rolled-back canary reverts to the older champion.
-  return V.Epoch == 0 ? LoadStatus::success() : adoptText(V.Epoch, V.Text);
-}
-
-LoadStatus Replica::adopt(uint64_t NewEpoch) {
-  if (NewEpoch == Epoch)
-    return LoadStatus::success();
-  std::string Text;
-  LoadStatus St = store::loadEpochVerified(StoreDir, NewEpoch, Text);
-  if (!St) {
-    ++TornPrevented;
-    return St;
-  }
-  return adoptText(NewEpoch, Text);
-}
-
-//===----------------------------------------------------------------------===//
-// RolloutController
-//===----------------------------------------------------------------------===//
-
 RolloutController::RolloutController(const runtime::TunableProgram &Program,
                                      std::string StoreDir,
                                      RolloutOptions Options)
-    : Program(Program), Store(StoreDir), Opts(Options) {
-  if (Opts.Replicas == 0)
-    Opts.Replicas = 1;
-  for (size_t I = 0; I != Opts.Replicas; ++I)
-    Fleet.push_back(std::make_unique<Replica>(Program, StoreDir));
-
-  // Seeded shadow sample: distinct inputs via partial Fisher-Yates so
-  // the canary verdict is reproducible per program.
+    : Program(Program), Store(std::move(StoreDir)), Opts(Options) {
+  // Seeded shadow sample: the canary verdict is reproducible per program.
   size_t N = Program.numInputs();
-  std::vector<size_t> All(N);
-  for (size_t I = 0; I != N; ++I)
-    All[I] = I;
-  size_t Want = std::min(Opts.ShadowSample == 0 ? N : Opts.ShadowSample, N);
-  support::Rng Rng(kShadowSeed);
-  for (size_t I = 0; I != Want; ++I) {
-    size_t J = I + Rng.index(N - I);
-    std::swap(All[I], All[J]);
-  }
-  All.resize(Want);
-  Sample = std::move(All);
+  size_t Want = Opts.ShadowSample == 0 ? N : std::min(Opts.ShadowSample, N);
+  Sample = support::Rng(kShadowSeed).sampleWithoutReplacement(N, Want);
 }
 
 double
@@ -109,83 +40,99 @@ RolloutController::shadowScoreLocked(runtime::AdaptiveService &Service) {
   return Sample.empty() ? 0.0 : Total / static_cast<double>(Sample.size());
 }
 
-LoadStatus RolloutController::syncReplicasLocked() {
-  for (auto &R : Fleet) {
-    LoadStatus St = R->sync();
-    if (!St)
-      return St;
+runtime::AdaptiveService::EpochPtr RolloutController::champion() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return Champion ? Champion->currentEpoch() : nullptr;
+}
+
+LoadStatus
+RolloutController::bindLocked(uint64_t Epoch, const std::string &Text,
+                              std::unique_ptr<runtime::AdaptiveService> &Out) {
+  serialize::TrainedModel Model;
+  LoadStatus St = serialize::loadModel(Text, Model);
+  if (!St) {
+    // A checksum-valid image that fails to parse is corruption the
+    // checksum cannot see (e.g. a bad publisher); refuse it the same way.
+    ++Rejected;
+    return LoadStatus::failure("epoch " + std::to_string(Epoch) +
+                               " image does not parse: " + St.Error);
   }
+  auto Service =
+      std::make_unique<runtime::AdaptiveService>(Program, std::move(Model));
+  if (!Service->ready())
+    return LoadStatus::failure("epoch " + std::to_string(Epoch) +
+                               " does not fit the bound program: " +
+                               Service->status().Error);
+  Out = std::move(Service);
   return LoadStatus::success();
+}
+
+LoadStatus RolloutController::loadChampionLocked() {
+  // Every image carries its store epoch as Meta.Epoch (stamped before
+  // publishing), so the champion's epoch is the one it holds.
+  store::VerifiedModel V;
+  LoadStatus St = store::followCurrent(
+      Store.dir(), Champion ? Champion->epoch() : 0, V);
+  Rejected += V.RejectedLoads;
+  if (!St || V.Epoch == 0)
+    return St; // unloadable, or already the champion
+  return bindLocked(V.Epoch, V.Text, Champion);
 }
 
 LoadStatus RolloutController::start(const serialize::TrainedModel &Initial) {
   std::lock_guard<std::mutex> Lock(Mu);
   LoadStatus St = Store.open();
-  if (!St)
-    return St;
-  if (Store.currentEpoch() == 0) {
+  if (St && Store.currentEpoch() == 0) {
+    // The bootstrap epoch skips the canary (there is no champion yet).
+    // Its Meta.Epoch must match the store number the image lands as, so
+    // stamp it on a copy before serializing.
     serialize::TrainedModel Seed;
     St = serialize::loadModel(serialize::serializeModel(Initial), Seed);
-    if (!St)
-      return St;
-    St = serialize::validateAgainst(Seed, Program);
-    if (!St)
-      return St;
-    // The bootstrap epoch: Meta.Epoch must match the store number the
-    // image lands as, so stamp it before serializing. A store fresh or
-    // recovered-to-empty always starts at the next free number.
-    uint64_t Epoch = Store.records().empty()
-                         ? 1
-                         : Store.records().back().Epoch + 1;
-    Seed.Meta.Epoch = Epoch;
+    if (St)
+      St = serialize::validateAgainst(Seed, Program);
     uint64_t Landed = 0;
-    St = Store.publish(serialize::serializeModel(Seed), Landed);
-    if (!St)
-      return St;
-    St = Store.promote(Landed);
-    if (!St)
-      return St;
+    if (St) {
+      Seed.Meta.Epoch = Store.nextEpoch();
+      St = Store.publish(serialize::serializeModel(Seed), Landed);
+    }
+    if (St)
+      St = Store.promote(Landed);
   }
-  return syncReplicasLocked();
+  return St ? loadChampionLocked() : St;
 }
 
 LoadStatus RolloutController::resume() {
   std::lock_guard<std::mutex> Lock(Mu);
-  // Re-running open() is deliberate: recovery is idempotent, and a
-  // supervisor resuming after a replica crash wants any interrupted
-  // promotion rolled forward before the replacement process loads
-  // CURRENT.
+  // On a restarted publisher, open() runs store recovery (interrupted
+  // promotions roll forward before any replica loads CURRENT). On a live
+  // controller (a supervisor resuming before a replica respawns) the
+  // store is already open, and only the champion is reloaded.
   LoadStatus St = Store.open();
-  if (!St)
-    return St;
-  if (Store.currentEpoch() == 0)
-    return LoadStatus::failure(
+  if (St && Store.currentEpoch() == 0)
+    St = LoadStatus::failure(
         "store '" + Store.dir() +
         "' has no promoted epoch to resume from (was it ever started?)");
-  return syncReplicasLocked();
+  return St ? loadChampionLocked() : St;
 }
 
 LoadStatus RolloutController::rollout(serialize::TrainedModel Candidate,
                                       CycleReport &Out) {
   std::lock_guard<std::mutex> Lock(Mu);
-  CycleReport Report;
-  LoadStatus St = serialize::validateAgainst(Candidate, Program);
-  if (!St)
-    return St;
-  if (Fleet.empty() || !Fleet[0]->serving())
-    return LoadStatus::failure("fleet is not serving (call start() first)");
+  if (!Champion)
+    return LoadStatus::failure("no champion (call start() first)");
   // The champion's provenance, before anything is durable: a candidate
   // for another program would pass the canary on shape alone.
-  St = serialize::checkProvenance(
-      Candidate.Meta, Fleet[0]->service().currentEpoch()->Model.Meta);
+  LoadStatus St = serialize::validateAgainst(Candidate, Program);
+  if (St)
+    St = serialize::checkProvenance(Candidate.Meta,
+                                    Champion->currentEpoch()->Model.Meta);
   if (!St)
     return St;
 
   // --- Publish: durable image + manifest record. ---
+  CycleReport Report;
   support::WallTimer PublishTimer;
-  uint64_t Epoch =
-      Store.records().empty() ? 1 : Store.records().back().Epoch + 1;
-  Candidate.Meta.Epoch = Epoch;
+  Candidate.Meta.Epoch = Store.nextEpoch();
   uint64_t Landed = 0;
   St = Store.publish(serialize::serializeModel(Candidate), Landed);
   if (!St)
@@ -193,53 +140,46 @@ LoadStatus RolloutController::rollout(serialize::TrainedModel Candidate,
   Report.CandidateEpoch = Landed;
   Report.PublishSeconds = PublishTimer.elapsedSeconds();
 
-  // --- Canary: durable transition first, then replica 0 serves it. ---
+  // --- Canary: durable transition first, then the exact published
+  // image is shadow-scored against the champion on the same sample. ---
   support::WallTimer CanaryTimer;
   St = Store.setState(Landed, store::EpochState::Canary);
   if (!St)
     return St;
-  Replica &Canary = *Fleet[0];
-  Report.ChampionScore = shadowScoreLocked(Canary.service());
-  St = Canary.adopt(Landed);
+  std::string Text;
+  std::unique_ptr<runtime::AdaptiveService> Canary;
+  St = store::loadEpochVerified(Store.dir(), Landed, Text);
+  if (St)
+    St = bindLocked(Landed, Text, Canary);
+  else
+    ++Rejected;
   if (!St) {
-    // The candidate image failed verification or parse at the canary:
-    // roll it back durably; the fleet never saw it.
+    // What followers would load is not the candidate: roll it back
+    // durably; CURRENT never named it.
     Store.rollback(Landed);
     return St;
   }
-  Report.CandidateScore = shadowScoreLocked(Canary.service());
+  Report.ChampionScore = shadowScoreLocked(*Champion);
+  Report.CandidateScore = shadowScoreLocked(*Canary);
   // The canary is a regression gate, not an optimizer: the publisher
   // already decided the candidate is worth shipping, so equality passes
   // and only a measurably worse candidate rolls back.
-  bool Promote = Report.CandidateScore <= Report.ChampionScore;
+  Report.Promoted = Report.CandidateScore <= Report.ChampionScore;
   Report.CanarySeconds = CanaryTimer.elapsedSeconds();
 
-  // --- Promote fleet-wide, or roll the canary back. ---
+  // --- Promote (the candidate becomes the champion), or roll back. ---
   support::WallTimer PromoteTimer;
-  if (Promote) {
-    St = Store.promote(Landed);
-    if (!St)
-      return St;
-    St = syncReplicasLocked();
-    if (!St)
-      return St;
-    Report.Promoted = true;
-  } else {
-    St = Store.rollback(Landed);
-    if (!St)
-      return St;
-    // The canary reverts to the fleet champion (CURRENT is unchanged).
-    St = Canary.sync();
-    if (!St)
-      return St;
-  }
+  St = Report.Promoted ? Store.promote(Landed) : Store.rollback(Landed);
+  if (!St)
+    return St;
+  if (Report.Promoted)
+    Champion = std::move(Canary);
   Report.PromoteSeconds = PromoteTimer.elapsedSeconds();
 
   St = Store.gc(Opts.KeepFinished);
-  if (!St)
-    return St;
-  Out = Report;
-  return LoadStatus::success();
+  if (St)
+    Out = Report;
+  return St;
 }
 
 //===----------------------------------------------------------------------===//
@@ -264,11 +204,15 @@ Publisher::retrainAndRollout(const std::vector<size_t> &SampleInputs,
 
   // Provenance comes from the serving champion: the candidate is the
   // same benchmark at the same scale, retrained on recent traffic.
+  runtime::AdaptiveService::EpochPtr Champion = Controller.champion();
+  if (!Champion) {
+    Why = "no champion (start the controller first)";
+    return Outcome::NoCandidate;
+  }
   serialize::TrainedModel Candidate;
   try {
     Candidate = runtime::AdaptiveService::buildCandidate(
-        Program, SampleInputs, Opts.Retrain,
-        Controller.replica(0).service().currentEpoch()->Model.Meta);
+        Program, SampleInputs, Opts.Retrain, Champion->Model.Meta);
   } catch (const std::exception &E) {
     Why = std::string("candidate retrain failed: ") + E.what();
     return Outcome::NoCandidate;

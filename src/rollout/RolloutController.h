@@ -6,29 +6,26 @@
 ///
 /// \file
 /// The staged rollout state machine over the crash-safe model store: one
-/// publisher produces candidate epochs, N serving replicas consume them,
-/// and a candidate reaches the fleet only through
+/// publisher produces candidate epochs, serving replicas follow the
+/// store's CURRENT pointer, and a candidate reaches them only through
 ///
 ///   Publish -> Canary -> Promote   (or -> Rollback)
 ///
-/// with every transition durable in the store's MANIFEST before any
-/// replica acts on it. Canarying is real: replica 0 actually serves the
-/// candidate while its live shadow score (mean run cost over a seeded
-/// sample of inputs) is compared against the champion's on the same
-/// sample; only a candidate that holds up is promoted fleet-wide, and a
-/// rollback reverts the canary to the champion it never stopped
-/// trusting.
+/// with every transition durable in the store's MANIFEST before CURRENT
+/// moves. The canary is a shadow score: the controller holds one champion
+/// AdaptiveService, loads the candidate's exact published image into a
+/// second one, and compares their mean run cost over the same seeded
+/// sample of inputs. A candidate that holds up is promoted and becomes
+/// the champion; one that does not is rolled back, and CURRENT never
+/// named it.
 ///
-/// The fleet is simulated in-process -- each Replica is a
-/// runtime::AdaptiveService (the serving core pbt-serve runs) plus the
-/// store-reader loop a real serving process would run -- so the whole
-/// state machine is testable under the randomized fault-injection wall
-/// (and TSan: replicas may sync on their own threads; the store's
-/// atomic-rename protocol is the only shared state). A
-/// killed-and-restarted fleet resumes from the MANIFEST:
-/// ModelStore::open() rolls interrupted promotions forward and demotes
-/// mid-flight candidates, and resume() converges every replica onto the
-/// surviving CURRENT epoch.
+/// The controller serves nothing itself. Replicas are store followers
+/// (daemon::ModelRegistry store tenants, the code pbt-serve runs) that
+/// adopt each promoted epoch through AdaptiveService::swapModel. They only
+/// ever move forward: a rollback never touches CURRENT, and every image's
+/// Meta.Epoch is its store epoch. A restarted publisher resumes from the
+/// MANIFEST: ModelStore::open() rolls interrupted promotions forward and
+/// demotes mid-flight candidates, and resume() reloads the champion.
 ///
 /// The Publisher at the bottom is the retrainer driving the machine: it
 /// builds a candidate on a traffic sample with the shadow retrain's
@@ -57,56 +54,7 @@
 namespace pbt {
 namespace rollout {
 
-/// One simulated serving replica: an AdaptiveService per adopted epoch
-/// plus the poll-CURRENT / load-verified / hot-swap loop a real replica
-/// runs.
-/// Thread contract: one thread drives a given Replica at a time;
-/// different Replicas are fully independent (the store directory is the
-/// only shared state, and it is reader-safe by atomic rename).
-class Replica {
-public:
-  Replica(const runtime::TunableProgram &Program, std::string StoreDir)
-      : Program(Program), StoreDir(std::move(StoreDir)) {}
-
-  /// Polls CURRENT; when it names a different epoch than the one served,
-  /// loads it checksum-verified (with fallback) and hot-swaps. A
-  /// rejected image is counted in tornReadsPrevented() and never serves.
-  /// Returns failure only when no good epoch is loadable at all (the
-  /// replica then keeps serving what it has).
-  serialize::LoadStatus sync();
-
-  /// Swaps to a specific epoch image (the canary path; bypasses
-  /// CURRENT). Verified exactly like sync().
-  serialize::LoadStatus adopt(uint64_t Epoch);
-
-  /// Epoch currently serving (0 = none yet).
-  uint64_t epoch() const { return Epoch; }
-  bool serving() const { return Service && Service->ready(); }
-  runtime::AdaptiveService &service() { return *Service; }
-
-  /// Store images rejected by size/checksum verification before a good
-  /// epoch loaded -- every one is a torn read that never reached a
-  /// decision. The fault wall asserts serving correctness *despite*
-  /// this being nonzero.
-  uint64_t tornReadsPrevented() const { return TornPrevented; }
-  uint64_t syncCount() const { return Syncs; }
-  uint64_t swapCount() const { return Swaps; }
-
-private:
-  serialize::LoadStatus adoptText(uint64_t Epoch, const std::string &Text);
-
-  const runtime::TunableProgram &Program;
-  std::string StoreDir;
-  std::unique_ptr<runtime::AdaptiveService> Service;
-  uint64_t Epoch = 0;
-  uint64_t TornPrevented = 0;
-  uint64_t Syncs = 0;
-  uint64_t Swaps = 0;
-};
-
 struct RolloutOptions {
-  /// Serving replicas in the simulated fleet (replica 0 is the canary).
-  size_t Replicas = 3;
   /// Inputs in the canary shadow sample (clamped to the program).
   size_t ShadowSample = 24;
   /// Finished (Retired/RolledBack) epochs kept for fallback before GC.
@@ -114,27 +62,27 @@ struct RolloutOptions {
 };
 
 /// The publisher-side state machine driver. Owns the single-writer
-/// ModelStore handle and the in-process fleet.
+/// ModelStore handle and the champion the canary scores against.
 class RolloutController {
 public:
-  /// \p Program must outlive the controller; it is the shared traffic
-  /// universe every replica binds (provenance-checked per model).
+  /// \p Program must outlive the controller; the champion and every
+  /// candidate bind it (provenance-checked per model).
   RolloutController(const runtime::TunableProgram &Program,
                     std::string StoreDir, RolloutOptions Options = {});
 
   /// Opens the store (running crash recovery), seeds it with \p Initial
   /// when empty (publish + immediate promote -- the bootstrap epoch
-  /// skips canarying; there is nothing to compare against), and syncs
-  /// every replica onto CURRENT.
+  /// skips canarying; there is nothing to compare against), and loads
+  /// the champion from CURRENT.
   serialize::LoadStatus start(const serialize::TrainedModel &Initial);
 
   /// The restart path: like start() but never seeds -- a store left
-  /// behind by a killed fleet must already contain the durable truth.
+  /// behind by a killed publisher must already contain the durable truth.
   /// Safe to drive from a fleet::Supervisor's monitor thread while the
   /// publisher is mid-rollout on another: every public transition locks
-  /// one internal mutex, so a supervisor-triggered resume (re-running
-  /// store recovery and re-syncing the canary before a crashed replica
-  /// respawns) serializes cleanly against publish/canary/promote.
+  /// one internal mutex, so a supervisor-triggered resume (before a
+  /// crashed replica respawns) serializes cleanly against
+  /// publish/canary/promote and the champion swap.
   serialize::LoadStatus resume();
 
   /// One full staged rollout of \p Candidate.
@@ -144,22 +92,28 @@ public:
     double ChampionScore = 0.0;
     double CandidateScore = 0.0;
     double PublishSeconds = 0.0;
-    double CanarySeconds = 0.0; ///< canary swap + shadow scoring + verdict
-    double PromoteSeconds = 0.0; ///< promote/rollback through replica sync
+    double CanarySeconds = 0.0;  ///< candidate load + shadow scoring
+    double PromoteSeconds = 0.0; ///< durable promote or rollback
   };
 
-  /// Publish -> Canary (replica 0 serves it, shadow-scored against the
-  /// champion) -> Promote fleet-wide or Rollback. Every transition is
-  /// durable before the fleet moves; a candidate whose provenance is not
-  /// the champion's is refused before anything is published. The
-  /// candidate's Meta.Epoch is rewritten to the store epoch it lands as,
-  /// so the image is self-describing. Throws support::FaultCrash through
-  /// from the store when a crash failpoint triggers mid-protocol.
+  /// Publish -> Canary -> Promote or Rollback. A candidate whose
+  /// provenance is not the champion's is refused before anything is
+  /// published; one whose image fails verification or parsing is rolled
+  /// back and counted in rejectedImages(). The candidate's Meta.Epoch is
+  /// rewritten to the store epoch it lands as. Throws support::FaultCrash
+  /// through from the store when a crash failpoint triggers.
   serialize::LoadStatus rollout(serialize::TrainedModel Candidate,
                                 CycleReport &Out);
 
-  size_t replicaCount() const { return Fleet.size(); }
-  Replica &replica(size_t I) { return *Fleet[I]; }
+  /// The champion's serving epoch (model and provenance); null before a
+  /// successful start() or resume().
+  runtime::AdaptiveService::EpochPtr champion() const;
+  /// Store images this controller refused (at the canary, or on the
+  /// champion load's fallback chain). None of them ever served.
+  uint64_t rejectedImages() const {
+    std::lock_guard<std::mutex> Lock(Mu);
+    return Rejected;
+  }
   store::ModelStore &modelStore() { return Store; }
   uint64_t currentEpoch() const {
     std::lock_guard<std::mutex> Lock(Mu);
@@ -167,8 +121,12 @@ public:
   }
 
 private:
-  /// Re-syncs every replica onto the store's CURRENT epoch.
-  serialize::LoadStatus syncReplicasLocked();
+  /// Loads the champion from CURRENT unless it already serves it.
+  serialize::LoadStatus loadChampionLocked();
+  /// Parses \p Text (store epoch \p Epoch) and binds it to Program.
+  serialize::LoadStatus
+  bindLocked(uint64_t Epoch, const std::string &Text,
+             std::unique_ptr<runtime::AdaptiveService> &Out);
   /// Mean run cost of serving the shadow sample with \p Service's
   /// decisions -- the canary comparison metric.
   double shadowScoreLocked(runtime::AdaptiveService &Service);
@@ -176,10 +134,12 @@ private:
   const runtime::TunableProgram &Program;
   store::ModelStore Store;
   RolloutOptions Opts;
-  std::vector<std::unique_ptr<Replica>> Fleet;
+  std::unique_ptr<runtime::AdaptiveService> Champion;
+  uint64_t Rejected = 0;
   std::vector<size_t> Sample; // seeded shadow-sample inputs
-  /// Serializes start/resume/rollout/syncReplicas across threads: the
-  /// publisher and a supervising monitor may both drive transitions.
+  /// Serializes start/resume/rollout and the champion swap across
+  /// threads: the publisher and a supervising monitor may both drive
+  /// transitions.
   mutable std::mutex Mu;
 };
 

@@ -43,7 +43,7 @@
 /// each of the most recent candidates (bounded, so a long-lived tenant's
 /// memory does not grow with its retrain count).
 ///
-/// This is the one serving core: the daemon, the rollout replicas, the
+/// This is the one serving core: the daemon, the rollout controller, the
 /// bench harnesses and every in-process parity replay decide through it.
 ///
 /// Threading contract: decide()/decideBatch()/serve() are driven by one

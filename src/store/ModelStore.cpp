@@ -453,7 +453,7 @@ LoadStatus ModelStore::publish(const std::string &ModelText,
     return LoadStatus::failure("store '" + Dir + "' is not open");
   if (ModelText.empty())
     return LoadStatus::failure("refusing to publish an empty model image");
-  uint64_t Epoch = Records.empty() ? 1 : Records.back().Epoch + 1;
+  uint64_t Epoch = nextEpoch();
 
   EpochRecord R;
   R.Epoch = Epoch;
@@ -583,14 +583,6 @@ LoadStatus ModelStore::gc(size_t KeepFinished) {
   for (uint64_t Epoch : Doomed)
     fs::remove(joinPath(Dir, imageFileName(Epoch)), EC);
   return LoadStatus::success();
-}
-
-LoadStatus ModelStore::loadVerified(uint64_t Epoch, std::string &Text) const {
-  const EpochRecord *R = record(Epoch);
-  if (!R)
-    return LoadStatus::failure("epoch " + std::to_string(Epoch) +
-                               " is not in the store");
-  return verifyImage(Dir, *R, Text);
 }
 
 //===----------------------------------------------------------------------===//

@@ -73,7 +73,7 @@ std::string imageFileName(uint64_t Epoch);
 ///   Active -> Retired (when a later epoch promotes)
 enum class EpochState : unsigned {
   Published = 0, ///< image durable, not serving anywhere
-  Canary,        ///< serving on the canary replica only
+  Canary,        ///< being shadow-scored against the champion
   Active,        ///< fleet-wide promoted (the CURRENT epoch)
   Retired,       ///< formerly Active, superseded by a later promote
   RolledBack,    ///< failed canary (or demoted in-flight by recovery)
@@ -151,10 +151,10 @@ public:
   uint64_t currentEpoch() const { return Current; }
   const std::vector<EpochRecord> &records() const { return Records; }
   const EpochRecord *record(uint64_t Epoch) const;
-
-  /// Loads + checksum-verifies one epoch image (no fallback).
-  serialize::LoadStatus loadVerified(uint64_t Epoch,
-                                     std::string &Text) const;
+  /// The epoch number the next publish() lands as.
+  uint64_t nextEpoch() const {
+    return Records.empty() ? 1 : Records.back().Epoch + 1;
+  }
 
 private:
   serialize::LoadStatus writeManifest();
@@ -204,16 +204,17 @@ struct VerifiedModel {
 serialize::LoadStatus loadCurrentVerified(const std::string &Dir,
                                           VerifiedModel &Out);
 
-/// The store-follow step of Replica::sync and ModelRegistry::pollStores:
-/// when CURRENT names an epoch other than \p Held, loads it through
-/// loadCurrentVerified. Out.Epoch is 0 when there is nothing new to adopt.
-/// Fails when CURRENT is unreadable or nothing loads.
+/// The store-follow step of ModelRegistry::pollStores and of the rollout
+/// controller's champion load: when CURRENT names an epoch other than
+/// \p Held, loads it through loadCurrentVerified. Out.Epoch is 0 when
+/// there is nothing new to adopt. Fails when CURRENT is unreadable or
+/// nothing loads.
 serialize::LoadStatus followCurrent(const std::string &Dir, uint64_t Held,
                                     VerifiedModel &Out);
 
 /// Loads exactly \p Epoch's image, verifying size + checksum against the
-/// MANIFEST -- no fallback. The canary load path: a canary must serve
-/// exactly the candidate or not serve it at all.
+/// MANIFEST -- no fallback. The canary load path: the canary must score
+/// exactly the candidate or refuse it.
 serialize::LoadStatus loadEpochVerified(const std::string &Dir,
                                         uint64_t Epoch, std::string &Text);
 

@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "common/TestModels.h"
 #include "daemon/Client.h"
 #include "daemon/ModelRegistry.h"
 #include "daemon/Protocol.h"
@@ -41,25 +42,9 @@
 #include <unistd.h>
 
 using namespace pbt;
+using namespace pbt::testmodels;
 
 namespace {
-
-constexpr double kScale = 0.1;
-
-/// Trains the sort1 model once per process (the AdaptiveServiceTest
-/// idiom); tests serve it from a temp file like a real deployment.
-const std::string &modelBytes() {
-  static const std::string Bytes = [] {
-    const registry::BenchmarkFactory &F =
-        registry::BenchmarkRegistry::instance().get("sort1");
-    registry::ProgramPtr P = F.makeProgram(kScale, F.defaultProgramSeed());
-    core::TrainedSystem Sys = core::trainSystem(*P, F.defaultOptions(kScale));
-    serialize::TrainedModel M = serialize::makeModel(
-        "sort1", kScale, F.defaultProgramSeed(), *P, std::move(Sys));
-    return serialize::serializeModel(M);
-  }();
-  return Bytes;
-}
 
 /// A smaller sort1 model (the AdaptiveServiceTest idiom): trained with
 /// the reservoir-retrain options on the first half of the inputs, the
@@ -67,26 +52,16 @@ const std::string &modelBytes() {
 serialize::TrainedModel smallModel() {
   const registry::BenchmarkFactory &F =
       registry::BenchmarkRegistry::instance().get("sort1");
-  registry::ProgramPtr P = F.makeProgram(kScale, F.defaultProgramSeed());
+  registry::ProgramPtr P = F.makeProgram(kTestScale, F.defaultProgramSeed());
   std::vector<size_t> Half;
   for (size_t I = 0; I != P->numInputs() / 2; ++I)
     Half.push_back(I);
   runtime::SubsetProgram View(*P, Half);
   core::PipelineOptions Opt =
-      registry::reservoirRetrainOptions(F, kScale, Half.size(), nullptr);
+      registry::reservoirRetrainOptions(F, kTestScale, Half.size(), nullptr);
   core::TrainedSystem Sys = core::trainSystem(View, Opt);
-  return serialize::makeModel("sort1", kScale, F.defaultProgramSeed(), View,
+  return serialize::makeModel("sort1", kTestScale, F.defaultProgramSeed(), View,
                               std::move(Sys));
-}
-
-const std::string &modelPath() {
-  static const std::string Path = [] {
-    std::string P =
-        "/tmp/pbt-dt-model-" + std::to_string(::getpid()) + ".pbt";
-    EXPECT_TRUE(serialize::writeModelText(P, modelBytes()).Ok);
-    return P;
-  }();
-  return Path;
 }
 
 /// Short unique socket paths: sun_path caps at ~107 bytes, so build
@@ -108,7 +83,7 @@ struct Harness {
                    std::vector<std::string> TenantNames = {""})
       : Registry(RO) {
     for (const std::string &Name : TenantNames) {
-      serialize::LoadStatus St = Registry.addTenant(Name, modelPath());
+      serialize::LoadStatus St = Registry.addTenant(Name, modelFile());
       EXPECT_TRUE(St.Ok) << St.Error;
     }
     SO.SocketPath = Socket;
@@ -124,10 +99,10 @@ struct Harness {
 /// AdaptiveService::decideBatch on the same model file.
 std::vector<unsigned> inProcessLandmarks(const std::vector<size_t> &Inputs) {
   serialize::TrainedModel Model;
-  EXPECT_TRUE(serialize::loadModelFile(modelPath(), Model).Ok);
+  EXPECT_TRUE(serialize::loadModelFile(modelFile(), Model).Ok);
   const registry::BenchmarkFactory &F =
       registry::BenchmarkRegistry::instance().get("sort1");
-  registry::ProgramPtr P = F.makeProgram(kScale, F.defaultProgramSeed());
+  registry::ProgramPtr P = F.makeProgram(kTestScale, F.defaultProgramSeed());
   runtime::AdaptiveService Service(*P, std::move(Model));
   EXPECT_TRUE(Service.ready()) << Service.status().Error;
   std::vector<unsigned> Out;
@@ -182,7 +157,7 @@ TEST(DaemonServerTest, ConcurrentClientsAllGetParityAnswers) {
   const std::vector<unsigned> Oracle = [] {
     std::vector<size_t> All;
     serialize::TrainedModel Probe;
-    EXPECT_TRUE(serialize::loadModelFile(modelPath(), Probe).Ok);
+    EXPECT_TRUE(serialize::loadModelFile(modelFile(), Probe).Ok);
     const size_t N = Probe.System.L1.Features.rows();
     for (size_t I = 0; I < N; ++I)
       All.push_back(I);
@@ -253,8 +228,8 @@ TEST(DaemonServerTest, MultiTenantServingAndListing) {
 
   // Duplicate tenant names are rejected at registration.
   daemon::ModelRegistry Dup;
-  ASSERT_TRUE(Dup.addTenant("x", modelPath()).Ok);
-  serialize::LoadStatus St = Dup.addTenant("x", modelPath());
+  ASSERT_TRUE(Dup.addTenant("x", modelFile()).Ok);
+  serialize::LoadStatus St = Dup.addTenant("x", modelFile());
   EXPECT_FALSE(St.Ok);
   EXPECT_NE(St.Error.find("duplicate"), std::string::npos) << St.Error;
 }
@@ -875,7 +850,7 @@ TEST(DaemonServerTest, StatsLayoutIsPinned) {
       "\"shed_sessions\": #, \"stalled\": #, \"max_sessions\": #, "
       "\"queue_capacity\": #, \"workers\": #, \"adapt\": false, "
       "\"tenants\": [" +
-      Tenant("a\\\"b\\\\c", modelPath()) + ", " + Tenant("stored", Dir) +
+      Tenant("a\\\"b\\\\c", modelFile()) + ", " + Tenant("stored", Dir) +
       "]}";
   EXPECT_EQ(maskNumbers(H.Srv->statsJson()), Expected);
   std::filesystem::remove_all(Dir);

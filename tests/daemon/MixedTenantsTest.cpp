@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "common/TestModels.h"
 #include "daemon/Client.h"
 #include "daemon/ModelRegistry.h"
 #include "daemon/Server.h"
@@ -34,34 +35,11 @@
 #include <unistd.h>
 
 using namespace pbt;
+using namespace pbt::testmodels;
 
 namespace {
 
-constexpr double kScale = 0.1;
 const char *const kTenants[3] = {"sort1", "clustering1", "binpacking"};
-
-/// One trained+persisted model per tenant benchmark, built once per
-/// process (the DaemonServerTest idiom, three ways).
-const std::string &tenantModelPath(const std::string &Name) {
-  static std::map<std::string, std::string> Paths = [] {
-    std::map<std::string, std::string> Out;
-    for (const char *Name : kTenants) {
-      const registry::BenchmarkFactory &F =
-          registry::BenchmarkRegistry::instance().get(Name);
-      registry::ProgramPtr P = F.makeProgram(kScale, F.defaultProgramSeed());
-      core::TrainedSystem Sys = core::trainSystem(*P, F.defaultOptions(kScale));
-      serialize::TrainedModel M = serialize::makeModel(
-          Name, kScale, F.defaultProgramSeed(), *P, std::move(Sys));
-      std::string Path = "/tmp/pbt-mixed-" + std::to_string(::getpid()) +
-                         "-" + Name + ".pbt";
-      EXPECT_TRUE(
-          serialize::writeModelText(Path, serialize::serializeModel(M)).Ok);
-      Out[Name] = Path;
-    }
-    return Out;
-  }();
-  return Paths.at(Name);
-}
 
 std::string freshSocket() {
   static std::atomic<int> Counter{0};
@@ -75,10 +53,10 @@ std::string freshSocket() {
 std::vector<unsigned> oracleLandmarks(const std::string &Name,
                                       const std::vector<size_t> &Inputs) {
   serialize::TrainedModel Model;
-  EXPECT_TRUE(serialize::loadModelFile(tenantModelPath(Name), Model).Ok);
+  EXPECT_TRUE(serialize::loadModelFile(modelFile(Name), Model).Ok);
   const registry::BenchmarkFactory &F =
       registry::BenchmarkRegistry::instance().get(Name);
-  registry::ProgramPtr P = F.makeProgram(kScale, F.defaultProgramSeed());
+  registry::ProgramPtr P = F.makeProgram(kTestScale, F.defaultProgramSeed());
   runtime::AdaptiveService Service(*P, std::move(Model));
   EXPECT_TRUE(Service.ready()) << Service.status().Error;
   std::vector<unsigned> Out;
@@ -92,7 +70,7 @@ TEST(MixedTenantsTest, ThreeTenantsOneMixedStreamFullParity) {
   // The registry the daemon serves from: one tenant per benchmark.
   daemon::ModelRegistry Registry;
   for (const char *Name : kTenants) {
-    serialize::LoadStatus St = Registry.addTenant(Name, tenantModelPath(Name));
+    serialize::LoadStatus St = Registry.addTenant(Name, modelFile(Name));
     ASSERT_TRUE(St.Ok) << Name << ": " << St.Error;
   }
 

@@ -4,16 +4,19 @@
 // CURRENT epoch checksum-verified, pollStores() hot-swaps the tenant
 // when a rollout promotes a new epoch, and the provenance wall keeps a
 // store that suddenly serves a different benchmark from ever reaching
-// the tenant. This is the daemon end of the trainer/server split; the
-// trainer end (RolloutController publishing into the same directory) is
-// tested in tests/rollout/.
+// the tenant. This is the daemon end of the trainer/server split, and
+// the one way every replica follows a store; the trainer end
+// (RolloutController publishing into the same directory) is tested in
+// tests/rollout/.
 //
 //===----------------------------------------------------------------------===//
 
 #include "daemon/ModelRegistry.h"
 
-#include "core/Pipeline.h"
+#include "common/TestModels.h"
 #include "registry/BenchmarkRegistry.h"
+#include "rollout/RolloutController.h"
+#include "runtime/ConfigSpace.h"
 #include "store/ModelStore.h"
 #include "support/FaultInject.h"
 
@@ -23,32 +26,16 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
 using namespace pbt;
+using namespace pbt::testmodels;
 using daemon::ModelRegistry;
 using daemon::Tenant;
 
 namespace {
-
-constexpr double kScale = 0.1;
-
-const std::string &modelBytes(const char *Benchmark) {
-  auto Train = [](const char *Name) {
-    const registry::BenchmarkFactory &F =
-        registry::BenchmarkRegistry::instance().get(Name);
-    registry::ProgramPtr P = F.makeProgram(kScale, F.defaultProgramSeed());
-    core::TrainedSystem Sys = core::trainSystem(*P, F.defaultOptions(kScale));
-    serialize::TrainedModel M = serialize::makeModel(
-        Name, kScale, F.defaultProgramSeed(), *P, std::move(Sys));
-    M.System.Data.reset();
-    return serialize::serializeModel(M);
-  };
-  static const std::string Sort = Train("sort1");
-  static const std::string Packing = Train("binpacking");
-  return std::string(Benchmark) == "sort1" ? Sort : Packing;
-}
 
 class StoreTenantTest : public ::testing::Test {
 protected:
@@ -156,6 +143,57 @@ TEST_F(StoreTenantTest, FileAndStoreTenantsCoexist) {
   EXPECT_EQ(Reg.find("packer")->StoreSwaps.load(), 0u);
   EXPECT_EQ(Reg.find("sorter")->StoreEpoch.load(), 2u);
   std::filesystem::remove(FilePath);
+}
+
+TEST_F(StoreTenantTest, PollAdoptsAControllerEpochThroughSwapModel) {
+  // The rollout controller is the store's one writer here.
+  Store.reset();
+  const registry::BenchmarkFactory &F =
+      registry::BenchmarkRegistry::instance().get("sort1");
+  registry::ProgramPtr Program =
+      F.makeProgram(kTestScale, F.defaultProgramSeed());
+  rollout::RolloutController Ctl(*Program, Dir);
+  ASSERT_TRUE(Ctl.start(degradedModel()).Ok);
+  ModelRegistry Reg;
+  ASSERT_TRUE(Reg.addStoreTenant("sorter", Dir).Ok);
+  Tenant *T = Reg.find("sorter");
+  std::vector<size_t> Probe(Program->numInputs());
+  for (size_t I = 0; I != Probe.size(); ++I)
+    Probe[I] = I;
+  auto choices = [&Probe](Tenant &Of) {
+    std::vector<runtime::Configuration> Out;
+    for (const runtime::AdaptiveService::Decision &D :
+         Of.Service->decideBatch(Probe))
+      Out.push_back(*D.Config);
+    return Out;
+  };
+  std::vector<runtime::Configuration> Before = choices(*T);
+
+  // The trained model beats the degraded champion and is promoted as
+  // epoch 2; a degraded candidate is then rolled back as epoch 3.
+  rollout::RolloutController::CycleReport Report;
+  ASSERT_TRUE(Ctl.rollout(cloneModel(modelBytes()), Report).Ok);
+  ASSERT_TRUE(Report.Promoted);
+  ASSERT_TRUE(Ctl.rollout(degradedModel(), Report).Ok);
+  ASSERT_FALSE(Report.Promoted);
+  const uint64_t N = Ctl.currentEpoch();
+  ASSERT_EQ(N, 2u);
+
+  // The follower keeps its service and adopts through swapModel; the
+  // store stamped Meta.Epoch, so the service epoch is the store epoch.
+  runtime::AdaptiveService *Kept = T->Service.get();
+  EXPECT_EQ(Reg.pollStores(), 1u);
+  EXPECT_EQ(T->Service.get(), Kept);
+  EXPECT_EQ(T->StoreEpoch.load(), N);
+  EXPECT_EQ(T->Service->epoch(), N);
+
+  // It now decides exactly like a replica that loaded the store fresh.
+  ModelRegistry Fresh;
+  ASSERT_TRUE(Fresh.addStoreTenant("sorter", Dir).Ok);
+  EXPECT_EQ(Fresh.find("sorter")->StoreEpoch.load(), N);
+  std::vector<runtime::Configuration> After = choices(*T);
+  EXPECT_EQ(After, choices(*Fresh.find("sorter")));
+  EXPECT_TRUE(After != Before) << "the promoted epoch decides differently";
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "common/TestModels.h"
 #include "daemon/Client.h"
 #include "daemon/ModelRegistry.h"
 #include "daemon/Protocol.h"
@@ -34,31 +35,10 @@
 #include <unistd.h>
 
 using namespace pbt;
+using namespace pbt::testmodels;
 using namespace pbt::daemon;
 
 namespace {
-
-constexpr double kScale = 0.1;
-
-/// Trains the sort1 model once per process; tests serve it from a temp
-/// file like a real deployment (the DaemonServerTest idiom; statics are
-/// per-TU, so this TU pays for one training of its own).
-const std::string &modelPath() {
-  static const std::string Path = [] {
-    const registry::BenchmarkFactory &F =
-        registry::BenchmarkRegistry::instance().get("sort1");
-    registry::ProgramPtr P = F.makeProgram(kScale, F.defaultProgramSeed());
-    core::TrainedSystem Sys = core::trainSystem(*P, F.defaultOptions(kScale));
-    serialize::TrainedModel M = serialize::makeModel(
-        "sort1", kScale, F.defaultProgramSeed(), *P, std::move(Sys));
-    std::string Out =
-        "/tmp/pbt-tt-model-" + std::to_string(::getpid()) + ".pbt";
-    EXPECT_TRUE(
-        serialize::writeModelText(Out, serialize::serializeModel(M)).Ok);
-    return Out;
-  }();
-  return Path;
-}
 
 std::string freshSocket() {
   static std::atomic<int> Counter{0};
@@ -74,7 +54,7 @@ struct Harness {
 
   explicit Harness(daemon::ServerOptions SO = {})
       : Registry(daemon::ModelRegistryOptions{}) {
-    serialize::LoadStatus St = Registry.addTenant("", modelPath());
+    serialize::LoadStatus St = Registry.addTenant("", modelFile());
     EXPECT_TRUE(St.Ok) << St.Error;
     if (SO.SocketPath.empty() && SO.Listen.empty())
       SO.Listen = {"127.0.0.1:0"};
@@ -90,10 +70,10 @@ struct Harness {
 
 std::vector<unsigned> inProcessLandmarks(const std::vector<size_t> &Inputs) {
   serialize::TrainedModel Model;
-  EXPECT_TRUE(serialize::loadModelFile(modelPath(), Model).Ok);
+  EXPECT_TRUE(serialize::loadModelFile(modelFile(), Model).Ok);
   const registry::BenchmarkFactory &F =
       registry::BenchmarkRegistry::instance().get("sort1");
-  registry::ProgramPtr P = F.makeProgram(kScale, F.defaultProgramSeed());
+  registry::ProgramPtr P = F.makeProgram(kTestScale, F.defaultProgramSeed());
   runtime::AdaptiveService Service(*P, std::move(Model));
   EXPECT_TRUE(Service.ready()) << Service.status().Error;
   std::vector<unsigned> Out;

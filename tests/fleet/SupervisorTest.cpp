@@ -12,9 +12,8 @@
 
 #include "fleet/Supervisor.h"
 
+#include "common/TestModels.h"
 #include "daemon/Client.h"
-#include "registry/BenchmarkRegistry.h"
-#include "serialize/ModelIO.h"
 
 #include <gtest/gtest.h>
 
@@ -28,6 +27,7 @@
 #include <unistd.h>
 
 using namespace pbt;
+using namespace pbt::testmodels;
 using namespace pbt::fleet;
 
 #ifndef PBT_SERVE_BIN
@@ -35,27 +35,6 @@ using namespace pbt::fleet;
 #endif
 
 namespace {
-
-constexpr double kScale = 0.1;
-
-/// Trains the sort1 model once per process; replicas serve it from a
-/// temp file.
-const std::string &modelPath() {
-  static const std::string Path = [] {
-    const registry::BenchmarkFactory &F =
-        registry::BenchmarkRegistry::instance().get("sort1");
-    registry::ProgramPtr P = F.makeProgram(kScale, F.defaultProgramSeed());
-    core::TrainedSystem Sys = core::trainSystem(*P, F.defaultOptions(kScale));
-    serialize::TrainedModel M = serialize::makeModel(
-        "sort1", kScale, F.defaultProgramSeed(), *P, std::move(Sys));
-    std::string Out =
-        "/tmp/pbt-ft-model-" + std::to_string(::getpid()) + ".pbt";
-    EXPECT_TRUE(
-        serialize::writeModelText(Out, serialize::serializeModel(M)).Ok);
-    return Out;
-  }();
-  return Path;
-}
 
 std::string freshRuntimeDir() {
   static std::atomic<int> Counter{0};
@@ -66,7 +45,7 @@ std::string freshRuntimeDir() {
 SupervisorOptions baseOptions(size_t Replicas) {
   SupervisorOptions O;
   O.ServerExe = PBT_SERVE_BIN;
-  O.ServerArgs = {"--model=" + modelPath()};
+  O.ServerArgs = {"--model=" + modelFile()};
   O.Replicas = Replicas;
   O.RuntimeDir = freshRuntimeDir();
   O.HealthIntervalSeconds = 0.05;

@@ -12,6 +12,7 @@
 
 #include "rollout/RolloutController.h"
 
+#include "common/TestModels.h"
 #include "core/Pipeline.h"
 #include "registry/BenchmarkRegistry.h"
 #include "runtime/AdaptiveService.h"
@@ -33,37 +34,16 @@
 #include <unistd.h>
 
 using namespace pbt;
+using namespace pbt::testmodels;
 using rollout::Publisher;
 using rollout::RolloutController;
 
 namespace {
 
-constexpr double kScale = 0.1;
-
 std::atomic<bool> GStop{false};
 
 extern "C" void stopOnSigterm(int) {
   GStop.store(true, std::memory_order_relaxed);
-}
-
-const std::string &modelBytes() {
-  static const std::string Bytes = [] {
-    const registry::BenchmarkFactory &F =
-        registry::BenchmarkRegistry::instance().get("sort1");
-    registry::ProgramPtr P = F.makeProgram(kScale, F.defaultProgramSeed());
-    core::TrainedSystem Sys = core::trainSystem(*P, F.defaultOptions(kScale));
-    serialize::TrainedModel M = serialize::makeModel(
-        "sort1", kScale, F.defaultProgramSeed(), *P, std::move(Sys));
-    M.System.Data.reset();
-    return serialize::serializeModel(M);
-  }();
-  return Bytes;
-}
-
-serialize::TrainedModel cloneModel(const std::string &Bytes) {
-  serialize::TrainedModel M;
-  EXPECT_TRUE(serialize::loadModel(Bytes, M).Ok);
-  return M;
 }
 
 class GracefulShutdownTest : public ::testing::Test {
@@ -76,14 +56,13 @@ protected:
 
     const registry::BenchmarkFactory &F =
         registry::BenchmarkRegistry::instance().get("sort1");
-    Program = F.makeProgram(kScale, F.defaultProgramSeed());
+    Program = F.makeProgram(kTestScale, F.defaultProgramSeed());
     Dir = ::testing::TempDir() + "pbt-shutdown-" +
           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
           "-" + std::to_string(::getpid());
     std::filesystem::remove_all(Dir);
 
     rollout::RolloutOptions RO;
-    RO.Replicas = 2;
     RO.ShadowSample = 8;
     Ctl = std::make_unique<RolloutController>(*Program, Dir, RO);
     ASSERT_TRUE(Ctl->start(cloneModel(modelBytes())).Ok);
@@ -102,8 +81,8 @@ protected:
     const registry::BenchmarkFactory &F =
         registry::BenchmarkRegistry::instance().get("sort1");
     rollout::PublisherOptions PO;
-    PO.Retrain =
-        registry::reservoirRetrainOptions(F, kScale, Sample.size(), nullptr);
+    PO.Retrain = registry::reservoirRetrainOptions(F, kTestScale,
+                                                   Sample.size(), nullptr);
     PO.Stop = &GStop;
     return PO;
   }
@@ -156,9 +135,8 @@ TEST_F(GracefulShutdownTest, SigtermMidRetrainPublishesNothing) {
   EXPECT_EQ(After.Current, Before.Current);
   EXPECT_EQ(After.Epochs, Before.Epochs);
   EXPECT_EQ(After.Files, Before.Files);
-  // And the fleet never blinked.
-  for (size_t I = 0; I != Ctl->replicaCount(); ++I)
-    EXPECT_EQ(Ctl->replica(I).epoch(), 1u);
+  // And the champion never blinked.
+  EXPECT_EQ(Ctl->champion()->Model.Meta.Epoch, 1u);
 }
 
 TEST_F(GracefulShutdownTest, StopAlreadySetSkipsTheRetrainEntirely) {
@@ -207,7 +185,7 @@ TEST_F(GracefulShutdownTest, UninterruptedRetrainShipsACandidate) {
   const registry::BenchmarkFactory &F =
       registry::BenchmarkRegistry::instance().get("sort1");
   serialize::TrainedModel Ref =
-      serialize::makeModel("sort1", kScale, F.defaultProgramSeed(), View,
+      serialize::makeModel("sort1", kTestScale, F.defaultProgramSeed(), View,
                            core::trainSystem(View, Opt));
   Ref.Meta.Epoch = Report.CandidateEpoch;
   std::string Shipped;

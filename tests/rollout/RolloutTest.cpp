@@ -2,26 +2,25 @@
 //
 // The staged rollout state machine on the happy and unhappy paths:
 // bootstrap seeding, canary-gated promotion of an equal candidate,
-// rollback of a degraded one (with the canary reverting to the champion
-// it never stopped trusting), resume after a fleet kill, and the
-// provenance/validation walls at the edges. The store-level crash
-// windows live in tests/store/; this file is about the machine above
-// them.
+// rollback of a degraded one, a corrupt candidate image refused at the
+// canary, resume after a publisher kill, and the provenance/validation
+// walls at the edges. Replicas are store followers -- a
+// daemon::ModelRegistry store tenant, the code pbt-serve runs. The
+// store-level crash windows live in tests/store/; this file is about the
+// machine above them.
 //
 //===----------------------------------------------------------------------===//
 
 #include "rollout/RolloutController.h"
 
-#include "core/Pipeline.h"
+#include "common/TestModels.h"
+#include "daemon/ModelRegistry.h"
 #include "registry/BenchmarkRegistry.h"
-#include "runtime/AdaptiveService.h"
-#include "serialize/ModelIO.h"
 #include "store/ModelStore.h"
 #include "support/FaultInject.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -29,40 +28,10 @@
 #include <unistd.h>
 
 using namespace pbt;
+using namespace pbt::testmodels;
 using rollout::RolloutController;
 
 namespace {
-
-constexpr double kScale = 0.1;
-
-const std::string &modelBytes() {
-  static const std::string Bytes = [] {
-    const registry::BenchmarkFactory &F =
-        registry::BenchmarkRegistry::instance().get("sort1");
-    registry::ProgramPtr P = F.makeProgram(kScale, F.defaultProgramSeed());
-    core::TrainedSystem Sys = core::trainSystem(*P, F.defaultOptions(kScale));
-    serialize::TrainedModel M = serialize::makeModel(
-        "sort1", kScale, F.defaultProgramSeed(), *P, std::move(Sys));
-    M.System.Data.reset();
-    return serialize::serializeModel(M);
-  }();
-  return Bytes;
-}
-
-serialize::TrainedModel cloneModel(const std::string &Bytes) {
-  serialize::TrainedModel M;
-  EXPECT_TRUE(serialize::loadModel(Bytes, M).Ok);
-  return M;
-}
-
-serialize::TrainedModel degradedModel() {
-  serialize::TrainedModel M = cloneModel(modelBytes());
-  EXPECT_GT(M.System.L1.Landmarks.size(), 1u);
-  std::rotate(M.System.L1.Landmarks.begin(),
-              M.System.L1.Landmarks.begin() + 1,
-              M.System.L1.Landmarks.end());
-  return M;
-}
 
 class RolloutTest : public ::testing::Test {
 protected:
@@ -70,7 +39,7 @@ protected:
     support::FaultInjector::instance().reset();
     const registry::BenchmarkFactory &F =
         registry::BenchmarkRegistry::instance().get("sort1");
-    Program = F.makeProgram(kScale, F.defaultProgramSeed());
+    Program = F.makeProgram(kTestScale, F.defaultProgramSeed());
     Dir = ::testing::TempDir() + "pbt-rollout-" +
           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
           "-" + std::to_string(::getpid());
@@ -81,13 +50,22 @@ protected:
     std::filesystem::remove_all(Dir);
   }
 
-  std::unique_ptr<RolloutController> makeStarted(size_t Replicas = 3) {
+  std::unique_ptr<RolloutController> makeStarted() {
     rollout::RolloutOptions RO;
-    RO.Replicas = Replicas;
     RO.ShadowSample = 8;
     auto Ctl = std::make_unique<RolloutController>(*Program, Dir, RO);
     EXPECT_TRUE(Ctl->start(cloneModel(modelBytes())).Ok);
     return Ctl;
+  }
+
+  /// A serving replica: one store tenant following Dir.
+  std::unique_ptr<daemon::ModelRegistry> follower() {
+    auto Reg = std::make_unique<daemon::ModelRegistry>();
+    EXPECT_TRUE(Reg->addStoreTenant("sort1", Dir).Ok);
+    return Reg;
+  }
+  static uint64_t storeEpoch(daemon::ModelRegistry &Reg) {
+    return Reg.find("sort1")->StoreEpoch.load();
   }
 
   registry::ProgramPtr Program;
@@ -97,14 +75,13 @@ protected:
 TEST_F(RolloutTest, StartSeedsTheBootstrapEpochFleetWide) {
   auto Ctl = makeStarted();
   EXPECT_EQ(Ctl->currentEpoch(), 1u);
-  for (size_t I = 0; I != Ctl->replicaCount(); ++I) {
-    rollout::Replica &R = Ctl->replica(I);
-    ASSERT_TRUE(R.serving()) << "replica " << I;
-    EXPECT_EQ(R.epoch(), 1u);
-    // The image is self-describing: Meta.Epoch matches the store epoch
-    // it landed as.
-    EXPECT_EQ(R.service().currentEpoch()->Model.Meta.Epoch, 1u);
-  }
+  // The image is self-describing: Meta.Epoch matches the store epoch it
+  // landed as, for the champion and for a follower alike.
+  ASSERT_NE(Ctl->champion(), nullptr);
+  EXPECT_EQ(Ctl->champion()->Model.Meta.Epoch, 1u);
+  auto Reg = follower();
+  EXPECT_EQ(storeEpoch(*Reg), 1u);
+  EXPECT_EQ(Reg->find("sort1")->Service->epoch(), 1u);
   EXPECT_EQ(Ctl->modelStore().record(1)->State, store::EpochState::Active);
 
   // start() on a store that already has a promoted epoch does not
@@ -116,6 +93,7 @@ TEST_F(RolloutTest, StartSeedsTheBootstrapEpochFleetWide) {
 
 TEST_F(RolloutTest, EqualCandidatePromotesThroughTheCanary) {
   auto Ctl = makeStarted();
+  auto Reg = follower();
   RolloutController::CycleReport Report;
   ASSERT_TRUE(Ctl->rollout(cloneModel(modelBytes()), Report).Ok);
 
@@ -127,16 +105,17 @@ TEST_F(RolloutTest, EqualCandidatePromotesThroughTheCanary) {
   EXPECT_GT(Report.ChampionScore, 0.0);
 
   EXPECT_EQ(Ctl->currentEpoch(), 2u);
-  for (size_t I = 0; I != Ctl->replicaCount(); ++I) {
-    EXPECT_EQ(Ctl->replica(I).epoch(), 2u);
-    EXPECT_EQ(Ctl->replica(I).service().currentEpoch()->Model.Meta.Epoch, 2u);
-  }
+  EXPECT_EQ(Ctl->champion()->Model.Meta.Epoch, 2u);
+  EXPECT_EQ(Reg->pollStores(), 1u);
+  EXPECT_EQ(storeEpoch(*Reg), 2u);
+  EXPECT_EQ(Reg->find("sort1")->Service->epoch(), 2u);
   EXPECT_EQ(Ctl->modelStore().record(2)->State, store::EpochState::Active);
   EXPECT_EQ(Ctl->modelStore().record(1)->State, store::EpochState::Retired);
 }
 
 TEST_F(RolloutTest, DegradedCandidateRollsBackAndTheCanaryReverts) {
   auto Ctl = makeStarted();
+  auto Reg = follower();
   RolloutController::CycleReport Report;
   ASSERT_TRUE(Ctl->rollout(degradedModel(), Report).Ok);
 
@@ -145,11 +124,11 @@ TEST_F(RolloutTest, DegradedCandidateRollsBackAndTheCanaryReverts) {
   EXPECT_EQ(Ctl->currentEpoch(), 1u);
   EXPECT_EQ(Ctl->modelStore().record(2)->State,
             store::EpochState::RolledBack);
-  // The canary served the candidate during scoring but reverted: the
-  // whole fleet is back on the champion.
-  for (size_t I = 0; I != Ctl->replicaCount(); ++I)
-    EXPECT_EQ(Ctl->replica(I).epoch(), 1u);
-  EXPECT_GT(Ctl->replica(0).swapCount(), Ctl->replica(1).swapCount());
+  // The candidate was only ever shadow-scored: the champion and every
+  // follower stay on epoch 1.
+  EXPECT_EQ(Ctl->champion()->Model.Meta.Epoch, 1u);
+  EXPECT_EQ(Reg->pollStores(), 0u);
+  EXPECT_EQ(storeEpoch(*Reg), 1u);
 }
 
 TEST_F(RolloutTest, ForeignProvenanceIsRefusedBeforePublish) {
@@ -165,27 +144,28 @@ TEST_F(RolloutTest, ForeignProvenanceIsRefusedBeforePublish) {
   EXPECT_NE(St.Error.find("provenance"), std::string::npos) << St.Error;
   EXPECT_EQ(Ctl->currentEpoch(), 1u);
   EXPECT_EQ(Ctl->modelStore().records().size(), 1u);
-  for (size_t I = 0; I != Ctl->replicaCount(); ++I)
-    EXPECT_EQ(Ctl->replica(I).epoch(), 1u);
+  EXPECT_EQ(Ctl->champion()->Model.Meta.Epoch, 1u);
 }
 
 TEST_F(RolloutTest, ResumeConvergesAKilledFleetOntoCurrent) {
+  std::unique_ptr<daemon::ModelRegistry> Reg;
   {
     auto Ctl = makeStarted();
+    Reg = follower(); // a replica that outlives the publisher
     RolloutController::CycleReport Report;
     ASSERT_TRUE(Ctl->rollout(cloneModel(modelBytes()), Report).Ok);
     ASSERT_EQ(Ctl->currentEpoch(), 2u);
-    // The fleet dies here (handles dropped, store directory survives).
+    // The publisher dies here (handles dropped, store directory survives).
   }
-  rollout::RolloutOptions RO;
-  RO.Replicas = 2;
-  RolloutController Restarted(*Program, Dir, RO);
+  RolloutController Restarted(*Program, Dir, {});
   ASSERT_TRUE(Restarted.resume().Ok);
   EXPECT_EQ(Restarted.currentEpoch(), 2u);
-  for (size_t I = 0; I != Restarted.replicaCount(); ++I) {
-    ASSERT_TRUE(Restarted.replica(I).serving());
-    EXPECT_EQ(Restarted.replica(I).epoch(), 2u);
-  }
+  ASSERT_NE(Restarted.champion(), nullptr);
+  EXPECT_EQ(Restarted.champion()->Model.Meta.Epoch, 2u);
+  EXPECT_EQ(Reg->pollStores(), 1u);
+  EXPECT_EQ(storeEpoch(*Reg), 2u);
+  // A respawned replica loads the same epoch.
+  EXPECT_EQ(storeEpoch(*follower()), 2u);
 }
 
 TEST_F(RolloutTest, ResumeRefusesAStoreThatWasNeverStarted) {
@@ -197,6 +177,7 @@ TEST_F(RolloutTest, ResumeRefusesAStoreThatWasNeverStarted) {
 
 TEST_F(RolloutTest, RolloutRequiresAServingFleet) {
   RolloutController Ctl(*Program, Dir, {});
+  EXPECT_EQ(Ctl.champion(), nullptr);
   RolloutController::CycleReport Report;
   EXPECT_FALSE(Ctl.rollout(cloneModel(modelBytes()), Report).Ok);
 }
@@ -204,18 +185,34 @@ TEST_F(RolloutTest, RolloutRequiresAServingFleet) {
 TEST_F(RolloutTest, StartValidatesTheSeedAgainstTheProgram) {
   const registry::BenchmarkFactory &F =
       registry::BenchmarkRegistry::instance().get("binpacking");
-  registry::ProgramPtr Wrong = F.makeProgram(kScale, F.defaultProgramSeed());
+  registry::ProgramPtr Wrong =
+      F.makeProgram(kTestScale, F.defaultProgramSeed());
   RolloutController Ctl(*Wrong, Dir, {});
   EXPECT_FALSE(Ctl.start(cloneModel(modelBytes())).Ok);
 }
 
-TEST_F(RolloutTest, CanaryAdoptRefusesAnUnknownEpoch) {
+TEST_F(RolloutTest, CorruptCandidateImageIsRolledBackAndCounted) {
   auto Ctl = makeStarted();
-  rollout::Replica &Canary = Ctl->replica(0);
-  uint64_t Before = Canary.tornReadsPrevented();
-  EXPECT_FALSE(Canary.adopt(99).Ok);
-  EXPECT_EQ(Canary.tornReadsPrevented(), Before + 1);
-  EXPECT_EQ(Canary.epoch(), 1u); // still serving the champion
+  auto Reg = follower();
+  ASSERT_EQ(Ctl->rejectedImages(), 0u);
+  // Rot the candidate's image bytes behind the checksum the MANIFEST
+  // records for it (the first image write after arming).
+  support::FaultInjector::instance().arm(support::FaultPoint::CorruptChecksum,
+                                         0);
+  RolloutController::CycleReport Report;
+  serialize::LoadStatus St = Ctl->rollout(cloneModel(modelBytes()), Report);
+  EXPECT_FALSE(St.Ok);
+  EXPECT_EQ(support::FaultInjector::instance().triggered(
+                support::FaultPoint::CorruptChecksum),
+            1u);
+  ASSERT_NE(Ctl->modelStore().record(2), nullptr);
+  EXPECT_EQ(Ctl->modelStore().record(2)->State,
+            store::EpochState::RolledBack);
+  EXPECT_EQ(Ctl->currentEpoch(), 1u);
+  EXPECT_EQ(Ctl->rejectedImages(), 1u);
+  EXPECT_EQ(Ctl->champion()->Model.Meta.Epoch, 1u);
+  EXPECT_EQ(Reg->pollStores(), 0u);
+  EXPECT_EQ(storeEpoch(*Reg), 1u);
 }
 
 } // namespace

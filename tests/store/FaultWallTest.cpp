@@ -1,27 +1,32 @@
 //===- tests/store/FaultWallTest.cpp -----------------------------------------=//
 //
 // The randomized kill-during-publish wall: hundreds of staged rollouts
-// of a real trained model through a RolloutController fleet, each cycle
-// arming one randomly chosen failpoint at a random hit. Crash-class
-// triggers kill the fleet mid-protocol; the wall restarts it from the
-// store like a supervisor and requires resume() to succeed every time.
-// The safety property under test: across every injected crash and
-// corruption, no replica EVER serves decisions that diverge from the
+// of a real trained model through a RolloutController, each cycle arming
+// one randomly chosen failpoint at a random hit. Crash-class triggers
+// kill the publisher mid-protocol; the wall restarts it from the store
+// like a supervisor and requires resume() to succeed every time.
+//
+// Replicas are store followers: a long-lived daemon::ModelRegistry store
+// tenant that polls the store after every cycle and every recovery (the
+// adoption path pbt-serve runs), plus a fresh one after every recovery,
+// standing in for a respawned replica. Each must serve CURRENT. The
+// safety property under test: across every injected crash and
+// corruption, no follower EVER serves decisions that diverge from the
 // golden decisions its epoch produced the first time it served -- a
 // torn read that reached serving would show up exactly there.
 //
 // StoreRecoveryTest pins each crash window individually; this wall is
-// the volume/interleaving coverage over the same protocol (the ISSUE's
-// ">= 200 injected points, zero torn reads" acceptance gate).
+// the volume/interleaving coverage over the same protocol (at least 200
+// injected points, zero torn reads served).
 //
 //===----------------------------------------------------------------------===//
 
 #include "rollout/RolloutController.h"
 
-#include "core/Pipeline.h"
+#include "common/TestModels.h"
+#include "daemon/ModelRegistry.h"
 #include "registry/BenchmarkRegistry.h"
 #include "runtime/AdaptiveService.h"
-#include "serialize/ModelIO.h"
 #include "store/ModelStore.h"
 #include "support/FaultInject.h"
 #include "support/Random.h"
@@ -38,6 +43,7 @@
 #include <unistd.h>
 
 using namespace pbt;
+using namespace pbt::testmodels;
 using rollout::RolloutController;
 using support::FaultCrash;
 using support::FaultInjector;
@@ -45,47 +51,24 @@ using support::FaultPoint;
 
 namespace {
 
-constexpr double kScale = 0.1;
-
-/// The sort1 model this wall publishes over and over, trained once per
-/// process (the AdaptiveServiceTest idiom).
-const std::string &modelBytes() {
-  static const std::string Bytes = [] {
-    const registry::BenchmarkFactory &F =
-        registry::BenchmarkRegistry::instance().get("sort1");
-    registry::ProgramPtr P = F.makeProgram(kScale, F.defaultProgramSeed());
-    core::TrainedSystem Sys = core::trainSystem(*P, F.defaultOptions(kScale));
-    serialize::TrainedModel M = serialize::makeModel(
-        "sort1", kScale, F.defaultProgramSeed(), *P, std::move(Sys));
-    M.System.Data.reset();
-    return serialize::serializeModel(M);
-  }();
-  return Bytes;
-}
-
-serialize::TrainedModel cloneModel(const std::string &Bytes) {
-  serialize::TrainedModel M;
-  EXPECT_TRUE(serialize::loadModel(Bytes, M).Ok);
-  return M;
-}
-
 TEST(FaultWallTest, RandomizedKillDuringPublishConvergesEveryTime) {
   const registry::BenchmarkFactory &F =
       registry::BenchmarkRegistry::instance().get("sort1");
   registry::ProgramPtr Program =
-      F.makeProgram(kScale, F.defaultProgramSeed());
+      F.makeProgram(kTestScale, F.defaultProgramSeed());
 
   std::string Dir = ::testing::TempDir() + "pbt-fault-wall-" +
                     std::to_string(::getpid());
   std::filesystem::remove_all(Dir);
 
   rollout::RolloutOptions RO;
-  RO.Replicas = 2;     // canary + one follower is enough fleet
   RO.ShadowSample = 8; // keep per-cycle scoring cheap; volume is the point
   RO.KeepFinished = 3; // keep gc busy reclaiming finished epochs
 
   auto Ctl = std::make_unique<RolloutController>(*Program, Dir, RO);
   ASSERT_TRUE(Ctl->start(cloneModel(modelBytes())).Ok);
+  daemon::ModelRegistry Follower;
+  ASSERT_TRUE(Follower.addStoreTenant("sort1", Dir).Ok);
 
   // Golden decisions: first time an epoch serves anywhere, its probe
   // choices are the truth; every later sighting must reproduce them.
@@ -93,24 +76,26 @@ TEST(FaultWallTest, RandomizedKillDuringPublishConvergesEveryTime) {
   for (size_t I = 0; I != std::min<size_t>(16, Program->numInputs()); ++I)
     Probe.push_back(I);
   std::map<uint64_t, std::vector<unsigned>> Golden;
-  auto checkGolden = [&](RolloutController &C) {
-    for (size_t I = 0; I != C.replicaCount(); ++I) {
-      rollout::Replica &R = C.replica(I);
-      if (!R.serving())
-        continue;
-      std::vector<unsigned> Choices;
-      for (size_t Input : Probe)
-        Choices.push_back(R.service().decide(Input).Landmark);
-      auto It = Golden.find(R.epoch());
-      if (It == Golden.end())
-        Golden.emplace(R.epoch(), std::move(Choices));
-      else
-        ASSERT_EQ(It->second, Choices)
-            << "replica " << I << " diverged from golden on epoch "
-            << R.epoch() << " -- a torn read reached serving";
-    }
+  unsigned Cycle = 0;
+  // Polls \p Reg, which must then serve CURRENT with golden decisions.
+  auto checkFollower = [&](daemon::ModelRegistry &Reg, const char *Who) {
+    Reg.pollStores();
+    daemon::Tenant &T = *Reg.find("sort1");
+    uint64_t Epoch = T.StoreEpoch.load();
+    ASSERT_EQ(Epoch, Ctl->currentEpoch())
+        << Who << " follower missed CURRENT, cycle " << Cycle;
+    ASSERT_EQ(T.Service->epoch(), Epoch) << Who << ", cycle " << Cycle;
+    std::vector<unsigned> Choices;
+    for (const runtime::AdaptiveService::Decision &D :
+         T.Service->decideBatch(Probe))
+      Choices.push_back(D.Landmark);
+    // The first sighting records the golden; later ones must match it.
+    auto It = Golden.emplace(Epoch, Choices).first;
+    ASSERT_EQ(It->second, Choices)
+        << Who << " follower diverged from golden on epoch " << Epoch
+        << " -- a torn read reached serving";
   };
-  checkGolden(*Ctl);
+  checkFollower(Follower, "long-lived");
 
   const FaultPoint CrashPoints[] = {
       FaultPoint::TornWrite,
@@ -128,7 +113,9 @@ TEST(FaultWallTest, RandomizedKillDuringPublishConvergesEveryTime) {
   FaultInjector &Inj = FaultInjector::instance();
   Inj.reset();
 
-  auto drainTriggered = [&Inj] {
+  uint64_t CorruptImages = 0;
+  auto drainTriggered = [&Inj, &CorruptImages] {
+    CorruptImages += Inj.triggered(FaultPoint::CorruptChecksum);
     uint64_t N = 0;
     for (unsigned P = 0; P != support::kNumFaultPoints; ++P)
       N += Inj.triggered(static_cast<FaultPoint>(P));
@@ -137,7 +124,9 @@ TEST(FaultWallTest, RandomizedKillDuringPublishConvergesEveryTime) {
   };
 
   uint64_t Injected = 0, Crashes = 0, Recoveries = 0;
-  unsigned Cycle = 0;
+  // Images refused by every controller the wall ran, and by the
+  // respawned followers.
+  uint64_t Rejected = 0, FollowerRejects = 0;
   const uint64_t WantInjected = 200;
   const unsigned MaxCycles = 600; // safety valve, never the budget
 
@@ -160,23 +149,33 @@ TEST(FaultWallTest, RandomizedKillDuringPublishConvergesEveryTime) {
               WallRng.index(3));
 
     RolloutController::CycleReport Report;
+    bool Crashed = false;
     try {
       serialize::LoadStatus St = Ctl->rollout(std::move(Candidate), Report);
       (void)St; // a refused rollout (injected fsync failure) is fine
     } catch (const FaultCrash &) {
+      Crashed = true;
+    }
+    Injected += drainTriggered();
+    if (Crashed) {
+      // The publisher died mid-protocol. Restart it from the directory
+      // exactly as the crash left it; resume must always find durable
+      // truth.
       ++Crashes;
-      Injected += drainTriggered();
-      // The fleet died mid-protocol. Restart from the directory exactly
-      // as the crash left it; resume must always find durable truth.
+      Rejected += Ctl->rejectedImages();
       Ctl = std::make_unique<RolloutController>(*Program, Dir, RO);
       ASSERT_TRUE(Ctl->resume().Ok)
           << "recovery failed after injected crash, cycle " << Cycle;
       ++Recoveries;
-      checkGolden(*Ctl);
-      continue;
+      daemon::ModelRegistry Respawned;
+      ASSERT_TRUE(Respawned.addStoreTenant("sort1", Dir).Ok)
+          << "a respawned replica cannot load the store, cycle " << Cycle;
+      checkFollower(Respawned, "respawned");
+      FollowerRejects += Respawned.find("sort1")->StoreRejects.load();
     }
-    Injected += drainTriggered();
-    checkGolden(*Ctl);
+    checkFollower(Follower, "long-lived");
+    if (HasFatalFailure())
+      break;
   }
   Inj.reset();
 
@@ -186,14 +185,13 @@ TEST(FaultWallTest, RandomizedKillDuringPublishConvergesEveryTime) {
   EXPECT_GT(Crashes, 0u) << "the schedule never crashed the fleet";
   EXPECT_GT(Ctl->currentEpoch(), 1u) << "no rollout ever promoted";
 
-  // Torn reads were prevented (checksums rejected images), never served
-  // (checkGolden would have failed above).
-  uint64_t TornPrevented = 0;
-  for (size_t I = 0; I != Ctl->replicaCount(); ++I)
-    TornPrevented += Ctl->replica(I).tornReadsPrevented();
-  // Not asserted > 0: whether a *reader* ever raced a bad image depends
-  // on the schedule; the invariant is that serving never diverged.
-  (void)TornPrevented;
+  // Every rotted candidate image was refused at the canary and counted;
+  // none reached CURRENT, so no follower ever had to reject one.
+  Rejected += Ctl->rejectedImages();
+  EXPECT_GT(CorruptImages, 0u) << "the schedule never rotted an image";
+  EXPECT_EQ(Rejected, CorruptImages);
+  FollowerRejects += Follower.find("sort1")->StoreRejects.load();
+  EXPECT_EQ(FollowerRejects, 0u);
 
   std::filesystem::remove_all(Dir);
 }
