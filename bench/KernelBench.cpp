@@ -374,6 +374,25 @@ static void BM_ServeDecideCompiled(benchmark::State &State) {
 }
 BENCHMARK(BM_ServeDecideCompiled);
 
+/// The daemon's warm Predict decide: one 64-input decideBatch of
+/// memo-warm inputs (the test rows, cycled), inline like a session calls
+/// it. Time is per batch; it includes the batch's accounting and the
+/// Decision vector.
+static void BM_DecideBatchWarm(benchmark::State &State) {
+  ServeFixture &F = serveFixture();
+  std::vector<size_t> Batch(64);
+  for (size_t K = 0; K < Batch.size(); ++K)
+    Batch[K] = F.Rows[K % F.Rows.size()];
+  for (auto _ : State) {
+    std::vector<runtime::AdaptiveService::Decision> Ds =
+        F.Service->decideBatch(Batch, nullptr);
+    benchmark::DoNotOptimize(Ds.data());
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(Batch.size()));
+}
+BENCHMARK(BM_DecideBatchWarm);
+
 /// Classifier-only pair (decision cache bypassed): the compiled arena
 /// walk vs the polymorphic classifier over the same recorded feature
 /// table -- the regression signal for the lowering itself.
@@ -409,9 +428,10 @@ BENCHMARK(BM_ClassifyInterpreted);
 /// pbt-serve's per-request wire work on its own: a 64-input Predict and
 /// its 64-choice reply through writeFrame, FrameReader and the codec,
 /// over a socketpair whose far end is an echo thread reading the way a
-/// session does (with the default mid-frame deadline). No decide, no
-/// admission gate -- the rest of a daemon round trip is what serving
-/// adds on top of this number.
+/// session does (with the default mid-frame deadline). Both ends reuse
+/// their buffers and encode with the production encoders, as a session
+/// and a DaemonClient do. No decide, no admission gate -- the rest of a
+/// daemon round trip is what serving adds on top of this number.
 static void BM_WireRoundTrip(benchmark::State &State) {
   int Fd[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, Fd) != 0) {
@@ -421,7 +441,7 @@ static void BM_WireRoundTrip(benchmark::State &State) {
   std::thread Echo([Srv = Fd[1]] {
     const double Deadline = daemon::ServerOptions().ReadDeadline;
     daemon::FrameReader Reader;
-    std::string Payload;
+    std::string Payload, Reply;
     daemon::Message M;
     std::vector<daemon::PredictedChoice> Choices;
     while (Reader.read(Srv, Payload, Deadline) == daemon::FrameStatus::Ok &&
@@ -429,19 +449,19 @@ static void BM_WireRoundTrip(benchmark::State &State) {
       Choices.resize(M.Inputs.size());
       for (size_t I = 0; I < M.Inputs.size(); ++I)
         Choices[I] = {static_cast<uint32_t>(M.Inputs[I] % 7), 1};
-      if (daemon::writeFrame(Srv, daemon::makePredictions(Choices)) !=
-          daemon::FrameStatus::Ok)
+      daemon::encodePredictions(Reply, Choices);
+      if (daemon::writeFrame(Srv, Reply) != daemon::FrameStatus::Ok)
         break;
     }
   });
   std::vector<uint64_t> Inputs(64);
   std::iota(Inputs.begin(), Inputs.end(), 0);
   daemon::FrameReader Reader;
-  std::string Reply;
+  std::string Request, Reply;
   daemon::Message M;
   for (auto _ : State) {
-    if (daemon::writeFrame(Fd[0], daemon::makePredict(Inputs)) !=
-            daemon::FrameStatus::Ok ||
+    daemon::encodePredict(Request, Inputs);
+    if (daemon::writeFrame(Fd[0], Request) != daemon::FrameStatus::Ok ||
         Reader.read(Fd[0], Reply) != daemon::FrameStatus::Ok ||
         !daemon::decodeMessage(Reply, M) || M.Choices.size() != 64) {
       State.SkipWithError("wire round trip failed");

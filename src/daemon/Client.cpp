@@ -107,14 +107,13 @@ bool DaemonClient::roundTrip(const std::string &Payload, Message &Reply,
     Err = "request write failed (server gone?)";
     return false;
   }
-  std::string In;
-  FrameStatus FS = Reader.read(Fd, In);
+  FrameStatus FS = Reader.read(Fd, ReplyPayload);
   if (FS != FrameStatus::Ok) {
     Err = FS == FrameStatus::Closed ? "server closed the connection"
                                     : "response read failed";
     return false;
   }
-  if (!decodeMessage(In, Reply)) {
+  if (!decodeMessage(ReplyPayload, Reply)) {
     Err = "malformed server reply";
     return false;
   }
@@ -147,16 +146,21 @@ DaemonClient::PredictOutcome
 DaemonClient::predict(const std::vector<uint64_t> &Inputs,
                       std::vector<PredictedChoice> &Choices,
                       std::string &Err) {
-  Message Reply;
-  if (!roundTrip(makePredict(Inputs), Reply, Err))
+  encodePredict(Request, Inputs);
+  // Lend the caller's vector to the decode, so a Predictions body lands
+  // in its capacity, and take it back whatever the reply was.
+  PredictReply.Choices.swap(Choices);
+  bool Answered = roundTrip(Request, PredictReply, Err);
+  Choices.swap(PredictReply.Choices);
+  if (!Answered)
     return PredictOutcome::Error;
+  const Message &Reply = PredictReply;
   switch (Reply.Type) {
   case MsgType::Predictions:
-    if (Reply.Choices.size() != Inputs.size()) {
+    if (Choices.size() != Inputs.size()) {
       Err = "prediction count mismatch";
       return PredictOutcome::Error;
     }
-    Choices = std::move(Reply.Choices);
     return PredictOutcome::Ok;
   case MsgType::Shed:
     Err = Reply.Text;

@@ -92,7 +92,10 @@ public:
     Error, ///< server Error reply or transport failure; Err says which
   };
 
-  /// Predict -> Predictions/Shed/Error.
+  /// Predict -> Predictions/Shed/Error. On Ok, \p Choices holds one
+  /// answer per input, decoded into its existing capacity; on any other
+  /// outcome its contents are not answers. A warm loop that passes the
+  /// same vector each time allocates nothing per call.
   PredictOutcome predict(const std::vector<uint64_t> &Inputs,
                          std::vector<PredictedChoice> &Choices,
                          std::string &Err);
@@ -132,6 +135,10 @@ private:
   /// Reply reader for this connection; reset by connect() and close().
   FrameReader Reader;
   bool TransportFailed = false;
+  /// Buffers every predict() reuses: the encoded request, the reply
+  /// frame, and its decode.
+  std::string Request, ReplyPayload;
+  Message PredictReply;
 };
 
 /// Failover policy for a FailoverClient.

@@ -30,19 +30,10 @@ namespace {
 
 // Byte-wise shifts through a raw pointer: portable across host byte
 // orders, and compilers merge them into single word stores and loads.
+// The word stores on the Predict path are wire::putU32/putU64.
 void storeU16(uint8_t *P, uint16_t V) {
   P[0] = static_cast<uint8_t>(V);
   P[1] = static_cast<uint8_t>(V >> 8);
-}
-
-void storeU32(uint8_t *P, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    P[I] = static_cast<uint8_t>(V >> (8 * I));
-}
-
-void storeU64(uint8_t *P, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    P[I] = static_cast<uint8_t>(V >> (8 * I));
 }
 
 uint32_t loadU32(const uint8_t *P) {
@@ -74,19 +65,11 @@ size_t strBytes(const std::string &S) { return 2 + wireStrLen(S); }
 class WireWriter {
 public:
   WireWriter(MsgType Type, size_t BodyBytes)
-      : B(1 + BodyBytes, '\0'), Cur(reinterpret_cast<uint8_t *>(&B[0])) {
-    *Cur++ = static_cast<uint8_t>(Type);
-  }
+      : Cur(wire::beginPayload(B, Type, BodyBytes)) {}
 
-  void u32(uint32_t V) {
-    storeU32(Cur, V);
-    Cur += 4;
-  }
+  void u32(uint32_t V) { Cur = wire::putU32(Cur, V); }
 
-  void u64(uint64_t V) {
-    storeU64(Cur, V);
-    Cur += 8;
-  }
+  void u64(uint64_t V) { Cur = wire::putU64(Cur, V); }
 
   void str(const std::string &S) {
     size_t N = wireStrLen(S);
@@ -250,6 +233,20 @@ ssize_t recvBy(int Fd, void *Buf, size_t Len,
 // Payload builders
 //===----------------------------------------------------------------------===//
 
+uint8_t *wire::beginPayload(std::string &Out, MsgType Type, size_t BodyBytes) {
+  Out.resize(1 + BodyBytes);
+  uint8_t *P = reinterpret_cast<uint8_t *>(&Out[0]);
+  *P = static_cast<uint8_t>(Type);
+  return P + 1;
+}
+
+void encodePredict(std::string &Out, const std::vector<uint64_t> &Inputs) {
+  uint8_t *P = wire::beginPayload(Out, MsgType::Predict, 4 + 8 * Inputs.size());
+  P = wire::putU32(P, static_cast<uint32_t>(Inputs.size()));
+  for (uint64_t In : Inputs)
+    P = wire::putU64(P, In);
+}
+
 std::string makeHello(const std::string &Tenant) {
   WireWriter W(MsgType::Hello, strBytes(Tenant));
   W.str(Tenant);
@@ -257,11 +254,9 @@ std::string makeHello(const std::string &Tenant) {
 }
 
 std::string makePredict(const std::vector<uint64_t> &Inputs) {
-  WireWriter W(MsgType::Predict, 4 + 8 * Inputs.size());
-  W.u32(static_cast<uint32_t>(Inputs.size()));
-  for (uint64_t In : Inputs)
-    W.u64(In);
-  return W.take();
+  std::string Out;
+  encodePredict(Out, Inputs);
+  return Out;
 }
 
 std::string makeStats() {
@@ -290,13 +285,9 @@ std::string makeTenantOk(uint64_t Epoch, uint32_t Landmarks,
 }
 
 std::string makePredictions(const std::vector<PredictedChoice> &Choices) {
-  WireWriter W(MsgType::Predictions, 4 + 12 * Choices.size());
-  W.u32(static_cast<uint32_t>(Choices.size()));
-  for (const PredictedChoice &C : Choices) {
-    W.u32(C.Landmark);
-    W.u64(C.Epoch);
-  }
-  return W.take();
+  std::string Out;
+  encodePredictions(Out, Choices);
+  return Out;
 }
 
 std::string makeShed(uint32_t QueueDepth, const std::string &Reason) {
@@ -359,8 +350,20 @@ bool decodeMessage(const uint8_t *Data, size_t Size, Message &Out) {
   uint8_t Tag = 0;
   if (!R.u8(Tag))
     return false;
-  Out = Message();
+  // Every field back to a fresh Message's value, the containers keeping
+  // their capacity for the next decode into this Message.
   Out.Type = static_cast<MsgType>(Tag);
+  Out.Text.clear();
+  Out.Inputs.clear();
+  Out.Choices.clear();
+  Out.Names.clear();
+  Out.Epoch = 0;
+  Out.Landmarks = 0;
+  Out.NumInputs = 0;
+  Out.QueueDepth = 0;
+  Out.Pid = 0;
+  Out.Sessions = 0;
+  Out.Tenants.clear();
   switch (Out.Type) {
   case MsgType::Hello:
     return R.str(Out.Text) && R.done();
@@ -520,7 +523,7 @@ FrameStatus writeFrame(int Fd, const std::string &Payload) {
   if (Payload.empty() || Payload.size() > kMaxFrameBytes)
     return FrameStatus::TooLarge;
   uint8_t Hdr[4];
-  storeU32(Hdr, static_cast<uint32_t>(Payload.size()));
+  wire::putU32(Hdr, static_cast<uint32_t>(Payload.size()));
   struct iovec Iov[2] = {{Hdr, sizeof(Hdr)},
                          {const_cast<char *>(Payload.data()), Payload.size()}};
   struct msghdr Msg = {};

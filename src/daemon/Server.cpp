@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -198,6 +199,8 @@ void Server::acceptLoop() {
 
 void Server::sessionLoop(Session *S) {
   Tenant *Attached = nullptr;
+  // The request buffer, like S->Request and S->Reply, lives as long as
+  // the session: a warm Predict allocates none of them again.
   std::string Payload;
   while (!StopFlag.load()) {
     FrameStatus FS = S->Reader.read(S->Fd, Payload, Opts.ReadDeadline);
@@ -223,13 +226,12 @@ void Server::sessionLoop(Session *S) {
       MalformedCount.fetch_add(1, std::memory_order_relaxed);
       break;
     }
-    Message M;
-    if (!decodeMessage(Payload, M)) {
+    if (!decodeMessage(Payload, S->Request)) {
       MalformedCount.fetch_add(1, std::memory_order_relaxed);
       writeFrame(S->Fd, makeError("malformed message payload"));
       break;
     }
-    if (!handleMessage(S, M, Attached))
+    if (!handleMessage(S, S->Request, Attached))
       break;
   }
   S->Finished.store(true);
@@ -287,19 +289,20 @@ bool Server::handleMessage(Session *S, const Message &M, Tenant *&Attached) {
     }
     RequestCount.fetch_add(1, std::memory_order_relaxed);
     Attached->Requests.fetch_add(1, std::memory_order_relaxed);
-    std::vector<PredictedChoice> Choices;
+    std::vector<runtime::AdaptiveService::Decision> Decisions;
     try {
-      Choices = serve(*Attached, M.Inputs);
+      Decisions = serve(*Attached, M.Inputs);
     } catch (const std::exception &Ex) {
       Gate.leave();
       Attached->Errors.fetch_add(1, std::memory_order_relaxed);
       return writeFrame(S->Fd, makeError(std::string("serving failed: ") +
                                          Ex.what())) == FrameStatus::Ok;
     }
-    // The slot bounds serving, not the reply write: a client slow to
-    // read its answer must not hold a slot.
+    // The slot bounds serving, not the reply encode and write: a client
+    // slow to read its answer must not hold a slot.
     Gate.leave();
-    return writeFrame(S->Fd, makePredictions(Choices)) == FrameStatus::Ok;
+    encodePredictions(S->Reply, Decisions);
+    return writeFrame(S->Fd, S->Reply) == FrameStatus::Ok;
   }
 
   case MsgType::Stats:
@@ -359,30 +362,31 @@ void Server::noteQueueDepth(size_t Depth) {
   }
 }
 
-std::vector<PredictedChoice>
+// The wire's input ids are the service's input indices, with no copy
+// between the two.
+static_assert(std::is_same<uint64_t, size_t>::value,
+              "pbt-serve needs an LP64 target: a Predict's uint64_t input "
+              "ids are passed to decideBatch as size_t");
+
+std::vector<runtime::AdaptiveService::Decision>
 Server::serve(Tenant &T, const std::vector<uint64_t> &Inputs) {
-  std::vector<size_t> In(Inputs.begin(), Inputs.end());
   std::vector<runtime::AdaptiveService::Decision> Decisions;
   {
     std::lock_guard<std::mutex> Lock(T.ServeMutex);
     if (Registry.options().AutoAdapt) {
       // Observing mode: feed the tenant's drift monitor and reservoir;
       // serve() runs the adaptation loop inline.
-      Decisions.reserve(In.size());
-      for (size_t Input : In)
+      Decisions.reserve(Inputs.size());
+      for (size_t Input : Inputs)
         Decisions.push_back(T.Service->serve(Input));
     } else {
-      Decisions = T.Service->decideBatch(In, nullptr);
+      Decisions = T.Service->decideBatch(Inputs, nullptr);
     }
   }
-  std::vector<PredictedChoice> Choices;
-  Choices.reserve(Decisions.size());
-  for (const runtime::AdaptiveService::Decision &D : Decisions)
-    Choices.push_back({D.Landmark, D.Epoch});
-  DecisionCount.fetch_add(In.size(), std::memory_order_relaxed);
-  T.Decisions.fetch_add(In.size(), std::memory_order_relaxed);
+  DecisionCount.fetch_add(Inputs.size(), std::memory_order_relaxed);
+  T.Decisions.fetch_add(Inputs.size(), std::memory_order_relaxed);
   T.Batches.fetch_add(1, std::memory_order_relaxed);
-  return Choices;
+  return Decisions;
 }
 
 //===----------------------------------------------------------------------===//

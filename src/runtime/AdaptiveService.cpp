@@ -122,12 +122,27 @@ uint64_t AdaptiveService::epoch() const {
   return Ep ? Ep->Model.Meta.Epoch : 0;
 }
 
-void AdaptiveService::recordTotals(const Decision &D) {
-  DecisionCount.fetch_add(1, std::memory_order_relaxed);
-  if (D.Memoized)
-    MemoizedCount.fetch_add(1, std::memory_order_relaxed);
-  ExtractedCount.fetch_add(D.FeaturesExtracted, std::memory_order_relaxed);
-  atomicAdd(CostPaid, D.FeatureCost);
+void AdaptiveService::recordTotals(const Decision *Ds, size_t N) {
+  uint64_t Memoized = 0, Extracted = 0;
+  for (size_t I = 0; I != N; ++I) {
+    Memoized += Ds[I].Memoized;
+    Extracted += Ds[I].FeaturesExtracted;
+  }
+  DecisionCount.fetch_add(N, std::memory_order_relaxed);
+  if (Memoized)
+    MemoizedCount.fetch_add(Memoized, std::memory_order_relaxed);
+  if (!Extracted)
+    return; // a decision that extracted nothing paid nothing
+  ExtractedCount.fetch_add(Extracted, std::memory_order_relaxed);
+  // Fold the costs in decision order, exactly as one add per decision
+  // would, so FeatureCostPaid keeps its value to the last bit.
+  double Old = CostPaid.load(std::memory_order_relaxed), New;
+  do {
+    New = Old;
+    for (size_t I = 0; I != N; ++I)
+      New += Ds[I].FeatureCost;
+  } while (
+      !CostPaid.compare_exchange_weak(Old, New, std::memory_order_relaxed));
 }
 
 AdaptiveService::Decision
@@ -218,7 +233,7 @@ AdaptiveService::Decision AdaptiveService::decide(size_t Input) {
   EpochPtr Ep = currentEpoch();
   Decision D = decideWith(*Ep, Input, scratchFor(*Ep));
   D.Hold = Ep;
-  recordTotals(D);
+  recordTotals(&D, 1);
   return D;
 }
 
@@ -227,7 +242,7 @@ AdaptiveService::Decision AdaptiveService::serve(size_t Input) {
   syncMonitorTo(Ep);
   Decision D = decideWith(*Ep, Input, scratchFor(*Ep));
   D.Hold = Ep;
-  recordTotals(D);
+  recordTotals(&D, 1);
 
   const double *Features = fullFeatures(Input);
   unsigned Cluster = assignCluster(*Ep, Features);
@@ -269,10 +284,9 @@ AdaptiveService::decideBatch(const std::vector<size_t> &Inputs,
           Out[I] = decideWith(*Ep, Inputs[I], S);
     });
   }
-  for (Decision &D : Out) {
+  for (Decision &D : Out)
     D.Hold = Ep;
-    recordTotals(D);
-  }
+  recordTotals(Out.data(), Out.size());
   return Out;
 }
 

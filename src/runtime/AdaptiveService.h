@@ -195,7 +195,8 @@ public:
   /// passes) the batch runs inline on the calling thread. With one, the
   /// inputs are sharded by input id, so every occurrence of an input is
   /// decided by the shard that owns its memo entry: decisions are
-  /// identical for every thread count.
+  /// identical for every thread count. The batch reaches stats() as one
+  /// add per counter when it returns, not one per decision.
   std::vector<Decision> decideBatch(const std::vector<size_t> &Inputs,
                                     support::ThreadPool *Pool = nullptr);
 
@@ -301,7 +302,10 @@ private:
   /// Appends \p Attempt to the history, dropping the oldest record past
   /// MaxSwapHistory. Caller holds SwapMutex.
   void appendHistory(const SwapRecord &Attempt);
-  void recordTotals(const Decision &D);
+  /// Adds \p N decisions to the lifetime totals: one relaxed add per
+  /// counter, none for a sum that is zero. serve() and decide() pass one
+  /// decision, decideBatch() its whole batch.
+  void recordTotals(const Decision *Ds, size_t N);
   /// Bumps SkipCount and records \p Reason as the last skip diagnosis.
   void recordSkip(std::string Reason);
 

@@ -259,6 +259,66 @@ TEST(DaemonServerTest, PredictValidation) {
       << Err;
 }
 
+TEST(DaemonServerTest, OneSessionReusesItsBuffersAcrossRequestSizes) {
+  // A session decodes every request into one Message and encodes every
+  // Predictions reply into one buffer. A shorter reply after a longer
+  // one must be exactly its own size, and an Error or Stats reply in
+  // between must not disturb the next Predict.
+  Harness H;
+  daemon::DaemonClient C;
+  std::string Err;
+  ASSERT_TRUE(C.connect(H.Socket, Err)) << Err;
+  daemon::DaemonClient::AttachInfo Info;
+  ASSERT_TRUE(C.attach("sort1", Info, Err)) << Err;
+  ASSERT_GT(Info.NumInputs, 17u);
+
+  std::vector<size_t> All;
+  for (size_t I = 0; I < Info.NumInputs; ++I)
+    All.push_back(I);
+  const std::vector<unsigned> Oracle = inProcessLandmarks(All);
+
+  // Raw frames on the attached session, so the reply bytes are visible.
+  daemon::FrameReader Reader;
+  auto Exchange = [&](const std::string &Request, std::string &Reply) {
+    ASSERT_EQ(daemon::writeFrame(C.fd(), Request), daemon::FrameStatus::Ok);
+    ASSERT_EQ(Reader.read(C.fd(), Reply), daemon::FrameStatus::Ok);
+  };
+  auto ExpectPredictions = [&](const std::vector<uint64_t> &Inputs) {
+    SCOPED_TRACE(std::to_string(Inputs.size()) + "-input Predict");
+    std::string Reply;
+    Exchange(daemon::makePredict(Inputs), Reply);
+    EXPECT_EQ(Reply.size(), 1 + 4 + 12 * Inputs.size());
+    daemon::Message M;
+    ASSERT_TRUE(daemon::decodeMessage(Reply, M));
+    ASSERT_EQ(M.Type, daemon::MsgType::Predictions);
+    ASSERT_EQ(M.Choices.size(), Inputs.size());
+    for (size_t K = 0; K < Inputs.size(); ++K) {
+      EXPECT_EQ(M.Choices[K].Landmark, Oracle[Inputs[K]]) << "input "
+                                                          << Inputs[K];
+      EXPECT_EQ(M.Choices[K].Epoch, Info.Epoch);
+    }
+  };
+
+  std::string Reply;
+  daemon::Message M;
+  Exchange(daemon::makeStats(), Reply);
+  ASSERT_TRUE(daemon::decodeMessage(Reply, M));
+  EXPECT_EQ(M.Type, daemon::MsgType::StatsReply);
+
+  std::vector<uint64_t> Wide(64); // inputs repeat in a small universe
+  for (size_t K = 0; K < Wide.size(); ++K)
+    Wide[K] = (7 * K) % Info.NumInputs;
+  ExpectPredictions(Wide);
+  ExpectPredictions({Info.NumInputs - 1});
+
+  Exchange(daemon::makePredict({2, Info.NumInputs + 5}), Reply);
+  ASSERT_TRUE(daemon::decodeMessage(Reply, M));
+  EXPECT_EQ(M.Type, daemon::MsgType::Error);
+  EXPECT_NE(M.Text.find("out of range"), std::string::npos) << M.Text;
+
+  ExpectPredictions({5, Info.NumInputs - 2, 17});
+}
+
 TEST(DaemonServerTest, HelloAndStatsReportTheServingEpochsLandmarks) {
   Harness H;
   daemon::DaemonClient C;

@@ -231,6 +231,84 @@ TEST(ProtocolTest, BuildersSizeSixtyFourInputFramesExactly) {
   EXPECT_EQ(makePredictions(Choices).size(), 773u);
 }
 
+TEST(ProtocolTest, EncodersIntoAReusedBufferMatchTheBuilders) {
+  // A session and a client encode every Predict round trip into one
+  // kept buffer: a shorter payload after a longer one must come out
+  // exactly as a fresh build does, with no bytes of the longer one left.
+  std::string Buf;
+  for (size_t N : {64u, 1u, 3u, 64u}) {
+    std::vector<uint64_t> Inputs(N);
+    std::vector<PredictedChoice> Choices(N);
+    for (size_t I = 0; I < N; ++I) {
+      Inputs[I] = 1000 * N + I;
+      Choices[I] = {static_cast<uint32_t>(I % 5), N};
+    }
+    encodePredict(Buf, Inputs);
+    EXPECT_EQ(Buf, makePredict(Inputs)) << N << " inputs";
+    encodePredictions(Buf, Choices);
+    EXPECT_EQ(Buf, makePredictions(Choices)) << N << " choices";
+    EXPECT_EQ(Buf.size(), 1 + 4 + 12 * N);
+  }
+}
+
+/// Expects \p Got and \p Want to agree on every field of Message.
+static void expectSameMessage(const Message &Got, const Message &Want) {
+  EXPECT_EQ(Got.Type, Want.Type);
+  EXPECT_EQ(Got.Text, Want.Text);
+  EXPECT_EQ(Got.Inputs, Want.Inputs);
+  ASSERT_EQ(Got.Choices.size(), Want.Choices.size());
+  for (size_t I = 0; I < Got.Choices.size(); ++I) {
+    EXPECT_EQ(Got.Choices[I].Landmark, Want.Choices[I].Landmark);
+    EXPECT_EQ(Got.Choices[I].Epoch, Want.Choices[I].Epoch);
+  }
+  EXPECT_EQ(Got.Names, Want.Names);
+  EXPECT_EQ(Got.Epoch, Want.Epoch);
+  EXPECT_EQ(Got.Landmarks, Want.Landmarks);
+  EXPECT_EQ(Got.NumInputs, Want.NumInputs);
+  EXPECT_EQ(Got.QueueDepth, Want.QueueDepth);
+  EXPECT_EQ(Got.Pid, Want.Pid);
+  EXPECT_EQ(Got.Sessions, Want.Sessions);
+  ASSERT_EQ(Got.Tenants.size(), Want.Tenants.size());
+  for (size_t I = 0; I < Got.Tenants.size(); ++I) {
+    EXPECT_EQ(Got.Tenants[I].Name, Want.Tenants[I].Name);
+    EXPECT_EQ(Got.Tenants[I].ServiceEpoch, Want.Tenants[I].ServiceEpoch);
+    EXPECT_EQ(Got.Tenants[I].StoreEpoch, Want.Tenants[I].StoreEpoch);
+  }
+}
+
+TEST(ProtocolTest, DecodingIntoAReusedMessageLeaksNoFields) {
+  // A session decodes every request, and a client every reply, into one
+  // Message. Each payload below sets every field its type carries to a
+  // non-default value, so a field the decoder fails to reset shows up in
+  // whichever later message does not carry it.
+  const std::string Payloads[] = {
+      makeHello("tenant-a"),
+      makePredict({3, 9, 1ull << 40}),
+      makeStats(),
+      makeListTenants(),
+      makeShutdown(),
+      makePing(),
+      makeTenantOk(7, 5, 99),
+      makePredictions({{2, 7}, {4, 8}}),
+      makeShed(12, "request queue full"),
+      makeError("boom"),
+      makeStatsReply("{\"requests\": 1}"),
+      makeTenantList({"x", "yy"}),
+      makeBye(),
+      makeHealth(1234, 3, {{"t", 5, 6}}),
+  };
+  for (const std::string &First : Payloads)
+    for (const std::string &Second : Payloads) {
+      SCOPED_TRACE("tag " + std::to_string(uint8_t(First[0])) +
+                   " then tag " + std::to_string(uint8_t(Second[0])));
+      Message Reused, Fresh;
+      ASSERT_TRUE(decodeMessage(First, Reused));
+      ASSERT_TRUE(decodeMessage(Second, Reused));
+      ASSERT_TRUE(decodeMessage(Second, Fresh));
+      expectSameMessage(Reused, Fresh);
+    }
+}
+
 TEST(ProtocolTest, BuilderTruncatesOversizedStrings) {
   // Builders clamp at the wire cap instead of emitting an invalid frame.
   std::string Long(2 * kMaxStringBytes, 'x');

@@ -12,12 +12,12 @@
 
 #include "fleet/Supervisor.h"
 
+#include "common/ScratchDir.h"
 #include "common/TestModels.h"
 #include "daemon/Client.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <string>
@@ -36,23 +36,24 @@ using namespace pbt::fleet;
 
 namespace {
 
-std::string freshRuntimeDir() {
-  static std::atomic<int> Counter{0};
-  return "/tmp/pbt-ft-" + std::to_string(::getpid()) + "-" +
-         std::to_string(Counter.fetch_add(1));
-}
+class SupervisorTest : public ::testing::Test {
+protected:
+  SupervisorOptions baseOptions(size_t Replicas) const {
+    SupervisorOptions O;
+    O.ServerExe = PBT_SERVE_BIN;
+    O.ServerArgs = {"--model=" + modelFile()};
+    O.Replicas = Replicas;
+    O.RuntimeDir = RuntimeDir.path();
+    O.HealthIntervalSeconds = 0.05;
+    O.BackoffSeconds = 0.02;
+    O.BackoffCapSeconds = 0.2;
+    return O;
+  }
 
-SupervisorOptions baseOptions(size_t Replicas) {
-  SupervisorOptions O;
-  O.ServerExe = PBT_SERVE_BIN;
-  O.ServerArgs = {"--model=" + modelFile()};
-  O.Replicas = Replicas;
-  O.RuntimeDir = freshRuntimeDir();
-  O.HealthIntervalSeconds = 0.05;
-  O.BackoffSeconds = 0.02;
-  O.BackoffCapSeconds = 0.2;
-  return O;
-}
+  /// The replicas' socket directory, removed when the test ends (after
+  /// its Supervisor has stopped them). Short, for sun_path.
+  testdirs::ScratchDir RuntimeDir{"pbt-ft", "/tmp/"};
+};
 
 double nowSeconds() {
   return std::chrono::duration<double>(
@@ -62,7 +63,7 @@ double nowSeconds() {
 
 } // namespace
 
-TEST(SupervisorTest, FleetComesUpHealthyAndServes) {
+TEST_F(SupervisorTest, FleetComesUpHealthyAndServes) {
   Supervisor Sup(baseOptions(2));
   std::string Err;
   ASSERT_TRUE(Sup.start(Err)) << Err;
@@ -84,7 +85,7 @@ TEST(SupervisorTest, FleetComesUpHealthyAndServes) {
   Sup.stop();
 }
 
-TEST(SupervisorTest, SigkilledReplicaIsRestartedWithNewPid) {
+TEST_F(SupervisorTest, SigkilledReplicaIsRestartedWithNewPid) {
   Supervisor Sup(baseOptions(2));
   std::string Err;
   ASSERT_TRUE(Sup.start(Err)) << Err;
@@ -106,7 +107,7 @@ TEST(SupervisorTest, SigkilledReplicaIsRestartedWithNewPid) {
   Sup.stop();
 }
 
-TEST(SupervisorTest, ExecFailureCrashLoopIsQuarantined) {
+TEST_F(SupervisorTest, ExecFailureCrashLoopIsQuarantined) {
   SupervisorOptions O = baseOptions(2);
   O.ServerExe = "/nonexistent/pbt-serve-missing"; // execv fails, _exit(127)
   O.QuarantineRestarts = 2;
@@ -127,7 +128,7 @@ TEST(SupervisorTest, ExecFailureCrashLoopIsQuarantined) {
   Sup.stop();
 }
 
-TEST(SupervisorTest, KillLoopedReplicaQuarantinesWhileSurvivorServes) {
+TEST_F(SupervisorTest, KillLoopedReplicaQuarantinesWhileSurvivorServes) {
   SupervisorOptions O = baseOptions(2);
   O.QuarantineRestarts = 3;
   O.QuarantineWindowSeconds = 30.0;
@@ -162,7 +163,7 @@ TEST(SupervisorTest, KillLoopedReplicaQuarantinesWhileSurvivorServes) {
   Sup.stop();
 }
 
-TEST(SupervisorTest, TcpEndpointIsPinnedAcrossRestart) {
+TEST_F(SupervisorTest, TcpEndpointIsPinnedAcrossRestart) {
   SupervisorOptions O = baseOptions(1);
   O.Tcp = true;
   Supervisor Sup(O);
@@ -185,7 +186,7 @@ TEST(SupervisorTest, TcpEndpointIsPinnedAcrossRestart) {
   Sup.stop();
 }
 
-TEST(SupervisorTest, FailoverClientRidesThroughAKill) {
+TEST_F(SupervisorTest, FailoverClientRidesThroughAKill) {
   Supervisor Sup(baseOptions(2));
   std::string Err;
   ASSERT_TRUE(Sup.start(Err)) << Err;

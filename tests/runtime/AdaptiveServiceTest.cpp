@@ -276,6 +276,96 @@ TEST(AdaptiveServiceTest, MemoizesFeatureExtractionPerInput) {
   EXPECT_EQ(S.MonitorCostPaid, 0.0); // decide() never observes
 }
 
+/// What stats() must report after serving some Decisions: their totals,
+/// summed decision by decision in the order they were served.
+struct DecisionSums {
+  uint64_t Decisions = 0, Memoized = 0, Extracted = 0;
+  double Cost = 0.0;
+  void add(const runtime::AdaptiveService::Decision &D) {
+    ++Decisions;
+    Memoized += D.Memoized;
+    Extracted += D.FeaturesExtracted;
+    Cost += D.FeatureCost;
+  }
+  void expectMatches(const runtime::AdaptiveService::StatsSnapshot &S) const {
+    EXPECT_EQ(S.Decisions, Decisions);
+    EXPECT_EQ(S.MemoizedDecisions, Memoized);
+    EXPECT_EQ(S.FeaturesExtracted, Extracted);
+    // Exact, not near: the service folds each batch's costs in decision
+    // order, as one add per decision would.
+    EXPECT_EQ(S.FeatureCostPaid, Cost);
+  }
+};
+
+/// Halves of \p N inputs and a batch that repeats one cold input.
+struct BatchPlan {
+  std::vector<size_t> FirstHalf, SecondHalf, Repeats;
+  explicit BatchPlan(size_t N) {
+    for (size_t I = 0; I != N; ++I)
+      (I < N / 2 ? FirstHalf : SecondHalf).push_back(I);
+    Repeats = {N / 2 + 1, N / 2 + 1, 0, N / 2 + 1};
+  }
+};
+
+TEST(AdaptiveServiceTest, BatchAccountingIsExact) {
+  // decideBatch adds a batch to the totals once; serve() once per
+  // decision. Either way stats() must equal the sums over the Decisions
+  // handed out: cold inputs, warm ones, an input repeated inside one
+  // batch, and a swap between batches (memo rows kept, decisions
+  // recomputed under the new epoch). sort1 swaps to a different model
+  // and extracts one feature per cold decision; binpacking swaps to a
+  // copy of its own model and extracts up to seven.
+  auto CheckBatches = [](const std::string &Name, const std::string &Bytes,
+                         const std::string &SwapBytes, DecisionSums &Want) {
+    SCOPED_TRACE(Name);
+    registry::ProgramPtr P = makeProgram(Name);
+    ASSERT_GE(P->numInputs(), 8u);
+    BatchPlan Plan(P->numInputs());
+    runtime::AdaptiveService Service(*P, cloneModel(Bytes));
+    ASSERT_TRUE(Service.ready());
+    auto Batch = [&](const std::vector<size_t> &Inputs) {
+      for (const runtime::AdaptiveService::Decision &D :
+           Service.decideBatch(Inputs))
+        Want.add(D);
+    };
+    Batch(Plan.FirstHalf); // cold
+    Batch(Plan.FirstHalf); // warm
+    Batch(Plan.Repeats);   // one cold input three times, one warm
+    ASSERT_TRUE(Service.swapModel(cloneModel(SwapBytes)).Ok);
+    Batch(Plan.FirstHalf);  // memoized features, the new epoch decides
+    Batch(Plan.SecondHalf); // the rest, cold under the new epoch
+    EXPECT_GT(Want.Extracted, 0u);
+    EXPECT_GT(Want.Memoized, 0u);
+    EXPECT_LT(Want.Memoized, Want.Decisions);
+    Want.expectMatches(Service.stats());
+  };
+  DecisionSums Sort, Bin;
+  CheckBatches("sort1", modelBytes(), altModelBytes(), Sort);
+  CheckBatches("binpacking", binpackingModel().Bytes, binpackingModel().Bytes,
+               Bin);
+  EXPECT_GT(Bin.Extracted, Bin.Decisions - Bin.Memoized)
+      << "no decision extracted more than one feature";
+
+  registry::ProgramPtr P = makeProgram();
+  BatchPlan Plan(P->numInputs());
+  runtime::AdaptiveServiceOptions O;
+  O.AutoAdapt = false;
+  runtime::AdaptiveService Service(*P, cloneModel(modelBytes()), O);
+  ASSERT_TRUE(Service.ready());
+  DecisionSums Want;
+  auto Serve = [&](const std::vector<size_t> &Inputs) {
+    for (size_t Input : Inputs)
+      Want.add(Service.serve(Input));
+  };
+  Serve(Plan.Repeats);
+  Serve(Plan.FirstHalf);
+  ASSERT_TRUE(Service.swapModel(cloneModel(altModelBytes())).Ok);
+  Serve(Plan.FirstHalf);
+  Serve(Plan.SecondHalf);
+  EXPECT_GT(Want.Extracted, 0u);
+  Want.expectMatches(Service.stats());
+}
+
 TEST(AdaptiveServiceTest, ServeObservesIntoMonitorAndReservoir) {
   registry::ProgramPtr P = makeProgram();
   runtime::AdaptiveServiceOptions O;

@@ -10,6 +10,7 @@
 
 #include "store/ModelStore.h"
 
+#include "common/ScratchDir.h"
 #include "support/FaultInject.h"
 
 #include <gtest/gtest.h>
@@ -18,25 +19,21 @@
 #include <fstream>
 #include <string>
 
-#include <unistd.h>
-
 using namespace pbt;
 using namespace pbt::store;
 
 namespace {
 
-/// A fresh, empty directory under the test temp root.
-std::string freshDir(const std::string &Name) {
-  std::string Dir = ::testing::TempDir() + "pbt-store-" + Name + "-" +
-                    std::to_string(::getpid());
-  std::filesystem::remove_all(Dir);
-  return Dir;
-}
-
 class ModelStoreTest : public ::testing::Test {
 protected:
   void SetUp() override { support::FaultInjector::instance().reset(); }
   void TearDown() override { support::FaultInjector::instance().reset(); }
+
+  /// A fresh store directory per test, removed when the test ends.
+  testdirs::ScratchDir Scratch{
+      std::string("pbt-store-") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name()};
+  const std::string Dir = Scratch.path();
 };
 
 TEST_F(ModelStoreTest, ChecksumMatchesKnownFnv1aVectors) {
@@ -63,7 +60,6 @@ TEST_F(ModelStoreTest, StateNamesRoundTrip) {
 }
 
 TEST_F(ModelStoreTest, OpenCreatesAnEmptyStore) {
-  std::string Dir = freshDir("empty");
   ModelStore S(Dir);
   ASSERT_TRUE(S.open().Ok) << S.open().Error;
   EXPECT_EQ(S.currentEpoch(), 0u);
@@ -83,7 +79,7 @@ TEST_F(ModelStoreTest, OpenCreatesAnEmptyStore) {
 }
 
 TEST_F(ModelStoreTest, OperationsRequireOpen) {
-  ModelStore S(freshDir("unopened"));
+  ModelStore S(Dir);
   uint64_t E = 0;
   EXPECT_FALSE(S.publish("model", E).Ok);
   EXPECT_FALSE(S.promote(1).Ok);
@@ -92,7 +88,6 @@ TEST_F(ModelStoreTest, OperationsRequireOpen) {
 }
 
 TEST_F(ModelStoreTest, PublishPromoteRoundTripsByteIdentically) {
-  std::string Dir = freshDir("roundtrip");
   const std::string Image = "choice 1\nweights 0.25 0.5\nblob \x01\x02\x7f\n";
   ModelStore S(Dir);
   ASSERT_TRUE(S.open().Ok);
@@ -126,7 +121,7 @@ TEST_F(ModelStoreTest, PublishPromoteRoundTripsByteIdentically) {
 }
 
 TEST_F(ModelStoreTest, EmptyImagesAreRefused) {
-  ModelStore S(freshDir("emptyimage"));
+  ModelStore S(Dir);
   ASSERT_TRUE(S.open().Ok);
   uint64_t E = 0;
   EXPECT_FALSE(S.publish("", E).Ok);
@@ -134,7 +129,6 @@ TEST_F(ModelStoreTest, EmptyImagesAreRefused) {
 }
 
 TEST_F(ModelStoreTest, SecondPromoteRetiresTheFirst) {
-  std::string Dir = freshDir("retire");
   ModelStore S(Dir);
   ASSERT_TRUE(S.open().Ok);
   uint64_t E1 = 0, E2 = 0;
@@ -150,7 +144,6 @@ TEST_F(ModelStoreTest, SecondPromoteRetiresTheFirst) {
 }
 
 TEST_F(ModelStoreTest, RollbackLeavesCurrentOnTheChampion) {
-  std::string Dir = freshDir("rollback");
   ModelStore S(Dir);
   ASSERT_TRUE(S.open().Ok);
   uint64_t E1 = 0, E2 = 0;
@@ -168,7 +161,6 @@ TEST_F(ModelStoreTest, RollbackLeavesCurrentOnTheChampion) {
 }
 
 TEST_F(ModelStoreTest, GcKeepsActiveAndTheNewestFinished) {
-  std::string Dir = freshDir("gc");
   ModelStore S(Dir);
   ASSERT_TRUE(S.open().Ok);
   // Epochs 1..5 promoted in turn: 1..4 end Retired, 5 Active.
@@ -194,7 +186,6 @@ TEST_F(ModelStoreTest, GcKeepsActiveAndTheNewestFinished) {
 }
 
 TEST_F(ModelStoreTest, FailingFsyncPublishesNothingDurable) {
-  std::string Dir = freshDir("fsyncfail");
   ModelStore S(Dir);
   ASSERT_TRUE(S.open().Ok);
   uint64_t E1 = 0;
@@ -214,7 +205,6 @@ TEST_F(ModelStoreTest, FailingFsyncPublishesNothingDurable) {
 }
 
 TEST_F(ModelStoreTest, ReadersFallBackPastACorruptCurrentImage) {
-  std::string Dir = freshDir("fallback");
   ModelStore S(Dir);
   ASSERT_TRUE(S.open().Ok);
   uint64_t E1 = 0, E2 = 0;
@@ -242,7 +232,6 @@ TEST_F(ModelStoreTest, ReadersFallBackPastACorruptCurrentImage) {
 }
 
 TEST_F(ModelStoreTest, UnknownEpochLoadsFail) {
-  std::string Dir = freshDir("unknown");
   ModelStore S(Dir);
   ASSERT_TRUE(S.open().Ok);
   std::string Text;

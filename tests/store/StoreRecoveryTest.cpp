@@ -13,6 +13,7 @@
 
 #include "store/ModelStore.h"
 
+#include "common/ScratchDir.h"
 #include "support/FaultInject.h"
 
 #include <gtest/gtest.h>
@@ -20,8 +21,6 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
-
-#include <unistd.h>
 
 using namespace pbt;
 using namespace pbt::store;
@@ -35,13 +34,7 @@ namespace {
 
 class StoreRecoveryTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    FaultInjector::instance().reset();
-    Dir = ::testing::TempDir() + "pbt-recovery-" +
-          ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-          "-" + std::to_string(::getpid());
-    fs::remove_all(Dir);
-  }
+  void SetUp() override { FaultInjector::instance().reset(); }
   void TearDown() override { FaultInjector::instance().reset(); }
 
   /// Seeds the store with one promoted champion epoch and returns its
@@ -76,7 +69,11 @@ protected:
     return false;
   }
 
-  std::string Dir;
+  /// One store directory per test, removed when the test ends.
+  testdirs::ScratchDir Scratch{
+      std::string("pbt-recovery-") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name()};
+  const std::string Dir = Scratch.path();
   const std::string Champion = "the champion model image\n";
   const std::string Candidate = "the candidate model image, longer\n";
 };
