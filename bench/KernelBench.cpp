@@ -432,6 +432,15 @@ BENCHMARK(BM_ClassifyInterpreted);
 /// their buffers and encode with the production encoders, as a session
 /// and a DaemonClient do. No decide, no admission gate -- the rest of a
 /// daemon round trip is what serving adds on top of this number.
+///
+/// Both ends wait for a frame through FrameReader::read, which spins
+/// briefly before it blocks, so the kernel times that wait too. The
+/// spin takes a wake-up off the path only when the waiting reader holds
+/// one of the process's spin slots. A host of up to seven hardware
+/// threads has one slot, so just one of the two in-process readers
+/// spins at a time, and the other still pays a wake-up whenever the
+/// first holds the slot: this kernel shows less of the gain than a
+/// daemon and its client in separate processes do.
 static void BM_WireRoundTrip(benchmark::State &State) {
   int Fd[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, Fd) != 0) {

@@ -26,8 +26,9 @@
 /// but it must never change an answer.
 ///
 /// With --spawn the harness forks its own pbt-serve (so CI needs no
-/// background-process choreography) and shuts it down over the
-/// protocol when done.
+/// background-process choreography), shuts it down over the protocol
+/// when done, and reports the CPU the daemon burned (server_cpu_s, and
+/// per decision answered in the two phases).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,6 +55,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -454,11 +456,22 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
   if (!Control.stats(ServerStatsJson, Err))
     ServerStatsJson = "null";
   int ServerExit = -1;
+  // The spawned daemon's user + system CPU, known once it has been shut
+  // down over the protocol and reaped after a normal exit; NaN (written
+  // as null) otherwise.
+  double ServerCpuS = std::nan("");
   if (Server > 0) {
     if (Control.shutdownServer(Err)) {
       int Status = 0;
-      ::waitpid(Server, &Status, 0);
-      ServerExit = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+      struct rusage Usage = {};
+      if (::wait4(Server, &Status, 0, &Usage) == Server &&
+          WIFEXITED(Status)) {
+        ServerExit = WEXITSTATUS(Status);
+        auto Secs = [](const timeval &T) {
+          return static_cast<double>(T.tv_sec) + T.tv_usec * 1e-6;
+        };
+        ServerCpuS = Secs(Usage.ru_utime) + Secs(Usage.ru_stime);
+      }
     } else {
       std::fprintf(stderr, "pbt-bench loadgen: shutdown: %s\n", Err.c_str());
       ::kill(Server, SIGTERM);
@@ -494,6 +507,11 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
       .number("parity_inputs", ParityInputs)
       .boolean("choices_match_inprocess", ParityOk)
       .number("server_exit", ServerExit)
+      .number("server_cpu_s", ServerCpuS)
+      .number("server_cpu_us_per_decision",
+              ServerCpuS * 1e6 /
+                  static_cast<double>(Sustained.Decisions +
+                                      Saturation.Decisions))
       .raw("server_stats", ServerStatsJson)
       .end();
   if (!emitReport(Opts, "loadgen", "BENCH_serve_daemon.json", W.str()))

@@ -117,6 +117,10 @@ bool DaemonClient::roundTrip(const std::string &Payload, Message &Reply,
     Err = "malformed server reply";
     return false;
   }
+  // A shedding server is saturated: the next reply will not come within
+  // a spin, and the spin would take CPU it needs.
+  if (Reply.Type == MsgType::Shed)
+    Reader.skipNextSpin();
   TransportFailed = false;
   return true;
 }

@@ -9,11 +9,15 @@
 #include "daemon/Transport.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <thread>
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -191,7 +195,8 @@ bool writeAll(int Fd, const void *Buf, size_t Len) {
 }
 
 /// One blocking recv into \p Buf, EINTR retried: the wait for a frame
-/// to start, and every read when there is no deadline.
+/// to start once any spin is over, and every read when there is no
+/// deadline.
 ssize_t recvBlocking(int Fd, void *Buf, size_t Len) {
   for (;;) {
     ssize_t N = ::recv(Fd, Buf, Len, 0);
@@ -224,6 +229,80 @@ ssize_t recvBy(int Fd, void *Buf, size_t Len,
       return -1;
     if (PR == 0)
       return -2;
+  }
+}
+
+/// recvSpin's result when nothing arrived within its window.
+constexpr ssize_t kNothingYet = -2;
+
+/// Readers of this process polling for a frame start right now (see
+/// FrameReader::read). A reader counts itself in before it looks at the
+/// count, so the count may stand above the readers actually spinning,
+/// never below: more than spinCap() never spin at once.
+std::atomic<unsigned> Spinners{0};
+
+unsigned spinCap() {
+  static const unsigned Cap =
+      std::max(1u, std::thread::hardware_concurrency() / 4);
+  return Cap;
+}
+
+/// Whether more threads are runnable on this host right now than it has
+/// hardware threads, from the running count Linux reports in
+/// /proc/loadavg ("0.50 0.40 0.30 3/412 1234"). False where that file
+/// cannot be read.
+bool runnableExceedsCores() {
+  static const int Fd = ::open("/proc/loadavg", O_RDONLY | O_CLOEXEC);
+  static const unsigned long Cores =
+      std::max(1u, std::thread::hardware_concurrency());
+  char Text[128];
+  ssize_t N = Fd < 0 ? -1 : ::pread(Fd, Text, sizeof(Text) - 1, 0);
+  if (N <= 0)
+    return false;
+  Text[N] = '\0';
+  const char *Slash = std::strchr(Text, '/');
+  if (!Slash)
+    return false;
+  const char *Digits = Slash;
+  while (Digits > Text && Digits[-1] >= '0' && Digits[-1] <= '9')
+    --Digits;
+  return std::strtoul(Digits, nullptr, 10) > Cores;
+}
+
+/// runnableExceedsCores(), sampled at most once per kContentionSample
+/// for the whole process by whichever spinning reader finds the sample
+/// stale: a spin then costs no more than two relaxed loads per poll.
+constexpr std::chrono::milliseconds kContentionSample{1};
+std::atomic<std::chrono::steady_clock::rep> ContentionSampledAt{0};
+std::atomic<bool> Contended{false};
+
+bool coresContended(std::chrono::steady_clock::time_point Now) {
+  using std::chrono::steady_clock;
+  const steady_clock::rep T = Now.time_since_epoch().count();
+  steady_clock::rep Last = ContentionSampledAt.load(std::memory_order_relaxed);
+  if (T - Last >= std::chrono::duration_cast<steady_clock::duration>(
+                      kContentionSample)
+                      .count() &&
+      ContentionSampledAt.compare_exchange_strong(Last, T,
+                                                  std::memory_order_relaxed))
+    Contended.store(runnableExceedsCores(), std::memory_order_relaxed);
+  return Contended.load(std::memory_order_relaxed);
+}
+
+/// Polls \p Fd with nonblocking recvs until bytes, EOF or a failure
+/// arrive, or until \p Until: the recv's result, or kNothingYet. Gives
+/// up early when the host's cores are contended, so that a spin never
+/// holds a core that runnable work is waiting for.
+ssize_t recvSpin(int Fd, void *Buf, size_t Len,
+                 std::chrono::steady_clock::time_point Until) {
+  for (;;) {
+    ssize_t N = ::recv(Fd, Buf, Len, MSG_DONTWAIT);
+    if (N >= 0 ||
+        (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR))
+      return N;
+    auto Now = std::chrono::steady_clock::now();
+    if (Now >= Until || coresContended(Now))
+      return kNothingYet;
   }
 }
 
@@ -463,14 +542,30 @@ FrameStatus FrameReader::read(int Fd, std::string &Payload,
                      : FrameStatus::IoError;
   };
 
-  // Wait, unbounded, for a frame to start -- unless a previous recv
-  // already delivered its first bytes.
+  // Wait, with no deadline, for a frame to start -- unless a previous
+  // recv already delivered its first bytes. Spin first when this
+  // reader's last wait was short and the process has a spin slot free;
+  // block when the window passes with nothing.
+  LastWait = FrameWait::Held;
   if (Begin == End) {
     Begin = End = 0;
-    ssize_t N = recvBlocking(Fd, Buf, kBufferBytes);
+    const auto Start = std::chrono::steady_clock::now();
+    ssize_t N = kNothingYet;
+    if (Hot) {
+      if (Spinners.fetch_add(1, std::memory_order_relaxed) < spinCap())
+        N = recvSpin(Fd, Buf, kBufferBytes, Start + kSpinWindow);
+      Spinners.fetch_sub(1, std::memory_order_relaxed);
+    }
+    LastWait = FrameWait::Spun;
+    if (N == kNothingYet) {
+      N = recvBlocking(Fd, Buf, kBufferBytes);
+      LastWait = FrameWait::Slept;
+    }
     if (N <= 0)
       return Fail(N == 0 || errno == ECONNRESET ? FrameStatus::Closed
                                                 : FrameStatus::IoError);
+    Hot = LastWait == FrameWait::Spun ||
+          std::chrono::steady_clock::now() - Start <= kSpinWindow;
     End = static_cast<size_t>(N);
   }
 

@@ -25,8 +25,11 @@
 /// FrameReader::kBufferBytes per recv, so a whole request or reply --
 /// a 64-input Predict is 521 B, its Predictions 777 B -- arrives in one
 /// recv, and bytes of a following frame stay buffered for the next
-/// read. A Predict round trip is thus four socket syscalls: the
-/// client's sendmsg and recv, and the server's recv and sendmsg.
+/// read. A Predict round trip is thus four socket syscalls when nobody
+/// waits: the client's sendmsg and recv, and the server's recv and
+/// sendmsg. A reader that does wait for a frame to start spins a few
+/// nonblocking recvs first (FrameReader::read), so a closed-loop peer's
+/// next frame usually costs no scheduler wake-up.
 ///
 /// Neither end allocates a buffer per Predict once warm: the server's
 /// session and the client each keep their request, reply and decoded
@@ -49,6 +52,7 @@
 #ifndef PBT_DAEMON_PROTOCOL_H
 #define PBT_DAEMON_PROTOCOL_H
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -221,6 +225,13 @@ enum class FrameStatus {
   TimedOut, ///< frame started but did not finish within the deadline
 };
 
+/// How a FrameReader::read got the first bytes of its frame.
+enum class FrameWait {
+  Held,  ///< already buffered by an earlier recv: no wait
+  Spun,  ///< arrived while the reader polled the socket
+  Slept, ///< arrived in the blocking recv
+};
+
 /// Per-connection buffered frame reader. Holds at most kBufferBytes
 /// read from its socket and never grows: a frame larger than what the
 /// buffer holds is finished by reading straight into the payload.
@@ -230,25 +241,57 @@ enum class FrameStatus {
 class FrameReader {
 public:
   static constexpr size_t kBufferBytes = 4096;
+  /// How long read() polls for a frame to start before it blocks.
+  static constexpr std::chrono::microseconds kSpinWindow{20};
 
   /// Reads one length-prefixed frame from \p Fd into \p Payload, never
-  /// allocating more than kMaxFrameBytes. Waiting for a frame to
-  /// *start* is unbounded -- an idle session is legitimate. Once any
-  /// byte of the frame is held (a leftover byte counts), the rest must
-  /// arrive within \p DeadlineSeconds or the read fails with TimedOut,
-  /// so a peer that stalls mid-frame cannot pin the reading thread.
-  /// DeadlineSeconds <= 0 means no deadline. Any status but Ok drops
-  /// the held bytes: the stream position is lost.
+  /// allocating more than kMaxFrameBytes.
+  ///
+  /// Waiting for a frame to *start* has no deadline -- an idle session
+  /// is legitimate -- and is spin-then-block. The reader first polls
+  /// the socket with nonblocking recvs for kSpinWindow, then falls back
+  /// to one blocking recv. A closed-loop peer's next frame then usually
+  /// lands while this thread still runs on its core, so the round trip
+  /// pays no scheduler wake-up for it. Three rules keep the spin to
+  /// where it pays:
+  ///  - the gate: a reader spins only if its previous wait for a frame
+  ///    start ended within kSpinWindow (a fresh reader spins once), so
+  ///    an idle or slow peer costs no CPU after its first wait; its
+  ///    owner can also skip the next spin when it has seen the peer is
+  ///    busy (skipNextSpin);
+  ///  - the cap: at most max(1, hardware threads / 4) readers of one
+  ///    process spin at once, so a client and a server on one host
+  ///    spin on at most half its cores between them; a reader over the
+  ///    cap blocks at once;
+  ///  - contention: a spin ends as soon as more threads are runnable on
+  ///    the host than it has hardware threads (Linux's running count,
+  ///    sampled at most once a millisecond per process), so it never
+  ///    holds a core that runnable work is waiting for.
+  ///
+  /// Once any byte of the frame is held (a leftover byte counts), the
+  /// rest must arrive within \p DeadlineSeconds or the read fails with
+  /// TimedOut, so a peer that stalls mid-frame cannot pin the reading
+  /// thread. DeadlineSeconds <= 0 means no deadline. Any status but Ok
+  /// drops the held bytes: the stream position is lost.
   FrameStatus read(int Fd, std::string &Payload, double DeadlineSeconds = 0);
 
   /// Drops every held byte.
   void reset() { Begin = End = 0; }
   /// Bytes held past the last frame returned.
   size_t buffered() const { return End - Begin; }
+  /// Makes the next wait for a frame start block without spinning, for
+  /// a caller that has seen its peer is busy (a Shed reply, a Predict
+  /// that queued for a slot). A short wait arms the spin again.
+  void skipNextSpin() { Hot = false; }
+  /// How the last Ok read() got its frame's first bytes.
+  FrameWait lastWait() const { return LastWait; }
 
 private:
   uint8_t Buf[kBufferBytes];
   size_t Begin = 0, End = 0;
+  /// The last wait for a frame start ended within kSpinWindow.
+  bool Hot = true;
+  FrameWait LastWait = FrameWait::Held;
 };
 
 /// Writes one length-prefixed frame: header and payload in one gathered

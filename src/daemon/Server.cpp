@@ -226,6 +226,10 @@ void Server::sessionLoop(Session *S) {
       MalformedCount.fetch_add(1, std::memory_order_relaxed);
       break;
     }
+    if (S->Reader.lastWait() == FrameWait::Spun)
+      FrameWaitsSpunCount.fetch_add(1, std::memory_order_relaxed);
+    else if (S->Reader.lastWait() == FrameWait::Slept)
+      FrameWaitsSleptCount.fetch_add(1, std::memory_order_relaxed);
     if (!decodeMessage(Payload, S->Request)) {
       MalformedCount.fetch_add(1, std::memory_order_relaxed);
       writeFrame(S->Fd, makeError("malformed message payload"));
@@ -272,6 +276,10 @@ bool Server::handleMessage(Session *S, const Message &M, Tenant *&Attached) {
       }
 
     AdmissionGate::Entry E = Gate.enter();
+    // Every slot was busy: while the daemon is saturated, this session's
+    // next wait sleeps rather than spin on a core the slots need.
+    if (!E.Admitted || E.Waited)
+      S->Reader.skipNextSpin();
     if (!E.Admitted) {
       // Admission control: the line of Predicts waiting for a slot is
       // full; refuse now rather than queue without limit.
@@ -407,6 +415,8 @@ ServerStats Server::stats() const {
       AdmissionWaitNs.load(std::memory_order_relaxed) / 1000;
   S.ShedSessions = ShedSessionCount.load(std::memory_order_relaxed);
   S.Stalled = StalledCount.load(std::memory_order_relaxed);
+  S.FrameWaitsSpun = FrameWaitsSpunCount.load(std::memory_order_relaxed);
+  S.FrameWaitsSlept = FrameWaitsSleptCount.load(std::memory_order_relaxed);
   return S;
 }
 
@@ -430,6 +440,8 @@ std::string Server::statsJson() const {
       .number("queue_capacity", Gate.capacity())
       .number("workers", Opts.Workers)
       .boolean("adapt", Registry.options().AutoAdapt)
+      .number("frame_waits_spun", S.FrameWaitsSpun)
+      .number("frame_waits_slept", S.FrameWaitsSlept)
       .beginArray("tenants");
   for (size_t I = 0;; ++I) {
     Tenant *T = Registry.at(I);

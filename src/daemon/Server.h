@@ -27,6 +27,21 @@
 /// sendmsg in the common case; the stall guard (ReadDeadline) costs a
 /// poll only when a frame's bytes are not all there yet.
 ///
+/// Between requests a session waits in FrameReader::read, which polls
+/// its socket for FrameReader::kSpinWindow before it blocks in recv. A
+/// closed-loop client's next request is then usually picked up by a
+/// session thread that is still on its core, and the client's own
+/// DaemonClient waits for the reply the same way, so a warm round trip
+/// pays no scheduler wake-up on either end. The reader's gate (spin only
+/// after a short wait), its per-process cap (a quarter of the hardware
+/// threads, at least one) and its contention check (no spin while every
+/// core has runnable work) bound what the spin burns. A session whose
+/// Predict found every admission slot busy, like a client answered
+/// Shed, skips its next spin: a saturated daemon needs those cores. The
+/// Stats counters frame_waits_spun and frame_waits_slept show how many
+/// frame waits the spin caught. ROADMAP item 2 records what that saved on
+/// `serve-warm` and what it cost in CPU.
+///
 /// A warm Predict pays its bookkeeping per batch and allocates only the
 /// Decision vector decideBatch returns. The session decodes every frame
 /// into one kept Message, hands its input ids to decideBatch as they
@@ -120,6 +135,11 @@ struct ServerStats {
   uint64_t ShedSessions = 0;
   /// Sessions dropped for stalling mid-frame past ReadDeadline.
   uint64_t Stalled = 0;
+  /// Frames whose first bytes a session waited for, split by how the
+  /// wait ended: within the reader's spin, or in its blocking recv
+  /// (FrameReader::read). A frame already buffered counts in neither.
+  uint64_t FrameWaitsSpun = 0;
+  uint64_t FrameWaitsSlept = 0;
 };
 
 class Server {
@@ -197,7 +217,8 @@ private:
 
   std::atomic<uint64_t> ConnCount{0}, RequestCount{0}, DecisionCount{0},
       ShedCount{0}, MalformedCount{0}, MaxDepth{0}, AdmissionWaitCount{0},
-      AdmissionWaitNs{0}, ShedSessionCount{0}, StalledCount{0};
+      AdmissionWaitNs{0}, ShedSessionCount{0}, StalledCount{0},
+      FrameWaitsSpunCount{0}, FrameWaitsSleptCount{0};
 };
 
 } // namespace daemon

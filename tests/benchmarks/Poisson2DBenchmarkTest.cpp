@@ -103,8 +103,9 @@ TEST(Poisson2DBenchmarkTest, ZerosFeatureHighForSparseInputs) {
   for (size_t I = 0; I != B.numInputs(); ++I) {
     support::CostCounter C;
     double Zeros = B.extractFeature(I, 2, 2, C);
-    if (B.inputTag(I) == "point-sources")
+    if (B.inputTag(I) == "point-sources") {
       EXPECT_GT(Zeros, 0.8) << "delta sources leave most nodes zero";
+    }
     // Boundary nodes are always zero (~21% of a 17x17 grid), so noise
     // inputs sit just above that floor.
     if (B.inputTag(I) == "random-noise") {

@@ -94,8 +94,9 @@ TEST_F(LevelOneTest, RepresentativeIsNearestToItsCentroid) {
         RepPos = I;
     double RepDist = Dist2(RepPos, C);
     for (size_t I = 0; I != TrainRows.size(); ++I)
-      if (Result->Clusters.Assignment[I] == C)
+      if (Result->Clusters.Assignment[I] == C) {
         EXPECT_GE(Dist2(I, C), RepDist - 1e-9);
+      }
   }
 }
 

@@ -172,8 +172,9 @@ TEST_F(LevelTwoPipelineTest, SelectedBeatsOrMatchesOtherValidCandidates) {
     if (S.Name == L2->SelectedName)
       SelectedObjective = S.Objective;
   for (const CandidateScore &S : L2->Candidates)
-    if (S.Valid)
+    if (S.Valid) {
       EXPECT_LE(SelectedObjective, S.Objective + 1e-9);
+    }
 }
 
 TEST_F(LevelTwoPipelineTest, RefinementMoveFractionInUnitRange) {

@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -485,6 +486,73 @@ TEST(DaemonServerTest, IdleDaemonServesWithoutQueueing) {
       << Json;
 }
 
+TEST(DaemonServerTest, FrameWaitCountersSplitSpunFromSlept) {
+  // Each frame a session waited for counts once, as spun or as slept.
+  // A closed-loop burst lands in a session's spin sooner or later (the
+  // spin stands aside while the host's cores are all busy, so the burst
+  // goes on until one does); a client that pauses 100 ms between
+  // requests outlasts any spin, so each of its requests is one slept
+  // wait.
+  using namespace std::chrono_literals;
+  Harness H;
+  daemon::DaemonClient C;
+  std::string Err;
+  ASSERT_TRUE(C.connect(H.Socket, Err)) << Err;
+  daemon::DaemonClient::AttachInfo Info;
+  ASSERT_TRUE(C.attach("sort1", Info, Err)) << Err;
+  std::vector<uint64_t> Wire;
+  for (uint64_t I = 0; I < 64; ++I)
+    Wire.push_back(I % Info.NumInputs);
+  std::vector<daemon::PredictedChoice> Choices;
+  uint64_t Frames = 1; // the Hello
+  auto Until = std::chrono::steady_clock::now() + 30s;
+  do {
+    for (int I = 0; I < 100; ++I, ++Frames)
+      ASSERT_EQ(C.predict(Wire, Choices, Err),
+                daemon::DaemonClient::PredictOutcome::Ok)
+          << Err;
+  } while (H.Srv->stats().FrameWaitsSpun == 0 &&
+           std::chrono::steady_clock::now() < Until);
+  daemon::ServerStats Burst = H.Srv->stats();
+  // The spin can only catch a peer that runs on another core.
+  if (std::thread::hardware_concurrency() > 1) {
+    EXPECT_GT(Burst.FrameWaitsSpun, 0u);
+  }
+  EXPECT_EQ(Burst.FrameWaitsSpun + Burst.FrameWaitsSlept, Frames);
+
+  constexpr uint64_t kPaced = 2;
+  for (uint64_t I = 0; I < kPaced; ++I) {
+    std::this_thread::sleep_for(100ms);
+    ASSERT_EQ(C.predict(Wire, Choices, Err),
+              daemon::DaemonClient::PredictOutcome::Ok)
+        << Err;
+  }
+  daemon::ServerStats Paced = H.Srv->stats();
+  EXPECT_EQ(Paced.FrameWaitsSlept - Burst.FrameWaitsSlept, kPaced);
+  EXPECT_EQ(Paced.FrameWaitsSpun, Burst.FrameWaitsSpun);
+
+  // Two Predicts in one write after a pause: the session sleeps for the
+  // first, and the second is already buffered when it looks for it, so
+  // that one counts in neither.
+  std::this_thread::sleep_for(20ms);
+  const std::string Payload = daemon::makePredict(Wire);
+  std::string Two;
+  for (int I = 0; I < 2; ++I) {
+    uint8_t Hdr[4];
+    daemon::wire::putU32(Hdr, static_cast<uint32_t>(Payload.size()));
+    Two.append(reinterpret_cast<const char *>(Hdr), sizeof Hdr);
+    Two += Payload;
+  }
+  ASSERT_TRUE(C.sendRaw(Two.data(), Two.size()));
+  daemon::FrameReader Replies;
+  std::string Reply;
+  for (int I = 0; I < 2; ++I)
+    ASSERT_EQ(Replies.read(C.fd(), Reply), daemon::FrameStatus::Ok);
+  daemon::ServerStats Piped = H.Srv->stats();
+  EXPECT_EQ(Piped.FrameWaitsSlept - Paced.FrameWaitsSlept, 1u);
+  EXPECT_EQ(Piped.FrameWaitsSpun, Paced.FrameWaitsSpun);
+}
+
 TEST(DaemonServerTest, ShutdownFrameStopsServerAndDrainsAdmitted) {
   Harness H;
   daemon::DaemonClient C;
@@ -909,6 +977,7 @@ TEST(DaemonServerTest, StatsLayoutIsPinned) {
       "\"admission_waits\": #, \"admission_wait_us_total\": #, "
       "\"shed_sessions\": #, \"stalled\": #, \"max_sessions\": #, "
       "\"queue_capacity\": #, \"workers\": #, \"adapt\": false, "
+      "\"frame_waits_spun\": #, \"frame_waits_slept\": #, "
       "\"tenants\": [" +
       Tenant("a\\\"b\\\\c", modelFile()) + ", " + Tenant("stored", Dir) +
       "]}";

@@ -6,6 +6,9 @@
 // than its buffer), keeps the stall deadline for a frame whose first
 // bytes were already buffered, and maps every end of stream onto the
 // same FrameStatus as before (Closed / Truncated / TooLarge / TimedOut).
+// The wait for a frame to start spins briefly before it blocks: an idle
+// peer costs the reader no CPU past that window, and a close or a
+// pipelined frame that lands during the spin reads as it always did.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,14 +16,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <time.h>
 #include <unistd.h>
 
 using namespace pbt::daemon;
@@ -62,6 +68,13 @@ std::string frameBytes(const std::string &Payload) {
 void sendAll(int Fd, const std::string &Bytes) {
   ASSERT_EQ(::send(Fd, Bytes.data(), Bytes.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(Bytes.size()));
+}
+
+/// CPU time the calling thread has used.
+std::chrono::nanoseconds threadCpu() {
+  timespec TS{};
+  EXPECT_EQ(::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &TS), 0);
+  return std::chrono::seconds(TS.tv_sec) + std::chrono::nanoseconds(TS.tv_nsec);
 }
 
 std::string predict64() {
@@ -229,4 +242,138 @@ TEST(FrameReaderTest, WriteToAVanishedPeerIsIoError) {
   P.Fd[1] = -1;
   // MSG_NOSIGNAL: an error status, never SIGPIPE.
   EXPECT_EQ(writeFrame(P.writer(), predict64()), FrameStatus::IoError);
+}
+
+//===----------------------------------------------------------------------===//
+// The wait for a frame to start: spin, then block
+//===----------------------------------------------------------------------===//
+
+TEST(FrameReaderTest, IdlePeerCostsTheReaderNoCpuPastTheSpin) {
+  // A reader asks a peer that answers Fast requests at once and the
+  // next one only after 200 ms. That wait spins at most
+  // FrameReader::kSpinWindow and then sleeps in recv, for a fresh reader
+  // (no fast exchange) and for one whose spin ten fast exchanges armed.
+  // The two cases run side by side, each on its own socket pair.
+  using namespace std::chrono_literals;
+  struct Outcome {
+    std::chrono::nanoseconds Cpu{0};
+    FrameWait How = FrameWait::Held;
+    bool Ok = false;
+  };
+  auto Ask = [](int Fast, Outcome &Out) {
+    const std::string Req = makePing(), Rep = makeBye();
+    SocketPair P;
+    std::thread Peer([&] {
+      FrameReader R;
+      std::string Got;
+      for (int I = 0; I <= Fast; ++I) {
+        if (R.read(P.writer(), Got) != FrameStatus::Ok)
+          return;
+        if (I == Fast)
+          std::this_thread::sleep_for(200ms);
+        if (writeFrame(P.writer(), Rep) != FrameStatus::Ok)
+          return;
+      }
+    });
+    FrameReader R;
+    std::string Got;
+    bool Ok = true;
+    for (int I = 0; I < Fast && Ok; ++I)
+      Ok = writeFrame(P.reader(), Req) == FrameStatus::Ok &&
+           R.read(P.reader(), Got) == FrameStatus::Ok;
+    Ok = Ok && writeFrame(P.reader(), Req) == FrameStatus::Ok;
+    auto Cpu0 = threadCpu();
+    Ok = Ok && R.read(P.reader(), Got) == FrameStatus::Ok && Got == Rep;
+    Out.Cpu = threadCpu() - Cpu0;
+    Out.How = R.lastWait();
+    Out.Ok = Ok;
+    Peer.join();
+  };
+  Outcome Fresh, Armed;
+  std::thread A(Ask, 0, std::ref(Fresh)), B(Ask, 10, std::ref(Armed));
+  A.join();
+  B.join();
+  for (const Outcome *O : {&Fresh, &Armed}) {
+    const char *Name = O == &Fresh ? "fresh reader" : "after ten fast exchanges";
+    ASSERT_TRUE(O->Ok) << Name;
+    EXPECT_LT(O->Cpu, 5ms) << Name;
+    EXPECT_EQ(O->How, FrameWait::Slept) << Name;
+  }
+}
+
+TEST(FrameReaderTest, SkipNextSpinMakesTheNextWaitSleep) {
+  // A frame already on the socket is caught by the spin's first recv;
+  // after skipNextSpin the same wait goes straight to the blocking recv.
+  SocketPair P;
+  const std::string A = makePing();
+  FrameReader R;
+  std::string Got;
+  sendAll(P.writer(), frameBytes(A));
+  ASSERT_EQ(R.read(P.reader(), Got), FrameStatus::Ok);
+  EXPECT_EQ(R.lastWait(), FrameWait::Spun);
+  sendAll(P.writer(), frameBytes(A));
+  R.skipNextSpin();
+  ASSERT_EQ(R.read(P.reader(), Got), FrameStatus::Ok);
+  EXPECT_EQ(R.lastWait(), FrameWait::Slept);
+  EXPECT_EQ(Got, A);
+}
+
+TEST(FrameReaderTest, CloseDuringTheSpinIsClosed) {
+  // The close lands a few microseconds after the read starts, so most
+  // trials catch the reader inside its spin and the rest in its
+  // blocking recv; either way the read ends Closed, never IoError. A
+  // peer's close and a local shutdown(SHUT_RDWR) from another thread
+  // (how a server unblocks its sessions) both count.
+  for (bool LocalShutdown : {false, true})
+    for (int Trial = 0; Trial < 50; ++Trial) {
+      SocketPair P;
+      std::atomic<bool> Reading{false};
+      std::thread Closer([&] {
+        while (!Reading.load())
+          std::this_thread::yield();
+        if (LocalShutdown) {
+          ::shutdown(P.reader(), SHUT_RDWR);
+        } else {
+          ::close(P.Fd[0]);
+          P.Fd[0] = -1;
+        }
+      });
+      FrameReader R;
+      std::string Got;
+      Reading.store(true);
+      EXPECT_EQ(R.read(P.reader(), Got), FrameStatus::Closed)
+          << (LocalShutdown ? "shutdown" : "close") << " trial " << Trial;
+      Closer.join();
+    }
+}
+
+TEST(FrameReaderTest, PipelinedFramesArrivingDuringTheSpinComeBackInOrder) {
+  // Frames B and C land in one send while the reader waits for B's
+  // start: B is returned, C waits in the buffer exactly as a pipelined
+  // frame always has, and reading it needs no wait at all.
+  const std::string A = makePing(), B = predict64(), C = makeHello("sort1");
+  for (int Trial = 0; Trial < 20; ++Trial) {
+    SocketPair P;
+    P.boundReads(5);
+    std::atomic<bool> Reading{false};
+    sendAll(P.writer(), frameBytes(A));
+    std::thread Writer([&] {
+      while (!Reading.load())
+        std::this_thread::yield();
+      sendAll(P.writer(), frameBytes(B) + frameBytes(C));
+    });
+    FrameReader R;
+    std::string Got;
+    ASSERT_EQ(R.read(P.reader(), Got, 1.0), FrameStatus::Ok);
+    EXPECT_EQ(Got, A);
+    Reading.store(true);
+    ASSERT_EQ(R.read(P.reader(), Got, 1.0), FrameStatus::Ok);
+    Writer.join();
+    EXPECT_EQ(Got, B);
+    EXPECT_EQ(R.buffered(), 4 + C.size());
+    ASSERT_EQ(R.read(P.reader(), Got, 1.0), FrameStatus::Ok);
+    EXPECT_EQ(Got, C);
+    EXPECT_EQ(R.lastWait(), FrameWait::Held);
+    EXPECT_EQ(R.buffered(), 0u);
+  }
 }

@@ -9,7 +9,8 @@
 #      landmark fails the run (exit 1), so exit 0 *is* the parity gate.
 #   3. The BENCH_serve_daemon.json record must parse as JSON and carry
 #      the fields CI uploads: both phases, tail percentiles (p999), shed
-#      accounting and the parity verdict.
+#      accounting, the parity verdict, and the CPU the reaped daemon
+#      burned (a number, since this daemon was spawned and shut down).
 #
 # Invoked by ctest (label: integration) with -DPBT_BENCH, -DPBT_SERVE,
 # -DGOLDEN_DIR and -DWORK_DIR defined.
@@ -53,5 +54,15 @@ foreach(field "\"subcommand\": \"loadgen\"" "\"spawned\": true"
   if(FIELD_POS EQUAL -1)
     message(FATAL_ERROR
       "BENCH_serve_daemon.json is missing expected field ${field}:\n${DAEMON_JSON}")
+  endif()
+endforeach()
+# The spawned daemon was reaped after a clean shutdown, so its CPU is a
+# number, not null.
+foreach(key server_cpu_s server_cpu_us_per_decision)
+  string(JSON KEY_TYPE ERROR_VARIABLE KEY_ERROR
+         TYPE "${DAEMON_JSON}" ${key})
+  if(KEY_ERROR OR NOT KEY_TYPE STREQUAL "NUMBER")
+    message(FATAL_ERROR
+      "BENCH_serve_daemon.json: ${key} is not a number (${KEY_TYPE} ${KEY_ERROR}):\n${DAEMON_JSON}")
   endif()
 endforeach()

@@ -197,8 +197,9 @@ TEST_P(GoldenFileTest, SingleCharFuzzOverGoldenNeverCrashes) {
     Text[Pos] = Alphabet[Rng.index(sizeof(Alphabet) - 1)];
     serialize::TrainedModel Out;
     serialize::LoadStatus Status = serialize::loadModel(Text, Out);
-    if (Status.Ok)
+    if (Status.Ok) {
       EXPECT_FALSE(serialize::serializeModel(Out).empty());
+    }
   }
 }
 

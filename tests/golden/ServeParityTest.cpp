@@ -212,8 +212,9 @@ TEST_P(ServeParityTest, RepeatDecisionsAreCachedAndIdentical) {
   runtime::AdaptiveService::Decision D =
       Fresh.Service->decide(Expected.front().first);
   EXPECT_EQ(D.Landmark, Expected.front().second);
-  if (ExtractsFeatures)
+  if (ExtractsFeatures) {
     EXPECT_FALSE(D.Memoized);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, ServeParityTest,

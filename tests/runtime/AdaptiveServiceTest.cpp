@@ -132,9 +132,10 @@ void expectInProcessChoices(runtime::AdaptiveService &Service,
     EXPECT_EQ(D.Config->values(),
               Model.System.L1.Landmarks[D.Landmark].values());
     // Live extraction pays exactly what the precomputed tables recorded.
-    if (CheckCost)
+    if (CheckCost) {
       EXPECT_DOUBLE_EQ(D.FeatureCost, T.ProductionCosts[I])
           << "row " << Rows[I];
+    }
   }
 }
 
