@@ -252,7 +252,7 @@ int benchharness::runStream(const DriverOptions &Opts) {
       Opts.ScaleExplicit ? Opts.Scale : Initial.Meta.Scale;
   registry::BoundModel AdaptiveBound = registry::bindModel(
       std::move(Initial), Opts.StreamWindow, Opts.StreamReservoir,
-      /*AutoAdapt=*/true, Opts.Pool, UniverseScale);
+      /*AutoAdapt=*/true, UniverseScale);
   if (!AdaptiveBound.Status) {
     std::fprintf(stderr, "pbt-bench stream: %s\n",
                  AdaptiveBound.Status.Error.c_str());
@@ -282,7 +282,7 @@ int benchharness::runStream(const DriverOptions &Opts) {
   if (Loaded) {
     FrozenBound = registry::bindModel(
         std::move(FrozenInitial), Opts.StreamWindow, Opts.StreamReservoir,
-        /*AutoAdapt=*/false, Opts.Pool, UniverseScale);
+        /*AutoAdapt=*/false, UniverseScale);
     Loaded = FrozenBound.Status;
   }
   if (!Loaded) {
@@ -366,7 +366,6 @@ int benchharness::runStream(const DriverOptions &Opts) {
       .number("universe_inputs", Universe->numInputs())
       .number("key_property", SO.KeyProperty)
       .number("first_shift_tick", Stream->firstShiftTick())
-      .number("threads", Opts.Pool ? Opts.Pool->numThreads() : 1)
       .number("window", Adaptive.options().Monitor.Window)
       .number("reservoir", Adaptive.options().ReservoirSize)
       .number("decisions_per_sec",
@@ -438,7 +437,6 @@ int benchharness::runStreamMix(const DriverOptions &Opts) {
   RO.Window = std::max(8u, Opts.StreamWindow);
   RO.Reservoir = std::max(8u, Opts.StreamReservoir);
   RO.AutoAdapt = false; // frozen tenants: parity-checkable serving
-  RO.Pool = Opts.Pool;
   daemon::ModelRegistry Registry(RO);
   for (const std::string &Path : Models) {
     serialize::LoadStatus St = Registry.addTenant("", Path);

@@ -68,8 +68,10 @@ static void printUsage() {
       "options:\n"
       "  --scale=S            input-count scale (default: PBT_BENCH_SCALE or 1)\n"
       "  --only=a,b,c         restrict to named benchmarks (see `list`)\n"
-      "  --threads=N          worker threads (default: hardware concurrency)\n"
-      "  --sequential         disable the thread pool (reference path)\n"
+      "  --threads=N          training subcommands: worker threads\n"
+      "                       (default: hardware concurrency)\n"
+      "  --sequential         training subcommands: no thread pool\n"
+      "                       (reference path)\n"
       "  --out-dir=DIR        directory for CSV series and models (default: .)\n"
       "  --trials=N           random subsets per fig8 landmark count\n"
       "  --out=FILE           train: model path (single benchmark only)\n"
@@ -319,24 +321,26 @@ int main(int argc, char **argv) {
         KArgv.push_back(A.data());
       int KArgc = static_cast<int>(KArgv.size());
       return runKernels(Opts, KArgc, KArgv.data());
+    } else if (Sub == "loadgen") {
+      // Serving harnesses: an adapting tenant retrains on the thread
+      // that serves it, so they take no pool.
+      return runLoadgen(Opts, argv[0]);
+    } else if (Sub == "stream") {
+      return Opts.StreamMix ? runStreamMix(Opts) : runStream(Opts);
     }
 
-    // The remaining subcommands train or retrain pipelines: give them
-    // the pool (not constructed at all under --sequential).
+    // The remaining subcommands train pipelines: give them the pool (not
+    // constructed at all under --sequential). main is its one owner.
     std::optional<support::ThreadPool> Pool;
     if (!Opts.Sequential) {
       Pool.emplace(Opts.Threads);
       Opts.Pool = &*Pool;
     }
 
-    if (Sub == "loadgen")
-      return runLoadgen(Opts, argv[0]);
     if (Sub == "rollout")
       return runRollout(Opts);
     if (Sub == "fleet")
       return runFleet(Opts, argv[0]);
-    if (Sub == "stream")
-      return Opts.StreamMix ? runStreamMix(Opts) : runStream(Opts);
     if (Sub == "interact")
       return runInteract(Opts);
     if (Sub == "train")

@@ -30,9 +30,10 @@ struct DriverOptions {
   double Scale = 1.0;
   /// Suite subset (--only=a,b,c); empty = the full registered suite.
   std::vector<std::string> Only;
-  /// Worker threads (--threads); 0 = hardware concurrency.
+  /// Training subcommands' worker threads (--threads); 0 = hardware
+  /// concurrency.
   unsigned Threads = 0;
-  /// --sequential: run without a pool (reference path).
+  /// --sequential: train without a pool (reference path).
   bool Sequential = false;
   /// Directory CSV series are written into (--out-dir).
   std::string OutDir = ".";
@@ -113,7 +114,8 @@ struct DriverOptions {
   unsigned Kills = 50;
   /// `fleet` only: replica transport, "unix" or "tcp" (--transport).
   std::string FleetTransport = "unix";
-  /// The pool built from Threads/Sequential; owned by main.
+  /// The pool built from Threads/Sequential for the training
+  /// subcommands; owned by main, null for loadgen and stream.
   support::ThreadPool *Pool = nullptr;
 };
 

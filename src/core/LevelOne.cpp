@@ -40,7 +40,8 @@ void core::extractAllFeatures(const runtime::TunableProgram &Program,
 
 LevelOneResult core::runLevelOne(const runtime::TunableProgram &Program,
                                  const std::vector<size_t> &TrainRows,
-                                 const LevelOneOptions &Options) {
+                                 const LevelOneOptions &Options,
+                                 support::ThreadPool *Pool) {
   assert(!TrainRows.empty() && "no training inputs");
   LevelOneResult R;
 
@@ -55,7 +56,7 @@ LevelOneResult core::runLevelOne(const runtime::TunableProgram &Program,
     R.Features = *Options.Features;
     R.ExtractCosts = *Options.ExtractCosts;
   } else {
-    extractAllFeatures(Program, R.Features, R.ExtractCosts, Options.Pool);
+    extractAllFeatures(Program, R.Features, R.ExtractCosts, Pool);
   }
 
   // Step 2: normalize (fit on training rows only) and cluster.
@@ -130,8 +131,8 @@ LevelOneResult core::runLevelOne(const runtime::TunableProgram &Program,
     autotuner::EvolutionaryAutotuner Tuner(TOpts);
     R.Landmarks[C] = Tuner.tune(Program, TuningSets[C]).Best;
   };
-  if (Options.Pool)
-    Options.Pool->parallelFor(0, K, TuneOne);
+  if (Pool)
+    Pool->parallelFor(0, K, TuneOne);
   else
     for (unsigned C = 0; C != K; ++C)
       TuneOne(C);
@@ -162,8 +163,8 @@ LevelOneResult core::runLevelOne(const runtime::TunableProgram &Program,
         R.Acc.at(I, L) = R.Acc.at(I, MeasureAs[L]);
       }
   };
-  if (Options.Pool)
-    Options.Pool->parallelFor(0, N, MeasureRow);
+  if (Pool)
+    Pool->parallelFor(0, N, MeasureRow);
   else
     for (size_t I = 0; I != N; ++I)
       MeasureRow(I);

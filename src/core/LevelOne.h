@@ -59,9 +59,6 @@ struct LevelOneOptions {
   /// unseen inputs of the same cluster (the tuner requires the accuracy
   /// target on the whole neighbourhood, not one exemplar).
   unsigned TuningNeighborhood = 3;
-  /// Optional pool parallelising landmark tuning and the measurement
-  /// sweep. Results are identical with or without it.
-  support::ThreadPool *Pool = nullptr;
   /// Step-1 tables the caller already holds: the flat feature values and
   /// extraction costs (N x M) extractAllFeatures would produce for the
   /// program. When set (both), Step 1 copies them instead of extracting.
@@ -91,9 +88,12 @@ struct LevelOneResult {
 
 /// Runs Level 1 for \p Program. \p TrainRows are the global input indices
 /// available for training (clustering and tuning see only these).
+/// \p Pool, when given, parallelises feature extraction, landmark tuning
+/// and the measurement sweep; results are identical without it.
 LevelOneResult runLevelOne(const runtime::TunableProgram &Program,
                            const std::vector<size_t> &TrainRows,
-                           const LevelOneOptions &Options);
+                           const LevelOneOptions &Options,
+                           support::ThreadPool *Pool = nullptr);
 
 /// Step 1 alone: extracts all flat features (values + costs) of every
 /// input. Exposed for tests and the one-level baseline.

@@ -233,7 +233,8 @@ LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
                                  const LevelOneResult &L1,
                                  const std::vector<size_t> &TrainRows,
                                  const LevelTwoOptions &Options,
-                                 const ml::Dataset *Data) {
+                                 const ml::Dataset *Data,
+                                 support::ThreadPool *Pool) {
   LevelTwoResult R;
   std::optional<runtime::AccuracySpec> Spec = Program.accuracy();
   unsigned K = static_cast<unsigned>(L1.Landmarks.size());
@@ -355,8 +356,8 @@ LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
     for (size_t SI = 0; SI != Subsets.size(); ++SI)
       TaskScores[SI * NumFolds + FI] = TreeScores[Forest.TreeOf[SI]];
   };
-  if (Options.Pool)
-    Options.Pool->parallelFor(0, NumFolds, ScoreFold);
+  if (Pool)
+    Pool->parallelFor(0, NumFolds, ScoreFold);
   else
     for (size_t FI = 0; FI != NumFolds; ++FI)
       ScoreFold(FI);

@@ -48,10 +48,6 @@ struct LevelTwoOptions {
   uint64_t Seed = 43;
   ml::DecisionTreeOptions Tree;
   ml::IncrementalBayesOptions Bayes;
-  /// Optional pool parallelising the classifier zoo's cross-validated
-  /// subset-tree sweep ((z+1)^u - 1 candidates) over folds. Results are
-  /// identical with or without it.
-  support::ThreadPool *Pool = nullptr;
 };
 
 /// Cross-validated evaluation of one candidate classifier.
@@ -101,12 +97,15 @@ enumerateFeatureSubsets(const runtime::FeatureIndex &Index);
 /// the same grower over all training rows. \p Data, when given, is the
 /// substrate extracted once by the pipeline (its label column must be
 /// attached); when null, a local Dataset is columnarized from the L1
-/// tables.
+/// tables. \p Pool, when given, parallelises the classifier zoo's
+/// cross-validated subset-tree sweep ((z+1)^u - 1 candidates) over
+/// folds; results are identical without it.
 LevelTwoResult runLevelTwo(const runtime::TunableProgram &Program,
                            const LevelOneResult &L1,
                            const std::vector<size_t> &TrainRows,
                            const LevelTwoOptions &Options,
-                           const ml::Dataset *Data = nullptr);
+                           const ml::Dataset *Data = nullptr,
+                           support::ThreadPool *Pool = nullptr);
 
 } // namespace core
 } // namespace pbt

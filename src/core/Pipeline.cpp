@@ -28,14 +28,8 @@ TrainedSystem core::trainSystem(const runtime::TunableProgram &Program,
   S.TrainRows = std::move(Split.Train);
   S.TestRows = std::move(Split.Test);
 
-  LevelOneOptions L1Opts = Options.L1;
-  if (!L1Opts.Pool)
-    L1Opts.Pool = Options.Pool;
-  LevelTwoOptions L2Opts = Options.L2;
-  if (!L2Opts.Pool)
-    L2Opts.Pool = Options.Pool;
   support::WallTimer Level1Timer;
-  S.L1 = runLevelOne(Program, S.TrainRows, L1Opts);
+  S.L1 = runLevelOne(Program, S.TrainRows, Options.L1, Options.Pool);
   S.Level1Seconds = Level1Timer.elapsedSeconds();
 
   // Columnarize the evidence exactly once; Level 2 and evaluation share
@@ -49,7 +43,8 @@ TrainedSystem core::trainSystem(const runtime::TunableProgram &Program,
       Spec ? std::optional<double>(Spec->AccuracyThreshold) : std::nullopt);
   Data->setLabels(labelAllRows(S.L1.Time, S.L1.Acc, Spec));
   S.Data = std::move(Data);
-  S.L2 = runLevelTwo(Program, S.L1, S.TrainRows, L2Opts, S.Data.get());
+  S.L2 = runLevelTwo(Program, S.L1, S.TrainRows, Options.L2, S.Data.get(),
+                     Options.Pool);
   S.Level2Seconds = Level2Timer.elapsedSeconds();
 
   S.StaticOracleLandmark =

@@ -34,8 +34,8 @@ struct PipelineOptions {
   uint64_t SplitSeed = 97;
   /// Optional pool parallelising every hot stage of training (Level-1
   /// feature extraction, landmark tuning, the measurement sweep, and the
-  /// Level-2 classifier zoo). Forwarded into L1.Pool/L2.Pool when those
-  /// are unset. Results are identical with or without it.
+  /// Level-2 classifier zoo); trainSystem hands it to runLevelOne and
+  /// runLevelTwo. Results are identical with or without it.
   support::ThreadPool *Pool = nullptr;
 };
 

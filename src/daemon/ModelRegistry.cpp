@@ -52,7 +52,7 @@ ModelRegistry::buildTenant(const std::string &Name,
                            serialize::TrainedModel Model,
                            std::unique_ptr<Tenant> &Out) {
   registry::BoundModel Bound = registry::bindModel(
-      std::move(Model), Opts.Window, Opts.Reservoir, Opts.AutoAdapt, Opts.Pool);
+      std::move(Model), Opts.Window, Opts.Reservoir, Opts.AutoAdapt);
   if (!Bound.Status)
     return Bound.Status;
   runtime::AdaptiveService::EpochPtr Ep = Bound.Service->currentEpoch();

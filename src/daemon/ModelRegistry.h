@@ -17,9 +17,11 @@
 /// AdaptiveService's contract is one serving thread; in the daemon every
 /// session thread serves its own client's requests to any tenant, so
 /// each tenant carries a ServeMutex that makes "the serving thread" a
-/// role the sessions pass around rather than a fixed thread. Registration happens
-/// at startup, before the server accepts connections; lookups afterwards
-/// are read-only and lock-free.
+/// role the sessions pass around rather than a fixed thread. An adapting
+/// tenant retrains on the session thread that holds its ServeMutex when
+/// the drift flag is raised, so two tenants retraining at once share no
+/// training state. Registration happens at startup, before the server
+/// accepts connections; lookups afterwards are read-only and lock-free.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,8 +92,6 @@ struct ModelRegistryOptions {
   /// AdaptiveService::serve() (drift observation + online adaptation);
   /// off = frozen decideBatch serving.
   bool AutoAdapt = false;
-  /// Parallelises per-tenant shadow retraining; may be null.
-  support::ThreadPool *Pool = nullptr;
 };
 
 /// Splits a tenant list such as `a.pbt,fast=b.pbt` (pbt-serve's --model

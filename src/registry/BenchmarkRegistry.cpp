@@ -131,17 +131,15 @@ core::PipelineOptions registry::paperPipelineOptions(double Scale,
 
 core::PipelineOptions
 registry::reservoirRetrainOptions(const BenchmarkFactory &Factory,
-                                  double Scale, size_t SampleSize,
-                                  support::ThreadPool *Pool) {
+                                  double Scale, size_t SampleSize) {
   core::PipelineOptions O = Factory.defaultOptions(Scale);
-  O.Pool = Pool;
   runtime::AdaptiveService::clampRetrainOptions(O, SampleSize);
   return O;
 }
 
 BoundModel registry::bindModel(serialize::TrainedModel Model, unsigned Window,
                                unsigned Reservoir, bool AutoAdapt,
-                               support::ThreadPool *Pool, double Scale) {
+                               double Scale) {
   BoundModel B;
   const BenchmarkFactory *Factory =
       BenchmarkRegistry::instance().lookup(Model.Meta.Benchmark);
@@ -158,7 +156,7 @@ BoundModel registry::bindModel(serialize::TrainedModel Model, unsigned Window,
   AO.Monitor.Cooldown = AO.Monitor.Window;
   AO.ReservoirSize = std::max(8u, Reservoir);
   AO.MinRetrainInputs = std::min<size_t>(16, AO.ReservoirSize);
-  AO.Retrain = reservoirRetrainOptions(*Factory, Scale, AO.ReservoirSize, Pool);
+  AO.Retrain = reservoirRetrainOptions(*Factory, Scale, AO.ReservoirSize);
   AO.AutoAdapt = AutoAdapt;
   B.Program = Factory->makeProgram(Scale, Model.Meta.ProgramSeed);
   B.Service = std::make_unique<runtime::AdaptiveService>(*B.Program,

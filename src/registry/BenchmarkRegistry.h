@@ -140,12 +140,12 @@ core::PipelineOptions paperPipelineOptions(double Scale, uint64_t PipelineSeed);
 /// Pipeline options for (re)training on a live-traffic sample of
 /// \p SampleSize inputs: the factory's defaults at \p Scale with the
 /// landmark count, CV folds and tuning neighbourhood clamped to what the
-/// sample supports, and \p Pool wired in. This is what the adaptive
-/// serving loop (runtime/AdaptiveService.h) hands to every shadow
-/// retrain; bindModel wires it in.
+/// sample supports, and no pool: a retrain runs on the thread that
+/// serves the drift flag. This is what the adaptive serving loop
+/// (runtime/AdaptiveService.h) hands to every shadow retrain; bindModel
+/// wires it in.
 core::PipelineOptions reservoirRetrainOptions(const BenchmarkFactory &Factory,
-                                              double Scale, size_t SampleSize,
-                                              support::ThreadPool *Pool);
+                                              double Scale, size_t SampleSize);
 
 /// A model bound for serving: the program its provenance names and a
 /// ready AdaptiveService over it (use both only when Status is Ok).
@@ -160,7 +160,7 @@ struct BoundModel {
 /// under Meta.Benchmark, rebuilds the program with makeProgram(Scale,
 /// Meta.ProgramSeed), and builds an AdaptiveService over it: a
 /// \p Window-decision drift window and a \p Reservoir-input sample (each
-/// at least 8), retraining with reservoirRetrainOptions on \p Pool, and
+/// at least 8), retraining with reservoirRetrainOptions, and
 /// \p AutoAdapt. A \p Scale of 0 is the model's recorded Meta.Scale;
 /// `pbt-bench stream` passes a larger one to stretch its traffic
 /// universe. Decide-only callers keep the defaults. Status names the
@@ -168,7 +168,7 @@ struct BoundModel {
 /// fit the rebuilt program.
 BoundModel bindModel(serialize::TrainedModel Model, unsigned Window = 0,
                      unsigned Reservoir = 0, bool AutoAdapt = false,
-                     support::ThreadPool *Pool = nullptr, double Scale = 0.0);
+                     double Scale = 0.0);
 
 /// Scales a base input count, clamped to a floor that keeps train/test
 /// splits meaningful.

@@ -328,6 +328,7 @@ serialize::TrainedModel AdaptiveService::buildCandidate(
     const linalg::Matrix *Features, const linalg::Matrix *Costs) {
   SubsetProgram View(Program, Sample);
   clampRetrainOptions(Retrain, Sample.size());
+  Retrain.Pool = nullptr;
   Retrain.L1.Features = Features;
   Retrain.L1.ExtractCosts = Costs;
   serialize::TrainedModel Candidate = serialize::makeModel(

@@ -10,9 +10,9 @@
 /// current CompiledModel epoch while watching the live traffic with a
 /// DriftMonitor. When the monitor flags that inputs no longer look like
 /// the training sample, the service retrains in the shadow -- the
-/// two-level pipeline (core/Pipeline.h, parallelised by the usual
-/// ThreadPool path) runs over a reservoir sample of recent traffic
-/// wrapped in a runtime::SubsetProgram -- and the freshly trained
+/// two-level pipeline (core/Pipeline.h) runs on the serving thread over a
+/// reservoir sample of recent traffic wrapped in a
+/// runtime::SubsetProgram -- and the freshly trained
 /// candidate is scored against the champion on that same traffic. Only a
 /// candidate with strictly lower shadow cost is hot-swapped in; the swap
 /// is an atomic epoch-pointer exchange, so serving never pauses and
@@ -80,7 +80,8 @@ struct AdaptiveServiceOptions {
   size_t ReservoirSize = 48;
   /// Pipeline options template for shadow retraining. Landmark count, CV
   /// folds and tuning neighbourhood are clamped to what the reservoir can
-  /// support; its Pool parallelises the retrain.
+  /// support. The retrain runs on the serving thread; a Pool set here is
+  /// not used (see buildCandidate).
   core::PipelineOptions Retrain;
   /// A candidate is swapped in only when its shadow-scored mean cost is
   /// below champion * (1 - SwapMargin).
@@ -239,10 +240,12 @@ public:
 
   /// The one candidate builder (the shadow retrain and rollout::Publisher):
   /// trains on a SubsetProgram view of \p Sample under \p Retrain clamped
-  /// to it, stamped with \p Provenance's benchmark, scale and program
-  /// seed. \p Features / \p Costs, when given, are the sample's Level-1
-  /// tables (row I is Sample[I]), read instead of extracted. Throws what
-  /// the pipeline throws.
+  /// to it, on the calling thread (Retrain.Pool is ignored: a pool serves
+  /// one caller at a time, and two tenants may retrain at once), stamped
+  /// with \p Provenance's benchmark, scale and program seed. \p Features
+  /// / \p Costs, when given, are the sample's Level-1 tables (row I is
+  /// Sample[I]), read instead of extracted. Throws what the pipeline
+  /// throws.
   static serialize::TrainedModel
   buildCandidate(const TunableProgram &Program,
                  const std::vector<size_t> &Sample,

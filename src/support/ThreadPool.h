@@ -6,10 +6,11 @@
 ///
 /// \file
 /// A small fixed-size thread pool exposing a blocking parallelFor. Used to
-/// parallelise the embarrassingly parallel stages of the pipeline
-/// (landmark-on-every-input performance measurement, autotuner population
-/// evaluation). All measured quantities are deterministic work units, so
-/// parallel scheduling never perturbs results.
+/// parallelise the embarrassingly parallel stages of offline training
+/// (feature extraction, landmark tuning, the landmark-on-every-input
+/// measurement sweep, the Level-2 classifier zoo, evaluation). All
+/// measured quantities are deterministic work units, so parallel
+/// scheduling never perturbs results.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +28,7 @@ namespace pbt {
 namespace support {
 
 /// Fixed pool of worker threads with a blocking index-range parallel for.
+/// It runs one parallelFor at a time, so each pool has one owner.
 class ThreadPool {
 public:
   /// \p NumThreads == 0 selects the hardware concurrency (at least 1).
@@ -37,8 +39,10 @@ public:
   ThreadPool &operator=(const ThreadPool &) = delete;
 
   /// Runs \p Body(I) for every I in [Begin, End), distributing indices over
-  /// the pool, and blocks until all indices completed. Safe to call with an
-  /// empty range. Calls from within a worker are executed inline.
+  /// the pool and the calling thread, and blocks until all indices
+  /// completed. Safe to call with an empty range. Precondition: no other
+  /// parallelFor on this pool is running, from another thread or from
+  /// inside \p Body (a debug build asserts; otherwise the calls race).
   ///
   /// \p GrainSize is the number of consecutive indices a worker claims per
   /// counter hit. The default of 1 is right for coarse bodies (a full

@@ -129,8 +129,7 @@ TEST_F(LevelOneTest, ParallelAndSequentialAgree) {
   O.Tuner.Generations = 4;
   LevelOneResult Seq = runLevelOne(*Program, TrainRows, O);
   support::ThreadPool Pool(4);
-  O.Pool = &Pool;
-  LevelOneResult Par = runLevelOne(*Program, TrainRows, O);
+  LevelOneResult Par = runLevelOne(*Program, TrainRows, O, &Pool);
   EXPECT_EQ(Seq.Representatives, Par.Representatives);
   for (size_t K = 0; K != Seq.Landmarks.size(); ++K)
     EXPECT_EQ(Seq.Landmarks[K], Par.Landmarks[K]);

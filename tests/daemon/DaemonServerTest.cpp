@@ -59,7 +59,7 @@ serialize::TrainedModel smallModel() {
     Half.push_back(I);
   runtime::SubsetProgram View(*P, Half);
   core::PipelineOptions Opt =
-      registry::reservoirRetrainOptions(F, kTestScale, Half.size(), nullptr);
+      registry::reservoirRetrainOptions(F, kTestScale, Half.size());
   core::TrainedSystem Sys = core::trainSystem(View, Opt);
   return serialize::makeModel("sort1", kTestScale, F.defaultProgramSeed(), View,
                               std::move(Sys));
@@ -731,26 +731,39 @@ TEST(DaemonServerTest, FuzzWallGarbageTenantNamesAndPayloads) {
 // Adaptation mode
 //===----------------------------------------------------------------------===//
 
+/// What one client sent and was answered, in order.
+struct FlipRun {
+  std::vector<uint64_t> Inputs;
+  std::vector<daemon::PredictedChoice> Answers;
+};
+
 /// Sends a cycled abrupt regime flip over \p T's inputs (sortedness is
-/// the key), four inputs per Predict. An adapting tenant's drift monitor
-/// fires on it and retrains.
-static void sendAbruptFlip(daemon::DaemonClient &C, const daemon::Tenant &T) {
+/// the key, \p Seed the stream's), four inputs per Predict. An adapting
+/// tenant's drift monitor fires on it and retrains.
+static FlipRun sendAbruptFlip(daemon::DaemonClient &C, const daemon::Tenant &T,
+                              uint64_t Seed = 0xADA97) {
   streams::WorkloadStreamOptions Flip;
   Flip.Kind = streams::Schedule::Abrupt;
   Flip.Requests = 128;
-  Flip.Seed = 0xADA97;
+  Flip.Seed = Seed;
   Flip.KeyProperty = 2; // sortedness
   streams::WorkloadStream Stream(*T.Program, Flip);
+  FlipRun Run;
   std::vector<daemon::PredictedChoice> Choices;
   std::string Err;
   for (size_t Tick = 0; Tick + 4 <= 4 * Stream.length(); Tick += 4) {
     std::vector<uint64_t> Inputs;
     for (size_t K = Tick; K != Tick + 4; ++K)
       Inputs.push_back(Stream.inputAt(K % Stream.length()));
-    ASSERT_EQ(C.predict(Inputs, Choices, Err),
-              daemon::DaemonClient::PredictOutcome::Ok)
-        << Err;
+    if (C.predict(Inputs, Choices, Err) !=
+        daemon::DaemonClient::PredictOutcome::Ok) {
+      ADD_FAILURE() << "Predict failed: " << Err;
+      break;
+    }
+    Run.Inputs.insert(Run.Inputs.end(), Inputs.begin(), Inputs.end());
+    Run.Answers.insert(Run.Answers.end(), Choices.begin(), Choices.end());
   }
+  return Run;
 }
 
 TEST(DaemonServerTest, AdaptModeServesAndObserves) {
@@ -809,6 +822,64 @@ TEST(DaemonServerTest, AdaptModeServesAndObserves) {
   EXPECT_NEAR(LastMs, A.LastRetrainSeconds * 1e3,
               1e-5 * A.LastRetrainSeconds * 1e3);
   EXPECT_LE(LastMs, TotalS * 1e3 * (1 + 1e-5));
+}
+
+TEST(DaemonServerTest, TwoAdaptingTenantsRetrainConcurrently) {
+  // Two clients drive drift into two adapting tenants at the same time,
+  // so both retrain at once, each on its own session thread. Every
+  // answer must be what a fresh tenant serves when that client's inputs
+  // alone are replayed in process: concurrent retrains share nothing.
+  daemon::ServerOptions SO;
+  SO.Workers = 2;
+  daemon::ModelRegistryOptions RO;
+  RO.AutoAdapt = true;
+  RO.Window = 16;
+  RO.Reservoir = 16;
+  const std::vector<std::string> Names = {"a", "b"};
+  const uint64_t Seeds[] = {0xADA97, 0x5EED2};
+  Harness H(SO, RO, Names);
+
+  std::vector<FlipRun> Runs(Names.size());
+  std::atomic<size_t> Ready{0};
+  std::vector<std::thread> Clients;
+  for (size_t K = 0; K != Names.size(); ++K)
+    Clients.emplace_back([&, K] {
+      daemon::DaemonClient C;
+      std::string Err;
+      daemon::DaemonClient::AttachInfo Info;
+      bool Attached = C.connect(H.Socket, Err) && C.attach(Names[K], Info, Err);
+      EXPECT_TRUE(Attached) << Names[K] << ": " << Err;
+      // Both flips start together, so the tenants' retrains overlap.
+      Ready.fetch_add(1);
+      while (Ready.load() != Names.size())
+        std::this_thread::yield();
+      if (Attached)
+        Runs[K] = sendAbruptFlip(C, *H.Registry.find(Names[K]), Seeds[K]);
+    });
+  for (std::thread &T : Clients)
+    T.join();
+
+  daemon::ModelRegistry Fresh(RO);
+  for (size_t K = 0; K != Names.size(); ++K) {
+    daemon::Tenant *T = H.Registry.find(Names[K]);
+    ASSERT_NE(T, nullptr);
+    uint64_t Retrains = T->Service->stats().Retrains;
+    EXPECT_GT(Retrains, 0u) << Names[K] << " never retrained";
+
+    ASSERT_TRUE(Fresh.addTenant(Names[K], modelFile()).Ok);
+    runtime::AdaptiveService &Replay = *Fresh.find(Names[K])->Service;
+    const FlipRun &Run = Runs[K];
+    ASSERT_FALSE(Run.Inputs.empty()) << Names[K];
+    size_t Mismatches = 0;
+    for (size_t I = 0; I != Run.Inputs.size(); ++I) {
+      runtime::AdaptiveService::Decision D = Replay.serve(Run.Inputs[I]);
+      if (D.Landmark != Run.Answers[I].Landmark ||
+          D.Epoch != Run.Answers[I].Epoch)
+        ++Mismatches;
+    }
+    EXPECT_EQ(Mismatches, 0u) << Names[K] << " answers diverged from replay";
+    EXPECT_EQ(Replay.stats().Retrains, Retrains) << Names[K];
+  }
 }
 
 TEST(DaemonServerTest, StatsSplitRetrainTimeByLevelPerTenant) {

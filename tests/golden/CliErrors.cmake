@@ -46,6 +46,10 @@ expect_rejection("bad --workers value 'many'"
   ${PBT_SERVE} --socket=/tmp/x.sock --model=x.pbt --workers=many)
 expect_rejection("unknown argument"
   ${PBT_SERVE} --socket=/tmp/x.sock --model=x.pbt --frobnicate)
+# The retrain pool is gone: a deployment still passing --threads fails
+# loudly instead of being ignored.
+expect_rejection("unknown argument"
+  ${PBT_SERVE} --socket=/tmp/x.sock --model=x.pbt --threads=2)
 # argv[0] lands in the usage line, so match the flag synopsis instead.
 expect_rejection("--model=[NAME=]FILE"
   ${PBT_SERVE} --socket=/tmp/x.sock)

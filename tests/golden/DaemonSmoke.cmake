@@ -21,7 +21,7 @@ execute_process(
   COMMAND ${PBT_BENCH} loadgen --spawn --server-exe=${PBT_SERVE}
           --model=${GOLDEN_DIR}/sort1.pbt
           --connections=4 --workers=2 --queue=16
-          --seconds=0.4 --threads=2
+          --seconds=0.4
           --json --out-dir=${WORK_DIR}
   RESULT_VARIABLE LOADGEN_RESULT
   OUTPUT_VARIABLE LOADGEN_OUTPUT

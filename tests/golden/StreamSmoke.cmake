@@ -17,7 +17,7 @@ file(MAKE_DIRECTORY ${WORK_DIR})
 execute_process(
   COMMAND ${PBT_BENCH} stream --model=${GOLDEN_DIR}/sort1.pbt
           --schedule=abrupt --requests=300 --key=2 --scale=0.5
-          --window=32 --reservoir=32 --seconds=120 --threads=2
+          --window=32 --reservoir=32 --seconds=120
           --json --out-dir=${WORK_DIR}
   RESULT_VARIABLE STREAM_RESULT
   OUTPUT_VARIABLE STREAM_OUTPUT

@@ -81,8 +81,8 @@ protected:
     const registry::BenchmarkFactory &F =
         registry::BenchmarkRegistry::instance().get("sort1");
     rollout::PublisherOptions PO;
-    PO.Retrain = registry::reservoirRetrainOptions(F, kTestScale,
-                                                   Sample.size(), nullptr);
+    PO.Retrain =
+        registry::reservoirRetrainOptions(F, kTestScale, Sample.size());
     PO.Stop = &GStop;
     return PO;
   }

@@ -88,7 +88,7 @@ const std::string &altModelBytes() {
       Half.push_back(I);
     runtime::SubsetProgram View(*P, Half);
     core::PipelineOptions Opt =
-        registry::reservoirRetrainOptions(F, kScale, Half.size(), nullptr);
+        registry::reservoirRetrainOptions(F, kScale, Half.size());
     core::TrainedSystem Sys = core::trainSystem(View, Opt);
     serialize::TrainedModel M = serialize::makeModel(
         "sort1", kScale, F.defaultProgramSeed(), View, std::move(Sys));
@@ -397,7 +397,7 @@ TEST(AdaptiveServiceTest, SwapHistoryKeepsTheMostRecentAttempts) {
   runtime::AdaptiveServiceOptions O;
   O.AutoAdapt = false;
   O.ReservoirSize = Sample;
-  O.Retrain = registry::reservoirRetrainOptions(F, kScale, Sample, nullptr);
+  O.Retrain = registry::reservoirRetrainOptions(F, kScale, Sample);
   // The smallest search: this test counts attempts, not their quality.
   O.Retrain.L1.Tuner.PopulationSize = 2;
   O.Retrain.L1.Tuner.Generations = 1;

@@ -7,12 +7,7 @@
 //   (1) detect the distribution shift through its DriftMonitor,
 //   (2) shadow-retrain and hot-swap at least once, and
 //   (3) beat the frozen (no-adaptation) baseline's mean cost on the
-//       post-swap segment of the very same request sequence,
-//
-// and the entire outcome -- decision sequence, detection ticks, swap
-// history -- must be bit-identical whether the retrain pipeline runs on
-// 1, 2 or 8 worker threads (the pipeline's thread-count invariance,
-// extended to the serving loop).
+//       post-swap segment of the very same request sequence.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +15,6 @@
 #include "runtime/AdaptiveService.h"
 #include "runtime/SubsetProgram.h"
 #include "streams/WorkloadStream.h"
-#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -44,7 +38,7 @@ struct Scenario {
 /// over it, and an initial model trained on base-pool (pre-shift)
 /// traffic only -- the "training sample matched yesterday's traffic"
 /// deployment the adaptation loop exists for.
-Scenario makeScenario(support::ThreadPool *Pool) {
+Scenario makeScenario() {
   Scenario S;
   const registry::BenchmarkFactory &F =
       registry::BenchmarkRegistry::instance().get("sort1");
@@ -59,16 +53,15 @@ Scenario makeScenario(support::ThreadPool *Pool) {
 
   const std::vector<size_t> &Pretrain = S.Stream->basePool();
   runtime::SubsetProgram View(*S.Universe, Pretrain);
-  core::PipelineOptions Opt = registry::reservoirRetrainOptions(
-      F, kScale, Pretrain.size(), Pool);
+  core::PipelineOptions Opt =
+      registry::reservoirRetrainOptions(F, kScale, Pretrain.size());
   core::TrainedSystem Sys = core::trainSystem(View, Opt);
   S.Initial = serialize::makeModel("sort1", kScale, F.defaultProgramSeed(),
                                    View, std::move(Sys));
   return S;
 }
 
-runtime::AdaptiveServiceOptions serviceOptions(const Scenario &S,
-                                               support::ThreadPool *Pool) {
+runtime::AdaptiveServiceOptions serviceOptions() {
   const registry::BenchmarkFactory &F =
       registry::BenchmarkRegistry::instance().get("sort1");
   runtime::AdaptiveServiceOptions O;
@@ -77,8 +70,7 @@ runtime::AdaptiveServiceOptions serviceOptions(const Scenario &S,
   O.Monitor.Cooldown = 48;
   O.ReservoirSize = 40;
   O.MinRetrainInputs = 16;
-  O.Retrain = registry::reservoirRetrainOptions(F, kScale, O.ReservoirSize,
-                                                Pool);
+  O.Retrain = registry::reservoirRetrainOptions(F, kScale, O.ReservoirSize);
   return O;
 }
 
@@ -119,12 +111,11 @@ double meanFrom(const std::vector<double> &Costs, size_t From) {
 }
 
 TEST(AdaptiveStreamTest, AbruptShiftDetectSwapAndBeatFrozenBaseline) {
-  support::ThreadPool Pool(2);
-  Scenario S = makeScenario(&Pool);
+  Scenario S = makeScenario();
 
   // Frozen baseline: the same initial model serving the same sequence
   // with adaptation disabled.
-  runtime::AdaptiveServiceOptions FrozenOpts = serviceOptions(S, &Pool);
+  runtime::AdaptiveServiceOptions FrozenOpts = serviceOptions();
   FrozenOpts.AutoAdapt = false;
   serialize::TrainedModel FrozenInitial;
   {
@@ -138,7 +129,7 @@ TEST(AdaptiveStreamTest, AbruptShiftDetectSwapAndBeatFrozenBaseline) {
   ASSERT_TRUE(Frozen.ready()) << Frozen.status().Error;
 
   runtime::AdaptiveService Adaptive(*S.Universe, std::move(S.Initial),
-                                    serviceOptions(S, &Pool));
+                                    serviceOptions());
   ASSERT_TRUE(Adaptive.ready()) << Adaptive.status().Error;
 
   RunOutcome Frz = serveStream(S, Frozen);
@@ -196,44 +187,6 @@ TEST(AdaptiveStreamTest, AbruptShiftDetectSwapAndBeatFrozenBaseline) {
               static_cast<unsigned long long>(Ada.Stats.RejectedCandidates),
               static_cast<unsigned long long>(Ada.Stats.SkippedRetrains),
               AdaMean, FrzMean, 100.0 * (1.0 - AdaMean / FrzMean));
-}
-
-TEST(AdaptiveStreamTest, OutcomeIsThreadCountInvariant) {
-  // The whole adaptive run -- decisions, detection ticks, swap ticks,
-  // epochs, shadow scores -- must not depend on how many workers the
-  // retrain pipeline uses (1/2/8 threads and no pool at all).
-  std::vector<RunOutcome> Runs;
-  for (int Threads : {0, 1, 2, 8}) {
-    std::unique_ptr<support::ThreadPool> Pool;
-    if (Threads > 0)
-      Pool = std::make_unique<support::ThreadPool>(
-          static_cast<unsigned>(Threads));
-    Scenario S = makeScenario(Pool.get());
-    runtime::AdaptiveService Service(*S.Universe, std::move(S.Initial),
-                                     serviceOptions(S, Pool.get()));
-    ASSERT_TRUE(Service.ready()) << Service.status().Error;
-    Runs.push_back(serveStream(S, Service));
-  }
-
-  for (size_t R = 1; R != Runs.size(); ++R) {
-    EXPECT_EQ(Runs[R].Landmarks, Runs[0].Landmarks)
-        << "decisions depend on the retrain thread count";
-    EXPECT_EQ(Runs[R].Epochs, Runs[0].Epochs);
-    EXPECT_EQ(Runs[R].DetectTicks, Runs[0].DetectTicks);
-    EXPECT_EQ(Runs[R].SwapTicks, Runs[0].SwapTicks);
-    ASSERT_EQ(Runs[R].History.size(), Runs[0].History.size());
-    for (size_t I = 0; I != Runs[0].History.size(); ++I) {
-      EXPECT_EQ(Runs[R].History[I].Accepted, Runs[0].History[I].Accepted);
-      EXPECT_DOUBLE_EQ(Runs[R].History[I].ChampionShadowCost,
-                       Runs[0].History[I].ChampionShadowCost);
-      EXPECT_DOUBLE_EQ(Runs[R].History[I].CandidateShadowCost,
-                       Runs[0].History[I].CandidateShadowCost);
-    }
-    EXPECT_EQ(Runs[R].Costs, Runs[0].Costs);
-  }
-  // At least one swap must have happened for the invariance to be
-  // meaningful.
-  EXPECT_GE(Runs[0].Stats.Swaps, 1u);
 }
 
 } // namespace

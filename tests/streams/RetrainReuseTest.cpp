@@ -78,8 +78,8 @@ TEST(RetrainReuseTest, MemoFedRetrainsMatchReferenceTrainingBytes) {
   serialize::TrainedModel Initial = serialize::makeModel(
       "sort1", kScale, F.defaultProgramSeed(), PretrainView,
       core::trainSystem(PretrainView,
-                        registry::reservoirRetrainOptions(
-                            F, kScale, Pretrain.size(), nullptr)));
+                        registry::reservoirRetrainOptions(F, kScale,
+                                                          Pretrain.size())));
 
   runtime::AdaptiveServiceOptions O;
   O.Monitor.Window = 32;
@@ -87,8 +87,7 @@ TEST(RetrainReuseTest, MemoFedRetrainsMatchReferenceTrainingBytes) {
   O.Monitor.Cooldown = 16;
   O.ReservoirSize = 32;
   O.MinRetrainInputs = 16;
-  O.Retrain = registry::reservoirRetrainOptions(F, kScale, O.ReservoirSize,
-                                                nullptr);
+  O.Retrain = registry::reservoirRetrainOptions(F, kScale, O.ReservoirSize);
   // Every compiled candidate is published, so each retrain's candidate is
   // readable as the current epoch.
   O.SwapMargin = -1e9;

@@ -20,7 +20,6 @@
 #include "daemon/ModelRegistry.h"
 #include "daemon/Server.h"
 #include "support/ParseNumber.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <atomic>
@@ -82,8 +81,7 @@ void usage(const char *Argv0) {
       "  --adapt            serve every tenant through the drift-adaptation\n"
       "                     loop (per-tenant DriftMonitor + shadow retrain)\n"
       "  --window=N         drift-monitor window per tenant (default 64)\n"
-      "  --reservoir=N      retrain reservoir per tenant (default 48)\n"
-      "  --threads=N        retrain thread pool size (default 0 = none)\n",
+      "  --reservoir=N      retrain reservoir per tenant (default 48)\n",
       Argv0);
 }
 
@@ -101,7 +99,6 @@ int main(int argc, char **argv) {
   std::vector<std::pair<std::string, std::string>> Models;
   std::vector<std::pair<std::string, std::string>> Stores;
   std::string PortFile;
-  unsigned PoolThreads = 0;
   unsigned StorePollMs = 250;
 
   for (int I = 1; I < argc; ++I) {
@@ -151,9 +148,6 @@ int main(int argc, char **argv) {
     } else if (const char *V = Value("--reservoir=")) {
       if (!support::parseUnsigned(V, RO.Reservoir, 1u << 20))
         return badValue("--reservoir", V, "an integer in [0, 2^20]");
-    } else if (const char *V = Value("--threads=")) {
-      if (!support::parseUnsigned(V, PoolThreads, 1024))
-        return badValue("--threads", V, "an integer in [0, 1024]");
     } else {
       std::fprintf(stderr, "pbt-serve: unknown argument '%s'\n",
                    Arg.c_str());
@@ -166,12 +160,6 @@ int main(int argc, char **argv) {
       (Models.empty() && Stores.empty())) {
     usage(argv[0]);
     return 2;
-  }
-
-  std::unique_ptr<support::ThreadPool> Pool;
-  if (PoolThreads > 0) {
-    Pool = std::make_unique<support::ThreadPool>(PoolThreads);
-    RO.Pool = Pool.get();
   }
 
   daemon::ModelRegistry Registry(RO);
