@@ -374,10 +374,10 @@ static void BM_ServeDecideCompiled(benchmark::State &State) {
 }
 BENCHMARK(BM_ServeDecideCompiled);
 
-/// The daemon's warm Predict decide: one 64-input decideBatch of
-/// memo-warm inputs (the test rows, cycled), inline like a session calls
-/// it. Time is per batch; it includes the batch's accounting and the
-/// Decision vector.
+/// The Decision-vector API on a warm batch: one 64-input decideBatch of
+/// memo-warm inputs (the test rows, cycled), inline. Time is per batch;
+/// it includes the batch's accounting, the Decision vector and a Hold
+/// per decision. perfbench's traced runtime.decide_us times this call.
 static void BM_DecideBatchWarm(benchmark::State &State) {
   ServeFixture &F = serveFixture();
   std::vector<size_t> Batch(64);
@@ -392,6 +392,28 @@ static void BM_DecideBatchWarm(benchmark::State &State) {
                           static_cast<int64_t>(Batch.size()));
 }
 BENCHMARK(BM_DecideBatchWarm);
+
+/// The daemon's warm Predict decide: the same 64-input batch through
+/// decideAnswers into a kept PredictedChoice buffer, as a session calls
+/// it, dropping the returned epoch after each batch as a session does
+/// once it has encoded the reply. Time is per batch and includes the
+/// batch's accounting.
+static void BM_DecideAnswersWarm(benchmark::State &State) {
+  ServeFixture &F = serveFixture();
+  std::vector<size_t> Batch(64);
+  for (size_t K = 0; K < Batch.size(); ++K)
+    Batch[K] = F.Rows[K % F.Rows.size()];
+  std::vector<daemon::PredictedChoice> Answers(Batch.size());
+  for (auto _ : State) {
+    runtime::AdaptiveService::EpochPtr Ep =
+        F.Service->decideAnswers(Batch.data(), Batch.size(), Answers.data());
+    benchmark::DoNotOptimize(Answers.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(Batch.size()));
+}
+BENCHMARK(BM_DecideAnswersWarm);
 
 /// Classifier-only pair (decision cache bypassed): the compiled arena
 /// walk vs the polymorphic classifier over the same recorded feature

@@ -51,7 +51,7 @@ struct Tenant {
   std::string Benchmark;
   registry::ProgramPtr Program;
   std::unique_ptr<runtime::AdaptiveService> Service;
-  /// Serializes serve()/decideBatch()/adaptNow() across session threads
+  /// Serializes serve()/decideAnswers()/adaptNow() across session threads
   /// (AdaptiveService expects a single serving thread).
   std::mutex ServeMutex;
   /// The landmark count of the model the tenant was registered with;
@@ -90,7 +90,7 @@ struct ModelRegistryOptions {
   unsigned Reservoir = 48;
   /// serve()-driven drift adaptation: the Server answers through
   /// AdaptiveService::serve() (drift observation + online adaptation);
-  /// off = frozen decideBatch serving.
+  /// off = frozen decideAnswers serving.
   bool AutoAdapt = false;
 };
 

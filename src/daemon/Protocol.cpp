@@ -326,6 +326,15 @@ void encodePredict(std::string &Out, const std::vector<uint64_t> &Inputs) {
     P = wire::putU64(P, In);
 }
 
+void encodePredictions(std::string &Out,
+                       const std::vector<PredictedChoice> &Answers) {
+  uint8_t *P = wire::beginPayload(Out, MsgType::Predictions,
+                                  4 + 12 * Answers.size());
+  P = wire::putU32(P, static_cast<uint32_t>(Answers.size()));
+  for (const PredictedChoice &A : Answers)
+    P = wire::putU64(wire::putU32(P, A.Landmark), A.Epoch);
+}
+
 std::string makeHello(const std::string &Tenant) {
   WireWriter W(MsgType::Hello, strBytes(Tenant));
   W.str(Tenant);

@@ -201,16 +201,11 @@ uint8_t *beginPayload(std::string &Out, MsgType Type, size_t BodyBytes);
 void encodePredict(std::string &Out, const std::vector<uint64_t> &Inputs);
 
 /// The Predictions payload answering with \p Answers, into \p Out: the
-/// one Predictions encoder. Each answer has Landmark and Epoch members,
-/// so the server encodes straight from its AdaptiveService::Decisions.
-template <typename AnswerRange>
-void encodePredictions(std::string &Out, const AnswerRange &Answers) {
-  uint8_t *P = wire::beginPayload(Out, MsgType::Predictions,
-                                  4 + 12 * Answers.size());
-  P = wire::putU32(P, static_cast<uint32_t>(Answers.size()));
-  for (const auto &A : Answers)
-    P = wire::putU64(wire::putU32(P, A.Landmark), A.Epoch);
-}
+/// one Predictions encoder. A server session keeps one answer buffer,
+/// which AdaptiveService::decideAnswers fills in place (or its --adapt
+/// loop of serve() calls), and encodes it from there.
+void encodePredictions(std::string &Out,
+                       const std::vector<PredictedChoice> &Answers);
 
 //===----------------------------------------------------------------------===//
 // Framed blocking IO over a connected socket fd

@@ -295,11 +295,10 @@ bool Server::handleMessage(Session *S, const Message &M, Tenant *&Attached) {
       AdmissionWaitNs.fetch_add(static_cast<uint64_t>(E.WaitTime.count()),
                                 std::memory_order_relaxed);
     }
-    RequestCount.fetch_add(1, std::memory_order_relaxed);
     Attached->Requests.fetch_add(1, std::memory_order_relaxed);
-    std::vector<runtime::AdaptiveService::Decision> Decisions;
+    runtime::AdaptiveService::EpochPtr Answered;
     try {
-      Decisions = serve(*Attached, M.Inputs);
+      Answered = serve(*Attached, M.Inputs, S->Answers);
     } catch (const std::exception &Ex) {
       Gate.leave();
       Attached->Errors.fetch_add(1, std::memory_order_relaxed);
@@ -309,7 +308,11 @@ bool Server::handleMessage(Session *S, const Message &M, Tenant *&Attached) {
     // The slot bounds serving, not the reply encode and write: a client
     // slow to read its answer must not hold a slot.
     Gate.leave();
-    encodePredictions(S->Reply, Decisions);
+    encodePredictions(S->Reply, S->Answers);
+    // Drop the epoch before the write, so that neither a session waiting
+    // for its next frame nor a client that has read this reply finds the
+    // session keeping a retired model alive.
+    Answered.reset();
     return writeFrame(S->Fd, S->Reply) == FrameStatus::Ok;
   }
 
@@ -374,27 +377,31 @@ void Server::noteQueueDepth(size_t Depth) {
 // between the two.
 static_assert(std::is_same<uint64_t, size_t>::value,
               "pbt-serve needs an LP64 target: a Predict's uint64_t input "
-              "ids are passed to decideBatch as size_t");
+              "ids are passed to decideAnswers as size_t");
 
-std::vector<runtime::AdaptiveService::Decision>
-Server::serve(Tenant &T, const std::vector<uint64_t> &Inputs) {
-  std::vector<runtime::AdaptiveService::Decision> Decisions;
+runtime::AdaptiveService::EpochPtr
+Server::serve(Tenant &T, const std::vector<uint64_t> &Inputs,
+              std::vector<PredictedChoice> &Answers) {
+  Answers.resize(Inputs.size());
+  runtime::AdaptiveService::EpochPtr Answered;
   {
     std::lock_guard<std::mutex> Lock(T.ServeMutex);
     if (Registry.options().AutoAdapt) {
       // Observing mode: feed the tenant's drift monitor and reservoir;
       // serve() runs the adaptation loop inline.
-      Decisions.reserve(Inputs.size());
-      for (size_t Input : Inputs)
-        Decisions.push_back(T.Service->serve(Input));
+      for (size_t I = 0; I != Inputs.size(); ++I) {
+        runtime::AdaptiveService::Decision D = T.Service->serve(Inputs[I]);
+        Answers[I] = {D.Landmark, D.Epoch};
+        Answered = std::move(D.Hold);
+      }
     } else {
-      Decisions = T.Service->decideBatch(Inputs, nullptr);
+      Answered = T.Service->decideAnswers(Inputs.data(), Inputs.size(),
+                                          Answers.data());
     }
   }
-  DecisionCount.fetch_add(Inputs.size(), std::memory_order_relaxed);
   T.Decisions.fetch_add(Inputs.size(), std::memory_order_relaxed);
   T.Batches.fetch_add(1, std::memory_order_relaxed);
-  return Decisions;
+  return Answered;
 }
 
 //===----------------------------------------------------------------------===//
@@ -404,8 +411,15 @@ Server::serve(Tenant &T, const std::vector<uint64_t> &Inputs) {
 ServerStats Server::stats() const {
   ServerStats S;
   S.Connections = ConnCount.load(std::memory_order_relaxed);
-  S.Requests = RequestCount.load(std::memory_order_relaxed);
-  S.Decisions = DecisionCount.load(std::memory_order_relaxed);
+  // The registry never removes a tenant, so the tenants' sums are the
+  // server's totals.
+  for (size_t I = 0;; ++I) {
+    Tenant *T = Registry.at(I);
+    if (!T)
+      break;
+    S.Requests += T->Requests.load(std::memory_order_relaxed);
+    S.Decisions += T->Decisions.load(std::memory_order_relaxed);
+  }
   S.Shed = ShedCount.load(std::memory_order_relaxed);
   S.Malformed = MalformedCount.load(std::memory_order_relaxed);
   S.Batches = S.BatchedRequests = S.Requests;

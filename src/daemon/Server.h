@@ -13,19 +13,19 @@
 /// session thread per connection. The thread that reads a Predict
 /// answers it: it passes the admission gate (daemon/RequestQueue.h),
 /// serves the inputs under the tenant's ServeMutex with
-/// AdaptiveService::decideBatch (or serve() when the registry's
+/// AdaptiveService::decideAnswers (or serve() when the registry's
 /// AutoAdapt is on), leaves the gate, and writes the reply. The gate is
 /// the admission control: at most Workers Predicts are served at once
 /// and at most QueueCapacity more wait for a slot; a Predict that finds
 /// the line full is answered Shed immediately, so backlog never grows
-/// without limit and a client always learns its fate. The session calls
-/// decideBatch without a pool, so a Predict is one inline arena walk on
-/// the session thread, and its answers are choice-identical to an
-/// in-process AdaptiveService replay of the same model (the loadgen
-/// harness and the daemon tests assert exactly that). The session's own
-/// FrameReader and writeFrame make a request one recv and its reply one
-/// sendmsg in the common case; the stall guard (ReadDeadline) costs a
-/// poll only when a frame's bytes are not all there yet.
+/// without limit and a client always learns its fate. A Predict is
+/// decided inline on the session thread, and its answers are
+/// choice-identical to an in-process AdaptiveService replay of the same
+/// model (the loadgen harness and the daemon tests assert exactly
+/// that). The session's own FrameReader and writeFrame make a request
+/// one recv and its reply one sendmsg in the common case; the stall
+/// guard (ReadDeadline) costs a poll only when a frame's bytes are not
+/// all there yet.
 ///
 /// Between requests a session waits in FrameReader::read, which polls
 /// its socket for FrameReader::kSpinWindow before it blocks in recv. A
@@ -42,17 +42,22 @@
 /// frame waits the spin caught. ROADMAP item 2 records what that saved on
 /// `serve-warm` and what it cost in CPU.
 ///
-/// A warm Predict pays its bookkeeping per batch and allocates only the
-/// Decision vector decideBatch returns. The session decodes every frame
-/// into one kept Message, hands its input ids to decideBatch as they
-/// are (uint64_t is size_t on the LP64 targets pbt-serve builds for),
-/// and encodes the answers straight from the Decisions into one kept
-/// reply buffer; decideBatch adds the batch to its service's counters
-/// with one add per counter. On traced `serve-warm` runs (perfbench
-/// `--trace 1`, eight seeds, 4-core x86 VM) that moved the medians of
-/// `runtime.decide_us` from 3.99 to 1.99 us per 64-input batch,
-/// `daemon.codec_us` from 1.24 to 0.98 us and `daemon.residual_us` from
-/// 23.9 to 17.8 us.
+/// A warm Predict allocates nothing and pays its bookkeeping per batch.
+/// The session decodes every frame into one kept Message and hands its
+/// input ids to decideAnswers as they are (uint64_t is size_t on the
+/// LP64 targets pbt-serve builds for). decideAnswers writes each answer
+/// into the session's one kept PredictedChoice buffer -- on a memo hit
+/// one compare and one store, with no Decision and no reference count --
+/// and adds the batch to its service's counters with one add per
+/// counter. The --adapt path fills the same buffer from its per-input
+/// serve() loop, and encodePredictions turns it into one kept reply
+/// buffer. The session holds the batch's epoch only until the reply is
+/// encoded, so an idle session never keeps a retired model alive. The
+/// server's request and decision totals are the sums of its tenants'
+/// counters, which a Predict adds to anyway. On untraced `serve-warm`
+/// (perfbench `--trace 0`, 30 alternating pairs, 4-core x86 VM) this
+/// took the median `latency_p50_us` from 11.5 to 9.6 us (27/30 pairs)
+/// and `work_s` from 0.099 to 0.080 s (29/30 pairs).
 ///
 /// The Stats reply is one line of JSON written by support::JsonWriter's
 /// compact layout. Its keys, their order and the `"key": ` separator are
@@ -183,9 +188,11 @@ private:
     /// Only the session thread reads; leftover bytes of a pipelined
     /// next frame wait here between requests.
     FrameReader Reader;
-    /// The decoded request and the encoded Predictions reply, reused
-    /// for every frame of the session (session thread only).
+    /// The decoded request, a Predict's answers and the encoded
+    /// Predictions reply, reused for every frame of the session (session
+    /// thread only).
     Message Request;
+    std::vector<PredictedChoice> Answers;
     std::string Reply;
     std::thread Thread;
     std::atomic<bool> Finished{false};
@@ -196,9 +203,12 @@ private:
   /// One decoded client frame -> exactly one response frame. False ends
   /// the session (Shutdown, or a response write failure).
   bool handleMessage(Session *S, const Message &M, Tenant *&Attached);
-  /// Serves one admitted Predict under \p T's ServeMutex.
-  std::vector<runtime::AdaptiveService::Decision>
-  serve(Tenant &T, const std::vector<uint64_t> &Inputs);
+  /// Serves one admitted Predict under \p T's ServeMutex into
+  /// \p Answers, one per input. Returns the epoch that answered (under
+  /// AutoAdapt, the one that answered the last input).
+  runtime::AdaptiveService::EpochPtr
+  serve(Tenant &T, const std::vector<uint64_t> &Inputs,
+        std::vector<PredictedChoice> &Answers);
   void noteQueueDepth(size_t Depth);
 
   ModelRegistry &Registry;
@@ -215,10 +225,12 @@ private:
   std::mutex SessionsMutex;
   std::vector<std::unique_ptr<Session>> Sessions;
 
-  std::atomic<uint64_t> ConnCount{0}, RequestCount{0}, DecisionCount{0},
-      ShedCount{0}, MalformedCount{0}, MaxDepth{0}, AdmissionWaitCount{0},
-      AdmissionWaitNs{0}, ShedSessionCount{0}, StalledCount{0},
-      FrameWaitsSpunCount{0}, FrameWaitsSleptCount{0};
+  // Requests and decisions are counted per tenant only; stats() sums
+  // them.
+  std::atomic<uint64_t> ConnCount{0}, ShedCount{0}, MalformedCount{0},
+      MaxDepth{0}, AdmissionWaitCount{0}, AdmissionWaitNs{0},
+      ShedSessionCount{0}, StalledCount{0}, FrameWaitsSpunCount{0},
+      FrameWaitsSleptCount{0};
 };
 
 } // namespace daemon

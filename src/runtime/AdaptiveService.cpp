@@ -122,57 +122,67 @@ uint64_t AdaptiveService::epoch() const {
   return Ep ? Ep->Model.Meta.Epoch : 0;
 }
 
-void AdaptiveService::recordTotals(const Decision *Ds, size_t N) {
-  uint64_t Memoized = 0, Extracted = 0;
-  for (size_t I = 0; I != N; ++I) {
-    Memoized += Ds[I].Memoized;
-    Extracted += Ds[I].FeaturesExtracted;
-  }
+void AdaptiveService::recordTotals(size_t N) {
   DecisionCount.fetch_add(N, std::memory_order_relaxed);
-  if (Memoized)
-    MemoizedCount.fetch_add(Memoized, std::memory_order_relaxed);
-  if (!Extracted)
+  if (N != Paid.size())
+    MemoizedCount.fetch_add(N - Paid.size(), std::memory_order_relaxed);
+  if (Paid.empty())
     return; // a decision that extracted nothing paid nothing
+  uint64_t Extracted = 0;
+  for (const PaidDecision &P : Paid)
+    Extracted += P.Extracted;
   ExtractedCount.fetch_add(Extracted, std::memory_order_relaxed);
   // Fold the costs in decision order, exactly as one add per decision
-  // would, so FeatureCostPaid keeps its value to the last bit.
+  // would (the decisions left out add exactly zero), so FeatureCostPaid
+  // keeps its value to the last bit.
   double Old = CostPaid.load(std::memory_order_relaxed), New;
   do {
     New = Old;
-    for (size_t I = 0; I != N; ++I)
-      New += Ds[I].FeatureCost;
+    for (const PaidDecision &P : Paid)
+      New += P.Cost;
   } while (
       !CostPaid.compare_exchange_weak(Old, New, std::memory_order_relaxed));
 }
 
-AdaptiveService::Decision
-AdaptiveService::decideWith(const ModelEpoch &Ep, size_t Input,
-                            CompiledModel::Scratch &S) {
-  assert(Ok && "decide() on a non-ready AdaptiveService");
-  assert(Input < Memo.size() && "input out of range");
-  MemoEntry &E = Memo[Input];
-
-  Decision D;
-  D.Epoch = Ep.Model.Meta.Epoch;
-  if (E.Decided >= 0 && E.DecidedEpochId == static_cast<int64_t>(Ep.Id)) {
-    D.Landmark = static_cast<unsigned>(E.Decided);
-    D.Config = &Ep.Model.System.L1.Landmarks[D.Landmark];
-    D.Memoized = true;
-    return D;
-  }
-  unsigned Landmark = Ep.Compiled.decideProduction(
-      S, [&](unsigned Flat) { return featureAt(Input, Flat, &D); });
-  assert(Landmark < Ep.Model.System.L1.Landmarks.size() &&
-         "classifier predicted a missing landmark");
-  D.Landmark = Landmark;
-  D.Config = &Ep.Model.System.L1.Landmarks[Landmark];
-  D.Memoized = D.FeaturesExtracted == 0;
-  E.Decided = static_cast<int32_t>(Landmark);
-  E.DecidedEpochId = static_cast<int64_t>(Ep.Id);
-  return D;
+unsigned AdaptiveService::decideMiss(const ModelEpoch &Ep, size_t Input,
+                                     size_t At) {
+  PaidDecision P;
+  P.At = At;
+  unsigned Landmark = decideCold(Ep, Input, scratchFor(Ep), P);
+  if (P.Extracted)
+    Paid.push_back(P);
+  return Landmark;
 }
 
-double AdaptiveService::featureAt(size_t Input, unsigned Flat, Decision *D) {
+unsigned AdaptiveService::decideCold(const ModelEpoch &Ep, size_t Input,
+                                     CompiledModel::Scratch &S,
+                                     PaidDecision &P) {
+  unsigned Landmark = Ep.Compiled.decideProduction(
+      S, [&](unsigned Flat) { return featureAt(Input, Flat, &P); });
+  assert(Landmark < Ep.Model.System.L1.Landmarks.size() &&
+         "classifier predicted a missing landmark");
+  MemoEntry &E = Memo[Input];
+  E.Decided = static_cast<int32_t>(Landmark);
+  E.DecidedEpochId = static_cast<int64_t>(Ep.Id);
+  return Landmark;
+}
+
+void AdaptiveService::completeDecisions(Decision *Ds, size_t N,
+                                        const EpochPtr &Ep) const {
+  for (size_t I = 0; I != N; ++I) {
+    Ds[I].Config = &Ep->Model.System.L1.Landmarks[Ds[I].Landmark];
+    Ds[I].Memoized = true;
+    Ds[I].Hold = Ep;
+  }
+  for (const PaidDecision &P : Paid) {
+    Ds[P.At].Memoized = false;
+    Ds[P.At].FeatureCost = P.Cost;
+    Ds[P.At].FeaturesExtracted = P.Extracted;
+  }
+}
+
+double AdaptiveService::featureAt(size_t Input, unsigned Flat,
+                                  PaidDecision *P) {
   MemoEntry &E = Memo[Input];
   if (E.Have.empty()) {
     unsigned NumFlat = Index->numFlat();
@@ -186,9 +196,9 @@ double AdaptiveService::featureAt(size_t Input, unsigned Flat, Decision *D) {
                                             Index->levelOf(Flat), C);
     E.Costs[Flat] = C.units();
     E.Have[Flat] = 1;
-    if (D) {
-      D->FeatureCost += C.units();
-      ++D->FeaturesExtracted;
+    if (P) {
+      P->Cost += C.units();
+      ++P->Extracted;
     } else {
       atomicAdd(MonitorCost, C.units());
     }
@@ -230,19 +240,18 @@ unsigned AdaptiveService::assignCluster(const ModelEpoch &Ep,
 }
 
 AdaptiveService::Decision AdaptiveService::decide(size_t Input) {
-  EpochPtr Ep = currentEpoch();
-  Decision D = decideWith(*Ep, Input, scratchFor(*Ep));
-  D.Hold = Ep;
-  recordTotals(&D, 1);
+  Decision D;
+  EpochPtr Ep = decideAnswers(&Input, 1, &D);
+  completeDecisions(&D, 1, Ep);
   return D;
 }
 
 AdaptiveService::Decision AdaptiveService::serve(size_t Input) {
   EpochPtr Ep = currentEpoch();
   syncMonitorTo(Ep);
-  Decision D = decideWith(*Ep, Input, scratchFor(*Ep));
-  D.Hold = Ep;
-  recordTotals(&D, 1);
+  Decision D;
+  decideLoop(*Ep, &Input, 1, &D);
+  completeDecisions(&D, 1, Ep);
 
   const double *Features = fullFeatures(Input);
   unsigned Cluster = assignCluster(*Ep, Features);
@@ -260,40 +269,53 @@ std::vector<AdaptiveService::Decision>
 AdaptiveService::decideBatch(const std::vector<size_t> &Inputs,
                              support::ThreadPool *Pool) {
   assert(Ok && "decideBatch() on a non-ready AdaptiveService");
-  // One snapshot for the whole batch: every decision below comes from the
-  // same epoch even if swapModel() lands mid-batch on another thread.
-  EpochPtr Ep = currentEpoch();
   std::vector<Decision> Out(Inputs.size());
   unsigned Shards = Pool ? std::max(1u, Pool->numThreads()) : 1u;
   if (Shards <= 1 || Inputs.size() <= 1) {
-    CompiledModel::Scratch &S = scratchFor(*Ep);
-    for (size_t I = 0; I != Inputs.size(); ++I)
-      Out[I] = decideWith(*Ep, Inputs[I], S);
-  } else {
-    // Shard by input id, the lock-free memo-ownership rule: every
-    // occurrence of one input is served by exactly one worker, so
-    // decisions cannot depend on the shard count.
-    std::vector<CompiledModel::Scratch> Scratches;
-    Scratches.reserve(Shards);
-    for (unsigned S = 0; S != Shards; ++S)
-      Scratches.push_back(Ep->Compiled.makeScratch());
-    Pool->parallelFor(0, Shards, [&](size_t Shard) {
-      CompiledModel::Scratch &S = Scratches[Shard];
-      for (size_t I = 0; I != Inputs.size(); ++I)
-        if (Inputs[I] % Shards == Shard)
-          Out[I] = decideWith(*Ep, Inputs[I], S);
-    });
+    EpochPtr Ep = decideAnswers(Inputs.data(), Inputs.size(), Out.data());
+    completeDecisions(Out.data(), Out.size(), Ep);
+    return Out;
   }
-  for (Decision &D : Out)
-    D.Hold = Ep;
-  recordTotals(Out.data(), Out.size());
+  // Shard by input id, the lock-free memo-ownership rule: every
+  // occurrence of one input is served by exactly one worker, so
+  // decisions cannot depend on the shard count.
+  EpochPtr Ep = currentEpoch();
+  const int64_t Id = static_cast<int64_t>(Ep->Id);
+  std::vector<CompiledModel::Scratch> Scratches;
+  Scratches.reserve(Shards);
+  for (unsigned S = 0; S != Shards; ++S)
+    Scratches.push_back(Ep->Compiled.makeScratch());
+  Pool->parallelFor(0, Shards, [&](size_t Shard) {
+    CompiledModel::Scratch &S = Scratches[Shard];
+    for (size_t I = 0; I != Inputs.size(); ++I) {
+      if (Inputs[I] % Shards != Shard)
+        continue;
+      const MemoEntry &E = Memo[Inputs[I]];
+      if (E.DecidedEpochId == Id) {
+        Out[I].Landmark = static_cast<unsigned>(E.Decided);
+        continue;
+      }
+      PaidDecision P;
+      Out[I].Landmark = decideCold(*Ep, Inputs[I], S, P);
+      Out[I].FeatureCost = P.Cost;
+      Out[I].FeaturesExtracted = P.Extracted;
+    }
+  });
+  Paid.clear();
+  for (size_t I = 0; I != Out.size(); ++I) {
+    Out[I].Epoch = Ep->Model.Meta.Epoch;
+    if (Out[I].FeaturesExtracted)
+      Paid.push_back({I, Out[I].FeatureCost, Out[I].FeaturesExtracted});
+  }
+  recordTotals(Out.size());
+  completeDecisions(Out.data(), Out.size(), Ep);
   return Out;
 }
 
 double AdaptiveService::shadowScore(const ModelEpoch &Ep,
                                     const std::vector<size_t> &Inputs) {
   // Raw compiled walk over the shared feature memo -- deliberately not
-  // decideWith(), so scoring an unpublished candidate never seeds the
+  // decideCold(), so scoring an unpublished candidate never seeds the
   // decision cache.
   CompiledModel::Scratch S = Ep.Compiled.makeScratch();
   double Total = 0.0;

@@ -17,7 +17,7 @@
 /// candidate with strictly lower shadow cost is hot-swapped in; the swap
 /// is an atomic epoch-pointer exchange, so serving never pauses and
 /// decisions already handed out stay valid (each Decision holds its
-/// epoch alive).
+/// epoch alive, and decideAnswers() returns its batch's epoch).
 ///
 /// One route builds every model that reaches serving: buildCandidate()
 /// is called by the shadow retrain and by rollout::Publisher, and every
@@ -46,11 +46,12 @@
 /// This is the one serving core: the daemon, the rollout controller, the
 /// bench harnesses and every in-process parity replay decide through it.
 ///
-/// Threading contract: decide()/decideBatch()/serve() are driven by one
-/// serving thread at a time (decideBatch may internally shard across a
-/// pool it is handed); swapModel() may be called concurrently from any
-/// other thread. A batch reads the epoch pointer exactly once, so every
-/// decision inside one batch comes from the same epoch.
+/// Threading contract: decide()/decideAnswers()/decideBatch()/serve()
+/// are driven by one serving thread at a time (decideBatch may internally
+/// shard across a pool it is handed); swapModel() may be called
+/// concurrently from any other thread. A batch reads the epoch pointer
+/// exactly once, so every decision inside one batch comes from the same
+/// epoch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,6 +66,7 @@
 #include "support/ThreadPool.h"
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -191,13 +193,26 @@ public:
   /// Decide without observing: no monitor, no reservoir, no adaptation.
   Decision decide(size_t Input);
 
-  /// Batched decide (no observation); the whole batch is served by one
-  /// epoch snapshot. Without a pool (what every production caller
-  /// passes) the batch runs inline on the calling thread. With one, the
-  /// inputs are sharded by input id, so every occurrence of an input is
-  /// decided by the shard that owns its memo entry: decisions are
-  /// identical for every thread count. The batch reaches stats() as one
-  /// add per counter when it returns, not one per decision.
+  /// The lean batched decide (no observation) the daemon answers a
+  /// Predict with: for each I < \p N, writes Inputs[I]'s landmark to
+  /// Out[I].Landmark and the deciding model's Meta.Epoch to Out[I].Epoch.
+  /// \p Answer is any type with those two members (daemon::PredictedChoice,
+  /// Decision). The epoch pointer is read once, and the batch's epoch is
+  /// returned: holding it keeps the answers' configurations alive. A
+  /// decision-memo hit is one compare and one store -- no Decision, no
+  /// reference count, no allocation; a miss takes the compiled walk out
+  /// of line. The batch reaches stats() as one add per counter when it
+  /// returns, not one per decision.
+  template <typename Answer>
+  EpochPtr decideAnswers(const size_t *Inputs, size_t N, Answer *Out);
+
+  /// Batched decide into Decisions (no observation); the whole batch is
+  /// served by one epoch snapshot. Without a pool the batch runs inline
+  /// through decideAnswers(), each Decision stamped with its Hold,
+  /// Config and extraction. With one, the inputs are sharded by input
+  /// id, so every occurrence of an input is decided by the shard that
+  /// owns its memo entry: decisions are identical for every thread
+  /// count. Accounted like decideAnswers().
   std::vector<Decision> decideBatch(const std::vector<size_t> &Inputs,
                                     support::ThreadPool *Pool = nullptr);
 
@@ -266,6 +281,14 @@ private:
     int32_t Decided = -1;
   };
 
+  /// A decision of the current batch that extracted features: its
+  /// position in the batch and what it paid.
+  struct PaidDecision {
+    size_t At = 0;
+    double Cost = 0.0;
+    unsigned Extracted = 0;
+  };
+
   /// The program check the constructor and swapModel() share:
   /// serialize::validateAgainst plus a production classifier and landmarks.
   serialize::LoadStatus
@@ -273,12 +296,26 @@ private:
   /// The epoch gate every model passes before it serves: drops the
   /// training-only substrate and compiles. Null when it does not compile.
   static std::shared_ptr<ModelEpoch> makeEpoch(serialize::TrainedModel Model);
-  Decision decideWith(const ModelEpoch &Ep, size_t Input,
-                      CompiledModel::Scratch &S);
+  /// decideAnswers() under \p Ep, which the caller holds: the loop
+  /// serve() shares, so it decides with the epoch it observes against.
+  template <typename Answer>
+  void decideLoop(const ModelEpoch &Ep, const size_t *Inputs, size_t N,
+                  Answer *Out);
+  /// The decision-memo miss of decideLoop: decides \p Input, the batch's
+  /// \p At-th, on the serving thread and records its extraction in Paid.
+  unsigned decideMiss(const ModelEpoch &Ep, size_t Input, size_t At);
+  /// The compiled walk over \p Input's memoized features; caches the
+  /// decision for \p Ep and charges newly paid extraction to \p P.
+  unsigned decideCold(const ModelEpoch &Ep, size_t Input,
+                      CompiledModel::Scratch &S, PaidDecision &P);
+  /// The Decision fields decideAnswers() does not write, for the batch
+  /// of \p N just decided under \p Ep: Hold and Config for each, and
+  /// Memoized, FeatureCost and FeaturesExtracted from Paid.
+  void completeDecisions(Decision *Ds, size_t N, const EpochPtr &Ep) const;
   /// Memo-backed feature access: extracts flat feature \p Flat of
   /// \p Input unless already memoized. Newly paid extraction is charged
-  /// to \p D when given, else to the MonitorCost bucket.
-  double featureAt(size_t Input, unsigned Flat, Decision *D);
+  /// to \p P when given, else to the MonitorCost bucket.
+  double featureAt(size_t Input, unsigned Flat, PaidDecision *P);
   /// Extracts (via the memo) every flat feature of \p Input; returns the
   /// memo row. Extraction newly paid here is charged to MonitorCost.
   const double *fullFeatures(size_t Input);
@@ -305,10 +342,10 @@ private:
   /// Appends \p Attempt to the history, dropping the oldest record past
   /// MaxSwapHistory. Caller holds SwapMutex.
   void appendHistory(const SwapRecord &Attempt);
-  /// Adds \p N decisions to the lifetime totals: one relaxed add per
-  /// counter, none for a sum that is zero. serve() and decide() pass one
-  /// decision, decideBatch() its whole batch.
-  void recordTotals(const Decision *Ds, size_t N);
+  /// Adds a batch of \p N decisions, of which Paid extracted features,
+  /// to the lifetime totals: one relaxed add per counter, none for a sum
+  /// that is zero. serve() and decide() pass one decision.
+  void recordTotals(size_t N);
   /// Bumps SkipCount and records \p Reason as the last skip diagnosis.
   void recordSkip(std::string Reason);
 
@@ -331,6 +368,9 @@ private:
   /// Internal epoch Id MainScratch was sized for (0 = never made).
   uint64_t ScratchEpochId = 0;
   std::vector<double> ClusterRow; // scratch for assignCluster
+  /// The current batch's decisions that extracted features, in decision
+  /// order (serving thread; empty for an all-warm batch).
+  std::vector<PaidDecision> Paid;
 
   DriftMonitor Monitor;
   /// Internal epoch Id the monitor's reference was rebased to.
@@ -348,6 +388,36 @@ private:
       LastRetrainSeconds{0.0}, RetrainLevel1Seconds{0.0},
       RetrainLevel2Seconds{0.0};
 };
+
+template <typename Answer>
+AdaptiveService::EpochPtr
+AdaptiveService::decideAnswers(const size_t *Inputs, size_t N, Answer *Out) {
+  assert(Ok && "decideAnswers() on a non-ready AdaptiveService");
+  // One snapshot for the whole batch: every decision below comes from the
+  // same epoch even if swapModel() lands mid-batch on another thread.
+  EpochPtr Ep = currentEpoch();
+  decideLoop(*Ep, Inputs, N, Out);
+  return Ep;
+}
+
+template <typename Answer>
+void AdaptiveService::decideLoop(const ModelEpoch &Ep, const size_t *Inputs,
+                                 size_t N, Answer *Out) {
+  // Ids start at 1 and a memo entry's DecidedEpochId at -1, so a matching
+  // id also means the entry holds a decision.
+  const int64_t Id = static_cast<int64_t>(Ep.Id);
+  const uint64_t Generation = Ep.Model.Meta.Epoch;
+  Paid.clear();
+  for (size_t I = 0; I != N; ++I) {
+    assert(Inputs[I] < Memo.size() && "input out of range");
+    const MemoEntry &E = Memo[Inputs[I]];
+    Out[I].Landmark = E.DecidedEpochId == Id
+                          ? static_cast<unsigned>(E.Decided)
+                          : decideMiss(Ep, Inputs[I], I);
+    Out[I].Epoch = Generation;
+  }
+  recordTotals(N);
+}
 
 } // namespace runtime
 } // namespace pbt

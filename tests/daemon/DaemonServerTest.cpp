@@ -355,6 +355,93 @@ TEST(DaemonServerTest, HelloAndStatsReportTheServingEpochsLandmarks) {
       << Json;
 }
 
+TEST(DaemonServerTest, EveryReplyComesFromOneEpochAndIsNotHeldAfterIt) {
+  // A swapper alternates two models under a client's plain Predicts.
+  // Each pushed model's epoch is the serving one's plus one, so epoch
+  // Base + K serves the small model for odd K and the original for even
+  // K.
+  Harness H;
+  daemon::Tenant *T = H.Registry.find("sort1");
+  ASSERT_NE(T, nullptr);
+  const std::string SmallBytes = serialize::serializeModel(smallModel());
+  const uint64_t Base = T->Service->epoch();
+  auto Landmarks = [](const std::string &Bytes, size_t N) {
+    const registry::BenchmarkFactory &F =
+        registry::BenchmarkRegistry::instance().get("sort1");
+    registry::ProgramPtr P = F.makeProgram(kTestScale, F.defaultProgramSeed());
+    runtime::AdaptiveService Service(*P, cloneModel(Bytes));
+    EXPECT_TRUE(Service.ready()) << Service.status().Error;
+    std::vector<unsigned> Out;
+    for (size_t I = 0; I != N; ++I)
+      Out.push_back(Service.decide(I).Landmark);
+    return Out;
+  };
+
+  daemon::DaemonClient C;
+  std::string Err;
+  ASSERT_TRUE(C.connect(H.Socket, Err)) << Err;
+  daemon::DaemonClient::AttachInfo Info;
+  ASSERT_TRUE(C.attach("sort1", Info, Err)) << Err;
+  const std::vector<unsigned> Original =
+      Landmarks(modelBytes(), Info.NumInputs);
+  const std::vector<unsigned> Small = Landmarks(SmallBytes, Info.NumInputs);
+  ASSERT_NE(Original, Small) << "the two models decide alike everywhere";
+  std::vector<uint64_t> Wire;
+  for (uint64_t I = 0; I != Info.NumInputs; ++I)
+    Wire.push_back(I);
+
+  std::atomic<bool> Done{false};
+  std::atomic<uint64_t> Swaps{0};
+  std::thread Swapper([&] {
+    while (!Done.load()) {
+      const std::string &Next = Swaps.load() % 2 ? modelBytes() : SmallBytes;
+      if (!T->Service->swapModel(cloneModel(Next)).Ok)
+        break;
+      Swaps.fetch_add(1);
+    }
+  });
+  // Until the replies have crossed a few swaps: a reply can only mix
+  // epochs when a swap lands while its batch is decided. No fatal
+  // assertion until the swapper is joined.
+  std::vector<daemon::PredictedChoice> Choices;
+  std::vector<uint64_t> Seen;
+  for (int R = 0; (R < 100 || Seen.size() < 4) && R != 100000 &&
+                  !::testing::Test::HasFailure();
+       ++R) {
+    if (C.predict(Wire, Choices, Err) !=
+            daemon::DaemonClient::PredictOutcome::Ok ||
+        Choices.size() != Wire.size() || Choices.front().Epoch < Base) {
+      ADD_FAILURE() << "reply " << R << " failed or went back in time: "
+                    << Err;
+      break;
+    }
+    const uint64_t Epoch = Choices.front().Epoch;
+    const std::vector<unsigned> &Want =
+        (Epoch - Base) % 2 ? Small : Original;
+    for (size_t I = 0; I != Choices.size(); ++I) {
+      EXPECT_EQ(Choices[I].Epoch, Epoch) << "reply " << R << " input " << I;
+      EXPECT_EQ(Choices[I].Landmark, Want[I])
+          << "reply " << R << " at epoch " << Epoch << " input " << I;
+    }
+    if (Seen.empty() || Seen.back() != Epoch)
+      Seen.push_back(Epoch);
+  }
+  Done.store(true);
+  Swapper.join();
+  EXPECT_GE(Seen.size(), 4u) << "the replies crossed too few swaps";
+
+  // The epoch that answered the last reply dies with its retirement:
+  // the session kept no hold on it once the reply was written.
+  ASSERT_EQ(C.predict(Wire, Choices, Err),
+            daemon::DaemonClient::PredictOutcome::Ok)
+      << Err;
+  std::weak_ptr<const runtime::AdaptiveService::ModelEpoch> Answered =
+      T->Service->currentEpoch();
+  ASSERT_EQ(Answered.lock()->Model.Meta.Epoch, Choices.front().Epoch);
+  ASSERT_TRUE(T->Service->swapModel(cloneModel(modelBytes())).Ok);
+  EXPECT_TRUE(Answered.expired());
+}
+
 TEST(DaemonServerTest, StatsReportEachTenantsBuildTimeLast) {
   // build_ms follows every older key; only the retrain split, added
   // after it, follows it, and the split closes the tenant object.

@@ -22,13 +22,12 @@
 //
 // Regenerate (deliberate behaviour changes only; see README):
 //
-//   build/pbt-bench train \
-//       --only=sort1,binpacking,clustering1,clustering2,svd,poisson2d,helmholtz3d \
-//       --scale=0.1 --sequential --out-dir=tests/golden
-//   for m in sort1 binpacking clustering1 clustering2 svd poisson2d \
-//            helmholtz3d; do \
-//     build/pbt-bench predict --model=tests/golden/$m.pbt \
-//         --csv=tests/golden/$m.choices.csv; done
+//   G=tests/golden
+//   M=sort1,binpacking,clustering1,clustering2,svd,poisson2d,helmholtz3d
+//   build/pbt-bench train --only=$M --scale=0.1 --sequential --out-dir=$G
+//   for m in $(echo $M | tr , ' '); do
+//     build/pbt-bench predict --model=$G/$m.pbt --csv=$G/$m.choices.csv
+//   done
 //
 //===----------------------------------------------------------------------===//
 

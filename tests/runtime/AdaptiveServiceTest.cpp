@@ -367,6 +367,62 @@ TEST(AdaptiveServiceTest, BatchAccountingIsExact) {
   Want.expectMatches(Service.stats());
 }
 
+/// An answer buffer entry of the kind a daemon session keeps.
+struct LeanAnswer {
+  uint32_t Landmark = 0;
+  uint64_t Epoch = 0;
+};
+
+TEST(AdaptiveServiceTest, DecideAnswersMatchesDecideBatch) {
+  // The lean loop and the Decision vector, fed the same batches by two
+  // services on the same model, answer alike, and the lean service's
+  // stats() equal the sums over the Decisions to the bit: cold inputs,
+  // warm ones, an input repeated inside one batch, and a swap between
+  // batches.
+  auto CheckBatches = [](const std::string &Name, const std::string &Bytes,
+                         const std::string &SwapBytes) {
+    SCOPED_TRACE(Name);
+    registry::ProgramPtr P = makeProgram(Name);
+    ASSERT_GE(P->numInputs(), 8u);
+    BatchPlan Plan(P->numInputs());
+    runtime::AdaptiveService Vector(*P, cloneModel(Bytes));
+    runtime::AdaptiveService Lean(*P, cloneModel(Bytes));
+    ASSERT_TRUE(Vector.ready() && Lean.ready());
+    std::vector<LeanAnswer> Answers;
+    DecisionSums Want;
+    auto Batch = [&](const std::vector<size_t> &Inputs) {
+      std::vector<runtime::AdaptiveService::Decision> Ds =
+          Vector.decideBatch(Inputs);
+      Answers.assign(Inputs.size(), LeanAnswer());
+      runtime::AdaptiveService::EpochPtr Ep =
+          Lean.decideAnswers(Inputs.data(), Inputs.size(), Answers.data());
+      EXPECT_EQ(Ep, Lean.currentEpoch());
+      for (size_t I = 0; I != Inputs.size(); ++I) {
+        EXPECT_EQ(Answers[I].Landmark, Ds[I].Landmark) << "input " << I;
+        EXPECT_EQ(Answers[I].Epoch, Ds[I].Epoch) << "input " << I;
+        EXPECT_EQ(Answers[I].Epoch, Ep->Model.Meta.Epoch);
+        Want.add(Ds[I]);
+      }
+      Want.expectMatches(Lean.stats());
+      EXPECT_EQ(Lean.stats().MonitorCostPaid, 0.0);
+    };
+    Batch(Plan.FirstHalf); // cold
+    Batch(Plan.FirstHalf); // warm
+    Batch(Plan.Repeats);   // one cold input three times, one warm
+    ASSERT_TRUE(Vector.swapModel(cloneModel(SwapBytes)).Ok);
+    ASSERT_TRUE(Lean.swapModel(cloneModel(SwapBytes)).Ok);
+    Batch(Plan.FirstHalf);  // memoized features, the new epoch decides
+    Batch(Plan.SecondHalf); // the rest, cold under the new epoch
+    Batch({});
+    EXPECT_GT(Want.Extracted, 0u);
+    EXPECT_GT(Want.Memoized, 0u);
+    EXPECT_LT(Want.Memoized, Want.Decisions);
+  };
+  CheckBatches("sort1", modelBytes(), altModelBytes());
+  CheckBatches("binpacking", binpackingModel().Bytes,
+               binpackingModel().Bytes);
+}
+
 TEST(AdaptiveServiceTest, ServeObservesIntoMonitorAndReservoir) {
   registry::ProgramPtr P = makeProgram();
   runtime::AdaptiveServiceOptions O;

@@ -12,7 +12,9 @@
 /// globs every src/*.cpp into the test binaries, which already have a
 /// main.
 ///
-///   pbt-serve --socket=/tmp/pbt.sock --model=sort1.pbt \
+/// Two tenants, four workers and a queue of 128 (one command line):
+///
+///   pbt-serve --socket=/tmp/pbt.sock --model=sort1.pbt
 ///             --model=fast=other.pbt --workers=4 --queue=128
 ///
 //===----------------------------------------------------------------------===//
