@@ -522,12 +522,12 @@ static void BM_PipelineTrain(benchmark::State &State, bool Pooled) {
   if (Pooled)
     Pool.emplace();
   for (auto _ : State) {
-    std::vector<registry::SuiteEntry> Suite = registry::makeSuite(
-        {"sort2"}, Scale, Pooled ? &*Pool : nullptr);
+    std::vector<registry::SuiteEntry> Suite =
+        registry::makeSuite({"sort2"}, Scale);
     registry::SuiteEntry &E = Suite.front();
-    core::TrainedSystem System = core::trainSystem(*E.Program, E.Options);
-    core::EvaluationResult R =
-        core::evaluateSystem(*E.Program, System, E.Options.Pool);
+    support::ThreadPool *P = Pooled ? &*Pool : nullptr;
+    core::TrainedSystem System = core::trainSystem(*E.Program, E.Options, P);
+    core::EvaluationResult R = core::evaluateSystem(*E.Program, System, P);
     benchmark::DoNotOptimize(R.TwoLevelWithFeat);
   }
   State.counters["threads"] =
@@ -552,7 +552,7 @@ static void BM_LevelTwoZoo(benchmark::State &State) {
   static ZooFixture *F = [] {
     auto *Z = new ZooFixture();
     std::vector<registry::SuiteEntry> Suite =
-        registry::makeSuite({"sort2"}, 0.2, nullptr);
+        registry::makeSuite({"sort2"}, 0.2);
     Z->Program = std::move(Suite.front().Program);
     Z->Options = Suite.front().Options;
     support::Rng SplitRng(Z->Options.SplitSeed);

@@ -55,7 +55,8 @@ int benchharness::runTable1(const DriverOptions &Opts) {
   support::WallTimer Total;
   for (registry::SuiteEntry &E : Suite) {
     support::WallTimer T;
-    core::TrainedSystem System = core::trainSystem(*E.Program, E.Options);
+    core::TrainedSystem System =
+        core::trainSystem(*E.Program, E.Options, Opts.Pool);
     core::EvaluationResult R =
         core::evaluateSystem(*E.Program, System, Opts.Pool);
     std::fprintf(stderr, "[table1] %-12s trained+evaluated in %.1fs "
@@ -97,7 +98,8 @@ int benchharness::runFig6(const DriverOptions &Opts) {
                    "max", "mean"});
 
   for (registry::SuiteEntry &E : Suite) {
-    core::TrainedSystem System = core::trainSystem(*E.Program, E.Options);
+    core::TrainedSystem System =
+        core::trainSystem(*E.Program, E.Options, Opts.Pool);
     core::EvaluationResult R =
         core::evaluateSystem(*E.Program, System, Opts.Pool);
     std::vector<double> S = R.PerInputSpeedups;
@@ -196,7 +198,8 @@ int benchharness::runFig8(const DriverOptions &Opts) {
   const unsigned Trials = Opts.Fig8Trials;
 
   for (registry::SuiteEntry &E : Suite) {
-    core::TrainedSystem System = core::trainSystem(*E.Program, E.Options);
+    core::TrainedSystem System =
+        core::trainSystem(*E.Program, E.Options, Opts.Pool);
     unsigned K = static_cast<unsigned>(System.L1.Landmarks.size());
     std::vector<unsigned> Counts;
     for (unsigned C = 1; C <= K; ++C)
@@ -253,7 +256,8 @@ int benchharness::runInteract(const DriverOptions &Opts) {
 
   for (registry::SuiteEntry &E : Suite) {
     support::WallTimer T;
-    core::TrainedSystem System = core::trainSystem(*E.Program, E.Options);
+    core::TrainedSystem System =
+        core::trainSystem(*E.Program, E.Options, Opts.Pool);
     const linalg::Matrix &C = System.L1.Time; // inputs x landmarks
     size_t N = C.rows(), K = C.cols();
     if (N == 0 || K == 0)
@@ -349,10 +353,11 @@ int benchharness::runAblationEta(const DriverOptions &Opts) {
                      "selected classifier"});
     for (double Eta : Etas) {
       std::vector<registry::SuiteEntry> Suite =
-          registry::makeSuite({Name}, Opts.Scale, Opts.Pool);
+          registry::makeSuite({Name}, Opts.Scale);
       registry::SuiteEntry &E = Suite.front();
       E.Options.L2.Eta = Eta;
-      core::TrainedSystem System = core::trainSystem(*E.Program, E.Options);
+      core::TrainedSystem System =
+          core::trainSystem(*E.Program, E.Options, Opts.Pool);
       core::EvaluationResult R =
           core::evaluateSystem(*E.Program, System, Opts.Pool);
       Table.addRow({support::formatDouble(Eta, 3),
@@ -389,11 +394,12 @@ int benchharness::runAblationLandmarks(const DriverOptions &Opts) {
            {core::LandmarkSelection::KMeansCentroids,
             core::LandmarkSelection::UniformRandom}) {
         std::vector<registry::SuiteEntry> Suite =
-            registry::makeSuite({Name}, Opts.Scale, Opts.Pool);
+            registry::makeSuite({Name}, Opts.Scale);
         registry::SuiteEntry &E = Suite.front();
         E.Options.L1.NumLandmarks = K;
         E.Options.L1.Selection = Sel;
-        core::TrainedSystem System = core::trainSystem(*E.Program, E.Options);
+        core::TrainedSystem System =
+            core::trainSystem(*E.Program, E.Options, Opts.Pool);
         core::EvaluationResult R =
             core::evaluateSystem(*E.Program, System, Opts.Pool);
         if (Sel == core::LandmarkSelection::KMeansCentroids)
@@ -430,7 +436,8 @@ int benchharness::runAblationTwoLevel(const DriverOptions &Opts) {
                    "two-level", "one-level", "advantage"});
 
   for (registry::SuiteEntry &E : Suite) {
-    core::TrainedSystem System = core::trainSystem(*E.Program, E.Options);
+    core::TrainedSystem System =
+        core::trainSystem(*E.Program, E.Options, Opts.Pool);
     core::EvaluationResult R =
         core::evaluateSystem(*E.Program, System, Opts.Pool);
     double Advantage = R.OneLevelWithFeat > 0.0

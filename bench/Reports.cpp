@@ -22,8 +22,8 @@ using namespace pbt::benchharness;
 std::vector<registry::SuiteEntry>
 benchharness::suiteFor(const DriverOptions &Opts) {
   if (Opts.Only.empty())
-    return registry::makeSuite(Opts.Scale, Opts.Pool);
-  return registry::makeSuite(Opts.Only, Opts.Scale, Opts.Pool);
+    return registry::makeSuite(Opts.Scale);
+  return registry::makeSuite(Opts.Only, Opts.Scale);
 }
 
 std::string benchharness::csvPath(const DriverOptions &Opts,
@@ -94,5 +94,6 @@ serialize::TrainedModel benchharness::trainModel(const DriverOptions &Opts,
       registry::BenchmarkRegistry::instance().get(E.Name);
   return serialize::makeModel(E.Name, Opts.Scale, F.defaultProgramSeed(),
                               *E.Program,
-                              core::trainSystem(*E.Program, E.Options));
+                              core::trainSystem(*E.Program, E.Options,
+                                                Opts.Pool));
 }

@@ -17,7 +17,8 @@ using namespace pbt;
 using namespace pbt::core;
 
 TrainedSystem core::trainSystem(const runtime::TunableProgram &Program,
-                                const PipelineOptions &Options) {
+                                const PipelineOptions &Options,
+                                support::ThreadPool *Pool) {
   TrainedSystem S;
   size_t N = Program.numInputs();
   assert(N >= 4 && "need at least a few inputs");
@@ -29,7 +30,7 @@ TrainedSystem core::trainSystem(const runtime::TunableProgram &Program,
   S.TestRows = std::move(Split.Test);
 
   support::WallTimer Level1Timer;
-  S.L1 = runLevelOne(Program, S.TrainRows, Options.L1, Options.Pool);
+  S.L1 = runLevelOne(Program, S.TrainRows, Options.L1, Pool);
   S.Level1Seconds = Level1Timer.elapsedSeconds();
 
   // Columnarize the evidence exactly once; Level 2 and evaluation share
@@ -44,7 +45,7 @@ TrainedSystem core::trainSystem(const runtime::TunableProgram &Program,
   Data->setLabels(labelAllRows(S.L1.Time, S.L1.Acc, Spec));
   S.Data = std::move(Data);
   S.L2 = runLevelTwo(Program, S.L1, S.TrainRows, Options.L2, S.Data.get(),
-                     Options.Pool);
+                     Pool);
   S.Level2Seconds = Level2Timer.elapsedSeconds();
 
   S.StaticOracleLandmark =

@@ -32,11 +32,6 @@ struct PipelineOptions {
   LevelTwoOptions L2;
   double TrainFraction = 0.5;
   uint64_t SplitSeed = 97;
-  /// Optional pool parallelising every hot stage of training (Level-1
-  /// feature extraction, landmark tuning, the measurement sweep, and the
-  /// Level-2 classifier zoo); trainSystem hands it to runLevelOne and
-  /// runLevelTwo. Results are identical with or without it.
-  support::ThreadPool *Pool = nullptr;
 };
 
 /// A fully trained system plus everything needed to evaluate it.
@@ -82,9 +77,13 @@ struct EvaluationResult {
   std::vector<double> PerInputSpeedups;
 };
 
-/// Trains the full system for \p Program.
+/// Trains the full system for \p Program. \p Pool, when given,
+/// parallelises every hot stage of training (Level-1 feature extraction,
+/// landmark tuning, the measurement sweep, and the Level-2 classifier
+/// zoo); results are identical with or without it.
 TrainedSystem trainSystem(const runtime::TunableProgram &Program,
-                          const PipelineOptions &Options);
+                          const PipelineOptions &Options,
+                          support::ThreadPool *Pool = nullptr);
 
 /// Evaluates a trained system on its test rows. \p Pool, when given,
 /// parallelises the per-test-row measurement; results are identical to

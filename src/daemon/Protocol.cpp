@@ -63,6 +63,13 @@ size_t wireStrLen(const std::string &S) {
 /// Wire bytes of a string field: the 2-byte length plus the bytes.
 size_t strBytes(const std::string &S) { return 2 + wireStrLen(S); }
 
+/// A StatsReply's JSON grows with the tenant count, past any string
+/// field's cap, so it travels as a 4-byte length plus the bytes, clamped
+/// only so that its frame fits kMaxFrameBytes.
+size_t wireJsonLen(const std::string &S) {
+  return std::min<size_t>(S.size(), kMaxFrameBytes - 1 - 4);
+}
+
 /// Payload builder over an exactly-sized buffer: the constructor takes
 /// the body size, so each field is a store at the cursor with no
 /// capacity check or regrowth.
@@ -80,6 +87,13 @@ public:
     storeU16(Cur, static_cast<uint16_t>(N));
     std::memcpy(Cur + 2, S.data(), N);
     Cur += 2 + N;
+  }
+
+  void json(const std::string &S) {
+    size_t N = wireJsonLen(S);
+    Cur = wire::putU32(Cur, static_cast<uint32_t>(N));
+    std::memcpy(Cur, S.data(), N);
+    Cur += N;
   }
 
   std::string take() {
@@ -133,6 +147,16 @@ public:
       return false;
     if (N >= kMaxStringBytes)
       return fail();
+    const uint8_t *P = take(N);
+    if (P)
+      S.assign(reinterpret_cast<const char *>(P), N);
+    return P != nullptr;
+  }
+
+  bool json(std::string &S) {
+    uint32_t N = 0;
+    if (!u32(N))
+      return false;
     const uint8_t *P = take(N);
     if (P)
       S.assign(reinterpret_cast<const char *>(P), N);
@@ -392,8 +416,8 @@ std::string makeError(const std::string &Message) {
 }
 
 std::string makeStatsReply(const std::string &Json) {
-  WireWriter W(MsgType::StatsReply, strBytes(Json));
-  W.str(Json);
+  WireWriter W(MsgType::StatsReply, 4 + wireJsonLen(Json));
+  W.json(Json);
   return W.take();
 }
 
@@ -495,8 +519,9 @@ bool decodeMessage(const uint8_t *Data, size_t Size, Message &Out) {
   case MsgType::Shed:
     return R.u32(Out.QueueDepth) && R.str(Out.Text) && R.done();
   case MsgType::Error:
-  case MsgType::StatsReply:
     return R.str(Out.Text) && R.done();
+  case MsgType::StatsReply:
+    return R.json(Out.Text) && R.done();
   case MsgType::TenantList: {
     uint32_t Count = 0;
     // Each name costs >= 2 bytes on the wire, so the payload length

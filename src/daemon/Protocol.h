@@ -12,7 +12,8 @@
 /// payload length (1 .. kMaxFrameBytes) followed by that many payload
 /// bytes. The payload is one tag byte (MsgType) and a fixed
 /// little-endian body per type; strings travel as a 2-byte length plus
-/// bytes. Decoding is strict and total: every read is bounds-checked,
+/// bytes, except a StatsReply's JSON, which has a 4-byte length.
+/// Decoding is strict and total: every read is bounds-checked,
 /// every count is capped before any allocation sizes off it, and a
 /// payload must be consumed exactly -- truncated frames, oversized
 /// lengths, trailing garbage and unknown tags all decode to a clean
@@ -65,7 +66,8 @@ namespace daemon {
 /// Hard cap on one frame's payload; a length prefix above this is a
 /// protocol violation and the connection is dropped without allocating.
 inline constexpr uint32_t kMaxFrameBytes = 1u << 20;
-/// Cap on any string field (tenant names, error messages) on the wire.
+/// Cap on a string field (tenant names, error messages) on the wire; a
+/// StatsReply's JSON is bounded by kMaxFrameBytes instead.
 inline constexpr uint32_t kMaxStringBytes = 1u << 12;
 /// Cap on input ids per Predict request.
 inline constexpr uint32_t kMaxBatchInputs = 1u << 16;
@@ -83,7 +85,8 @@ enum class MsgType : uint8_t {
   Predictions = 0x82, ///< u32 count, count x (u32 landmark, u64 epoch)
   Shed = 0x83,        ///< u32 queue depth, str reason -- admission refusal
   Error = 0x84,       ///< str message
-  StatsReply = 0x85,  ///< str JSON
+  StatsReply = 0x85,  ///< u32 length + JSON bytes (bounded by the frame
+                      ///< cap, not kMaxStringBytes: it grows per tenant)
   TenantList = 0x86,  ///< u32 count, count x str
   Bye = 0x87,         ///< shutdown acknowledged
   Health = 0x88,      ///< u64 pid, u32 sessions, u32 count, count x

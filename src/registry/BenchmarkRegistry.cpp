@@ -182,30 +182,25 @@ double registry::scaleFromEnv() {
   return std::clamp(Scale, 0.1, 100.0);
 }
 
-static SuiteEntry makeEntry(const BenchmarkFactory &F, double Scale,
-                            support::ThreadPool *Pool) {
+static SuiteEntry makeEntry(const BenchmarkFactory &F, double Scale) {
   SuiteEntry E;
   E.Name = F.name();
   E.Program = F.makeProgram(Scale, F.defaultProgramSeed());
   E.Options = F.defaultOptions(Scale);
-  E.Options.Pool = Pool;
   return E;
 }
 
-std::vector<SuiteEntry> registry::makeSuite(double Scale,
-                                            support::ThreadPool *Pool) {
+std::vector<SuiteEntry> registry::makeSuite(double Scale) {
   std::vector<SuiteEntry> Suite;
   for (const BenchmarkFactory *F : BenchmarkRegistry::instance().all())
-    Suite.push_back(makeEntry(*F, Scale, Pool));
+    Suite.push_back(makeEntry(*F, Scale));
   return Suite;
 }
 
 std::vector<SuiteEntry>
-registry::makeSuite(const std::vector<std::string> &Names, double Scale,
-                    support::ThreadPool *Pool) {
+registry::makeSuite(const std::vector<std::string> &Names, double Scale) {
   std::vector<SuiteEntry> Suite;
   for (const std::string &Name : Names)
-    Suite.push_back(
-        makeEntry(BenchmarkRegistry::instance().get(Name), Scale, Pool));
+    Suite.push_back(makeEntry(BenchmarkRegistry::instance().get(Name), Scale));
   return Suite;
 }

@@ -32,7 +32,6 @@
 #include "core/Pipeline.h"
 #include "runtime/AdaptiveService.h"
 #include "runtime/TunableProgram.h"
-#include "support/ThreadPool.h"
 
 #include <memory>
 #include <string>
@@ -140,10 +139,9 @@ core::PipelineOptions paperPipelineOptions(double Scale, uint64_t PipelineSeed);
 /// Pipeline options for (re)training on a live-traffic sample of
 /// \p SampleSize inputs: the factory's defaults at \p Scale with the
 /// landmark count, CV folds and tuning neighbourhood clamped to what the
-/// sample supports, and no pool: a retrain runs on the thread that
-/// serves the drift flag. This is what the adaptive serving loop
-/// (runtime/AdaptiveService.h) hands to every shadow retrain; bindModel
-/// wires it in.
+/// sample supports. This is what the adaptive serving loop
+/// (runtime/AdaptiveService.h) hands to every shadow retrain, which runs
+/// on the thread that serves the drift flag; bindModel wires it in.
 core::PipelineOptions reservoirRetrainOptions(const BenchmarkFactory &Factory,
                                               double Scale, size_t SampleSize);
 
@@ -186,14 +184,13 @@ struct SuiteEntry {
   core::PipelineOptions Options;
 };
 
-/// Builds the full registered suite in catalog order. \p Pool is wired
-/// into every entry's PipelineOptions (may be null).
-std::vector<SuiteEntry> makeSuite(double Scale, support::ThreadPool *Pool);
+/// Builds the full registered suite in catalog order.
+std::vector<SuiteEntry> makeSuite(double Scale);
 
 /// Builds the named subset, in the order given. Throws std::out_of_range
 /// on unknown names.
 std::vector<SuiteEntry> makeSuite(const std::vector<std::string> &Names,
-                                  double Scale, support::ThreadPool *Pool);
+                                  double Scale);
 
 } // namespace registry
 } // namespace pbt

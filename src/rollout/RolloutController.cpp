@@ -30,16 +30,6 @@ RolloutController::RolloutController(const runtime::TunableProgram &Program,
   Sample = support::Rng(kShadowSeed).sampleWithoutReplacement(N, Want);
 }
 
-double
-RolloutController::shadowScoreLocked(runtime::AdaptiveService &Service) {
-  double Total = 0.0;
-  for (size_t Input : Sample) {
-    runtime::AdaptiveService::Decision D = Service.decide(Input);
-    Total += Program.runOnce(Input, *D.Config).TimeUnits;
-  }
-  return Sample.empty() ? 0.0 : Total / static_cast<double>(Sample.size());
-}
-
 runtime::AdaptiveService::EpochPtr RolloutController::champion() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return Champion ? Champion->currentEpoch() : nullptr;
@@ -159,8 +149,9 @@ LoadStatus RolloutController::rollout(serialize::TrainedModel Candidate,
     Store.rollback(Landed);
     return St;
   }
-  Report.ChampionScore = shadowScoreLocked(*Champion);
-  Report.CandidateScore = shadowScoreLocked(*Canary);
+  Report.ChampionScore =
+      Champion->shadowScore(*Champion->currentEpoch(), Sample);
+  Report.CandidateScore = Canary->shadowScore(*Canary->currentEpoch(), Sample);
   // The canary is a regression gate, not an optimizer: the publisher
   // already decided the candidate is worth shipping, so equality passes
   // and only a measurably worse candidate rolls back.
@@ -180,58 +171,6 @@ LoadStatus RolloutController::rollout(serialize::TrainedModel Candidate,
   if (St)
     Out = Report;
   return St;
-}
-
-//===----------------------------------------------------------------------===//
-// Publisher
-//===----------------------------------------------------------------------===//
-
-Publisher::Outcome
-Publisher::retrainAndRollout(const std::vector<size_t> &SampleInputs,
-                             RolloutController::CycleReport &Report,
-                             std::string &Why) {
-  if (stopRequested()) {
-    Why = "stop requested before retraining";
-    return Outcome::Stopped;
-  }
-  if (SampleInputs.size() < 4) {
-    Why = "sample too thin to retrain on (" +
-          std::to_string(SampleInputs.size()) + " inputs)";
-    return Outcome::NoCandidate;
-  }
-  if (Opts.OnRetrainStart)
-    Opts.OnRetrainStart();
-
-  // Provenance comes from the serving champion: the candidate is the
-  // same benchmark at the same scale, retrained on recent traffic.
-  runtime::AdaptiveService::EpochPtr Champion = Controller.champion();
-  if (!Champion) {
-    Why = "no champion (start the controller first)";
-    return Outcome::NoCandidate;
-  }
-  serialize::TrainedModel Candidate;
-  try {
-    Candidate = runtime::AdaptiveService::buildCandidate(
-        Program, SampleInputs, Opts.Retrain, Champion->Model.Meta);
-  } catch (const std::exception &E) {
-    Why = std::string("candidate retrain failed: ") + E.what();
-    return Outcome::NoCandidate;
-  }
-
-  // The stop window that matters: SIGTERM landed while the retrain was
-  // running. The candidate is complete in memory but nothing durable
-  // exists -- discard it here and nothing ever will.
-  if (stopRequested()) {
-    Why = "stop requested during retrain; candidate discarded unpublished";
-    return Outcome::Stopped;
-  }
-
-  serialize::LoadStatus St = Controller.rollout(std::move(Candidate), Report);
-  if (!St) {
-    Why = St.Error;
-    return Outcome::NoCandidate;
-  }
-  return Report.Promoted ? Outcome::Promoted : Outcome::RolledBack;
 }
 
 } // namespace rollout

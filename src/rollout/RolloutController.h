@@ -15,9 +15,10 @@
 /// moves. The canary is a shadow score: the controller holds one champion
 /// AdaptiveService, loads the candidate's exact published image into a
 /// second one, and compares their mean run cost over the same seeded
-/// sample of inputs. A candidate that holds up is promoted and becomes
-/// the champion; one that does not is rolled back, and CURRENT never
-/// named it.
+/// sample of inputs, each scored by AdaptiveService::shadowScore (the
+/// scorer of the in-process swap gate). A candidate that holds up is
+/// promoted and becomes the champion; one that does not is rolled back,
+/// and CURRENT never named it.
 ///
 /// The controller serves nothing itself. Replicas are store followers
 /// (daemon::ModelRegistry store tenants, the code pbt-serve runs) that
@@ -27,25 +28,18 @@
 /// MANIFEST: ModelStore::open() rolls interrupted promotions forward and
 /// demotes mid-flight candidates, and resume() reloads the champion.
 ///
-/// The Publisher at the bottom is the retrainer driving the machine: it
-/// builds a candidate on a traffic sample with the shadow retrain's
-/// builder (AdaptiveService::buildCandidate), then rolls it out. It
-/// honors a stop flag (SIGTERM handlers set it) at phase boundaries, so
-/// shutdown mid-shadow-retrain discards the candidate instead of
-/// publishing a partial epoch.
+/// The controller trains nothing: its caller hands rollout() a finished
+/// candidate.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PBT_ROLLOUT_ROLLOUTCONTROLLER_H
 #define PBT_ROLLOUT_ROLLOUTCONTROLLER_H
 
-#include "core/Pipeline.h"
 #include "runtime/AdaptiveService.h"
 #include "store/ModelStore.h"
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -127,9 +121,6 @@ private:
   serialize::LoadStatus
   bindLocked(uint64_t Epoch, const std::string &Text,
              std::unique_ptr<runtime::AdaptiveService> &Out);
-  /// Mean run cost of serving the shadow sample with \p Service's
-  /// decisions -- the canary comparison metric.
-  double shadowScoreLocked(runtime::AdaptiveService &Service);
 
   const runtime::TunableProgram &Program;
   store::ModelStore Store;
@@ -141,54 +132,6 @@ private:
   /// threads: the publisher and a supervising monitor may both drive
   /// transitions.
   mutable std::mutex Mu;
-};
-
-//===----------------------------------------------------------------------===//
-// Publisher: the retrain side of the trainer/server split
-//===----------------------------------------------------------------------===//
-
-struct PublisherOptions {
-  /// Pipeline template for candidate retraining; clamped to the sample
-  /// exactly like AdaptiveService's shadow retrain.
-  core::PipelineOptions Retrain;
-  /// Graceful-shutdown flag (a SIGTERM handler stores true). Checked at
-  /// phase boundaries: before retraining, and again between retrain and
-  /// publish -- a stop mid-retrain discards the candidate; a partial
-  /// epoch is never published.
-  std::atomic<bool> *Stop = nullptr;
-  /// Test hook, called after the stop check when retraining begins (the
-  /// graceful-shutdown test delivers its signal here).
-  std::function<void()> OnRetrainStart;
-};
-
-class Publisher {
-public:
-  enum class Outcome {
-    Stopped,    ///< stop flag honored; nothing published
-    NoCandidate,///< retrain failed or sample too thin; nothing published
-    Promoted,
-    RolledBack,
-  };
-
-  Publisher(RolloutController &Controller,
-            const runtime::TunableProgram &Program, PublisherOptions Options)
-      : Controller(Controller), Program(Program), Opts(std::move(Options)) {}
-
-  /// Retrains a candidate on \p SampleInputs (SubsetProgram over the
-  /// shared universe) and drives one staged rollout with it. \p Why
-  /// explains NoCandidate outcomes.
-  Outcome retrainAndRollout(const std::vector<size_t> &SampleInputs,
-                            RolloutController::CycleReport &Report,
-                            std::string &Why);
-
-private:
-  bool stopRequested() const {
-    return Opts.Stop && Opts.Stop->load(std::memory_order_relaxed);
-  }
-
-  RolloutController &Controller;
-  const runtime::TunableProgram &Program;
-  PublisherOptions Opts;
 };
 
 } // namespace rollout

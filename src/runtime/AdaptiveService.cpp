@@ -313,15 +313,22 @@ AdaptiveService::decideBatch(const std::vector<size_t> &Inputs,
 }
 
 double AdaptiveService::shadowScore(const ModelEpoch &Ep,
-                                    const std::vector<size_t> &Inputs) {
-  // Raw compiled walk over the shared feature memo -- deliberately not
-  // decideCold(), so scoring an unpublished candidate never seeds the
-  // decision cache.
+                                    const std::vector<size_t> &Inputs) const {
+  // The compiled walk over the feature memo, extracting what the memo
+  // lacks without keeping it: scoring caches no decision or feature and
+  // charges no counter, so an unpublished candidate or a canary's
+  // champion leaves serving exactly as it found it.
   CompiledModel::Scratch S = Ep.Compiled.makeScratch();
   double Total = 0.0;
   for (size_t Input : Inputs) {
-    unsigned Landmark = Ep.Compiled.decideProduction(
-        S, [&](unsigned Flat) { return featureAt(Input, Flat, nullptr); });
+    const MemoEntry &E = Memo[Input];
+    unsigned Landmark = Ep.Compiled.decideProduction(S, [&](unsigned Flat) {
+      if (!E.Have.empty() && E.Have[Flat])
+        return E.Values[Flat];
+      support::CostCounter C;
+      return Program.extractFeature(Input, Index->propertyOf(Flat),
+                                    Index->levelOf(Flat), C);
+    });
     Total += Program.runOnce(Input, Ep.Model.System.L1.Landmarks[Landmark])
                  .TimeUnits;
   }
@@ -344,19 +351,24 @@ void AdaptiveService::clampRetrainOptions(core::PipelineOptions &Opt,
       static_cast<unsigned>(std::max<size_t>(2, TrainCount / 2)));
 }
 
-serialize::TrainedModel AdaptiveService::buildCandidate(
-    const TunableProgram &Program, const std::vector<size_t> &Sample,
-    core::PipelineOptions Retrain, const serialize::ModelMeta &Provenance,
-    const linalg::Matrix *Features, const linalg::Matrix *Costs) {
+serialize::TrainedModel
+AdaptiveService::buildCandidate(const std::vector<size_t> &Sample,
+                                const ModelEpoch &Serving) const {
   SubsetProgram View(Program, Sample);
+  core::PipelineOptions Retrain = Opts.Retrain;
   clampRetrainOptions(Retrain, Sample.size());
-  Retrain.Pool = nullptr;
-  Retrain.L1.Features = Features;
-  Retrain.L1.ExtractCosts = Costs;
+  // Every sampled input was served, so its full feature row and
+  // extraction costs are already memoized: Level 1 reads them instead
+  // of re-extracting, with byte-identical results.
+  linalg::Matrix Features, Costs;
+  sampleFeatureTables(Sample, Features, Costs);
+  Retrain.L1.Features = &Features;
+  Retrain.L1.ExtractCosts = &Costs;
+  const serialize::ModelMeta &Provenance = Serving.Model.Meta;
   serialize::TrainedModel Candidate = serialize::makeModel(
       Provenance.Benchmark, Provenance.Scale, Provenance.ProgramSeed, View,
       core::trainSystem(View, Retrain));
-  Candidate.System.Data.reset(); // training-only state
+  Candidate.Meta.Epoch = Provenance.Epoch + 1;
   return Candidate;
 }
 
@@ -393,17 +405,9 @@ bool AdaptiveService::adaptNow() {
   std::shared_ptr<ModelEpoch> Candidate;
   double Level1Seconds = 0.0, Level2Seconds = 0.0;
   try {
-    // Every sampled input was served, so its full feature row and
-    // extraction costs are already memoized: Level 1 reads them instead
-    // of re-extracting, with byte-identical results.
-    linalg::Matrix SampleFeatures, SampleCosts;
-    sampleFeatureTables(Sample, SampleFeatures, SampleCosts);
-    serialize::TrainedModel Model =
-        buildCandidate(Program, Sample, Opts.Retrain, Ep->Model.Meta,
-                       &SampleFeatures, &SampleCosts);
+    serialize::TrainedModel Model = buildCandidate(Sample, *Ep);
     Level1Seconds = Model.System.Level1Seconds;
     Level2Seconds = Model.System.Level2Seconds;
-    Model.Meta.Epoch = Ep->Model.Meta.Epoch + 1;
     Candidate = makeEpoch(std::move(Model));
   } catch (const std::exception &E) {
     // A degenerate reservoir (e.g. every sampled input identical in

@@ -19,13 +19,13 @@
 /// decisions already handed out stay valid (each Decision holds its
 /// epoch alive, and decideAnswers() returns its batch's epoch).
 ///
-/// One route builds every model that reaches serving: buildCandidate()
-/// is called by the shadow retrain and by rollout::Publisher, and every
-/// epoch published here -- initial, retrained or pushed through
-/// swapModel() -- passes one gate that drops training-only state and
-/// compiles. The constructor and swapModel() also check the model
-/// against the bound program, and swapModel() against the serving
-/// epoch's provenance.
+/// One route retrains: adaptNow() builds a candidate with
+/// buildCandidate() and gates it with shadowScore(), the one scorer the
+/// rollout canary (rollout/RolloutController.h) also uses. Every epoch
+/// published here -- initial, retrained or pushed through swapModel() --
+/// passes one gate that drops training-only state and compiles. The
+/// constructor and swapModel() also check the model against the bound
+/// program, and swapModel() against the serving epoch's provenance.
 ///
 /// The shadow retrain runs synchronously inside serve(), so its cost is
 /// serving latency. Its Level 1 reads every sampled input's feature
@@ -80,10 +80,9 @@ struct AdaptiveServiceOptions {
   DriftMonitorOptions Monitor;
   /// Recent-traffic sample the shadow retrain learns from.
   size_t ReservoirSize = 48;
-  /// Pipeline options template for shadow retraining. Landmark count, CV
-  /// folds and tuning neighbourhood are clamped to what the reservoir can
-  /// support. The retrain runs on the serving thread; a Pool set here is
-  /// not used (see buildCandidate).
+  /// Pipeline options template for shadow retraining, which runs on the
+  /// serving thread. Landmark count, CV folds and tuning neighbourhood are
+  /// clamped to what the reservoir can support.
   core::PipelineOptions Retrain;
   /// A candidate is swapped in only when its shadow-scored mean cost is
   /// below champion * (1 - SwapMargin).
@@ -253,21 +252,14 @@ public:
   static void clampRetrainOptions(core::PipelineOptions &Opt,
                                   size_t SampleSize);
 
-  /// The one candidate builder (the shadow retrain and rollout::Publisher):
-  /// trains on a SubsetProgram view of \p Sample under \p Retrain clamped
-  /// to it, on the calling thread (Retrain.Pool is ignored: a pool serves
-  /// one caller at a time, and two tenants may retrain at once), stamped
-  /// with \p Provenance's benchmark, scale and program seed. \p Features
-  /// / \p Costs, when given, are the sample's Level-1 tables (row I is
-  /// Sample[I]), read instead of extracted. Throws what the pipeline
-  /// throws.
-  static serialize::TrainedModel
-  buildCandidate(const TunableProgram &Program,
-                 const std::vector<size_t> &Sample,
-                 core::PipelineOptions Retrain,
-                 const serialize::ModelMeta &Provenance,
-                 const linalg::Matrix *Features = nullptr,
-                 const linalg::Matrix *Costs = nullptr);
+  /// The one scorer of a candidate gate: the mean run cost of serving
+  /// \p Inputs with \p Ep's decisions (runs the program). The landmarks
+  /// are the ones decide() would pick under \p Ep, yet nothing is cached
+  /// or counted: stats() and every later decision are unchanged. Both the
+  /// shadow retrain's swap gate and the rollout canary score with it.
+  /// Serving thread (or a service nobody else drives).
+  double shadowScore(const ModelEpoch &Ep,
+                     const std::vector<size_t> &Inputs) const;
 
 private:
   struct MemoEntry {
@@ -335,9 +327,13 @@ private:
                            linalg::Matrix &Values,
                            linalg::Matrix &Costs) const;
   unsigned assignCluster(const ModelEpoch &Ep, const double *Features);
-  /// Mean run cost of serving \p Inputs with \p Ep's decisions (runs the
-  /// program; the shadow evaluation).
-  double shadowScore(const ModelEpoch &Ep, const std::vector<size_t> &Inputs);
+  /// The shadow retrain's candidate: the pipeline under Opts.Retrain
+  /// clamped to \p Sample, trained on the calling thread over a
+  /// SubsetProgram view of it with Level 1 reading the sample's memoized
+  /// feature tables, stamped with \p Serving's benchmark, scale and
+  /// program seed and the epoch after it. Throws what the pipeline throws.
+  serialize::TrainedModel buildCandidate(const std::vector<size_t> &Sample,
+                                         const ModelEpoch &Serving) const;
   void publish(std::shared_ptr<ModelEpoch> Next, SwapRecord *Attempt);
   /// Appends \p Attempt to the history, dropping the oldest record past
   /// MaxSwapHistory. Caller holds SwapMutex.

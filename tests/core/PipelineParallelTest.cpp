@@ -26,10 +26,9 @@ struct RunOutput {
 };
 
 RunOutput runOnce(const runtime::TunableProgram &Program,
-                  PipelineOptions Options, support::ThreadPool *Pool) {
-  Options.Pool = Pool;
+                  const PipelineOptions &Options, support::ThreadPool *Pool) {
   RunOutput Out;
-  Out.System = trainSystem(Program, Options);
+  Out.System = trainSystem(Program, Options, Pool);
   Out.Eval = evaluateSystem(Program, Out.System, Pool);
   return Out;
 }
@@ -114,14 +113,10 @@ TEST(PipelineParallelTest, ModelBytesInvariantAcrossThreadCounts) {
     registry::ProgramPtr Program =
         F.makeProgram(0.15, F.defaultProgramSeed());
     std::optional<support::ThreadPool> Pool;
-    PipelineOptions Opt = Options;
-    if (Threads > 0) {
+    if (Threads > 0)
       Pool.emplace(Threads);
-      Opt.Pool = &*Pool;
-    } else {
-      Opt.Pool = nullptr;
-    }
-    TrainedSystem System = trainSystem(*Program, Opt);
+    TrainedSystem System =
+        trainSystem(*Program, Options, Pool ? &*Pool : nullptr);
     serialize::TrainedModel Model = serialize::makeModel(
         "sort2", 0.15, F.defaultProgramSeed(), *Program, std::move(System));
     Serialized.push_back(serialize::serializeModel(Model));

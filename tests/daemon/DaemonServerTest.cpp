@@ -1142,3 +1142,27 @@ TEST(DaemonServerTest, StatsLayoutIsPinned) {
   EXPECT_EQ(maskNumbers(H.Srv->statsJson()), Expected);
   std::filesystem::remove_all(Dir);
 }
+
+TEST(DaemonServerTest, StatsReplyCarriesAllSevenGoldenTenants) {
+  // Seven tenants' stats outgrow a string field's 4 KiB cap; the reply
+  // must still carry every byte of statsJson().
+  daemon::ModelRegistry Registry;
+  for (const char *Name : {"binpacking", "clustering1", "clustering2",
+                           "helmholtz3d", "poisson2d", "sort1", "svd"}) {
+    serialize::LoadStatus St = Registry.addTenant(
+        Name, std::string(PBT_GOLDEN_DIR) + "/" + Name + ".pbt");
+    ASSERT_TRUE(St.Ok) << St.Error;
+  }
+  daemon::ServerOptions SO;
+  SO.SocketPath = freshSocket();
+  daemon::Server Srv(Registry, SO);
+  std::string Err;
+  ASSERT_TRUE(Srv.start(Err)) << Err;
+  daemon::DaemonClient C;
+  ASSERT_TRUE(C.connect(SO.SocketPath, Err)) << Err;
+  std::string Json;
+  ASSERT_TRUE(C.stats(Json, Err)) << Err;
+  EXPECT_GT(Json.size(), 4096u);
+  EXPECT_EQ(Json, Srv.statsJson());
+  Srv.stop();
+}

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -100,6 +101,11 @@ TEST(ProtocolTest, ShedErrorStatsListRoundTrips) {
   ASSERT_TRUE(decodeMessage(makeStatsReply("{\"x\": 1}"), M));
   EXPECT_EQ(M.Type, MsgType::StatsReply);
   EXPECT_EQ(M.Text, "{\"x\": 1}");
+  // Stats over many tenants outgrows a string field's cap.
+  std::string Json =
+      "{\"tenants\": [" + std::string(3 * kMaxStringBytes, ' ') + "]}";
+  ASSERT_TRUE(decodeMessage(makeStatsReply(Json), M));
+  EXPECT_EQ(M.Text, Json);
 
   ASSERT_TRUE(decodeMessage(makeTenantList({"a", "b", "c"}), M));
   EXPECT_EQ(M.Type, MsgType::TenantList);
@@ -315,6 +321,11 @@ TEST(ProtocolTest, BuilderTruncatesOversizedStrings) {
   Message M;
   ASSERT_TRUE(decodeMessage(makeError(Long), M));
   EXPECT_EQ(M.Text.size(), kMaxStringBytes - 1);
+  // The Stats JSON is clamped only where its frame would pass the cap.
+  std::string P = makeStatsReply(std::string(2 * kMaxFrameBytes, 'x'));
+  EXPECT_EQ(P.size(), kMaxFrameBytes);
+  ASSERT_TRUE(decodeMessage(P, M));
+  EXPECT_EQ(M.Text.size(), kMaxFrameBytes - 5); // tag and 4-byte length
 }
 
 TEST(ProtocolTest, RandomBytesNeverCrash) {
@@ -337,9 +348,10 @@ TEST(ProtocolTest, MutatedValidPayloadsNeverCrash) {
   Message M;
   const std::string Seeds[] = {makeHello("sort1"), makePredict({1, 2, 3}),
                                makePredictions({{1, 1}}),
-                               makeTenantList({"a", "b"})};
+                               makeTenantList({"a", "b"}),
+                               makeStatsReply("{\"tenants\": []}")};
   for (int Round = 0; Round < 2000; ++Round) {
-    std::string P = Seeds[R.next() % 4];
+    std::string P = Seeds[R.next() % std::size(Seeds)];
     size_t Flips = 1 + R.next() % 4;
     for (size_t F = 0; F < Flips; ++F)
       P[R.next() % P.size()] ^= static_cast<char>(1u << (R.next() % 8));

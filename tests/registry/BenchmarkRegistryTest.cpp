@@ -81,8 +81,7 @@ TEST(BenchmarkRegistryTest, GetUnknownNameThrowsListingCatalog) {
 }
 
 TEST(BenchmarkRegistryTest, MakeSuiteUnknownNameThrows) {
-  EXPECT_THROW(makeSuite({"sort1", "bogus"}, 0.15, nullptr),
-               std::out_of_range);
+  EXPECT_THROW(makeSuite({"sort1", "bogus"}, 0.15), std::out_of_range);
 }
 
 TEST(BenchmarkRegistryTest, DefaultOptionsScaleLandmarks) {
@@ -94,10 +93,8 @@ TEST(BenchmarkRegistryTest, DefaultOptionsScaleLandmarks) {
 }
 
 TEST(BenchmarkRegistryTest, MakeSuiteWiresPoolIntoOptions) {
-  support::ThreadPool Pool(1);
-  std::vector<SuiteEntry> Suite = makeSuite({"binpacking"}, 0.15, &Pool);
+  std::vector<SuiteEntry> Suite = makeSuite({"binpacking"}, 0.15);
   ASSERT_EQ(Suite.size(), 1u);
-  EXPECT_EQ(Suite[0].Options.Pool, &Pool);
   EXPECT_EQ(Suite[0].Name, "binpacking");
 }
 

@@ -367,6 +367,42 @@ TEST(AdaptiveServiceTest, BatchAccountingIsExact) {
   Want.expectMatches(Service.stats());
 }
 
+TEST(AdaptiveServiceTest, ShadowScoreIsTheMeanRunCostOfDecide) {
+  // The one scorer of the swap gate and the rollout canary. Scoring the
+  // serving epoch gives the mean run cost of the configurations decide()
+  // picks, to the bit, and leaves stats() and the memo as they were. The
+  // first half of the sample is decided before scoring (memo hits), the
+  // rest is cold: after scoring, deciding it is still a memo miss that
+  // pays its own extraction.
+  registry::ProgramPtr P = makeProgram();
+  runtime::AdaptiveService Service(*P, cloneModel(modelBytes()));
+  ASSERT_TRUE(Service.ready());
+  std::vector<size_t> Sample;
+  for (size_t I = 0; I != P->numInputs(); I += 2)
+    Sample.push_back(I);
+  const size_t Warm = Sample.size() / 2;
+  for (size_t K = 0; K != Warm; ++K)
+    Service.decide(Sample[K]);
+
+  runtime::AdaptiveService::StatsSnapshot Before = Service.stats();
+  double Score = Service.shadowScore(*Service.currentEpoch(), Sample);
+  runtime::AdaptiveService::StatsSnapshot After = Service.stats();
+  EXPECT_EQ(After.Decisions, Before.Decisions);
+  EXPECT_EQ(After.MemoizedDecisions, Before.MemoizedDecisions);
+  EXPECT_EQ(After.FeaturesExtracted, Before.FeaturesExtracted);
+  EXPECT_EQ(After.FeatureCostPaid, Before.FeatureCostPaid);
+  EXPECT_EQ(After.MonitorCostPaid, Before.MonitorCostPaid);
+
+  double Total = 0.0;
+  for (size_t K = 0; K != Sample.size(); ++K) {
+    runtime::AdaptiveService::Decision D = Service.decide(Sample[K]);
+    EXPECT_EQ(D.Memoized, K < Warm) << "input " << Sample[K];
+    EXPECT_EQ(D.FeaturesExtracted > 0, K >= Warm) << "input " << Sample[K];
+    Total += P->runOnce(Sample[K], *D.Config).TimeUnits;
+  }
+  EXPECT_EQ(Score, Total / static_cast<double>(Sample.size()));
+}
+
 /// An answer buffer entry of the kind a daemon session keeps.
 struct LeanAnswer {
   uint32_t Landmark = 0;
