@@ -39,6 +39,8 @@
 #include "runtime/AdaptiveService.h"
 #include "serialize/ModelIO.h"
 #include "streams/WorkloadStream.h"
+#include "support/Cost.h"
+#include "support/Random.h"
 
 #include <benchmark/benchmark.h>
 
@@ -570,14 +572,25 @@ static void BM_LevelTwoZoo(benchmark::State &State) {
 }
 BENCHMARK(BM_LevelTwoZoo)->Unit(benchmark::kMillisecond);
 
+/// The perfbench `adapt` workload's sort1 stream: abrupt, 500 ticks, its
+/// pinned stream seed for round 0, connection 0, tenant 0.
+static streams::WorkloadStream adaptSortStream(const daemon::Tenant &T) {
+  streams::WorkloadStreamOptions SO;
+  SO.Kind = streams::Schedule::Abrupt;
+  SO.Requests = 500;
+  const uint64_t StreamSeed = 0xADA97;
+  SO.Seed = ((StreamSeed * 1000003u + 0) * 131u + 0) * 131u + 0;
+  return streams::WorkloadStream(*T.Program, SO);
+}
+
 /// The inline retrain of a `pbt-serve --adapt` tenant, memo-warm: the
-/// perfbench `adapt` workload's sort1 stream (abrupt, 500 ticks, its
-/// pinned stream seed) replayed through serve() on an AutoAdapt registry
-/// tenant of the golden sort1 model. One untimed pass first fills the
-/// feature and run memos, as the daemon's first cycle does. Each
-/// iteration replays the stream once; `retrain_median_us` is the median
-/// wall time of the timed passes' retrains (pipeline plus compile), the
-/// part of the adapt tail that the retrain itself owns.
+/// perfbench `adapt` workload's sort1 stream replayed through serve() on
+/// an AutoAdapt registry tenant of the golden sort1 model. One untimed
+/// pass first fills the feature and run memos, as the daemon's first
+/// cycle does. Each iteration replays the stream once;
+/// `retrain_median_us` is the median wall time of the timed passes'
+/// retrains (pipeline plus compile), the part of the adapt tail that the
+/// retrain itself owns.
 static void BM_RetrainWarm(benchmark::State &State) {
   daemon::ModelRegistryOptions RO;
   RO.AutoAdapt = true;
@@ -589,13 +602,7 @@ static void BM_RetrainWarm(benchmark::State &State) {
     return;
   }
   daemon::Tenant &T = *Registry.find("sort1");
-  streams::WorkloadStreamOptions SO;
-  SO.Kind = streams::Schedule::Abrupt;
-  SO.Requests = 500;
-  // perfbench's adapt stream seed for round 0, connection 0, tenant 0.
-  const uint64_t StreamSeed = 0xADA97;
-  SO.Seed = ((StreamSeed * 1000003u + 0) * 131u + 0) * 131u + 0;
-  streams::WorkloadStream Stream(*T.Program, SO);
+  streams::WorkloadStream Stream = adaptSortStream(T);
   runtime::AdaptiveService &Svc = *T.Service;
   for (size_t Input : Stream.sequence())
     Svc.serve(Input);
@@ -620,6 +627,73 @@ static void BM_RetrainWarm(benchmark::State &State) {
   State.counters["retrains"] = static_cast<double>(Us.size());
 }
 BENCHMARK(BM_RetrainWarm)->Unit(benchmark::kMillisecond);
+
+/// The warm observing serve of a `pbt-serve --adapt` tenant without its
+/// retrains: the same sort1 stream through serveAnswers() in the
+/// 16-input batches `adapt` sends, on a golden sort1 tenant with
+/// AutoAdapt off, after one untimed pass has warmed every memo. Each
+/// input is decided and observed, and every 16th observation runs the
+/// drift check; `ns_per_input` is the time per served input.
+static void BM_ServeObserveWarm(benchmark::State &State) {
+  daemon::ModelRegistryOptions RO;
+  RO.AutoAdapt = false;
+  daemon::ModelRegistry Registry(RO);
+  serialize::LoadStatus St =
+      Registry.addTenant("sort1", PBT_GOLDEN_DIR "/sort1.pbt");
+  if (!St) {
+    State.SkipWithError(("sort1 tenant: " + St.Error).c_str());
+    return;
+  }
+  daemon::Tenant &T = *Registry.find("sort1");
+  streams::WorkloadStream Stream = adaptSortStream(T);
+  const std::vector<size_t> &Seq = Stream.sequence();
+  runtime::AdaptiveService &Svc = *T.Service;
+  std::vector<daemon::PredictedChoice> Answers(16);
+  auto Pass = [&] {
+    for (size_t At = 0; At < Seq.size(); At += Answers.size()) {
+      size_t N = std::min(Answers.size(), Seq.size() - At);
+      benchmark::DoNotOptimize(
+          Svc.serveAnswers(Seq.data() + At, N, Answers.data()));
+    }
+  };
+  Pass();
+  support::WallTimer Timer;
+  for (auto _ : State)
+    Pass();
+  State.counters["ns_per_input"] =
+      Timer.elapsedSeconds() * 1e9 /
+      static_cast<double>(State.iterations() * Seq.size());
+}
+BENCHMARK(BM_ServeObserveWarm)->Unit(benchmark::kMicrosecond);
+
+/// One drift-monitor divergence test on a full window: the golden sort1
+/// model's reference under `pbt-serve`'s default 64-observation window,
+/// every slot filled with a synthetic feature row, cluster and decision.
+static void BM_DriftCheck(benchmark::State &State) {
+  daemon::ModelRegistry Registry;
+  serialize::LoadStatus St =
+      Registry.addTenant("sort1", PBT_GOLDEN_DIR "/sort1.pbt");
+  if (!St) {
+    State.SkipWithError(("sort1 tenant: " + St.Error).c_str());
+    return;
+  }
+  const runtime::AdaptiveService &Svc = *Registry.find("sort1")->Service;
+  runtime::DriftMonitor M = runtime::DriftMonitor::referenceFrom(
+      Svc.currentEpoch()->Model, Svc.options().Monitor);
+  support::Rng Rng(0xD81F7);
+  std::vector<double> Row(M.numFeatures());
+  for (size_t I = 0; I != M.options().Window; ++I) {
+    for (double &V : Row)
+      V = Rng.gaussian();
+    M.observe(Row.data(), static_cast<unsigned>(Rng.index(M.numClusters())),
+              static_cast<unsigned>(Rng.index(M.numDecisions())));
+  }
+  for (auto _ : State)
+    benchmark::DoNotOptimize(M.check());
+  State.counters["features"] = M.numFeatures();
+  State.counters["window"] = static_cast<double>(M.windowFill());
+}
+BENCHMARK(BM_DriftCheck);
 
 int pbt::benchharness::runKernels(const DriverOptions &Opts, int Argc,
                                   char **Argv) {

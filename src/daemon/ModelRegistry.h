@@ -51,8 +51,8 @@ struct Tenant {
   std::string Benchmark;
   registry::ProgramPtr Program;
   std::unique_ptr<runtime::AdaptiveService> Service;
-  /// Serializes serve()/decideAnswers()/adaptNow() across session threads
-  /// (AdaptiveService expects a single serving thread).
+  /// Serializes serveAnswers()/decideAnswers()/adaptNow() across session
+  /// threads (AdaptiveService expects a single serving thread).
   std::mutex ServeMutex;
   /// The landmark count of the model the tenant was registered with;
   /// never updated afterwards. Hello and Stats report the serving
@@ -88,9 +88,9 @@ struct ModelRegistryOptions {
   unsigned Window = 64;
   /// Shadow-retrain reservoir capacity per tenant (--reservoir).
   unsigned Reservoir = 48;
-  /// serve()-driven drift adaptation: the Server answers through
-  /// AdaptiveService::serve() (drift observation + online adaptation);
-  /// off = frozen decideAnswers serving.
+  /// Drift adaptation: the Server answers through
+  /// AdaptiveService::serveAnswers() (drift observation + online
+  /// adaptation); off = frozen decideAnswers serving.
   bool AutoAdapt = false;
 };
 

@@ -205,8 +205,8 @@ void encodePredict(std::string &Out, const std::vector<uint64_t> &Inputs);
 
 /// The Predictions payload answering with \p Answers, into \p Out: the
 /// one Predictions encoder. A server session keeps one answer buffer,
-/// which AdaptiveService::decideAnswers fills in place (or its --adapt
-/// loop of serve() calls), and encodes it from there.
+/// which AdaptiveService::decideAnswers fills in place (or, under --adapt,
+/// AdaptiveService::serveAnswers), and encodes it from there.
 void encodePredictions(std::string &Out,
                        const std::vector<PredictedChoice> &Answers);
 

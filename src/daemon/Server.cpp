@@ -386,18 +386,13 @@ Server::serve(Tenant &T, const std::vector<uint64_t> &Inputs,
   runtime::AdaptiveService::EpochPtr Answered;
   {
     std::lock_guard<std::mutex> Lock(T.ServeMutex);
-    if (Registry.options().AutoAdapt) {
-      // Observing mode: feed the tenant's drift monitor and reservoir;
-      // serve() runs the adaptation loop inline.
-      for (size_t I = 0; I != Inputs.size(); ++I) {
-        runtime::AdaptiveService::Decision D = T.Service->serve(Inputs[I]);
-        Answers[I] = {D.Landmark, D.Epoch};
-        Answered = std::move(D.Hold);
-      }
-    } else {
-      Answered = T.Service->decideAnswers(Inputs.data(), Inputs.size(),
-                                          Answers.data());
-    }
+    // Observing mode feeds the tenant's drift monitor and reservoir, and
+    // runs the adaptation loop inline.
+    Answered = Registry.options().AutoAdapt
+                   ? T.Service->serveAnswers(Inputs.data(), Inputs.size(),
+                                             Answers.data())
+                   : T.Service->decideAnswers(Inputs.data(), Inputs.size(),
+                                              Answers.data());
   }
   T.Decisions.fetch_add(Inputs.size(), std::memory_order_relaxed);
   T.Batches.fetch_add(1, std::memory_order_relaxed);

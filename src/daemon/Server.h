@@ -13,8 +13,9 @@
 /// session thread per connection. The thread that reads a Predict
 /// answers it: it passes the admission gate (daemon/RequestQueue.h),
 /// serves the inputs under the tenant's ServeMutex with
-/// AdaptiveService::decideAnswers (or serve() when the registry's
-/// AutoAdapt is on), leaves the gate, and writes the reply. The gate is
+/// AdaptiveService::decideAnswers (or serveAnswers, which also observes,
+/// when the registry's AutoAdapt is on), leaves the gate, and writes the
+/// reply. The gate is
 /// the admission control: at most Workers Predicts are served at once
 /// and at most QueueCapacity more wait for a slot; a Predict that finds
 /// the line full is answered Shed immediately, so backlog never grows
@@ -49,8 +50,10 @@
 /// into the session's one kept PredictedChoice buffer -- on a memo hit
 /// one compare and one store, with no Decision and no reference count --
 /// and adds the batch to its service's counters with one add per
-/// counter. The --adapt path fills the same buffer from its per-input
-/// serve() loop, and encodePredictions turns it into one kept reply
+/// counter. The --adapt path fills the same buffer through serveAnswers,
+/// which holds one epoch per batch too (re-read only after its own drift
+/// response swaps) and answers exactly as a loop of per-input serve()
+/// calls would; encodePredictions turns the buffer into one kept reply
 /// buffer. The session holds the batch's epoch only until the reply is
 /// encoded, so an idle session never keeps a retired model alive. The
 /// server's request and decision totals are the sums of its tenants'

@@ -122,15 +122,18 @@ uint64_t AdaptiveService::epoch() const {
   return Ep ? Ep->Model.Meta.Epoch : 0;
 }
 
-void AdaptiveService::recordTotals(size_t N) {
+void AdaptiveService::recordTotals(size_t N, size_t FirstPaid) {
+  if (N == 0)
+    return;
+  const size_t NumPaid = Paid.size() - FirstPaid;
   DecisionCount.fetch_add(N, std::memory_order_relaxed);
-  if (N != Paid.size())
-    MemoizedCount.fetch_add(N - Paid.size(), std::memory_order_relaxed);
-  if (Paid.empty())
+  if (N != NumPaid)
+    MemoizedCount.fetch_add(N - NumPaid, std::memory_order_relaxed);
+  if (NumPaid == 0)
     return; // a decision that extracted nothing paid nothing
   uint64_t Extracted = 0;
-  for (const PaidDecision &P : Paid)
-    Extracted += P.Extracted;
+  for (size_t K = FirstPaid; K != Paid.size(); ++K)
+    Extracted += Paid[K].Extracted;
   ExtractedCount.fetch_add(Extracted, std::memory_order_relaxed);
   // Fold the costs in decision order, exactly as one add per decision
   // would (the decisions left out add exactly zero), so FeatureCostPaid
@@ -138,8 +141,8 @@ void AdaptiveService::recordTotals(size_t N) {
   double Old = CostPaid.load(std::memory_order_relaxed), New;
   do {
     New = Old;
-    for (const PaidDecision &P : Paid)
-      New += P.Cost;
+    for (size_t K = FirstPaid; K != Paid.size(); ++K)
+      New += Paid[K].Cost;
   } while (
       !CostPaid.compare_exchange_weak(Old, New, std::memory_order_relaxed));
 }
@@ -207,10 +210,14 @@ double AdaptiveService::featureAt(size_t Input, unsigned Flat,
 }
 
 const double *AdaptiveService::fullFeatures(size_t Input) {
-  unsigned NumFlat = Index->numFlat();
-  for (unsigned Flat = 0; Flat != NumFlat; ++Flat)
-    featureAt(Input, Flat, nullptr);
-  return Memo[Input].Values.data();
+  MemoEntry &E = Memo[Input];
+  if (!E.Complete) {
+    unsigned NumFlat = Index->numFlat();
+    for (unsigned Flat = 0; Flat != NumFlat; ++Flat)
+      featureAt(Input, Flat, nullptr);
+    E.Complete = true;
+  }
+  return E.Values.data();
 }
 
 void AdaptiveService::sampleFeatureTables(const std::vector<size_t> &Sample,
@@ -221,22 +228,38 @@ void AdaptiveService::sampleFeatureTables(const std::vector<size_t> &Sample,
   Costs = linalg::Matrix(Sample.size(), NumFlat);
   for (size_t Row = 0; Row != Sample.size(); ++Row) {
     const MemoEntry &E = Memo[Sample[Row]];
+    assert(E.Complete && "reservoir input without a complete memo row");
     for (unsigned Flat = 0; Flat != NumFlat; ++Flat) {
-      assert(!E.Have.empty() && E.Have[Flat] &&
-             "reservoir input without a complete memo row");
       Values.at(Row, Flat) = E.Values[Flat];
       Costs.at(Row, Flat) = E.Costs[Flat];
     }
   }
 }
 
-unsigned AdaptiveService::assignCluster(const ModelEpoch &Ep,
-                                        const double *Features) {
-  unsigned NumFlat = Index->numFlat();
-  ClusterRow.assign(Features, Features + NumFlat);
-  Ep.Model.System.L1.Norm.transformRow(ClusterRow);
-  return ml::nearestCentroid(Ep.Model.System.L1.Clusters.Centroids,
-                             ClusterRow);
+unsigned AdaptiveService::clusterOf(const ModelEpoch &Ep, size_t Input,
+                                    const double *Features) {
+  MemoEntry &E = Memo[Input];
+  const int64_t Id = static_cast<int64_t>(Ep.Id);
+  if (E.ClusterEpochId != Id) {
+    unsigned NumFlat = Index->numFlat();
+    ClusterRow.assign(Features, Features + NumFlat);
+    Ep.Model.System.L1.Norm.transformRow(ClusterRow);
+    E.Cluster = static_cast<int32_t>(ml::nearestCentroid(
+        Ep.Model.System.L1.Clusters.Centroids, ClusterRow));
+    E.ClusterEpochId = Id;
+  }
+  return static_cast<unsigned>(E.Cluster);
+}
+
+bool AdaptiveService::observe(const ModelEpoch &Ep, size_t Input,
+                              unsigned Landmark) {
+  const double *Features = fullFeatures(Input);
+  unsigned Cluster = clusterOf(Ep, Input, Features);
+  Traffic.add(Input);
+  if (!Monitor.observe(Features, Cluster, Landmark))
+    return false;
+  DriftCount.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 AdaptiveService::Decision AdaptiveService::decide(size_t Input) {
@@ -247,21 +270,9 @@ AdaptiveService::Decision AdaptiveService::decide(size_t Input) {
 }
 
 AdaptiveService::Decision AdaptiveService::serve(size_t Input) {
-  EpochPtr Ep = currentEpoch();
-  syncMonitorTo(Ep);
   Decision D;
-  decideLoop(*Ep, &Input, 1, &D);
+  EpochPtr Ep = serveAnswers(&Input, 1, &D);
   completeDecisions(&D, 1, Ep);
-
-  const double *Features = fullFeatures(Input);
-  unsigned Cluster = assignCluster(*Ep, Features);
-  Traffic.add(Input);
-  if (Monitor.observe(Features, Cluster, D.Landmark)) {
-    DriftCount.fetch_add(1, std::memory_order_relaxed);
-    D.DriftFlagged = true;
-    if (Opts.AutoAdapt)
-      D.Swapped = adaptNow();
-  }
   return D;
 }
 

@@ -27,11 +27,11 @@
 /// constructor and swapModel() also check the model against the bound
 /// program, and swapModel() against the serving epoch's provenance.
 ///
-/// The shadow retrain runs synchronously inside serve(), so its cost is
-/// serving latency. Its Level 1 reads every sampled input's feature
-/// values and extraction costs from the feature memo instead of
-/// re-extracting them (each sampled input was served, so each row is
-/// complete), with byte-identical candidates (pinned by
+/// The shadow retrain runs synchronously inside serve()/serveAnswers(),
+/// so its cost is serving latency. Its Level 1 reads every sampled
+/// input's feature values and extraction costs from the feature memo
+/// instead of re-extracting them (each sampled input was served, so each
+/// row is complete), with byte-identical candidates (pinned by
 /// RetrainReuseTest). Stats report the retrain time spent in total, by
 /// the last retrain, and in each of the pipeline's two levels.
 ///
@@ -45,13 +45,24 @@
 ///
 /// This is the one serving core: the daemon, the rollout controller, the
 /// bench harnesses and every in-process parity replay decide through it.
+/// Two loops serve: decideAnswers() only decides, and serveAnswers() --
+/// the --adapt daemon's path, with serve() its one-input caller -- also
+/// observes. Both run on per-input memos whose entries are tagged with
+/// the internal epoch Id they were computed under: the feature memo
+/// (never invalidated, since an input's features do not depend on the
+/// model), and the decision and Level-1 cluster memos, which a swap
+/// invalidates by Id mismatch. A row the monitor completed is flagged
+/// Complete, so a warm observation reads it with one branch; warm, an
+/// observed input costs memo lookups plus the monitor's ring update, and
+/// every CheckInterval-th one a divergence test that allocates nothing.
 ///
-/// Threading contract: decide()/decideAnswers()/decideBatch()/serve()
-/// are driven by one serving thread at a time (decideBatch may internally
-/// shard across a pool it is handed); swapModel() may be called
-/// concurrently from any other thread. A batch reads the epoch pointer
-/// exactly once, so every decision inside one batch comes from the same
-/// epoch.
+/// Threading contract: decide()/decideAnswers()/decideBatch()/serve()/
+/// serveAnswers() are driven by one serving thread at a time
+/// (decideBatch may internally shard across a pool it is handed);
+/// swapModel() may be called concurrently from any other thread. A batch
+/// reads the epoch pointer once, so every decision inside one batch
+/// comes from the same epoch -- except that serveAnswers() reads it
+/// again after its own drift response swaps, as a serve() loop would.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,6 +82,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 namespace pbt {
@@ -117,7 +129,8 @@ public:
     double FeatureCost = 0.0;
     unsigned FeaturesExtracted = 0;
     bool Memoized = false;
-    /// The monitor flagged drift at this observation (serve() only).
+    /// The monitor flagged drift at this observation (set only by the
+    /// observing loop, serve()/serveAnswers(), into a Decision).
     bool DriftFlagged = false;
     /// This observation's drift response ended in a hot swap.
     bool Swapped = false;
@@ -183,11 +196,27 @@ public:
   bool ready() const { return Ok; }
   const serialize::LoadStatus &status() const { return Status; }
 
-  /// Serve one request and feed the adaptation loop: decide, observe the
-  /// input's features / cluster / decision into the DriftMonitor and the
-  /// reservoir, and (under AutoAdapt) run the drift response when
-  /// flagged. Single serving thread.
+  /// Serve one request and feed the adaptation loop: serveAnswers() over
+  /// the one input, which also reports whether the observation flagged
+  /// drift (DriftFlagged) and whether its response swapped (Swapped).
+  /// Single serving thread.
   Decision serve(size_t Input);
+
+  /// The observing counterpart of decideAnswers(), which the --adapt
+  /// daemon answers a Predict with: each input in order is decided, then
+  /// observed -- its full feature row, Level-1 cluster and decision go
+  /// to the DriftMonitor and the reservoir -- and under AutoAdapt a drift
+  /// flag runs adaptNow() there and then, exactly as a loop of serve()
+  /// calls would. The epoch pointer is read once per batch and again only
+  /// after the batch's own drift response swaps; the epoch returned is
+  /// the one that decided the last input (each answer's Epoch names its
+  /// own). Warm, an input costs memo lookups and the monitor's ring
+  /// update: no Decision and no reference count. The batch reaches
+  /// stats() as one add per counter, and the decisions made so far are
+  /// added just before any adaptNow(), so stats(), history() and every
+  /// SwapRecord::AtDecision keep the values a serve() loop gives them.
+  template <typename Answer>
+  EpochPtr serveAnswers(const size_t *Inputs, size_t N, Answer *Out);
 
   /// Decide without observing: no monitor, no reservoir, no adaptation.
   Decision decide(size_t Input);
@@ -225,7 +254,8 @@ public:
   /// against the bound program and the serving epoch's provenance first;
   /// on failure nothing is published and the error is returned. Safe to
   /// call from a thread other than the serving thread; the serving thread
-  /// rebases its DriftMonitor to the pushed model on its next serve().
+  /// rebases its DriftMonitor to the pushed model on its next observing
+  /// batch.
   serialize::LoadStatus swapModel(serialize::TrainedModel Next);
 
   /// Snapshot of the current epoch (never null once ready()).
@@ -267,10 +297,16 @@ private:
     /// Extraction cost (CostCounter units) paid for each value.
     std::vector<double> Costs;
     std::vector<char> Have;
-    /// Cached production decision and the internal epoch Id it belongs
-    /// to; a swap invalidates it by Id mismatch, not by touching memory.
+    /// Cached production decision and Level-1 cluster, each with the
+    /// internal epoch Id it belongs to; a swap invalidates them by Id
+    /// mismatch, not by touching memory. A complete row never changes,
+    /// so neither does its cluster under one epoch.
     int64_t DecidedEpochId = -1;
     int32_t Decided = -1;
+    int32_t Cluster = -1;
+    int64_t ClusterEpochId = -1;
+    /// Every flat feature is memoized (fullFeatures() has run).
+    bool Complete = false;
   };
 
   /// A decision of the current batch that extracted features: its
@@ -288,12 +324,11 @@ private:
   /// The epoch gate every model passes before it serves: drops the
   /// training-only substrate and compiles. Null when it does not compile.
   static std::shared_ptr<ModelEpoch> makeEpoch(serialize::TrainedModel Model);
-  /// decideAnswers() under \p Ep, which the caller holds: the loop
-  /// serve() shares, so it decides with the epoch it observes against.
-  template <typename Answer>
-  void decideLoop(const ModelEpoch &Ep, const size_t *Inputs, size_t N,
-                  Answer *Out);
-  /// The decision-memo miss of decideLoop: decides \p Input, the batch's
+  /// \p Input's decision under \p Ep (whose Id is \p Id): the decision
+  /// memo, or on a miss decideMiss() as the batch's \p At-th.
+  unsigned decideOne(const ModelEpoch &Ep, int64_t Id, size_t Input,
+                     size_t At);
+  /// The decision-memo miss of decideOne(): decides \p Input, the batch's
   /// \p At-th, on the serving thread and records its extraction in Paid.
   unsigned decideMiss(const ModelEpoch &Ep, size_t Input, size_t At);
   /// The compiled walk over \p Input's memoized features; caches the
@@ -309,8 +344,19 @@ private:
   /// to \p P when given, else to the MonitorCost bucket.
   double featureAt(size_t Input, unsigned Flat, PaidDecision *P);
   /// Extracts (via the memo) every flat feature of \p Input; returns the
-  /// memo row. Extraction newly paid here is charged to MonitorCost.
+  /// memo row. Extraction newly paid here is charged to MonitorCost. On a
+  /// complete row this is one branch.
   const double *fullFeatures(size_t Input);
+  /// Feeds \p Input, decided \p Landmark under \p Ep, to the monitor and
+  /// the reservoir; true when the monitor flagged drift (counted).
+  bool observe(const ModelEpoch &Ep, size_t Input, unsigned Landmark);
+  /// Records a drift flag on a Decision; other answer types have no room
+  /// for it.
+  static void markDrift(Decision &D, bool Swapped) {
+    D.DriftFlagged = true;
+    D.Swapped = Swapped;
+  }
+  template <typename Answer> static void markDrift(Answer &, bool) {}
   /// MainScratch sized for \p Ep (epochs differ in class counts); the
   /// serving-thread counterpart of decideBatch's per-shard scratches.
   CompiledModel::Scratch &scratchFor(const ModelEpoch &Ep);
@@ -320,13 +366,16 @@ private:
   void syncMonitorTo(const EpochPtr &Ep);
   /// The Level-1 feature tables of a retrain over \p Sample (row I is
   /// input Sample[I]), read from the memo -- exactly what extraction over
-  /// a SubsetProgram of the sample would produce. serve() completes an
+  /// a SubsetProgram of the sample would produce. observe() completes an
   /// input's memo row before adding it to the reservoir, and memo rows
   /// are never dropped, so every sampled row is complete.
   void sampleFeatureTables(const std::vector<size_t> &Sample,
                            linalg::Matrix &Values,
                            linalg::Matrix &Costs) const;
-  unsigned assignCluster(const ModelEpoch &Ep, const double *Features);
+  /// \p Input's Level-1 cluster under \p Ep, whose complete memo row is
+  /// \p Features: the cluster memo, or normalise plus nearest centroid.
+  unsigned clusterOf(const ModelEpoch &Ep, size_t Input,
+                     const double *Features);
   /// The shadow retrain's candidate: the pipeline under Opts.Retrain
   /// clamped to \p Sample, trained on the calling thread over a
   /// SubsetProgram view of it with Level 1 reading the sample's memoized
@@ -338,10 +387,10 @@ private:
   /// Appends \p Attempt to the history, dropping the oldest record past
   /// MaxSwapHistory. Caller holds SwapMutex.
   void appendHistory(const SwapRecord &Attempt);
-  /// Adds a batch of \p N decisions, of which Paid extracted features,
+  /// Adds \p N decisions, of which Paid[FirstPaid..] extracted features,
   /// to the lifetime totals: one relaxed add per counter, none for a sum
-  /// that is zero. serve() and decide() pass one decision.
-  void recordTotals(size_t N);
+  /// that is zero. decide() passes one decision.
+  void recordTotals(size_t N, size_t FirstPaid = 0);
   /// Bumps SkipCount and records \p Reason as the last skip diagnosis.
   void recordSkip(std::string Reason);
 
@@ -363,7 +412,7 @@ private:
   CompiledModel::Scratch MainScratch;
   /// Internal epoch Id MainScratch was sized for (0 = never made).
   uint64_t ScratchEpochId = 0;
-  std::vector<double> ClusterRow; // scratch for assignCluster
+  std::vector<double> ClusterRow; // scratch for clusterOf
   /// The current batch's decisions that extracted features, in decision
   /// order (serving thread; empty for an all-warm batch).
   std::vector<PaidDecision> Paid;
@@ -385,6 +434,15 @@ private:
       RetrainLevel2Seconds{0.0};
 };
 
+inline unsigned AdaptiveService::decideOne(const ModelEpoch &Ep, int64_t Id,
+                                           size_t Input, size_t At) {
+  // Ids start at 1 and a memo entry's DecidedEpochId at -1, so a matching
+  // id also means the entry holds a decision.
+  const MemoEntry &E = Memo[Input];
+  return E.DecidedEpochId == Id ? static_cast<unsigned>(E.Decided)
+                                : decideMiss(Ep, Input, At);
+}
+
 template <typename Answer>
 AdaptiveService::EpochPtr
 AdaptiveService::decideAnswers(const size_t *Inputs, size_t N, Answer *Out) {
@@ -392,28 +450,57 @@ AdaptiveService::decideAnswers(const size_t *Inputs, size_t N, Answer *Out) {
   // One snapshot for the whole batch: every decision below comes from the
   // same epoch even if swapModel() lands mid-batch on another thread.
   EpochPtr Ep = currentEpoch();
-  decideLoop(*Ep, Inputs, N, Out);
+  const int64_t Id = static_cast<int64_t>(Ep->Id);
+  const uint64_t Generation = Ep->Model.Meta.Epoch;
+  Paid.clear();
+  for (size_t I = 0; I != N; ++I) {
+    assert(Inputs[I] < Memo.size() && "input out of range");
+    Out[I].Landmark = decideOne(*Ep, Id, Inputs[I], I);
+    Out[I].Epoch = Generation;
+  }
+  recordTotals(N);
   return Ep;
 }
 
 template <typename Answer>
-void AdaptiveService::decideLoop(const ModelEpoch &Ep, const size_t *Inputs,
-                                 size_t N, Answer *Out) {
-  // Ids start at 1 and a memo entry's DecidedEpochId at -1, so a matching
-  // id also means the entry holds a decision.
-  const int64_t Id = static_cast<int64_t>(Ep.Id);
-  const uint64_t Generation = Ep.Model.Meta.Epoch;
+AdaptiveService::EpochPtr
+AdaptiveService::serveAnswers(const size_t *Inputs, size_t N, Answer *Out) {
+  assert(Ok && "serveAnswers() on a non-ready AdaptiveService");
+  EpochPtr Ep = currentEpoch();
+  syncMonitorTo(Ep);
   Paid.clear();
+  // Decisions (and Paid entries) already added to the lifetime totals.
+  size_t Counted = 0, PaidCounted = 0;
+  bool Stale = false;
   for (size_t I = 0; I != N; ++I) {
+    if (Stale) {
+      // The previous input's drift response published a new epoch: the
+      // rest of the batch is decided and observed against it.
+      Ep = currentEpoch();
+      syncMonitorTo(Ep);
+      Stale = false;
+    }
     assert(Inputs[I] < Memo.size() && "input out of range");
-    const MemoEntry &E = Memo[Inputs[I]];
-    Out[I].Landmark = E.DecidedEpochId == Id
-                          ? static_cast<unsigned>(E.Decided)
-                          : decideMiss(Ep, Inputs[I], I);
-    Out[I].Epoch = Generation;
+    unsigned Landmark =
+        decideOne(*Ep, static_cast<int64_t>(Ep->Id), Inputs[I], I);
+    Out[I].Landmark = Landmark;
+    Out[I].Epoch = Ep->Model.Meta.Epoch;
+    if (!observe(*Ep, Inputs[I], Landmark))
+      continue;
+    if (Opts.AutoAdapt) {
+      // adaptNow() stamps its attempt with the lifetime decision count,
+      // so the decisions so far reach the totals first.
+      recordTotals(I + 1 - Counted, PaidCounted);
+      Counted = I + 1;
+      PaidCounted = Paid.size();
+      Stale = adaptNow();
+    }
+    markDrift(Out[I], Stale);
   }
-  recordTotals(N);
+  recordTotals(N - Counted, PaidCounted);
+  return Ep;
 }
+
 
 } // namespace runtime
 } // namespace pbt

@@ -123,24 +123,33 @@ bool DriftMonitor::observe(const double *Features, unsigned Cluster,
   return Last.Drifted;
 }
 
-void DriftMonitor::liveStats(std::vector<double> &Mean,
-                             std::vector<double> &Var,
-                             std::vector<double> &ClusterHist,
-                             std::vector<double> &DecisionHist) const {
-  Mean.assign(NumFeatures, 0.0);
-  Var.assign(NumFeatures, 0.0);
-  ClusterHist.assign(NumClusters, 0.0);
-  DecisionHist.assign(NumDecisions, 0.0);
-  std::vector<double> Column(Fill, 0.0);
-  for (unsigned F = 0; F != NumFeatures; ++F) {
-    for (size_t I = 0; I != Fill; ++I)
-      Column[I] = FeatRing[I * NumFeatures + F];
-    Mean[F] = support::mean(Column);
-    Var[F] = support::variance(Column);
-  }
+void DriftMonitor::liveStats() const {
+  assert(Fill > 0 && "live statistics of an empty window");
+  // One row-major pass over the ring. Each column is still summed in
+  // ring-slot order from 0.0 -- the very adds support::mean makes -- so
+  // every mean keeps support::mean's bits. Four rows per step, added left
+  // to right, keep each partial sum in a register for three of its four
+  // adds instead of storing and reloading it after every one.
+  LiveMean.assign(NumFeatures, 0.0);
+  const size_t NF = NumFeatures;
+  double *Sum = LiveMean.data();
+  const double *Row = FeatRing.data();
+  size_t I = 0;
+  for (; I + 4 <= Fill; I += 4, Row += 4 * NF)
+    for (size_t F = 0; F != NF; ++F)
+      Sum[F] = (((Sum[F] + Row[F]) + Row[NF + F]) + Row[2 * NF + F]) +
+               Row[3 * NF + F];
+  for (; I != Fill; ++I, Row += NF)
+    for (size_t F = 0; F != NF; ++F)
+      Sum[F] += Row[F];
+  for (unsigned F = 0; F != NumFeatures; ++F)
+    LiveMean[F] /= static_cast<double>(Fill);
+
+  LiveClusterHist.assign(NumClusters, 0.0);
+  LiveDecisionHist.assign(NumDecisions, 0.0);
   for (size_t I = 0; I != Fill; ++I) {
-    ClusterHist[ClusterRing[I]] += 1.0;
-    DecisionHist[DecisionRing[I]] += 1.0;
+    LiveClusterHist[ClusterRing[I]] += 1.0;
+    LiveDecisionHist[DecisionRing[I]] += 1.0;
   }
 }
 
@@ -150,23 +159,21 @@ DriftSignal DriftMonitor::check() const {
   if (Fill < Opts.MinSamples)
     return Signal;
 
-  std::vector<double> Mean, Var, ClusterHist, DecisionHist;
-  liveStats(Mean, Var, ClusterHist, DecisionHist);
-
+  liveStats();
   for (unsigned F = 0; F != NumFeatures; ++F) {
     // Standardize by the reference spread; the additive floor keeps a
     // (near-)constant reference feature from turning FP noise into an
     // unbounded score while still flagging a genuine move.
     double Denom =
         std::sqrt(std::max(RefVar[F], 0.0)) + 1e-9 + 1e-6 * std::abs(RefMean[F]);
-    double Shift = std::abs(Mean[F] - RefMean[F]) / Denom;
+    double Shift = std::abs(LiveMean[F] - RefMean[F]) / Denom;
     if (Shift > Signal.MeanShift) {
       Signal.MeanShift = Shift;
       Signal.MeanShiftFeature = F;
     }
   }
-  Signal.ClusterTV = totalVariation(ClusterHist, RefClusterHist);
-  Signal.DecisionTV = totalVariation(DecisionHist, RefDecisionHist);
+  Signal.ClusterTV = totalVariation(LiveClusterHist, RefClusterHist);
+  Signal.DecisionTV = totalVariation(LiveDecisionHist, RefDecisionHist);
   Signal.Drifted = Signal.MeanShift > Opts.MeanShiftThreshold ||
                    Signal.ClusterTV > Opts.ClusterTVThreshold ||
                    Signal.DecisionTV > Opts.DecisionTVThreshold;
@@ -191,10 +198,17 @@ void DriftMonitor::rebaseToModel(const serialize::TrainedModel &Model) {
 
 void DriftMonitor::rebaseToWindow() {
   if (Fill > 0) {
-    std::vector<double> Mean, Var, ClusterHist, DecisionHist;
-    liveStats(Mean, Var, ClusterHist, DecisionHist);
-    setReference(std::move(Mean), std::move(Var), std::move(ClusterHist),
-                 std::move(DecisionHist));
+    // The one path that needs the live variances: support::variance over
+    // each ring column in ring-slot order, so the adopted reference keeps
+    // its exact result.
+    liveStats();
+    std::vector<double> Var(NumFeatures, 0.0), Column(Fill, 0.0);
+    for (unsigned F = 0; F != NumFeatures; ++F) {
+      for (size_t I = 0; I != Fill; ++I)
+        Column[I] = FeatRing[I * NumFeatures + F];
+      Var[F] = support::variance(Column);
+    }
+    setReference(LiveMean, std::move(Var), LiveClusterHist, LiveDecisionHist);
   }
   Fill = 0;
   Next = 0;

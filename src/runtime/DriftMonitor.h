@@ -14,8 +14,7 @@
 /// Three views of every served request are maintained over a sliding
 /// window (streaming; O(window) memory, no per-request allocation):
 ///
-///   * the flat feature vector         (per-feature windowed mean/variance
-///                                      via support/Statistics),
+///   * the flat feature vector         (per-feature windowed mean),
 ///   * the K-means cluster the input lands in against the model's Level-1
 ///     centroids                       (cluster-assignment histogram), and
 ///   * the landmark the model chose    (decision-mix histogram).
@@ -27,6 +26,14 @@
 /// per-feature standardized mean shift plus total-variation distances
 /// between the histograms, checked every few observations. Any score
 /// crossing its threshold flags drift.
+///
+/// A check reads only the live means and histograms. It sums every
+/// feature's mean in one row-major pass over the window, adding each
+/// column in ring-slot order exactly as support::mean would, so its
+/// scores keep support::mean's bits; and it works in member scratch, so
+/// it allocates nothing. Only rebaseToWindow() takes the live variances
+/// (support::variance over each column), when it adopts the window as
+/// the new reference.
 ///
 /// After the serving loop reacts (hot-swap or explicit dismissal) it
 /// rebases the monitor: the reference becomes the new model's training
@@ -136,10 +143,14 @@ public:
 
   const DriftMonitorOptions &options() const { return Opts; }
 
+  /// The reference window's per-feature means and variances.
+  const std::vector<double> &referenceMean() const { return RefMean; }
+  const std::vector<double> &referenceVariance() const { return RefVar; }
+
 private:
-  void liveStats(std::vector<double> &Mean, std::vector<double> &Var,
-                 std::vector<double> &ClusterHist,
-                 std::vector<double> &DecisionHist) const;
+  /// The live window's per-feature means and cluster and decision
+  /// histograms, into LiveMean, LiveClusterHist and LiveDecisionHist.
+  void liveStats() const;
 
   DriftMonitorOptions Opts;
   unsigned NumFeatures = 0;
@@ -159,6 +170,10 @@ private:
   uint64_t Observations = 0;
   uint64_t CooldownUntil = 0;
   DriftSignal Last;
+
+  // check()'s scratch, kept so that a check allocates nothing once the
+  // monitor has run one (the serving thread is the only caller).
+  mutable std::vector<double> LiveMean, LiveClusterHist, LiveDecisionHist;
 };
 
 /// Total-variation distance 0.5 * sum |p - q| between two nonnegative

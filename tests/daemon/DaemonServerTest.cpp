@@ -865,16 +865,21 @@ TEST(DaemonServerTest, AdaptModeServesAndObserves) {
   ASSERT_TRUE(C.connect(H.Socket, Err)) << Err;
   daemon::DaemonClient::AttachInfo Info;
   ASSERT_TRUE(C.attach("sort1", Info, Err)) << Err;
+  // Every input the client sends, and every answer, in order.
+  FlipRun Sent;
   std::vector<daemon::PredictedChoice> Choices;
   for (int Pass = 0; Pass < 3; ++Pass)
     for (uint64_t I = 0; I + 4 <= Info.NumInputs; I += 4) {
-      ASSERT_EQ(C.predict({I, I + 1, I + 2, I + 3}, Choices, Err),
+      std::vector<uint64_t> Inputs = {I, I + 1, I + 2, I + 3};
+      ASSERT_EQ(C.predict(Inputs, Choices, Err),
                 daemon::DaemonClient::PredictOutcome::Ok)
           << Err;
       for (const daemon::PredictedChoice &Ch : Choices) {
         EXPECT_LT(Ch.Landmark, Info.Landmarks);
         EXPECT_GE(Ch.Epoch, Info.Epoch);
       }
+      Sent.Inputs.insert(Sent.Inputs.end(), Inputs.begin(), Inputs.end());
+      Sent.Answers.insert(Sent.Answers.end(), Choices.begin(), Choices.end());
     }
 
   // The tenant's AdaptiveService actually observed the traffic.
@@ -883,9 +888,32 @@ TEST(DaemonServerTest, AdaptModeServesAndObserves) {
   EXPECT_GT(T->Service->reservoir().seen(), 0u);
 
   // A cycled abrupt regime flip makes the drift monitor fire.
-  sendAbruptFlip(C, *T);
+  FlipRun Flip = sendAbruptFlip(C, *T);
+  Sent.Inputs.insert(Sent.Inputs.end(), Flip.Inputs.begin(),
+                     Flip.Inputs.end());
+  Sent.Answers.insert(Sent.Answers.end(), Flip.Answers.begin(),
+                      Flip.Answers.end());
   runtime::AdaptiveService::StatsSnapshot A = T->Service->stats();
   EXPECT_GT(A.Decisions, 0u);
+
+  // The daemon's batched observing path answers exactly as per-input
+  // serve() does on a fresh tenant -- the replay perfbench's traced adapt
+  // run checks the daemon against.
+  daemon::ModelRegistry Fresh(RO);
+  ASSERT_TRUE(Fresh.addTenant("sort1", modelFile()).Ok);
+  runtime::AdaptiveService &Replay = *Fresh.find("sort1")->Service;
+  ASSERT_EQ(Sent.Answers.size(), Sent.Inputs.size());
+  size_t Mismatches = 0;
+  for (size_t I = 0; I != Sent.Inputs.size(); ++I) {
+    runtime::AdaptiveService::Decision D = Replay.serve(Sent.Inputs[I]);
+    if (D.Landmark != Sent.Answers[I].Landmark ||
+        D.Epoch != Sent.Answers[I].Epoch)
+      ++Mismatches;
+  }
+  EXPECT_EQ(Mismatches, 0u) << "the daemon's answers diverged from serve()";
+  EXPECT_EQ(Replay.stats().Decisions, A.Decisions);
+  EXPECT_EQ(Replay.stats().Retrains, A.Retrains);
+  EXPECT_EQ(Replay.stats().Swaps, A.Swaps);
 
   // ...and the Stats JSON reports its retrain outcomes and cost.
   ASSERT_GT(A.Retrains, 0u) << "the traffic must drive shadow retrains";

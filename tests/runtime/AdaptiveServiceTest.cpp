@@ -16,6 +16,7 @@
 #include "core/FeatureProbe.h"
 #include "registry/BenchmarkRegistry.h"
 #include "runtime/SubsetProgram.h"
+#include "streams/WorkloadStream.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
@@ -459,6 +460,110 @@ TEST(AdaptiveServiceTest, DecideAnswersMatchesDecideBatch) {
                binpackingModel().Bytes);
 }
 
+TEST(AdaptiveServiceTest, ServeAnswersMatchesPerInputServe) {
+  // Twin adapting tenants, bound as pbt-serve --adapt binds them, serve
+  // perfbench's adapt sort1 stream (abrupt, cycled): one in 16-input
+  // serveAnswers() batches, the other one serve() per input. Drift
+  // flags, retrains and swaps land in the batches, and an operator swap
+  // lands between two; every answer, counter and swap record must agree,
+  // the counters to the bit. The monitor checks every 16th observation,
+  // so 16-input batches meet each check at their last input; a leading
+  // 7-input batch moves every check to the middle of a batch.
+  streams::WorkloadStreamOptions SO;
+  SO.Kind = streams::Schedule::Abrupt;
+  SO.Requests = 500;
+  // perfbench's adapt stream seed for round 0, connection 0, tenant 0.
+  const uint64_t StreamSeed = 0xADA97;
+  SO.Seed = ((StreamSeed * 1000003u + 0) * 131u + 0) * 131u + 0;
+  for (size_t Lead : {size_t(0), size_t(7)}) {
+    SCOPED_TRACE("leading batch of " + std::to_string(Lead));
+    registry::BoundModel Batched =
+        registry::bindModel(cloneModel(modelBytes()), 64, 48, true);
+    registry::BoundModel PerInput =
+        registry::bindModel(cloneModel(modelBytes()), 64, 48, true);
+    ASSERT_TRUE(Batched.Status.Ok) << Batched.Status.Error;
+    ASSERT_TRUE(PerInput.Status.Ok) << PerInput.Status.Error;
+    runtime::AdaptiveService &A = *Batched.Service;
+    runtime::AdaptiveService &B = *PerInput.Service;
+    streams::WorkloadStream Stream(*Batched.Program, SO);
+    const std::vector<size_t> &Seq = Stream.sequence();
+
+    // Batch sizes: Lead (when nonzero), then 16s over three passes.
+    std::vector<size_t> Sizes;
+    if (Lead)
+      Sizes.push_back(Lead);
+    while (Sizes.size() * 16 < 3 * Seq.size())
+      Sizes.push_back(16);
+    const size_t SwapAt = Sizes.size() / 2;
+    std::vector<size_t> Inputs;
+    std::vector<LeanAnswer> Answers;
+    uint64_t Tick = 0, Flags = 0, Swapped = 0, MidBatchSwaps = 0;
+    for (size_t K = 0; K != Sizes.size(); ++K) {
+      if (K == SwapAt) {
+        // The retired epoch's decision and cluster memos must not leak.
+        ASSERT_TRUE(A.swapModel(cloneModel(altModelBytes())).Ok);
+        ASSERT_TRUE(B.swapModel(cloneModel(altModelBytes())).Ok);
+      }
+      Inputs.resize(Sizes[K]);
+      Answers.assign(Sizes[K], LeanAnswer());
+      for (size_t &In : Inputs)
+        In = Seq[Tick++ % Seq.size()];
+      runtime::AdaptiveService::EpochPtr Ep =
+          A.serveAnswers(Inputs.data(), Inputs.size(), Answers.data());
+      for (size_t I = 0; I != Inputs.size(); ++I) {
+        runtime::AdaptiveService::Decision D = B.serve(Inputs[I]);
+        ASSERT_EQ(Answers[I].Landmark, D.Landmark)
+            << "batch " << K << " #" << I;
+        ASSERT_EQ(Answers[I].Epoch, D.Epoch) << "batch " << K << " #" << I;
+        Flags += D.DriftFlagged;
+        Swapped += D.Swapped;
+        MidBatchSwaps += D.Swapped && I + 1 != Inputs.size();
+      }
+      // The epoch returned is the one that decided the batch's last input.
+      EXPECT_EQ(Ep->Model.Meta.Epoch, Answers.back().Epoch);
+    }
+
+    runtime::AdaptiveService::StatsSnapshot SA = A.stats(), SB = B.stats();
+    EXPECT_EQ(SA.Decisions, Tick);
+    EXPECT_EQ(SA.Decisions, SB.Decisions);
+    EXPECT_EQ(SA.MemoizedDecisions, SB.MemoizedDecisions);
+    EXPECT_EQ(SA.FeaturesExtracted, SB.FeaturesExtracted);
+    EXPECT_EQ(SA.FeatureCostPaid, SB.FeatureCostPaid);
+    EXPECT_EQ(SA.MonitorCostPaid, SB.MonitorCostPaid);
+    EXPECT_EQ(SA.DriftDetections, SB.DriftDetections);
+    EXPECT_EQ(SA.Retrains, SB.Retrains);
+    EXPECT_EQ(SA.Swaps, SB.Swaps);
+    EXPECT_EQ(SA.RejectedCandidates, SB.RejectedCandidates);
+    EXPECT_EQ(SA.SkippedRetrains, SB.SkippedRetrains);
+    EXPECT_EQ(SA.LastSkipReason, SB.LastSkipReason);
+    EXPECT_EQ(SB.DriftDetections, Flags);
+    // One of the swaps is the operator's.
+    EXPECT_EQ(SB.Swaps, Swapped + 1);
+    EXPECT_GT(Swapped, 0u) << "the stream must drive a drift swap";
+    EXPECT_GT(SB.RejectedCandidates, 0u);
+    if (Lead) {
+      EXPECT_EQ(MidBatchSwaps, Swapped) << "a drift swap ended a batch";
+    }
+
+    std::vector<runtime::AdaptiveService::SwapRecord> HA = A.history(),
+                                                      HB = B.history();
+    ASSERT_EQ(HA.size(), HB.size());
+    for (size_t I = 0; I != HA.size(); ++I) {
+      EXPECT_EQ(HA[I].FromEpoch, HB[I].FromEpoch) << "attempt " << I;
+      EXPECT_EQ(HA[I].ToEpoch, HB[I].ToEpoch) << "attempt " << I;
+      EXPECT_EQ(HA[I].AtDecision, HB[I].AtDecision) << "attempt " << I;
+      EXPECT_EQ(HA[I].ChampionShadowCost, HB[I].ChampionShadowCost)
+          << "attempt " << I;
+      EXPECT_EQ(HA[I].CandidateShadowCost, HB[I].CandidateShadowCost)
+          << "attempt " << I;
+      EXPECT_EQ(HA[I].Accepted, HB[I].Accepted) << "attempt " << I;
+    }
+    EXPECT_EQ(A.monitor().observations(), B.monitor().observations());
+    EXPECT_EQ(A.reservoir().seen(), B.reservoir().seen());
+    EXPECT_EQ(A.epoch(), B.epoch());
+  }
+}
+
 TEST(AdaptiveServiceTest, ServeObservesIntoMonitorAndReservoir) {
   registry::ProgramPtr P = makeProgram();
   runtime::AdaptiveServiceOptions O;
@@ -637,6 +742,46 @@ TEST(AdaptiveServiceTest, ScratchAndMonitorFollowTheModelAcrossSwaps) {
   }
   // serve() rebased the monitor to the pushed model on first contact.
   EXPECT_EQ(Service.monitor().numDecisions(), BigLandmarks);
+}
+
+TEST(AdaptiveServiceTest, ClusterMemoFollowsTheEpoch) {
+  // The Level-1 cluster an observation feeds the monitor is memoized per
+  // input and epoch. Push a clone of the serving model whose centroids
+  // all lie far away but the first, so every input now lands in cluster
+  // 0 and nothing else changes. The monitor must then see exactly what a
+  // service that only ever served the clone sees: no cluster memoized
+  // under the retired epoch may leak into the window.
+  registry::ProgramPtr P = makeProgram();
+  runtime::AdaptiveServiceOptions O;
+  O.AutoAdapt = false;
+  auto Collapsed = [] {
+    serialize::TrainedModel M = cloneModel(modelBytes());
+    linalg::Matrix &C = M.System.L1.Clusters.Centroids;
+    for (size_t R = 1; R != C.rows(); ++R)
+      for (size_t J = 0; J != C.cols(); ++J)
+        C.at(R, J) = 1e30;
+    return M;
+  };
+  runtime::AdaptiveService Service(*P, cloneModel(modelBytes()), O);
+  runtime::AdaptiveService Reference(*P, Collapsed(), O);
+  ASSERT_TRUE(Service.ready() && Reference.ready());
+  for (size_t I = 0; I != P->numInputs(); ++I)
+    Service.serve(I);
+  ASSERT_TRUE(Service.swapModel(Collapsed()).Ok);
+  // Two passes: the monitor tests only a window of MinSamples or more.
+  for (size_t I = 0; I != 2 * P->numInputs(); ++I) {
+    size_t In = I % P->numInputs();
+    EXPECT_EQ(Service.serve(In).Landmark, Reference.serve(In).Landmark)
+        << "input " << In;
+  }
+  ASSERT_GE(Service.monitor().windowFill(),
+            Service.monitor().options().MinSamples);
+  runtime::DriftSignal Got = Service.monitor().check(),
+                       Want = Reference.monitor().check();
+  EXPECT_GT(Want.ClusterTV, 0.0) << "every input was in cluster 0 already";
+  EXPECT_EQ(Got.ClusterTV, Want.ClusterTV);
+  EXPECT_EQ(Got.DecisionTV, Want.DecisionTV);
+  EXPECT_EQ(Got.MeanShift, Want.MeanShift);
 }
 
 TEST(AdaptiveServiceTest, BatchDecisionsAreThreadCountInvariant) {

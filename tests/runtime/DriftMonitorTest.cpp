@@ -11,9 +11,11 @@
 #include "runtime/DriftMonitor.h"
 
 #include "support/Random.h"
+#include "support/Statistics.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 using namespace pbt;
@@ -162,6 +164,187 @@ TEST(DriftMonitorTest, CooldownSuppressesImmediateReflagging) {
   EXPECT_FALSE(Flagged) << "flagged during cooldown";
   // check() ignores the cooldown by design (an explicit probe).
   EXPECT_TRUE(M.check().Drifted);
+}
+
+/// The live window as the test fed it: a copy of the monitor's rings,
+/// slot for slot.
+struct WindowCopy {
+  size_t Window = 0;
+  unsigned NumFeatures = 0;
+  std::vector<std::vector<double>> Rows; // by ring slot
+  std::vector<unsigned> Clusters, Decisions;
+  size_t Fill = 0, Next = 0;
+
+  WindowCopy(size_t Window, unsigned NumFeatures)
+      : Window(Window), NumFeatures(NumFeatures), Rows(Window),
+        Clusters(Window, 0), Decisions(Window, 0) {}
+
+  void clear() { Fill = Next = 0; }
+
+  /// Feeds one observation to \p M and to the copy. Feature magnitudes
+  /// span twelve decades, so a sum in any other order rounds otherwise.
+  void feed(DriftMonitor &M, support::Rng &Rng, unsigned NumClusters,
+            unsigned NumDecisions) {
+    std::vector<double> Row(NumFeatures);
+    for (double &V : Row)
+      V = Rng.gaussian(1.0, 2.0) * std::pow(10.0, Rng.uniform(-6.0, 6.0));
+    unsigned C = static_cast<unsigned>(Rng.index(NumClusters));
+    unsigned D = static_cast<unsigned>(Rng.index(NumDecisions));
+    M.observe(Row.data(), C, D);
+    Rows[Next] = Row;
+    Clusters[Next] = C;
+    Decisions[Next] = D;
+    Next = (Next + 1) % Window;
+    Fill = std::min(Fill + 1, Window);
+  }
+
+  /// Feature \p F over the filled slots, in ring-slot order.
+  std::vector<double> column(unsigned F) const {
+    std::vector<double> Col;
+    for (size_t I = 0; I != Fill; ++I)
+      Col.push_back(Rows[I][F]);
+    return Col;
+  }
+
+  std::vector<double> histogram(const std::vector<unsigned> &Ring,
+                                unsigned Arity) const {
+    std::vector<double> H(Arity, 0.0);
+    for (size_t I = 0; I != Fill; ++I)
+      H[Ring[I]] += 1.0;
+    return H;
+  }
+};
+
+/// check()'s score of one feature, the monitor's own formula.
+double standardizedShift(double Mean, double RefMean, double RefVar) {
+  double Denom =
+      std::sqrt(std::max(RefVar, 0.0)) + 1e-9 + 1e-6 * std::abs(RefMean);
+  return std::abs(Mean - RefMean) / Denom;
+}
+
+/// Expects \p M.check() to equal, to the bit, the divergence test
+/// recomputed from support::mean over each column of \p W. Then, for
+/// each feature in turn, a reference under which that feature's shift is
+/// the largest pins the feature's own mean through MeanShift.
+void expectCheckMatchesColumns(DriftMonitor &M, const WindowCopy &W,
+                               const std::vector<double> &RefMean,
+                               const std::vector<double> &RefVar,
+                               const std::vector<double> &RefClusters,
+                               const std::vector<double> &RefDecisions) {
+  const unsigned NF = W.NumFeatures;
+  M.setReference(RefMean, RefVar, RefClusters, RefDecisions);
+  DriftSignal Want;
+  for (unsigned F = 0; F != NF; ++F) {
+    double Shift =
+        standardizedShift(support::mean(W.column(F)), RefMean[F], RefVar[F]);
+    if (Shift > Want.MeanShift) {
+      Want.MeanShift = Shift;
+      Want.MeanShiftFeature = F;
+    }
+  }
+  Want.ClusterTV =
+      totalVariation(W.histogram(W.Clusters, M.numClusters()), RefClusters);
+  Want.DecisionTV =
+      totalVariation(W.histogram(W.Decisions, M.numDecisions()), RefDecisions);
+  DriftSignal Got = M.check();
+  EXPECT_EQ(Got.MeanShift, Want.MeanShift);
+  EXPECT_EQ(Got.MeanShiftFeature, Want.MeanShiftFeature);
+  EXPECT_EQ(Got.ClusterTV, Want.ClusterTV);
+  EXPECT_EQ(Got.DecisionTV, Want.DecisionTV);
+  EXPECT_GT(Want.ClusterTV, 0.0);
+  EXPECT_GT(Want.DecisionTV, 0.0);
+
+  for (unsigned T = 0; T != NF; ++T) {
+    // Reference mean 0 everywhere; a zero variance on T alone and a huge
+    // one elsewhere make T's shift |mean| / 1e-9, the largest.
+    std::vector<double> Zero(NF, 0.0), Var(NF, 1e300);
+    Var[T] = 0.0;
+    M.setReference(Zero, Var, RefClusters, RefDecisions);
+    DriftSignal Probe = M.check();
+    EXPECT_EQ(Probe.MeanShiftFeature, T);
+    EXPECT_EQ(Probe.MeanShift,
+              standardizedShift(support::mean(W.column(T)), 0.0, 0.0))
+        << "feature " << T;
+  }
+}
+
+TEST(DriftMonitorTest, CheckMatchesColumnwiseReference) {
+  // check() sums each feature's mean in one row-major pass; its scores
+  // must equal, bit for bit, support::mean over each ring column in
+  // ring-slot order. Three windows: partly filled, wrapped past its end,
+  // and refilled after rebaseToWindow() adopted the wrapped one, whose
+  // variances must be support::variance's to the bit.
+  constexpr unsigned NF = 12, NC = 3, ND = 4;
+  DriftMonitorOptions O;
+  O.Window = 64;
+  O.MinSamples = 8;
+  O.CheckInterval = 1u << 30; // the test runs every check itself
+  O.Cooldown = 0;
+  DriftMonitor M(NF, NC, ND, O);
+  const std::vector<double> Means(NF, 0.5), Vars(NF, 4.0);
+  const std::vector<double> RefC = {3.0, 1.0, 1.0},
+                            RefD = {1.0, 2.0, 3.0, 4.0};
+  M.setReference(Means, Vars, RefC, RefD);
+  WindowCopy W(O.Window, NF);
+  support::Rng Rng(0xC0C0A);
+
+  for (size_t I = 0; I != 40; ++I)
+    W.feed(M, Rng, NC, ND);
+  ASSERT_EQ(M.windowFill(), 40u);
+  {
+    SCOPED_TRACE("partly filled");
+    expectCheckMatchesColumns(M, W, Means, Vars, RefC, RefD);
+  }
+
+  for (size_t I = 0; I != 150; ++I)
+    W.feed(M, Rng, NC, ND);
+  ASSERT_EQ(M.windowFill(), O.Window);
+  ASSERT_NE(W.Next, 0u) << "the window must have wrapped mid-ring";
+  {
+    SCOPED_TRACE("wrapped");
+    expectCheckMatchesColumns(M, W, Means, Vars, RefC, RefD);
+  }
+
+  // rebaseToWindow() adopts the wrapped window as the reference.
+  M.setReference(Means, Vars, RefC, RefD);
+  M.rebaseToWindow();
+  ASSERT_EQ(M.windowFill(), 0u);
+  for (unsigned F = 0; F != NF; ++F) {
+    EXPECT_EQ(M.referenceMean()[F], support::mean(W.column(F)))
+        << "feature " << F;
+    EXPECT_EQ(M.referenceVariance()[F], support::variance(W.column(F)))
+        << "feature " << F;
+  }
+  std::vector<double> AdoptedMean = M.referenceMean(),
+                      AdoptedVar = M.referenceVariance();
+  std::vector<double> AdoptedC = W.histogram(W.Clusters, NC),
+                      AdoptedD = W.histogram(W.Decisions, ND);
+
+  W.clear();
+  for (size_t I = 0; I != 50; ++I)
+    W.feed(M, Rng, NC, ND);
+  {
+    SCOPED_TRACE("refilled after rebaseToWindow");
+    // The adopted reference itself first, then the probes.
+    DriftSignal Got = M.check();
+    DriftSignal Want;
+    for (unsigned F = 0; F != NF; ++F) {
+      double Shift = standardizedShift(support::mean(W.column(F)),
+                                       AdoptedMean[F], AdoptedVar[F]);
+      if (Shift > Want.MeanShift) {
+        Want.MeanShift = Shift;
+        Want.MeanShiftFeature = F;
+      }
+    }
+    EXPECT_EQ(Got.MeanShift, Want.MeanShift);
+    EXPECT_EQ(Got.MeanShiftFeature, Want.MeanShiftFeature);
+    EXPECT_EQ(Got.ClusterTV,
+              totalVariation(W.histogram(W.Clusters, NC), AdoptedC));
+    EXPECT_EQ(Got.DecisionTV,
+              totalVariation(W.histogram(W.Decisions, ND), AdoptedD));
+    expectCheckMatchesColumns(M, W, AdoptedMean, AdoptedVar, AdoptedC,
+                              AdoptedD);
+  }
 }
 
 TEST(DriftMonitorTest, TotalVariationBasics) {
