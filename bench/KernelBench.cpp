@@ -377,9 +377,10 @@ static void BM_ServeDecideCompiled(benchmark::State &State) {
 BENCHMARK(BM_ServeDecideCompiled);
 
 /// The Decision-vector API on a warm batch: one 64-input decideBatch of
-/// memo-warm inputs (the test rows, cycled), inline. Time is per batch;
-/// it includes the batch's accounting, the Decision vector and a Hold
-/// per decision. perfbench's traced runtime.decide_us times this call.
+/// memo-warm inputs (the test rows, cycled). Time is per batch; it
+/// includes the batch's accounting, the Decision vector and a Hold per
+/// decision. perfbench's traced runtime.decide_us times this call
+/// (written there as decideBatch(Inputs, nullptr)).
 static void BM_DecideBatchWarm(benchmark::State &State) {
   ServeFixture &F = serveFixture();
   std::vector<size_t> Batch(64);
@@ -387,7 +388,7 @@ static void BM_DecideBatchWarm(benchmark::State &State) {
     Batch[K] = F.Rows[K % F.Rows.size()];
   for (auto _ : State) {
     std::vector<runtime::AdaptiveService::Decision> Ds =
-        F.Service->decideBatch(Batch, nullptr);
+        F.Service->decideBatch(Batch);
     benchmark::DoNotOptimize(Ds.data());
   }
   State.SetItemsProcessed(State.iterations() *

@@ -417,7 +417,6 @@ ServerStats Server::stats() const {
   }
   S.Shed = ShedCount.load(std::memory_order_relaxed);
   S.Malformed = MalformedCount.load(std::memory_order_relaxed);
-  S.Batches = S.BatchedRequests = S.Requests;
   S.MaxQueueDepth = MaxDepth.load(std::memory_order_relaxed);
   S.AdmissionWaits = AdmissionWaitCount.load(std::memory_order_relaxed);
   S.AdmissionWaitUsTotal =
@@ -438,8 +437,10 @@ std::string Server::statsJson() const {
       .number("decisions", S.Decisions)
       .number("shed", S.Shed)
       .number("malformed", S.Malformed)
-      .number("batches", S.Batches)
-      .number("batched_requests", S.BatchedRequests)
+      // Each served Predict is one batch of one request, so both keys
+      // read the request count; perfbench reads them.
+      .number("batches", S.Requests)
+      .number("batched_requests", S.Requests)
       .number("max_queue_depth", S.MaxQueueDepth)
       .number("admission_waits", S.AdmissionWaits)
       .number("admission_wait_us_total", S.AdmissionWaitUsTotal)

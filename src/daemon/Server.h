@@ -130,9 +130,6 @@ struct ServerStats {
   uint64_t Decisions = 0;
   uint64_t Shed = 0;
   uint64_t Malformed = 0;
-  /// Each served Predict is one batch of one request.
-  uint64_t Batches = 0;
-  uint64_t BatchedRequests = 0;
   /// Peak number of Predicts waiting at the admission gate.
   uint64_t MaxQueueDepth = 0;
   /// Predicts admitted after finding every slot busy, and their summed

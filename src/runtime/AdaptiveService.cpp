@@ -151,22 +151,17 @@ unsigned AdaptiveService::decideMiss(const ModelEpoch &Ep, size_t Input,
                                      size_t At) {
   PaidDecision P;
   P.At = At;
-  unsigned Landmark = decideCold(Ep, Input, scratchFor(Ep), P);
-  if (P.Extracted)
-    Paid.push_back(P);
-  return Landmark;
-}
-
-unsigned AdaptiveService::decideCold(const ModelEpoch &Ep, size_t Input,
-                                     CompiledModel::Scratch &S,
-                                     PaidDecision &P) {
-  unsigned Landmark = Ep.Compiled.decideProduction(
-      S, [&](unsigned Flat) { return featureAt(Input, Flat, &P); });
+  unsigned Landmark =
+      Ep.Compiled.decideProduction(scratchFor(Ep), [&](unsigned Flat) {
+        return featureAt(Input, Flat, &P);
+      });
   assert(Landmark < Ep.Model.System.L1.Landmarks.size() &&
          "classifier predicted a missing landmark");
   MemoEntry &E = Memo[Input];
   E.Decided = static_cast<int32_t>(Landmark);
   E.DecidedEpochId = static_cast<int64_t>(Ep.Id);
+  if (P.Extracted)
+    Paid.push_back(P);
   return Landmark;
 }
 
@@ -278,47 +273,10 @@ AdaptiveService::Decision AdaptiveService::serve(size_t Input) {
 
 std::vector<AdaptiveService::Decision>
 AdaptiveService::decideBatch(const std::vector<size_t> &Inputs,
-                             support::ThreadPool *Pool) {
+                             std::nullptr_t) {
   assert(Ok && "decideBatch() on a non-ready AdaptiveService");
   std::vector<Decision> Out(Inputs.size());
-  unsigned Shards = Pool ? std::max(1u, Pool->numThreads()) : 1u;
-  if (Shards <= 1 || Inputs.size() <= 1) {
-    EpochPtr Ep = decideAnswers(Inputs.data(), Inputs.size(), Out.data());
-    completeDecisions(Out.data(), Out.size(), Ep);
-    return Out;
-  }
-  // Shard by input id, the lock-free memo-ownership rule: every
-  // occurrence of one input is served by exactly one worker, so
-  // decisions cannot depend on the shard count.
-  EpochPtr Ep = currentEpoch();
-  const int64_t Id = static_cast<int64_t>(Ep->Id);
-  std::vector<CompiledModel::Scratch> Scratches;
-  Scratches.reserve(Shards);
-  for (unsigned S = 0; S != Shards; ++S)
-    Scratches.push_back(Ep->Compiled.makeScratch());
-  Pool->parallelFor(0, Shards, [&](size_t Shard) {
-    CompiledModel::Scratch &S = Scratches[Shard];
-    for (size_t I = 0; I != Inputs.size(); ++I) {
-      if (Inputs[I] % Shards != Shard)
-        continue;
-      const MemoEntry &E = Memo[Inputs[I]];
-      if (E.DecidedEpochId == Id) {
-        Out[I].Landmark = static_cast<unsigned>(E.Decided);
-        continue;
-      }
-      PaidDecision P;
-      Out[I].Landmark = decideCold(*Ep, Inputs[I], S, P);
-      Out[I].FeatureCost = P.Cost;
-      Out[I].FeaturesExtracted = P.Extracted;
-    }
-  });
-  Paid.clear();
-  for (size_t I = 0; I != Out.size(); ++I) {
-    Out[I].Epoch = Ep->Model.Meta.Epoch;
-    if (Out[I].FeaturesExtracted)
-      Paid.push_back({I, Out[I].FeatureCost, Out[I].FeaturesExtracted});
-  }
-  recordTotals(Out.size());
+  EpochPtr Ep = decideAnswers(Inputs.data(), Inputs.size(), Out.data());
   completeDecisions(Out.data(), Out.size(), Ep);
   return Out;
 }

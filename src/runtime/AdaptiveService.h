@@ -57,12 +57,12 @@
 /// every CheckInterval-th one a divergence test that allocates nothing.
 ///
 /// Threading contract: decide()/decideAnswers()/decideBatch()/serve()/
-/// serveAnswers() are driven by one serving thread at a time
-/// (decideBatch may internally shard across a pool it is handed);
-/// swapModel() may be called concurrently from any other thread. A batch
-/// reads the epoch pointer once, so every decision inside one batch
-/// comes from the same epoch -- except that serveAnswers() reads it
-/// again after its own drift response swaps, as a serve() loop would.
+/// serveAnswers() are driven by one serving thread at a time, which owns
+/// the memos and the scratch; swapModel() may be called concurrently
+/// from any other thread. A batch reads the epoch pointer once, so every
+/// decision inside one batch comes from the same epoch -- except that
+/// serveAnswers() reads it again after its own drift response swaps, as
+/// a serve() loop would.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,10 +74,10 @@
 #include "runtime/CompiledModel.h"
 #include "runtime/DriftMonitor.h"
 #include "serialize/ModelIO.h"
-#include "support/ThreadPool.h"
 
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -110,8 +110,10 @@ struct AdaptiveServiceOptions {
 class AdaptiveService {
 public:
   /// One published model generation. Id is a process-local monotonic
-  /// counter (unique even across rejected candidates); the persisted
-  /// adaptation generation is Model.Meta.Epoch.
+  /// counter that publish() assigns, so it is unique among published
+  /// epochs; a candidate that is scored and rejected is never published
+  /// and keeps Id 0. The persisted adaptation generation is
+  /// Model.Meta.Epoch.
   struct ModelEpoch {
     uint64_t Id = 0;
     serialize::TrainedModel Model;
@@ -234,15 +236,15 @@ public:
   template <typename Answer>
   EpochPtr decideAnswers(const size_t *Inputs, size_t N, Answer *Out);
 
-  /// Batched decide into Decisions (no observation); the whole batch is
-  /// served by one epoch snapshot. Without a pool the batch runs inline
-  /// through decideAnswers(), each Decision stamped with its Hold,
-  /// Config and extraction. With one, the inputs are sharded by input
-  /// id, so every occurrence of an input is decided by the shard that
-  /// owns its memo entry: decisions are identical for every thread
-  /// count. Accounted like decideAnswers().
+  /// Batched decide into Decisions (no observation): decideAnswers()
+  /// over \p Inputs, each Decision then stamped with its Hold, Config and
+  /// extraction. Accounted like decideAnswers().
+  ///
+  /// The unnamed parameter admits only nullptr. Kept only because
+  /// perfbench's serving harness calls `decideBatch(Inputs, nullptr)`;
+  /// the benchmark's next change (ROADMAP item 6a) drops both.
   std::vector<Decision> decideBatch(const std::vector<size_t> &Inputs,
-                                    support::ThreadPool *Pool = nullptr);
+                                    std::nullptr_t = nullptr);
 
   /// Runs the drift response now: retrain on the reservoir, shadow-score
   /// candidate vs champion on the same traffic, swap when strictly
@@ -328,13 +330,11 @@ private:
   /// memo, or on a miss decideMiss() as the batch's \p At-th.
   unsigned decideOne(const ModelEpoch &Ep, int64_t Id, size_t Input,
                      size_t At);
-  /// The decision-memo miss of decideOne(): decides \p Input, the batch's
-  /// \p At-th, on the serving thread and records its extraction in Paid.
+  /// The decision-memo miss of decideOne(): the compiled walk over
+  /// \p Input's memoized features, extracting what the memo lacks. Caches
+  /// the decision for \p Ep and records the extraction newly paid by the
+  /// batch's \p At-th decision in Paid.
   unsigned decideMiss(const ModelEpoch &Ep, size_t Input, size_t At);
-  /// The compiled walk over \p Input's memoized features; caches the
-  /// decision for \p Ep and charges newly paid extraction to \p P.
-  unsigned decideCold(const ModelEpoch &Ep, size_t Input,
-                      CompiledModel::Scratch &S, PaidDecision &P);
   /// The Decision fields decideAnswers() does not write, for the batch
   /// of \p N just decided under \p Ep: Hold and Config for each, and
   /// Memoized, FeatureCost and FeaturesExtracted from Paid.
@@ -357,8 +357,7 @@ private:
     D.Swapped = Swapped;
   }
   template <typename Answer> static void markDrift(Answer &, bool) {}
-  /// MainScratch sized for \p Ep (epochs differ in class counts); the
-  /// serving-thread counterpart of decideBatch's per-shard scratches.
+  /// MainScratch sized for \p Ep (epochs differ in class counts).
   CompiledModel::Scratch &scratchFor(const ModelEpoch &Ep);
   /// Serving-thread monitor upkeep: when \p Ep is not the epoch the
   /// monitor was rebased to (an external swapModel() landed), rebase to

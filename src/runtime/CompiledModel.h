@@ -49,9 +49,8 @@ namespace runtime {
 
 class CompiledModel {
 public:
-  /// Reusable per-caller working memory: decideBatch gives each worker
-  /// shard its own Scratch so the hot path never allocates and never
-  /// shares mutable state across threads.
+  /// Reusable per-caller working memory, so the hot path never
+  /// allocates. A Scratch is mutable state: one caller uses it at a time.
   struct Scratch {
     /// Bayes posterior accumulator (>= the class count).
     std::vector<double> LogPost;

@@ -563,8 +563,6 @@ TEST(DaemonServerTest, IdleDaemonServesWithoutQueueing) {
   daemon::ServerStats Stats = H.Srv->stats();
   EXPECT_EQ(Stats.Requests, kPredicts);
   EXPECT_EQ(Stats.MaxQueueDepth, 0u);
-  EXPECT_EQ(Stats.Batches, Stats.Requests);
-  EXPECT_EQ(Stats.BatchedRequests, Stats.Requests);
   // The same over the wire, where the top-level keys come first.
   std::string Json;
   ASSERT_TRUE(C.stats(Json, Err)) << Err;

@@ -4,10 +4,11 @@
 // the model's own core classifier (live probes and the recorded training
 // tables) and with the in-process system's choices after a round trip
 // through bytes or disk, feature memoization and its accounting,
-// epoch-keyed decision caching across hot swaps, batch thread-count
-// invariance, and the concurrency stress the subsystem's thread contract
-// promises -- many small decideBatch calls on an oversubscribed pool
-// racing a hot-swapper thread (the TSan target).
+// epoch-keyed decision caching across hot swaps, and the concurrency
+// stress the subsystem's thread contract promises -- one serving thread
+// deciding many small batches, through decideBatch and through the
+// daemon's decideAnswers in turn, while a hot-swapper thread races it
+// (the TSan target).
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +18,6 @@
 #include "registry/BenchmarkRegistry.h"
 #include "runtime/SubsetProgram.h"
 #include "streams/WorkloadStream.h"
-#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -784,49 +784,20 @@ TEST(AdaptiveServiceTest, ClusterMemoFollowsTheEpoch) {
   EXPECT_EQ(Got.MeanShift, Want.MeanShift);
 }
 
-TEST(AdaptiveServiceTest, BatchDecisionsAreThreadCountInvariant) {
-  registry::ProgramPtr P = makeProgram();
-  std::vector<size_t> Inputs;
-  for (size_t Round = 0; Round != 3; ++Round)
-    for (size_t I = 0; I != P->numInputs(); ++I)
-      Inputs.push_back(I);
-
-  std::vector<std::vector<runtime::AdaptiveService::Decision>> Runs;
-  for (unsigned Threads : {0u, 1u, 2u, 8u}) {
-    std::unique_ptr<support::ThreadPool> Pool;
-    if (Threads)
-      Pool = std::make_unique<support::ThreadPool>(Threads);
-    runtime::AdaptiveService Service(*P, cloneModel(modelBytes()));
-    ASSERT_TRUE(Service.ready());
-    Runs.push_back(Service.decideBatch(Inputs, Pool.get()));
-  }
-  for (size_t R = 1; R != Runs.size(); ++R) {
-    ASSERT_EQ(Runs[R].size(), Runs[0].size());
-    for (size_t I = 0; I != Runs[0].size(); ++I) {
-      EXPECT_EQ(Runs[R][I].Landmark, Runs[0][I].Landmark);
-      EXPECT_DOUBLE_EQ(Runs[R][I].FeatureCost, Runs[0][I].FeatureCost);
-      EXPECT_EQ(Runs[R][I].Memoized, Runs[0][I].Memoized);
-    }
-  }
-}
-
-// The stress half of the test wall: an oversubscribed pool serving many
-// small batches while another thread hot-swaps models as fast as it can.
-// Every batch must be internally consistent (one epoch per batch, every
-// landmark valid for that epoch's model); TSan verifies the absence of
-// data races in CI.
+// The stress half of the test wall: the serving thread decides many
+// small batches, alternating the Decision-vector decideBatch with the
+// daemon's decideAnswers into a kept answer buffer, while another thread
+// hot-swaps models as fast as it can. Every batch must be internally
+// consistent (one epoch per batch, every landmark valid for that epoch's
+// model); TSan verifies the absence of data races in CI.
 TEST(AdaptiveServiceStressTest, ConcurrentHotSwapUnderBatchLoad) {
   registry::ProgramPtr P = makeProgram();
   runtime::AdaptiveService Service(*P, cloneModel(modelBytes()));
   ASSERT_TRUE(Service.ready());
 
-  support::ThreadPool Pool(8); // oversubscribed on small CI machines
-
   constexpr uint64_t kSwaps = 40;
   std::atomic<uint64_t> SwapsDone{0};
   std::thread Swapper([&] {
-    // Pre-clone outside the race so each swap is quick and the load/swap
-    // interleaving is dense.
     for (uint64_t I = 0; I != kSwaps; ++I) {
       if (Service.swapModel(cloneModel(I % 2 ? altModelBytes() : modelBytes()))
               .Ok)
@@ -838,31 +809,52 @@ TEST(AdaptiveServiceStressTest, ConcurrentHotSwapUnderBatchLoad) {
   std::vector<size_t> Batch;
   for (size_t I = 0; I != 32; ++I)
     Batch.push_back(I % P->numInputs());
+  std::vector<LeanAnswer> Answers(Batch.size());
+
+  // Odd batches go through decideAnswers, even ones through decideBatch;
+  // each checks that its batch came from one epoch.
+  uint64_t MaxEpochSeen = 0;
+  auto ServeBatch = [&](size_t K) {
+    uint64_t Epoch = 0;
+    if (K % 2) {
+      runtime::AdaptiveService::EpochPtr Ep =
+          Service.decideAnswers(Batch.data(), Batch.size(), Answers.data());
+      ASSERT_NE(Ep, nullptr);
+      Epoch = Ep->Model.Meta.Epoch;
+      for (const LeanAnswer &A : Answers) {
+        ASSERT_EQ(A.Epoch, Epoch) << "batch mixed epochs";
+        ASSERT_LT(A.Landmark, Ep->Model.System.L1.Landmarks.size());
+      }
+    } else {
+      std::vector<runtime::AdaptiveService::Decision> Out =
+          Service.decideBatch(Batch);
+      ASSERT_EQ(Out.size(), Batch.size());
+      Epoch = Out.front().Epoch;
+      for (const runtime::AdaptiveService::Decision &D : Out) {
+        ASSERT_EQ(D.Epoch, Epoch) << "batch mixed epochs";
+        ASSERT_NE(D.Hold, nullptr);
+        ASSERT_LT(D.Landmark, D.Hold->Model.System.L1.Landmarks.size());
+        ASSERT_EQ(D.Config, &D.Hold->Model.System.L1.Landmarks[D.Landmark]);
+      }
+    }
+    MaxEpochSeen = std::max(MaxEpochSeen, Epoch);
+  };
 
   // Serve until every swap has landed (bounded in case the swapper
-  // starves), then a few more batches against the final epoch.
+  // starves), then a few more batches of both kinds against the final
+  // epoch.
   size_t Batches = 0;
-  uint64_t MaxEpochSeen = 0;
   for (; Batches < 20000 &&
          SwapsDone.load(std::memory_order_relaxed) < kSwaps;
        ++Batches) {
-    std::vector<runtime::AdaptiveService::Decision> Out =
-        Service.decideBatch(Batch, &Pool);
-    ASSERT_EQ(Out.size(), Batch.size());
-    uint64_t Epoch = Out.front().Epoch;
-    MaxEpochSeen = std::max(MaxEpochSeen, Epoch);
-    for (const runtime::AdaptiveService::Decision &D : Out) {
-      // One epoch snapshot per batch, even with the swapper racing.
-      ASSERT_EQ(D.Epoch, Epoch) << "batch mixed epochs";
-      ASSERT_NE(D.Hold, nullptr);
-      ASSERT_LT(D.Landmark, D.Hold->Model.System.L1.Landmarks.size());
-      ASSERT_EQ(D.Config,
-                &D.Hold->Model.System.L1.Landmarks[D.Landmark]);
-    }
+    ServeBatch(Batches);
+    if (HasFatalFailure())
+      break;
   }
   Swapper.join();
+  ASSERT_FALSE(HasFatalFailure());
   for (size_t I = 0; I != 3; ++I, ++Batches)
-    Service.decideBatch(Batch, &Pool);
+    ServeBatch(Batches);
 
   EXPECT_EQ(SwapsDone.load(), kSwaps);
   EXPECT_EQ(Service.stats().Decisions, Batches * Batch.size());
