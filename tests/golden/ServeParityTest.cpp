@@ -7,7 +7,10 @@
 // the batch is memo hits -- must all make exactly the per-input choices
 // recorded in <name>.choices.csv. This is the pin behind the compiled
 // subsystem's "bit-identical lowering" claim and behind the batch API's
-// "a batch decides like the same calls made one at a time" claim.
+// "a batch decides like the same calls made one at a time" claim. The
+// same batch, split across 1, 2 or 8 threads that take turns serving
+// one service (as the daemon's session threads do under a tenant's
+// ServeMutex), must decide exactly as one batch on one thread.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,9 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace pbt;
@@ -142,6 +147,65 @@ TEST_P(ServeParityTest, BatchMatchesSingleDecisions) {
             Single.Service->stats().Decisions);
   EXPECT_DOUBLE_EQ(Batched.Service->stats().FeatureCostPaid,
                    Single.Service->stats().FeatureCostPaid);
+}
+
+TEST_P(ServeParityTest, ThreadCountInvariance) {
+  std::string Name = GetParam();
+  std::vector<std::pair<size_t, unsigned>> Expected =
+      readChoices(goldenPath(Name + ".choices.csv"));
+  // Duplicated + reordered inputs: the second half is served from the
+  // memo that whichever thread served the first half filled.
+  std::vector<size_t> Inputs;
+  for (const auto &Choice : Expected)
+    Inputs.push_back(Choice.first);
+  for (auto It = Expected.rbegin(); It != Expected.rend(); ++It)
+    Inputs.push_back(It->first);
+
+  // The reference: one batch on the calling thread.
+  Loaded Reference;
+  loadGolden(Name, Reference);
+  std::vector<runtime::AdaptiveService::Decision> Want =
+      Reference.Service->decideBatch(Inputs);
+  ASSERT_EQ(Want.size(), Inputs.size());
+
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    // Contiguous slices, each served as one batch on its own thread;
+    // each thread is joined before the next starts, so one serving
+    // thread drives the service at a time, as the threading contract
+    // requires.
+    Loaded L;
+    loadGolden(Name, L);
+    std::vector<runtime::AdaptiveService::Decision> Got;
+    size_t Slice = (Inputs.size() + Threads - 1) / Threads;
+    for (size_t Begin = 0; Begin < Inputs.size(); Begin += Slice) {
+      size_t End = std::min(Inputs.size(), Begin + Slice);
+      std::vector<size_t> Part(Inputs.begin() + static_cast<long>(Begin),
+                               Inputs.begin() + static_cast<long>(End));
+      std::vector<runtime::AdaptiveService::Decision> PartOut;
+      std::thread Server([&] { PartOut = L.Service->decideBatch(Part); });
+      Server.join();
+      Got.insert(Got.end(), PartOut.begin(), PartOut.end());
+    }
+
+    ASSERT_EQ(Got.size(), Want.size()) << Threads << " threads";
+    for (size_t I = 0; I != Want.size(); ++I) {
+      EXPECT_EQ(Got[I].Landmark, Want[I].Landmark)
+          << "thread-count-dependent choice at batch position " << I
+          << " with " << Threads << " threads";
+      EXPECT_DOUBLE_EQ(Got[I].FeatureCost, Want[I].FeatureCost);
+      EXPECT_EQ(Got[I].FeaturesExtracted, Want[I].FeaturesExtracted);
+      EXPECT_EQ(Got[I].Memoized, Want[I].Memoized);
+    }
+    EXPECT_EQ(L.Service->stats().Decisions,
+              Reference.Service->stats().Decisions);
+    EXPECT_DOUBLE_EQ(L.Service->stats().FeatureCostPaid,
+                     Reference.Service->stats().FeatureCostPaid);
+  }
+  // Every choice, in both halves, still matches the committed goldens.
+  for (size_t I = 0; I != Expected.size(); ++I) {
+    EXPECT_EQ(Want[I].Landmark, Expected[I].second);
+    EXPECT_EQ(Want[Want.size() - 1 - I].Landmark, Expected[I].second);
+  }
 }
 
 TEST_P(ServeParityTest, RepeatDecisionsAreCachedAndIdentical) {
