@@ -29,6 +29,7 @@
 #include "daemon/ModelRegistry.h"
 #include "daemon/Protocol.h"
 #include "daemon/Server.h"
+#include "daemon/Transport.h"
 #include "linalg/SVD.h"
 #include "ml/CrossValidation.h"
 #include "ml/Dataset.h"
@@ -452,39 +453,28 @@ BENCHMARK(BM_ClassifyInterpreted);
 
 /// pbt-serve's per-request wire work on its own: a 64-input Predict and
 /// its 64-choice reply through writeFrame, FrameReader and the codec,
-/// over a socketpair whose far end is an echo thread reading the way a
-/// session does (with the default mid-frame deadline). Both ends reuse
-/// their buffers and encode with the production encoders, as a session
-/// and a DaemonClient do. No decide, no admission gate -- the rest of a
-/// daemon round trip is what serving adds on top of this number.
-///
-/// Both ends wait for a frame through FrameReader::read, which spins
-/// briefly before it blocks, so the kernel times that wait too. The
-/// spin takes a wake-up off the path only when the waiting reader holds
-/// one of the process's spin slots. A host of up to seven hardware
-/// threads has one slot, so just one of the two in-process readers
-/// spins at a time, and the other still pays a wake-up whenever the
-/// first holds the slot: this kernel shows less of the gain than a
-/// daemon and its client in separate processes do.
-static void BM_WireRoundTrip(benchmark::State &State) {
-  int Fd[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, Fd) != 0) {
-    State.SkipWithError("socketpair failed");
-    return;
-  }
-  std::thread Echo([Srv = Fd[1]] {
+/// between this thread and an echo thread reading the way a session
+/// does (with the default mid-frame deadline). Both ends reuse their
+/// buffers and encode with the production encoders, as a session and a
+/// DaemonClient do. No decide, no admission gate -- the rest of a daemon
+/// round trip is what serving adds on top of this number. Both ends wait
+/// for a frame through FrameReader::read, which spins briefly before it
+/// blocks, so the kernel times that wait too.
+static void wireRoundTrip(benchmark::State &State, daemon::Channel Client,
+                          daemon::Channel Server) {
+  std::thread Echo([Server] {
     const double Deadline = daemon::ServerOptions().ReadDeadline;
     daemon::FrameReader Reader;
     std::string Payload, Reply;
     daemon::Message M;
     std::vector<daemon::PredictedChoice> Choices;
-    while (Reader.read(Srv, Payload, Deadline) == daemon::FrameStatus::Ok &&
+    while (Reader.read(Server, Payload, Deadline) == daemon::FrameStatus::Ok &&
            daemon::decodeMessage(Payload, M)) {
       Choices.resize(M.Inputs.size());
       for (size_t I = 0; I < M.Inputs.size(); ++I)
         Choices[I] = {static_cast<uint32_t>(M.Inputs[I] % 7), 1};
       daemon::encodePredictions(Reply, Choices);
-      if (daemon::writeFrame(Srv, Reply) != daemon::FrameStatus::Ok)
+      if (daemon::writeFrame(Server, Reply) != daemon::FrameStatus::Ok)
         break;
     }
   });
@@ -495,20 +485,57 @@ static void BM_WireRoundTrip(benchmark::State &State) {
   daemon::Message M;
   for (auto _ : State) {
     daemon::encodePredict(Request, Inputs);
-    if (daemon::writeFrame(Fd[0], Request) != daemon::FrameStatus::Ok ||
-        Reader.read(Fd[0], Reply) != daemon::FrameStatus::Ok ||
+    if (daemon::writeFrame(Client, Request) != daemon::FrameStatus::Ok ||
+        Reader.read(Client, Reply) != daemon::FrameStatus::Ok ||
         !daemon::decodeMessage(Reply, M) || M.Choices.size() != 64) {
       State.SkipWithError("wire round trip failed");
       break;
     }
     benchmark::DoNotOptimize(M.Choices.data());
   }
-  ::shutdown(Fd[0], SHUT_RDWR); // the echo thread's read sees Closed
+  ::shutdown(Client.Fd, SHUT_RDWR); // the echo thread's read sees Closed
   Echo.join();
+}
+
+/// The round trip over a socketpair: each frame is a sendmsg and a recv.
+static void BM_WireRoundTrip(benchmark::State &State) {
+  int Fd[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, Fd) != 0) {
+    State.SkipWithError("socketpair failed");
+    return;
+  }
+  wireRoundTrip(State, {Fd[0], nullptr}, {Fd[1], nullptr});
   ::close(Fd[0]);
   ::close(Fd[1]);
 }
 BENCHMARK(BM_WireRoundTrip);
+
+/// The same round trip through a ring pair, as a Unix-domain session
+/// attached with HelloRing moves it: each frame is a copy into shared
+/// memory and a position store, and the socketpair only carries the
+/// doorbell of a reader that fell asleep.
+static void BM_RingRoundTrip(benchmark::State &State) {
+  int Fd[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, Fd) != 0) {
+    State.SkipWithError("socketpair failed");
+    return;
+  }
+  std::string Err;
+  int Mem = daemon::createSealedMemory(daemon::kRingRegionBytes, Err);
+  std::unique_ptr<daemon::FrameRing> Server, Client;
+  if (Mem >= 0) {
+    Server = daemon::FrameRing::map(Mem, daemon::FrameRing::End::Server, Err);
+    Client = daemon::FrameRing::map(Mem, daemon::FrameRing::End::Client, Err);
+    ::close(Mem);
+  }
+  if (!Server || !Client)
+    State.SkipWithError(("ring region: " + Err).c_str());
+  else
+    wireRoundTrip(State, {Fd[0], Client.get()}, {Fd[1], Server.get()});
+  ::close(Fd[0]);
+  ::close(Fd[1]);
+}
+BENCHMARK(BM_RingRoundTrip);
 
 //===----------------------------------------------------------------------===//
 // Pipeline parallelism: sequential vs ThreadPool-backed training and

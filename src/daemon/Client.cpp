@@ -50,6 +50,7 @@ bool DaemonClient::connect(const std::string &EndpointSpec, std::string &Err) {
   Fd = connectEndpoint(E, Opts.ConnectTimeout, Err);
   if (Fd < 0)
     return false;
+  Local = E.K == Endpoint::Kind::Unix;
 
   // Arm the per-operation I/O timeouts: a server that accepts and then
   // wedges turns into an EAGAIN read error instead of a hung client.
@@ -89,6 +90,7 @@ bool DaemonClient::connectWithRetry(const std::string &EndpointSpec,
 }
 
 void DaemonClient::close() {
+  Ring.reset();
   if (Fd >= 0) {
     ::close(Fd);
     Fd = -1;
@@ -97,17 +99,17 @@ void DaemonClient::close() {
 }
 
 bool DaemonClient::roundTrip(const std::string &Payload, Message &Reply,
-                             std::string &Err) {
+                             std::string &Err, int *PassedFd) {
   TransportFailed = true;
   if (Fd < 0) {
     Err = "not connected";
     return false;
   }
-  if (writeFrame(Fd, Payload) != FrameStatus::Ok) {
+  if (writeFrame(channel(), Payload) != FrameStatus::Ok) {
     Err = "request write failed (server gone?)";
     return false;
   }
-  FrameStatus FS = Reader.read(Fd, ReplyPayload);
+  FrameStatus FS = Reader.read(channel(), ReplyPayload, 0, PassedFd);
   if (FS != FrameStatus::Ok) {
     Err = FS == FrameStatus::Closed ? "server closed the connection"
                                     : "response read failed";
@@ -128,8 +130,25 @@ bool DaemonClient::roundTrip(const std::string &Payload, Message &Reply,
 bool DaemonClient::attach(const std::string &Tenant, AttachInfo &Out,
                           std::string &Err) {
   Message Reply;
-  if (!roundTrip(makeHello(Tenant), Reply, Err))
+  int RingFd = -1;
+  const bool AskRing = Local && !Ring;
+  if (!roundTrip(AskRing ? makeHelloRing(Tenant) : makeHello(Tenant), Reply,
+                 Err, AskRing ? &RingFd : nullptr))
     return false;
+  if (RingFd >= 0) {
+    // The server has moved the session onto the ring: from here on no
+    // frame travels on the socket, so a ring that cannot be mapped ends
+    // the session.
+    Ring = FrameRing::map(RingFd, FrameRing::End::Client, Err);
+    ::close(RingFd);
+    if (!Ring || Reply.Type != MsgType::TenantOk) {
+      if (Ring)
+        Err = "ring region passed with a reply other than TenantOk";
+      close();
+      TransportFailed = true;
+      return false;
+    }
+  }
   if (Reply.Type == MsgType::Error || Reply.Type == MsgType::Shed) {
     // Shed here is the session cap ("session limit reached"), answered
     // before the server would spawn a session thread.
@@ -232,20 +251,7 @@ bool DaemonClient::ping(HealthInfo &Out, std::string &Err) {
 }
 
 bool DaemonClient::sendRaw(const void *Data, size_t Size) {
-  if (Fd < 0)
-    return false;
-  const char *P = static_cast<const char *>(Data);
-  size_t Sent = 0;
-  while (Sent < Size) {
-    ssize_t N = ::send(Fd, P + Sent, Size - Sent, MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Sent += static_cast<size_t>(N);
-  }
-  return true;
+  return Fd >= 0 && writeRaw(channel(), Data, Size) == FrameStatus::Ok;
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,9 +7,12 @@
 /// \file
 /// Blocking client for the pbt-serve protocol: one connected session
 /// with attach / predict / stats / shutdown RPCs. Used by the
-/// `pbt-bench loadgen` harness and the daemon tests; the raw fd is
+/// `pbt-bench loadgen` harness, perfbench, the fleet and the daemon
+/// tests. On a Unix-domain socket the first attach asks for the
+/// session's ring pair (HelloRing, daemon/Protocol.h), and every frame
+/// after it travels through shared memory. The session's channel is
 /// exposed so the protocol fuzz wall can also speak garbage through an
-/// otherwise-wellformed session.
+/// otherwise-wellformed session, on whichever channel it uses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -75,6 +79,11 @@ public:
   void close();
   bool connected() const { return Fd >= 0; }
   int fd() const { return Fd; }
+  /// Where this session's frames travel: its socket, or its ring pair
+  /// once an attach has set it up.
+  Channel channel() const { return Channel{Fd, Ring.get()}; }
+  /// Whether the session's frames travel through a ring pair.
+  bool onRing() const { return Ring != nullptr; }
 
   struct AttachInfo {
     uint64_t Epoch = 0;
@@ -83,7 +92,9 @@ public:
   };
 
   /// Hello -> TenantOk. False (with Err) on transport failure, unknown
-  /// tenant, or any unexpected reply.
+  /// tenant, or any unexpected reply. The first attach of a Unix-domain
+  /// session sends HelloRing and maps the ring region its TenantOk
+  /// carries; later ones reuse the ring.
   bool attach(const std::string &Tenant, AttachInfo &Out, std::string &Err);
 
   enum class PredictOutcome {
@@ -114,8 +125,8 @@ public:
   /// Ping -> Health. The liveness probe a supervisor drives.
   bool ping(HealthInfo &Out, std::string &Err);
 
-  /// Sends raw bytes on the socket, bypassing framing entirely (fuzz
-  /// tests only).
+  /// Sends raw bytes on the session's channel, bypassing framing
+  /// entirely (fuzz tests only).
   bool sendRaw(const void *Data, size_t Size);
 
   /// True when the most recent RPC failed at the transport layer (write
@@ -126,12 +137,17 @@ public:
   bool lastRpcTransportFailed() const { return TransportFailed; }
 
 private:
-  /// One request frame out, one response frame back, decoded.
+  /// One request frame out, one response frame back, decoded; with
+  /// \p PassedFd, any fd the reply carried (FrameReader::read).
   bool roundTrip(const std::string &Payload, Message &Reply,
-                 std::string &Err);
+                 std::string &Err, int *PassedFd = nullptr);
 
   ClientOptions Opts;
   int Fd = -1;
+  /// Connected over a Unix-domain socket, so attach asks for a ring.
+  bool Local = false;
+  /// The ring pair, from the first attach of a Unix-domain session on.
+  std::unique_ptr<FrameRing> Ring;
   /// Reply reader for this connection; reset by connect() and close().
   FrameReader Reader;
   bool TransportFailed = false;

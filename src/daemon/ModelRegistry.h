@@ -72,7 +72,9 @@ struct Tenant {
   // Daemon-side accounting (the service keeps its own decision totals).
   std::atomic<uint64_t> Requests{0};
   std::atomic<uint64_t> Decisions{0};
-  std::atomic<uint64_t> Batches{0};
+  /// Admitted Predicts whose serve threw (also counted in Errors): Stats
+  /// reports Requests minus these as the tenant's batches.
+  std::atomic<uint64_t> ServeFailures{0};
   std::atomic<uint64_t> StoreSwaps{0};
   std::atomic<uint64_t> StoreRejects{0};
   /// Per-tenant admission refusals and error replies, so dashboards and

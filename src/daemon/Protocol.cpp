@@ -19,7 +19,9 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
@@ -256,20 +258,8 @@ ssize_t recvBy(int Fd, void *Buf, size_t Len,
   }
 }
 
-/// recvSpin's result when nothing arrived within its window.
-constexpr ssize_t kNothingYet = -2;
-
-/// Readers of this process polling for a frame start right now (see
-/// FrameReader::read). A reader counts itself in before it looks at the
-/// count, so the count may stand above the readers actually spinning,
-/// never below: more than spinCap() never spin at once.
-std::atomic<unsigned> Spinners{0};
-
-unsigned spinCap() {
-  static const unsigned Cap =
-      std::max(1u, std::thread::hardware_concurrency() / 4);
-  return Cap;
-}
+/// pull()'s and pullSpin()'s result when nothing has arrived yet.
+constexpr ssize_t kNothingYet = -4;
 
 /// Whether more threads are runnable on this host right now than it has
 /// hardware threads, from the running count Linux reports in
@@ -313,24 +303,221 @@ bool coresContended(std::chrono::steady_clock::time_point Now) {
   return Contended.load(std::memory_order_relaxed);
 }
 
-/// Polls \p Fd with nonblocking recvs until bytes, EOF or a failure
-/// arrive, or until \p Until: the recv's result, or kNothingYet. Gives
-/// up early when the host's cores are contended, so that a spin never
-/// holds a core that runnable work is waiting for.
-ssize_t recvSpin(int Fd, void *Buf, size_t Len,
+/// pull()'s and pullWait()'s result when the peer stored a ring position
+/// that is not one.
+constexpr ssize_t kBadRing = -3;
+
+/// Wakes \p Ch's peer if it sleeps waiting for \p Why: one doorbell byte
+/// on the socket. A full socket buffer already holds a doorbell, and a
+/// vanished peer is seen by its own reads, so a failed send is ignored.
+void ringDoorbell(const Channel &Ch, uint64_t Why) {
+  if (!Ch.Ring->wakePeer(Why))
+    return;
+  const char Bell = 0;
+  ssize_t N;
+  do
+    N = ::send(Ch.Fd, &Bell, 1, MSG_NOSIGNAL | MSG_DONTWAIT);
+  while (N < 0 && errno == EINTR);
+}
+
+/// Up to \p Len bytes that are already there, without blocking: the
+/// byte count, 0 at a socket's EOF, -1 on an errno failure, kBadRing, or
+/// kNothingYet.
+ssize_t pull(const Channel &Ch, void *Buf, size_t Len) {
+  if (!Ch.Ring) {
+    ssize_t N = ::recv(Ch.Fd, Buf, Len, MSG_DONTWAIT);
+    if (N >= 0 || (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR))
+      return N;
+    return kNothingYet;
+  }
+  int64_t Ready = Ch.Ring->readable();
+  if (Ready <= 0)
+    return Ready < 0 ? kBadRing : kNothingYet;
+  size_t N = std::min<size_t>(Len, static_cast<size_t>(Ready));
+  Ch.Ring->take(Buf, N);
+  // The peer may be a writer waiting for the space just freed.
+  ringDoorbell(Ch, RingControl::kWaitSpace);
+  return static_cast<ssize_t>(N);
+}
+
+/// The sleep of a ring end that found nothing to do: it stores its
+/// Sleeping flag (\p Why), looks again (\p Changed), and only if that
+/// still finds nothing blocks on the socket until the peer rings,
+/// closes, or \p Deadline (when set) passes. Either the second look sees
+/// what the peer published, or the peer sees the flag and rings. Returns
+/// 1 when the end should look again, otherwise what the socket said:
+/// 0 = EOF, -1 = errno failure, -2 = deadline.
+template <typename LookFn>
+ssize_t sleepOnRing(const Channel &Ch, uint64_t Why, LookFn Changed,
+                    const std::chrono::steady_clock::time_point *Deadline) {
+  Ch.Ring->setSleeping(Why);
+  ssize_t N = 1;
+  if (!Changed()) {
+    char Bells[64];
+    N = Deadline ? recvBy(Ch.Fd, Bells, sizeof Bells, *Deadline)
+                 : recvBlocking(Ch.Fd, Bells, sizeof Bells);
+  }
+  int Errno = errno;
+  Ch.Ring->setSleeping(RingControl::kAwake);
+  errno = Errno;
+  return N > 0 ? 1 : N;
+}
+
+/// Up to \p Len bytes, waiting for them until \p Deadline (when set):
+/// the byte count (0 = EOF), -1 on an errno failure, -2 when the
+/// deadline passes, or kBadRing. When a ring's socket ends, the reader
+/// looks a last time, for bytes the peer published just before it went.
+ssize_t pullWait(const Channel &Ch, void *Buf, size_t Len,
+                 const std::chrono::steady_clock::time_point *Deadline) {
+  if (!Ch.Ring)
+    return Deadline ? recvBy(Ch.Fd, Buf, Len, *Deadline)
+                    : recvBlocking(Ch.Fd, Buf, Len);
+  for (;;) {
+    ssize_t N = pull(Ch, Buf, Len);
+    if (N != kNothingYet)
+      return N;
+    ssize_t Woke = sleepOnRing(
+        Ch, RingControl::kWaitData,
+        [&Ch] { return Ch.Ring->readable() != 0; }, Deadline);
+    if (Woke > 0)
+      continue;
+    int Errno = errno;
+    N = pull(Ch, Buf, Len);
+    errno = Errno;
+    return N != kNothingYet ? N : Woke;
+  }
+}
+
+/// Polls \p Ch until bytes, EOF or a failure arrive, or until \p Until:
+/// pull()'s result, or kNothingYet. Gives up early when the host's cores
+/// are contended, so that a spin never holds a core that runnable work
+/// is waiting for.
+ssize_t pullSpin(const Channel &Ch, void *Buf, size_t Len,
                  std::chrono::steady_clock::time_point Until) {
   for (;;) {
-    ssize_t N = ::recv(Fd, Buf, Len, MSG_DONTWAIT);
-    if (N >= 0 ||
-        (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR))
+    ssize_t N = pull(Ch, Buf, Len);
+    if (N != kNothingYet)
       return N;
     auto Now = std::chrono::steady_clock::now();
     if (Now >= Until || coresContended(Now))
       return kNothingYet;
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
   }
 }
 
+/// Writes the \p Count pieces at \p Pieces into \p Ch's ring, in order,
+/// publishing whatever fits at once and sleeping (sleepOnRing) while the
+/// ring is full.
+FrameStatus ringWrite(const Channel &Ch, iovec *Pieces, size_t Count) {
+  FrameRing &R = *Ch.Ring;
+  for (size_t Done = 0; Done < Count;) {
+    int64_t Room = R.writable();
+    if (Room == 0) {
+      if (sleepOnRing(
+              Ch, RingControl::kWaitSpace,
+              [&R] { return R.writable() != 0; }, nullptr) <= 0)
+        return FrameStatus::IoError;
+      continue;
+    }
+    if (Room < 0)
+      return FrameStatus::BadRing;
+    for (size_t Left = static_cast<size_t>(Room); Done < Count && Left > 0;) {
+      iovec &P = Pieces[Done];
+      size_t N = std::min(Left, P.iov_len);
+      R.put(P.iov_base, N);
+      P.iov_base = static_cast<uint8_t *>(P.iov_base) + N;
+      P.iov_len -= N;
+      Left -= N;
+      Done += P.iov_len == 0;
+    }
+    R.publish();
+    ringDoorbell(Ch, RingControl::kWaitData);
+  }
+  return FrameStatus::Ok;
+}
+
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// The ring pair
+//===----------------------------------------------------------------------===//
+
+std::unique_ptr<FrameRing> FrameRing::map(int MemFd, End Which,
+                                          std::string &Err) {
+  struct stat St;
+  if (::fstat(MemFd, &St) < 0 ||
+      St.st_size < static_cast<off_t>(kRingRegionBytes)) {
+    Err = "ring region missing or too small";
+    return nullptr;
+  }
+  void *Region = ::mmap(nullptr, kRingRegionBytes, PROT_READ | PROT_WRITE,
+                        MAP_SHARED, MemFd, 0);
+  if (Region == MAP_FAILED) {
+    Err = std::string("mmap(ring region): ") + std::strerror(errno);
+    return nullptr;
+  }
+  return std::unique_ptr<FrameRing>(new FrameRing(Region, Which));
+}
+
+FrameRing::FrameRing(void *Region, End Which)
+    : Region(Region), Ctl(static_cast<RingControl *>(Region)),
+      In(static_cast<unsigned>(Which)), Out(1 - In),
+      InBytes(static_cast<const uint8_t *>(Region) + kRingControlBytes +
+              In * kRingBytes),
+      OutBytes(static_cast<uint8_t *>(Region) + kRingControlBytes +
+               Out * kRingBytes) {}
+
+FrameRing::~FrameRing() { ::munmap(Region, kRingRegionBytes); }
+
+int64_t FrameRing::readable() const {
+  uint64_t Unread = Ctl->Head[In].V.load() - InTail;
+  return Unread > kRingBytes ? -1 : static_cast<int64_t>(Unread);
+}
+
+void FrameRing::take(void *Buf, size_t Len) {
+  size_t At = static_cast<size_t>(InTail % kRingBytes);
+  size_t First = std::min(Len, kRingBytes - At);
+  std::memcpy(Buf, InBytes + At, First);
+  std::memcpy(static_cast<uint8_t *>(Buf) + First, InBytes, Len - First);
+  InTail += Len;
+  Ctl->Tail[In].V.store(InTail);
+}
+
+int64_t FrameRing::writable() const {
+  uint64_t Unread = OutHead - Ctl->Tail[Out].V.load();
+  if (Unread > kRingBytes)
+    return -1;
+  return static_cast<int64_t>(kRingBytes - Unread - (OutPut - OutHead));
+}
+
+void FrameRing::put(const void *Buf, size_t Len) {
+  size_t At = static_cast<size_t>(OutPut % kRingBytes);
+  size_t First = std::min(Len, kRingBytes - At);
+  std::memcpy(OutBytes + At, Buf, First);
+  std::memcpy(OutBytes, static_cast<const uint8_t *>(Buf) + First,
+              Len - First);
+  OutPut += Len;
+}
+
+void FrameRing::publish() {
+  OutHead = OutPut;
+  Ctl->Head[Out].V.store(OutHead);
+}
+
+// End E reads direction E, so Sleeping[In] is this end's flag and
+// Sleeping[Out] the peer's.
+void FrameRing::setSleeping(uint64_t Why) { Ctl->Sleeping[In].V.store(Why); }
+
+bool FrameRing::wakePeer(uint64_t Why) {
+  // Sequentially consistent like the position stores before it and the
+  // sleeper's flag store and second look: either this load sees the
+  // flag, or that look sees the new position.
+  uint64_t Flag = Ctl->Sleeping[Out].V.load();
+  return Flag == Why && Ctl->Sleeping[Out].V.compare_exchange_strong(
+                            Flag, RingControl::kAwake);
+}
 
 //===----------------------------------------------------------------------===//
 // Payload builders
@@ -361,6 +548,12 @@ void encodePredictions(std::string &Out,
 
 std::string makeHello(const std::string &Tenant) {
   WireWriter W(MsgType::Hello, strBytes(Tenant));
+  W.str(Tenant);
+  return W.take();
+}
+
+std::string makeHelloRing(const std::string &Tenant) {
+  WireWriter W(MsgType::HelloRing, strBytes(Tenant));
   W.str(Tenant);
   return W.take();
 }
@@ -478,6 +671,7 @@ bool decodeMessage(const uint8_t *Data, size_t Size, Message &Out) {
   Out.Tenants.clear();
   switch (Out.Type) {
   case MsgType::Hello:
+  case MsgType::HelloRing:
     return R.str(Out.Text) && R.done();
   case MsgType::Predict: {
     uint32_t Count = 0;
@@ -562,42 +756,42 @@ bool decodeMessage(const uint8_t *Data, size_t Size, Message &Out) {
 // Framed IO
 //===----------------------------------------------------------------------===//
 
-FrameStatus FrameReader::read(int Fd, std::string &Payload,
-                              double DeadlineSeconds) {
+FrameStatus FrameReader::read(const Channel &Ch, std::string &Payload,
+                              double DeadlineSeconds, int *PassedFd) {
   // Every failure leaves the stream position lost: drop what is held.
   auto Fail = [this](FrameStatus Status) {
     reset();
     return Status;
   };
-  // recvBy's and recvBlocking's results, mapped for a frame underway.
+  // pullWait's results, mapped for a frame underway.
   auto MidFrame = [](ssize_t N) {
-    return N == 0    ? FrameStatus::Truncated
-           : N == -2 ? FrameStatus::TimedOut
-                     : FrameStatus::IoError;
+    return N == 0          ? FrameStatus::Truncated
+           : N == -2       ? FrameStatus::TimedOut
+           : N == kBadRing ? FrameStatus::BadRing
+                           : FrameStatus::IoError;
   };
 
   // Wait, with no deadline, for a frame to start -- unless a previous
-  // recv already delivered its first bytes. Spin first when this
-  // reader's last wait was short and the process has a spin slot free;
-  // block when the window passes with nothing.
+  // read already delivered its first bytes. Spin first when this
+  // reader's last wait was short; block when the window passes with
+  // nothing.
   LastWait = FrameWait::Held;
   if (Begin == End) {
     Begin = End = 0;
     const auto Start = std::chrono::steady_clock::now();
-    ssize_t N = kNothingYet;
-    if (Hot) {
-      if (Spinners.fetch_add(1, std::memory_order_relaxed) < spinCap())
-        N = recvSpin(Fd, Buf, kBufferBytes, Start + kSpinWindow);
-      Spinners.fetch_sub(1, std::memory_order_relaxed);
-    }
-    LastWait = FrameWait::Spun;
-    if (N == kNothingYet) {
-      N = recvBlocking(Fd, Buf, kBufferBytes);
-      LastWait = FrameWait::Slept;
-    }
+    ssize_t N;
+    LastWait = FrameWait::Slept;
+    if (PassedFd)
+      N = recvWithFd(Ch.Fd, Buf, kBufferBytes, *PassedFd);
+    else if (Hot && (N = pullSpin(Ch, Buf, kBufferBytes,
+                                  Start + kSpinWindow)) != kNothingYet)
+      LastWait = FrameWait::Spun;
+    else
+      N = pullWait(Ch, Buf, kBufferBytes, nullptr);
     if (N <= 0)
-      return Fail(N == 0 || errno == ECONNRESET ? FrameStatus::Closed
-                                                : FrameStatus::IoError);
+      return Fail(N == kBadRing                   ? FrameStatus::BadRing
+                  : N == 0 || errno == ECONNRESET ? FrameStatus::Closed
+                                                  : FrameStatus::IoError);
     Hot = LastWait == FrameWait::Spun ||
           std::chrono::steady_clock::now() - Start <= kSpinWindow;
     End = static_cast<size_t>(N);
@@ -605,17 +799,14 @@ FrameStatus FrameReader::read(int Fd, std::string &Payload,
 
   // A byte of this frame is held: from here on it must finish in time.
   // The cap (about 31 years) keeps the clock arithmetic from overflowing.
-  const bool Bounded = DeadlineSeconds > 0;
   std::chrono::steady_clock::time_point Deadline;
-  if (Bounded)
+  if (DeadlineSeconds > 0)
     Deadline = std::chrono::steady_clock::now() +
                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                    std::chrono::duration<double>(
                        std::min(DeadlineSeconds, 1e9)));
-  auto Recv = [&](void *Dst, size_t Len) {
-    return Bounded ? recvBy(Fd, Dst, Len, Deadline)
-                   : recvBlocking(Fd, Dst, Len);
-  };
+  const std::chrono::steady_clock::time_point *By =
+      DeadlineSeconds > 0 ? &Deadline : nullptr;
 
   while (End - Begin < 4) {
     if (Begin > 0) { // keep the partial header at the front
@@ -623,7 +814,7 @@ FrameStatus FrameReader::read(int Fd, std::string &Payload,
       End -= Begin;
       Begin = 0;
     }
-    ssize_t N = Recv(Buf + End, kBufferBytes - End);
+    ssize_t N = pullWait(Ch, Buf + End, kBufferBytes - End, By);
     if (N <= 0)
       return Fail(MidFrame(N));
     End += static_cast<size_t>(N);
@@ -640,7 +831,7 @@ FrameStatus FrameReader::read(int Fd, std::string &Payload,
   // The rest of the frame goes straight into the payload: exactly the
   // missing bytes, so nothing past this frame is consumed.
   for (size_t Got = Held; Got < Len;) {
-    ssize_t N = Recv(&Payload[Got], Len - Got);
+    ssize_t N = pullWait(Ch, &Payload[Got], Len - Got, By);
     if (N <= 0)
       return Fail(MidFrame(N));
     Got += static_cast<size_t>(N);
@@ -648,20 +839,26 @@ FrameStatus FrameReader::read(int Fd, std::string &Payload,
   return FrameStatus::Ok;
 }
 
-FrameStatus writeFrame(int Fd, const std::string &Payload) {
+FrameStatus writeFrame(const Channel &Ch, const std::string &Payload) {
+  if (!Ch.Ring)
+    return writeFrame(Ch.Fd, Payload);
+  if (Payload.empty() || Payload.size() > kMaxFrameBytes)
+    return FrameStatus::TooLarge;
+  uint8_t Hdr[4];
+  wire::putU32(Hdr, static_cast<uint32_t>(Payload.size()));
+  iovec Pieces[2] = {{Hdr, sizeof Hdr},
+                     {const_cast<char *>(Payload.data()), Payload.size()}};
+  return ringWrite(Ch, Pieces, 2);
+}
+
+FrameStatus writeFrame(int Fd, const std::string &Payload, int PassFd) {
   if (Payload.empty() || Payload.size() > kMaxFrameBytes)
     return FrameStatus::TooLarge;
   uint8_t Hdr[4];
   wire::putU32(Hdr, static_cast<uint32_t>(Payload.size()));
   struct iovec Iov[2] = {{Hdr, sizeof(Hdr)},
                          {const_cast<char *>(Payload.data()), Payload.size()}};
-  struct msghdr Msg = {};
-  Msg.msg_iov = Iov;
-  Msg.msg_iovlen = 2;
-  ssize_t N;
-  do
-    N = ::sendmsg(Fd, &Msg, MSG_NOSIGNAL);
-  while (N < 0 && errno == EINTR);
+  ssize_t N = sendWithFd(Fd, Iov, 2, PassFd);
   if (N < 0)
     return FrameStatus::IoError;
   // A short write finishes with the plain send loop.
@@ -675,6 +872,13 @@ FrameStatus writeFrame(int Fd, const std::string &Payload) {
   if (!writeAll(Fd, Payload.data() + Sent, Payload.size() - Sent))
     return FrameStatus::IoError;
   return FrameStatus::Ok;
+}
+
+FrameStatus writeRaw(const Channel &Ch, const void *Data, size_t Size) {
+  iovec Piece = {const_cast<void *>(Data), Size};
+  if (Ch.Ring)
+    return ringWrite(Ch, &Piece, Size > 0 ? 1 : 0);
+  return writeAll(Ch.Fd, Data, Size) ? FrameStatus::Ok : FrameStatus::IoError;
 }
 
 } // namespace daemon

@@ -187,6 +187,7 @@ void Server::acceptLoop() {
 
       auto S = std::make_unique<Session>();
       S->Fd = Fd;
+      S->Local = Listeners[I].bound().K == Endpoint::Kind::Unix;
       Session *Raw = S.get();
       {
         std::lock_guard<std::mutex> Lock(SessionsMutex);
@@ -203,26 +204,28 @@ void Server::sessionLoop(Session *S) {
   // the session: a warm Predict allocates none of them again.
   std::string Payload;
   while (!StopFlag.load()) {
-    FrameStatus FS = S->Reader.read(S->Fd, Payload, Opts.ReadDeadline);
+    FrameStatus FS =
+        S->Reader.read(S->channel(), Payload, Opts.ReadDeadline);
     if (FS == FrameStatus::Closed)
       break;
     if (FS == FrameStatus::TimedOut) {
       // The peer started a frame and stalled: drop it so it cannot pin
       // this session thread. One Error frame explains why, best-effort.
       StalledCount.fetch_add(1, std::memory_order_relaxed);
-      writeFrame(S->Fd, makeError("read deadline exceeded mid-frame"));
+      reply(S, makeError("read deadline exceeded mid-frame"));
       break;
     }
     if (FS == FrameStatus::TooLarge) {
       // The one malformed case we can still answer: the length prefix
       // itself was bad, so the stream position is lost -- reply, drop.
       MalformedCount.fetch_add(1, std::memory_order_relaxed);
-      writeFrame(S->Fd, makeError("frame length invalid (cap " +
-                                  std::to_string(kMaxFrameBytes) + ")"));
+      reply(S, makeError("frame length invalid (cap " +
+                         std::to_string(kMaxFrameBytes) + ")"));
       break;
     }
     if (FS != FrameStatus::Ok) {
-      // Truncated mid-frame or errno: the peer is gone or hostile.
+      // Truncated mid-frame, a broken ring or errno: the peer is gone or
+      // hostile.
       MalformedCount.fetch_add(1, std::memory_order_relaxed);
       break;
     }
@@ -232,47 +235,75 @@ void Server::sessionLoop(Session *S) {
       FrameWaitsSleptCount.fetch_add(1, std::memory_order_relaxed);
     if (!decodeMessage(Payload, S->Request)) {
       MalformedCount.fetch_add(1, std::memory_order_relaxed);
-      writeFrame(S->Fd, makeError("malformed message payload"));
+      reply(S, makeError("malformed message payload"));
       break;
     }
     if (!handleMessage(S, S->Request, Attached))
       break;
   }
+  if (S->Ring) {
+    S->Ring.reset();
+    RingSessionCount.fetch_sub(1, std::memory_order_relaxed);
+  }
   S->Finished.store(true);
+}
+
+bool Server::reply(Session *S, const std::string &Payload) {
+  FrameStatus FS = writeFrame(S->channel(), Payload);
+  if (FS == FrameStatus::BadRing)
+    MalformedCount.fetch_add(1, std::memory_order_relaxed);
+  return FS == FrameStatus::Ok;
+}
+
+bool Server::attachRing(Session *S, const std::string &TenantOk) {
+  std::string Err;
+  int MemFd = createSealedMemory(kRingRegionBytes, Err);
+  std::unique_ptr<FrameRing> Ring =
+      MemFd < 0 ? nullptr
+                : FrameRing::map(MemFd, FrameRing::End::Server, Err);
+  FrameStatus FS = writeFrame(S->Fd, TenantOk, Ring ? MemFd : -1);
+  if (MemFd >= 0)
+    ::close(MemFd);
+  if (FS != FrameStatus::Ok)
+    return false;
+  if (Ring) {
+    S->Ring = std::move(Ring);
+    RingSessionCount.fetch_add(1, std::memory_order_relaxed);
+  }
+  return true;
 }
 
 bool Server::handleMessage(Session *S, const Message &M, Tenant *&Attached) {
   switch (M.Type) {
-  case MsgType::Hello: {
+  case MsgType::Hello:
+  case MsgType::HelloRing: {
     Tenant *T = Registry.find(M.Text);
     if (!T)
-      return writeFrame(S->Fd, makeError("unknown tenant '" + M.Text +
-                                         "'")) == FrameStatus::Ok;
+      return reply(S, makeError("unknown tenant '" + M.Text + "'"));
     Attached = T;
     // Epoch and landmark count come from one snapshot: a published
     // retrain or store swap changes both.
     runtime::AdaptiveService::EpochPtr Ep = T->Service->currentEpoch();
     uint32_t Landmarks =
         static_cast<uint32_t>(Ep->Model.System.L1.Landmarks.size());
-    return writeFrame(S->Fd, makeTenantOk(Ep->Model.Meta.Epoch, Landmarks,
-                                          T->Program->numInputs())) ==
-           FrameStatus::Ok;
+    std::string Ok =
+        makeTenantOk(Ep->Model.Meta.Epoch, Landmarks, T->Program->numInputs());
+    // One ring per connection: a later Hello, of either kind, reuses it.
+    if (M.Type == MsgType::HelloRing && S->Local && !S->Ring)
+      return attachRing(S, Ok);
+    return reply(S, Ok);
   }
 
   case MsgType::Predict: {
     if (!Attached)
-      return writeFrame(S->Fd, makeError(
-                                   "no tenant attached (send Hello first)")) ==
-             FrameStatus::Ok;
+      return reply(S, makeError("no tenant attached (send Hello first)"));
     const size_t Universe = Attached->Program->numInputs();
     for (uint64_t In : M.Inputs)
       if (In >= Universe) {
         Attached->Errors.fetch_add(1, std::memory_order_relaxed);
-        return writeFrame(S->Fd,
-                          makeError("input id " + std::to_string(In) +
-                                    " out of range (tenant has " +
-                                    std::to_string(Universe) + " inputs)")) ==
-               FrameStatus::Ok;
+        return reply(S, makeError("input id " + std::to_string(In) +
+                                  " out of range (tenant has " +
+                                  std::to_string(Universe) + " inputs)"));
       }
 
     AdmissionGate::Entry E = Gate.enter();
@@ -285,9 +316,8 @@ bool Server::handleMessage(Session *S, const Message &M, Tenant *&Attached) {
       // full; refuse now rather than queue without limit.
       ShedCount.fetch_add(1, std::memory_order_relaxed);
       Attached->Shed.fetch_add(1, std::memory_order_relaxed);
-      return writeFrame(S->Fd, makeShed(static_cast<uint32_t>(E.Waiting),
-                                        "request queue full")) ==
-             FrameStatus::Ok;
+      return reply(S, makeShed(static_cast<uint32_t>(E.Waiting),
+                               "request queue full"));
     }
     if (E.Waited) {
       noteQueueDepth(E.Waiting);
@@ -302,8 +332,8 @@ bool Server::handleMessage(Session *S, const Message &M, Tenant *&Attached) {
     } catch (const std::exception &Ex) {
       Gate.leave();
       Attached->Errors.fetch_add(1, std::memory_order_relaxed);
-      return writeFrame(S->Fd, makeError(std::string("serving failed: ") +
-                                         Ex.what())) == FrameStatus::Ok;
+      Attached->ServeFailures.fetch_add(1, std::memory_order_relaxed);
+      return reply(S, makeError(std::string("serving failed: ") + Ex.what()));
     }
     // The slot bounds serving, not the reply encode and write: a client
     // slow to read its answer must not hold a slot.
@@ -313,11 +343,11 @@ bool Server::handleMessage(Session *S, const Message &M, Tenant *&Attached) {
     // for its next frame nor a client that has read this reply finds the
     // session keeping a retired model alive.
     Answered.reset();
-    return writeFrame(S->Fd, S->Reply) == FrameStatus::Ok;
+    return reply(S, S->Reply);
   }
 
   case MsgType::Stats:
-    return writeFrame(S->Fd, makeStatsReply(statsJson())) == FrameStatus::Ok;
+    return reply(S, makeStatsReply(statsJson()));
 
   case MsgType::Ping: {
     // Liveness + convergence probe: which process is this, how loaded,
@@ -338,17 +368,15 @@ bool Server::handleMessage(Session *S, const Message &M, Tenant *&Attached) {
       std::lock_guard<std::mutex> Lock(SessionsMutex);
       Live = static_cast<uint32_t>(Sessions.size());
     }
-    return writeFrame(S->Fd,
-                      makeHealth(static_cast<uint64_t>(::getpid()), Live,
-                                 Tenants)) == FrameStatus::Ok;
+    return reply(S,
+                 makeHealth(static_cast<uint64_t>(::getpid()), Live, Tenants));
   }
 
   case MsgType::ListTenants:
-    return writeFrame(S->Fd, makeTenantList(Registry.names())) ==
-           FrameStatus::Ok;
+    return reply(S, makeTenantList(Registry.names()));
 
   case MsgType::Shutdown:
-    writeFrame(S->Fd, makeBye());
+    reply(S, makeBye());
     requestStop();
     return false;
 
@@ -356,7 +384,7 @@ bool Server::handleMessage(Session *S, const Message &M, Tenant *&Attached) {
     // A server->client tag (or anything else) from a client is a
     // protocol violation.
     MalformedCount.fetch_add(1, std::memory_order_relaxed);
-    writeFrame(S->Fd, makeError("unexpected message type"));
+    reply(S, makeError("unexpected message type"));
     return false;
   }
 }
@@ -395,7 +423,6 @@ Server::serve(Tenant &T, const std::vector<uint64_t> &Inputs,
                                               Answers.data());
   }
   T.Decisions.fetch_add(Inputs.size(), std::memory_order_relaxed);
-  T.Batches.fetch_add(1, std::memory_order_relaxed);
   return Answered;
 }
 
@@ -425,6 +452,7 @@ ServerStats Server::stats() const {
   S.Stalled = StalledCount.load(std::memory_order_relaxed);
   S.FrameWaitsSpun = FrameWaitsSpunCount.load(std::memory_order_relaxed);
   S.FrameWaitsSlept = FrameWaitsSleptCount.load(std::memory_order_relaxed);
+  S.RingSessions = RingSessionCount.load(std::memory_order_relaxed);
   return S;
 }
 
@@ -452,6 +480,7 @@ std::string Server::statsJson() const {
       .boolean("adapt", Registry.options().AutoAdapt)
       .number("frame_waits_spun", S.FrameWaitsSpun)
       .number("frame_waits_slept", S.FrameWaitsSlept)
+      .number("ring_sessions", S.RingSessions)
       .beginArray("tenants");
   for (size_t I = 0;; ++I) {
     Tenant *T = Registry.at(I);
@@ -459,6 +488,11 @@ std::string Server::statsJson() const {
       break;
     runtime::AdaptiveService::StatsSnapshot A = T->Service->stats();
     runtime::AdaptiveService::EpochPtr Ep = T->Service->currentEpoch();
+    // Failures first: each one's request was counted before it, so the
+    // difference never wraps.
+    const uint64_t Failures =
+        T->ServeFailures.load(std::memory_order_relaxed);
+    const uint64_t Requests = T->Requests.load(std::memory_order_relaxed);
     W.beginObject()
         .string("name", T->Name)
         .string("benchmark", T->Benchmark)
@@ -466,9 +500,11 @@ std::string Server::statsJson() const {
         .number("epoch", Ep->Model.Meta.Epoch)
         .number("landmarks", Ep->Model.System.L1.Landmarks.size())
         .number("inputs", T->Program->numInputs())
-        .number("requests", T->Requests.load(std::memory_order_relaxed))
+        .number("requests", Requests)
         .number("decisions", T->Decisions.load(std::memory_order_relaxed))
-        .number("batches", T->Batches.load(std::memory_order_relaxed))
+        // Each admitted Predict is one batch, answered unless its serve
+        // threw.
+        .number("batches", Requests - Failures)
         .number("shed", T->Shed.load(std::memory_order_relaxed))
         .number("errors", T->Errors.load(std::memory_order_relaxed))
         .number("service_decisions", A.Decisions)

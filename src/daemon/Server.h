@@ -23,25 +23,35 @@
 /// decided inline on the session thread, and its answers are
 /// choice-identical to an in-process AdaptiveService replay of the same
 /// model (the loadgen harness and the daemon tests assert exactly
-/// that). The session's own FrameReader and writeFrame make a request
-/// one recv and its reply one sendmsg in the common case; the stall
-/// guard (ReadDeadline) costs a poll only when a frame's bytes are not
-/// all there yet.
+/// that). A session's frames travel over its Channel: the socket, or,
+/// from a Unix-domain session's first HelloRing on, the ring pair whose
+/// sealed shared-memory region the TenantOk reply passed to the client
+/// (daemon/Protocol.h). On a ring a request and its reply cost no
+/// syscall unless an end sleeps; on a socket they are one recv and one
+/// sendmsg in the common case. Either way the stall guard
+/// (ReadDeadline) bounds a frame once it has started, and a session
+/// that waits for a frame to start waits without a deadline. The
+/// session owns its ring end and keeps its own positions, so a client
+/// that stores a position that cannot be is dropped as malformed; the
+/// socket stays the session's doorbell and lifetime, so closing it, or
+/// stop() shutting it down, ends any wait on the ring.
 ///
 /// Between requests a session waits in FrameReader::read, which polls
-/// its socket for FrameReader::kSpinWindow before it blocks in recv. A
+/// its channel for FrameReader::kSpinWindow before it blocks. A
 /// closed-loop client's next request is then usually picked up by a
 /// session thread that is still on its core, and the client's own
 /// DaemonClient waits for the reply the same way, so a warm round trip
 /// pays no scheduler wake-up on either end. The reader's gate (spin only
-/// after a short wait), its per-process cap (a quarter of the hardware
-/// threads, at least one) and its contention check (no spin while every
-/// core has runnable work) bound what the spin burns. A session whose
-/// Predict found every admission slot busy, like a client answered
-/// Shed, skips its next spin: a saturated daemon needs those cores. The
-/// Stats counters frame_waits_spun and frame_waits_slept show how many
-/// frame waits the spin caught. ROADMAP item 2 records what that saved on
-/// `serve-warm` and what it cost in CPU.
+/// after a short wait) and its contention check (no spin while more
+/// threads are runnable than the host has hardware threads) bound what
+/// the spin burns; spinning threads are runnable themselves, so the
+/// check also bounds how many spin at once. A session whose Predict
+/// found every admission slot busy, like a client answered Shed, skips
+/// its next spin: a saturated daemon needs those cores. The Stats
+/// counters frame_waits_spun and frame_waits_slept show how many frame
+/// waits the spin caught, and ring_sessions how many sessions are on a
+/// ring. ROADMAP item 2 records what the spin and the ring saved on
+/// `serve-warm` and what they cost in CPU.
 ///
 /// A warm Predict allocates nothing and pays its bookkeeping per batch.
 /// The session decodes every frame into one kept Message and hands its
@@ -145,6 +155,8 @@ struct ServerStats {
   /// (FrameReader::read). A frame already buffered counts in neither.
   uint64_t FrameWaitsSpun = 0;
   uint64_t FrameWaitsSlept = 0;
+  /// Sessions whose frames travel through a ring pair right now.
+  uint64_t RingSessions = 0;
 };
 
 class Server {
@@ -185,6 +197,13 @@ public:
 private:
   struct Session {
     int Fd = -1;
+    /// Accepted on a Unix-domain listener, so a HelloRing moves it onto
+    /// a ring pair.
+    bool Local = false;
+    /// The ring pair, from the session's first HelloRing on; null while
+    /// its frames travel on the socket (session thread only).
+    std::unique_ptr<FrameRing> Ring;
+    Channel channel() const { return Channel{Fd, Ring.get()}; }
     /// Only the session thread reads; leftover bytes of a pipelined
     /// next frame wait here between requests.
     FrameReader Reader;
@@ -203,6 +222,13 @@ private:
   /// One decoded client frame -> exactly one response frame. False ends
   /// the session (Shutdown, or a response write failure).
   bool handleMessage(Session *S, const Message &M, Tenant *&Attached);
+  /// Writes one response frame on \p S's channel: whether it went out.
+  /// A peer that broke its ring is counted malformed.
+  bool reply(Session *S, const std::string &Payload);
+  /// Answers a HelloRing with \p TenantOk and the fd of a fresh ring
+  /// region, and moves \p S onto the ring. A session whose region cannot
+  /// be made gets the plain reply and stays on its socket.
+  bool attachRing(Session *S, const std::string &TenantOk);
   /// Serves one admitted Predict under \p T's ServeMutex into
   /// \p Answers, one per input. Returns the epoch that answered (under
   /// AutoAdapt, the one that answered the last input).
@@ -230,7 +256,7 @@ private:
   std::atomic<uint64_t> ConnCount{0}, ShedCount{0}, MalformedCount{0},
       MaxDepth{0}, AdmissionWaitCount{0}, AdmissionWaitNs{0},
       ShedSessionCount{0}, StalledCount{0}, FrameWaitsSpunCount{0},
-      FrameWaitsSleptCount{0};
+      FrameWaitsSleptCount{0}, RingSessionCount{0};
 };
 
 } // namespace daemon

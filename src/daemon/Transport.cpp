@@ -17,6 +17,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -218,6 +219,77 @@ void Listener::close() {
   Fd = -1;
   if (Bound.K == Endpoint::Kind::Unix && !Bound.Path.empty())
     ::unlink(Bound.Path.c_str());
+}
+
+int createSealedMemory(size_t Bytes, std::string &Err) {
+  int Fd = ::memfd_create("pbt-serve-ring", MFD_CLOEXEC | MFD_ALLOW_SEALING);
+  if (Fd < 0) {
+    Err = std::string("memfd_create(): ") + std::strerror(errno);
+    return -1;
+  }
+  if (::ftruncate(Fd, static_cast<off_t>(Bytes)) < 0 ||
+      ::fcntl(Fd, F_ADD_SEALS, F_SEAL_SHRINK | F_SEAL_GROW | F_SEAL_SEAL) < 0) {
+    Err = std::string("sizing and sealing shared memory: ") +
+          std::strerror(errno);
+    ::close(Fd);
+    return -1;
+  }
+  return Fd;
+}
+
+ssize_t sendWithFd(int Fd, const iovec *Iov, int IovCount, int PassFd) {
+  msghdr Msg = {};
+  Msg.msg_iov = const_cast<iovec *>(Iov);
+  Msg.msg_iovlen = static_cast<size_t>(IovCount);
+  alignas(cmsghdr) char Control[CMSG_SPACE(sizeof(int))];
+  if (PassFd >= 0) {
+    std::memset(Control, 0, sizeof Control);
+    Msg.msg_control = Control;
+    Msg.msg_controllen = sizeof Control;
+    cmsghdr *C = CMSG_FIRSTHDR(&Msg);
+    C->cmsg_level = SOL_SOCKET;
+    C->cmsg_type = SCM_RIGHTS;
+    C->cmsg_len = CMSG_LEN(sizeof(int));
+    std::memcpy(CMSG_DATA(C), &PassFd, sizeof(int));
+  }
+  for (;;) {
+    ssize_t N = ::sendmsg(Fd, &Msg, MSG_NOSIGNAL);
+    if (N >= 0 || errno != EINTR)
+      return N;
+  }
+}
+
+ssize_t recvWithFd(int Fd, void *Buf, size_t Len, int &PassedFd) {
+  PassedFd = -1;
+  iovec Iov = {Buf, Len};
+  // Room for a few fds, so that a peer passing more than one cannot
+  // leave any of them unclosed in this process.
+  alignas(cmsghdr) char Control[CMSG_SPACE(4 * sizeof(int))];
+  msghdr Msg = {};
+  Msg.msg_iov = &Iov;
+  Msg.msg_iovlen = 1;
+  Msg.msg_control = Control;
+  Msg.msg_controllen = sizeof Control;
+  ssize_t N;
+  do
+    N = ::recvmsg(Fd, &Msg, MSG_CMSG_CLOEXEC);
+  while (N < 0 && errno == EINTR);
+  if (N < 0)
+    return N;
+  for (cmsghdr *C = CMSG_FIRSTHDR(&Msg); C; C = CMSG_NXTHDR(&Msg, C)) {
+    if (C->cmsg_level != SOL_SOCKET || C->cmsg_type != SCM_RIGHTS)
+      continue;
+    size_t Count = (C->cmsg_len - CMSG_LEN(0)) / sizeof(int);
+    for (size_t I = 0; I < Count; ++I) {
+      int Got;
+      std::memcpy(&Got, CMSG_DATA(C) + I * sizeof(int), sizeof(int));
+      if (PassedFd < 0)
+        PassedFd = Got;
+      else
+        ::close(Got);
+    }
+  }
+  return N;
 }
 
 int pollTimeoutMs(std::chrono::duration<double, std::milli> Left) {

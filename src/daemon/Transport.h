@@ -22,14 +22,23 @@
 /// All fds are opened close-on-exec: a supervisor fork/execs replicas,
 /// and listener or client fds must never leak into a child server.
 ///
+/// A Unix-domain session can also move its frames onto shared memory
+/// (daemon/Protocol.h): the daemon creates the region here
+/// (createSealedMemory) and passes its fd over the socket
+/// (sendWithFd, recvWithFd).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PBT_DAEMON_TRANSPORT_H
 #define PBT_DAEMON_TRANSPORT_H
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+
+#include <sys/types.h>
+#include <sys/uio.h>
 
 namespace pbt {
 namespace daemon {
@@ -89,6 +98,24 @@ private:
 /// blocking fd, or -1 with \p Err set.
 int connectEndpoint(const Endpoint &E, double TimeoutSeconds,
                     std::string &Err);
+
+/// A shared-memory file of \p Bytes for one session's ring pair:
+/// memfd_create (close-on-exec), sized, then sealed against shrinking,
+/// growing and further sealing, so a peer that maps it can never make a
+/// mapping's pages vanish under the other end (SIGBUS). Its fd, or -1
+/// with \p Err set.
+int createSealedMemory(size_t Bytes, std::string &Err);
+
+/// One sendmsg of \p Iov on socket \p Fd, with \p PassFd attached as
+/// SCM_RIGHTS when it is >= 0. EINTR is retried and a vanished peer is
+/// -1, never SIGPIPE. Returns the bytes sent (possibly short) or -1.
+ssize_t sendWithFd(int Fd, const iovec *Iov, int IovCount, int PassFd);
+
+/// One blocking recvmsg of up to \p Len bytes that also takes a file
+/// descriptor passed with them (close-on-exec) into \p PassedFd, or -1
+/// there when none came; any further passed fds are closed. EINTR is
+/// retried. Returns the byte count (0 = EOF) or -1.
+ssize_t recvWithFd(int Fd, void *Buf, size_t Len, int &PassedFd);
 
 /// The poll() timeout for a wait of \p Left: whole milliseconds rounded
 /// up, so the wait never ends before its deadline, and clamped to

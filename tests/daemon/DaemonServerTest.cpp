@@ -1,14 +1,17 @@
 //===- tests/daemon/DaemonServerTest.cpp -------------------------------------=//
 //
-// The pbt-serve daemon end to end over a real Unix socket: tenant
-// registration from persisted model files, choice parity between daemon
-// answers and an in-process AdaptiveService replay, multi-tenant
+// The pbt-serve daemon end to end over a real Unix socket, whose
+// attached sessions move their frames onto a shared-memory ring pair:
+// tenant registration from persisted model files, choice parity between
+// daemon answers and an in-process AdaptiveService replay, multi-tenant
 // isolation, admission control (deterministic shedding with the serve
 // path stalled, no queueing when idle), clean shutdown, and the
 // protocol fuzz wall -- truncated frames, oversized length prefixes,
-// garbage payloads, hostile tenant names and mid-request disconnects
-// must never crash or wedge the server. Runs under the sanitizer CI
-// matrix like every integration-labelled test.
+// garbage payloads, hostile tenant names, scribbled ring positions and
+// mid-request disconnects must never crash or wedge the server. The
+// parity and fuzz walls run once over a ring session and once over a
+// TCP socket session. Runs under the sanitizer CI matrix like every
+// integration-labelled test.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,8 +36,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,7 +79,9 @@ std::string freshSocket() {
          std::to_string(Counter.fetch_add(1)) + ".sock";
 }
 
-/// A running server over one or more tenants of the trained model.
+/// A running server over one or more tenants of the trained model, on
+/// a Unix socket (whose attached sessions use a ring pair) and, unless
+/// the options list their own, a TCP socket.
 struct Harness {
   daemon::ModelRegistry Registry;
   std::unique_ptr<daemon::Server> Srv;
@@ -88,13 +96,31 @@ struct Harness {
       EXPECT_TRUE(St.Ok) << St.Error;
     }
     SO.SocketPath = Socket;
+    if (SO.Listen.empty())
+      SO.Listen = {"127.0.0.1:0"};
     Srv = std::make_unique<daemon::Server>(Registry, SO);
     std::string Err;
     EXPECT_TRUE(Srv->start(Err)) << Err;
   }
 
+  /// The TCP endpoint, "tcp:127.0.0.1:PORT".
+  std::string tcp() const { return Srv->boundEndpoints().back(); }
+
+  /// The two session kinds the parity and fuzz walls run over: the Unix
+  /// socket, where an attached session uses the ring pair, and TCP.
+  std::vector<std::string> walls() const { return {Socket, tcp()}; }
+
   ~Harness() { Srv->stop(); }
 };
+
+/// A session attached to sort1: on the Unix socket its frames then go
+/// through the ring pair.
+void connectAttached(daemon::DaemonClient &C, const std::string &Endpoint) {
+  std::string Err;
+  ASSERT_TRUE(C.connect(Endpoint, Err)) << Err;
+  daemon::DaemonClient::AttachInfo Info;
+  ASSERT_TRUE(C.attach("sort1", Info, Err)) << Err;
+}
 
 /// The in-process oracle: landmark decisions straight from
 /// AdaptiveService::decideBatch on the same model file.
@@ -121,31 +147,35 @@ std::vector<unsigned> inProcessLandmarks(const std::vector<size_t> &Inputs) {
 
 TEST(DaemonServerTest, DaemonChoicesMatchInProcessDecideBatch) {
   Harness H;
-  daemon::DaemonClient C;
-  std::string Err;
-  ASSERT_TRUE(C.connect(H.Socket, Err)) << Err;
-  daemon::DaemonClient::AttachInfo Info;
-  ASSERT_TRUE(C.attach("sort1", Info, Err)) << Err;
-  // Offline-trained models carry epoch 0; adaptation bumps it.
-  EXPECT_GT(Info.Landmarks, 0u);
-  ASSERT_GT(Info.NumInputs, 0u);
+  for (const std::string &Endpoint : H.walls()) {
+    SCOPED_TRACE(Endpoint);
+    daemon::DaemonClient C;
+    std::string Err;
+    ASSERT_TRUE(C.connect(Endpoint, Err)) << Err;
+    daemon::DaemonClient::AttachInfo Info;
+    ASSERT_TRUE(C.attach("sort1", Info, Err)) << Err;
+    EXPECT_EQ(C.onRing(), Endpoint == H.Socket);
+    // Offline-trained models carry epoch 0; adaptation bumps it.
+    EXPECT_GT(Info.Landmarks, 0u);
+    ASSERT_GT(Info.NumInputs, 0u);
 
-  std::vector<size_t> Inputs;
-  std::vector<uint64_t> Wire;
-  for (size_t I = 0; I < Info.NumInputs; ++I) {
-    Inputs.push_back(I);
-    Wire.push_back(I);
-  }
-  std::vector<daemon::PredictedChoice> Choices;
-  ASSERT_EQ(C.predict(Wire, Choices, Err),
-            daemon::DaemonClient::PredictOutcome::Ok)
-      << Err;
-  ASSERT_EQ(Choices.size(), Inputs.size());
+    std::vector<size_t> Inputs;
+    std::vector<uint64_t> Wire;
+    for (size_t I = 0; I < Info.NumInputs; ++I) {
+      Inputs.push_back(I);
+      Wire.push_back(I);
+    }
+    std::vector<daemon::PredictedChoice> Choices;
+    ASSERT_EQ(C.predict(Wire, Choices, Err),
+              daemon::DaemonClient::PredictOutcome::Ok)
+        << Err;
+    ASSERT_EQ(Choices.size(), Inputs.size());
 
-  std::vector<unsigned> Oracle = inProcessLandmarks(Inputs);
-  for (size_t I = 0; I < Inputs.size(); ++I) {
-    EXPECT_EQ(Choices[I].Landmark, Oracle[I]) << "input " << I;
-    EXPECT_EQ(Choices[I].Epoch, Info.Epoch);
+    std::vector<unsigned> Oracle = inProcessLandmarks(Inputs);
+    for (size_t I = 0; I < Inputs.size(); ++I) {
+      EXPECT_EQ(Choices[I].Landmark, Oracle[I]) << "input " << I;
+      EXPECT_EQ(Choices[I].Epoch, Info.Epoch);
+    }
   }
 }
 
@@ -165,6 +195,7 @@ TEST(DaemonServerTest, ConcurrentClientsAllGetParityAnswers) {
     return inProcessLandmarks(All);
   }();
 
+  // Half the clients on ring sessions, half on TCP sockets.
   constexpr int kClients = 6;
   std::atomic<int> Mismatches{0};
   std::atomic<int> Failures{0};
@@ -174,7 +205,8 @@ TEST(DaemonServerTest, ConcurrentClientsAllGetParityAnswers) {
       daemon::DaemonClient C;
       std::string Err;
       daemon::DaemonClient::AttachInfo Info;
-      if (!C.connect(H.Socket, Err) || !C.attach("sort1", Info, Err)) {
+      if (!C.connect(H.walls()[T % 2], Err) ||
+          !C.attach("sort1", Info, Err)) {
         Failures.fetch_add(1);
         return;
       }
@@ -281,8 +313,9 @@ TEST(DaemonServerTest, OneSessionReusesItsBuffersAcrossRequestSizes) {
   // Raw frames on the attached session, so the reply bytes are visible.
   daemon::FrameReader Reader;
   auto Exchange = [&](const std::string &Request, std::string &Reply) {
-    ASSERT_EQ(daemon::writeFrame(C.fd(), Request), daemon::FrameStatus::Ok);
-    ASSERT_EQ(Reader.read(C.fd(), Reply), daemon::FrameStatus::Ok);
+    ASSERT_EQ(daemon::writeFrame(C.channel(), Request),
+              daemon::FrameStatus::Ok);
+    ASSERT_EQ(Reader.read(C.channel(), Reply), daemon::FrameStatus::Ok);
   };
   auto ExpectPredictions = [&](const std::vector<uint64_t> &Inputs) {
     SCOPED_TRACE(std::to_string(Inputs.size()) + "-input Predict");
@@ -318,6 +351,132 @@ TEST(DaemonServerTest, OneSessionReusesItsBuffersAcrossRequestSizes) {
   EXPECT_NE(M.Text.find("out of range"), std::string::npos) << M.Text;
 
   ExpectPredictions({5, Info.NumInputs - 2, 17});
+}
+
+TEST(DaemonServerTest, RingSessionStreamsFramesLargerThanItsRing) {
+  // A Predict of kMaxBatchInputs inputs (512 KiB) and its reply (768 KiB)
+  // are far larger than a ring: both stream through in pieces, and the
+  // answers match the oracle's. A later Hello reuses the session's ring.
+  Harness H;
+  daemon::DaemonClient C;
+  connectAttached(C, H.Socket);
+  ASSERT_TRUE(C.onRing());
+  daemon::FrameRing *Ring = C.channel().Ring;
+  std::string Err;
+  daemon::DaemonClient::AttachInfo Info;
+  ASSERT_TRUE(C.attach("sort1", Info, Err)) << Err;
+  EXPECT_EQ(C.channel().Ring, Ring);
+  EXPECT_EQ(H.Srv->stats().RingSessions, 1u);
+
+  std::vector<size_t> All;
+  for (size_t I = 0; I < Info.NumInputs; ++I)
+    All.push_back(I);
+  const std::vector<unsigned> Oracle = inProcessLandmarks(All);
+  std::vector<uint64_t> Wire(daemon::kMaxBatchInputs);
+  for (size_t K = 0; K < Wire.size(); ++K)
+    Wire[K] = (K * 7) % Info.NumInputs;
+  ASSERT_GT(daemon::makePredict(Wire).size(), daemon::kRingBytes);
+  std::vector<daemon::PredictedChoice> Choices;
+  ASSERT_EQ(C.predict(Wire, Choices, Err),
+            daemon::DaemonClient::PredictOutcome::Ok)
+      << Err;
+  ASSERT_EQ(Choices.size(), Wire.size());
+  size_t Wrong = 0;
+  for (size_t K = 0; K < Wire.size(); ++K)
+    Wrong += Choices[K].Landmark != Oracle[Wire[K]];
+  EXPECT_EQ(Wrong, 0u);
+
+  std::string Json;
+  ASSERT_TRUE(C.stats(Json, Err)) << Err;
+  EXPECT_NE(Json.find("\"ring_sessions\": 1,"), std::string::npos) << Json;
+  // A TCP session, or a Unix one that never attached, stays off the ring.
+  daemon::DaemonClient Tcp, Unattached;
+  connectAttached(Tcp, H.tcp());
+  EXPECT_FALSE(Tcp.onRing());
+  ASSERT_TRUE(Unattached.connect(H.Socket, Err)) << Err;
+  ASSERT_TRUE(Unattached.stats(Json, Err)) << Err;
+  EXPECT_NE(Json.find("\"ring_sessions\": 1,"), std::string::npos) << Json;
+
+  C.close();
+  auto Until = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (H.Srv->stats().RingSessions != 0 &&
+         std::chrono::steady_clock::now() < Until)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(H.Srv->stats().RingSessions, 0u);
+}
+
+namespace {
+
+/// Delegates to a base program, except that one feature extraction
+/// throws once armed.
+class ThrowOnceProgram : public runtime::TunableProgram {
+public:
+  explicit ThrowOnceProgram(const runtime::TunableProgram &Base) : Base(Base) {}
+
+  std::string name() const override { return Base.name(); }
+  const runtime::ConfigSpace &space() const override { return Base.space(); }
+  std::vector<runtime::FeatureInfo> features() const override {
+    return Base.features();
+  }
+  std::optional<runtime::AccuracySpec> accuracy() const override {
+    return Base.accuracy();
+  }
+  size_t numInputs() const override { return Base.numInputs(); }
+  double extractFeature(size_t Input, unsigned Feature, unsigned Level,
+                        support::CostCounter &Cost) const override {
+    if (Armed.exchange(false))
+      throw std::runtime_error("feature extraction failed");
+    return Base.extractFeature(Input, Feature, Level, Cost);
+  }
+  runtime::RunResult run(size_t Input, const runtime::Configuration &Config,
+                         support::CostCounter &Cost) const override {
+    return Base.run(Input, Config, Cost);
+  }
+
+  mutable std::atomic<bool> Armed{false};
+
+private:
+  const runtime::TunableProgram &Base;
+};
+
+} // namespace
+
+TEST(DaemonServerTest, FailedServeCountsARequestButNoBatch) {
+  // A tenant's batches are its requests minus the Predicts whose serve
+  // threw: one failing and one answered Predict read requests 2,
+  // batches 1, errors 1.
+  Harness H;
+  daemon::Tenant *T = H.Registry.find("sort1");
+  ASSERT_NE(T, nullptr);
+  ThrowOnceProgram Program(*T->Program);
+  serialize::TrainedModel Model;
+  ASSERT_TRUE(serialize::loadModelFile(modelFile(), Model).Ok);
+  {
+    std::lock_guard<std::mutex> Lock(T->ServeMutex);
+    T->Service =
+        std::make_unique<runtime::AdaptiveService>(Program, std::move(Model));
+  }
+  ASSERT_TRUE(T->Service->ready());
+  Program.Armed = true;
+
+  daemon::DaemonClient C;
+  connectAttached(C, H.Socket);
+  std::string Err;
+  std::vector<daemon::PredictedChoice> Choices;
+  EXPECT_EQ(C.predict({0}, Choices, Err),
+            daemon::DaemonClient::PredictOutcome::Error);
+  EXPECT_NE(Err.find("serving failed"), std::string::npos) << Err;
+  EXPECT_FALSE(C.lastRpcTransportFailed());
+  EXPECT_EQ(C.predict({0}, Choices, Err),
+            daemon::DaemonClient::PredictOutcome::Ok)
+      << Err;
+
+  std::string Json = H.Srv->statsJson();
+  EXPECT_NE(Json.find("\"requests\": 2, \"decisions\": 1, \"batches\": 1, "
+                      "\"shed\": 0, \"errors\": 1,"),
+            std::string::npos)
+      << Json;
+  H.Srv->stop();
 }
 
 TEST(DaemonServerTest, HelloAndStatsReportTheServingEpochsLandmarks) {
@@ -632,7 +791,7 @@ TEST(DaemonServerTest, FrameWaitCountersSplitSpunFromSlept) {
   daemon::FrameReader Replies;
   std::string Reply;
   for (int I = 0; I < 2; ++I)
-    ASSERT_EQ(Replies.read(C.fd(), Reply), daemon::FrameStatus::Ok);
+    ASSERT_EQ(Replies.read(C.channel(), Reply), daemon::FrameStatus::Ok);
   daemon::ServerStats Piped = H.Srv->stats();
   EXPECT_EQ(Piped.FrameWaitsSlept - Paced.FrameWaitsSlept, 1u);
   EXPECT_EQ(Piped.FrameWaitsSpun, Paced.FrameWaitsSpun);
@@ -681,10 +840,10 @@ struct Rng {
 
 /// The liveness probe every hostile scenario ends with: a fresh
 /// well-formed session must still be served correctly.
-void expectServerAlive(const std::string &Socket) {
+void expectServerAlive(const std::string &Endpoint) {
   daemon::DaemonClient C;
   std::string Err;
-  ASSERT_TRUE(C.connect(Socket, Err)) << "server wedged: " << Err;
+  ASSERT_TRUE(C.connect(Endpoint, Err)) << "server wedged: " << Err;
   daemon::DaemonClient::AttachInfo Info;
   ASSERT_TRUE(C.attach("sort1", Info, Err)) << "server wedged: " << Err;
   std::vector<daemon::PredictedChoice> Choices;
@@ -697,119 +856,207 @@ void expectServerAlive(const std::string &Socket) {
 
 TEST(DaemonServerTest, FuzzWallTruncatedAndOversizedFrames) {
   Harness H;
-
-  // Length prefix promising 100 bytes, 10 delivered, then disconnect.
-  {
-    daemon::DaemonClient C;
-    std::string Err;
-    ASSERT_TRUE(C.connect(H.Socket, Err)) << Err;
-    uint8_t Hdr[4] = {100, 0, 0, 0};
-    ASSERT_TRUE(C.sendRaw(Hdr, 4));
-    ASSERT_TRUE(C.sendRaw("0123456789", 10));
-    C.close();
-  }
-  expectServerAlive(H.Socket);
-
-  // Oversized length prefix (4 GiB): must be rejected without the
-  // server ever allocating it.
-  {
-    daemon::DaemonClient C;
-    std::string Err;
-    ASSERT_TRUE(C.connect(H.Socket, Err)) << Err;
-    uint8_t Hdr[4] = {0xFF, 0xFF, 0xFF, 0xFF};
-    ASSERT_TRUE(C.sendRaw(Hdr, 4));
-    std::string Reply;
-    // The server answers Error (best effort) and drops the connection.
-    daemon::FrameStatus FS = daemon::FrameReader().read(C.fd(), Reply);
-    if (FS == daemon::FrameStatus::Ok) {
-      daemon::Message M;
-      ASSERT_TRUE(daemon::decodeMessage(Reply, M));
-      EXPECT_EQ(M.Type, daemon::MsgType::Error);
+  for (const std::string &Endpoint : H.walls()) {
+    SCOPED_TRACE(Endpoint);
+    // Length prefix promising 100 bytes, 10 delivered, then disconnect.
+    {
+      daemon::DaemonClient C;
+      connectAttached(C, Endpoint);
+      uint8_t Hdr[4] = {100, 0, 0, 0};
+      ASSERT_TRUE(C.sendRaw(Hdr, 4));
+      ASSERT_TRUE(C.sendRaw("0123456789", 10));
+      C.close();
     }
-    C.close();
-  }
-  expectServerAlive(H.Socket);
+    expectServerAlive(Endpoint);
 
-  // Zero-length frame: also a framing violation.
-  {
-    daemon::DaemonClient C;
-    std::string Err;
-    ASSERT_TRUE(C.connect(H.Socket, Err)) << Err;
-    uint8_t Hdr[4] = {0, 0, 0, 0};
-    ASSERT_TRUE(C.sendRaw(Hdr, 4));
-    C.close();
-  }
-  expectServerAlive(H.Socket);
+    // Oversized length prefix (4 GiB): must be rejected without the
+    // server ever allocating it.
+    {
+      daemon::DaemonClient C;
+      connectAttached(C, Endpoint);
+      uint8_t Hdr[4] = {0xFF, 0xFF, 0xFF, 0xFF};
+      ASSERT_TRUE(C.sendRaw(Hdr, 4));
+      std::string Reply;
+      // The server answers Error (best effort) and drops the connection.
+      daemon::FrameStatus FS = daemon::FrameReader().read(C.channel(), Reply);
+      if (FS == daemon::FrameStatus::Ok) {
+        daemon::Message M;
+        ASSERT_TRUE(daemon::decodeMessage(Reply, M));
+        EXPECT_EQ(M.Type, daemon::MsgType::Error);
+      }
+      C.close();
+    }
+    expectServerAlive(Endpoint);
 
+    // Zero-length frame: also a framing violation.
+    {
+      daemon::DaemonClient C;
+      connectAttached(C, Endpoint);
+      uint8_t Hdr[4] = {0, 0, 0, 0};
+      ASSERT_TRUE(C.sendRaw(Hdr, 4));
+      C.close();
+    }
+    expectServerAlive(Endpoint);
+  }
   EXPECT_GT(H.Srv->stats().Malformed, 0u);
 }
 
 TEST(DaemonServerTest, FuzzWallGarbageTenantNamesAndPayloads) {
   Harness H;
   std::string Err;
-
-  // Hostile tenant names: huge, embedded NULs, non-UTF8. All must get
-  // a clean "unknown tenant" Error on a session that stays usable.
-  {
-    daemon::DaemonClient C;
-    ASSERT_TRUE(C.connect(H.Socket, Err)) << Err;
-    daemon::DaemonClient::AttachInfo Info;
-    for (const std::string &Name :
-         {std::string(8192, 'x'), std::string("a\0b", 3),
-          std::string("\xFF\xFE\x80 tenant"), std::string("../../etc")}) {
-      EXPECT_FALSE(C.attach(Name, Info, Err));
+  for (const std::string &Endpoint : H.walls()) {
+    SCOPED_TRACE(Endpoint);
+    // Hostile tenant names: huge, embedded NULs, non-UTF8. All must get
+    // a clean "unknown tenant" Error on a session that stays usable.
+    {
+      daemon::DaemonClient C;
+      ASSERT_TRUE(C.connect(Endpoint, Err)) << Err;
+      daemon::DaemonClient::AttachInfo Info;
+      for (const std::string &Name :
+           {std::string(8192, 'x'), std::string("a\0b", 3),
+            std::string("\xFF\xFE\x80 tenant"), std::string("../../etc")}) {
+        EXPECT_FALSE(C.attach(Name, Info, Err));
+      }
+      ASSERT_TRUE(C.attach("sort1", Info, Err)) << Err;
+      // ...and again on the ring, which the good attach set up.
+      EXPECT_FALSE(C.attach(std::string("a\0b", 3), Info, Err));
+      EXPECT_NE(Err.find("unknown tenant"), std::string::npos) << Err;
+      ASSERT_TRUE(C.attach("sort1", Info, Err)) << Err;
     }
-    ASSERT_TRUE(C.attach("sort1", Info, Err)) << Err;
-  }
 
-  // Well-framed garbage payloads: decode must fail server-side, the
-  // reply is an Error, and the server survives every round.
-  Rng R;
-  for (int Round = 0; Round < 60; ++Round) {
-    daemon::DaemonClient C;
-    ASSERT_TRUE(C.connect(H.Socket, Err)) << Err;
-    size_t Len = 1 + R.next() % 48;
-    std::string Payload;
-    for (size_t I = 0; I < Len; ++I)
-      Payload.push_back(static_cast<char>(R.next()));
-    (void)daemon::writeFrame(C.fd(), Payload);
-    std::string Reply;
-    (void)daemon::FrameReader().read(C.fd(), Reply); // Error or close; either is fine
-    C.close();
-  }
-  expectServerAlive(H.Socket);
-
-  // Raw random bytes, no framing discipline at all, disconnect
-  // mid-stream: the pure mid-request-disconnect storm.
-  for (int Round = 0; Round < 60; ++Round) {
-    daemon::DaemonClient C;
-    ASSERT_TRUE(C.connect(H.Socket, Err)) << Err;
-    size_t Len = R.next() % 64;
-    std::string Bytes;
-    for (size_t I = 0; I < Len; ++I)
-      Bytes.push_back(static_cast<char>(R.next()));
-    if (!Bytes.empty())
-      (void)C.sendRaw(Bytes.data(), Bytes.size());
-    C.close(); // vanish mid-whatever
-  }
-  expectServerAlive(H.Socket);
-
-  // A client speaking server->client types is a protocol violation.
-  {
-    daemon::DaemonClient C;
-    ASSERT_TRUE(C.connect(H.Socket, Err)) << Err;
-    (void)daemon::writeFrame(C.fd(), daemon::makePredictions({{1, 1}}));
-    std::string Reply;
-    daemon::FrameStatus FS = daemon::FrameReader().read(C.fd(), Reply);
-    if (FS == daemon::FrameStatus::Ok) {
-      daemon::Message M;
-      ASSERT_TRUE(daemon::decodeMessage(Reply, M));
-      EXPECT_EQ(M.Type, daemon::MsgType::Error);
+    // Well-framed garbage payloads: decode must fail server-side, the
+    // reply is an Error, and the server survives every round.
+    Rng R;
+    for (int Round = 0; Round < 60; ++Round) {
+      daemon::DaemonClient C;
+      connectAttached(C, Endpoint);
+      size_t Len = 1 + R.next() % 48;
+      std::string Payload;
+      for (size_t I = 0; I < Len; ++I)
+        Payload.push_back(static_cast<char>(R.next()));
+      (void)daemon::writeFrame(C.channel(), Payload);
+      std::string Reply;
+      // Error or close; either is fine.
+      (void)daemon::FrameReader().read(C.channel(), Reply);
+      C.close();
     }
-    C.close();
+    expectServerAlive(Endpoint);
+
+    // Raw random bytes, no framing discipline at all, disconnect
+    // mid-stream: the pure mid-request-disconnect storm.
+    for (int Round = 0; Round < 60; ++Round) {
+      daemon::DaemonClient C;
+      connectAttached(C, Endpoint);
+      size_t Len = R.next() % 64;
+      std::string Bytes;
+      for (size_t I = 0; I < Len; ++I)
+        Bytes.push_back(static_cast<char>(R.next()));
+      if (!Bytes.empty())
+        (void)C.sendRaw(Bytes.data(), Bytes.size());
+      C.close(); // vanish mid-whatever
+    }
+    expectServerAlive(Endpoint);
+
+    // A client speaking server->client types is a protocol violation.
+    {
+      daemon::DaemonClient C;
+      connectAttached(C, Endpoint);
+      (void)daemon::writeFrame(C.channel(), daemon::makePredictions({{1, 1}}));
+      std::string Reply;
+      daemon::FrameStatus FS = daemon::FrameReader().read(C.channel(), Reply);
+      if (FS == daemon::FrameStatus::Ok) {
+        daemon::Message M;
+        ASSERT_TRUE(daemon::decodeMessage(Reply, M));
+        EXPECT_EQ(M.Type, daemon::MsgType::Error);
+      }
+      C.close();
+    }
+    expectServerAlive(Endpoint);
   }
-  expectServerAlive(H.Socket);
   EXPECT_GT(H.Srv->stats().Malformed, 0u);
+}
+
+TEST(DaemonServerTest, ScribbledRingIsDroppedAsMalformedOthersKeepParity) {
+  // A client can store anything in its ring pair's control page. The
+  // daemon keeps its own positions, so a Head or Tail that cannot be
+  // ends that one session as malformed -- no over-read, no hang -- and
+  // every other session keeps getting the oracle's answers.
+  Harness H;
+  std::vector<size_t> All;
+  std::vector<uint64_t> Wire;
+  daemon::DaemonClient Good, GoodTcp;
+  connectAttached(Good, H.Socket);
+  connectAttached(GoodTcp, H.tcp());
+  ASSERT_TRUE(Good.onRing());
+  std::string Err;
+  daemon::DaemonClient::AttachInfo Info;
+  ASSERT_TRUE(Good.attach("sort1", Info, Err)) << Err;
+  for (size_t I = 0; I < Info.NumInputs; ++I) {
+    All.push_back(I);
+    Wire.push_back(I);
+  }
+  const std::vector<unsigned> Oracle = inProcessLandmarks(All);
+  auto ExpectParity = [&](daemon::DaemonClient &C) {
+    std::vector<daemon::PredictedChoice> Choices;
+    ASSERT_EQ(C.predict(Wire, Choices, Err),
+              daemon::DaemonClient::PredictOutcome::Ok)
+        << Err;
+    for (size_t I = 0; I < Wire.size(); ++I)
+      EXPECT_EQ(Choices[I].Landmark, Oracle[I]) << "input " << I;
+  };
+
+  // The hostile stores, each on a fresh ring session: a Head past a whole
+  // ring of unread bytes, a Head behind the daemon's Tail (both seen by
+  // the daemon's next look at its ring), and a Tail ahead of everything
+  // the daemon has written (seen when it writes its next reply).
+  struct Scribble {
+    std::function<void(daemon::RingControl &)> Store;
+    bool NeedsReply;
+  };
+  const std::vector<Scribble> Scribbles = {
+      {[](daemon::RingControl &R) {
+         R.Head[0].V.store(R.Tail[0].V.load() + daemon::kRingBytes + 1);
+       },
+       false},
+      {[](daemon::RingControl &R) {
+         R.Head[0].V.store(R.Tail[0].V.load() - 1);
+       },
+       false},
+      {[](daemon::RingControl &R) {
+         R.Tail[1].V.store(R.Head[1].V.load() + 4096);
+       },
+       true},
+  };
+  for (size_t K = 0; K < Scribbles.size(); ++K) {
+    SCOPED_TRACE("scribble " + std::to_string(K));
+    const uint64_t Malformed = H.Srv->stats().Malformed;
+    daemon::DaemonClient Bad;
+    connectAttached(Bad, H.Socket);
+    ASSERT_TRUE(Bad.onRing());
+    Scribbles[K].Store(Bad.channel().Ring->control());
+    if (Scribbles[K].NeedsReply) {
+      std::vector<daemon::PredictedChoice> Choices;
+      EXPECT_EQ(Bad.predict({0}, Choices, Err),
+                daemon::DaemonClient::PredictOutcome::Error);
+      EXPECT_TRUE(Bad.lastRpcTransportFailed()) << Err;
+    } else {
+      // Ring the daemon's doorbell in case its session sleeps, then wait
+      // for the drop; the closed socket ends the session for the client.
+      (void)::send(Bad.fd(), "", 1, MSG_NOSIGNAL);
+      auto Until = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (H.Srv->stats().Malformed == Malformed &&
+             std::chrono::steady_clock::now() < Until)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      char Byte;
+      ssize_t N;
+      while ((N = ::recv(Bad.fd(), &Byte, 1, 0)) > 0) {
+      }
+      EXPECT_EQ(N, 0) << "the hostile session was not closed";
+    }
+    EXPECT_EQ(H.Srv->stats().Malformed, Malformed + 1);
+    ExpectParity(Good);
+    ExpectParity(GoodTcp);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -1162,7 +1409,7 @@ TEST(DaemonServerTest, StatsLayoutIsPinned) {
       "\"shed_sessions\": #, \"stalled\": #, \"max_sessions\": #, "
       "\"queue_capacity\": #, \"workers\": #, \"adapt\": false, "
       "\"frame_waits_spun\": #, \"frame_waits_slept\": #, "
-      "\"tenants\": [" +
+      "\"ring_sessions\": #, \"tenants\": [" +
       Tenant("a\\\"b\\\\c", modelFile()) + ", " + Tenant("stored", Dir) +
       "]}";
   EXPECT_EQ(maskNumbers(H.Srv->statsJson()), Expected);

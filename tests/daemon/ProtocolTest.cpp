@@ -41,6 +41,12 @@ TEST(ProtocolTest, HelloRoundTrip) {
   ASSERT_TRUE(decodeMessage(P, M));
   EXPECT_EQ(M.Type, MsgType::Hello);
   EXPECT_EQ(M.Text, "sort1");
+  // HelloRing is the same body under its own tag.
+  std::string R = makeHelloRing("sort1");
+  EXPECT_EQ(R.substr(1), P.substr(1));
+  ASSERT_TRUE(decodeMessage(R, M));
+  EXPECT_EQ(M.Type, MsgType::HelloRing);
+  EXPECT_EQ(M.Text, "sort1");
 }
 
 TEST(ProtocolTest, PredictRoundTrip) {
@@ -115,8 +121,9 @@ TEST(ProtocolTest, ShedErrorStatsListRoundTrips) {
 TEST(ProtocolTest, EmptyAndUnknownTagRejected) {
   Message M;
   EXPECT_FALSE(decodeMessage(std::string(), M));
-  // 0x88 is Health's tag, but a bare Health without its body is still
-  // malformed (0x06 left this list when it became Ping).
+  // 0x07 and 0x88 are HelloRing's and Health's tags, but each without
+  // its body is still malformed (0x06 left this list when it became
+  // Ping).
   for (uint8_t Tag : {0x00, 0x07, 0x42, 0x80, 0x88, 0xFF}) {
     std::string P(1, static_cast<char>(Tag));
     EXPECT_FALSE(decodeMessage(P, M)) << "tag " << int(Tag);

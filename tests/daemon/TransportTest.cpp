@@ -2,11 +2,12 @@
 //
 // The transport layer under the daemon: endpoint-spec parsing, raw
 // Listener/connectEndpoint round-trips over Unix and TCP, the framed
-// protocol served over a TCP listener (choice parity with the
-// in-process oracle), the Ping/Health liveness probe, the mid-frame
-// read deadline (a stalled peer is dropped, an idle one is not), and
-// the session-thread cap under a connection storm (Shed + close over
-// the cap, capacity restored when a session ends).
+// protocol served over a TCP listener and over a Unix-domain session's
+// ring pair (choice parity with the in-process oracle), the Ping/Health
+// liveness probe, the mid-frame read deadline on both (a stalled peer
+// is dropped, an idle one is not), and the session-thread cap under a
+// connection storm (Shed + close over the cap, capacity restored when a
+// session ends).
 //
 //===----------------------------------------------------------------------===//
 
@@ -157,16 +158,16 @@ TEST(TransportTest, UnixListenerPrefixedSpecRoundTrip) {
 // The framed protocol over TCP
 //===----------------------------------------------------------------------===//
 
-TEST(TransportTest, TcpServerAnswersMatchInProcessOracle) {
-  Harness H;
-  ASSERT_EQ(H.endpoint().rfind("tcp:", 0), 0u) << H.endpoint();
-
+/// One 64-input Predict on \p Endpoint answers like the in-process
+/// oracle.
+void expectOracleParity(const std::string &Endpoint) {
   DaemonClient C;
   std::string Err;
-  ASSERT_TRUE(C.connect(H.endpoint(), Err)) << Err;
+  ASSERT_TRUE(C.connect(Endpoint, Err)) << Err;
   DaemonClient::AttachInfo Info;
   ASSERT_TRUE(C.attach("sort1", Info, Err)) << Err;
   ASSERT_GT(Info.NumInputs, 0u);
+  EXPECT_EQ(C.onRing(), Endpoint.rfind("unix:", 0) == 0);
 
   std::vector<size_t> Inputs;
   std::vector<uint64_t> Wire;
@@ -181,6 +182,20 @@ TEST(TransportTest, TcpServerAnswersMatchInProcessOracle) {
   ASSERT_EQ(Choices.size(), Oracle.size());
   for (size_t I = 0; I < Oracle.size(); ++I)
     EXPECT_EQ(Choices[I].Landmark, Oracle[I]) << "input " << I;
+}
+
+TEST(TransportTest, TcpServerAnswersMatchInProcessOracle) {
+  Harness H;
+  ASSERT_EQ(H.endpoint().rfind("tcp:", 0), 0u) << H.endpoint();
+  expectOracleParity(H.endpoint());
+}
+
+TEST(TransportTest, RingSessionAnswersMatchInProcessOracle) {
+  daemon::ServerOptions SO;
+  SO.SocketPath = freshSocket();
+  Harness H(SO);
+  ASSERT_EQ(H.endpoint().rfind("unix:", 0), 0u) << H.endpoint();
+  expectOracleParity(H.endpoint());
 }
 
 TEST(TransportTest, DualTransportServesBothListeners) {
@@ -234,42 +249,55 @@ TEST(TransportTest, PollTimeoutRoundsUpAndClampsToIntMax) {
 }
 
 TEST(TransportTest, MidFrameStallIsDroppedIdleSessionIsNot) {
+  // Over TCP, and over the Unix socket, whose attached sessions stall
+  // inside their ring.
   daemon::ServerOptions SO;
   SO.ReadDeadline = 0.15;
+  SO.SocketPath = freshSocket();
+  SO.Listen = {"127.0.0.1:0"};
   Harness H(SO);
+  uint64_t Stalled = 0;
+  for (const std::string &Endpoint : H.Srv->boundEndpoints()) {
+    SCOPED_TRACE(Endpoint);
+    // Idle is legitimate: a session that sends nothing must outlive many
+    // deadlines, before its attach and on its ring after it.
+    DaemonClient Idle;
+    std::string Err;
+    ASSERT_TRUE(Idle.connect(Endpoint, Err)) << Err;
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    DaemonClient::AttachInfo Info;
+    EXPECT_TRUE(Idle.attach("sort1", Info, Err))
+        << "idle session was dropped: " << Err;
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    EXPECT_TRUE(Idle.attach("sort1", Info, Err))
+        << "idle session was dropped: " << Err;
 
-  // Idle is legitimate: a connected session that sends nothing must
-  // outlive many deadlines.
-  DaemonClient Idle;
-  std::string Err;
-  ASSERT_TRUE(Idle.connect(H.endpoint(), Err)) << Err;
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  DaemonClient::AttachInfo Info;
-  EXPECT_TRUE(Idle.attach("sort1", Info, Err))
-      << "idle session was dropped: " << Err;
-
-  // A peer that starts a frame and stalls is not: the session must end
-  // within the deadline, freeing its thread.
-  DaemonClient Stall;
-  ASSERT_TRUE(Stall.connect(H.endpoint(), Err)) << Err;
-  const char Partial[2] = {0x10, 0x00}; // 2 of 4 length-prefix bytes
-  ASSERT_TRUE(Stall.sendRaw(Partial, sizeof(Partial)));
-  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  bool SawEof = false;
-  while (std::chrono::steady_clock::now() < Deadline) {
-    char Buf[64];
-    ssize_t N = ::recv(Stall.fd(), Buf, sizeof(Buf), 0);
-    if (N == 0) {
-      SawEof = true;
-      break;
+    // A peer that starts a frame and stalls is not: the session must end
+    // within the deadline, freeing its thread.
+    DaemonClient Stall;
+    ASSERT_TRUE(Stall.connect(Endpoint, Err)) << Err;
+    ASSERT_TRUE(Stall.attach("sort1", Info, Err)) << Err;
+    EXPECT_EQ(Stall.onRing(), Endpoint.rfind("unix:", 0) == 0);
+    const char Partial[2] = {0x10, 0x00}; // 2 of 4 length-prefix bytes
+    ASSERT_TRUE(Stall.sendRaw(Partial, sizeof(Partial)));
+    auto Deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    bool SawEof = false;
+    while (std::chrono::steady_clock::now() < Deadline) {
+      char Buf[64];
+      ssize_t N = ::recv(Stall.fd(), Buf, sizeof(Buf), 0);
+      if (N == 0) {
+        SawEof = true;
+        break;
+      }
+      if (N < 0 && errno != EINTR && errno != EAGAIN)
+        break;
+      if (N < 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    if (N < 0 && errno != EINTR && errno != EAGAIN)
-      break;
-    if (N < 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_TRUE(SawEof) << "stalled session was never dropped";
+    EXPECT_EQ(H.Srv->stats().Stalled, ++Stalled);
   }
-  EXPECT_TRUE(SawEof) << "stalled session was never dropped";
-  EXPECT_EQ(H.Srv->stats().Stalled, 1u);
 }
 
 //===----------------------------------------------------------------------===//
