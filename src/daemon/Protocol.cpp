@@ -345,28 +345,35 @@ ssize_t pull(const Channel &Ch, void *Buf, size_t Len) {
 /// still finds nothing blocks on the socket until the peer rings,
 /// closes, or \p Deadline (when set) passes. Either the second look sees
 /// what the peer published, or the peer sees the flag and rings. Returns
-/// 1 when the end should look again, otherwise what the socket said:
-/// 0 = EOF, -1 = errno failure, -2 = deadline.
+/// 1 when the end should look again, kBadRing when the peer sent more
+/// doorbell bytes than the flag stores let it (FrameRing::acceptBells),
+/// otherwise what the socket said: 0 = EOF, -1 = errno failure,
+/// -2 = deadline.
 template <typename LookFn>
 ssize_t sleepOnRing(const Channel &Ch, uint64_t Why, LookFn Changed,
                     const std::chrono::steady_clock::time_point *Deadline) {
   Ch.Ring->setSleeping(Why);
-  ssize_t N = 1;
-  if (!Changed()) {
-    char Bells[64];
-    N = Deadline ? recvBy(Ch.Fd, Bells, sizeof Bells, *Deadline)
-                 : recvBlocking(Ch.Fd, Bells, sizeof Bells);
+  if (Changed()) {
+    Ch.Ring->setSleeping(RingControl::kAwake);
+    return 1;
   }
+  char Bells[64];
+  ssize_t N = Deadline ? recvBy(Ch.Fd, Bells, sizeof Bells, *Deadline)
+                       : recvBlocking(Ch.Fd, Bells, sizeof Bells);
   int Errno = errno;
   Ch.Ring->setSleeping(RingControl::kAwake);
   errno = Errno;
-  return N > 0 ? 1 : N;
+  if (N <= 0)
+    return N;
+  return Ch.Ring->acceptBells(static_cast<size_t>(N)) ? 1 : kBadRing;
 }
 
 /// Up to \p Len bytes, waiting for them until \p Deadline (when set):
 /// the byte count (0 = EOF), -1 on an errno failure, -2 when the
-/// deadline passes, or kBadRing. When a ring's socket ends, the reader
-/// looks a last time, for bytes the peer published just before it went.
+/// deadline passes, or kBadRing. When a ring's socket ends, or the
+/// deadline passes -- also while the peer keeps ringing with nothing to
+/// read -- the reader looks a last time, for bytes the peer published
+/// just before.
 ssize_t pullWait(const Channel &Ch, void *Buf, size_t Len,
                  const std::chrono::steady_clock::time_point *Deadline) {
   if (!Ch.Ring)
@@ -379,8 +386,13 @@ ssize_t pullWait(const Channel &Ch, void *Buf, size_t Len,
     ssize_t Woke = sleepOnRing(
         Ch, RingControl::kWaitData,
         [&Ch] { return Ch.Ring->readable() != 0; }, Deadline);
-    if (Woke > 0)
-      continue;
+    if (Woke == kBadRing)
+      return kBadRing;
+    if (Woke > 0) {
+      if (!Deadline || std::chrono::steady_clock::now() < *Deadline)
+        continue;
+      Woke = -2;
+    }
     int Errno = errno;
     N = pull(Ch, Buf, Len);
     errno = Errno;
@@ -415,10 +427,11 @@ FrameStatus ringWrite(const Channel &Ch, iovec *Pieces, size_t Count) {
   for (size_t Done = 0; Done < Count;) {
     int64_t Room = R.writable();
     if (Room == 0) {
-      if (sleepOnRing(
-              Ch, RingControl::kWaitSpace,
-              [&R] { return R.writable() != 0; }, nullptr) <= 0)
-        return FrameStatus::IoError;
+      ssize_t Woke = sleepOnRing(
+          Ch, RingControl::kWaitSpace, [&R] { return R.writable() != 0; },
+          nullptr);
+      if (Woke <= 0)
+        return Woke == kBadRing ? FrameStatus::BadRing : FrameStatus::IoError;
       continue;
     }
     if (Room < 0)
@@ -508,7 +521,17 @@ void FrameRing::publish() {
 
 // End E reads direction E, so Sleeping[In] is this end's flag and
 // Sleeping[Out] the peer's.
-void FrameRing::setSleeping(uint64_t Why) { Ctl->Sleeping[In].V.store(Why); }
+void FrameRing::setSleeping(uint64_t Why) {
+  BellsDue += Why != RingControl::kAwake;
+  Ctl->Sleeping[In].V.store(Why);
+}
+
+bool FrameRing::acceptBells(size_t N) {
+  if (N > BellsDue)
+    return false;
+  BellsDue -= N;
+  return true;
+}
 
 bool FrameRing::wakePeer(uint64_t Why) {
   // Sequentially consistent like the position stores before it and the

@@ -264,8 +264,11 @@ static_assert(std::atomic<uint64_t>::is_always_lock_free,
 /// Each end keeps its own positions in private memory and checks every
 /// value the peer can store: a Head more than kRingBytes past its own
 /// Tail, or a Tail that leaves more than kRingBytes unread behind its own
-/// Head, is not a position (FrameStatus::BadRing). The region is sealed
-/// against resizing, so a peer cannot make the mapping's pages vanish.
+/// Head, is not a position (FrameStatus::BadRing). More doorbell bytes
+/// on the socket than this end stored waiting flags is a broken ring
+/// too (FrameRing::acceptBells): the peer clears a flag when it rings
+/// it. The region is sealed against resizing, so a peer cannot make the
+/// mapping's pages vanish.
 struct RingControl {
   static constexpr uint64_t kAwake = 0, kWaitData = 1, kWaitSpace = 2;
   RingWord Head[2];
@@ -304,8 +307,14 @@ public:
   /// Publishes every byte put since the last publish.
   void publish();
   /// Stores this end's Sleeping flag (RingControl::kAwake, kWaitData or
-  /// kWaitSpace).
+  /// kWaitSpace). Each store of a waiting flag lets the peer send one
+  /// more doorbell byte.
   void setSleeping(uint64_t Why);
+  /// Counts \p N doorbell bytes received: false when they exceed what
+  /// this end's flag stores let the peer send. A peer that wakes this
+  /// end clears its flag, so an honest one sends at most one byte per
+  /// store; more is a peer flooding the socket to keep this end awake.
+  bool acceptBells(size_t N);
   /// Whether the peer sleeps waiting for \p Why; if so, clears its flag,
   /// and the caller owes it one doorbell byte.
   bool wakePeer(uint64_t Why);
@@ -325,6 +334,8 @@ private:
   uint8_t *OutBytes;
   /// This end's own positions: read so far, published so far, put so far.
   uint64_t InTail = 0, OutHead = 0, OutPut = 0;
+  /// Doorbell bytes the peer may still send (acceptBells).
+  uint64_t BellsDue = 0;
 };
 
 /// Where a session's frames travel: the connected socket \p Fd, or, once
@@ -405,9 +416,6 @@ public:
   /// TenantOk carries the ring region this way.
   FrameStatus read(const Channel &Ch, std::string &Payload,
                    double DeadlineSeconds = 0, int *PassedFd = nullptr);
-  FrameStatus read(int Fd, std::string &Payload, double DeadlineSeconds = 0) {
-    return read(Channel{Fd, nullptr}, Payload, DeadlineSeconds);
-  }
 
   /// Drops every held byte.
   void reset() { Begin = End = 0; }

@@ -332,7 +332,9 @@ bool Server::handleMessage(Session *S, const Message &M, Tenant *&Attached) {
     } catch (const std::exception &Ex) {
       Gate.leave();
       Attached->Errors.fetch_add(1, std::memory_order_relaxed);
-      Attached->ServeFailures.fetch_add(1, std::memory_order_relaxed);
+      // Release: a Stats reader that sees this failure sees the request
+      // counted before it.
+      Attached->ServeFailures.fetch_add(1, std::memory_order_release);
       return reply(S, makeError(std::string("serving failed: ") + Ex.what()));
     }
     // The slot bounds serving, not the reply encode and write: a client
@@ -488,10 +490,10 @@ std::string Server::statsJson() const {
       break;
     runtime::AdaptiveService::StatsSnapshot A = T->Service->stats();
     runtime::AdaptiveService::EpochPtr Ep = T->Service->currentEpoch();
-    // Failures first: each one's request was counted before it, so the
-    // difference never wraps.
+    // Failures first, acquiring each failure's request count (counted
+    // before it in the failing thread), so the difference never wraps.
     const uint64_t Failures =
-        T->ServeFailures.load(std::memory_order_relaxed);
+        T->ServeFailures.load(std::memory_order_acquire);
     const uint64_t Requests = T->Requests.load(std::memory_order_relaxed);
     W.beginObject()
         .string("name", T->Name)

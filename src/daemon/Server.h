@@ -32,7 +32,8 @@
 /// (ReadDeadline) bounds a frame once it has started, and a session
 /// that waits for a frame to start waits without a deadline. The
 /// session owns its ring end and keeps its own positions, so a client
-/// that stores a position that cannot be is dropped as malformed; the
+/// that stores a position that cannot be, or sends more doorbell bytes
+/// than the session's sleeps let it, is dropped as malformed; the
 /// socket stays the session's doorbell and lifetime, so closing it, or
 /// stop() shutting it down, ends any wait on the ring.
 ///

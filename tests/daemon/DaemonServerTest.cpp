@@ -31,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -106,9 +107,20 @@ struct Harness {
   /// The TCP endpoint, "tcp:127.0.0.1:PORT".
   std::string tcp() const { return Srv->boundEndpoints().back(); }
 
-  /// The two session kinds the parity and fuzz walls run over: the Unix
-  /// socket, where an attached session uses the ring pair, and TCP.
+  /// The two session kinds the parity walls run over: the Unix socket,
+  /// where an attached session uses the ring pair, and TCP.
   std::vector<std::string> walls() const { return {Socket, tcp()}; }
+
+  /// Where a fuzz wall's hostile session runs: attached on the Unix
+  /// socket, so its bytes reach the ring's reader, or unattached on TCP,
+  /// so they reach a session before any Hello.
+  struct FuzzLeg {
+    std::string Endpoint;
+    bool Attach;
+  };
+  std::vector<FuzzLeg> fuzzLegs() const {
+    return {{Socket, true}, {tcp(), false}};
+  }
 
   ~Harness() { Srv->stop(); }
 };
@@ -838,6 +850,18 @@ struct Rng {
   }
 };
 
+/// A hostile session on \p Leg: connected, and attached when the leg
+/// says so.
+void connectLeg(daemon::DaemonClient &C, const Harness::FuzzLeg &Leg) {
+  if (Leg.Attach) {
+    connectAttached(C, Leg.Endpoint);
+    ASSERT_TRUE(C.onRing());
+    return;
+  }
+  std::string Err;
+  ASSERT_TRUE(C.connect(Leg.Endpoint, Err)) << Err;
+}
+
 /// The liveness probe every hostile scenario ends with: a fresh
 /// well-formed session must still be served correctly.
 void expectServerAlive(const std::string &Endpoint) {
@@ -856,24 +880,24 @@ void expectServerAlive(const std::string &Endpoint) {
 
 TEST(DaemonServerTest, FuzzWallTruncatedAndOversizedFrames) {
   Harness H;
-  for (const std::string &Endpoint : H.walls()) {
-    SCOPED_TRACE(Endpoint);
+  for (const Harness::FuzzLeg &Leg : H.fuzzLegs()) {
+    SCOPED_TRACE(Leg.Endpoint);
     // Length prefix promising 100 bytes, 10 delivered, then disconnect.
     {
       daemon::DaemonClient C;
-      connectAttached(C, Endpoint);
+      connectLeg(C, Leg);
       uint8_t Hdr[4] = {100, 0, 0, 0};
       ASSERT_TRUE(C.sendRaw(Hdr, 4));
       ASSERT_TRUE(C.sendRaw("0123456789", 10));
       C.close();
     }
-    expectServerAlive(Endpoint);
+    expectServerAlive(Leg.Endpoint);
 
     // Oversized length prefix (4 GiB): must be rejected without the
     // server ever allocating it.
     {
       daemon::DaemonClient C;
-      connectAttached(C, Endpoint);
+      connectLeg(C, Leg);
       uint8_t Hdr[4] = {0xFF, 0xFF, 0xFF, 0xFF};
       ASSERT_TRUE(C.sendRaw(Hdr, 4));
       std::string Reply;
@@ -886,17 +910,17 @@ TEST(DaemonServerTest, FuzzWallTruncatedAndOversizedFrames) {
       }
       C.close();
     }
-    expectServerAlive(Endpoint);
+    expectServerAlive(Leg.Endpoint);
 
     // Zero-length frame: also a framing violation.
     {
       daemon::DaemonClient C;
-      connectAttached(C, Endpoint);
+      connectLeg(C, Leg);
       uint8_t Hdr[4] = {0, 0, 0, 0};
       ASSERT_TRUE(C.sendRaw(Hdr, 4));
       C.close();
     }
-    expectServerAlive(Endpoint);
+    expectServerAlive(Leg.Endpoint);
   }
   EXPECT_GT(H.Srv->stats().Malformed, 0u);
 }
@@ -904,13 +928,13 @@ TEST(DaemonServerTest, FuzzWallTruncatedAndOversizedFrames) {
 TEST(DaemonServerTest, FuzzWallGarbageTenantNamesAndPayloads) {
   Harness H;
   std::string Err;
-  for (const std::string &Endpoint : H.walls()) {
-    SCOPED_TRACE(Endpoint);
+  for (const Harness::FuzzLeg &Leg : H.fuzzLegs()) {
+    SCOPED_TRACE(Leg.Endpoint);
     // Hostile tenant names: huge, embedded NULs, non-UTF8. All must get
     // a clean "unknown tenant" Error on a session that stays usable.
     {
       daemon::DaemonClient C;
-      ASSERT_TRUE(C.connect(Endpoint, Err)) << Err;
+      ASSERT_TRUE(C.connect(Leg.Endpoint, Err)) << Err;
       daemon::DaemonClient::AttachInfo Info;
       for (const std::string &Name :
            {std::string(8192, 'x'), std::string("a\0b", 3),
@@ -918,7 +942,8 @@ TEST(DaemonServerTest, FuzzWallGarbageTenantNamesAndPayloads) {
         EXPECT_FALSE(C.attach(Name, Info, Err));
       }
       ASSERT_TRUE(C.attach("sort1", Info, Err)) << Err;
-      // ...and again on the ring, which the good attach set up.
+      // ...and again once attached (on the Unix socket, over the ring
+      // the good attach set up).
       EXPECT_FALSE(C.attach(std::string("a\0b", 3), Info, Err));
       EXPECT_NE(Err.find("unknown tenant"), std::string::npos) << Err;
       ASSERT_TRUE(C.attach("sort1", Info, Err)) << Err;
@@ -929,7 +954,7 @@ TEST(DaemonServerTest, FuzzWallGarbageTenantNamesAndPayloads) {
     Rng R;
     for (int Round = 0; Round < 60; ++Round) {
       daemon::DaemonClient C;
-      connectAttached(C, Endpoint);
+      connectLeg(C, Leg);
       size_t Len = 1 + R.next() % 48;
       std::string Payload;
       for (size_t I = 0; I < Len; ++I)
@@ -940,13 +965,13 @@ TEST(DaemonServerTest, FuzzWallGarbageTenantNamesAndPayloads) {
       (void)daemon::FrameReader().read(C.channel(), Reply);
       C.close();
     }
-    expectServerAlive(Endpoint);
+    expectServerAlive(Leg.Endpoint);
 
     // Raw random bytes, no framing discipline at all, disconnect
     // mid-stream: the pure mid-request-disconnect storm.
     for (int Round = 0; Round < 60; ++Round) {
       daemon::DaemonClient C;
-      connectAttached(C, Endpoint);
+      connectLeg(C, Leg);
       size_t Len = R.next() % 64;
       std::string Bytes;
       for (size_t I = 0; I < Len; ++I)
@@ -955,12 +980,12 @@ TEST(DaemonServerTest, FuzzWallGarbageTenantNamesAndPayloads) {
         (void)C.sendRaw(Bytes.data(), Bytes.size());
       C.close(); // vanish mid-whatever
     }
-    expectServerAlive(Endpoint);
+    expectServerAlive(Leg.Endpoint);
 
     // A client speaking server->client types is a protocol violation.
     {
       daemon::DaemonClient C;
-      connectAttached(C, Endpoint);
+      connectLeg(C, Leg);
       (void)daemon::writeFrame(C.channel(), daemon::makePredictions({{1, 1}}));
       std::string Reply;
       daemon::FrameStatus FS = daemon::FrameReader().read(C.channel(), Reply);
@@ -971,7 +996,7 @@ TEST(DaemonServerTest, FuzzWallGarbageTenantNamesAndPayloads) {
       }
       C.close();
     }
-    expectServerAlive(Endpoint);
+    expectServerAlive(Leg.Endpoint);
   }
   EXPECT_GT(H.Srv->stats().Malformed, 0u);
 }
@@ -1056,6 +1081,57 @@ TEST(DaemonServerTest, ScribbledRingIsDroppedAsMalformedOthersKeepParity) {
     EXPECT_EQ(H.Srv->stats().Malformed, Malformed + 1);
     ExpectParity(Good);
     ExpectParity(GoodTcp);
+  }
+}
+
+TEST(DaemonServerTest, DoorbellFloodIsDroppedAsMalformedOthersKeepParity) {
+  // A ring client that keeps the socket full of junk "doorbells" -- in
+  // the middle of a frame or between frames -- would otherwise keep its
+  // session thread draining them on a full core, past ReadDeadline. The
+  // daemon drops it as malformed within the deadline, and other sessions
+  // keep their answers.
+  daemon::ServerOptions SO;
+  SO.ReadDeadline = 5.0;
+  Harness H(SO);
+  daemon::DaemonClient Good;
+  connectAttached(Good, H.Socket);
+  std::string Err;
+  std::vector<daemon::PredictedChoice> Choices;
+  const std::vector<unsigned> Oracle = inProcessLandmarks({0, 1, 2});
+  for (bool MidFrame : {true, false}) {
+    SCOPED_TRACE(MidFrame ? "flood mid-frame" : "flood between frames");
+    const uint64_t Malformed = H.Srv->stats().Malformed;
+    daemon::DaemonClient Bad;
+    connectAttached(Bad, H.Socket);
+    ASSERT_TRUE(Bad.onRing());
+    const uint8_t Half[2] = {0x10, 0x00};
+    if (MidFrame) {
+      ASSERT_TRUE(Bad.sendRaw(Half, sizeof Half));
+    }
+    // Flood until the daemon closes the session, or for 10 s.
+    const std::string Junk(4096, '\x5a');
+    auto Start = std::chrono::steady_clock::now();
+    while (std::chrono::steady_clock::now() - Start <
+           std::chrono::seconds(10)) {
+      ssize_t N = ::send(Bad.fd(), Junk.data(), Junk.size(),
+                         MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (N < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)
+        break;
+      if (H.Srv->stats().Malformed != Malformed)
+        break;
+      if (N < 0)
+        std::this_thread::yield();
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - Start,
+              std::chrono::seconds(5));
+    EXPECT_EQ(H.Srv->stats().Malformed, Malformed + 1);
+    EXPECT_EQ(H.Srv->stats().Stalled, 0u);
+    Bad.close();
+    ASSERT_EQ(Good.predict({0, 1, 2}, Choices, Err),
+              daemon::DaemonClient::PredictOutcome::Ok)
+        << Err;
+    for (size_t I = 0; I < Oracle.size(); ++I)
+      EXPECT_EQ(Choices[I].Landmark, Oracle[I]) << "input " << I;
   }
 }
 

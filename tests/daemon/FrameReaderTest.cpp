@@ -111,7 +111,7 @@ TEST(FrameReaderTest, ByteAtATimeFrameIsReassembled) {
   });
   FrameReader R;
   std::string Got;
-  EXPECT_EQ(R.read(P.reader(), Got, 10.0), FrameStatus::Ok);
+  EXPECT_EQ(R.read(Channel{P.reader()}, Got, 10.0), FrameStatus::Ok);
   Writer.join();
   EXPECT_EQ(Got, Payload);
   EXPECT_EQ(R.buffered(), 0u);
@@ -123,12 +123,12 @@ TEST(FrameReaderTest, TwoFramesInOneWriteComeBackInOrder) {
   sendAll(P.writer(), frameBytes(A) + frameBytes(B));
   FrameReader R;
   std::string Got;
-  ASSERT_EQ(R.read(P.reader(), Got, 1.0), FrameStatus::Ok);
+  ASSERT_EQ(R.read(Channel{P.reader()}, Got, 1.0), FrameStatus::Ok);
   EXPECT_EQ(Got, A);
   // The second frame came in with the first recv and waits in the
   // buffer; reading it needs no further bytes from the socket.
   EXPECT_EQ(R.buffered(), 4 + B.size());
-  ASSERT_EQ(R.read(P.reader(), Got, 1.0), FrameStatus::Ok);
+  ASSERT_EQ(R.read(Channel{P.reader()}, Got, 1.0), FrameStatus::Ok);
   EXPECT_EQ(Got, B);
   EXPECT_EQ(R.buffered(), 0u);
 }
@@ -145,9 +145,9 @@ TEST(FrameReaderTest, FrameLargerThanTheBufferIsReadIntoThePayload) {
   });
   FrameReader R;
   std::string Got;
-  ASSERT_EQ(R.read(P.reader(), Got, 10.0), FrameStatus::Ok);
+  ASSERT_EQ(R.read(Channel{P.reader()}, Got, 10.0), FrameStatus::Ok);
   EXPECT_EQ(Got, Big);
-  ASSERT_EQ(R.read(P.reader(), Got, 10.0), FrameStatus::Ok);
+  ASSERT_EQ(R.read(Channel{P.reader()}, Got, 10.0), FrameStatus::Ok);
   EXPECT_EQ(Got, Next);
   Writer.join();
 }
@@ -163,11 +163,11 @@ TEST(FrameReaderTest, BufferedStartOfAFrameStillHitsTheDeadline) {
   sendAll(P.writer(), frameBytes(A) + B.substr(0, 6));
   FrameReader R;
   std::string Got;
-  ASSERT_EQ(R.read(P.reader(), Got, 0.1), FrameStatus::Ok);
+  ASSERT_EQ(R.read(Channel{P.reader()}, Got, 0.1), FrameStatus::Ok);
   EXPECT_EQ(Got, A);
   EXPECT_EQ(R.buffered(), 6u);
   auto T0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(R.read(P.reader(), Got, 0.1), FrameStatus::TimedOut);
+  EXPECT_EQ(R.read(Channel{P.reader()}, Got, 0.1), FrameStatus::TimedOut);
   EXPECT_LT(std::chrono::steady_clock::now() - T0, std::chrono::seconds(5));
   EXPECT_EQ(R.buffered(), 0u); // a failed read drops what it held
 }
@@ -178,7 +178,7 @@ TEST(FrameReaderTest, PartialHeaderStallHitsTheDeadline) {
   sendAll(P.writer(), std::string("\x10\x00", 2));
   FrameReader R;
   std::string Got;
-  EXPECT_EQ(R.read(P.reader(), Got, 0.1), FrameStatus::TimedOut);
+  EXPECT_EQ(R.read(Channel{P.reader()}, Got, 0.1), FrameStatus::TimedOut);
 }
 
 TEST(FrameReaderTest, CleanEofIsClosed) {
@@ -186,8 +186,8 @@ TEST(FrameReaderTest, CleanEofIsClosed) {
   ASSERT_EQ(::shutdown(P.writer(), SHUT_WR), 0);
   FrameReader R;
   std::string Got;
-  EXPECT_EQ(R.read(P.reader(), Got), FrameStatus::Closed);
-  EXPECT_EQ(R.read(P.reader(), Got, 1.0), FrameStatus::Closed);
+  EXPECT_EQ(R.read(Channel{P.reader()}, Got), FrameStatus::Closed);
+  EXPECT_EQ(R.read(Channel{P.reader()}, Got, 1.0), FrameStatus::Closed);
 }
 
 TEST(FrameReaderTest, EofAfterAWholeFrameIsClosed) {
@@ -196,8 +196,8 @@ TEST(FrameReaderTest, EofAfterAWholeFrameIsClosed) {
   ASSERT_EQ(::shutdown(P.writer(), SHUT_WR), 0);
   FrameReader R;
   std::string Got;
-  ASSERT_EQ(R.read(P.reader(), Got, 1.0), FrameStatus::Ok);
-  EXPECT_EQ(R.read(P.reader(), Got, 1.0), FrameStatus::Closed);
+  ASSERT_EQ(R.read(Channel{P.reader()}, Got, 1.0), FrameStatus::Ok);
+  EXPECT_EQ(R.read(Channel{P.reader()}, Got, 1.0), FrameStatus::Closed);
 }
 
 TEST(FrameReaderTest, EofMidFrameIsTruncated) {
@@ -210,7 +210,8 @@ TEST(FrameReaderTest, EofMidFrameIsTruncated) {
       ASSERT_EQ(::shutdown(P.writer(), SHUT_WR), 0);
       FrameReader R;
       std::string Got;
-      EXPECT_EQ(R.read(P.reader(), Got, Deadline), FrameStatus::Truncated)
+      EXPECT_EQ(R.read(Channel{P.reader()}, Got, Deadline),
+                FrameStatus::Truncated)
           << "cut " << Cut << " deadline " << Deadline;
     }
 }
@@ -224,7 +225,8 @@ TEST(FrameReaderTest, ZeroOrOverCapLengthIsTooLarge) {
     sendAll(P.writer(), Hdr);
     FrameReader R;
     std::string Got;
-    EXPECT_EQ(R.read(P.reader(), Got, 1.0), FrameStatus::TooLarge) << Len;
+    EXPECT_EQ(R.read(Channel{P.reader()}, Got, 1.0), FrameStatus::TooLarge)
+        << Len;
     EXPECT_LE(Got.capacity(), kMaxFrameBytes); // nothing sized off Len
   }
 }
@@ -267,7 +269,7 @@ TEST(FrameReaderTest, IdlePeerCostsTheReaderNoCpuPastTheSpin) {
       FrameReader R;
       std::string Got;
       for (int I = 0; I <= Fast; ++I) {
-        if (R.read(P.writer(), Got) != FrameStatus::Ok)
+        if (R.read(Channel{P.writer()}, Got) != FrameStatus::Ok)
           return;
         if (I == Fast)
           std::this_thread::sleep_for(200ms);
@@ -280,10 +282,11 @@ TEST(FrameReaderTest, IdlePeerCostsTheReaderNoCpuPastTheSpin) {
     bool Ok = true;
     for (int I = 0; I < Fast && Ok; ++I)
       Ok = writeFrame(P.reader(), Req) == FrameStatus::Ok &&
-           R.read(P.reader(), Got) == FrameStatus::Ok;
+           R.read(Channel{P.reader()}, Got) == FrameStatus::Ok;
     Ok = Ok && writeFrame(P.reader(), Req) == FrameStatus::Ok;
     auto Cpu0 = threadCpu();
-    Ok = Ok && R.read(P.reader(), Got) == FrameStatus::Ok && Got == Rep;
+    Ok = Ok && R.read(Channel{P.reader()}, Got) == FrameStatus::Ok &&
+         Got == Rep;
     Out.Cpu = threadCpu() - Cpu0;
     Out.How = R.lastWait();
     Out.Ok = Ok;
@@ -309,11 +312,11 @@ TEST(FrameReaderTest, SkipNextSpinMakesTheNextWaitSleep) {
   FrameReader R;
   std::string Got;
   sendAll(P.writer(), frameBytes(A));
-  ASSERT_EQ(R.read(P.reader(), Got), FrameStatus::Ok);
+  ASSERT_EQ(R.read(Channel{P.reader()}, Got), FrameStatus::Ok);
   EXPECT_EQ(R.lastWait(), FrameWait::Spun);
   sendAll(P.writer(), frameBytes(A));
   R.skipNextSpin();
-  ASSERT_EQ(R.read(P.reader(), Got), FrameStatus::Ok);
+  ASSERT_EQ(R.read(Channel{P.reader()}, Got), FrameStatus::Ok);
   EXPECT_EQ(R.lastWait(), FrameWait::Slept);
   EXPECT_EQ(Got, A);
 }
@@ -341,7 +344,7 @@ TEST(FrameReaderTest, CloseDuringTheSpinIsClosed) {
       FrameReader R;
       std::string Got;
       Reading.store(true);
-      EXPECT_EQ(R.read(P.reader(), Got), FrameStatus::Closed)
+      EXPECT_EQ(R.read(Channel{P.reader()}, Got), FrameStatus::Closed)
           << (LocalShutdown ? "shutdown" : "close") << " trial " << Trial;
       Closer.join();
     }
@@ -364,14 +367,14 @@ TEST(FrameReaderTest, PipelinedFramesArrivingDuringTheSpinComeBackInOrder) {
     });
     FrameReader R;
     std::string Got;
-    ASSERT_EQ(R.read(P.reader(), Got, 1.0), FrameStatus::Ok);
+    ASSERT_EQ(R.read(Channel{P.reader()}, Got, 1.0), FrameStatus::Ok);
     EXPECT_EQ(Got, A);
     Reading.store(true);
-    ASSERT_EQ(R.read(P.reader(), Got, 1.0), FrameStatus::Ok);
+    ASSERT_EQ(R.read(Channel{P.reader()}, Got, 1.0), FrameStatus::Ok);
     Writer.join();
     EXPECT_EQ(Got, B);
     EXPECT_EQ(R.buffered(), 4 + C.size());
-    ASSERT_EQ(R.read(P.reader(), Got, 1.0), FrameStatus::Ok);
+    ASSERT_EQ(R.read(Channel{P.reader()}, Got, 1.0), FrameStatus::Ok);
     EXPECT_EQ(Got, C);
     EXPECT_EQ(R.lastWait(), FrameWait::Held);
     EXPECT_EQ(R.buffered(), 0u);

@@ -4,8 +4,9 @@
 // directly over a socketpair: a frame larger than the ring streams
 // through intact, two ends that always sleep lose no wake-up, a peer
 // that closes or dies while the reader spins ends the wait, a scribbled
-// position is a broken ring rather than an over-read or a hang, and the
-// region cannot be resized under a mapping.
+// position is a broken ring rather than an over-read or a hang, so is a
+// socket flooded with doorbells, and the region cannot be resized under
+// a mapping.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,9 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -227,6 +231,72 @@ TEST(RingTest, PeerDyingMidFrameEndsTheWaitBeforeTheDeadline) {
   EXPECT_EQ(Reader.read(Q.server(), Payload, 0.1), FrameStatus::TimedOut);
   EXPECT_GE(std::chrono::steady_clock::now() - Start,
             std::chrono::milliseconds(100));
+}
+
+namespace {
+
+/// Sends junk on \p Fd as fast as the socket takes it, until \p Stop
+/// is set, a send fails (the reader closed), or 5 s pass.
+void floodSocket(int Fd, const std::atomic<bool> &Stop) {
+  const std::string Junk(4096, '\x5a');
+  auto Until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!Stop.load() && std::chrono::steady_clock::now() < Until) {
+    ssize_t N =
+        ::send(Fd, Junk.data(), Junk.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (N < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)
+      return;
+    if (N < 0)
+      std::this_thread::yield();
+  }
+}
+
+} // namespace
+
+TEST(RingTest, DoorbellsWithNothingToReadEndTheWait) {
+  // A peer can keep the socket non-empty without publishing anything.
+  // Flooding it sends more doorbell bytes than the reader's flag stores
+  // let through: the wait ends at once as a broken ring, both mid-frame
+  // and at a frame start, where it would otherwise drain the flood until
+  // the peer stopped, here after 5 s. A peer that rings exactly once per
+  // flag store, as an honest writer would but with nothing to read,
+  // still cannot hold a frame past its deadline.
+  for (bool MidFrame : {true, false}) {
+    SCOPED_TRACE(MidFrame ? "flood mid-frame" : "flood at a frame start");
+    RingPair P;
+    const uint8_t Half[2] = {0x10, 0x00};
+    if (MidFrame) {
+      ASSERT_EQ(writeRaw(P.client(), Half, sizeof Half), FrameStatus::Ok);
+    }
+    std::atomic<bool> Stop{false};
+    std::thread Flooder(floodSocket, P.Fds[1], std::cref(Stop));
+    FrameReader Reader;
+    std::string Payload;
+    auto Start = std::chrono::steady_clock::now();
+    EXPECT_EQ(Reader.read(P.server(), Payload, 2.0), FrameStatus::BadRing);
+    EXPECT_LT(std::chrono::steady_clock::now() - Start,
+              std::chrono::seconds(2));
+    Stop.store(true);
+    Flooder.join();
+  }
+
+  RingPair P;
+  const uint8_t Half[2] = {0x10, 0x00};
+  ASSERT_EQ(writeRaw(P.client(), Half, sizeof Half), FrameStatus::Ok);
+  std::atomic<bool> Stop{false};
+  std::thread Ringer([&] {
+    auto Until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!Stop.load() && std::chrono::steady_clock::now() < Until)
+      if (P.Client->wakePeer(RingControl::kWaitData))
+        (void)::send(P.Fds[1], "", 1, MSG_NOSIGNAL);
+  });
+  FrameReader Reader;
+  std::string Payload;
+  auto Start = std::chrono::steady_clock::now();
+  EXPECT_EQ(Reader.read(P.server(), Payload, 0.2), FrameStatus::TimedOut);
+  EXPECT_LT(std::chrono::steady_clock::now() - Start,
+            std::chrono::seconds(2));
+  Stop.store(true);
+  Ringer.join();
 }
 
 TEST(RingTest, ScribbledPositionsAreABrokenRing) {

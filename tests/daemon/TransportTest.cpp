@@ -329,7 +329,7 @@ TEST(TransportTest, ConnectionStormShedsOverSessionCap) {
     ASSERT_GE(Fd, 0) << Err;
     std::string Payload;
     Message M;
-    if (FrameReader().read(Fd, Payload) == FrameStatus::Ok &&
+    if (FrameReader().read(Channel{Fd}, Payload) == FrameStatus::Ok &&
         decodeMessage(Payload, M) && M.Type == MsgType::Shed) {
       EXPECT_NE(M.Text.find("session limit"), std::string::npos) << M.Text;
       ++Refused;
