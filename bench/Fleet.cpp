@@ -88,8 +88,9 @@ struct LoadResult {
 /// answer against the golden in-process decisions.
 void loadThread(const std::vector<std::string> &Endpoints,
                 const std::string &Tenant,
-                const std::vector<uint32_t> &Golden, unsigned Offset,
-                unsigned Stride, const std::atomic<bool> &Stop,
+                const std::vector<daemon::PredictedChoice> &Golden,
+                unsigned Offset, unsigned Stride,
+                const std::atomic<bool> &Stop,
                 std::atomic<uint64_t> &OkPulse, LoadResult &R) {
   daemon::FailoverOptions FO;
   FO.Client.ConnectTimeout = 1.0;
@@ -133,7 +134,7 @@ void loadThread(const std::vector<std::string> &Endpoints,
     R.Decisions += Choices.size();
     for (size_t K = 0; K < Batch.size() && K < Choices.size(); ++K) {
       ++R.ParityChecked;
-      if (Choices[K].Landmark != Golden[Batch[K]])
+      if (Choices[K].Landmark != Golden[Batch[K]].Landmark)
         ++R.ParityMismatches;
     }
   }
@@ -186,10 +187,9 @@ int runFleet(const DriverOptions &Opts, const char *Argv0) {
   }
   std::vector<size_t> AllInputs(E.Program->numInputs());
   std::iota(AllInputs.begin(), AllInputs.end(), 0);
-  std::vector<uint32_t> Golden;
-  for (const runtime::AdaptiveService::Decision &D :
-       Parity.Service->decideBatch(AllInputs))
-    Golden.push_back(D.Landmark);
+  std::vector<daemon::PredictedChoice> Golden(AllInputs.size());
+  Parity.Service->decideAnswers(AllInputs.data(), AllInputs.size(),
+                                Golden.data());
 
   // --- The supervised fleet: N real pbt-serve processes on the store. -
   bool Tcp = Opts.FleetTransport == "tcp";

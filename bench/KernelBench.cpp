@@ -377,11 +377,11 @@ static void BM_ServeDecideCompiled(benchmark::State &State) {
 }
 BENCHMARK(BM_ServeDecideCompiled);
 
-/// The Decision-vector API on a warm batch: one 64-input decideBatch of
-/// memo-warm inputs (the test rows, cycled). Time is per batch; it
-/// includes the batch's accounting, the Decision vector and a Hold per
-/// decision. perfbench's traced runtime.decide_us times this call
-/// (written there as decideBatch(Inputs, nullptr)).
+/// One 64-input decideBatch of memo-warm inputs (the test rows, cycled):
+/// decideAnswers into a freshly allocated Decision vector. Time is per
+/// batch and includes the batch's accounting and that allocation.
+/// perfbench's traced runtime.decide_us times this call (written there
+/// as decideBatch(Inputs, nullptr)).
 static void BM_DecideBatchWarm(benchmark::State &State) {
   ServeFixture &F = serveFixture();
   std::vector<size_t> Batch(64);

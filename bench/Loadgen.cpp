@@ -19,7 +19,7 @@
 ///     and the shed rate at the overload boundary.
 ///
 /// Every landmark the daemon answered during the sustained phase is
-/// then replayed in-process through AdaptiveService::decideBatch on the
+/// then replayed in-process through AdaptiveService::decideAnswers on the
 /// same model file; any divergence is a nonzero exit. That is the
 /// serving-stack parity wall extended across the process boundary: the
 /// daemon may interleave sessions and tenants however load dictates,
@@ -416,7 +416,7 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
   }
 
   // Parity wall: every sustained-phase answer must match an in-process
-  // decideBatch replay of the same model file. Skipped under --adapt
+  // decideAnswers replay of the same model file. Skipped under --adapt
   // (the daemon may legitimately hot-swap to a retrained epoch).
   bool ParityChecked = !Opts.Adapt;
   bool ParityOk = true;
@@ -433,8 +433,9 @@ int runLoadgen(const DriverOptions &Opts, const char *Argv0) {
       for (const auto &[In, L] : Answers)
         Inputs.push_back(static_cast<size_t>(In));
       std::sort(Inputs.begin(), Inputs.end());
-      std::vector<runtime::AdaptiveService::Decision> Local =
-          Tenants[TIdx].Replica.Service->decideBatch(Inputs);
+      std::vector<daemon::PredictedChoice> Local(Inputs.size());
+      Tenants[TIdx].Replica.Service->decideAnswers(Inputs.data(),
+                                                   Inputs.size(), Local.data());
       for (size_t K = 0; K < Inputs.size(); ++K) {
         ++ParityInputs;
         uint32_t DaemonL = Answers[static_cast<uint64_t>(Inputs[K])];

@@ -118,12 +118,18 @@ int benchharness::runPredict(const DriverOptions &Opts) {
   unsigned Repeat = std::max(1u, Opts.Repeat);
   for (unsigned Pass = 0; Pass != Repeat; ++Pass) {
     for (size_t Row : Rows) {
-      runtime::AdaptiveService::Decision D = Service.decide(Row);
+      // The row's extraction cost is what it added to the service's total.
+      double PaidBefore = Service.stats().FeatureCostPaid;
+      runtime::AdaptiveService::Decision D;
+      Service.decideAnswers(&Row, 1, &D);
       if (Pass != 0)
         continue; // later passes only exercise the memo
-      Table.addRow({Program.describeInput(Row), std::to_string(D.Landmark),
-                    support::formatDouble(D.FeatureCost, 1),
-                    Program.describeConfiguration(*D.Config)});
+      Table.addRow(
+          {Program.describeInput(Row), std::to_string(D.Landmark),
+           support::formatDouble(
+               Service.stats().FeatureCostPaid - PaidBefore, 1),
+           Program.describeConfiguration(
+               Model.System.L1.Landmarks[D.Landmark])});
       Csv.addRow({std::to_string(Row), std::to_string(D.Landmark)});
     }
   }
@@ -161,34 +167,38 @@ struct StreamTrace {
   /// Every distinct epoch encountered, kept alive for oracle evaluation.
   std::map<uint64_t, runtime::AdaptiveService::EpochPtr> EpochsSeen;
   double ServeSeconds = 0.0;
-  size_t Served = 0;
 };
 
-/// Replays the stream through \p Service. \p Adapt selects serve() (the
-/// full observe-and-adapt loop) vs decide() (the frozen control). Only
-/// the decide/serve call itself is timed; running the input under the
-/// decision -- the cost measurement -- happens off the clock.
+/// Replays the whole stream through \p Service, one input per call.
+/// \p Adapt selects serveAnswers() (the full observe-and-adapt loop) vs
+/// decideAnswers() (the frozen control). Only that call is timed;
+/// running the input under the decision -- the cost measurement --
+/// happens off the clock.
 StreamTrace replayStream(const streams::WorkloadStream &Stream,
                          const runtime::TunableProgram &Universe,
-                         runtime::AdaptiveService &Service, bool Adapt,
-                         double SecondsBudget, size_t MaxRequests) {
+                         runtime::AdaptiveService &Service, bool Adapt) {
   StreamTrace T;
-  support::WallTimer Budget;
-  for (size_t Tick = 0; Tick != Stream.length() && Tick != MaxRequests;
-       ++Tick) {
+  uint64_t Swaps = Service.stats().Swaps;
+  for (size_t Tick = 0; Tick != Stream.length(); ++Tick) {
     size_t Input = Stream.inputAt(Tick);
+    runtime::AdaptiveService::Decision D;
     support::WallTimer Timer;
-    runtime::AdaptiveService::Decision D =
-        Adapt ? Service.serve(Input) : Service.decide(Input);
+    runtime::AdaptiveService::EpochPtr Ep =
+        Adapt ? Service.serveAnswers(&Input, 1, &D)
+              : Service.decideAnswers(&Input, 1, &D);
     T.ServeSeconds += Timer.elapsedSeconds();
     T.Epochs.push_back(D.Epoch);
-    T.Costs.push_back(Universe.runOnce(Input, *D.Config).TimeUnits);
-    if (D.Swapped)
-      T.SwapTicks.push_back(Tick);
-    T.EpochsSeen.emplace(D.Epoch, D.Hold);
-    ++T.Served;
-    if (Budget.elapsedSeconds() > SecondsBudget)
-      break; // wall-clock cap; --requests is the deterministic bound
+    T.Costs.push_back(
+        Universe.runOnce(Input, Ep->Model.System.L1.Landmarks[D.Landmark])
+            .TimeUnits);
+    // Only a drift response swaps (nothing else pushes models here).
+    if (D.DriftFlagged) {
+      uint64_t Now = Service.stats().Swaps;
+      if (Now != Swaps)
+        T.SwapTicks.push_back(Tick);
+      Swaps = Now;
+    }
+    T.EpochsSeen.emplace(D.Epoch, std::move(Ep));
   }
   return T;
 }
@@ -292,14 +302,10 @@ int benchharness::runStream(const DriverOptions &Opts) {
   }
   runtime::AdaptiveService &Frozen = *FrozenBound.Service;
 
-  double Seconds = std::max(0.01, Opts.Seconds);
-  StreamTrace Ada = replayStream(*Stream, *Universe, Adaptive, true, Seconds,
-                                 Stream->length());
-  // The control replays exactly the prefix the adaptive run served.
-  StreamTrace Frz = replayStream(*Stream, *Universe, Frozen, false, Seconds,
-                                 Ada.Served);
+  StreamTrace Ada = replayStream(*Stream, *Universe, Adaptive, true);
+  StreamTrace Frz = replayStream(*Stream, *Universe, Frozen, false);
 
-  size_t Served = std::min(Ada.Served, Frz.Served);
+  size_t Served = Ada.Costs.size();
   runtime::AdaptiveService::StatsSnapshot AStats = Adaptive.stats();
   std::vector<runtime::AdaptiveService::SwapRecord> History =
       Adaptive.history();
@@ -350,10 +356,6 @@ int benchharness::runStream(const DriverOptions &Opts) {
     Segments.push_back(Seg);
   }
 
-  auto MeanCost = [Served](const StreamTrace &T) {
-    return support::mean({T.Costs.begin(), T.Costs.begin() + Served});
-  };
-
   support::JsonWriter W(support::JsonWriter::Layout::Indented);
   W.beginObject()
       .string("subcommand", "stream")
@@ -370,11 +372,11 @@ int benchharness::runStream(const DriverOptions &Opts) {
       .number("reservoir", Adaptive.options().ReservoirSize)
       .number("decisions_per_sec",
               Ada.ServeSeconds > 0.0
-                  ? static_cast<double>(Ada.Served) / Ada.ServeSeconds
+                  ? static_cast<double>(Served) / Ada.ServeSeconds
                   : 0.0)
       .number("frozen_decisions_per_sec",
               Frz.ServeSeconds > 0.0
-                  ? static_cast<double>(Frz.Served) / Frz.ServeSeconds
+                  ? static_cast<double>(Served) / Frz.ServeSeconds
                   : 0.0)
       .number("drift_detections", AStats.DriftDetections)
       .number("retrains", AStats.Retrains)
@@ -383,8 +385,8 @@ int benchharness::runStream(const DriverOptions &Opts) {
       .number("skipped_retrains", AStats.SkippedRetrains)
       .string("last_skip_reason", AStats.LastSkipReason)
       .number("final_epoch", Adaptive.epoch())
-      .number("adaptive_mean_cost", MeanCost(Ada))
-      .number("frozen_mean_cost", MeanCost(Frz))
+      .number("adaptive_mean_cost", support::mean(Ada.Costs))
+      .number("frozen_mean_cost", support::mean(Frz.Costs))
       .number("mean_drift_to_swap_seconds", support::mean(SwapLatencies))
       .number("max_drift_to_swap_seconds",
               SwapLatencies.empty() ? 0.0 : support::maxOf(SwapLatencies))
@@ -492,26 +494,22 @@ int benchharness::runStreamMix(const DriverOptions &Opts) {
     double ServeSeconds = 0.0;
   };
   std::vector<TenantTrace> Traces(Registry.size());
-  double SecondsBudget = std::max(0.01, Opts.Seconds);
-  support::WallTimer Budget;
   size_t Served = 0;
   for (size_t T = 0; T != Mixed->length(); ++T) {
     const streams::MixedStream::Tick &K = Mixed->at(T);
     daemon::Tenant *Ten = Registry.at(K.Tenant);
     TenantTrace &Trace = Traces[K.Tenant];
     support::WallTimer Timer;
-    unsigned Landmark;
+    runtime::AdaptiveService::Decision D;
     {
       std::lock_guard<std::mutex> Lock(Ten->ServeMutex);
-      Landmark = Ten->Service->decide(K.Input).Landmark;
+      Ten->Service->decideAnswers(&K.Input, 1, &D);
     }
     Trace.ServeSeconds += Timer.elapsedSeconds();
-    Trace.Landmarks.push_back(Landmark);
+    Trace.Landmarks.push_back(D.Landmark);
     Ten->Requests.fetch_add(1, std::memory_order_relaxed);
     Ten->Decisions.fetch_add(1, std::memory_order_relaxed);
     ++Served;
-    if (Budget.elapsedSeconds() > SecondsBudget)
-      break; // wall-clock cap; --requests is the deterministic bound
   }
 
   // The parity wall: an independent AdaptiveService replay of each
@@ -527,9 +525,8 @@ int benchharness::runStreamMix(const DriverOptions &Opts) {
       return 1;
     }
     std::vector<size_t> Inputs = Mixed->tenantInputs(static_cast<unsigned>(I));
-    Inputs.resize(Traces[I].Landmarks.size()); // the served prefix
-    std::vector<runtime::AdaptiveService::Decision> Ref =
-        Replay.Service->decideBatch(Inputs);
+    std::vector<runtime::AdaptiveService::Decision> Ref(Inputs.size());
+    Replay.Service->decideAnswers(Inputs.data(), Inputs.size(), Ref.data());
     for (size_t R = 0; R != Ref.size(); ++R)
       if (Ref[R].Landmark != Traces[I].Landmarks[R]) {
         ++Mismatches;

@@ -81,8 +81,7 @@ static void printUsage() {
       "  --rows=WHICH         predict: test|train|all recorded rows\n"
       "  --repeat=N           predict: passes over the rows (memo check)\n"
       "  --csv=FILE           predict: write per-input decisions as CSV\n"
-      "  --seconds=S          stream: wall-clock cap per serving loop;\n"
-      "                       loadgen: sustained-phase length\n"
+      "  --seconds=S          loadgen: sustained-phase length\n"
       "  --json               report subcommands: also write\n"
       "                       BENCH_<sub>.json into --out-dir\n"
       "  --schedule=KIND      stream: abrupt|ramp|periodic mixture\n"

@@ -53,8 +53,7 @@ struct DriverOptions {
   unsigned Repeat = 1;
   /// `predict` only: optional CSV of per-input decisions (--csv).
   std::string Csv;
-  /// `stream`: wall-clock cap per serving loop; `loadgen`: length of
-  /// the sustained phase (--seconds).
+  /// `loadgen`: length of the sustained phase (--seconds).
   double Seconds = 1.0;
   /// Report subcommands: also write BENCH_<sub>.json into OutDir
   /// (--json), the machine-readable perf-trajectory record CI uploads as
@@ -186,8 +185,8 @@ int runPredict(const DriverOptions &Opts);
 /// against an AdaptiveService AND a frozen no-adaptation control of the
 /// same model, and reports decisions/sec, drift detections, swap history
 /// and mean-cost/regret-vs-oracle per inter-swap segment as JSON (stdout;
-/// also OutDir/BENCH_stream.json with --json). --seconds caps the wall
-/// clock of each serving loop; --requests bounds it deterministically.
+/// also OutDir/BENCH_stream.json with --json). Both serving loops serve
+/// the whole --requests stream; no wall clock cuts them short.
 int runStream(const DriverOptions &Opts);
 /// `stream --mix`: the multi-tenant traffic harness. Loads every --model
 /// entry as a tenant of a daemon ModelRegistry (the same tenant table
@@ -217,7 +216,7 @@ int runInteract(const DriverOptions &Opts);
 /// measuring sustained decisions/sec with p50/p99/p999 request latency,
 /// then an oversubscribed saturation phase recording shed behavior at
 /// the admission-control boundary. Every daemon decision is compared
-/// with an in-process AdaptiveService::decideBatch replay of the same
+/// with an in-process AdaptiveService::decideAnswers replay of the same
 /// model and inputs; any divergence is a nonzero exit. JSON to stdout;
 /// also OutDir/BENCH_serve_daemon.json with --json. \p Argv0 locates the
 /// default pbt-serve binary for --spawn.

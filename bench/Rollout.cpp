@@ -108,10 +108,11 @@ int runRollout(const DriverOptions &Opts) {
     uint64_t Epoch = T.StoreEpoch.load();
     if (Epoch != Ctl->currentEpoch() || T.Service->epoch() != Epoch)
       ++GoldenMismatches;
+    std::vector<runtime::AdaptiveService::Decision> Answers(Probe.size());
+    T.Service->decideAnswers(Probe.data(), Probe.size(), Answers.data());
     std::vector<unsigned> Choices;
-    for (const runtime::AdaptiveService::Decision &D :
-         T.Service->decideBatch(Probe))
-      Choices.push_back(D.Landmark);
+    for (const runtime::AdaptiveService::Decision &A : Answers)
+      Choices.push_back(A.Landmark);
     if (Golden.emplace(Epoch, Choices).first->second != Choices)
       ++GoldenMismatches;
   };

@@ -59,19 +59,16 @@
 /// input ids to decideAnswers as they are (uint64_t is size_t on the
 /// LP64 targets pbt-serve builds for). decideAnswers writes each answer
 /// into the session's one kept PredictedChoice buffer -- on a memo hit
-/// one compare and one store, with no Decision and no reference count --
-/// and adds the batch to its service's counters with one add per
-/// counter. The --adapt path fills the same buffer through serveAnswers,
-/// which holds one epoch per batch too (re-read only after its own drift
-/// response swaps) and answers exactly as a loop of per-input serve()
-/// calls would; encodePredictions turns the buffer into one kept reply
+/// one compare and one store, with no reference count -- and adds the
+/// batch to its service's counters with one add per counter. The
+/// --adapt path fills the same buffer through serveAnswers, which holds
+/// one epoch per batch too (re-read only after its own drift response
+/// swaps) and answers exactly as a loop of per-input serve() calls
+/// would; encodePredictions turns the buffer into one kept reply
 /// buffer. The session holds the batch's epoch only until the reply is
 /// encoded, so an idle session never keeps a retired model alive. The
 /// server's request and decision totals are the sums of its tenants'
-/// counters, which a Predict adds to anyway. On untraced `serve-warm`
-/// (perfbench `--trace 0`, 30 alternating pairs, 4-core x86 VM) this
-/// took the median `latency_p50_us` from 11.5 to 9.6 us (27/30 pairs)
-/// and `work_s` from 0.099 to 0.080 s (29/30 pairs).
+/// counters, which a Predict adds to anyway.
 ///
 /// The Stats reply is one line of JSON written by support::JsonWriter's
 /// compact layout. Its keys, their order and the `"key": ` separator are

@@ -63,8 +63,8 @@ AdaptiveService::makeEpoch(serialize::TrainedModel Model) {
   auto Ep = std::make_shared<ModelEpoch>();
   Ep->Model = std::move(Model);
   // Serving never reads the columnar training substrate, and a published
-  // epoch lives as long as serving (and any outstanding Decision) holds
-  // it: drop the dead weight before publishing.
+  // epoch lives as long as serving (and any caller keeping a batch's
+  // EpochPtr) holds it: drop the dead weight before publishing.
   Ep->Model.System.Data.reset();
   Ep->Compiled = CompiledModel::compile(Ep->Model);
   return Ep->Compiled.ready() ? Ep : nullptr;
@@ -147,10 +147,8 @@ void AdaptiveService::recordTotals(size_t N, size_t FirstPaid) {
       !CostPaid.compare_exchange_weak(Old, New, std::memory_order_relaxed));
 }
 
-unsigned AdaptiveService::decideMiss(const ModelEpoch &Ep, size_t Input,
-                                     size_t At) {
+unsigned AdaptiveService::decideMiss(const ModelEpoch &Ep, size_t Input) {
   PaidDecision P;
-  P.At = At;
   unsigned Landmark =
       Ep.Compiled.decideProduction(scratchFor(Ep), [&](unsigned Flat) {
         return featureAt(Input, Flat, &P);
@@ -163,20 +161,6 @@ unsigned AdaptiveService::decideMiss(const ModelEpoch &Ep, size_t Input,
   if (P.Extracted)
     Paid.push_back(P);
   return Landmark;
-}
-
-void AdaptiveService::completeDecisions(Decision *Ds, size_t N,
-                                        const EpochPtr &Ep) const {
-  for (size_t I = 0; I != N; ++I) {
-    Ds[I].Config = &Ep->Model.System.L1.Landmarks[Ds[I].Landmark];
-    Ds[I].Memoized = true;
-    Ds[I].Hold = Ep;
-  }
-  for (const PaidDecision &P : Paid) {
-    Ds[P.At].Memoized = false;
-    Ds[P.At].FeatureCost = P.Cost;
-    Ds[P.At].FeaturesExtracted = P.Extracted;
-  }
 }
 
 double AdaptiveService::featureAt(size_t Input, unsigned Flat,
@@ -259,25 +243,21 @@ bool AdaptiveService::observe(const ModelEpoch &Ep, size_t Input,
 
 AdaptiveService::Decision AdaptiveService::decide(size_t Input) {
   Decision D;
-  EpochPtr Ep = decideAnswers(&Input, 1, &D);
-  completeDecisions(&D, 1, Ep);
+  decideAnswers(&Input, 1, &D);
   return D;
 }
 
 AdaptiveService::Decision AdaptiveService::serve(size_t Input) {
   Decision D;
-  EpochPtr Ep = serveAnswers(&Input, 1, &D);
-  completeDecisions(&D, 1, Ep);
+  serveAnswers(&Input, 1, &D);
   return D;
 }
 
 std::vector<AdaptiveService::Decision>
 AdaptiveService::decideBatch(const std::vector<size_t> &Inputs,
                              std::nullptr_t) {
-  assert(Ok && "decideBatch() on a non-ready AdaptiveService");
   std::vector<Decision> Out(Inputs.size());
-  EpochPtr Ep = decideAnswers(Inputs.data(), Inputs.size(), Out.data());
-  completeDecisions(Out.data(), Out.size(), Ep);
+  decideAnswers(Inputs.data(), Inputs.size(), Out.data());
   return Out;
 }
 

@@ -16,8 +16,9 @@
 /// candidate is scored against the champion on that same traffic. Only a
 /// candidate with strictly lower shadow cost is hot-swapped in; the swap
 /// is an atomic epoch-pointer exchange, so serving never pauses and
-/// decisions already handed out stay valid (each Decision holds its
-/// epoch alive, and decideAnswers() returns its batch's epoch).
+/// answers already handed out stay valid: each batch returns the epoch
+/// that decided it, and holding that pointer keeps the answers'
+/// configurations alive.
 ///
 /// One route retrains: adaptNow() builds a candidate with
 /// buildCandidate() and gates it with shadowScore(), the one scorer the
@@ -121,22 +122,17 @@ public:
   };
   using EpochPtr = std::shared_ptr<const ModelEpoch>;
 
+  /// One answer of decide()/serve()/decideBatch(): exactly what the two
+  /// serving loops write. Its configuration is
+  /// Ep->Model.System.L1.Landmarks[Landmark] under the EpochPtr the loop
+  /// returned; extraction cost, memo hits and swaps are stats() deltas.
   struct Decision {
     unsigned Landmark = 0;
     /// Meta.Epoch of the model that decided (the versioned generation).
     uint64_t Epoch = 0;
-    /// Points into Hold's model; valid while Hold (or the service at this
-    /// epoch) lives.
-    const Configuration *Config = nullptr;
-    double FeatureCost = 0.0;
-    unsigned FeaturesExtracted = 0;
-    bool Memoized = false;
     /// The monitor flagged drift at this observation (set only by the
     /// observing loop, serve()/serveAnswers(), into a Decision).
     bool DriftFlagged = false;
-    /// This observation's drift response ended in a hot swap.
-    bool Swapped = false;
-    EpochPtr Hold;
   };
 
   /// One adaptation attempt (accepted or rejected), in order.
@@ -200,8 +196,7 @@ public:
 
   /// Serve one request and feed the adaptation loop: serveAnswers() over
   /// the one input, which also reports whether the observation flagged
-  /// drift (DriftFlagged) and whether its response swapped (Swapped).
-  /// Single serving thread.
+  /// drift (DriftFlagged). Single serving thread.
   Decision serve(size_t Input);
 
   /// The observing counterpart of decideAnswers(), which the --adapt
@@ -213,14 +208,14 @@ public:
   /// after the batch's own drift response swaps; the epoch returned is
   /// the one that decided the last input (each answer's Epoch names its
   /// own). Warm, an input costs memo lookups and the monitor's ring
-  /// update: no Decision and no reference count. The batch reaches
-  /// stats() as one add per counter, and the decisions made so far are
-  /// added just before any adaptNow(), so stats(), history() and every
+  /// update, with no reference count. The batch reaches stats() as one
+  /// add per counter, and the decisions made so far are added just
+  /// before any adaptNow(), so stats(), history() and every
   /// SwapRecord::AtDecision keep the values a serve() loop gives them.
   template <typename Answer>
   EpochPtr serveAnswers(const size_t *Inputs, size_t N, Answer *Out);
 
-  /// Decide without observing: no monitor, no reservoir, no adaptation.
+  /// Decide without observing: decideAnswers() over the one input.
   Decision decide(size_t Input);
 
   /// The lean batched decide (no observation) the daemon answers a
@@ -229,20 +224,20 @@ public:
   /// \p Answer is any type with those two members (daemon::PredictedChoice,
   /// Decision). The epoch pointer is read once, and the batch's epoch is
   /// returned: holding it keeps the answers' configurations alive. A
-  /// decision-memo hit is one compare and one store -- no Decision, no
-  /// reference count, no allocation; a miss takes the compiled walk out
-  /// of line. The batch reaches stats() as one add per counter when it
-  /// returns, not one per decision.
+  /// decision-memo hit is one compare and one store -- no reference
+  /// count, no allocation; a miss takes the compiled walk out of line.
+  /// The batch reaches stats() as one add per counter when it returns,
+  /// not one per decision.
   template <typename Answer>
   EpochPtr decideAnswers(const size_t *Inputs, size_t N, Answer *Out);
 
-  /// Batched decide into Decisions (no observation): decideAnswers()
-  /// over \p Inputs, each Decision then stamped with its Hold, Config and
-  /// extraction. Accounted like decideAnswers().
+  /// decideAnswers() over \p Inputs into a vector of Decisions.
   ///
-  /// The unnamed parameter admits only nullptr. Kept only because
-  /// perfbench's serving harness calls `decideBatch(Inputs, nullptr)`;
-  /// the benchmark's next change (ROADMAP item 6a) drops both.
+  /// decide(), serve() and this one are kept only because perfbench
+  /// calls them (this one as `decideBatch(Inputs, nullptr)`, which is
+  /// what the unnamed parameter admits); the benchmark's next change
+  /// (ROADMAP item 6a) moves perfbench onto the two loops, and then all
+  /// three go.
   std::vector<Decision> decideBatch(const std::vector<size_t> &Inputs,
                                     std::nullptr_t = nullptr);
 
@@ -311,10 +306,8 @@ private:
     bool Complete = false;
   };
 
-  /// A decision of the current batch that extracted features: its
-  /// position in the batch and what it paid.
+  /// What a decision of the current batch that extracted features paid.
   struct PaidDecision {
-    size_t At = 0;
     double Cost = 0.0;
     unsigned Extracted = 0;
   };
@@ -327,18 +320,13 @@ private:
   /// training-only substrate and compiles. Null when it does not compile.
   static std::shared_ptr<ModelEpoch> makeEpoch(serialize::TrainedModel Model);
   /// \p Input's decision under \p Ep (whose Id is \p Id): the decision
-  /// memo, or on a miss decideMiss() as the batch's \p At-th.
-  unsigned decideOne(const ModelEpoch &Ep, int64_t Id, size_t Input,
-                     size_t At);
+  /// memo, or on a miss decideMiss().
+  unsigned decideOne(const ModelEpoch &Ep, int64_t Id, size_t Input);
   /// The decision-memo miss of decideOne(): the compiled walk over
   /// \p Input's memoized features, extracting what the memo lacks. Caches
-  /// the decision for \p Ep and records the extraction newly paid by the
-  /// batch's \p At-th decision in Paid.
-  unsigned decideMiss(const ModelEpoch &Ep, size_t Input, size_t At);
-  /// The Decision fields decideAnswers() does not write, for the batch
-  /// of \p N just decided under \p Ep: Hold and Config for each, and
-  /// Memoized, FeatureCost and FeaturesExtracted from Paid.
-  void completeDecisions(Decision *Ds, size_t N, const EpochPtr &Ep) const;
+  /// the decision for \p Ep and appends the extraction it newly paid to
+  /// Paid.
+  unsigned decideMiss(const ModelEpoch &Ep, size_t Input);
   /// Memo-backed feature access: extracts flat feature \p Flat of
   /// \p Input unless already memoized. Newly paid extraction is charged
   /// to \p P when given, else to the MonitorCost bucket.
@@ -352,11 +340,8 @@ private:
   bool observe(const ModelEpoch &Ep, size_t Input, unsigned Landmark);
   /// Records a drift flag on a Decision; other answer types have no room
   /// for it.
-  static void markDrift(Decision &D, bool Swapped) {
-    D.DriftFlagged = true;
-    D.Swapped = Swapped;
-  }
-  template <typename Answer> static void markDrift(Answer &, bool) {}
+  static void markDrift(Decision &D) { D.DriftFlagged = true; }
+  template <typename Answer> static void markDrift(Answer &) {}
   /// MainScratch sized for \p Ep (epochs differ in class counts).
   CompiledModel::Scratch &scratchFor(const ModelEpoch &Ep);
   /// Serving-thread monitor upkeep: when \p Ep is not the epoch the
@@ -388,7 +373,7 @@ private:
   void appendHistory(const SwapRecord &Attempt);
   /// Adds \p N decisions, of which Paid[FirstPaid..] extracted features,
   /// to the lifetime totals: one relaxed add per counter, none for a sum
-  /// that is zero. decide() passes one decision.
+  /// that is zero.
   void recordTotals(size_t N, size_t FirstPaid = 0);
   /// Bumps SkipCount and records \p Reason as the last skip diagnosis.
   void recordSkip(std::string Reason);
@@ -434,12 +419,12 @@ private:
 };
 
 inline unsigned AdaptiveService::decideOne(const ModelEpoch &Ep, int64_t Id,
-                                           size_t Input, size_t At) {
+                                           size_t Input) {
   // Ids start at 1 and a memo entry's DecidedEpochId at -1, so a matching
   // id also means the entry holds a decision.
   const MemoEntry &E = Memo[Input];
   return E.DecidedEpochId == Id ? static_cast<unsigned>(E.Decided)
-                                : decideMiss(Ep, Input, At);
+                                : decideMiss(Ep, Input);
 }
 
 template <typename Answer>
@@ -454,7 +439,7 @@ AdaptiveService::decideAnswers(const size_t *Inputs, size_t N, Answer *Out) {
   Paid.clear();
   for (size_t I = 0; I != N; ++I) {
     assert(Inputs[I] < Memo.size() && "input out of range");
-    Out[I].Landmark = decideOne(*Ep, Id, Inputs[I], I);
+    Out[I].Landmark = decideOne(*Ep, Id, Inputs[I]);
     Out[I].Epoch = Generation;
   }
   recordTotals(N);
@@ -480,8 +465,7 @@ AdaptiveService::serveAnswers(const size_t *Inputs, size_t N, Answer *Out) {
       Stale = false;
     }
     assert(Inputs[I] < Memo.size() && "input out of range");
-    unsigned Landmark =
-        decideOne(*Ep, static_cast<int64_t>(Ep->Id), Inputs[I], I);
+    unsigned Landmark = decideOne(*Ep, static_cast<int64_t>(Ep->Id), Inputs[I]);
     Out[I].Landmark = Landmark;
     Out[I].Epoch = Ep->Model.Meta.Epoch;
     if (!observe(*Ep, Inputs[I], Landmark))
@@ -494,7 +478,7 @@ AdaptiveService::serveAnswers(const size_t *Inputs, size_t N, Answer *Out) {
       PaidCounted = Paid.size();
       Stale = adaptNow();
     }
-    markDrift(Out[I], Stale);
+    markDrift(Out[I]);
   }
   recordTotals(N - Counted, PaidCounted);
   return Ep;

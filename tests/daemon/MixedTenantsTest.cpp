@@ -59,9 +59,10 @@ std::vector<unsigned> oracleLandmarks(const std::string &Name,
   registry::ProgramPtr P = F.makeProgram(kTestScale, F.defaultProgramSeed());
   runtime::AdaptiveService Service(*P, std::move(Model));
   EXPECT_TRUE(Service.ready()) << Service.status().Error;
+  std::vector<runtime::AdaptiveService::Decision> Answers(Inputs.size());
+  Service.decideAnswers(Inputs.data(), Inputs.size(), Answers.data());
   std::vector<unsigned> Out;
-  for (const runtime::AdaptiveService::Decision &D :
-       Service.decideBatch(Inputs))
+  for (const runtime::AdaptiveService::Decision &D : Answers)
     Out.push_back(D.Landmark);
   return Out;
 }

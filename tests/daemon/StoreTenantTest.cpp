@@ -161,10 +161,12 @@ TEST_F(StoreTenantTest, PollAdoptsAControllerEpochThroughSwapModel) {
   for (size_t I = 0; I != Probe.size(); ++I)
     Probe[I] = I;
   auto choices = [&Probe](Tenant &Of) {
+    std::vector<runtime::AdaptiveService::Decision> Answers(Probe.size());
+    runtime::AdaptiveService::EpochPtr Ep =
+        Of.Service->decideAnswers(Probe.data(), Probe.size(), Answers.data());
     std::vector<runtime::Configuration> Out;
-    for (const runtime::AdaptiveService::Decision &D :
-         Of.Service->decideBatch(Probe))
-      Out.push_back(*D.Config);
+    for (const runtime::AdaptiveService::Decision &D : Answers)
+      Out.push_back(Ep->Model.System.L1.Landmarks[D.Landmark]);
     return Out;
   };
   std::vector<runtime::Configuration> Before = choices(*T);

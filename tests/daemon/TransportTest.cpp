@@ -77,9 +77,10 @@ std::vector<unsigned> inProcessLandmarks(const std::vector<size_t> &Inputs) {
   registry::ProgramPtr P = F.makeProgram(kTestScale, F.defaultProgramSeed());
   runtime::AdaptiveService Service(*P, std::move(Model));
   EXPECT_TRUE(Service.ready()) << Service.status().Error;
+  std::vector<runtime::AdaptiveService::Decision> Answers(Inputs.size());
+  Service.decideAnswers(Inputs.data(), Inputs.size(), Answers.data());
   std::vector<unsigned> Out;
-  for (const runtime::AdaptiveService::Decision &D :
-       Service.decideBatch(Inputs))
+  for (const runtime::AdaptiveService::Decision &D : Answers)
     Out.push_back(D.Landmark);
   return Out;
 }

@@ -144,7 +144,10 @@ TEST_P(GoldenFileTest, AdaptiveServiceReproducesCommittedChoices) {
       readChoices(goldenPath(Name + ".choices.csv"));
   ASSERT_EQ(Expected.size(), Model.System.TestRows.size());
   for (const auto &[Input, Landmark] : Expected) {
-    runtime::AdaptiveService::Decision D = Service.decide(Input);
+    runtime::AdaptiveService::StatsSnapshot Before = Service.stats();
+    runtime::AdaptiveService::Decision D;
+    Service.decideAnswers(&Input, 1, &D);
+    runtime::AdaptiveService::StatsSnapshot After = Service.stats();
     EXPECT_EQ(D.Landmark, Landmark)
         << Name << " input " << Input
         << ": online decision drifted from the committed choice";
@@ -152,8 +155,11 @@ TEST_P(GoldenFileTest, AdaptiveServiceReproducesCommittedChoices) {
     EXPECT_EQ(Model.System.L2.Production->classify(Probe), Landmark)
         << Name << " input " << Input
         << ": core classifier drifted from the committed choice";
-    EXPECT_DOUBLE_EQ(D.FeatureCost, Probe.totalCost());
-    EXPECT_EQ(D.FeaturesExtracted, Probe.numExtracted());
+    // Each row's decision is cold: it pays what the fresh probe pays.
+    EXPECT_DOUBLE_EQ(After.FeatureCostPaid,
+                     Before.FeatureCostPaid + Probe.totalCost());
+    EXPECT_EQ(After.FeaturesExtracted - Before.FeaturesExtracted,
+              Probe.numExtracted());
   }
 }
 

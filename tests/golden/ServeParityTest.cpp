@@ -7,7 +7,8 @@
 // the batch is memo hits -- must all make exactly the per-input choices
 // recorded in <name>.choices.csv. This is the pin behind the compiled
 // subsystem's "bit-identical lowering" claim and behind the batch API's
-// "a batch decides like the same calls made one at a time" claim. The
+// "a batch decides and counts like the same calls made one at a time"
+// claim. The
 // same batch, split across 1, 2 or 8 threads that take turns serving
 // one service (as the daemon's session threads do under a tenant's
 // ServeMutex), must decide exactly as one batch on one thread.
@@ -81,6 +82,18 @@ void loadGolden(const std::string &Name, Loaded &L) {
   ASSERT_TRUE(L.Service->ready()) << L.Service->status().Error;
 }
 
+/// Expects \p Got's decision counters to equal \p Want's, the cost to
+/// the bit: a batch folds its costs in decision order, as one add per
+/// decision would.
+void expectSameDecisionTotals(const runtime::AdaptiveService &Got,
+                              const runtime::AdaptiveService &Want) {
+  runtime::AdaptiveService::StatsSnapshot G = Got.stats(), W = Want.stats();
+  EXPECT_EQ(G.Decisions, W.Decisions);
+  EXPECT_EQ(G.MemoizedDecisions, W.MemoizedDecisions);
+  EXPECT_EQ(G.FeaturesExtracted, W.FeaturesExtracted);
+  EXPECT_EQ(G.FeatureCostPaid, W.FeatureCostPaid);
+}
+
 class ServeParityTest : public ::testing::TestWithParam<const char *> {};
 
 TEST_P(ServeParityTest, CompiledAndInterpretedMatchGoldenChoices) {
@@ -96,7 +109,10 @@ TEST_P(ServeParityTest, CompiledAndInterpretedMatchGoldenChoices) {
   const serialize::TrainedModel &Model = L.Service->currentEpoch()->Model;
   runtime::FeatureIndex Index(Model.Meta.Features);
   for (const auto &[Input, Landmark] : Expected) {
-    runtime::AdaptiveService::Decision Compiled = L.Service->decide(Input);
+    runtime::AdaptiveService::StatsSnapshot Before = L.Service->stats();
+    runtime::AdaptiveService::Decision Compiled;
+    L.Service->decideAnswers(&Input, 1, &Compiled);
+    runtime::AdaptiveService::StatsSnapshot After = L.Service->stats();
     core::FeatureProbe Probe =
         core::probeFromProgram(*L.Program, Input, Index);
     unsigned Interpreted = Model.System.L2.Production->classify(Probe);
@@ -105,8 +121,10 @@ TEST_P(ServeParityTest, CompiledAndInterpretedMatchGoldenChoices) {
     EXPECT_EQ(Interpreted, Landmark)
         << Name << " input " << Input << ": interpreted decision drifted";
     // Both paths pay the same extraction on their first (cold) call.
-    EXPECT_DOUBLE_EQ(Compiled.FeatureCost, Probe.totalCost());
-    EXPECT_EQ(Compiled.FeaturesExtracted, Probe.numExtracted());
+    EXPECT_DOUBLE_EQ(After.FeatureCostPaid,
+                     Before.FeatureCostPaid + Probe.totalCost());
+    EXPECT_EQ(After.FeaturesExtracted - Before.FeaturesExtracted,
+              Probe.numExtracted());
   }
 }
 
@@ -123,30 +141,25 @@ TEST_P(ServeParityTest, BatchMatchesSingleDecisions) {
   Loaded Single;
   loadGolden(Name, Single);
   std::vector<size_t> Inputs;
-  std::vector<runtime::AdaptiveService::Decision> PerCall;
+  std::vector<runtime::AdaptiveService::Decision> PerCall(Twice.size());
   for (const auto &[Input, Landmark] : Twice) {
     Inputs.push_back(Input);
-    PerCall.push_back(Single.Service->decide(Input));
-    ASSERT_EQ(PerCall.back().Landmark, Landmark);
+    Single.Service->decideAnswers(&Inputs.back(), 1,
+                                  &PerCall[Inputs.size() - 1]);
+    ASSERT_EQ(PerCall[Inputs.size() - 1].Landmark, Landmark);
   }
 
   Loaded Batched;
   loadGolden(Name, Batched);
-  std::vector<runtime::AdaptiveService::Decision> Batch =
-      Batched.Service->decideBatch(Inputs);
-  ASSERT_EQ(Batch.size(), PerCall.size());
+  std::vector<runtime::AdaptiveService::Decision> Batch(Inputs.size());
+  Batched.Service->decideAnswers(Inputs.data(), Inputs.size(), Batch.data());
   for (size_t I = 0; I != Batch.size(); ++I) {
     EXPECT_EQ(Batch[I].Landmark, PerCall[I].Landmark) << "input " << Inputs[I];
-    EXPECT_DOUBLE_EQ(Batch[I].FeatureCost, PerCall[I].FeatureCost);
-    EXPECT_EQ(Batch[I].FeaturesExtracted, PerCall[I].FeaturesExtracted);
-    EXPECT_EQ(Batch[I].Memoized, PerCall[I].Memoized);
+    EXPECT_EQ(Batch[I].Epoch, PerCall[I].Epoch) << "input " << Inputs[I];
   }
   // Deterministic lifetime accounting: one batch == the same calls made
-  // one at a time.
-  EXPECT_EQ(Batched.Service->stats().Decisions,
-            Single.Service->stats().Decisions);
-  EXPECT_DOUBLE_EQ(Batched.Service->stats().FeatureCostPaid,
-                   Single.Service->stats().FeatureCostPaid);
+  // one at a time, the cost to the bit.
+  expectSameDecisionTotals(*Batched.Service, *Single.Service);
 }
 
 TEST_P(ServeParityTest, ThreadCountInvariance) {
@@ -164,9 +177,8 @@ TEST_P(ServeParityTest, ThreadCountInvariance) {
   // The reference: one batch on the calling thread.
   Loaded Reference;
   loadGolden(Name, Reference);
-  std::vector<runtime::AdaptiveService::Decision> Want =
-      Reference.Service->decideBatch(Inputs);
-  ASSERT_EQ(Want.size(), Inputs.size());
+  std::vector<runtime::AdaptiveService::Decision> Want(Inputs.size());
+  Reference.Service->decideAnswers(Inputs.data(), Inputs.size(), Want.data());
 
   for (unsigned Threads : {1u, 2u, 8u}) {
     // Contiguous slices, each served as one batch on its own thread;
@@ -175,31 +187,21 @@ TEST_P(ServeParityTest, ThreadCountInvariance) {
     // requires.
     Loaded L;
     loadGolden(Name, L);
-    std::vector<runtime::AdaptiveService::Decision> Got;
+    std::vector<runtime::AdaptiveService::Decision> Got(Inputs.size());
     size_t Slice = (Inputs.size() + Threads - 1) / Threads;
     for (size_t Begin = 0; Begin < Inputs.size(); Begin += Slice) {
-      size_t End = std::min(Inputs.size(), Begin + Slice);
-      std::vector<size_t> Part(Inputs.begin() + static_cast<long>(Begin),
-                               Inputs.begin() + static_cast<long>(End));
-      std::vector<runtime::AdaptiveService::Decision> PartOut;
-      std::thread Server([&] { PartOut = L.Service->decideBatch(Part); });
+      size_t N = std::min(Inputs.size() - Begin, Slice);
+      std::thread Server([&] {
+        L.Service->decideAnswers(&Inputs[Begin], N, &Got[Begin]);
+      });
       Server.join();
-      Got.insert(Got.end(), PartOut.begin(), PartOut.end());
     }
 
-    ASSERT_EQ(Got.size(), Want.size()) << Threads << " threads";
-    for (size_t I = 0; I != Want.size(); ++I) {
+    for (size_t I = 0; I != Want.size(); ++I)
       EXPECT_EQ(Got[I].Landmark, Want[I].Landmark)
           << "thread-count-dependent choice at batch position " << I
           << " with " << Threads << " threads";
-      EXPECT_DOUBLE_EQ(Got[I].FeatureCost, Want[I].FeatureCost);
-      EXPECT_EQ(Got[I].FeaturesExtracted, Want[I].FeaturesExtracted);
-      EXPECT_EQ(Got[I].Memoized, Want[I].Memoized);
-    }
-    EXPECT_EQ(L.Service->stats().Decisions,
-              Reference.Service->stats().Decisions);
-    EXPECT_DOUBLE_EQ(L.Service->stats().FeatureCostPaid,
-                     Reference.Service->stats().FeatureCostPaid);
+    expectSameDecisionTotals(*L.Service, *Reference.Service);
   }
   // Every choice, in both halves, still matches the committed goldens.
   for (size_t I = 0; I != Expected.size(); ++I) {
@@ -216,27 +218,32 @@ TEST_P(ServeParityTest, RepeatDecisionsAreCachedAndIdentical) {
       readChoices(goldenPath(Name + ".choices.csv"));
   bool ExtractsFeatures = false;
   for (const auto &[Input, Landmark] : Expected) {
-    runtime::AdaptiveService::Decision First = L.Service->decide(Input);
-    runtime::AdaptiveService::Decision Second = L.Service->decide(Input);
-    ExtractsFeatures |= First.FeaturesExtracted > 0;
+    runtime::AdaptiveService::Decision First, Second;
+    uint64_t Extracted = L.Service->stats().FeaturesExtracted;
+    L.Service->decideAnswers(&Input, 1, &First);
+    runtime::AdaptiveService::StatsSnapshot Cold = L.Service->stats();
+    L.Service->decideAnswers(&Input, 1, &Second);
+    runtime::AdaptiveService::StatsSnapshot Warm = L.Service->stats();
+    ExtractsFeatures |= Cold.FeaturesExtracted > Extracted;
     EXPECT_EQ(First.Landmark, Landmark);
     EXPECT_EQ(Second.Landmark, Landmark);
-    EXPECT_TRUE(Second.Memoized);
-    EXPECT_EQ(Second.FeatureCost, 0.0);
-    EXPECT_EQ(Second.FeaturesExtracted, 0u);
+    // The repeat is a memo hit that pays nothing.
+    EXPECT_EQ(Warm.MemoizedDecisions, Cold.MemoizedDecisions + 1);
+    EXPECT_EQ(Warm.FeatureCostPaid, Cold.FeatureCostPaid);
+    EXPECT_EQ(Warm.FeaturesExtracted, Cold.FeaturesExtracted);
   }
   // A fresh service pays extraction again and still answers
   // identically. A model whose production classifier reads no features
   // (e.g. svd's static-best) never pays extraction, so its fresh
-  // decisions legitimately report Memoized under the
+  // decisions legitimately count as memoized under the
   // FeaturesExtracted==0 rule.
   Loaded Fresh;
   loadGolden(Name, Fresh);
-  runtime::AdaptiveService::Decision D =
-      Fresh.Service->decide(Expected.front().first);
+  runtime::AdaptiveService::Decision D;
+  Fresh.Service->decideAnswers(&Expected.front().first, 1, &D);
   EXPECT_EQ(D.Landmark, Expected.front().second);
   if (ExtractsFeatures) {
-    EXPECT_FALSE(D.Memoized);
+    EXPECT_EQ(Fresh.Service->stats().MemoizedDecisions, 0u);
   }
 }
 

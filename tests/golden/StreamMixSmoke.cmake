@@ -19,7 +19,7 @@ file(MAKE_DIRECTORY ${WORK_DIR})
 execute_process(
   COMMAND ${PBT_BENCH} stream --mix
           --model=${GOLDEN_DIR}/sort1.pbt,${GOLDEN_DIR}/clustering1.pbt,${GOLDEN_DIR}/binpacking.pbt
-          --requests=300 --window=32 --reservoir=32 --seconds=120
+          --requests=300 --window=32 --reservoir=32
           --json --out-dir=${WORK_DIR}
   RESULT_VARIABLE MIX_RESULT
   OUTPUT_VARIABLE MIX_OUTPUT

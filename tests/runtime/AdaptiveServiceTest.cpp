@@ -6,9 +6,9 @@
 // through bytes or disk, feature memoization and its accounting,
 // epoch-keyed decision caching across hot swaps, and the concurrency
 // stress the subsystem's thread contract promises -- one serving thread
-// deciding many small batches, through decideBatch and through the
-// daemon's decideAnswers in turn, while a hot-swapper thread races it
-// (the TSan target).
+// deciding many small batches through the daemon's decideAnswers, each
+// batch's epoch held through the next, while a hot-swapper thread races
+// it (the TSan target).
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cstdio>
 #include <memory>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -118,25 +119,41 @@ registry::ProgramPtr makeProgram(const std::string &Name = "sort1") {
   return F.makeProgram(kScale, F.defaultProgramSeed());
 }
 
-/// Serves every test row of \p T through \p Service and checks the
-/// choices (and, when \p CheckCost, the extraction paid) against what the
-/// in-process system decided before serialization.
+/// All of \p Service's answers for \p Inputs, from one decideAnswers().
+std::vector<runtime::AdaptiveService::Decision>
+decideAll(runtime::AdaptiveService &Service,
+          const std::vector<size_t> &Inputs) {
+  std::vector<runtime::AdaptiveService::Decision> Out(Inputs.size());
+  Service.decideAnswers(Inputs.data(), Inputs.size(), Out.data());
+  return Out;
+}
+
+/// Inputs 0 .. \p N - 1.
+std::vector<size_t> firstInputs(size_t N) {
+  std::vector<size_t> Inputs(N);
+  std::iota(Inputs.begin(), Inputs.end(), 0);
+  return Inputs;
+}
+
+/// Serves every test row of \p T through a fresh \p Service in one batch
+/// and checks the choices (and, when \p CheckCost, the extraction paid)
+/// against what the in-process system decided before serialization.
 void expectInProcessChoices(runtime::AdaptiveService &Service,
                             const Trained &T, bool CheckCost) {
-  const serialize::TrainedModel &Model = Service.currentEpoch()->Model;
-  const std::vector<size_t> &Rows = Model.System.TestRows;
+  const std::vector<size_t> &Rows =
+      Service.currentEpoch()->Model.System.TestRows;
   ASSERT_EQ(Rows.size(), T.ProductionChoices.size());
+  std::vector<runtime::AdaptiveService::Decision> Ds =
+      decideAll(Service, Rows);
+  double Cost = 0.0;
   for (size_t I = 0; I != Rows.size(); ++I) {
-    runtime::AdaptiveService::Decision D = Service.decide(Rows[I]);
-    EXPECT_EQ(D.Landmark, T.ProductionChoices[I]) << "row " << Rows[I];
-    ASSERT_NE(D.Config, nullptr);
-    EXPECT_EQ(D.Config->values(),
-              Model.System.L1.Landmarks[D.Landmark].values());
-    // Live extraction pays exactly what the precomputed tables recorded.
-    if (CheckCost) {
-      EXPECT_DOUBLE_EQ(D.FeatureCost, T.ProductionCosts[I])
-          << "row " << Rows[I];
-    }
+    EXPECT_EQ(Ds[I].Landmark, T.ProductionChoices[I]) << "row " << Rows[I];
+    Cost += T.ProductionCosts[I];
+  }
+  // Live extraction pays what the precomputed tables recorded: every
+  // row is cold, so the batch pays each row's cost once, in row order.
+  if (CheckCost) {
+    EXPECT_DOUBLE_EQ(Service.stats().FeatureCostPaid, Cost);
   }
 }
 
@@ -193,23 +210,29 @@ TEST(AdaptiveServiceTest, DecisionsMatchTheCoreClassifier) {
   const core::InputClassifier &Production = *Model.System.L2.Production;
   runtime::FeatureIndex Index(Model.Meta.Features);
 
+  // One cold batch over every input: each decision extracts what the
+  // classifier examines, so the batch pays the probes' sums.
+  std::vector<runtime::AdaptiveService::Decision> Ds =
+      decideAll(Adaptive, firstInputs(P->numInputs()));
+  double Cost = 0.0;
+  uint64_t Extracted = 0;
   for (size_t I = 0; I != P->numInputs(); ++I) {
-    runtime::AdaptiveService::Decision A = Adaptive.decide(I);
     core::FeatureProbe Probe = core::probeFromProgram(*P, I, Index);
-    unsigned R = Production.classify(Probe);
-    EXPECT_EQ(A.Landmark, R) << "input " << I;
-    EXPECT_DOUBLE_EQ(A.FeatureCost, Probe.totalCost());
-    EXPECT_EQ(A.FeaturesExtracted, Probe.numExtracted());
-    ASSERT_NE(A.Config, nullptr);
-    EXPECT_EQ(A.Config->values(), Model.System.L1.Landmarks[R].values());
+    EXPECT_EQ(Ds[I].Landmark, Production.classify(Probe)) << "input " << I;
+    Cost += Probe.totalCost();
+    Extracted += Probe.numExtracted();
   }
+  EXPECT_DOUBLE_EQ(Adaptive.stats().FeatureCostPaid, Cost);
+  EXPECT_EQ(Adaptive.stats().FeaturesExtracted, Extracted);
   // The recorded training tables drive the loaded classifier to the same
   // choice as live extraction.
-  for (size_t Row : Model.System.TestRows) {
+  const std::vector<size_t> &Rows = Model.System.TestRows;
+  Ds = decideAll(Adaptive, Rows);
+  for (size_t I = 0; I != Rows.size(); ++I) {
     core::FeatureProbe Table = core::probeFromTable(
-        Model.System.L1.Features, Model.System.L1.ExtractCosts, Row);
-    EXPECT_EQ(Adaptive.decide(Row).Landmark, Production.classify(Table))
-        << "row " << Row;
+        Model.System.L1.Features, Model.System.L1.ExtractCosts, Rows[I]);
+    EXPECT_EQ(Ds[I].Landmark, Production.classify(Table))
+        << "row " << Rows[I];
   }
 }
 
@@ -255,48 +278,52 @@ TEST(AdaptiveServiceTest, MemoizesFeatureExtractionPerInput) {
   ASSERT_TRUE(Service.ready()) << Service.status().Error;
 
   size_t Row = Service.currentEpoch()->Model.System.TestRows.front();
-  runtime::AdaptiveService::Decision First = Service.decide(Row);
-  runtime::AdaptiveService::Decision Second = Service.decide(Row);
+  runtime::AdaptiveService::Decision First, Second;
+  Service.decideAnswers(&Row, 1, &First);
+  runtime::AdaptiveService::StatsSnapshot Cold = Service.stats();
+  EXPECT_EQ(Cold.MemoizedDecisions, 0u);
+  EXPECT_GT(Cold.FeaturesExtracted, 0u);
+  EXPECT_GT(Cold.FeatureCostPaid, 0.0);
+  Service.decideAnswers(&Row, 1, &Second);
   EXPECT_EQ(First.Landmark, Second.Landmark);
-  EXPECT_TRUE(Second.Memoized);
-  EXPECT_EQ(Second.FeatureCost, 0.0);
-  EXPECT_EQ(Second.FeaturesExtracted, 0u);
+  runtime::AdaptiveService::StatsSnapshot Warm = Service.stats();
+  EXPECT_EQ(Warm.MemoizedDecisions, 1u);
+  EXPECT_EQ(Warm.FeaturesExtracted, Cold.FeaturesExtracted);
+  EXPECT_EQ(Warm.FeatureCostPaid, Cold.FeatureCostPaid);
 
   // Every input's features are charged exactly once over the service's
-  // lifetime, however often it is decided.
-  double ColdCost = First.FeatureCost;
-  for (size_t I = 0; I != P->numInputs(); ++I)
-    if (I != Row)
-      ColdCost += Service.decide(I).FeatureCost;
-  for (size_t I = 0; I != P->numInputs(); ++I)
-    EXPECT_TRUE(Service.decide(I).Memoized) << "input " << I;
-
+  // lifetime, however often it is decided: a second pass over every
+  // input is all memo hits and pays nothing.
+  std::vector<size_t> All = firstInputs(P->numInputs());
+  decideAll(Service, All);
+  runtime::AdaptiveService::StatsSnapshot Once = Service.stats();
+  EXPECT_GE(Once.MemoizedDecisions, 2u);
+  decideAll(Service, All);
   runtime::AdaptiveService::StatsSnapshot S = Service.stats();
-  EXPECT_EQ(S.Decisions, 2 * P->numInputs() + 1);
-  EXPECT_GE(S.MemoizedDecisions, P->numInputs() + 1);
-  EXPECT_DOUBLE_EQ(S.FeatureCostPaid, ColdCost);
-  EXPECT_EQ(S.MonitorCostPaid, 0.0); // decide() never observes
+  EXPECT_EQ(S.Decisions, 2 * All.size() + 2);
+  EXPECT_EQ(S.MemoizedDecisions, Once.MemoizedDecisions + All.size());
+  EXPECT_EQ(S.FeaturesExtracted, Once.FeaturesExtracted);
+  EXPECT_EQ(S.FeatureCostPaid, Once.FeatureCostPaid);
+  EXPECT_EQ(S.MonitorCostPaid, 0.0); // decideAnswers() never observes
 }
 
-/// What stats() must report after serving some Decisions: their totals,
-/// summed decision by decision in the order they were served.
-struct DecisionSums {
-  uint64_t Decisions = 0, Memoized = 0, Extracted = 0;
-  double Cost = 0.0;
-  void add(const runtime::AdaptiveService::Decision &D) {
-    ++Decisions;
-    Memoized += D.Memoized;
-    Extracted += D.FeaturesExtracted;
-    Cost += D.FeatureCost;
-  }
-  void expectMatches(const runtime::AdaptiveService::StatsSnapshot &S) const {
-    EXPECT_EQ(S.Decisions, Decisions);
-    EXPECT_EQ(S.MemoizedDecisions, Memoized);
-    EXPECT_EQ(S.FeaturesExtracted, Extracted);
-    // Exact, not near: the service folds each batch's costs in decision
-    // order, as one add per decision would.
-    EXPECT_EQ(S.FeatureCostPaid, Cost);
-  }
+/// Expects \p Got's decision counters to equal \p Want's, the costs to
+/// the bit: a batch folds its costs in decision order, as one add per
+/// decision would.
+void expectSameDecisionTotals(const runtime::AdaptiveService &Got,
+                              const runtime::AdaptiveService &Want) {
+  runtime::AdaptiveService::StatsSnapshot G = Got.stats(), W = Want.stats();
+  EXPECT_EQ(G.Decisions, W.Decisions);
+  EXPECT_EQ(G.MemoizedDecisions, W.MemoizedDecisions);
+  EXPECT_EQ(G.FeaturesExtracted, W.FeaturesExtracted);
+  EXPECT_EQ(G.FeatureCostPaid, W.FeatureCostPaid);
+  EXPECT_EQ(G.MonitorCostPaid, W.MonitorCostPaid);
+}
+
+/// An answer buffer entry of the kind a daemon session keeps.
+struct LeanAnswer {
+  uint32_t Landmark = 0;
+  uint64_t Epoch = 0;
 };
 
 /// Halves of \p N inputs and a batch that repeats one cold input.
@@ -310,62 +337,64 @@ struct BatchPlan {
 };
 
 TEST(AdaptiveServiceTest, BatchAccountingIsExact) {
-  // decideBatch adds a batch to the totals once; serve() once per
-  // decision. Either way stats() must equal the sums over the Decisions
-  // handed out: cold inputs, warm ones, an input repeated inside one
-  // batch, and a swap between batches (memo rows kept, decisions
-  // recomputed under the new epoch). sort1 swaps to a different model
+  // A batch adds to the totals once, yet stats() must equal a twin
+  // service's that was handed the same inputs one call each, the costs to
+  // the bit: cold inputs, warm ones, an input repeated inside one batch,
+  // and a swap between batches (memo rows kept, decisions recomputed
+  // under the new epoch). Both loops are checked: decideAnswers(), and
+  // serveAnswers() without adaptation. sort1 swaps to a different model
   // and extracts one feature per cold decision; binpacking swaps to a
   // copy of its own model and extracts up to seven.
   auto CheckBatches = [](const std::string &Name, const std::string &Bytes,
-                         const std::string &SwapBytes, DecisionSums &Want) {
-    SCOPED_TRACE(Name);
+                         const std::string &SwapBytes, bool Observe) {
+    SCOPED_TRACE(Name + (Observe ? " serveAnswers" : " decideAnswers"));
     registry::ProgramPtr P = makeProgram(Name);
     ASSERT_GE(P->numInputs(), 8u);
     BatchPlan Plan(P->numInputs());
-    runtime::AdaptiveService Service(*P, cloneModel(Bytes));
-    ASSERT_TRUE(Service.ready());
+    runtime::AdaptiveServiceOptions O;
+    O.AutoAdapt = false;
+    runtime::AdaptiveService Batched(*P, cloneModel(Bytes), O);
+    runtime::AdaptiveService PerInput(*P, cloneModel(Bytes), O);
+    ASSERT_TRUE(Batched.ready() && PerInput.ready());
+    std::vector<LeanAnswer> Answers;
+    auto Run = [Observe](runtime::AdaptiveService &S, const size_t *Inputs,
+                         size_t N, LeanAnswer *Out) {
+      Observe ? S.serveAnswers(Inputs, N, Out)
+              : S.decideAnswers(Inputs, N, Out);
+    };
     auto Batch = [&](const std::vector<size_t> &Inputs) {
-      for (const runtime::AdaptiveService::Decision &D :
-           Service.decideBatch(Inputs))
-        Want.add(D);
+      Answers.assign(Inputs.size(), LeanAnswer());
+      Run(Batched, Inputs.data(), Inputs.size(), Answers.data());
+      for (size_t I = 0; I != Inputs.size(); ++I) {
+        LeanAnswer One;
+        Run(PerInput, &Inputs[I], 1, &One);
+        EXPECT_EQ(Answers[I].Landmark, One.Landmark) << "input " << I;
+        EXPECT_EQ(Answers[I].Epoch, One.Epoch) << "input " << I;
+      }
+      expectSameDecisionTotals(Batched, PerInput);
     };
     Batch(Plan.FirstHalf); // cold
     Batch(Plan.FirstHalf); // warm
     Batch(Plan.Repeats);   // one cold input three times, one warm
-    ASSERT_TRUE(Service.swapModel(cloneModel(SwapBytes)).Ok);
+    ASSERT_TRUE(Batched.swapModel(cloneModel(SwapBytes)).Ok);
+    ASSERT_TRUE(PerInput.swapModel(cloneModel(SwapBytes)).Ok);
     Batch(Plan.FirstHalf);  // memoized features, the new epoch decides
     Batch(Plan.SecondHalf); // the rest, cold under the new epoch
-    EXPECT_GT(Want.Extracted, 0u);
-    EXPECT_GT(Want.Memoized, 0u);
-    EXPECT_LT(Want.Memoized, Want.Decisions);
-    Want.expectMatches(Service.stats());
+    runtime::AdaptiveService::StatsSnapshot S = Batched.stats();
+    EXPECT_GT(S.FeaturesExtracted, 0u);
+    EXPECT_GT(S.MemoizedDecisions, 0u);
+    EXPECT_LT(S.MemoizedDecisions, S.Decisions);
+    EXPECT_EQ(S.MonitorCostPaid > 0.0, Observe);
+    if (Name == "binpacking") {
+      EXPECT_GT(S.FeaturesExtracted, S.Decisions - S.MemoizedDecisions)
+          << "no decision extracted more than one feature";
+    }
   };
-  DecisionSums Sort, Bin;
-  CheckBatches("sort1", modelBytes(), altModelBytes(), Sort);
-  CheckBatches("binpacking", binpackingModel().Bytes, binpackingModel().Bytes,
-               Bin);
-  EXPECT_GT(Bin.Extracted, Bin.Decisions - Bin.Memoized)
-      << "no decision extracted more than one feature";
-
-  registry::ProgramPtr P = makeProgram();
-  BatchPlan Plan(P->numInputs());
-  runtime::AdaptiveServiceOptions O;
-  O.AutoAdapt = false;
-  runtime::AdaptiveService Service(*P, cloneModel(modelBytes()), O);
-  ASSERT_TRUE(Service.ready());
-  DecisionSums Want;
-  auto Serve = [&](const std::vector<size_t> &Inputs) {
-    for (size_t Input : Inputs)
-      Want.add(Service.serve(Input));
-  };
-  Serve(Plan.Repeats);
-  Serve(Plan.FirstHalf);
-  ASSERT_TRUE(Service.swapModel(cloneModel(altModelBytes())).Ok);
-  Serve(Plan.FirstHalf);
-  Serve(Plan.SecondHalf);
-  EXPECT_GT(Want.Extracted, 0u);
-  Want.expectMatches(Service.stats());
+  for (bool Observe : {false, true}) {
+    CheckBatches("sort1", modelBytes(), altModelBytes(), Observe);
+    CheckBatches("binpacking", binpackingModel().Bytes,
+                 binpackingModel().Bytes, Observe);
+  }
 }
 
 TEST(AdaptiveServiceTest, ShadowScoreIsTheMeanRunCostOfDecide) {
@@ -382,8 +411,7 @@ TEST(AdaptiveServiceTest, ShadowScoreIsTheMeanRunCostOfDecide) {
   for (size_t I = 0; I != P->numInputs(); I += 2)
     Sample.push_back(I);
   const size_t Warm = Sample.size() / 2;
-  for (size_t K = 0; K != Warm; ++K)
-    Service.decide(Sample[K]);
+  decideAll(Service, {Sample.begin(), Sample.begin() + Warm});
 
   runtime::AdaptiveService::StatsSnapshot Before = Service.stats();
   double Score = Service.shadowScore(*Service.currentEpoch(), Sample);
@@ -396,26 +424,29 @@ TEST(AdaptiveServiceTest, ShadowScoreIsTheMeanRunCostOfDecide) {
 
   double Total = 0.0;
   for (size_t K = 0; K != Sample.size(); ++K) {
-    runtime::AdaptiveService::Decision D = Service.decide(Sample[K]);
-    EXPECT_EQ(D.Memoized, K < Warm) << "input " << Sample[K];
-    EXPECT_EQ(D.FeaturesExtracted > 0, K >= Warm) << "input " << Sample[K];
-    Total += P->runOnce(Sample[K], *D.Config).TimeUnits;
+    runtime::AdaptiveService::Decision D;
+    runtime::AdaptiveService::EpochPtr Ep =
+        Service.decideAnswers(&Sample[K], 1, &D);
+    runtime::AdaptiveService::StatsSnapshot Now = Service.stats();
+    EXPECT_EQ(Now.MemoizedDecisions - After.MemoizedDecisions,
+              K < Warm ? 1u : 0u)
+        << "input " << Sample[K];
+    EXPECT_EQ(Now.FeaturesExtracted > After.FeaturesExtracted, K >= Warm)
+        << "input " << Sample[K];
+    After = Now;
+    Total +=
+        P->runOnce(Sample[K], Ep->Model.System.L1.Landmarks[D.Landmark])
+            .TimeUnits;
   }
   EXPECT_EQ(Score, Total / static_cast<double>(Sample.size()));
 }
 
-/// An answer buffer entry of the kind a daemon session keeps.
-struct LeanAnswer {
-  uint32_t Landmark = 0;
-  uint64_t Epoch = 0;
-};
-
 TEST(AdaptiveServiceTest, DecideAnswersMatchesDecideBatch) {
-  // The lean loop and the Decision vector, fed the same batches by two
-  // services on the same model, answer alike, and the lean service's
-  // stats() equal the sums over the Decisions to the bit: cold inputs,
-  // warm ones, an input repeated inside one batch, and a swap between
-  // batches.
+  // decideBatch() and decide(), which perfbench still calls, are callers
+  // of the lean loop: fed the same batches as a service that runs
+  // decideAnswers(), a service that runs them answers alike and counts
+  // alike, to the bit -- cold inputs, warm ones, an input repeated
+  // inside one batch, and a swap between batches.
   auto CheckBatches = [](const std::string &Name, const std::string &Bytes,
                          const std::string &SwapBytes) {
     SCOPED_TRACE(Name);
@@ -426,7 +457,6 @@ TEST(AdaptiveServiceTest, DecideAnswersMatchesDecideBatch) {
     runtime::AdaptiveService Lean(*P, cloneModel(Bytes));
     ASSERT_TRUE(Vector.ready() && Lean.ready());
     std::vector<LeanAnswer> Answers;
-    DecisionSums Want;
     auto Batch = [&](const std::vector<size_t> &Inputs) {
       std::vector<runtime::AdaptiveService::Decision> Ds =
           Vector.decideBatch(Inputs);
@@ -438,9 +468,9 @@ TEST(AdaptiveServiceTest, DecideAnswersMatchesDecideBatch) {
         EXPECT_EQ(Answers[I].Landmark, Ds[I].Landmark) << "input " << I;
         EXPECT_EQ(Answers[I].Epoch, Ds[I].Epoch) << "input " << I;
         EXPECT_EQ(Answers[I].Epoch, Ep->Model.Meta.Epoch);
-        Want.add(Ds[I]);
+        EXPECT_FALSE(Ds[I].DriftFlagged);
       }
-      Want.expectMatches(Lean.stats());
+      expectSameDecisionTotals(Vector, Lean);
       EXPECT_EQ(Lean.stats().MonitorCostPaid, 0.0);
     };
     Batch(Plan.FirstHalf); // cold
@@ -451,9 +481,16 @@ TEST(AdaptiveServiceTest, DecideAnswersMatchesDecideBatch) {
     Batch(Plan.FirstHalf);  // memoized features, the new epoch decides
     Batch(Plan.SecondHalf); // the rest, cold under the new epoch
     Batch({});
-    EXPECT_GT(Want.Extracted, 0u);
-    EXPECT_GT(Want.Memoized, 0u);
-    EXPECT_LT(Want.Memoized, Want.Decisions);
+    // decide() is a one-input decideBatch().
+    for (size_t Input : Plan.Repeats) {
+      runtime::AdaptiveService::Decision D = Vector.decide(Input);
+      Answers.assign(1, LeanAnswer());
+      Lean.decideAnswers(&Input, 1, Answers.data());
+      EXPECT_EQ(D.Landmark, Answers[0].Landmark) << "input " << Input;
+      EXPECT_EQ(D.Epoch, Answers[0].Epoch) << "input " << Input;
+    }
+    expectSameDecisionTotals(Vector, Lean);
+    EXPECT_GT(Lean.stats().FeaturesExtracted, 0u);
   };
   CheckBatches("sort1", modelBytes(), altModelBytes());
   CheckBatches("binpacking", binpackingModel().Bytes,
@@ -510,14 +547,20 @@ TEST(AdaptiveServiceTest, ServeAnswersMatchesPerInputServe) {
         In = Seq[Tick++ % Seq.size()];
       runtime::AdaptiveService::EpochPtr Ep =
           A.serveAnswers(Inputs.data(), Inputs.size(), Answers.data());
+      uint64_t SwapsB = B.stats().Swaps;
       for (size_t I = 0; I != Inputs.size(); ++I) {
         runtime::AdaptiveService::Decision D = B.serve(Inputs[I]);
         ASSERT_EQ(Answers[I].Landmark, D.Landmark)
             << "batch " << K << " #" << I;
         ASSERT_EQ(Answers[I].Epoch, D.Epoch) << "batch " << K << " #" << I;
-        Flags += D.DriftFlagged;
-        Swapped += D.Swapped;
-        MidBatchSwaps += D.Swapped && I + 1 != Inputs.size();
+        if (!D.DriftFlagged)
+          continue;
+        // Only a drift response swaps inside a batch.
+        ++Flags;
+        bool DriftSwap = B.stats().Swaps != SwapsB;
+        SwapsB = B.stats().Swaps;
+        Swapped += DriftSwap;
+        MidBatchSwaps += DriftSwap && I + 1 != Inputs.size();
       }
       // The epoch returned is the one that decided the batch's last input.
       EXPECT_EQ(Ep->Model.Meta.Epoch, Answers.back().Epoch);
@@ -572,8 +615,11 @@ TEST(AdaptiveServiceTest, ServeObservesIntoMonitorAndReservoir) {
   runtime::AdaptiveService Service(*P, cloneModel(modelBytes()), O);
   ASSERT_TRUE(Service.ready());
 
+  std::vector<size_t> Inputs;
   for (size_t I = 0; I != 12; ++I)
-    Service.serve(I % P->numInputs());
+    Inputs.push_back(I % P->numInputs());
+  std::vector<LeanAnswer> Answers(Inputs.size());
+  Service.serveAnswers(Inputs.data(), Inputs.size(), Answers.data());
   EXPECT_EQ(Service.monitor().observations(), 12u);
   EXPECT_EQ(Service.reservoir().seen(), 12u);
   EXPECT_EQ(Service.reservoir().size(), 8u);
@@ -603,11 +649,14 @@ TEST(AdaptiveServiceTest, SwapHistoryKeepsTheMostRecentAttempts) {
 
   const size_t Max = runtime::AdaptiveService::MaxSwapHistory;
   const size_t Attempts = Max + 3;
+  std::vector<size_t> Inputs(Sample);
+  std::vector<LeanAnswer> Answers(Sample);
   for (size_t A = 0; A != Attempts; ++A) {
     // A fresh reservoir of distinct inputs for each attempt (every
     // attempt that retrains resets it).
     for (size_t I = 0; I != Sample; ++I)
-      Service.serve((A + I) % P->numInputs());
+      Inputs[I] = (A + I) % P->numInputs();
+    Service.serveAnswers(Inputs.data(), Sample, Answers.data());
     Service.adaptNow();
   }
   runtime::AdaptiveService::StatsSnapshot S = Service.stats();
@@ -631,9 +680,10 @@ TEST(AdaptiveServiceTest, SwapModelBumpsEpochAndInvalidatesDecisionCache) {
   ASSERT_TRUE(Service.ready());
   uint64_t E0 = Service.epoch();
 
-  std::vector<runtime::AdaptiveService::Decision> Before;
-  for (size_t I = 0; I != P->numInputs(); ++I)
-    Before.push_back(Service.decide(I));
+  std::vector<size_t> All = firstInputs(P->numInputs());
+  std::vector<runtime::AdaptiveService::Decision> Before(All.size());
+  runtime::AdaptiveService::EpochPtr Held =
+      Service.decideAnswers(All.data(), All.size(), Before.data());
 
   ASSERT_TRUE(Service.swapModel(cloneModel(altModelBytes())).Ok);
   EXPECT_EQ(Service.epoch(), E0 + 1);
@@ -644,25 +694,30 @@ TEST(AdaptiveServiceTest, SwapModelBumpsEpochAndInvalidatesDecisionCache) {
   // recomputation is free of extraction cost.
   runtime::AdaptiveService Alt(*P, cloneModel(altModelBytes()));
   ASSERT_TRUE(Alt.ready());
+  runtime::AdaptiveService::StatsSnapshot Swapped = Service.stats();
+  std::vector<runtime::AdaptiveService::Decision> After =
+      decideAll(Service, All);
+  std::vector<runtime::AdaptiveService::Decision> Want = decideAll(Alt, All);
+  EXPECT_EQ(Service.stats().FeatureCostPaid, Swapped.FeatureCostPaid)
+      << "re-extracted a memoized feature";
+  EXPECT_EQ(Service.stats().FeaturesExtracted, Swapped.FeaturesExtracted);
   bool AnyChanged = false;
-  for (size_t I = 0; I != P->numInputs(); ++I) {
-    runtime::AdaptiveService::Decision D = Service.decide(I);
-    EXPECT_EQ(D.Landmark, Alt.decide(I).Landmark) << "input " << I;
-    EXPECT_EQ(D.Epoch, E0 + 1);
-    EXPECT_EQ(D.FeatureCost, 0.0) << "re-extracted a memoized feature";
-    AnyChanged |= D.Landmark != Before[I].Landmark;
+  for (size_t I = 0; I != All.size(); ++I) {
+    EXPECT_EQ(After[I].Landmark, Want[I].Landmark) << "input " << I;
+    EXPECT_EQ(After[I].Epoch, E0 + 1);
+    AnyChanged |= After[I].Landmark != Before[I].Landmark;
   }
   EXPECT_TRUE(AnyChanged)
       << "the two models decide identically everywhere; the cache "
          "invalidation is untested";
 
-  // Old decisions' configurations stay valid through their epoch holds.
-  for (size_t I = 0; I != Before.size(); ++I) {
-    ASSERT_NE(Before[I].Config, nullptr);
-    EXPECT_EQ(Before[I].Config->values(),
-              Before[I].Hold->Model.System.L1.Landmarks[Before[I].Landmark]
-                  .values());
-  }
+  // The retired epoch's configurations stay valid while its pointer is
+  // held.
+  serialize::TrainedModel Original = cloneModel(modelBytes());
+  EXPECT_EQ(Held->Model.Meta.Epoch, E0);
+  for (size_t I = 0; I != Before.size(); ++I)
+    EXPECT_EQ(Held->Model.System.L1.Landmarks[Before[I].Landmark],
+              Original.System.L1.Landmarks[Before[I].Landmark]);
 }
 
 TEST(AdaptiveServiceTest, SwapModelValidatesThePushedModel) {
@@ -692,13 +747,16 @@ TEST(AdaptiveServiceTest, SwapModelValidatesThePushedModel) {
   runtime::AdaptiveService Refused(*Sort, oneLevelModel());
   EXPECT_FALSE(Refused.ready());
   EXPECT_FALSE(Refused.status().Error.empty());
-  unsigned Before = Service.decide(0).Landmark;
+  const size_t Zero = 0;
+  runtime::AdaptiveService::Decision Before, After;
+  Service.decideAnswers(&Zero, 1, &Before);
   Pushed = Service.swapModel(oneLevelModel());
   EXPECT_FALSE(Pushed.Ok);
   EXPECT_FALSE(Pushed.Error.empty());
   EXPECT_EQ(Service.epoch(), E0);
   EXPECT_EQ(Service.stats().Swaps, 0u);
-  EXPECT_EQ(Service.decide(0).Landmark, Before);
+  Service.decideAnswers(&Zero, 1, &After);
+  EXPECT_EQ(After.Landmark, Before.Landmark);
 
   // A clone of the serving model claiming another program seed fits the
   // program's shape (same features, space and input count) but names
@@ -725,8 +783,9 @@ TEST(AdaptiveServiceTest, ScratchAndMonitorFollowTheModelAcrossSwaps) {
   ASSERT_TRUE(Service.ready());
   size_t SmallLandmarks =
       Service.currentEpoch()->Model.System.L1.Landmarks.size();
-  for (size_t I = 0; I != 8; ++I)
-    Service.serve(I);
+  std::vector<size_t> All = firstInputs(P->numInputs());
+  std::vector<LeanAnswer> Answers(All.size());
+  Service.serveAnswers(All.data(), 8, Answers.data());
 
   ASSERT_TRUE(Service.swapModel(cloneModel(modelBytes())).Ok);
   size_t BigLandmarks =
@@ -736,11 +795,13 @@ TEST(AdaptiveServiceTest, ScratchAndMonitorFollowTheModelAcrossSwaps) {
 
   runtime::AdaptiveService Reference(*P, cloneModel(modelBytes()));
   ASSERT_TRUE(Reference.ready());
-  for (size_t I = 0; I != P->numInputs(); ++I) {
-    runtime::AdaptiveService::Decision D = Service.serve(I);
-    EXPECT_EQ(D.Landmark, Reference.decide(I).Landmark) << "input " << I;
-  }
-  // serve() rebased the monitor to the pushed model on first contact.
+  Service.serveAnswers(All.data(), All.size(), Answers.data());
+  std::vector<runtime::AdaptiveService::Decision> Want =
+      decideAll(Reference, All);
+  for (size_t I = 0; I != All.size(); ++I)
+    EXPECT_EQ(Answers[I].Landmark, Want[I].Landmark) << "input " << I;
+  // serveAnswers() rebased the monitor to the pushed model on first
+  // contact.
   EXPECT_EQ(Service.monitor().numDecisions(), BigLandmarks);
 }
 
@@ -765,15 +826,18 @@ TEST(AdaptiveServiceTest, ClusterMemoFollowsTheEpoch) {
   runtime::AdaptiveService Service(*P, cloneModel(modelBytes()), O);
   runtime::AdaptiveService Reference(*P, Collapsed(), O);
   ASSERT_TRUE(Service.ready() && Reference.ready());
-  for (size_t I = 0; I != P->numInputs(); ++I)
-    Service.serve(I);
-  ASSERT_TRUE(Service.swapModel(Collapsed()).Ok);
   // Two passes: the monitor tests only a window of MinSamples or more.
-  for (size_t I = 0; I != 2 * P->numInputs(); ++I) {
-    size_t In = I % P->numInputs();
-    EXPECT_EQ(Service.serve(In).Landmark, Reference.serve(In).Landmark)
-        << "input " << In;
-  }
+  std::vector<size_t> Passes;
+  for (size_t I = 0; I != 2 * P->numInputs(); ++I)
+    Passes.push_back(I % P->numInputs());
+  std::vector<LeanAnswer> Answers(Passes.size()), RefAnswers(Passes.size());
+  Service.serveAnswers(Passes.data(), P->numInputs(), Answers.data());
+  ASSERT_TRUE(Service.swapModel(Collapsed()).Ok);
+  Service.serveAnswers(Passes.data(), Passes.size(), Answers.data());
+  Reference.serveAnswers(Passes.data(), Passes.size(), RefAnswers.data());
+  for (size_t I = 0; I != Passes.size(); ++I)
+    EXPECT_EQ(Answers[I].Landmark, RefAnswers[I].Landmark)
+        << "input " << Passes[I];
   ASSERT_GE(Service.monitor().windowFill(),
             Service.monitor().options().MinSamples);
   runtime::DriftSignal Got = Service.monitor().check(),
@@ -785,11 +849,13 @@ TEST(AdaptiveServiceTest, ClusterMemoFollowsTheEpoch) {
 }
 
 // The stress half of the test wall: the serving thread decides many
-// small batches, alternating the Decision-vector decideBatch with the
-// daemon's decideAnswers into a kept answer buffer, while another thread
-// hot-swaps models as fast as it can. Every batch must be internally
-// consistent (one epoch per batch, every landmark valid for that epoch's
-// model); TSan verifies the absence of data races in CI.
+// small batches through the daemon's decideAnswers into a kept answer
+// buffer, while another thread hot-swaps models as fast as it can. Every
+// batch must be internally consistent (one epoch per batch, every
+// landmark valid for that epoch's model), and the epoch a batch returns,
+// held through the next batch while swaps retire it, must keep that
+// batch's configurations alive and unchanged; TSan verifies the absence
+// of data races in CI.
 TEST(AdaptiveServiceStressTest, ConcurrentHotSwapUnderBatchLoad) {
   registry::ProgramPtr P = makeProgram();
   runtime::AdaptiveService Service(*P, cloneModel(modelBytes()));
@@ -811,50 +877,48 @@ TEST(AdaptiveServiceStressTest, ConcurrentHotSwapUnderBatchLoad) {
     Batch.push_back(I % P->numInputs());
   std::vector<LeanAnswer> Answers(Batch.size());
 
-  // Odd batches go through decideAnswers, even ones through decideBatch;
-  // each checks that its batch came from one epoch.
+  // The previous batch's epoch, and copies of the configurations its
+  // answers named when they were decided.
+  runtime::AdaptiveService::EpochPtr Held;
+  std::vector<const runtime::Configuration *> HeldConfigs;
+  std::vector<runtime::Configuration> HeldCopies;
   uint64_t MaxEpochSeen = 0;
-  auto ServeBatch = [&](size_t K) {
-    uint64_t Epoch = 0;
-    if (K % 2) {
-      runtime::AdaptiveService::EpochPtr Ep =
-          Service.decideAnswers(Batch.data(), Batch.size(), Answers.data());
-      ASSERT_NE(Ep, nullptr);
-      Epoch = Ep->Model.Meta.Epoch;
-      for (const LeanAnswer &A : Answers) {
-        ASSERT_EQ(A.Epoch, Epoch) << "batch mixed epochs";
-        ASSERT_LT(A.Landmark, Ep->Model.System.L1.Landmarks.size());
-      }
-    } else {
-      std::vector<runtime::AdaptiveService::Decision> Out =
-          Service.decideBatch(Batch);
-      ASSERT_EQ(Out.size(), Batch.size());
-      Epoch = Out.front().Epoch;
-      for (const runtime::AdaptiveService::Decision &D : Out) {
-        ASSERT_EQ(D.Epoch, Epoch) << "batch mixed epochs";
-        ASSERT_NE(D.Hold, nullptr);
-        ASSERT_LT(D.Landmark, D.Hold->Model.System.L1.Landmarks.size());
-        ASSERT_EQ(D.Config, &D.Hold->Model.System.L1.Landmarks[D.Landmark]);
-      }
+  auto ServeBatch = [&] {
+    runtime::AdaptiveService::EpochPtr Ep =
+        Service.decideAnswers(Batch.data(), Batch.size(), Answers.data());
+    ASSERT_NE(Ep, nullptr);
+    const uint64_t Epoch = Ep->Model.Meta.Epoch;
+    for (const LeanAnswer &A : Answers) {
+      ASSERT_EQ(A.Epoch, Epoch) << "batch mixed epochs";
+      ASSERT_LT(A.Landmark, Ep->Model.System.L1.Landmarks.size());
     }
+    for (size_t I = 0; I != HeldConfigs.size(); ++I)
+      ASSERT_EQ(*HeldConfigs[I], HeldCopies[I])
+          << "a held epoch's configuration changed under a swap";
+    HeldConfigs.clear();
+    HeldCopies.clear();
+    for (const LeanAnswer &A : Answers) {
+      HeldConfigs.push_back(&Ep->Model.System.L1.Landmarks[A.Landmark]);
+      HeldCopies.push_back(*HeldConfigs.back());
+    }
+    Held = std::move(Ep);
     MaxEpochSeen = std::max(MaxEpochSeen, Epoch);
   };
 
   // Serve until every swap has landed (bounded in case the swapper
-  // starves), then a few more batches of both kinds against the final
-  // epoch.
+  // starves), then a few more batches against the final epoch.
   size_t Batches = 0;
   for (; Batches < 20000 &&
          SwapsDone.load(std::memory_order_relaxed) < kSwaps;
        ++Batches) {
-    ServeBatch(Batches);
+    ServeBatch();
     if (HasFatalFailure())
       break;
   }
   Swapper.join();
   ASSERT_FALSE(HasFatalFailure());
   for (size_t I = 0; I != 3; ++I, ++Batches)
-    ServeBatch(Batches);
+    ServeBatch();
 
   EXPECT_EQ(SwapsDone.load(), kSwaps);
   EXPECT_EQ(Service.stats().Decisions, Batches * Batch.size());

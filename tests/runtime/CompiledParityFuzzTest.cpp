@@ -2,7 +2,7 @@
 //
 // Randomized compiled-vs-interpreted parity: the golden suite pins the
 // committed models, but the lowering claim is universal -- for ANY
-// loadable model, the serving core's decide() must equal the model's own
+// loadable model, the serving core's decide must equal the model's own
 // InputClassifier::classify(). This fuzzer generates ~200 random
 // TrainedModels spanning every classifier kind the zoo can select
 // (constant, max-apriori, subset tree, incremental Bayes) over both flat
@@ -242,7 +242,10 @@ TEST(CompiledParityFuzzTest, RandomModelsDecideIdenticallyOnBothPaths) {
     runtime::FeatureIndex Index(Model.Meta.Features);
 
     for (size_t Input = 0; Input != C.Program->numInputs(); ++Input) {
-      runtime::AdaptiveService::Decision A = Service.decide(Input);
+      runtime::AdaptiveService::StatsSnapshot Before = Service.stats();
+      runtime::AdaptiveService::Decision A;
+      Service.decideAnswers(&Input, 1, &A);
+      runtime::AdaptiveService::StatsSnapshot After = Service.stats();
       core::FeatureProbe Probe =
           core::probeFromProgram(*C.Program, Input, Index);
       unsigned B = Model.System.L2.Production->classify(Probe);
@@ -251,9 +254,11 @@ TEST(CompiledParityFuzzTest, RandomModelsDecideIdenticallyOnBothPaths) {
           << ": compiled and interpreted decisions diverge";
       // Each input's first decide is cold: identical extraction work
       // and cost to the fresh probe's.
-      EXPECT_DOUBLE_EQ(A.FeatureCost, Probe.totalCost())
+      EXPECT_DOUBLE_EQ(After.FeatureCostPaid,
+                       Before.FeatureCostPaid + Probe.totalCost())
           << "case " << CaseIndex << " (" << Kind << ") input " << Input;
-      EXPECT_EQ(A.FeaturesExtracted, Probe.numExtracted())
+      EXPECT_EQ(After.FeaturesExtracted - Before.FeaturesExtracted,
+                Probe.numExtracted())
           << "case " << CaseIndex << " (" << Kind << ") input " << Input;
     }
   }
@@ -299,9 +304,14 @@ TEST(CompiledParityFuzzTest, SerializedRoundTripPreservesDecisions) {
     runtime::AdaptiveService Reloaded(*C.Program, std::move(Loaded));
     ASSERT_TRUE(Original.ready()) << Original.status().Error;
     ASSERT_TRUE(Reloaded.ready()) << Reloaded.status().Error;
-    for (size_t Input = 0; Input != C.Program->numInputs(); ++Input)
-      ASSERT_EQ(Original.decide(Input).Landmark,
-                Reloaded.decide(Input).Landmark)
+    std::vector<size_t> Inputs(C.Program->numInputs());
+    std::iota(Inputs.begin(), Inputs.end(), 0);
+    std::vector<runtime::AdaptiveService::Decision> Want(Inputs.size()),
+        Got(Inputs.size());
+    Original.decideAnswers(Inputs.data(), Inputs.size(), Want.data());
+    Reloaded.decideAnswers(Inputs.data(), Inputs.size(), Got.data());
+    for (size_t Input = 0; Input != Inputs.size(); ++Input)
+      ASSERT_EQ(Got[Input].Landmark, Want[Input].Landmark)
           << "case " << CaseIndex << " input " << Input;
   }
 }

@@ -85,9 +85,10 @@ TEST(FaultWallTest, RandomizedKillDuringPublishConvergesEveryTime) {
     ASSERT_EQ(Epoch, Ctl->currentEpoch())
         << Who << " follower missed CURRENT, cycle " << Cycle;
     ASSERT_EQ(T.Service->epoch(), Epoch) << Who << ", cycle " << Cycle;
+    std::vector<runtime::AdaptiveService::Decision> Answers(Probe.size());
+    T.Service->decideAnswers(Probe.data(), Probe.size(), Answers.data());
     std::vector<unsigned> Choices;
-    for (const runtime::AdaptiveService::Decision &D :
-         T.Service->decideBatch(Probe))
+    for (const runtime::AdaptiveService::Decision &D : Answers)
       Choices.push_back(D.Landmark);
     // The first sighting records the golden; later ones must match it.
     auto It = Golden.emplace(Epoch, Choices).first;

@@ -86,16 +86,23 @@ struct RunOutcome {
 
 RunOutcome serveStream(const Scenario &S, runtime::AdaptiveService &Service) {
   RunOutcome R;
+  uint64_t Swaps = Service.stats().Swaps;
   for (size_t T = 0; T != S.Stream->length(); ++T) {
     size_t Input = S.Stream->inputAt(T);
-    runtime::AdaptiveService::Decision D = Service.serve(Input);
+    runtime::AdaptiveService::Decision D;
+    runtime::AdaptiveService::EpochPtr Ep = Service.serveAnswers(&Input, 1, &D);
     R.Landmarks.push_back(D.Landmark);
     R.Epochs.push_back(D.Epoch);
-    R.Costs.push_back(S.Universe->runOnce(Input, *D.Config).TimeUnits);
-    if (D.DriftFlagged)
-      R.DetectTicks.push_back(T);
-    if (D.Swapped)
+    R.Costs.push_back(
+        S.Universe->runOnce(Input, Ep->Model.System.L1.Landmarks[D.Landmark])
+            .TimeUnits);
+    if (!D.DriftFlagged)
+      continue;
+    R.DetectTicks.push_back(T);
+    // Nothing else pushes models here: a swap is this flag's response.
+    if (Service.stats().Swaps != Swaps)
       R.SwapTicks.push_back(T);
+    Swaps = Service.stats().Swaps;
   }
   R.Stats = Service.stats();
   R.History = Service.history();

@@ -101,7 +101,10 @@ TEST(RetrainReuseTest, MemoFedRetrainsMatchReferenceTrainingBytes) {
   // recurs all through the run.
   size_t Checked = 0;
   for (size_t T = 0; T != 3 * Stream.length(); ++T) {
-    if (!Service.serve(Stream.inputAt(T % Stream.length())).DriftFlagged)
+    size_t Input = Stream.inputAt(T % Stream.length());
+    runtime::AdaptiveService::Decision D;
+    Service.serveAnswers(&Input, 1, &D);
+    if (!D.DriftFlagged)
       continue;
     std::vector<size_t> Sample = Service.reservoir().sample();
     uint64_t RetrainsBefore = Service.stats().Retrains;
