@@ -81,7 +81,8 @@ static void printUsage() {
       "  --rows=WHICH         predict: test|train|all recorded rows\n"
       "  --repeat=N           predict: passes over the rows (memo check)\n"
       "  --csv=FILE           predict: write per-input decisions as CSV\n"
-      "  --seconds=S          loadgen: sustained-phase length\n"
+      "  --seconds=S          loadgen: sustained-phase length;\n"
+      "                       fleet (without --chaos): final settle time\n"
       "  --json               report subcommands: also write\n"
       "                       BENCH_<sub>.json into --out-dir\n"
       "  --schedule=KIND      stream: abrupt|ramp|periodic mixture\n"

@@ -53,7 +53,8 @@ struct DriverOptions {
   unsigned Repeat = 1;
   /// `predict` only: optional CSV of per-input decisions (--csv).
   std::string Csv;
-  /// `loadgen`: length of the sustained phase (--seconds).
+  /// `loadgen`: length of the sustained phase; `fleet` without --chaos:
+  /// how long the load settles on the final fleet (--seconds).
   double Seconds = 1.0;
   /// Report subcommands: also write BENCH_<sub>.json into OutDir
   /// (--json), the machine-readable perf-trajectory record CI uploads as

@@ -83,8 +83,9 @@ void loadGolden(const std::string &Name, Loaded &L) {
 }
 
 /// Expects \p Got's decision counters to equal \p Want's, the cost to
-/// the bit: a batch folds its costs in decision order, as one add per
-/// decision would.
+/// the bit. The golden models charge whole-number extraction costs, so
+/// this cannot tell the order a batch folds its costs in;
+/// AdaptiveServiceTest.BatchAccountingIsExact checks that order.
 void expectSameDecisionTotals(const runtime::AdaptiveService &Got,
                               const runtime::AdaptiveService &Want) {
   runtime::AdaptiveService::StatsSnapshot G = Got.stats(), W = Want.stats();

@@ -18,6 +18,7 @@
 #include "registry/BenchmarkRegistry.h"
 #include "runtime/SubsetProgram.h"
 #include "streams/WorkloadStream.h"
+#include "support/Cost.h"
 
 #include <gtest/gtest.h>
 
@@ -135,25 +136,30 @@ std::vector<size_t> firstInputs(size_t N) {
   return Inputs;
 }
 
-/// Serves every test row of \p T through a fresh \p Service in one batch
-/// and checks the choices (and, when \p CheckCost, the extraction paid)
-/// against what the in-process system decided before serialization.
+/// Serves every test row of \p T through \p Service, one decision at a
+/// time, and checks the choices (and, when \p CheckCost, the extraction
+/// paid) against what the in-process system decided before serialization.
 void expectInProcessChoices(runtime::AdaptiveService &Service,
                             const Trained &T, bool CheckCost) {
-  const std::vector<size_t> &Rows =
-      Service.currentEpoch()->Model.System.TestRows;
+  const serialize::TrainedModel &Model = Service.currentEpoch()->Model;
+  const std::vector<size_t> &Rows = Model.System.TestRows;
   ASSERT_EQ(Rows.size(), T.ProductionChoices.size());
-  std::vector<runtime::AdaptiveService::Decision> Ds =
-      decideAll(Service, Rows);
-  double Cost = 0.0;
   for (size_t I = 0; I != Rows.size(); ++I) {
-    EXPECT_EQ(Ds[I].Landmark, T.ProductionChoices[I]) << "row " << Rows[I];
-    Cost += T.ProductionCosts[I];
-  }
-  // Live extraction pays what the precomputed tables recorded: every
-  // row is cold, so the batch pays each row's cost once, in row order.
-  if (CheckCost) {
-    EXPECT_DOUBLE_EQ(Service.stats().FeatureCostPaid, Cost);
+    runtime::AdaptiveService::StatsSnapshot Before = Service.stats();
+    runtime::AdaptiveService::Decision D;
+    runtime::AdaptiveService::EpochPtr Ep =
+        Service.decideAnswers(&Rows[I], 1, &D);
+    runtime::AdaptiveService::StatsSnapshot After = Service.stats();
+    EXPECT_EQ(D.Landmark, T.ProductionChoices[I]) << "row " << Rows[I];
+    ASSERT_LT(D.Landmark, Ep->Model.System.L1.Landmarks.size());
+    EXPECT_EQ(Ep->Model.System.L1.Landmarks[D.Landmark].values(),
+              Model.System.L1.Landmarks[D.Landmark].values());
+    // Live extraction pays exactly what the precomputed tables recorded.
+    if (CheckCost) {
+      EXPECT_DOUBLE_EQ(After.FeatureCostPaid - Before.FeatureCostPaid,
+                       T.ProductionCosts[I])
+          << "row " << Rows[I];
+    }
   }
 }
 
@@ -210,24 +216,27 @@ TEST(AdaptiveServiceTest, DecisionsMatchTheCoreClassifier) {
   const core::InputClassifier &Production = *Model.System.L2.Production;
   runtime::FeatureIndex Index(Model.Meta.Features);
 
-  // One cold batch over every input: each decision extracts what the
-  // classifier examines, so the batch pays the probes' sums.
-  std::vector<runtime::AdaptiveService::Decision> Ds =
-      decideAll(Adaptive, firstInputs(P->numInputs()));
-  double Cost = 0.0;
-  uint64_t Extracted = 0;
   for (size_t I = 0; I != P->numInputs(); ++I) {
+    runtime::AdaptiveService::StatsSnapshot Before = Adaptive.stats();
+    runtime::AdaptiveService::Decision A;
+    runtime::AdaptiveService::EpochPtr Ep = Adaptive.decideAnswers(&I, 1, &A);
+    runtime::AdaptiveService::StatsSnapshot After = Adaptive.stats();
     core::FeatureProbe Probe = core::probeFromProgram(*P, I, Index);
-    EXPECT_EQ(Ds[I].Landmark, Production.classify(Probe)) << "input " << I;
-    Cost += Probe.totalCost();
-    Extracted += Probe.numExtracted();
+    unsigned R = Production.classify(Probe);
+    EXPECT_EQ(A.Landmark, R) << "input " << I;
+    EXPECT_DOUBLE_EQ(After.FeatureCostPaid,
+                     Before.FeatureCostPaid + Probe.totalCost());
+    EXPECT_EQ(After.FeaturesExtracted - Before.FeaturesExtracted,
+              Probe.numExtracted());
+    ASSERT_LT(A.Landmark, Ep->Model.System.L1.Landmarks.size());
+    EXPECT_EQ(Ep->Model.System.L1.Landmarks[A.Landmark].values(),
+              Model.System.L1.Landmarks[R].values());
   }
-  EXPECT_DOUBLE_EQ(Adaptive.stats().FeatureCostPaid, Cost);
-  EXPECT_EQ(Adaptive.stats().FeaturesExtracted, Extracted);
   // The recorded training tables drive the loaded classifier to the same
   // choice as live extraction.
   const std::vector<size_t> &Rows = Model.System.TestRows;
-  Ds = decideAll(Adaptive, Rows);
+  std::vector<runtime::AdaptiveService::Decision> Ds =
+      decideAll(Adaptive, Rows);
   for (size_t I = 0; I != Rows.size(); ++I) {
     core::FeatureProbe Table = core::probeFromTable(
         Model.System.L1.Features, Model.System.L1.ExtractCosts, Rows[I]);
@@ -308,8 +317,8 @@ TEST(AdaptiveServiceTest, MemoizesFeatureExtractionPerInput) {
 }
 
 /// Expects \p Got's decision counters to equal \p Want's, the costs to
-/// the bit: a batch folds its costs in decision order, as one add per
-/// decision would.
+/// the bit. Only a program with fractional extraction costs can tell the
+/// order a batch folds its costs in (see FractionalCostProgram).
 void expectSameDecisionTotals(const runtime::AdaptiveService &Got,
                               const runtime::AdaptiveService &Want) {
   runtime::AdaptiveService::StatsSnapshot G = Got.stats(), W = Want.stats();
@@ -336,6 +345,23 @@ struct BatchPlan {
   }
 };
 
+/// \p Base with a surcharge of 1 / (3 + Input) work units on every feature
+/// extraction. The registry programs charge whole-number extraction costs,
+/// whose sums come out the same in any order; these fractions round, so a
+/// batch's FeatureCostPaid equals one add per decision only when the batch
+/// folds its costs into the total in decision order.
+class FractionalCostProgram : public runtime::SubsetProgram {
+public:
+  explicit FractionalCostProgram(const runtime::TunableProgram &Base)
+      : SubsetProgram(Base, firstInputs(Base.numInputs())) {}
+
+  double extractFeature(size_t Input, unsigned Feature, unsigned Level,
+                        support::CostCounter &Cost) const override {
+    Cost.addOther(1.0 / (3.0 + static_cast<double>(Input)));
+    return SubsetProgram::extractFeature(Input, Feature, Level, Cost);
+  }
+};
+
 TEST(AdaptiveServiceTest, BatchAccountingIsExact) {
   // A batch adds to the totals once, yet stats() must equal a twin
   // service's that was handed the same inputs one call each, the costs to
@@ -344,17 +370,19 @@ TEST(AdaptiveServiceTest, BatchAccountingIsExact) {
   // under the new epoch). Both loops are checked: decideAnswers(), and
   // serveAnswers() without adaptation. sort1 swaps to a different model
   // and extracts one feature per cold decision; binpacking swaps to a
-  // copy of its own model and extracts up to seven.
-  auto CheckBatches = [](const std::string &Name, const std::string &Bytes,
+  // copy of its own model and extracts up to seven, and is checked again
+  // with fractional extraction costs, where the order of the adds shows.
+  auto CheckBatches = [](const std::string &Label,
+                         const runtime::TunableProgram &P,
+                         const std::string &Bytes,
                          const std::string &SwapBytes, bool Observe) {
-    SCOPED_TRACE(Name + (Observe ? " serveAnswers" : " decideAnswers"));
-    registry::ProgramPtr P = makeProgram(Name);
-    ASSERT_GE(P->numInputs(), 8u);
-    BatchPlan Plan(P->numInputs());
+    SCOPED_TRACE(Label + (Observe ? " serveAnswers" : " decideAnswers"));
+    ASSERT_GE(P.numInputs(), 8u);
+    BatchPlan Plan(P.numInputs());
     runtime::AdaptiveServiceOptions O;
     O.AutoAdapt = false;
-    runtime::AdaptiveService Batched(*P, cloneModel(Bytes), O);
-    runtime::AdaptiveService PerInput(*P, cloneModel(Bytes), O);
+    runtime::AdaptiveService Batched(P, cloneModel(Bytes), O);
+    runtime::AdaptiveService PerInput(P, cloneModel(Bytes), O);
     ASSERT_TRUE(Batched.ready() && PerInput.ready());
     std::vector<LeanAnswer> Answers;
     auto Run = [Observe](runtime::AdaptiveService &S, const size_t *Inputs,
@@ -385,15 +413,19 @@ TEST(AdaptiveServiceTest, BatchAccountingIsExact) {
     EXPECT_GT(S.MemoizedDecisions, 0u);
     EXPECT_LT(S.MemoizedDecisions, S.Decisions);
     EXPECT_EQ(S.MonitorCostPaid > 0.0, Observe);
-    if (Name == "binpacking") {
+    if (P.name() == "binpacking") {
       EXPECT_GT(S.FeaturesExtracted, S.Decisions - S.MemoizedDecisions)
           << "no decision extracted more than one feature";
     }
   };
+  registry::ProgramPtr Sort = makeProgram(), Bin = makeProgram("binpacking");
+  FractionalCostProgram Fractional(*Bin);
   for (bool Observe : {false, true}) {
-    CheckBatches("sort1", modelBytes(), altModelBytes(), Observe);
-    CheckBatches("binpacking", binpackingModel().Bytes,
+    CheckBatches("sort1", *Sort, modelBytes(), altModelBytes(), Observe);
+    CheckBatches("binpacking", *Bin, binpackingModel().Bytes,
                  binpackingModel().Bytes, Observe);
+    CheckBatches("binpacking, fractional costs", Fractional,
+                 binpackingModel().Bytes, binpackingModel().Bytes, Observe);
   }
 }
 
