@@ -47,6 +47,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -658,24 +659,32 @@ BENCHMARK(BM_RetrainWarm)->Unit(benchmark::kMillisecond);
 
 /// The warm observing serve of a `pbt-serve --adapt` tenant without its
 /// retrains: the same sort1 stream through serveAnswers() in the
-/// 16-input batches `adapt` sends, on a golden sort1 tenant with
-/// AutoAdapt off, after one untimed pass has warmed every memo. Each
-/// input is decided and observed, and every 16th observation runs the
-/// drift check; `ns_per_input` is the time per served input.
+/// 16-input batches `adapt` sends, after one untimed pass has warmed
+/// every memo. The service adapts with the options an `--adapt` registry
+/// binds the golden sort1 model with, but with its three drift
+/// thresholds out of reach: each input is decided and observed, and
+/// every 16th observation runs the drift check, which never flags.
+/// `ns_per_input` is the time per served input; `retrains` must be 0.
 static void BM_ServeObserveWarm(benchmark::State &State) {
   daemon::ModelRegistryOptions RO;
-  RO.AutoAdapt = false;
+  RO.AutoAdapt = true;
   daemon::ModelRegistry Registry(RO);
   serialize::LoadStatus St =
       Registry.addTenant("sort1", PBT_GOLDEN_DIR "/sort1.pbt");
+  serialize::TrainedModel Model;
+  if (St)
+    St = serialize::loadModelFile(PBT_GOLDEN_DIR "/sort1.pbt", Model);
   if (!St) {
     State.SkipWithError(("sort1 tenant: " + St.Error).c_str());
     return;
   }
   daemon::Tenant &T = *Registry.find("sort1");
+  runtime::AdaptiveServiceOptions AO = T.Service->options();
+  AO.Monitor.MeanShiftThreshold = AO.Monitor.ClusterTVThreshold =
+      AO.Monitor.DecisionTVThreshold = std::numeric_limits<double>::infinity();
+  runtime::AdaptiveService Svc(*T.Program, std::move(Model), AO);
   streams::WorkloadStream Stream = adaptSortStream(T);
   const std::vector<size_t> &Seq = Stream.sequence();
-  runtime::AdaptiveService &Svc = *T.Service;
   std::vector<daemon::PredictedChoice> Answers(16);
   auto Pass = [&] {
     for (size_t At = 0; At < Seq.size(); At += Answers.size()) {
@@ -691,6 +700,9 @@ static void BM_ServeObserveWarm(benchmark::State &State) {
   State.counters["ns_per_input"] =
       Timer.elapsedSeconds() * 1e9 /
       static_cast<double>(State.iterations() * Seq.size());
+  State.counters["retrains"] = static_cast<double>(Svc.stats().Retrains);
+  if (Svc.stats().Retrains != 0)
+    State.SkipWithError("a drift check flagged: the observing serve retrained");
 }
 BENCHMARK(BM_ServeObserveWarm)->Unit(benchmark::kMicrosecond);
 
@@ -698,7 +710,9 @@ BENCHMARK(BM_ServeObserveWarm)->Unit(benchmark::kMicrosecond);
 /// model's reference under `pbt-serve`'s default 64-observation window,
 /// every slot filled with a synthetic feature row, cluster and decision.
 static void BM_DriftCheck(benchmark::State &State) {
-  daemon::ModelRegistry Registry;
+  daemon::ModelRegistryOptions RO;
+  RO.AutoAdapt = true;
+  daemon::ModelRegistry Registry(RO);
   serialize::LoadStatus St =
       Registry.addTenant("sort1", PBT_GOLDEN_DIR "/sort1.pbt");
   if (!St) {

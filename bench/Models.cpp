@@ -169,23 +169,21 @@ struct StreamTrace {
   double ServeSeconds = 0.0;
 };
 
-/// Replays the whole stream through \p Service, one input per call.
-/// \p Adapt selects serveAnswers() (the full observe-and-adapt loop) vs
-/// decideAnswers() (the frozen control). Only that call is timed;
+/// Replays the whole stream through \p Service's serveAnswers(), one
+/// input per call: the observe-and-adapt loop on an adapting service,
+/// decideAnswers() on the frozen control. Only that call is timed;
 /// running the input under the decision -- the cost measurement --
 /// happens off the clock.
 StreamTrace replayStream(const streams::WorkloadStream &Stream,
                          const runtime::TunableProgram &Universe,
-                         runtime::AdaptiveService &Service, bool Adapt) {
+                         runtime::AdaptiveService &Service) {
   StreamTrace T;
   uint64_t Swaps = Service.stats().Swaps;
   for (size_t Tick = 0; Tick != Stream.length(); ++Tick) {
     size_t Input = Stream.inputAt(Tick);
     runtime::AdaptiveService::Decision D;
     support::WallTimer Timer;
-    runtime::AdaptiveService::EpochPtr Ep =
-        Adapt ? Service.serveAnswers(&Input, 1, &D)
-              : Service.decideAnswers(&Input, 1, &D);
+    runtime::AdaptiveService::EpochPtr Ep = Service.serveAnswers(&Input, 1, &D);
     T.ServeSeconds += Timer.elapsedSeconds();
     T.Epochs.push_back(D.Epoch);
     T.Costs.push_back(
@@ -290,9 +288,8 @@ int benchharness::runStream(const DriverOptions &Opts) {
   registry::BoundModel FrozenBound;
   Loaded = serialize::loadModelFile(Opts.Model, FrozenInitial);
   if (Loaded) {
-    FrozenBound = registry::bindModel(
-        std::move(FrozenInitial), Opts.StreamWindow, Opts.StreamReservoir,
-        /*AutoAdapt=*/false, UniverseScale);
+    FrozenBound = registry::bindModel(std::move(FrozenInitial), 0, 0,
+                                      /*AutoAdapt=*/false, UniverseScale);
     Loaded = FrozenBound.Status;
   }
   if (!Loaded) {
@@ -302,8 +299,8 @@ int benchharness::runStream(const DriverOptions &Opts) {
   }
   runtime::AdaptiveService &Frozen = *FrozenBound.Service;
 
-  StreamTrace Ada = replayStream(*Stream, *Universe, Adaptive, true);
-  StreamTrace Frz = replayStream(*Stream, *Universe, Frozen, false);
+  StreamTrace Ada = replayStream(*Stream, *Universe, Adaptive);
+  StreamTrace Frz = replayStream(*Stream, *Universe, Frozen);
 
   size_t Served = Ada.Costs.size();
   runtime::AdaptiveService::StatsSnapshot AStats = Adaptive.stats();

@@ -7,7 +7,9 @@
 /// \file
 /// The daemon's tenant table: many trained models kept hot in one
 /// pbt-serve process, each compiled into its own AdaptiveService with a
-/// private DriftMonitor, reservoir, and epoch counter. A tenant is built
+/// private epoch counter and memos. Under AutoAdapt every tenant adapts,
+/// with a private DriftMonitor, reservoir and retrain settings; otherwise
+/// every tenant is frozen and holds none of them. A tenant is built
 /// from a persisted model file or a model store by registry::bindModel
 /// -- the model's provenance (benchmark key, scale, program seed)
 /// rebuilds the exact program it was trained on, the one binder every
@@ -90,9 +92,8 @@ struct ModelRegistryOptions {
   unsigned Window = 64;
   /// Shadow-retrain reservoir capacity per tenant (--reservoir).
   unsigned Reservoir = 48;
-  /// Drift adaptation: the Server answers through
-  /// AdaptiveService::serveAnswers() (drift observation + online
-  /// adaptation); off = frozen decideAnswers serving.
+  /// Drift adaptation: every tenant is bound as an adapting service
+  /// (drift observation + online adaptation); off = frozen tenants.
   bool AutoAdapt = false;
 };
 

@@ -407,23 +407,18 @@ void Server::noteQueueDepth(size_t Depth) {
 // between the two.
 static_assert(std::is_same<uint64_t, size_t>::value,
               "pbt-serve needs an LP64 target: a Predict's uint64_t input "
-              "ids are passed to decideAnswers as size_t");
+              "ids are passed to serveAnswers as size_t");
 
 runtime::AdaptiveService::EpochPtr
 Server::serve(Tenant &T, const std::vector<uint64_t> &Inputs,
               std::vector<PredictedChoice> &Answers) {
   Answers.resize(Inputs.size());
-  runtime::AdaptiveService::EpochPtr Answered;
-  {
-    std::lock_guard<std::mutex> Lock(T.ServeMutex);
-    // Observing mode feeds the tenant's drift monitor and reservoir, and
-    // runs the adaptation loop inline.
-    Answered = Registry.options().AutoAdapt
-                   ? T.Service->serveAnswers(Inputs.data(), Inputs.size(),
-                                             Answers.data())
-                   : T.Service->decideAnswers(Inputs.data(), Inputs.size(),
-                                              Answers.data());
-  }
+  // An adapting tenant also observes and runs its adaptation loop inline;
+  // a frozen one only decides.
+  std::unique_lock<std::mutex> Lock(T.ServeMutex);
+  runtime::AdaptiveService::EpochPtr Answered =
+      T.Service->serveAnswers(Inputs.data(), Inputs.size(), Answers.data());
+  Lock.unlock();
   T.Decisions.fetch_add(Inputs.size(), std::memory_order_relaxed);
   return Answered;
 }

@@ -13,29 +13,29 @@
 /// session thread per connection. The thread that reads a Predict
 /// answers it: it passes the admission gate (daemon/RequestQueue.h),
 /// serves the inputs under the tenant's ServeMutex with
-/// AdaptiveService::decideAnswers (or serveAnswers, which also observes,
-/// when the registry's AutoAdapt is on), leaves the gate, and writes the
-/// reply. The gate is
-/// the admission control: at most Workers Predicts are served at once
-/// and at most QueueCapacity more wait for a slot; a Predict that finds
-/// the line full is answered Shed immediately, so backlog never grows
-/// without limit and a client always learns its fate. A Predict is
-/// decided inline on the session thread, and its answers are
-/// choice-identical to an in-process AdaptiveService replay of the same
-/// model (the loadgen harness and the daemon tests assert exactly
-/// that). A session's frames travel over its Channel: the socket, or,
-/// from a Unix-domain session's first HelloRing on, the ring pair whose
-/// sealed shared-memory region the TenantOk reply passed to the client
-/// (daemon/Protocol.h). On a ring a request and its reply cost no
-/// syscall unless an end sleeps; on a socket they are one recv and one
-/// sendmsg in the common case. Either way the stall guard
-/// (ReadDeadline) bounds a frame once it has started, and a session
-/// that waits for a frame to start waits without a deadline. The
-/// session owns its ring end and keeps its own positions, so a client
-/// that stores a position that cannot be, or sends more doorbell bytes
-/// than the session's sleeps let it, is dropped as malformed; the
-/// socket stays the session's doorbell and lifetime, so closing it, or
-/// stop() shutting it down, ends any wait on the ring.
+/// AdaptiveService::serveAnswers -- which on a frozen tenant is
+/// decideAnswers, and on an adapting (--adapt) one also observes and
+/// retrains at a drift flag -- leaves the gate, and writes the reply.
+/// The gate is the admission control: at most Workers Predicts are
+/// served at once and at most QueueCapacity more wait for a slot; a
+/// Predict that finds the line full is answered Shed immediately, so
+/// backlog never grows without limit and a client always learns its
+/// fate. A Predict is decided inline on the session thread, and its
+/// answers are choice-identical to an in-process AdaptiveService replay
+/// of the same model (the loadgen harness and the daemon tests assert
+/// exactly that). A session's frames travel over its Channel: the
+/// socket, or, from a Unix-domain session's first HelloRing on, the ring
+/// pair whose sealed shared-memory region the TenantOk reply passed to
+/// the client (daemon/Protocol.h). On a ring a request and its reply
+/// cost no syscall unless an end sleeps; on a socket they are one recv
+/// and one sendmsg in the common case. Either way the stall guard
+/// (ReadDeadline) bounds a frame once it has started, and a session that
+/// waits for a frame to start waits without a deadline. The session owns
+/// its ring end and keeps its own positions, so a client that stores a
+/// position that cannot be, or sends more doorbell bytes than the
+/// session's sleeps let it, is dropped as malformed; the socket stays
+/// the session's doorbell and lifetime, so closing it, or stop()
+/// shutting it down, ends any wait on the ring.
 ///
 /// Between requests a session waits in FrameReader::read, which polls
 /// its channel for FrameReader::kSpinWindow before it blocks. A
@@ -56,19 +56,19 @@
 ///
 /// A warm Predict allocates nothing and pays its bookkeeping per batch.
 /// The session decodes every frame into one kept Message and hands its
-/// input ids to decideAnswers as they are (uint64_t is size_t on the
-/// LP64 targets pbt-serve builds for). decideAnswers writes each answer
-/// into the session's one kept PredictedChoice buffer -- on a memo hit
-/// one compare and one store, with no reference count -- and adds the
-/// batch to its service's counters with one add per counter. The
-/// --adapt path fills the same buffer through serveAnswers, which holds
-/// one epoch per batch too (re-read only after its own drift response
-/// swaps) and answers exactly as a loop of per-input serve() calls
-/// would; encodePredictions turns the buffer into one kept reply
-/// buffer. The session holds the batch's epoch only until the reply is
-/// encoded, so an idle session never keeps a retired model alive. The
-/// server's request and decision totals are the sums of its tenants'
-/// counters, which a Predict adds to anyway.
+/// input ids to serveAnswers as they are (uint64_t is size_t on the LP64
+/// targets pbt-serve builds for). On a frozen tenant that is
+/// decideAnswers, which writes each answer into the session's one kept
+/// PredictedChoice buffer -- on a memo hit one compare and one store,
+/// with no reference count -- and adds the batch to its service's
+/// counters with one add per counter. An adapting tenant fills the same
+/// buffer, holds one epoch per batch too (re-read only after its own
+/// drift response swaps) and answers exactly as a loop of per-input
+/// serve() calls would; encodePredictions turns the buffer into one kept
+/// reply buffer. The session holds the batch's epoch only until the
+/// reply is encoded, so an idle session never keeps a retired model
+/// alive. The server's request and decision totals are the sums of its
+/// tenants' counters, which a Predict adds to anyway.
 ///
 /// The Stats reply is one line of JSON written by support::JsonWriter's
 /// compact layout. Its keys, their order and the `"key": ` separator are
@@ -228,8 +228,8 @@ private:
   /// be made gets the plain reply and stays on its socket.
   bool attachRing(Session *S, const std::string &TenantOk);
   /// Serves one admitted Predict under \p T's ServeMutex into
-  /// \p Answers, one per input. Returns the epoch that answered (under
-  /// AutoAdapt, the one that answered the last input).
+  /// \p Answers, one per input. Returns the epoch that answered (on an
+  /// adapting tenant, the one that answered the last input).
   runtime::AdaptiveService::EpochPtr
   serve(Tenant &T, const std::vector<uint64_t> &Inputs,
         std::vector<PredictedChoice> &Answers);

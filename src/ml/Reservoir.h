@@ -30,7 +30,6 @@ namespace ml {
 
 class Reservoir {
 public:
-  Reservoir() = default;
   explicit Reservoir(size_t Capacity);
 
   /// Offers one stream item to the sampler.

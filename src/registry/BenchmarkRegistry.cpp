@@ -150,14 +150,16 @@ BoundModel registry::bindModel(serialize::TrainedModel Model, unsigned Window,
   }
   if (Scale == 0.0)
     Scale = Model.Meta.Scale;
-  runtime::AdaptiveServiceOptions AO;
-  AO.Monitor.Window = std::max(8u, Window);
-  AO.Monitor.MinSamples = AO.Monitor.Window / 2;
-  AO.Monitor.Cooldown = AO.Monitor.Window;
-  AO.ReservoirSize = std::max(8u, Reservoir);
-  AO.MinRetrainInputs = std::min<size_t>(16, AO.ReservoirSize);
-  AO.Retrain = reservoirRetrainOptions(*Factory, Scale, AO.ReservoirSize);
-  AO.AutoAdapt = AutoAdapt;
+  std::optional<runtime::AdaptiveServiceOptions> AO;
+  if (AutoAdapt) {
+    runtime::AdaptiveServiceOptions &O = AO.emplace();
+    O.Monitor.Window = std::max(8u, Window);
+    O.Monitor.MinSamples = O.Monitor.Window / 2;
+    O.Monitor.Cooldown = O.Monitor.Window;
+    O.ReservoirSize = std::max(8u, Reservoir);
+    O.MinRetrainInputs = std::min<size_t>(16, O.ReservoirSize);
+    O.Retrain = reservoirRetrainOptions(*Factory, Scale, O.ReservoirSize);
+  }
   B.Program = Factory->makeProgram(Scale, Model.Meta.ProgramSeed);
   B.Service = std::make_unique<runtime::AdaptiveService>(*B.Program,
                                                          std::move(Model), AO);

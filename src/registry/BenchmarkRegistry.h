@@ -156,14 +156,14 @@ struct BoundModel {
 
 /// Binds a loaded \p Model for serving: looks up the factory registered
 /// under Meta.Benchmark, rebuilds the program with makeProgram(Scale,
-/// Meta.ProgramSeed), and builds an AdaptiveService over it: a
-/// \p Window-decision drift window and a \p Reservoir-input sample (each
-/// at least 8), retraining with reservoirRetrainOptions, and
-/// \p AutoAdapt. A \p Scale of 0 is the model's recorded Meta.Scale;
-/// `pbt-bench stream` passes a larger one to stretch its traffic
-/// universe. Decide-only callers keep the defaults. Status names the
-/// step that failed: an unregistered benchmark, or a model that does not
-/// fit the rebuilt program.
+/// Meta.ProgramSeed), and builds an AdaptiveService over it: a frozen one,
+/// or under \p AutoAdapt an adapting one with a \p Window-decision drift
+/// window and a \p Reservoir-input sample (each at least 8), retraining
+/// with reservoirRetrainOptions. A \p Scale of 0 is the model's recorded
+/// Meta.Scale; `pbt-bench stream` passes a larger one to stretch its
+/// traffic universe. Decide-only callers keep the defaults. Status names
+/// the step that failed: an unregistered benchmark, or a model that does
+/// not fit the rebuilt program.
 BoundModel bindModel(serialize::TrainedModel Model, unsigned Window = 0,
                      unsigned Reservoir = 0, bool AutoAdapt = false,
                      double Scale = 0.0);

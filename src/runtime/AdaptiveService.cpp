@@ -24,17 +24,15 @@ static void atomicAdd(std::atomic<double> &A, double V) {
     ;
 }
 
-AdaptiveService::AdaptiveService(const TunableProgram &Program,
-                                 serialize::TrainedModel Initial,
-                                 AdaptiveServiceOptions Options)
-    : Program(Program), Opts(Options) {
+AdaptiveService::AdaptiveService(
+    const TunableProgram &Program, serialize::TrainedModel Initial,
+    std::optional<AdaptiveServiceOptions> Options)
+    : Program(Program) {
   Status = checkProgram(Initial);
   if (!Status)
     return;
   Index.emplace(Initial.Meta.Features);
   Memo.assign(Program.numInputs(), MemoEntry());
-  Monitor = DriftMonitor::referenceFrom(Initial, Opts.Monitor);
-  Traffic = ml::Reservoir(std::max<size_t>(1, Opts.ReservoirSize));
 
   std::shared_ptr<ModelEpoch> First = makeEpoch(std::move(Initial));
   if (!First) {
@@ -42,7 +40,11 @@ AdaptiveService::AdaptiveService(const TunableProgram &Program,
     return;
   }
   publish(std::move(First), nullptr);
-  MonitorEpochId = currentEpoch()->Id;
+  EpochPtr Ep = currentEpoch();
+  if (Options)
+    Adapt = std::make_unique<Adaptation>(Adaptation{
+        *Options, DriftMonitor::referenceFrom(Ep->Model, Options->Monitor),
+        Ep->Id, ml::Reservoir(std::max<size_t>(1, Options->ReservoirSize))});
   Ok = true;
 }
 
@@ -82,14 +84,14 @@ CompiledModel::Scratch &AdaptiveService::scratchFor(const ModelEpoch &Ep) {
 }
 
 void AdaptiveService::syncMonitorTo(const EpochPtr &Ep) {
-  if (MonitorEpochId == Ep->Id)
+  if (Adapt->MonitorEpochId == Ep->Id)
     return;
   // An external swapModel() landed since the monitor's last rebase: its
   // reference (and cluster/decision arity) belongs to a retired model.
   // Adopt the pushed model's training stats before observing against it.
-  Monitor.rebaseToModel(Ep->Model);
-  Traffic.reset();
-  MonitorEpochId = Ep->Id;
+  Adapt->Monitor.rebaseToModel(Ep->Model);
+  Adapt->Traffic.reset();
+  Adapt->MonitorEpochId = Ep->Id;
 }
 
 void AdaptiveService::publish(std::shared_ptr<ModelEpoch> Next,
@@ -108,9 +110,9 @@ void AdaptiveService::publish(std::shared_ptr<ModelEpoch> Next,
 }
 
 void AdaptiveService::appendHistory(const SwapRecord &Attempt) {
-  Swaps.push_back(Attempt);
-  if (Swaps.size() > MaxSwapHistory)
-    Swaps.pop_front();
+  Adapt->Swaps.push_back(Attempt);
+  if (Adapt->Swaps.size() > MaxSwapHistory)
+    Adapt->Swaps.pop_front();
 }
 
 AdaptiveService::EpochPtr AdaptiveService::currentEpoch() const {
@@ -221,10 +223,10 @@ unsigned AdaptiveService::clusterOf(const ModelEpoch &Ep, size_t Input,
   const int64_t Id = static_cast<int64_t>(Ep.Id);
   if (E.ClusterEpochId != Id) {
     unsigned NumFlat = Index->numFlat();
-    ClusterRow.assign(Features, Features + NumFlat);
-    Ep.Model.System.L1.Norm.transformRow(ClusterRow);
+    Adapt->ClusterRow.assign(Features, Features + NumFlat);
+    Ep.Model.System.L1.Norm.transformRow(Adapt->ClusterRow);
     E.Cluster = static_cast<int32_t>(ml::nearestCentroid(
-        Ep.Model.System.L1.Clusters.Centroids, ClusterRow));
+        Ep.Model.System.L1.Clusters.Centroids, Adapt->ClusterRow));
     E.ClusterEpochId = Id;
   }
   return static_cast<unsigned>(E.Cluster);
@@ -234,8 +236,8 @@ bool AdaptiveService::observe(const ModelEpoch &Ep, size_t Input,
                               unsigned Landmark) {
   const double *Features = fullFeatures(Input);
   unsigned Cluster = clusterOf(Ep, Input, Features);
-  Traffic.add(Input);
-  if (!Monitor.observe(Features, Cluster, Landmark))
+  Adapt->Traffic.add(Input);
+  if (!Adapt->Monitor.observe(Features, Cluster, Landmark))
     return false;
   DriftCount.fetch_add(1, std::memory_order_relaxed);
   return true;
@@ -304,7 +306,7 @@ serialize::TrainedModel
 AdaptiveService::buildCandidate(const std::vector<size_t> &Sample,
                                 const ModelEpoch &Serving) const {
   SubsetProgram View(Program, Sample);
-  core::PipelineOptions Retrain = Opts.Retrain;
+  core::PipelineOptions Retrain = Adapt->Opts.Retrain;
   clampRetrainOptions(Retrain, Sample.size());
   // Every sampled input was served, so its full feature row and
   // extraction costs are already memoized: Level 1 reads them instead
@@ -322,27 +324,28 @@ AdaptiveService::buildCandidate(const std::vector<size_t> &Sample,
 }
 
 bool AdaptiveService::adaptNow() {
-  assert(Ok && "adaptNow() on a non-ready AdaptiveService");
+  if (!Adapt)
+    return false;
   // serve() invokes the drift response synchronously at the detection, so
   // this timer spans the whole drift-to-swap window: the stretch of time
   // during which live traffic keeps being served by the stale champion.
   support::WallTimer Window;
   EpochPtr Ep = currentEpoch();
-  Traffic.sampleInto(SampleBuf);
-  const std::vector<size_t> &Sample = SampleBuf;
-  if (Sample.size() < Opts.MinRetrainInputs ||
-      Traffic.distinctCount() < std::max<size_t>(4, Opts.MinRetrainInputs / 2)) {
+  Adaptation &A = *Adapt;
+  A.Traffic.sampleInto(A.SampleBuf);
+  const std::vector<size_t> &Sample = A.SampleBuf;
+  const size_t MinDistinct = std::max<size_t>(4, A.Opts.MinRetrainInputs / 2);
+  if (Sample.size() < A.Opts.MinRetrainInputs ||
+      A.Traffic.distinctCount() < MinDistinct) {
     // Too little (or too repetitive) evidence to retrain on: accept the
     // live window as the new null hypothesis and move on.
     recordSkip("insufficient reservoir evidence: " +
                std::to_string(Sample.size()) + " samples, " +
-               std::to_string(Traffic.distinctCount()) +
+               std::to_string(A.Traffic.distinctCount()) +
                " distinct inputs (need " +
-               std::to_string(Opts.MinRetrainInputs) + " / " +
-               std::to_string(std::max<size_t>(
-                   4, Opts.MinRetrainInputs / 2)) +
-               ")");
-    Monitor.rebaseToWindow();
+               std::to_string(A.Opts.MinRetrainInputs) + " / " +
+               std::to_string(MinDistinct) + ")");
+    A.Monitor.rebaseToWindow();
     return false;
   }
 
@@ -364,7 +367,7 @@ bool AdaptiveService::adaptNow() {
     // it. Keep the champion -- but keep the cause too: a tenant whose
     // every retrain dies here must be diagnosable from its stats.
     recordSkip(std::string("shadow retrain failed: ") + E.what());
-    Monitor.rebaseToWindow();
+    A.Monitor.rebaseToWindow();
     return false;
   }
   Attempt.RetrainSeconds = RetrainTimer.elapsedSeconds();
@@ -375,7 +378,7 @@ bool AdaptiveService::adaptNow() {
   LastRetrainSeconds.store(Attempt.RetrainSeconds, std::memory_order_relaxed);
   if (!Candidate) {
     RejectCount.fetch_add(1, std::memory_order_relaxed);
-    Monitor.rebaseToWindow();
+    A.Monitor.rebaseToWindow();
     return false;
   }
 
@@ -386,7 +389,7 @@ bool AdaptiveService::adaptNow() {
   Attempt.CandidateShadowCost = shadowScore(*Candidate, Sample);
   Attempt.ShadowSeconds = ShadowTimer.elapsedSeconds();
   Attempt.Accepted = Attempt.CandidateShadowCost <
-                     Attempt.ChampionShadowCost * (1.0 - Opts.SwapMargin);
+                     Attempt.ChampionShadowCost * (1.0 - A.Opts.SwapMargin);
 
   if (!Attempt.Accepted) {
     RejectCount.fetch_add(1, std::memory_order_relaxed);
@@ -398,8 +401,8 @@ bool AdaptiveService::adaptNow() {
     }
     // The distribution did move; the champion just remains the best
     // answer for it. Adopt the new regime as reference.
-    Monitor.rebaseToWindow();
-    Traffic.reset();
+    A.Monitor.rebaseToWindow();
+    A.Traffic.reset();
     return false;
   }
 
@@ -407,9 +410,9 @@ bool AdaptiveService::adaptNow() {
   publish(std::move(Candidate), &Attempt);
   SwapCount.fetch_add(1, std::memory_order_relaxed);
   EpochPtr Now = currentEpoch();
-  Monitor.rebaseToModel(Now->Model);
-  MonitorEpochId = Now->Id;
-  Traffic.reset();
+  A.Monitor.rebaseToModel(Now->Model);
+  A.MonitorEpochId = Now->Id;
+  A.Traffic.reset();
   return true;
 }
 
@@ -433,7 +436,7 @@ serialize::LoadStatus AdaptiveService::swapModel(serialize::TrainedModel Next) {
 void AdaptiveService::recordSkip(std::string Reason) {
   SkipCount.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> Lock(SwapMutex);
-  LastSkipReason = std::move(Reason);
+  Adapt->LastSkipReason = std::move(Reason);
 }
 
 AdaptiveService::StatsSnapshot AdaptiveService::stats() const {
@@ -454,14 +457,16 @@ AdaptiveService::StatsSnapshot AdaptiveService::stats() const {
       RetrainLevel1Seconds.load(std::memory_order_relaxed);
   S.RetrainLevel2SecondsTotal =
       RetrainLevel2Seconds.load(std::memory_order_relaxed);
-  {
+  if (Adapt) {
     std::lock_guard<std::mutex> Lock(SwapMutex);
-    S.LastSkipReason = LastSkipReason;
+    S.LastSkipReason = Adapt->LastSkipReason;
   }
   return S;
 }
 
 std::vector<AdaptiveService::SwapRecord> AdaptiveService::history() const {
+  if (!Adapt)
+    return {};
   std::lock_guard<std::mutex> Lock(SwapMutex);
-  return std::vector<SwapRecord>(Swaps.begin(), Swaps.end());
+  return std::vector<SwapRecord>(Adapt->Swaps.begin(), Adapt->Swaps.end());
 }

@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The online-adaptation loop on top of the compiled serving stack: an
+/// The serving core and its optional online-adaptation loop. An
 /// AdaptiveService serves per-input configuration decisions from the
-/// current CompiledModel epoch while watching the live traffic with a
-/// DriftMonitor. When the monitor flags that inputs no longer look like
-/// the training sample, the service retrains in the shadow -- the
+/// current CompiledModel epoch. A service constructed with
+/// AdaptiveServiceOptions also adapts: it watches the live traffic with a
+/// DriftMonitor, and when the monitor flags that inputs no longer look
+/// like the training sample, the service retrains in the shadow -- the
 /// two-level pipeline (core/Pipeline.h) runs on the serving thread over a
 /// reservoir sample of recent traffic wrapped in a
 /// runtime::SubsetProgram -- and the freshly trained
@@ -19,6 +20,12 @@
 /// answers already handed out stay valid: each batch returns the epoch
 /// that decided it, and holding that pointer keeps the answers'
 /// configurations alive.
+///
+/// A service constructed without options is frozen: it holds no drift
+/// monitor, reservoir, retrain settings or swap history, only the epoch
+/// core (epoch publish and swapModel(), the memos, both loops,
+/// shadowScore() and every counter). On it serveAnswers() is
+/// decideAnswers(), adaptNow() does nothing, and history() is empty.
 ///
 /// One route retrains: adaptNow() builds a candidate with
 /// buildCandidate() and gates it with shadowScore(), the one scorer the
@@ -47,23 +54,26 @@
 /// This is the one serving core: the daemon, the rollout controller, the
 /// bench harnesses and every in-process parity replay decide through it.
 /// Two loops serve: decideAnswers() only decides, and serveAnswers() --
-/// the --adapt daemon's path, with serve() its one-input caller -- also
-/// observes. Both run on per-input memos whose entries are tagged with
-/// the internal epoch Id they were computed under: the feature memo
-/// (never invalidated, since an input's features do not depend on the
-/// model), and the decision and Level-1 cluster memos, which a swap
-/// invalidates by Id mismatch. A row the monitor completed is flagged
-/// Complete, so a warm observation reads it with one branch; warm, an
-/// observed input costs memo lookups plus the monitor's ring update, and
-/// every CheckInterval-th one a divergence test that allocates nothing.
+/// the daemon's path, with serve() its one-input caller -- also observes
+/// when the service adapts. Both run on per-input memos whose entries
+/// are tagged with the internal epoch Id they were computed under: the
+/// feature memo (never invalidated, since an input's features do not
+/// depend on the model), and the decision and Level-1 cluster memos,
+/// which a swap invalidates by Id mismatch. A row the monitor completed
+/// is flagged Complete, so a warm observation reads it with one branch;
+/// warm, an observed input costs memo lookups plus the monitor's ring
+/// update, and every CheckInterval-th one a divergence test that
+/// allocates nothing.
 ///
 /// Threading contract: decide()/decideAnswers()/decideBatch()/serve()/
 /// serveAnswers() are driven by one serving thread at a time, which owns
-/// the memos and the scratch; swapModel() may be called concurrently
-/// from any other thread. A batch reads the epoch pointer once, so every
-/// decision inside one batch comes from the same epoch -- except that
-/// serveAnswers() reads it again after its own drift response swaps, as
-/// a serve() loop would.
+/// the memos, the scratch and the adaptation state; swapModel() may be
+/// called concurrently from any other thread. A batch reads the epoch
+/// pointer once, so every decision inside one batch comes from the same
+/// epoch -- except that an adapting service's serveAnswers() reads it
+/// again after its own drift response swaps, as a serve() loop would.
+/// A frozen service's serveAnswers() is its decideAnswers(), so it reads
+/// the pointer once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -100,9 +110,6 @@ struct AdaptiveServiceOptions {
   /// A candidate is swapped in only when its shadow-scored mean cost is
   /// below champion * (1 - SwapMargin).
   double SwapMargin = 0.0;
-  /// serve() reacts to a drift flag by retraining + maybe swapping. When
-  /// false the caller drives adaptation via adaptNow().
-  bool AutoAdapt = true;
   /// Fewest reservoir entries (and, /2, distinct inputs) worth retraining
   /// on; drift flags before that only rebase the monitor.
   size_t MinRetrainInputs = 16;
@@ -184,33 +191,38 @@ public:
     std::string LastSkipReason;
   };
 
-  /// Binds \p Program and publishes \p Initial as epoch 1. \p Program
-  /// must outlive the service. status() reports a model/program mismatch;
-  /// the service is not ready() then.
+  /// Binds \p Program and publishes \p Initial as epoch 1. Given
+  /// \p Options the service adapts: it builds a drift monitor referenced
+  /// on \p Initial, a reservoir and the retrain settings. Without them it
+  /// is frozen and holds no adaptation state (so does a bare `{}`: pass
+  /// AdaptiveServiceOptions{} for the default options). \p Program must
+  /// outlive the service. status() reports a model/program mismatch; the
+  /// service is not ready() then.
   AdaptiveService(const TunableProgram &Program,
                   serialize::TrainedModel Initial,
-                  AdaptiveServiceOptions Options = {});
+                  std::optional<AdaptiveServiceOptions> Options = std::nullopt);
 
   bool ready() const { return Ok; }
   const serialize::LoadStatus &status() const { return Status; }
 
   /// Serve one request and feed the adaptation loop: serveAnswers() over
   /// the one input, which also reports whether the observation flagged
-  /// drift (DriftFlagged). Single serving thread.
+  /// drift (DriftFlagged, never set by a frozen service). Single serving
+  /// thread.
   Decision serve(size_t Input);
 
-  /// The observing counterpart of decideAnswers(), which the --adapt
-  /// daemon answers a Predict with: each input in order is decided, then
-  /// observed -- its full feature row, Level-1 cluster and decision go
-  /// to the DriftMonitor and the reservoir -- and under AutoAdapt a drift
+  /// The loop the daemon answers a Predict with. On a frozen service it
+  /// is decideAnswers(). On an adapting one each input in order is
+  /// decided, then observed -- its full feature row, Level-1 cluster and
+  /// decision go to the DriftMonitor and the reservoir -- and a drift
   /// flag runs adaptNow() there and then, exactly as a loop of serve()
   /// calls would. The epoch pointer is read once per batch and again only
   /// after the batch's own drift response swaps; the epoch returned is
   /// the one that decided the last input (each answer's Epoch names its
   /// own). Warm, an input costs memo lookups and the monitor's ring
   /// update, with no reference count. The batch reaches stats() as one
-  /// add per counter, and the decisions made so far are added just
-  /// before any adaptNow(), so stats(), history() and every
+  /// add per counter, and the decisions made so far are added just before
+  /// any adaptNow(), so stats(), history() and every
   /// SwapRecord::AtDecision keep the values a serve() loop gives them.
   template <typename Answer>
   EpochPtr serveAnswers(const size_t *Inputs, size_t N, Answer *Out);
@@ -243,16 +255,17 @@ public:
 
   /// Runs the drift response now: retrain on the reservoir, shadow-score
   /// candidate vs champion on the same traffic, swap when strictly
-  /// better. Returns true when a swap happened.
+  /// better. Returns true when a swap happened; a frozen service returns
+  /// false and counts nothing.
   bool adaptNow();
 
   /// Publishes \p Next as the new serving epoch without the shadow gate
   /// (operator-pushed models, stress tests). The model is validated
   /// against the bound program and the serving epoch's provenance first;
   /// on failure nothing is published and the error is returned. Safe to
-  /// call from a thread other than the serving thread; the serving thread
-  /// rebases its DriftMonitor to the pushed model on its next observing
-  /// batch.
+  /// call from a thread other than the serving thread; an adapting
+  /// service's serving thread rebases its DriftMonitor to the pushed
+  /// model on its next observing batch.
   serialize::LoadStatus swapModel(serialize::TrainedModel Next);
 
   /// Snapshot of the current epoch (never null once ready()).
@@ -263,13 +276,14 @@ public:
 
   StatsSnapshot stats() const;
   /// The most recent adaptation attempts, oldest first: at most
-  /// MaxSwapHistory of them, the oldest dropped first. stats() counts
-  /// every attempt.
+  /// MaxSwapHistory of them, the oldest dropped first (none on a frozen
+  /// service). stats() counts every attempt.
   std::vector<SwapRecord> history() const;
   static constexpr size_t MaxSwapHistory = 1024;
-  const DriftMonitor &monitor() const { return Monitor; }
-  const ml::Reservoir &reservoir() const { return Traffic; }
-  const AdaptiveServiceOptions &options() const { return Opts; }
+  /// The adaptation state; an adapting service only.
+  const DriftMonitor &monitor() const { return Adapt->Monitor; }
+  const ml::Reservoir &reservoir() const { return Adapt->Traffic; }
+  const AdaptiveServiceOptions &options() const { return Adapt->Opts; }
 
   /// Clamps a pipeline-options template to what a traffic sample of
   /// \p SampleSize inputs can support (landmark count, CV folds, tuning
@@ -304,6 +318,21 @@ private:
     int64_t ClusterEpochId = -1;
     /// Every flat feature is memoized (fullFeatures() has run).
     bool Complete = false;
+  };
+
+  /// What only an adapting service holds: the serving thread's, but for
+  /// the history and the skip reason.
+  struct Adaptation {
+    AdaptiveServiceOptions Opts;
+    DriftMonitor Monitor;
+    /// Internal epoch Id the monitor's reference was rebased to.
+    uint64_t MonitorEpochId = 0;
+    ml::Reservoir Traffic;
+    /// Reservoir sample buffer, reused across retrain rounds.
+    std::vector<size_t> SampleBuf = {};
+    std::vector<double> ClusterRow = {}; // scratch for clusterOf
+    std::deque<SwapRecord> Swaps = {};   // guarded by SwapMutex
+    std::string LastSkipReason = {};     // guarded by SwapMutex
   };
 
   /// What a decision of the current batch that extracted features paid.
@@ -379,7 +408,6 @@ private:
   void recordSkip(std::string Reason);
 
   const TunableProgram &Program;
-  AdaptiveServiceOptions Opts;
   serialize::LoadStatus Status;
   bool Ok = false;
 
@@ -388,25 +416,18 @@ private:
   EpochPtr Current;
   std::atomic<uint64_t> EpochCounter{0};
   mutable std::mutex SwapMutex;
-  std::deque<SwapRecord> Swaps;    // guarded by SwapMutex
-  std::string LastSkipReason;      // guarded by SwapMutex
 
   std::optional<FeatureIndex> Index;
   std::vector<MemoEntry> Memo;
   CompiledModel::Scratch MainScratch;
   /// Internal epoch Id MainScratch was sized for (0 = never made).
   uint64_t ScratchEpochId = 0;
-  std::vector<double> ClusterRow; // scratch for clusterOf
   /// The current batch's decisions that extracted features, in decision
   /// order (serving thread; empty for an all-warm batch).
   std::vector<PaidDecision> Paid;
 
-  DriftMonitor Monitor;
-  /// Internal epoch Id the monitor's reference was rebased to.
-  uint64_t MonitorEpochId = 0;
-  ml::Reservoir Traffic;
-  /// Reservoir sample buffer, reused across retrain rounds.
-  std::vector<size_t> SampleBuf;
+  /// Null on a frozen service.
+  std::unique_ptr<Adaptation> Adapt;
 
   // Lifetime accounting; atomics because swapModel() updates SwapCount
   // from a foreign thread while the serving thread reads/writes the rest.
@@ -449,7 +470,8 @@ AdaptiveService::decideAnswers(const size_t *Inputs, size_t N, Answer *Out) {
 template <typename Answer>
 AdaptiveService::EpochPtr
 AdaptiveService::serveAnswers(const size_t *Inputs, size_t N, Answer *Out) {
-  assert(Ok && "serveAnswers() on a non-ready AdaptiveService");
+  if (!Adapt)
+    return decideAnswers(Inputs, N, Out);
   EpochPtr Ep = currentEpoch();
   syncMonitorTo(Ep);
   Paid.clear();
@@ -470,14 +492,12 @@ AdaptiveService::serveAnswers(const size_t *Inputs, size_t N, Answer *Out) {
     Out[I].Epoch = Ep->Model.Meta.Epoch;
     if (!observe(*Ep, Inputs[I], Landmark))
       continue;
-    if (Opts.AutoAdapt) {
-      // adaptNow() stamps its attempt with the lifetime decision count,
-      // so the decisions so far reach the totals first.
-      recordTotals(I + 1 - Counted, PaidCounted);
-      Counted = I + 1;
-      PaidCounted = Paid.size();
-      Stale = adaptNow();
-    }
+    // adaptNow() stamps its attempt with the lifetime decision count, so
+    // the decisions so far reach the totals first.
+    recordTotals(I + 1 - Counted, PaidCounted);
+    Counted = I + 1;
+    PaidCounted = Paid.size();
+    Stale = adaptNow();
     markDrift(Out[I]);
   }
   recordTotals(N - Counted, PaidCounted);

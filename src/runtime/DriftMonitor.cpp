@@ -105,7 +105,6 @@ void DriftMonitor::setReference(std::vector<double> FeatureMean,
 
 bool DriftMonitor::observe(const double *Features, unsigned Cluster,
                            unsigned Decision) {
-  assert(ready() && "observe() on a default-constructed monitor");
   assert(Cluster < NumClusters && Decision < NumDecisions &&
          "observation out of range");
   std::copy(Features, Features + NumFeatures,

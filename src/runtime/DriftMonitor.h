@@ -93,7 +93,6 @@ struct DriftSignal {
 
 class DriftMonitor {
 public:
-  DriftMonitor() = default;
   DriftMonitor(unsigned NumFeatures, unsigned NumClusters,
                unsigned NumDecisions, const DriftMonitorOptions &Options);
 
@@ -104,7 +103,6 @@ public:
   static DriftMonitor referenceFrom(const serialize::TrainedModel &Model,
                                     const DriftMonitorOptions &Options);
 
-  bool ready() const { return NumFeatures != 0; }
   unsigned numFeatures() const { return NumFeatures; }
   unsigned numClusters() const { return NumClusters; }
   unsigned numDecisions() const { return NumDecisions; }

@@ -1214,10 +1214,15 @@ TEST(DaemonServerTest, AdaptModeServesAndObserves) {
       Sent.Answers.insert(Sent.Answers.end(), Choices.begin(), Choices.end());
     }
 
-  // The tenant's AdaptiveService actually observed the traffic.
+  // The tenant's AdaptiveService actually observed the traffic. The
+  // reservoir is the serving thread's, so it is read under the tenant's
+  // serve lock, as a session would.
   daemon::Tenant *T = H.Registry.find("sort1");
   ASSERT_NE(T, nullptr);
-  EXPECT_GT(T->Service->reservoir().seen(), 0u);
+  {
+    std::lock_guard<std::mutex> Lock(T->ServeMutex);
+    EXPECT_GT(T->Service->reservoir().seen(), 0u);
+  }
 
   // A cycled abrupt regime flip makes the drift monitor fire.
   FlipRun Flip = sendAbruptFlip(C, *T);

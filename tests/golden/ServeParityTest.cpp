@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -69,11 +70,17 @@ struct Loaded {
   std::unique_ptr<runtime::AdaptiveService> Service;
 };
 
-void loadGolden(const std::string &Name, Loaded &L) {
+/// Loads golden model \p Name into a frozen service; with
+/// \p DropDriftReference, after clearing the recorded feature table a
+/// drift monitor would be referenced on.
+void loadGolden(const std::string &Name, Loaded &L,
+                bool DropDriftReference = false) {
   serialize::TrainedModel Model;
   serialize::LoadStatus Status =
       serialize::loadModelFile(goldenPath(Name + ".pbt"), Model);
   ASSERT_TRUE(Status.Ok) << Status.Error;
+  if (DropDriftReference)
+    Model.System.L1.Features = linalg::Matrix();
   const registry::BenchmarkFactory &F =
       registry::BenchmarkRegistry::instance().get(Model.Meta.Benchmark);
   L.Program = F.makeProgram(Model.Meta.Scale, Model.Meta.ProgramSeed);
@@ -246,6 +253,93 @@ TEST_P(ServeParityTest, RepeatDecisionsAreCachedAndIdentical) {
   if (ExtractsFeatures) {
     EXPECT_EQ(Fresh.Service->stats().MemoizedDecisions, 0u);
   }
+}
+
+// A service built without AdaptiveServiceOptions is frozen: it holds no
+// drift monitor, reservoir or swap history, and its serveAnswers() is its
+// decideAnswers(). Two frozen services over the golden sort1 model, one
+// driven through each loop, must agree on every answer, every returned
+// epoch and every stats() field, to the bit, and observe nothing -- cold
+// batches, warm ones, and an operator swap between them. Their drift
+// reference is cleared, since a frozen service never reads it.
+TEST(FrozenServiceTest, ServeAnswersIsDecideAnswers) {
+  std::vector<std::pair<size_t, unsigned>> Expected =
+      readChoices(goldenPath("sort1.choices.csv"));
+  std::map<size_t, unsigned> Golden(Expected.begin(), Expected.end());
+  Loaded Serve, Decide;
+  loadGolden("sort1", Serve, /*DropDriftReference=*/true);
+  loadGolden("sort1", Decide, /*DropDriftReference=*/true);
+
+  auto ExpectSameStats = [&] {
+    runtime::AdaptiveService::StatsSnapshot G = Serve.Service->stats(),
+                                            W = Decide.Service->stats();
+    EXPECT_EQ(G.Decisions, W.Decisions);
+    EXPECT_EQ(G.MemoizedDecisions, W.MemoizedDecisions);
+    EXPECT_EQ(G.FeaturesExtracted, W.FeaturesExtracted);
+    EXPECT_EQ(G.FeatureCostPaid, W.FeatureCostPaid);
+    EXPECT_EQ(G.MonitorCostPaid, 0.0) << "a frozen service observed";
+    EXPECT_EQ(W.MonitorCostPaid, 0.0);
+    EXPECT_EQ(G.DriftDetections, W.DriftDetections);
+    EXPECT_EQ(G.Retrains, W.Retrains);
+    EXPECT_EQ(G.Swaps, W.Swaps);
+    EXPECT_EQ(G.RejectedCandidates, W.RejectedCandidates);
+    EXPECT_EQ(G.SkippedRetrains, W.SkippedRetrains);
+    EXPECT_EQ(G.RetrainSecondsTotal, W.RetrainSecondsTotal);
+    EXPECT_EQ(G.LastRetrainSeconds, W.LastRetrainSeconds);
+    EXPECT_EQ(G.RetrainLevel1SecondsTotal, W.RetrainLevel1SecondsTotal);
+    EXPECT_EQ(G.RetrainLevel2SecondsTotal, W.RetrainLevel2SecondsTotal);
+    EXPECT_EQ(G.LastSkipReason, W.LastSkipReason);
+  };
+  auto Batch = [&](const size_t *Inputs, size_t N) {
+    std::vector<runtime::AdaptiveService::Decision> Got(N), Want(N);
+    runtime::AdaptiveService::EpochPtr GotEp =
+        Serve.Service->serveAnswers(Inputs, N, Got.data());
+    runtime::AdaptiveService::EpochPtr WantEp =
+        Decide.Service->decideAnswers(Inputs, N, Want.data());
+    EXPECT_EQ(GotEp->Id, WantEp->Id);
+    EXPECT_EQ(GotEp->Model.Meta.Epoch, WantEp->Model.Meta.Epoch);
+    for (size_t I = 0; I != N; ++I) {
+      EXPECT_EQ(Got[I].Landmark, Want[I].Landmark) << "input " << Inputs[I];
+      EXPECT_EQ(Got[I].Epoch, Want[I].Epoch) << "input " << Inputs[I];
+      EXPECT_FALSE(Got[I].DriftFlagged);
+      auto It = Golden.find(Inputs[I]);
+      if (It != Golden.end()) {
+        EXPECT_EQ(Got[I].Landmark, It->second) << "input " << Inputs[I];
+      }
+    }
+    ExpectSameStats();
+  };
+
+  // Every input cold, in batches of 1, 7 and 16 and then the rest; then
+  // every input again, reversed and warm.
+  const size_t N = Serve.Program->numInputs();
+  std::vector<size_t> All;
+  for (size_t I = 0; I != N; ++I)
+    All.push_back(I);
+  size_t At = 0;
+  for (size_t Size : {size_t(1), size_t(7), size_t(16), N}) {
+    Size = std::min(Size, N - At);
+    Batch(All.data() + At, Size);
+    At += Size;
+  }
+  std::reverse(All.begin(), All.end());
+  Batch(All.data(), N);
+  // An operator push counts one swap, and every input is decided again
+  // under the pushed epoch from its memoized features.
+  for (Loaded *L : {&Serve, &Decide}) {
+    serialize::TrainedModel Pushed;
+    ASSERT_TRUE(serialize::loadModelFile(goldenPath("sort1.pbt"), Pushed).Ok);
+    ASSERT_TRUE(L->Service->swapModel(std::move(Pushed)).Ok);
+  }
+  Batch(All.data(), N);
+  EXPECT_EQ(Serve.Service->stats().Swaps, 1u);
+  EXPECT_EQ(Serve.Service->stats().Decisions, 3 * N);
+
+  // No adaptation state: no history, and a drift response does nothing.
+  EXPECT_TRUE(Serve.Service->history().empty());
+  EXPECT_FALSE(Serve.Service->adaptNow());
+  EXPECT_TRUE(Serve.Service->history().empty());
+  ExpectSameStats();
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, ServeParityTest,

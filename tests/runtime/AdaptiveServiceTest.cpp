@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <thread>
@@ -118,6 +119,16 @@ registry::ProgramPtr makeProgram(const std::string &Name = "sort1") {
   const registry::BenchmarkFactory &F =
       registry::BenchmarkRegistry::instance().get(Name);
   return F.makeProgram(kScale, F.defaultProgramSeed());
+}
+
+/// Adapting-service options whose three drift thresholds are out of
+/// reach: the service observes every input and runs every drift check,
+/// and no check flags, so nothing retrains unless adaptNow() is called.
+runtime::AdaptiveServiceOptions neverFlagging() {
+  runtime::AdaptiveServiceOptions O;
+  O.Monitor.MeanShiftThreshold = O.Monitor.ClusterTVThreshold =
+      O.Monitor.DecisionTVThreshold = std::numeric_limits<double>::infinity();
+  return O;
 }
 
 /// All of \p Service's answers for \p Inputs, from one decideAnswers().
@@ -367,11 +378,12 @@ TEST(AdaptiveServiceTest, BatchAccountingIsExact) {
   // service's that was handed the same inputs one call each, the costs to
   // the bit: cold inputs, warm ones, an input repeated inside one batch,
   // and a swap between batches (memo rows kept, decisions recomputed
-  // under the new epoch). Both loops are checked: decideAnswers(), and
-  // serveAnswers() without adaptation. sort1 swaps to a different model
-  // and extracts one feature per cold decision; binpacking swaps to a
-  // copy of its own model and extracts up to seven, and is checked again
-  // with fractional extraction costs, where the order of the adds shows.
+  // under the new epoch). Both loops are checked on an adapting service
+  // that never flags: decideAnswers(), and serveAnswers(), which
+  // observes. sort1 swaps to a different model and extracts one feature
+  // per cold decision; binpacking swaps to a copy of its own model and
+  // extracts up to seven, and is checked again with fractional extraction
+  // costs, where the order of the adds shows.
   auto CheckBatches = [](const std::string &Label,
                          const runtime::TunableProgram &P,
                          const std::string &Bytes,
@@ -379,8 +391,7 @@ TEST(AdaptiveServiceTest, BatchAccountingIsExact) {
     SCOPED_TRACE(Label + (Observe ? " serveAnswers" : " decideAnswers"));
     ASSERT_GE(P.numInputs(), 8u);
     BatchPlan Plan(P.numInputs());
-    runtime::AdaptiveServiceOptions O;
-    O.AutoAdapt = false;
+    runtime::AdaptiveServiceOptions O = neverFlagging();
     runtime::AdaptiveService Batched(P, cloneModel(Bytes), O);
     runtime::AdaptiveService PerInput(P, cloneModel(Bytes), O);
     ASSERT_TRUE(Batched.ready() && PerInput.ready());
@@ -641,8 +652,7 @@ TEST(AdaptiveServiceTest, ServeAnswersMatchesPerInputServe) {
 
 TEST(AdaptiveServiceTest, ServeObservesIntoMonitorAndReservoir) {
   registry::ProgramPtr P = makeProgram();
-  runtime::AdaptiveServiceOptions O;
-  O.AutoAdapt = false;
+  runtime::AdaptiveServiceOptions O = neverFlagging();
   O.ReservoirSize = 8;
   runtime::AdaptiveService Service(*P, cloneModel(modelBytes()), O);
   ASSERT_TRUE(Service.ready());
@@ -669,8 +679,7 @@ TEST(AdaptiveServiceTest, SwapHistoryKeepsTheMostRecentAttempts) {
   const registry::BenchmarkFactory &F =
       registry::BenchmarkRegistry::instance().get("sort1");
   const size_t Sample = 16;
-  runtime::AdaptiveServiceOptions O;
-  O.AutoAdapt = false;
+  runtime::AdaptiveServiceOptions O = neverFlagging();
   O.ReservoirSize = Sample;
   O.Retrain = registry::reservoirRetrainOptions(F, kScale, Sample);
   // The smallest search: this test counts attempts, not their quality.
@@ -809,8 +818,7 @@ TEST(AdaptiveServiceTest, ScratchAndMonitorFollowTheModelAcrossSwaps) {
   // the drift monitor's cluster/decision arity must both be re-sized for
   // the new epoch, or decide()/serve() index out of bounds.
   registry::ProgramPtr P = makeProgram();
-  runtime::AdaptiveServiceOptions O;
-  O.AutoAdapt = false;
+  runtime::AdaptiveServiceOptions O = neverFlagging();
   runtime::AdaptiveService Service(*P, cloneModel(altModelBytes()), O);
   ASSERT_TRUE(Service.ready());
   size_t SmallLandmarks =
@@ -845,8 +853,7 @@ TEST(AdaptiveServiceTest, ClusterMemoFollowsTheEpoch) {
   // service that only ever served the clone sees: no cluster memoized
   // under the retired epoch may leak into the window.
   registry::ProgramPtr P = makeProgram();
-  runtime::AdaptiveServiceOptions O;
-  O.AutoAdapt = false;
+  runtime::AdaptiveServiceOptions O = neverFlagging();
   auto Collapsed = [] {
     serialize::TrainedModel M = cloneModel(modelBytes());
     linalg::Matrix &C = M.System.L1.Clusters.Centroids;

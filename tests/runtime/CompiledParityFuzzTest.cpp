@@ -152,8 +152,6 @@ FuzzCase makeCase(unsigned CaseIndex) {
   M.Meta.ProgramSeed = CaseIndex;
   M.Meta.Features = Props;
   M.Meta.Space = Space;
-  // The training table the model records (its drift reference).
-  M.System.L1.Features = X;
   // randomConfig returns canonical points (dead branches pinned), which
   // is exactly what the loader and validateAgainst demand of landmarks.
   for (unsigned L = 0; L != K; ++L)

@@ -121,9 +121,7 @@ TEST(AdaptiveStreamTest, AbruptShiftDetectSwapAndBeatFrozenBaseline) {
   Scenario S = makeScenario();
 
   // Frozen baseline: the same initial model serving the same sequence
-  // with adaptation disabled.
-  runtime::AdaptiveServiceOptions FrozenOpts = serviceOptions();
-  FrozenOpts.AutoAdapt = false;
+  // from a service built without adaptation options.
   serialize::TrainedModel FrozenInitial;
   {
     // Models are move-only; rebuild the initial model from its own bytes
@@ -131,8 +129,7 @@ TEST(AdaptiveStreamTest, AbruptShiftDetectSwapAndBeatFrozenBaseline) {
     std::string Bytes = serialize::serializeModel(S.Initial);
     ASSERT_TRUE(serialize::loadModel(Bytes, FrozenInitial).Ok);
   }
-  runtime::AdaptiveService Frozen(*S.Universe, std::move(FrozenInitial),
-                                  FrozenOpts);
+  runtime::AdaptiveService Frozen(*S.Universe, std::move(FrozenInitial));
   ASSERT_TRUE(Frozen.ready()) << Frozen.status().Error;
 
   runtime::AdaptiveService Adaptive(*S.Universe, std::move(S.Initial),

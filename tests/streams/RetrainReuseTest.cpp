@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -92,8 +93,12 @@ TEST(RetrainReuseTest, MemoFedRetrainsMatchReferenceTrainingBytes) {
   // readable as the current epoch.
   O.SwapMargin = -1e9;
   // Drift responses run by hand below, so each one's sample and
-  // extraction count are observable on their own.
-  O.AutoAdapt = false;
+  // extraction count are observable on their own: the service's own
+  // thresholds are out of reach, so every check runs and none flags, and
+  // the test applies the default thresholds to each check's signal.
+  const runtime::DriftMonitorOptions Flag;
+  O.Monitor.MeanShiftThreshold = O.Monitor.ClusterTVThreshold =
+      O.Monitor.DecisionTVThreshold = std::numeric_limits<double>::infinity();
   runtime::AdaptiveService Service(Counted, std::move(Initial), O);
   ASSERT_TRUE(Service.ready()) << Service.status().Error;
 
@@ -104,8 +109,14 @@ TEST(RetrainReuseTest, MemoFedRetrainsMatchReferenceTrainingBytes) {
     size_t Input = Stream.inputAt(T % Stream.length());
     runtime::AdaptiveService::Decision D;
     Service.serveAnswers(&Input, 1, &D);
-    if (!D.DriftFlagged)
-      continue;
+    ASSERT_FALSE(D.DriftFlagged);
+    const runtime::DriftMonitor &M = Service.monitor();
+    const runtime::DriftSignal &S = M.lastSignal();
+    if (S.AtObservation != M.observations() ||
+        !(S.MeanShift > Flag.MeanShiftThreshold ||
+          S.ClusterTV > Flag.ClusterTVThreshold ||
+          S.DecisionTV > Flag.DecisionTVThreshold))
+      continue; // no drift check ran on this input, or it did not flag
     std::vector<size_t> Sample = Service.reservoir().sample();
     uint64_t RetrainsBefore = Service.stats().Retrains;
     uint64_t ExtractionsBefore = Counted.extractions();
@@ -131,8 +142,11 @@ TEST(RetrainReuseTest, MemoFedRetrainsMatchReferenceTrainingBytes) {
     ++Checked;
   }
   runtime::AdaptiveService::StatsSnapshot Stats = Service.stats();
-  ASSERT_GE(Checked, 3u) << "the stream must exercise several retrains";
+  // The five retrains a service that flags at these thresholds itself
+  // makes on this stream.
+  EXPECT_EQ(Checked, 5u) << "the stream must exercise several retrains";
   EXPECT_EQ(Checked, Stats.Retrains);
+  EXPECT_EQ(Stats.DriftDetections, 0u);
   EXPECT_GT(Stats.RetrainSecondsTotal, 0.0);
   EXPECT_GT(Stats.LastRetrainSeconds, 0.0);
   EXPECT_LE(Stats.LastRetrainSeconds, Stats.RetrainSecondsTotal);
