@@ -460,7 +460,8 @@ BENCHMARK(BM_ClassifyInterpreted);
 /// DaemonClient do. No decide, no admission gate -- the rest of a daemon
 /// round trip is what serving adds on top of this number. Both ends wait
 /// for a frame through FrameReader::read, which spins briefly before it
-/// blocks, so the kernel times that wait too.
+/// blocks, so the kernel times that wait too. The request_bytes and
+/// reply_bytes counters are the two payloads' sizes (134 and 150 bytes).
 static void wireRoundTrip(benchmark::State &State, daemon::Channel Client,
                           daemon::Channel Server) {
   std::thread Echo([Server] {
@@ -494,6 +495,9 @@ static void wireRoundTrip(benchmark::State &State, daemon::Channel Client,
     }
     benchmark::DoNotOptimize(M.Choices.data());
   }
+  // Payload bytes of one round trip each way, without length prefixes.
+  State.counters["request_bytes"] = static_cast<double>(Request.size());
+  State.counters["reply_bytes"] = static_cast<double>(Reply.size());
   ::shutdown(Client.Fd, SHUT_RDWR); // the echo thread's read sees Closed
   Echo.join();
 }

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <thread>
+#include <type_traits>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -34,12 +35,11 @@ namespace {
 // Little-endian store/load helpers
 //===----------------------------------------------------------------------===//
 
-// Byte-wise shifts through a raw pointer: portable across host byte
-// orders, and compilers merge them into single word stores and loads.
-// The word stores on the Predict path are wire::putU32/putU64.
-void storeU16(uint8_t *P, uint16_t V) {
-  P[0] = static_cast<uint8_t>(V);
-  P[1] = static_cast<uint8_t>(V >> 8);
+// Byte-wise loads through a raw pointer: portable across host byte
+// orders, and compilers merge them into single word loads. The stores
+// are wire::putU16/putU32/putU64.
+uint16_t loadU16(const uint8_t *P) {
+  return static_cast<uint16_t>(P[0] | P[1] << 8);
 }
 
 uint32_t loadU32(const uint8_t *P) {
@@ -86,9 +86,9 @@ public:
 
   void str(const std::string &S) {
     size_t N = wireStrLen(S);
-    storeU16(Cur, static_cast<uint16_t>(N));
-    std::memcpy(Cur + 2, S.data(), N);
-    Cur += 2 + N;
+    Cur = wire::putU16(Cur, static_cast<uint16_t>(N));
+    std::memcpy(Cur, S.data(), N);
+    Cur += N;
   }
 
   void json(const std::string &S) {
@@ -125,7 +125,7 @@ public:
   bool u16(uint16_t &V) {
     const uint8_t *P = take(2);
     if (P)
-      V = static_cast<uint16_t>(P[0] | P[1] << 8);
+      V = loadU16(P);
     return P != nullptr;
   }
 
@@ -200,6 +200,93 @@ private:
   size_t Left;
   bool Failed = false;
 };
+
+//===----------------------------------------------------------------------===//
+// Narrow integer arrays
+//===----------------------------------------------------------------------===//
+
+/// The array both bodies of the Predict round trip end with: a width
+/// byte W, then each value as a W-byte little-endian integer, W the
+/// narrowest of 2, 4 or 8 that holds the largest value. \p Field maps an
+/// element of the vector carried to the integer that goes on the wire (a
+/// reference to it, when decoding).
+struct NarrowArray {
+  /// The width \p Values go on the wire at. Their bitwise OR has a bit
+  /// past a width exactly when one of them does.
+  template <typename T, typename FieldFn>
+  static unsigned widthOf(const std::vector<T> &Values, FieldFn Field) {
+    uint64_t AllBits = 0;
+    for (const T &V : Values)
+      AllBits |= Field(V);
+    return AllBits <= 0xFFFF ? 2 : AllBits <= 0xFFFFFFFF ? 4 : 8;
+  }
+
+  /// Wire bytes of \p Count values at \p Width, the width byte included.
+  static size_t bytes(size_t Count, unsigned Width) {
+    return 1 + Count * Width;
+  }
+
+  /// Writes \p Values at \p Width (from widthOf) and returns the byte
+  /// past them.
+  template <typename T, typename FieldFn>
+  static uint8_t *put(uint8_t *P, unsigned Width, const std::vector<T> &Values,
+                      FieldFn Field) {
+    *P++ = static_cast<uint8_t>(Width);
+    switch (Width) {
+    case 2:
+      for (const T &V : Values)
+        P = wire::putU16(P, static_cast<uint16_t>(Field(V)));
+      break;
+    case 4:
+      for (const T &V : Values)
+        P = wire::putU32(P, static_cast<uint32_t>(Field(V)));
+      break;
+    default:
+      for (const T &V : Values)
+        P = wire::putU64(P, Field(V));
+      break;
+    }
+    return P;
+  }
+
+  /// Reads \p Count values into \p Out, sized to \p Count only once the
+  /// width is one of 2, 4 or 8, at most \p MaxWidth, and the payload
+  /// holds that many values; false otherwise.
+  template <typename T, typename FieldFn>
+  static bool get(WireReader &R, uint32_t Count, unsigned MaxWidth,
+                  std::vector<T> &Out, FieldFn Field) {
+    uint8_t Width = 0;
+    if (!R.u8(Width) || (Width != 2 && Width != 4 && Width != 8) ||
+        Width > MaxWidth)
+      return false;
+    const uint8_t *P = R.array(Count, Width);
+    if (!P)
+      return false;
+    Out.resize(Count);
+    // MaxWidth keeps every value inside its field.
+    using Int = std::remove_reference_t<decltype(Field(Out[0]))>;
+    switch (Width) {
+    case 2:
+      for (uint32_t I = 0; I < Count; ++I)
+        Field(Out[I]) = static_cast<Int>(loadU16(P + 2 * I));
+      break;
+    case 4:
+      for (uint32_t I = 0; I < Count; ++I)
+        Field(Out[I]) = static_cast<Int>(loadU32(P + 4 * I));
+      break;
+    default:
+      for (uint32_t I = 0; I < Count; ++I)
+        Field(Out[I]) = static_cast<Int>(loadU64(P + 8 * I));
+      break;
+    }
+    return true;
+  }
+};
+
+/// A Predict's input id and an answer's landmark: what each body's
+/// narrow array carries.
+constexpr auto InputId = [](auto &V) -> auto & { return V; };
+constexpr auto LandmarkOf = [](auto &C) -> auto & { return C.Landmark; };
 
 //===----------------------------------------------------------------------===//
 // Raw fd helpers
@@ -554,19 +641,35 @@ uint8_t *wire::beginPayload(std::string &Out, MsgType Type, size_t BodyBytes) {
 }
 
 void encodePredict(std::string &Out, const std::vector<uint64_t> &Inputs) {
-  uint8_t *P = wire::beginPayload(Out, MsgType::Predict, 4 + 8 * Inputs.size());
+  const unsigned Width = NarrowArray::widthOf(Inputs, InputId);
+  uint8_t *P =
+      wire::beginPayload(Out, MsgType::Predict,
+                         4 + NarrowArray::bytes(Inputs.size(), Width));
   P = wire::putU32(P, static_cast<uint32_t>(Inputs.size()));
-  for (uint64_t In : Inputs)
-    P = wire::putU64(P, In);
+  NarrowArray::put(P, Width, Inputs, InputId);
 }
 
 void encodePredictions(std::string &Out,
                        const std::vector<PredictedChoice> &Answers) {
+  const size_t N = Answers.size();
+  uint32_t Runs = 0;
+  for (size_t I = 0; I < N; ++I)
+    Runs += I == 0 || Answers[I].Epoch != Answers[I - 1].Epoch;
+  const unsigned Width = NarrowArray::widthOf(Answers, LandmarkOf);
   uint8_t *P = wire::beginPayload(Out, MsgType::Predictions,
-                                  4 + 12 * Answers.size());
-  P = wire::putU32(P, static_cast<uint32_t>(Answers.size()));
-  for (const PredictedChoice &A : Answers)
-    P = wire::putU64(wire::putU32(P, A.Landmark), A.Epoch);
+                                  4 + 4 + 12 * size_t(Runs) +
+                                      NarrowArray::bytes(N, Width));
+  P = wire::putU32(P, static_cast<uint32_t>(N));
+  P = wire::putU32(P, Runs);
+  for (size_t I = 0; I < N;) {
+    size_t End = I + 1;
+    while (End < N && Answers[End].Epoch == Answers[I].Epoch)
+      ++End;
+    P = wire::putU32(wire::putU64(P, Answers[I].Epoch),
+                     static_cast<uint32_t>(End - I));
+    I = End;
+  }
+  NarrowArray::put(P, Width, Answers, LandmarkOf);
 }
 
 std::string makeHello(const std::string &Tenant) {
@@ -700,15 +803,7 @@ bool decodeMessage(const uint8_t *Data, size_t Size, Message &Out) {
     uint32_t Count = 0;
     if (!R.u32(Count) || Count == 0 || Count > kMaxBatchInputs)
       return false;
-    // The count is checked against the bytes actually present before
-    // anything is sized off it.
-    const uint8_t *P = R.array(Count, 8);
-    if (!P)
-      return false;
-    Out.Inputs.resize(Count);
-    for (uint32_t I = 0; I < Count; ++I)
-      Out.Inputs[I] = loadU64(P + 8 * I);
-    return R.done();
+    return NarrowArray::get(R, Count, 8, Out.Inputs, InputId) && R.done();
   }
   case MsgType::Stats:
   case MsgType::ListTenants:
@@ -720,16 +815,33 @@ bool decodeMessage(const uint8_t *Data, size_t Size, Message &Out) {
     return R.u64(Out.Epoch) && R.u32(Out.Landmarks) && R.u64(Out.NumInputs) &&
            R.done();
   case MsgType::Predictions: {
-    uint32_t Count = 0;
-    if (!R.u32(Count) || Count > kMaxBatchInputs)
+    uint32_t Count = 0, Runs = 0;
+    if (!R.u32(Count) || Count > kMaxBatchInputs || !R.u32(Runs) ||
+        Runs > Count)
       return false;
-    const uint8_t *P = R.array(Count, 12);
-    if (!P)
+    const uint8_t *RunTable = R.array(Runs, 12);
+    if (!RunTable)
       return false;
-    Out.Choices.resize(Count);
-    for (uint32_t I = 0; I < Count; ++I) {
-      Out.Choices[I].Landmark = loadU32(P + 12 * I);
-      Out.Choices[I].Epoch = loadU64(P + 12 * I + 4);
+    // Each run is nonempty and differs in epoch from the one before, and
+    // the lengths add up to the count: Covered never passes Count.
+    uint32_t Covered = 0;
+    for (uint32_t K = 0; K < Runs; ++K) {
+      const uint8_t *Run = RunTable + 12 * K;
+      const uint32_t Len = loadU32(Run + 8);
+      if (Len == 0 || Len > Count - Covered ||
+          (K > 0 && loadU64(Run) == loadU64(Run - 12)))
+        return false;
+      Covered += Len;
+    }
+    if (Covered != Count ||
+        !NarrowArray::get(R, Count, 4, Out.Choices, LandmarkOf))
+      return false;
+    PredictedChoice *C = Out.Choices.data();
+    for (uint32_t K = 0; K < Runs; ++K) {
+      const uint64_t Epoch = loadU64(RunTable + 12 * K);
+      const uint32_t Len = loadU32(RunTable + 12 * K + 8);
+      for (PredictedChoice *End = C + Len; C != End; ++C)
+        C->Epoch = Epoch;
     }
     return R.done();
   }

@@ -11,8 +11,8 @@
 ///
 /// Framing is length-prefixed: every message is a 4-byte little-endian
 /// payload length (1 .. kMaxFrameBytes) followed by that many payload
-/// bytes. The payload is one tag byte (MsgType) and a fixed
-/// little-endian body per type; strings travel as a 2-byte length plus
+/// bytes. The payload is one tag byte (MsgType) and a little-endian body
+/// laid out per type (see MsgType); strings travel as a 2-byte length plus
 /// bytes, except a StatsReply's JSON, which has a 4-byte length.
 /// Decoding is strict and total: every read is bounds-checked,
 /// every count is capped before any allocation sizes off it, and a
@@ -30,31 +30,39 @@
 /// ends move every frame through the rings, and the same bytes -- length
 /// prefix and payload -- go through the same FrameReader and decoders.
 /// A frame larger than a ring streams through it in pieces. TCP sessions
-/// never ask, so their bytes are unchanged.
+/// never ask, and keep their frames on the socket.
 ///
 /// On a socket, framed IO costs one syscall per frame each way in the
 /// common case. writeFrame gathers the header and the payload into one
 /// sendmsg (two iovecs, no copy). A FrameReader, held per connection,
 /// pulls up to FrameReader::kBufferBytes per recv, so a whole request or
-/// reply -- a 64-input Predict is 521 B, its Predictions 777 B --
-/// arrives in one recv, and bytes of a following frame stay buffered for
-/// the next read. A socket Predict round trip is thus four syscalls when
-/// nobody waits. On a ring it is none: a frame is a copy into shared
-/// memory and one position store, and a reader that finds its ring empty
-/// spins on it before it sleeps (FrameReader::read). A reader that does
-/// sleep says so in the shared region first, and only then does the
-/// writer send the one-byte doorbell on the socket that wakes it. A peer
-/// that closes or dies closes the socket, which ends every sleep.
+/// reply arrives in one recv, and bytes of a following frame stay
+/// buffered for the next read. A socket Predict round trip is thus four
+/// syscalls when nobody waits. On a ring it is none: a frame is a copy
+/// into shared memory and one position store, and a reader that finds
+/// its ring empty spins on it before it sleeps (FrameReader::read). A
+/// reader that does sleep says so in the shared region first, and only
+/// then does the writer send the one-byte doorbell on the socket that
+/// wakes it. A peer that closes or dies closes the socket, which ends
+/// every sleep.
+///
+/// The two bodies of the Predict round trip are narrow, since their bytes
+/// are most of what a warm round trip moves. Each ends with a narrow
+/// integer array: a width byte W, then each value as a W-byte
+/// little-endian integer, W the narrowest of 2, 4 or 8 bytes that holds
+/// the largest value (a landmark never needs 8). A reply's epochs travel
+/// once per run of equal epochs, not once per answer: a frozen tenant's
+/// batch is one run, and an adapting tenant that swaps mid-batch sends
+/// one more run per swap. A 64-input Predict over a universe of fewer
+/// than 65,536 inputs is a 134-byte payload and its one-run reply 150
+/// bytes, 292 bytes both ways with their length prefixes. There is no
+/// version negotiation: client and daemon must come from the same build.
 ///
 /// Neither end allocates a buffer per Predict once warm: the server's
 /// session and the client each keep their request, reply and decoded
 /// Message, the Predict and Predictions payloads are encoded into those
 /// kept buffers (encodePredict, encodePredictions), and decodeMessage
-/// refills a Message without dropping its capacity. On traced
-/// `serve-warm` runs (perfbench `--trace 1`, eight seeds, 4-core x86 VM)
-/// the median `daemon.codec_us` -- one 64-input Predict and its reply
-/// built and decoded -- went from 1.24 to 0.98 us, `runtime.decide_us`
-/// from 3.99 to 1.99 us and `daemon.residual_us` from 23.9 to 17.8 us.
+/// refills a Message without dropping its capacity.
 ///
 /// A session speaks: Hello (attach to a tenant by name), then any mix of
 /// Predict (a batch of input ids answered by Predictions, or Shed when
@@ -91,7 +99,8 @@ inline constexpr uint32_t kMaxBatchInputs = 1u << 16;
 enum class MsgType : uint8_t {
   // Client -> server.
   Hello = 0x01,       ///< str tenant -- attach this session to a tenant
-  Predict = 0x02,     ///< u32 count, count x u64 input id
+  Predict = 0x02,     ///< u32 count, u8 width, count x width-byte input
+                      ///< id (width 2, 4 or 8; see file comment)
   Stats = 0x03,       ///< no body -- server + per-tenant stats as JSON
   ListTenants = 0x04, ///< no body
   Shutdown = 0x05,    ///< no body -- ask the daemon to exit cleanly
@@ -100,7 +109,10 @@ enum class MsgType : uint8_t {
                       ///< session onto a ring pair (see file comment)
   // Server -> client.
   TenantOk = 0x81,    ///< u64 epoch, u32 landmarks, u64 inputs
-  Predictions = 0x82, ///< u32 count, count x (u32 landmark, u64 epoch)
+  Predictions = 0x82, ///< u32 count, u32 runs, runs x (u64 epoch, u32
+                      ///< length), u8 width, count x width-byte landmark
+                      ///< (width 2 or 4). The runs are the maximal spans
+                      ///< of answers with one epoch, in order.
   Shed = 0x83,        ///< u32 queue depth, str reason -- admission refusal
   Error = 0x84,       ///< str message
   StatsReply = 0x85,  ///< u32 length + JSON bytes (bounded by the frame
@@ -195,9 +207,17 @@ namespace wire {
 /// Little-endian stores through a raw pointer, each one word store (a
 /// byte swap first on a big-endian host). Each returns the byte past
 /// what it wrote. Byte-wise shifts would be portable too, but GCC 12
-/// then merges a choice's landmark with half of its epoch into one word
-/// assembled byte by byte, which about doubled the time to encode 64
-/// choices (x86-64, Release build).
+/// then merged neighbouring fields into one word assembled byte by byte,
+/// which about doubled the time to encode 64 choices (x86-64, Release
+/// build).
+inline uint8_t *putU16(uint8_t *P, uint16_t V) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+  V = __builtin_bswap16(V);
+#endif
+  std::memcpy(P, &V, sizeof V);
+  return P + sizeof V;
+}
+
 inline uint8_t *putU32(uint8_t *P, uint32_t V) {
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
   V = __builtin_bswap32(V);
@@ -235,7 +255,7 @@ void encodePredictions(std::string &Out,
 //===----------------------------------------------------------------------===//
 
 /// Bytes of each direction's ring. A 64-input Predict and its reply
-/// (525 and 781 bytes with their length prefixes) fit many times over;
+/// (138 and 154 bytes with their length prefixes) fit many times over;
 /// a larger frame, up to kMaxFrameBytes, streams through in pieces.
 inline constexpr size_t kRingBytes = size_t(16) << 10;
 /// The control page at the start of a session's shared region.

@@ -6,9 +6,11 @@
 
 #include "daemon/Server.h"
 
+#include "daemon/Transport.h"
 #include "support/Json.h"
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <type_traits>
@@ -20,6 +22,39 @@
 
 namespace pbt {
 namespace daemon {
+
+namespace {
+
+/// How long a session that ends keeps reading what its peer still sends.
+constexpr std::chrono::milliseconds kDrainWindow{100};
+
+/// Lets the peer of a session that ends read EOF rather than a reset. A
+/// socket closed with received bytes unread -- a ring client's doorbell,
+/// the rest of a request the session dropped -- makes the peer's next
+/// recv fail with ECONNRESET, and can discard a reply the peer has not
+/// read yet. So the write side is shut first, which the peer reads as
+/// EOF, and whatever the peer still sends is read and dropped until it
+/// closes too, for at most kDrainWindow, so that a flooding peer cannot
+/// hold the session thread.
+void drainBeforeClose(int Fd) {
+  ::shutdown(Fd, SHUT_WR);
+  const auto Until = std::chrono::steady_clock::now() + kDrainWindow;
+  char Sink[4096];
+  for (;;) {
+    const auto Now = std::chrono::steady_clock::now();
+    if (Now >= Until)
+      return;
+    ssize_t N = ::recv(Fd, Sink, sizeof Sink, MSG_DONTWAIT);
+    if (N > 0 || (N < 0 && errno == EINTR))
+      continue;
+    if (N == 0 || (errno != EAGAIN && errno != EWOULDBLOCK))
+      return;
+    struct pollfd Pfd = {Fd, POLLIN, 0};
+    (void)::poll(&Pfd, 1, pollTimeoutMs(Until - Now));
+  }
+}
+
+} // namespace
 
 Server::Server(ModelRegistry &Registry, ServerOptions Options)
     : Registry(Registry), Opts(std::move(Options)),
@@ -241,6 +276,7 @@ void Server::sessionLoop(Session *S) {
     if (!handleMessage(S, S->Request, Attached))
       break;
   }
+  drainBeforeClose(S->Fd);
   if (S->Ring) {
     S->Ring.reset();
     RingSessionCount.fetch_sub(1, std::memory_order_relaxed);

@@ -335,7 +335,8 @@ TEST(DaemonServerTest, OneSessionReusesItsBuffersAcrossRequestSizes) {
     SCOPED_TRACE(std::to_string(Inputs.size()) + "-input Predict");
     std::string Reply;
     Exchange(daemon::makePredict(Inputs), Reply);
-    EXPECT_EQ(Reply.size(), 1 + 4 + 12 * Inputs.size());
+    // One epoch run and 2-byte landmarks (see BuildersSizeSixtyFour...).
+    EXPECT_EQ(Reply.size(), 1 + 4 + 4 + 12 + 1 + 2 * Inputs.size());
     daemon::Message M;
     ASSERT_TRUE(daemon::decodeMessage(Reply, M));
     ASSERT_EQ(M.Type, daemon::MsgType::Predictions);
@@ -368,9 +369,10 @@ TEST(DaemonServerTest, OneSessionReusesItsBuffersAcrossRequestSizes) {
 }
 
 TEST(DaemonServerTest, RingSessionStreamsFramesLargerThanItsRing) {
-  // A Predict of kMaxBatchInputs inputs (512 KiB) and its reply (768 KiB)
-  // are far larger than a ring: both stream through in pieces, and the
-  // answers match the oracle's. A later Hello reuses the session's ring.
+  // A Predict of kMaxBatchInputs inputs and its reply (128 KiB each at
+  // 2-byte ids and landmarks) are far larger than a ring: both stream
+  // through in pieces, and the answers match the oracle's. A later Hello
+  // reuses the session's ring.
   Harness H;
   daemon::DaemonClient C;
   connectAttached(C, H.Socket);
@@ -1083,11 +1085,10 @@ TEST(DaemonServerTest, ScribbledRingIsDroppedAsMalformedOthersKeepParity) {
       while ((N = ::recv(Bad.fd(), &Byte, 1, 0)) > 0) {
       }
       const int RecvErrno = N < 0 ? errno : 0;
-      // A session closed with the doorbell byte still unread reads as a
-      // reset on a Unix-domain socket, not as EOF: both mean closed.
-      EXPECT_TRUE(N == 0 || RecvErrno == ECONNRESET)
-          << "the hostile session was not closed: recv returned " << N
-          << ", errno " << RecvErrno;
+      // The daemon reads the doorbell byte before it closes, so the
+      // client reads EOF, not a reset.
+      EXPECT_EQ(N, 0) << "the hostile session did not end in EOF: errno "
+                      << RecvErrno;
     }
     EXPECT_EQ(H.Srv->stats().Malformed, Malformed + 1);
     ExpectParity(Good);
@@ -1274,6 +1275,80 @@ TEST(DaemonServerTest, AdaptModeServesAndObserves) {
   EXPECT_NEAR(LastMs, A.LastRetrainSeconds * 1e3,
               1e-5 * A.LastRetrainSeconds * 1e3);
   EXPECT_LE(LastMs, TotalS * 1e3 * (1 + 1e-5));
+}
+
+TEST(DaemonServerTest, MidBatchSwapSendsOneEpochRunPerModel) {
+  // An adapting tenant that swaps while it answers a batch decides the
+  // rest of the batch with the new model, so its reply carries two or
+  // more epoch runs. Every answer, across every run, must be what
+  // per-input serve() gives on a fresh tenant.
+  daemon::ModelRegistryOptions RO;
+  RO.AutoAdapt = true;
+  RO.Window = 16;
+  RO.Reservoir = 16;
+  Harness H({}, RO);
+  daemon::Tenant *T = H.Registry.find("sort1");
+  ASSERT_NE(T, nullptr);
+  daemon::DaemonClient C;
+  connectAttached(C, H.Socket);
+
+  // Raw frames on the attached session, so each reply's run count is
+  // visible; 15 inputs a batch, so that a swap can land anywhere in one.
+  constexpr size_t kBatch = 15;
+  daemon::FrameReader Reader;
+  FlipRun Sent;
+  std::string Request, Reply;
+  daemon::Message M;
+  size_t MultiRun = 0;
+  // Cycled abrupt sortedness flips, one stream after another.
+  for (uint64_t Seed : {0xADA97ull, 0x5EED2ull, 0xBEEF1ull, 0x12345ull}) {
+    streams::WorkloadStreamOptions Flip;
+    Flip.Kind = streams::Schedule::Abrupt;
+    Flip.Requests = 128;
+    Flip.Seed = Seed;
+    Flip.KeyProperty = 2; // sortedness
+    streams::WorkloadStream Stream(*T->Program, Flip);
+    for (size_t Tick = 0; Tick + kBatch <= 4 * Stream.length();
+         Tick += kBatch) {
+      std::vector<uint64_t> Inputs;
+      for (size_t K = Tick; K != Tick + kBatch; ++K)
+        Inputs.push_back(Stream.inputAt(K % Stream.length()));
+      daemon::encodePredict(Request, Inputs);
+      ASSERT_EQ(daemon::writeFrame(C.channel(), Request),
+                daemon::FrameStatus::Ok);
+      ASSERT_EQ(Reader.read(C.channel(), Reply), daemon::FrameStatus::Ok);
+      ASSERT_TRUE(daemon::decodeMessage(Reply, M));
+      ASSERT_EQ(M.Type, daemon::MsgType::Predictions);
+      ASSERT_EQ(M.Choices.size(), Inputs.size());
+      // The run count follows the tag and the answer count.
+      uint32_t Runs = 0;
+      for (int B = 0; B < 4; ++B)
+        Runs |= uint32_t(uint8_t(Reply[5 + B])) << (8 * B);
+      uint32_t Spans = 1;
+      for (size_t K = 1; K < M.Choices.size(); ++K)
+        Spans += M.Choices[K].Epoch != M.Choices[K - 1].Epoch;
+      EXPECT_EQ(Runs, Spans) << "runs are the maximal spans of one epoch";
+      MultiRun += Runs >= 2;
+      Sent.Inputs.insert(Sent.Inputs.end(), Inputs.begin(), Inputs.end());
+      Sent.Answers.insert(Sent.Answers.end(), M.Choices.begin(),
+                          M.Choices.end());
+    }
+  }
+  runtime::AdaptiveService::StatsSnapshot A = T->Service->stats();
+  ASSERT_GT(A.Swaps, 0u) << "the streams must make the tenant swap";
+  EXPECT_GE(MultiRun, 1u) << "no swap landed inside a batch";
+
+  daemon::ModelRegistry Fresh(RO);
+  ASSERT_TRUE(Fresh.addTenant("sort1", modelFile()).Ok);
+  runtime::AdaptiveService &Replay = *Fresh.find("sort1")->Service;
+  size_t Mismatches = 0;
+  for (size_t I = 0; I != Sent.Inputs.size(); ++I) {
+    runtime::AdaptiveService::Decision D = Replay.serve(Sent.Inputs[I]);
+    Mismatches += D.Landmark != Sent.Answers[I].Landmark ||
+                  D.Epoch != Sent.Answers[I].Epoch;
+  }
+  EXPECT_EQ(Mismatches, 0u) << "the daemon's answers diverged from serve()";
+  EXPECT_EQ(Replay.stats().Swaps, A.Swaps);
 }
 
 TEST(DaemonServerTest, TwoAdaptingTenantsRetrainConcurrently) {

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace pbt::daemon;
@@ -80,16 +81,173 @@ TEST(ProtocolTest, TenantOkRoundTrip) {
   EXPECT_EQ(M.NumInputs, 480u);
 }
 
-TEST(ProtocolTest, PredictionsRoundTrip) {
-  std::vector<PredictedChoice> C = {{0, 1}, {5, 1}, {11, 2}};
-  std::string P = makePredictions(C);
+namespace {
+
+/// Appends \p V as a \p Bytes-byte little-endian integer (zero bytes
+/// past the eighth).
+void appendLE(std::string &Out, uint64_t V, unsigned Bytes) {
+  for (unsigned I = 0; I < Bytes; ++I)
+    Out.push_back(static_cast<char>(I < 8 ? V >> (8 * I) : 0));
+}
+
+using RunList = std::vector<std::pair<uint64_t, uint32_t>>;
+
+/// A Predictions payload put together field by field, from (epoch,
+/// length) runs, so a test can write what no encoder would.
+std::string rawPredictions(uint32_t Count, const RunList &Runs,
+                           unsigned Width,
+                           const std::vector<uint32_t> &Landmarks) {
+  std::string P(1, static_cast<char>(MsgType::Predictions));
+  appendLE(P, Count, 4);
+  appendLE(P, Runs.size(), 4);
+  for (const auto &[Epoch, Length] : Runs) {
+    appendLE(P, Epoch, 8);
+    appendLE(P, Length, 4);
+  }
+  appendLE(P, Width, 1);
+  for (uint32_t L : Landmarks)
+    appendLE(P, L, Width);
+  return P;
+}
+
+/// Expects \p Choices to survive a Predictions round trip unchanged.
+void expectPredictionsRoundTrip(const std::vector<PredictedChoice> &Choices) {
   Message M;
-  ASSERT_TRUE(decodeMessage(P, M));
+  ASSERT_TRUE(decodeMessage(makePredictions(Choices), M));
   EXPECT_EQ(M.Type, MsgType::Predictions);
-  ASSERT_EQ(M.Choices.size(), C.size());
-  for (size_t I = 0; I < C.size(); ++I) {
-    EXPECT_EQ(M.Choices[I].Landmark, C[I].Landmark);
-    EXPECT_EQ(M.Choices[I].Epoch, C[I].Epoch);
+  ASSERT_EQ(M.Choices.size(), Choices.size());
+  for (size_t I = 0; I < Choices.size(); ++I) {
+    EXPECT_EQ(M.Choices[I].Landmark, Choices[I].Landmark) << "answer " << I;
+    EXPECT_EQ(M.Choices[I].Epoch, Choices[I].Epoch) << "answer " << I;
+  }
+}
+
+} // namespace
+
+TEST(ProtocolTest, PredictionsRoundTrip) {
+  expectPredictionsRoundTrip({{0, 1}, {5, 1}, {11, 2}});
+}
+
+TEST(ProtocolTest, PredictIdsRoundTripAtEveryWidthBoundary) {
+  // The width is the narrowest of 2, 4 or 8 bytes that holds the
+  // largest id, so each boundary's two sides take different widths.
+  const std::pair<uint64_t, unsigned> Cases[] = {
+      {0, 2},
+      {65535, 2},
+      {65536, 4},
+      {(1ull << 32) - 1, 4},
+      {1ull << 32, 8},
+      {~0ull, 8}};
+  for (const auto &[Largest, Width] : Cases) {
+    SCOPED_TRACE(Largest);
+    std::vector<uint64_t> Inputs = {3, Largest, 1};
+    std::string P = makePredict(Inputs);
+    ASSERT_EQ(P.size(), 1 + 4 + 1 + 3 * Width);
+    EXPECT_EQ(static_cast<uint8_t>(P[5]), Width);
+    Message M;
+    ASSERT_TRUE(decodeMessage(P, M));
+    EXPECT_EQ(M.Inputs, Inputs);
+  }
+}
+
+TEST(ProtocolTest, LandmarksRoundTripAtTheirWidthBoundary) {
+  for (const auto &[Largest, Width] :
+       {std::pair<uint32_t, unsigned>{65535, 2}, {65536, 4}, {~0u, 4}}) {
+    SCOPED_TRACE(Largest);
+    std::vector<PredictedChoice> C = {{1, 5}, {Largest, 5}, {0, 5}};
+    std::string P = makePredictions(C);
+    // tag, count, runs, one run, then the width byte.
+    ASSERT_EQ(P.size(), 1 + 4 + 4 + 12 + 1 + 3 * Width);
+    EXPECT_EQ(static_cast<uint8_t>(P[21]), Width);
+    expectPredictionsRoundTrip(C);
+  }
+}
+
+TEST(ProtocolTest, MultiRunRepliesRoundTrip) {
+  // Each maximal span of equal epochs is one run on the wire; an epoch
+  // that comes back after another is a new run.
+  const std::vector<std::vector<PredictedChoice>> Replies = {
+      {},
+      {{4, 7}},
+      {{0, 1}, {5, 1}, {11, 2}, {11, 2}},
+      {{1, 3}, {2, 4}, {3, 3}, {4, 4}, {5, 3}},
+      {{9, 1}, {9, 1}, {8, 2}, {7, 2}, {6, 2}, {5, 1ull << 40}, {4, 0}},
+  };
+  const uint32_t Runs[] = {0, 1, 2, 5, 4};
+  for (size_t K = 0; K < Replies.size(); ++K) {
+    SCOPED_TRACE("reply " + std::to_string(K));
+    std::string P = makePredictions(Replies[K]);
+    EXPECT_EQ(static_cast<uint8_t>(P[5]), Runs[K]);
+    EXPECT_EQ(P.size(), 1 + 4 + 4 + 12 * Runs[K] + 1 + 2 * Replies[K].size());
+    expectPredictionsRoundTrip(Replies[K]);
+  }
+  // Many runs past the first byte of the run count, landmarks at 4 bytes.
+  std::vector<PredictedChoice> Long;
+  for (uint32_t I = 0; I < 700; ++I)
+    Long.push_back({I * 1000, I / 2});
+  EXPECT_EQ(makePredictions(Long).size(), 1 + 4 + 4 + 12 * 350 + 1 + 4 * 700);
+  expectPredictionsRoundTrip(Long);
+}
+
+TEST(ProtocolTest, NarrowBodiesRejectWhatNoEncoderWrites) {
+  Message M;
+  // The raw builder reproduces the encoder, so each case below differs
+  // from a valid payload only where it says.
+  ASSERT_EQ(rawPredictions(3, {{1, 2}, {2, 1}}, 2, {7, 8, 9}),
+            makePredictions({{7, 1}, {8, 1}, {9, 2}}));
+  ASSERT_TRUE(decodeMessage(rawPredictions(3, {{1, 2}, {2, 1}}, 2, {7, 8, 9}),
+                            M));
+  // A width this decoder also accepts, though no encoder picks it here.
+  ASSERT_TRUE(decodeMessage(rawPredictions(3, {{1, 3}}, 4, {7, 8, 9}), M));
+
+  // Widths outside their sets, each with exactly the bytes two values
+  // of that width take: a Predict's id is 2, 4 or 8 bytes...
+  for (unsigned Width : {0u, 1u, 3u, 5u, 7u, 9u, 16u, 255u}) {
+    SCOPED_TRACE("width " + std::to_string(Width));
+    std::string P(1, static_cast<char>(MsgType::Predict));
+    appendLE(P, 2, 4);
+    appendLE(P, Width, 1);
+    P.append(2 * Width, '\x01');
+    EXPECT_FALSE(decodeMessage(P, M));
+  }
+  // ...and a landmark 2 or 4.
+  for (unsigned Width : {0u, 1u, 3u, 8u, 255u})
+    EXPECT_FALSE(decodeMessage(rawPredictions(2, {{1, 2}}, Width, {0, 0}), M))
+        << "width " << Width;
+
+  // More runs than answers (the run table is all there).
+  EXPECT_FALSE(decodeMessage(
+      rawPredictions(2, {{1, 1}, {2, 1}, {3, 0}}, 2, {0, 0}), M));
+  EXPECT_FALSE(decodeMessage(rawPredictions(0, {{1, 0}}, 2, {}), M));
+  // A zero-length run, first, between two others, and last.
+  EXPECT_FALSE(
+      decodeMessage(rawPredictions(2, {{1, 0}, {2, 2}}, 2, {0, 0}), M));
+  EXPECT_FALSE(decodeMessage(
+      rawPredictions(2, {{1, 1}, {2, 0}, {3, 1}}, 2, {0, 0}), M));
+  EXPECT_FALSE(
+      decodeMessage(rawPredictions(2, {{1, 2}, {2, 0}}, 2, {0, 0}), M));
+  // Adjacent runs with one epoch: one run written as two.
+  EXPECT_FALSE(
+      decodeMessage(rawPredictions(3, {{4, 1}, {4, 2}}, 2, {0, 0, 0}), M));
+  EXPECT_FALSE(decodeMessage(
+      rawPredictions(3, {{4, 1}, {5, 1}, {5, 1}}, 2, {0, 0, 0}), M));
+  // Run lengths short of the count, past it, and past it only once
+  // summed in 32 bits wraps round to it.
+  EXPECT_FALSE(
+      decodeMessage(rawPredictions(3, {{1, 1}, {2, 1}}, 2, {0, 0, 0}), M));
+  EXPECT_FALSE(
+      decodeMessage(rawPredictions(3, {{1, 2}, {2, 2}}, 2, {0, 0, 0}), M));
+  EXPECT_FALSE(decodeMessage(
+      rawPredictions(3, {{1, 0xFFFFFFFFu}, {2, 4}}, 2, {0, 0, 0}), M));
+  EXPECT_FALSE(decodeMessage(
+      rawPredictions(3, {{1, 2}, {2, 0xFFFFFFFFu}, {3, 2}}, 2, {0, 0, 0}), M));
+
+  // Trailing bytes after either narrow array.
+  for (std::string P :
+       {makePredict({1, 2}), makePredict({1ull << 40}),
+        makePredictions({{1, 1}, {2, 2}}), makePredictions({})}) {
+    P.push_back('\0');
+    EXPECT_FALSE(decodeMessage(P, M));
   }
 }
 
@@ -186,9 +344,9 @@ TEST(ProtocolTest, TrailingGarbageRejected) {
 }
 
 TEST(ProtocolTest, LyingCountsRejected) {
-  // Predict claiming 5 inputs but carrying 2.
+  // Predict claiming 5 inputs but carrying 2 (2-byte ids).
   std::string P = makePredict({1, 2, 3, 4, 5});
-  P.resize(1 + 4 + 2 * 8);
+  P.resize(1 + 4 + 1 + 2 * 2);
   Message M;
   EXPECT_FALSE(decodeMessage(P, M));
 
@@ -216,32 +374,58 @@ TEST(ProtocolTest, LyingCountsRejected) {
 }
 
 TEST(ProtocolTest, LyingCountsAreRejectedBeforeReserving) {
-  // 9 bytes claiming the 65,536-input cap: the count passes the cap
-  // check but not the bytes present, and nothing may be sized off it.
+  // 14 bytes claiming the 65,536-input cap at 8-byte width: the count
+  // passes the cap check but not the bytes present, and nothing may be
+  // sized off it.
   std::string P;
   P.push_back(static_cast<char>(MsgType::Predict));
   P.append("\x00\x00\x01\x00", 4); // 65536, little-endian
-  P.append(4, '\x07');
-  ASSERT_EQ(P.size(), 9u);
+  P.push_back('\x08');
+  P.append(8, '\x07'); // one id of the 65,536 claimed
+  ASSERT_EQ(P.size(), 14u);
   Message M;
   EXPECT_FALSE(decodeMessage(P, M));
   EXPECT_EQ(M.Inputs.capacity(), 0u);
 
+  // A reply claiming 65,536 answers in one run, whose run table is
+  // present but whose landmarks are not.
   std::string C;
   C.push_back(static_cast<char>(MsgType::Predictions));
-  C.append("\x00\x00\x01\x00", 4);
-  C.append(12, '\x07'); // one entry of the 65,536 claimed
+  C.append("\x00\x00\x01\x00", 4); // count 65536
+  C.append("\x01\x00\x00\x00", 4); // one run
+  C.append(8, '\x07');                 // its epoch
+  C.append("\x00\x00\x01\x00", 4); // its length, the whole count
+  C.push_back('\x02');
+  C.append(2, '\x07'); // one landmark of the 65,536 claimed
   Message N;
   EXPECT_FALSE(decodeMessage(C, N));
+  EXPECT_EQ(N.Choices.capacity(), 0u);
+
+  // A run count past the run table present.
+  std::string R;
+  R.push_back(static_cast<char>(MsgType::Predictions));
+  R.append("\x00\x00\x01\x00", 4);
+  R.append("\x00\x00\x01\x00", 4); // 65536 runs
+  R.append(12, '\x07');                // one of them
+  EXPECT_FALSE(decodeMessage(R, N));
   EXPECT_EQ(N.Choices.capacity(), 0u);
 }
 
 TEST(ProtocolTest, BuildersSizeSixtyFourInputFramesExactly) {
   std::vector<uint64_t> Inputs(64, 3);
   std::vector<PredictedChoice> Choices(64, {2, 9});
-  // 1 tag + 4 count + 64 x 8, and 1 tag + 4 count + 64 x (4 + 8).
-  EXPECT_EQ(makePredict(Inputs).size(), 517u);
-  EXPECT_EQ(makePredictions(Choices).size(), 773u);
+  // 1 tag + 4 count + 1 width + 64 x 2, and 1 tag + 4 count + 4 runs +
+  // one (8 epoch + 4 length) run + 1 width + 64 x 2.
+  EXPECT_EQ(makePredict(Inputs).size(), 134u);
+  EXPECT_EQ(makePredictions(Choices).size(), 150u);
+  // Each id at 8 bytes once one needs more than 4; each epoch change
+  // adds one 12-byte run; a landmark past 2 bytes widens them all to 4.
+  Inputs[5] = 1ull << 32;
+  EXPECT_EQ(makePredict(Inputs).size(), 1 + 4 + 1 + 64 * 8u);
+  Choices[10].Epoch = 10;
+  EXPECT_EQ(makePredictions(Choices).size(), 150u + 2 * 12);
+  Choices[0].Landmark = 1u << 16;
+  EXPECT_EQ(makePredictions(Choices).size(), 150u + 2 * 12 + 64 * 2);
 }
 
 TEST(ProtocolTest, EncodersIntoAReusedBufferMatchTheBuilders) {
@@ -258,9 +442,10 @@ TEST(ProtocolTest, EncodersIntoAReusedBufferMatchTheBuilders) {
     }
     encodePredict(Buf, Inputs);
     EXPECT_EQ(Buf, makePredict(Inputs)) << N << " inputs";
+    EXPECT_EQ(Buf.size(), 1 + 4 + 1 + 2 * N);
     encodePredictions(Buf, Choices);
     EXPECT_EQ(Buf, makePredictions(Choices)) << N << " choices";
-    EXPECT_EQ(Buf.size(), 1 + 4 + 12 * N);
+    EXPECT_EQ(Buf.size(), 1 + 4 + 4 + 12 + 1 + 2 * N);
   }
 }
 
@@ -353,10 +538,14 @@ TEST(ProtocolTest, RandomBytesNeverCrash) {
 TEST(ProtocolTest, MutatedValidPayloadsNeverCrash) {
   Rng R;
   Message M;
-  const std::string Seeds[] = {makeHello("sort1"), makePredict({1, 2, 3}),
-                               makePredictions({{1, 1}}),
-                               makeTenantList({"a", "b"}),
-                               makeStatsReply("{\"tenants\": []}")};
+  const std::string Seeds[] = {
+      makeHello("sort1"),
+      makePredict({1, 2, 3}),
+      makePredict({1, 1ull << 40, 3}),
+      makePredictions({{1, 1}}),
+      makePredictions({{1, 1}, {70000, 1}, {2, 2}, {3, 1}}),
+      makeTenantList({"a", "b"}),
+      makeStatsReply("{\"tenants\": []}")};
   for (int Round = 0; Round < 2000; ++Round) {
     std::string P = Seeds[R.next() % std::size(Seeds)];
     size_t Flips = 1 + R.next() % 4;
