@@ -9,7 +9,9 @@
 //   (2) retraining from scratch at the recorded provenance reproduces the
 //       committed bytes exactly (catches silent behavioral drift anywhere
 //       in the two-level pipeline -- feature extraction, clustering,
-//       tuning, measurement, cost matrix, classifier selection), and
+//       tuning, measurement, cost matrix, classifier selection), and the
+//       retrained system evaluates bit-identically to the committed model
+//       loaded from those bytes, and
 //   (3) a fresh AdaptiveService serving the committed model makes
 //       exactly the per-input choices recorded in <name>.choices.csv,
 //       and so does the model's core classifier driven directly.
@@ -32,12 +34,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/FeatureProbe.h"
+#include "core/Pipeline.h"
 #include "registry/BenchmarkRegistry.h"
 #include "runtime/AdaptiveService.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -85,6 +89,29 @@ std::vector<std::pair<size_t, unsigned>> readChoices(const std::string &Path) {
   return Out;
 }
 
+/// Every field of \p R, one per line at %.17g, which round-trips a double:
+/// equal texts mean bitwise-equal evaluations.
+std::string evaluationText(const core::EvaluationResult &R) {
+  std::string Out;
+  auto Add = [&Out](const std::string &Name, double V) {
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), "%.17g", V);
+    Out += Name + "=" + Buf + "\n";
+  };
+  Add("DynamicOracle", R.DynamicOracle);
+  Add("TwoLevelNoFeat", R.TwoLevelNoFeat);
+  Add("TwoLevelWithFeat", R.TwoLevelWithFeat);
+  Add("OneLevelNoFeat", R.OneLevelNoFeat);
+  Add("OneLevelWithFeat", R.OneLevelWithFeat);
+  Add("TwoLevelSatisfaction", R.TwoLevelSatisfaction);
+  Add("OneLevelSatisfaction", R.OneLevelSatisfaction);
+  Add("DynamicOracleSatisfaction", R.DynamicOracleSatisfaction);
+  Add("StaticOracleSatisfaction", R.StaticOracleSatisfaction);
+  for (size_t I = 0; I != R.PerInputSpeedups.size(); ++I)
+    Add("PerInputSpeedups[" + std::to_string(I) + "]", R.PerInputSpeedups[I]);
+  return Out;
+}
+
 class GoldenFileTest : public ::testing::TestWithParam<const char *> {};
 
 TEST_P(GoldenFileTest, CommittedModelReserializesByteIdentically) {
@@ -122,6 +149,13 @@ TEST_P(GoldenFileTest, RetrainingReproducesCommittedBytes) {
       << " no longer reproduces the committed model: the training "
          "pipeline's behaviour drifted (if intentional, regenerate the "
          "goldens; see the file header)";
+
+  // The same retrain, evaluated on its test rows, matches the committed
+  // model loaded from bytes field for field.
+  EXPECT_EQ(evaluationText(core::evaluateSystem(*Program, Fresh.System)),
+            evaluationText(core::evaluateSystem(*Program, Committed.System)))
+      << Name << ": the retrained system and the loaded model evaluate "
+         "differently";
 }
 
 TEST_P(GoldenFileTest, AdaptiveServiceReproducesCommittedChoices) {
