@@ -154,7 +154,6 @@ int runFleet(const DriverOptions &Opts, const char *Argv0) {
   std::fprintf(stderr, "[fleet] training %s at scale %.2f...\n",
                E.Name.c_str(), Opts.Scale);
   serialize::TrainedModel Base = trainModel(Opts, E);
-  Base.System.Data.reset();
 
   std::string StoreDir = Opts.OutDir + "/fleet-store";
   std::error_code EC;

@@ -64,7 +64,6 @@ int runRollout(const DriverOptions &Opts) {
   std::fprintf(stderr, "[rollout] training %s at scale %.2f...\n",
                E.Name.c_str(), Opts.Scale);
   serialize::TrainedModel Base = trainModel(Opts, E);
-  Base.System.Data.reset();
 
   // A fresh store per run: the harness owns the whole lifecycle.
   std::string StoreDir = Opts.OutDir + "/rollout-store";

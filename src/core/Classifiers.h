@@ -100,7 +100,7 @@ public:
         Name(std::move(Name)) {}
 
   unsigned classify(FeatureProbe &Probe) const override {
-    return Tree.predictLazy([&Probe](unsigned F) { return Probe.value(F); });
+    return Tree.predictWith([&Probe](unsigned F) { return Probe.value(F); });
   }
   std::vector<unsigned> referencedFeatures() const override { return Subset; }
   std::string describe() const override { return Name; }
@@ -122,8 +122,7 @@ public:
       : Model(std::move(Model)), Name(std::move(Name)) {}
 
   unsigned classify(FeatureProbe &Probe) const override {
-    return Model
-        .predictLazy([&Probe](unsigned F) { return Probe.value(F); })
+    return Model.predictWith([&Probe](unsigned F) { return Probe.value(F); })
         .Label;
   }
   std::vector<unsigned> referencedFeatures() const override {

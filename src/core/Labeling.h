@@ -36,10 +36,9 @@ unsigned bestLandmark(const linalg::Matrix &Time, const linalg::Matrix &Acc,
                       size_t Row,
                       const std::optional<runtime::AccuracySpec> &Spec);
 
-/// Labels for *every* table row: the ml::Dataset label column. Computed
-/// once per training run and then shared by the Level-2 refinement, the
-/// dynamic oracle, and evaluation (all of which would otherwise re-derive
-/// the same rule row by row).
+/// Labels for *every* table row: the ml::Dataset label column that
+/// runLevelTwo attaches. Computed once per Level-2 run and shared by the
+/// refinement, the zoo's folds and the retrain.
 std::vector<unsigned>
 labelAllRows(const linalg::Matrix &Time, const linalg::Matrix &Acc,
              const std::optional<runtime::AccuracySpec> &Spec);

@@ -31,11 +31,7 @@ void core::extractAllFeatures(const runtime::TunableProgram &Program,
       Costs.at(I, F) = C.units();
     }
   };
-  if (Pool)
-    Pool->parallelFor(0, N, ExtractRow);
-  else
-    for (size_t I = 0; I != N; ++I)
-      ExtractRow(I);
+  support::forEachIndex(Pool, N, ExtractRow);
 }
 
 LevelOneResult core::runLevelOne(const runtime::TunableProgram &Program,
@@ -131,11 +127,7 @@ LevelOneResult core::runLevelOne(const runtime::TunableProgram &Program,
     autotuner::EvolutionaryAutotuner Tuner(TOpts);
     R.Landmarks[C] = Tuner.tune(Program, TuningSets[C]).Best;
   };
-  if (Pool)
-    Pool->parallelFor(0, K, TuneOne);
-  else
-    for (unsigned C = 0; C != K; ++C)
-      TuneOne(C);
+  support::forEachIndex(Pool, K, TuneOne);
 
   // Step 4: performance measurement -- every landmark on every input,
   // with each *distinct* configuration measured once per input and its
@@ -163,11 +155,7 @@ LevelOneResult core::runLevelOne(const runtime::TunableProgram &Program,
         R.Acc.at(I, L) = R.Acc.at(I, MeasureAs[L]);
       }
   };
-  if (Pool)
-    Pool->parallelFor(0, N, MeasureRow);
-  else
-    for (size_t I = 0; I != N; ++I)
-      MeasureRow(I);
+  support::forEachIndex(Pool, N, MeasureRow);
 
   return R;
 }

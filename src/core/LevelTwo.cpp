@@ -7,6 +7,7 @@
 #include "core/LevelTwo.h"
 #include "core/Labeling.h"
 #include "ml/CrossValidation.h"
+#include "ml/Dataset.h"
 #include "ml/DecisionTree.h"
 
 #include <algorithm>
@@ -89,6 +90,56 @@ core::enumerateFeatureSubsets(const runtime::FeatureIndex &Index) {
 }
 
 namespace {
+/// The evidence every Level-2 phase reads: the Level-1 tables and their
+/// columnar form, label column attached. runLevelTwo builds it and drops
+/// it when it returns.
+struct Evidence {
+  Evidence(const runtime::TunableProgram &Program, const LevelOneResult &L1,
+           const std::vector<size_t> &TrainRows)
+      : L1(L1), TrainRows(TrainRows), Spec(Program.accuracy()),
+        K(static_cast<unsigned>(L1.Landmarks.size())),
+        Data(L1.Features, L1.ExtractCosts, L1.Time, L1.Acc,
+             Spec ? std::optional<double>(Spec->AccuracyThreshold)
+                  : std::nullopt) {
+    Data.setLabels(labelAllRows(L1.Time, L1.Acc, Spec));
+  }
+
+  const LevelOneResult &L1;
+  const std::vector<size_t> &TrainRows;
+  std::optional<runtime::AccuracySpec> Spec;
+  unsigned K;
+  ml::Dataset Data;
+};
+
+/// Cross-validation folds over the training rows, as global row ids.
+struct Folds {
+  std::vector<std::vector<size_t>> Train, Test;
+  size_t size() const { return Train.size(); }
+};
+
+/// How the retrain refits one zoo candidate on all training rows.
+struct Refit {
+  enum Family { StaticBest, MaxApriori, SubsetTree, Incremental } Kind;
+  /// SubsetTree: index into Zoo::Subsets; Incremental: into Zoo::Orders.
+  size_t Index = 0;
+};
+
+/// The swept zoo: a score and a refit record per candidate, parallel and
+/// in selection order, and the feature lists the records index.
+struct Zoo {
+  std::vector<CandidateScore> Scores;
+  std::vector<Refit> Refits;
+  std::vector<std::vector<unsigned>> Subsets;
+  /// Incremental acquisition orders: over all features, then over the
+  /// best subset.
+  std::vector<std::vector<unsigned>> Orders;
+
+  void add(CandidateScore S, Refit How) {
+    Scores.push_back(std::move(S));
+    Refits.push_back(How);
+  }
+};
+
 /// Direct-column feature reader for candidate scoring: replays
 /// FeatureProbe's accounting -- each feature's extraction cost charged
 /// exactly once, at first touch, in touch order -- against the columnar
@@ -127,32 +178,29 @@ private:
 } // namespace
 
 /// Scores \p Predict (returning a landmark and accumulating feature cost
-/// via the probe) over dataset rows \p Rows.
+/// via the probe) over held-out rows \p Rows.
 template <class PredictFn>
-static CandidateScore
-scoreOnColumns(const ml::Dataset &D,
-               const std::optional<runtime::AccuracySpec> &Spec,
-               const std::vector<size_t> &Rows, const std::string &Name,
-               ColumnProbe &Probe, PredictFn &&Predict) {
+static CandidateScore scoreOnColumns(const Evidence &E,
+                                     const std::vector<size_t> &Rows,
+                                     ColumnProbe &Probe, PredictFn &&Predict) {
   CandidateScore S;
-  S.Name = Name;
   if (Rows.empty())
     return S;
   double SumWith = 0.0, SumWithout = 0.0;
   size_t Meets = 0;
   for (size_t Row : Rows) {
     Probe.beginRow(Row);
-    unsigned Pred = Predict(Row, Probe);
-    SumWithout += D.timeCol(Pred)[Row];
-    SumWith += D.timeCol(Pred)[Row] + Probe.totalCost();
-    if (!Spec || D.meets(Row, Pred))
+    unsigned Pred = Predict(Probe);
+    SumWithout += E.Data.timeCol(Pred)[Row];
+    SumWith += E.Data.timeCol(Pred)[Row] + Probe.totalCost();
+    if (!E.Spec || E.Data.meets(Row, Pred))
       ++Meets;
   }
   S.Objective = SumWith / static_cast<double>(Rows.size());
   S.ObjectiveNoFeat = SumWithout / static_cast<double>(Rows.size());
   S.Satisfaction =
       static_cast<double>(Meets) / static_cast<double>(Rows.size());
-  S.Valid = !Spec || S.Satisfaction >= Spec->SatisfactionThreshold;
+  S.Valid = !E.Spec || S.Satisfaction >= E.Spec->SatisfactionThreshold;
   return S;
 }
 
@@ -179,13 +227,6 @@ averageScores(std::string Name, const CandidateScore *Begin,
   S.Satisfaction /= N;
   S.Valid = !Spec || S.Satisfaction >= Spec->SatisfactionThreshold;
   return S;
-}
-
-static CandidateScore
-averageScores(std::string Name, const std::vector<CandidateScore> &Folds,
-              const std::optional<runtime::AccuracySpec> &Spec) {
-  return averageScores(std::move(Name), Folds.data(),
-                       Folds.data() + Folds.size(), Spec);
 }
 
 /// Subset name like "tree{sortedness@1,deviation@0}", built in place.
@@ -229,239 +270,243 @@ cheapestFirstOrder(const linalg::Matrix &ExtractCosts,
   return Out;
 }
 
-LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
-                                 const LevelOneResult &L1,
-                                 const std::vector<size_t> &TrainRows,
-                                 const LevelTwoOptions &Options,
-                                 const ml::Dataset *Data,
-                                 support::ThreadPool *Pool) {
-  LevelTwoResult R;
-  std::optional<runtime::AccuracySpec> Spec = Program.accuracy();
-  unsigned K = static_cast<unsigned>(L1.Landmarks.size());
-  runtime::FeatureIndex Index(Program.features());
-
-  // The columnar substrate: passed through by the pipeline (extracted
-  // once per training run) or columnarized locally for direct callers.
-  std::optional<ml::Dataset> LocalData;
-  if (!Data) {
-    LocalData.emplace(L1.Features, L1.ExtractCosts, L1.Time, L1.Acc,
-                      Spec ? std::optional<double>(Spec->AccuracyThreshold)
-                           : std::nullopt);
-    LocalData->setLabels(labelAllRows(L1.Time, L1.Acc, Spec));
-    Data = &*LocalData;
-  }
-  assert(Data->hasLabels() && "dataset must carry its label column");
-
-  // --- Cluster refinement: performance-based re-labelling. ---
-  R.TrainLabels.reserve(TrainRows.size());
-  for (size_t Row : TrainRows)
-    R.TrainLabels.push_back(Data->label(Row));
+/// Refinement: every training row's label is its best landmark (measured,
+/// accuracy-aware); records how many rows left their Level-1 cluster.
+static void refineLabels(const Evidence &E, LevelTwoResult &R) {
+  R.TrainLabels.reserve(E.TrainRows.size());
   size_t Moved = 0;
-  for (size_t I = 0; I != TrainRows.size(); ++I)
-    if (R.TrainLabels[I] != L1.Clusters.Assignment[I])
+  for (size_t I = 0; I != E.TrainRows.size(); ++I) {
+    R.TrainLabels.push_back(E.Data.label(E.TrainRows[I]));
+    if (R.TrainLabels[I] != E.L1.Clusters.Assignment[I])
       ++Moved;
+  }
   R.RefinementMoveFraction =
-      TrainRows.empty() ? 0.0
-                        : static_cast<double>(Moved) /
-                              static_cast<double>(TrainRows.size());
+      E.TrainRows.empty() ? 0.0
+                          : static_cast<double>(Moved) /
+                                static_cast<double>(E.TrainRows.size());
+}
 
-  // --- Cost matrix. ---
-  R.Costs = buildCostMatrix(L1.Time, L1.Acc, TrainRows, R.TrainLabels, K, Spec,
-                            Options.Eta);
-
-  // Labels addressed by global row id (for training on fold subsets).
-  std::vector<unsigned> LabelOfRow(L1.Features.rows(), 0);
-  for (size_t I = 0; I != TrainRows.size(); ++I)
-    LabelOfRow[TrainRows[I]] = R.TrainLabels[I];
-
-  // Cross-validation folds over positions in TrainRows, materialised to
-  // global row ids exactly once.
+/// Cross-validation folds over positions in the training rows,
+/// materialised to global row ids exactly once.
+static Folds makeFolds(const std::vector<size_t> &TrainRows,
+                       const LevelTwoOptions &Options) {
   support::Rng Rng(Options.Seed);
-  unsigned Folds = std::max(2u, Options.CVFolds);
-  std::vector<ml::FoldSplit> Splits =
-      ml::kFoldSplits(TrainRows.size(), Folds, Rng);
-  size_t NumFolds = Splits.size();
-  std::vector<std::vector<size_t>> FoldTrain(NumFolds), FoldTest(NumFolds);
-  for (size_t FI = 0; FI != NumFolds; ++FI) {
-    FoldTrain[FI] = ml::gatherRows(TrainRows, Splits[FI].Train);
-    FoldTest[FI] = ml::gatherRows(TrainRows, Splits[FI].Test);
+  std::vector<ml::FoldSplit> Splits = ml::kFoldSplits(
+      TrainRows.size(), std::max(2u, Options.CVFolds), Rng);
+  Folds F;
+  F.Train.reserve(Splits.size());
+  F.Test.reserve(Splits.size());
+  for (const ml::FoldSplit &S : Splits) {
+    F.Train.push_back(ml::gatherRows(TrainRows, S.Train));
+    F.Test.push_back(ml::gatherRows(TrainRows, S.Test));
   }
+  return F;
+}
 
-  ml::DecisionTreeOptions TreeOpts = Options.Tree;
-  TreeOpts.Costs = &R.Costs;
+/// The max-a-priori model over the labels of \p Rows.
+static ml::MaxApriori fitPrior(const Evidence &E,
+                               const std::vector<size_t> &Rows) {
+  std::vector<unsigned> Y;
+  Y.reserve(Rows.size());
+  for (size_t Row : Rows)
+    Y.push_back(E.Data.label(Row));
+  ml::MaxApriori Prior;
+  Prior.fit(Y, E.K);
+  return Prior;
+}
 
-  // --- Candidate (0): static-best (no input adaptation). Scored like
-  // every other candidate; its presence guarantees a valid candidate
-  // whenever the static oracle meets the satisfaction threshold, so the
-  // selection fallback only triggers when *no* configuration covers the
-  // inputs. ---
-  {
-    std::vector<CandidateScore> FoldScores;
-    for (size_t FI = 0; FI != NumFolds; ++FI) {
-      unsigned Static =
-          selectStaticOracle(L1.Time, L1.Acc, FoldTrain[FI], Spec);
-      ColumnProbe Probe(*Data);
-      FoldScores.push_back(scoreOnColumns(
-          *Data, Spec, FoldTest[FI], "static-best", Probe,
-          [&](size_t, ColumnProbe &) { return Static; }));
-    }
-    R.Candidates.push_back(averageScores("static-best", FoldScores, Spec));
+/// Cross-validates one candidate: \p PredictorOf(FI) is its predictor
+/// trained on fold FI, scored on the fold's held-out rows.
+template <class PredictorOfFn>
+static CandidateScore crossValidate(const Evidence &E, const Folds &F,
+                                    std::string Name,
+                                    PredictorOfFn &&PredictorOf) {
+  std::vector<CandidateScore> FoldScores;
+  for (size_t FI = 0; FI != F.size(); ++FI) {
+    ColumnProbe Probe(E.Data);
+    FoldScores.push_back(scoreOnColumns(E, F.Test[FI], Probe, PredictorOf(FI)));
   }
+  return averageScores(std::move(Name), FoldScores.data(),
+                       FoldScores.data() + FoldScores.size(), E.Spec);
+}
 
-  // --- Candidate (1): max-a-priori. ---
-  {
-    std::vector<CandidateScore> FoldScores;
-    for (size_t FI = 0; FI != NumFolds; ++FI) {
-      ml::MaxApriori Prior;
-      std::vector<unsigned> Y;
-      Y.reserve(FoldTrain[FI].size());
-      for (size_t Row : FoldTrain[FI])
-        Y.push_back(LabelOfRow[Row]);
-      Prior.fit(Y, K);
-      ColumnProbe Probe(*Data);
-      FoldScores.push_back(scoreOnColumns(
-          *Data, Spec, FoldTest[FI], "max-apriori", Probe,
-          [&](size_t, ColumnProbe &) { return Prior.predict(); }));
-    }
-    R.Candidates.push_back(averageScores("max-apriori", FoldScores, Spec));
-  }
-
-  // --- Candidates (2)/(3): exhaustive per-property subset trees. Per
-  // fold, the whole subset zoo grows together over one presorted base
-  // (ml::DecisionTree::fitSubsets) -- overlapping subsets share most of
-  // their nodes -- and each distinct tree is scored once: a held-out
-  // score depends only on the fitted structure, so subsets sharing a tree
-  // share its score. Folds are independent, so the pool splits the sweep
-  // by fold; scores land in an index-addressed array and the selection
-  // below stays sequential, making every thread count identical. Fold row
-  // sets compose as views of the training view. ---
-  std::vector<std::vector<unsigned>> Subsets = enumerateFeatureSubsets(Index);
-  R.Candidates.reserve(Subsets.size() + 4);
-  std::vector<CandidateScore> SubsetScores(Subsets.size());
-  ml::RowView TrainView = ml::RowView::of(*Data, TrainRows);
-  std::vector<CandidateScore> TaskScores(Subsets.size() * NumFolds);
-  auto ScoreFold = [&](size_t FI) {
-    ml::PresortedBase Base(*Data, TrainView.subset(Splits[FI].Train));
+/// Candidates (2)/(3): exhaustive per-property subset trees. Per fold, the
+/// whole subset zoo grows together over one presorted base
+/// (ml::DecisionTree::fitSubsets) -- overlapping subsets share most of
+/// their nodes -- and each distinct tree is scored once: a held-out score
+/// depends only on the fitted structure, so subsets sharing a tree share
+/// its score. Folds are independent, so the pool splits the sweep by fold;
+/// scores land in an index-addressed array and everything after stays
+/// sequential, making every thread count identical. Returns the index of
+/// the best valid subset.
+static size_t sweepSubsetTrees(const Evidence &E, const Folds &F,
+                               const runtime::FeatureIndex &Index,
+                               const ml::DecisionTreeOptions &TreeOpts,
+                               support::ThreadPool *Pool, Zoo &Z) {
+  size_t NumFolds = F.size();
+  std::vector<CandidateScore> TaskScores(Z.Subsets.size() * NumFolds);
+  support::forEachIndex(Pool, NumFolds, [&](size_t FI) {
+    ml::PresortedBase Base(E.Data, F.Train[FI]);
     ml::SubsetForest Forest = ml::DecisionTree::fitSubsets(
-        *Data, LabelOfRow, K, TreeOpts, Base, Subsets);
+        E.Data, E.Data.labels(), E.K, TreeOpts, Base, Z.Subsets);
     std::vector<CandidateScore> TreeScores;
     TreeScores.reserve(Forest.Trees.size());
-    ColumnProbe Probe(*Data);
+    ColumnProbe Probe(E.Data);
     for (const ml::DecisionTree &Tree : Forest.Trees)
-      TreeScores.push_back(scoreOnColumns(
-          *Data, Spec, FoldTest[FI], std::string(), Probe,
-          [&Tree](size_t, ColumnProbe &P) {
-            return Tree.predictWith([&P](unsigned F) { return P(F); });
+      TreeScores.push_back(
+          scoreOnColumns(E, F.Test[FI], Probe, [&Tree](ColumnProbe &P) {
+            return Tree.predictWith([&P](unsigned Feat) { return P(Feat); });
           }));
-    for (size_t SI = 0; SI != Subsets.size(); ++SI)
+    for (size_t SI = 0; SI != Z.Subsets.size(); ++SI)
       TaskScores[SI * NumFolds + FI] = TreeScores[Forest.TreeOf[SI]];
-  };
-  if (Pool)
-    Pool->parallelFor(0, NumFolds, ScoreFold);
-  else
-    for (size_t FI = 0; FI != NumFolds; ++FI)
-      ScoreFold(FI);
-  for (size_t SI = 0; SI != Subsets.size(); ++SI) {
+  });
+
+  size_t Best = 0;
+  double BestObjective = std::numeric_limits<double>::max();
+  for (size_t SI = 0; SI != Z.Subsets.size(); ++SI) {
     const CandidateScore *Fold = TaskScores.data() + SI * NumFolds;
-    SubsetScores[SI] =
-        averageScores(subsetName(Index, Subsets[SI]), Fold, Fold + NumFolds,
-                      Spec);
-  }
-
-  size_t BestSubsetIdx = 0;
-  double BestSubsetObjective = std::numeric_limits<double>::max();
-  for (size_t SI = 0; SI != Subsets.size(); ++SI) {
-    CandidateScore &S = SubsetScores[SI];
-    if (S.Valid && S.Objective < BestSubsetObjective) {
-      BestSubsetObjective = S.Objective;
-      BestSubsetIdx = SI;
+    CandidateScore S = averageScores(subsetName(Index, Z.Subsets[SI]), Fold,
+                                     Fold + NumFolds, E.Spec);
+    if (S.Valid && S.Objective < BestObjective) {
+      BestObjective = S.Objective;
+      Best = SI;
     }
-    R.Candidates.push_back(std::move(S));
+    Z.add(std::move(S), {Refit::SubsetTree, SI});
   }
+  return Best;
+}
 
-  // --- Candidate (4): incremental feature examination, over all features
-  // and over the best subset, cheapest first. A feature's tables depend
-  // only on the feature and the fold's rows, and the best subset's
-  // features are among all of them, so each fold fits once over all
-  // features and the best-subset model reuses those tables. ---
+/// The zoo sweep: every candidate cross-validated over the folds, in
+/// selection order.
+static Zoo sweepZoo(const Evidence &E, const Folds &F,
+                    const runtime::FeatureIndex &Index,
+                    const LevelTwoOptions &Options,
+                    const ml::DecisionTreeOptions &TreeOpts,
+                    support::ThreadPool *Pool) {
+  Zoo Z;
+  Z.Subsets = enumerateFeatureSubsets(Index);
+  Z.Scores.reserve(Z.Subsets.size() + 4);
+  Z.Refits.reserve(Z.Subsets.size() + 4);
+
+  auto Constant = [](unsigned L) { return [L](ColumnProbe &) { return L; }; };
+  // (0) static-best (no input adaptation), scored like every other
+  // candidate: its presence guarantees a valid candidate whenever the
+  // static oracle meets the satisfaction threshold, so the selection
+  // fallback only triggers when *no* configuration covers the inputs.
+  Z.add(crossValidate(E, F, "static-best",
+                      [&](size_t FI) {
+                        return Constant(selectStaticOracle(
+                            E.L1.Time, E.L1.Acc, F.Train[FI], E.Spec));
+                      }),
+        {Refit::StaticBest});
+  // (1) max-a-priori.
+  Z.add(crossValidate(E, F, "max-apriori",
+                      [&](size_t FI) {
+                        return Constant(fitPrior(E, F.Train[FI]).predict());
+                      }),
+        {Refit::MaxApriori});
+  size_t BestSubset = sweepSubsetTrees(E, F, Index, TreeOpts, Pool, Z);
+
+  // (4) incremental feature examination, over all features and over the
+  // best subset, cheapest first. A feature's tables depend only on the
+  // feature and the fold's rows, and the best subset's features are among
+  // all of them, so each fold fits once over all features and the
+  // best-subset model reuses those tables.
   std::vector<unsigned> AllFlat(Index.numFlat());
   std::iota(AllFlat.begin(), AllFlat.end(), 0);
-  std::vector<std::pair<std::string, std::vector<unsigned>>> IncrementalRuns =
-      {{"incremental{all}",
-        cheapestFirstOrder(L1.ExtractCosts, TrainRows, AllFlat)},
-       {"incremental{best-subset}",
-        cheapestFirstOrder(L1.ExtractCosts, TrainRows,
-                           Subsets[BestSubsetIdx])}};
-  std::vector<ml::IncrementalBayes> FoldBayes(NumFolds);
-  for (size_t FI = 0; FI != NumFolds; ++FI)
-    FoldBayes[FI].fit(L1.Features, LabelOfRow, K, IncrementalRuns[0].second,
-                      Options.Bayes, FoldTrain[FI]);
-  for (size_t Run = 0; Run != IncrementalRuns.size(); ++Run) {
-    const auto &[Name, Order] = IncrementalRuns[Run];
-    std::vector<CandidateScore> FoldScores;
-    for (size_t FI = 0; FI != NumFolds; ++FI) {
+  Z.Orders.push_back(
+      cheapestFirstOrder(E.L1.ExtractCosts, E.TrainRows, AllFlat));
+  Z.Orders.push_back(cheapestFirstOrder(E.L1.ExtractCosts, E.TrainRows,
+                                        Z.Subsets[BestSubset]));
+  std::vector<ml::IncrementalBayes> FoldBayes(F.size());
+  for (size_t FI = 0; FI != F.size(); ++FI)
+    FoldBayes[FI].fit(E.L1.Features, E.Data.labels(), E.K, Z.Orders[0],
+                      Options.Bayes, F.Train[FI]);
+  const char *const Names[] = {"incremental{all}", "incremental{best-subset}"};
+  for (size_t Run = 0; Run != Z.Orders.size(); ++Run) {
+    auto FoldModel = [&](size_t FI) {
       if (Run != 0)
-        FoldBayes[FI] = FoldBayes[FI].withOrder(Order);
-      const ml::IncrementalBayes &Bayes = FoldBayes[FI];
-      ColumnProbe Probe(*Data);
-      FoldScores.push_back(scoreOnColumns(
-          *Data, Spec, FoldTest[FI], Name, Probe,
-          [&Bayes](size_t, ColumnProbe &P) {
-            return Bayes.predictWith([&P](unsigned F) { return P(F); }).Label;
-          }));
-    }
-    R.Candidates.push_back(averageScores(Name, FoldScores, Spec));
+        FoldBayes[FI] = FoldBayes[FI].withOrder(Z.Orders[Run]);
+      return [&Bayes = FoldBayes[FI]](ColumnProbe &P) {
+        return Bayes.predictWith([&P](unsigned Feat) { return P(Feat); }).Label;
+      };
+    };
+    Z.add(crossValidate(E, F, Names[Run], FoldModel),
+          {Refit::Incremental, Run});
   }
+  return Z;
+}
 
-  // --- Candidate selection. ---
+/// Selection: the valid candidate with the lowest objective; when none
+/// clears the satisfaction bar, the highest satisfaction, then the lowest
+/// objective.
+static size_t selectCandidate(const std::vector<CandidateScore> &Candidates) {
   size_t Selected = 0;
   bool AnyValid = false;
-  for (size_t I = 0; I != R.Candidates.size(); ++I) {
-    const CandidateScore &S = R.Candidates[I];
-    if (S.Valid && (!AnyValid || S.Objective < R.Candidates[Selected].Objective)) {
+  for (size_t I = 0; I != Candidates.size(); ++I) {
+    const CandidateScore &S = Candidates[I];
+    if (S.Valid &&
+        (!AnyValid || S.Objective < Candidates[Selected].Objective)) {
       Selected = I;
       AnyValid = true;
     }
   }
-  if (!AnyValid) {
-    // No candidate clears the satisfaction bar: fall back to the highest
-    // satisfaction, then lowest objective.
-    for (size_t I = 1; I != R.Candidates.size(); ++I) {
-      const CandidateScore &S = R.Candidates[I];
-      const CandidateScore &Cur = R.Candidates[Selected];
-      if (S.Satisfaction > Cur.Satisfaction ||
-          (S.Satisfaction == Cur.Satisfaction && S.Objective < Cur.Objective))
-        Selected = I;
-    }
+  if (AnyValid)
+    return Selected;
+  for (size_t I = 1; I != Candidates.size(); ++I) {
+    const CandidateScore &S = Candidates[I];
+    const CandidateScore &Cur = Candidates[Selected];
+    if (S.Satisfaction > Cur.Satisfaction ||
+        (S.Satisfaction == Cur.Satisfaction && S.Objective < Cur.Objective))
+      Selected = I;
   }
-  R.SelectedName = R.Candidates[Selected].Name;
+  return Selected;
+}
 
-  // --- Retrain the selected family on all training rows. ---
-  if (R.SelectedName == "static-best") {
-    unsigned Static = selectStaticOracle(L1.Time, L1.Acc, TrainRows, Spec);
-    R.Production = std::make_unique<ConstantClassifier>(Static);
-  } else if (R.SelectedName == "max-apriori") {
-    ml::MaxApriori Prior;
-    Prior.fit(R.TrainLabels, K);
-    R.Production = std::make_unique<MaxAprioriClassifier>(std::move(Prior));
-  } else if (R.SelectedName.rfind("incremental", 0) == 0) {
-    const auto &Order = R.SelectedName == "incremental{all}"
-                            ? IncrementalRuns[0].second
-                            : IncrementalRuns[1].second;
-    ml::IncrementalBayes Bayes;
-    Bayes.fit(L1.Features, LabelOfRow, K, Order, Options.Bayes, TrainRows);
-    R.Production =
-        std::make_unique<IncrementalClassifier>(std::move(Bayes), R.SelectedName);
-  } else {
-    // A subset tree: candidates 2 .. 2+S-1 are the subsets in order.
-    assert(Selected >= 2 && Selected - 2 < Subsets.size() &&
-           "selected candidate is not a subset tree");
-    const std::vector<unsigned> &Subset = Subsets[Selected - 2];
-    ml::PresortedBase TrainBase(*Data, TrainView);
+/// Retrain: refits the selected candidate on all training rows as its
+/// record says; \p Name is its report label.
+static std::unique_ptr<InputClassifier>
+retrainSelected(const Evidence &E, const Zoo &Z, const Refit &How,
+                const std::string &Name, const LevelTwoOptions &Options,
+                const ml::DecisionTreeOptions &TreeOpts) {
+  if (How.Kind == Refit::StaticBest)
+    return std::make_unique<ConstantClassifier>(
+        selectStaticOracle(E.L1.Time, E.L1.Acc, E.TrainRows, E.Spec));
+  if (How.Kind == Refit::MaxApriori)
+    return std::make_unique<MaxAprioriClassifier>(fitPrior(E, E.TrainRows));
+  if (How.Kind == Refit::SubsetTree) {
+    const std::vector<unsigned> &Subset = Z.Subsets[How.Index];
+    ml::PresortedBase Base(E.Data, E.TrainRows);
     ml::SubsetForest Forest = ml::DecisionTree::fitSubsets(
-        *Data, LabelOfRow, K, TreeOpts, TrainBase, {Subset});
-    R.Production = std::make_unique<SubsetTreeClassifier>(
-        std::move(Forest.Trees[0]), Subset, R.SelectedName);
+        E.Data, E.Data.labels(), E.K, TreeOpts, Base, {Subset});
+    return std::make_unique<SubsetTreeClassifier>(std::move(Forest.Trees[0]),
+                                                  Subset, Name);
   }
+  ml::IncrementalBayes Bayes;
+  Bayes.fit(E.L1.Features, E.Data.labels(), E.K, Z.Orders[How.Index],
+            Options.Bayes, E.TrainRows);
+  return std::make_unique<IncrementalClassifier>(std::move(Bayes), Name);
+}
+
+LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,
+                                 const LevelOneResult &L1,
+                                 const std::vector<size_t> &TrainRows,
+                                 const LevelTwoOptions &Options,
+                                 support::ThreadPool *Pool) {
+  Evidence E(Program, L1, TrainRows);
+  LevelTwoResult R;
+  refineLabels(E, R);
+  R.Costs = buildCostMatrix(L1.Time, L1.Acc, TrainRows, R.TrainLabels, E.K,
+                            E.Spec, Options.Eta);
+  Folds F = makeFolds(TrainRows, Options);
+  ml::DecisionTreeOptions TreeOpts = Options.Tree;
+  TreeOpts.Costs = &R.Costs;
+  Zoo Z = sweepZoo(E, F, runtime::FeatureIndex(Program.features()), Options,
+                   TreeOpts, Pool);
+  size_t Selected = selectCandidate(Z.Scores);
+  R.SelectedName = Z.Scores[Selected].Name;
+  R.Production = retrainSelected(E, Z, Z.Refits[Selected], R.SelectedName,
+                                 Options, TreeOpts);
+  R.Candidates = std::move(Z.Scores);
   return R;
 }

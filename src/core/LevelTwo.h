@@ -30,7 +30,6 @@
 #include "core/Classifiers.h"
 #include "core/LevelOne.h"
 #include "ml/CostMatrix.h"
-#include "ml/Dataset.h"
 #include "ml/IncrementalBayes.h"
 
 #include <memory>
@@ -90,21 +89,21 @@ ml::CostMatrix buildCostMatrix(const linalg::Matrix &Time,
 std::vector<std::vector<unsigned>>
 enumerateFeatureSubsets(const runtime::FeatureIndex &Index);
 
-/// Runs Level 2 on top of a Level 1 result over the columnar ml::Dataset
-/// substrate: per fold, all subset trees grow together over one presorted
-/// base (ml::DecisionTree::fitSubsets) and each distinct tree is scored
-/// once by direct-column reads; a selected subset tree is retrained by
-/// the same grower over all training rows. \p Data, when given, is the
-/// substrate extracted once by the pipeline (its label column must be
-/// attached); when null, a local Dataset is columnarized from the L1
-/// tables. \p Pool, when given, parallelises the classifier zoo's
+/// Runs Level 2 on top of a Level 1 result. It columnarizes the L1
+/// evidence into an ml::Dataset (label column attached), which it alone
+/// owns and drops on return, then runs its phases in order: refinement,
+/// cost matrix, folds, zoo sweep, selection and retrain. Per fold, all
+/// subset trees grow together over one presorted base
+/// (ml::DecisionTree::fitSubsets) and each distinct tree is scored once
+/// by direct-column reads. The sweep records how to refit each candidate
+/// on all training rows, and the retrain follows that record; candidate
+/// names are report labels only. \p Pool, when given, parallelises the
 /// cross-validated subset-tree sweep ((z+1)^u - 1 candidates) over
 /// folds; results are identical without it.
 LevelTwoResult runLevelTwo(const runtime::TunableProgram &Program,
                            const LevelOneResult &L1,
                            const std::vector<size_t> &TrainRows,
                            const LevelTwoOptions &Options,
-                           const ml::Dataset *Data = nullptr,
                            support::ThreadPool *Pool = nullptr);
 
 } // namespace core

@@ -33,23 +33,12 @@ TrainedSystem core::trainSystem(const runtime::TunableProgram &Program,
   S.L1 = runLevelOne(Program, S.TrainRows, Options.L1, Pool);
   S.Level1Seconds = Level1Timer.elapsedSeconds();
 
-  // Columnarize the evidence exactly once; Level 2 and evaluation share
-  // this substrate (row-index views) instead of re-reading the row-major
-  // tables. The label column is attached here so the labelling rule runs
-  // once per training run.
   support::WallTimer Level2Timer;
-  std::optional<runtime::AccuracySpec> Spec = Program.accuracy();
-  auto Data = std::make_shared<ml::Dataset>(
-      S.L1.Features, S.L1.ExtractCosts, S.L1.Time, S.L1.Acc,
-      Spec ? std::optional<double>(Spec->AccuracyThreshold) : std::nullopt);
-  Data->setLabels(labelAllRows(S.L1.Time, S.L1.Acc, Spec));
-  S.Data = std::move(Data);
-  S.L2 = runLevelTwo(Program, S.L1, S.TrainRows, Options.L2, S.Data.get(),
-                     Pool);
+  S.L2 = runLevelTwo(Program, S.L1, S.TrainRows, Options.L2, Pool);
   S.Level2Seconds = Level2Timer.elapsedSeconds();
 
-  S.StaticOracleLandmark =
-      selectStaticOracle(S.L1.Time, S.L1.Acc, S.TrainRows, Spec);
+  S.StaticOracleLandmark = selectStaticOracle(S.L1.Time, S.L1.Acc,
+                                              S.TrainRows, Program.accuracy());
 
   // One-level baseline: the Level-1 clusters dispatch directly (cluster i
   // -> landmark i), nearest centroid in normalized space, all features.
@@ -103,7 +92,6 @@ EvaluationResult core::evaluateSystem(const runtime::TunableProgram &Program,
   EvaluationResult R;
   std::optional<runtime::AccuracySpec> Spec = Program.accuracy();
   const LevelOneResult &L1 = System.L1;
-  const ml::Dataset *Data = System.Data.get();
   const std::vector<size_t> &Rows = System.TestRows;
   unsigned Static = System.StaticOracleLandmark;
 
@@ -112,17 +100,13 @@ EvaluationResult core::evaluateSystem(const runtime::TunableProgram &Program,
     size_t Row = Rows[I];
     RowEval &E = Evals[I];
     E.StaticTime = L1.Time.at(Row, Static);
-    // The dataset's precomputed meets bits and label column reproduce the
-    // row-major predicates exactly (same threshold, same labelling rule).
     auto MeetsAt = [&](unsigned L) {
-      return Data ? Data->meets(Row, L)
-                  : !Spec || L1.Acc.at(Row, L) >= Spec->AccuracyThreshold;
+      return !Spec || L1.Acc.at(Row, L) >= Spec->AccuracyThreshold;
     };
     E.StaticMet = MeetsAt(Static);
 
     // Dynamic oracle: per-input best landmark, no feature cost.
-    unsigned Best =
-        Data ? Data->label(Row) : bestLandmark(L1.Time, L1.Acc, Row, Spec);
+    unsigned Best = bestLandmark(L1.Time, L1.Acc, Row, Spec);
     E.DynamicTime = L1.Time.at(Row, Best);
     E.DynamicMet = MeetsAt(Best);
 
@@ -144,11 +128,7 @@ EvaluationResult core::evaluateSystem(const runtime::TunableProgram &Program,
       E.OneMet = MeetsAt(Pred);
     }
   };
-  if (Pool)
-    Pool->parallelFor(0, Rows.size(), EvalRow);
-  else
-    for (size_t I = 0; I != Rows.size(); ++I)
-      EvalRow(I);
+  support::forEachIndex(Pool, Rows.size(), EvalRow);
 
   MethodStats Dynamic, TwoLevel, OneLevel;
   size_t StaticMeets = 0;
@@ -219,11 +199,7 @@ core::landmarkCountSweep(const runtime::TunableProgram &Program,
   auto MeasureTrial = [&](size_t I) {
     TrialSpeedups[I] = subsetSpeedup(Program, System, Subsets[I]);
   };
-  if (Pool)
-    Pool->parallelFor(0, Subsets.size(), MeasureTrial);
-  else
-    for (size_t I = 0; I != Subsets.size(); ++I)
-      MeasureTrial(I);
+  support::forEachIndex(Pool, Subsets.size(), MeasureTrial);
 
   std::vector<LandmarkSweepPoint> Sweep;
   Sweep.reserve(Counts.size());

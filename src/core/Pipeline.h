@@ -44,15 +44,9 @@ struct TrainedSystem {
   unsigned StaticOracleLandmark = 0;
   /// The traditional one-level baseline classifier.
   std::unique_ptr<InputClassifier> OneLevel;
-  /// The columnar training substrate, extracted once per training run
-  /// from the L1 evidence tables (label column attached) and threaded
-  /// through Level 2 and evaluation. Never serialized -- it is a pure
-  /// reorganisation of L1; absent when the system was loaded from a model
-  /// file or its training state was dropped.
-  std::shared_ptr<const ml::Dataset> Data;
   /// Wall seconds trainSystem spent in Level 1 (runLevelOne) and in
-  /// Level 2 (columnarizing the evidence and runLevelTwo). Like Data,
-  /// never serialized: zero on a loaded model.
+  /// Level 2 (runLevelTwo, which columnarizes the evidence itself).
+  /// Never serialized: zero on a loaded model.
   double Level1Seconds = 0.0;
   double Level2Seconds = 0.0;
 };

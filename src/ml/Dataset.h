@@ -5,13 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The columnar training substrate of the two-level pipeline. A Dataset is
-/// extracted exactly once per training run from the Level-1 evidence
-/// tables and then threaded through labelling, the Level-2 classifier
-/// zoo, cross-validation and tree building as lightweight row-index
-/// views, replacing the old pattern where every (fold x subset x tree
-/// node x feature) re-gathered rows, re-read the row-major matrices and
-/// re-sorted indices:
+/// The columnar training substrate of the two-level pipeline.
+/// core::runLevelTwo builds one Dataset per training run from the
+/// Level-1 evidence tables, owns it for the whole of Level 2 and drops it
+/// on return. The classifier zoo's cross-validation, tree building and
+/// candidate scoring read it directly and through per-fold presorted row
+/// subsets, instead of every (fold x subset x tree node x feature)
+/// re-gathering rows, re-reading the row-major matrices and re-sorting
+/// indices:
 ///
 ///   * struct-of-arrays columns: one contiguous array per ML feature, per
 ///     feature-extraction cost, and per candidate (landmark) time
@@ -121,8 +122,7 @@ private:
 
 /// A lightweight row-subset view: an ordered list of global row ids bound
 /// to its dataset. Views compose (a fold view is a subset of the train
-/// view), which is how the pipeline's train split, CV folds and fold
-/// train/test halves all address the one extracted Dataset.
+/// view).
 class RowView {
 public:
   RowView() = default;

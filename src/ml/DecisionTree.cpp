@@ -587,11 +587,6 @@ unsigned DecisionTree::predict(const std::vector<double> &Row) const {
   return predict(Row.data(), Row.size());
 }
 
-unsigned DecisionTree::predictLazy(
-    const std::function<double(unsigned)> &GetFeature) const {
-  return predictWith(GetFeature);
-}
-
 std::string DecisionTree::structuralKey() const {
   std::string Key;
   Key.reserve(Nodes.size() * 21 + 8);

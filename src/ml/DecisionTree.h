@@ -20,7 +20,6 @@
 #include "linalg/Matrix.h"
 #include "ml/CostMatrix.h"
 
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -87,12 +86,8 @@ public:
 
   /// Predicted class with lazy feature access: \p GetFeature(F) is invoked
   /// only for features on the root-to-leaf path, enabling per-input
-  /// feature-extraction cost accounting in the production classifier.
-  unsigned predictLazy(const std::function<double(unsigned)> &GetFeature) const;
-
-  /// predictLazy without the std::function indirection: the hot training
-  /// scorers instantiate this directly with a column reader. Identical
-  /// arithmetic to predictLazy (which delegates here).
+  /// feature-extraction cost accounting in the production classifier and
+  /// direct-column reads in the training scorers.
   template <class GetFn> unsigned predictWith(GetFn &&GetFeature) const {
     assert(trained() && "predictWith() before fit()");
     unsigned N = 0;
@@ -125,7 +120,7 @@ public:
 
   /// Compile hook for the serving path: lowers the trained tree into
   /// \p A as struct-of-arrays node vectors (ml/CompiledArena.h).
-  /// Decisions over the lowered form are bit-identical to predictLazy().
+  /// Decisions over the lowered form are bit-identical to predictWith().
   void compileInto(CompiledArena &A, CompiledClassifier &Out) const;
 
 private:

@@ -129,14 +129,9 @@ unsigned IncrementalBayes::regionOf(unsigned OrderPos, double Value) const {
   return R;
 }
 
-IncrementalPrediction IncrementalBayes::predictLazy(
-    const std::function<double(unsigned)> &GetFeature) const {
-  return predictWith(GetFeature);
-}
-
 IncrementalPrediction
 IncrementalBayes::predict(const std::vector<double> &Row) const {
-  return predictLazy([&](unsigned F) {
+  return predictWith([&](unsigned F) {
     assert(F < Row.size() && "feature index out of range");
     return Row[F];
   });
@@ -165,7 +160,7 @@ void IncrementalBayes::compileInto(CompiledArena &A,
            "log-prob table shape mismatch");
     A.appendF64(LP.data(), LP.size());
   }
-  // predictLazy starts from log(max(prior, 1e-300)); precompute the exact
+  // predictWith starts from log(max(prior, 1e-300)); precompute the exact
   // same values once so the per-decision loop begins with plain loads.
   std::vector<double> LogPriors(Priors.size());
   for (size_t C = 0; C != Priors.size(); ++C)

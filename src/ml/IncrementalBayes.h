@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <functional>
 #include <vector>
 
 namespace pbt {
@@ -73,14 +72,8 @@ public:
 
   /// Predicts with lazy feature access: \p GetFeature(F) returns the value
   /// of (original-space) feature F and is invoked only for features that
-  /// are actually examined.
-  IncrementalPrediction
-  predictLazy(const std::function<double(unsigned)> &GetFeature) const;
-
-  /// predictLazy without the std::function indirection: the hot training
-  /// scorers instantiate this directly with a column reader. This is the
-  /// one implementation of the prediction arithmetic; predictLazy
-  /// delegates here.
+  /// are actually examined. This is the one implementation of the
+  /// prediction arithmetic.
   template <class GetFn>
   IncrementalPrediction predictWith(GetFn &&GetFeature) const {
     assert(!Priors.empty() && "predict() before fit()");
@@ -128,7 +121,7 @@ public:
   /// Compile hook for the serving path: flattens the acquisition order,
   /// the per-position quantile edges, and the log-probability tables into
   /// \p A, pre-logging the priors so a decision needs no setup work.
-  /// Decisions over the lowered form are bit-identical to predictLazy().
+  /// Decisions over the lowered form are bit-identical to predictWith().
   void compileInto(CompiledArena &A, CompiledClassifier &Out) const;
 
 private:

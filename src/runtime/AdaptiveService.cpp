@@ -64,10 +64,6 @@ std::shared_ptr<AdaptiveService::ModelEpoch>
 AdaptiveService::makeEpoch(serialize::TrainedModel Model) {
   auto Ep = std::make_shared<ModelEpoch>();
   Ep->Model = std::move(Model);
-  // Serving never reads the columnar training substrate, and a published
-  // epoch lives as long as serving (and any caller keeping a batch's
-  // EpochPtr) holds it: drop the dead weight before publishing.
-  Ep->Model.System.Data.reset();
   Ep->Compiled = CompiledModel::compile(Ep->Model);
   return Ep->Compiled.ready() ? Ep : nullptr;
 }

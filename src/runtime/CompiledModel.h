@@ -98,7 +98,7 @@ private:
       return C.Landmark;
 
     case ml::CompiledKind::Tree: {
-      // DecisionTree::predictLazy over struct-of-arrays nodes.
+      // DecisionTree::predictWith over struct-of-arrays nodes.
       const int32_t *Feature = I32 + C.TreeFeature;
       const int32_t *Left = I32 + C.TreeLeft;
       const int32_t *Right = I32 + C.TreeRight;
@@ -114,7 +114,7 @@ private:
     }
 
     case ml::CompiledKind::Bayes: {
-      // IncrementalBayes::predictLazy: acquire features in order,
+      // IncrementalBayes::predictWith: acquire features in order,
       // update the log posterior, stop once some class clears the
       // threshold. LogPost starts from the pre-logged priors.
       const unsigned Classes = C.Classes, Bins = C.Bins;

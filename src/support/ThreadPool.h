@@ -81,6 +81,18 @@ private:
   bool ShuttingDown = false;
 };
 
+/// Runs \p Body(I) for every I in [0, \p N): over \p Pool when given,
+/// otherwise in order on the calling thread by direct calls.
+template <class BodyFn>
+void forEachIndex(ThreadPool *Pool, size_t N, BodyFn &&Body) {
+  if (Pool) {
+    Pool->parallelFor(0, N, Body);
+    return;
+  }
+  for (size_t I = 0; I != N; ++I)
+    Body(I);
+}
+
 } // namespace support
 } // namespace pbt
 

@@ -162,7 +162,7 @@ TEST(DecisionTreeTest, PredictLazyMatchesDenseAndTouchesOnlyPath) {
   for (size_t I = 0; I != 50; ++I) {
     std::vector<double> Row{Rng.uniform(0, 10), Rng.uniform(0, 10)};
     std::set<unsigned> Touched;
-    unsigned Lazy = T.predictLazy([&](unsigned F) {
+    unsigned Lazy = T.predictWith([&](unsigned F) {
       Touched.insert(F);
       return Row[F];
     });

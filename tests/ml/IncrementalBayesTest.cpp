@@ -84,7 +84,7 @@ TEST(IncrementalBayesTest, LazyAccessOnlyTouchesExaminedFeatures) {
   O.PosteriorThreshold = 0.7;
   B.fit(X, Y, 2, {0, 1}, O);
   std::set<unsigned> Touched;
-  B.predictLazy([&](unsigned F) {
+  B.predictWith([&](unsigned F) {
     Touched.insert(F);
     return F == 0 ? 15.0 : 0.5;
   });
@@ -100,7 +100,7 @@ TEST(IncrementalBayesTest, RespectsFeatureOrder) {
   IncrementalBayes B;
   B.fit(X, Y, 2, {1, 0});
   std::vector<unsigned> Accessed;
-  B.predictLazy([&](unsigned F) {
+  B.predictWith([&](unsigned F) {
     Accessed.push_back(F);
     return F == 0 ? 15.0 : 0.5;
   });
