@@ -119,7 +119,8 @@ struct Folds {
 
 /// How the retrain refits one zoo candidate on all training rows.
 struct Refit {
-  enum Family { StaticBest, MaxApriori, SubsetTree, Incremental } Kind;
+  enum Family { StaticBest, MaxApriori, SubsetTree, Incremental };
+  Family Kind = StaticBest;
   /// SubsetTree: index into Zoo::Subsets; Incremental: into Zoo::Orders.
   size_t Index = 0;
 };
@@ -469,12 +470,13 @@ static std::unique_ptr<InputClassifier>
 retrainSelected(const Evidence &E, const Zoo &Z, const Refit &How,
                 const std::string &Name, const LevelTwoOptions &Options,
                 const ml::DecisionTreeOptions &TreeOpts) {
-  if (How.Kind == Refit::StaticBest)
+  switch (How.Kind) {
+  case Refit::StaticBest:
     return std::make_unique<ConstantClassifier>(
         selectStaticOracle(E.L1.Time, E.L1.Acc, E.TrainRows, E.Spec));
-  if (How.Kind == Refit::MaxApriori)
+  case Refit::MaxApriori:
     return std::make_unique<MaxAprioriClassifier>(fitPrior(E, E.TrainRows));
-  if (How.Kind == Refit::SubsetTree) {
+  case Refit::SubsetTree: {
     const std::vector<unsigned> &Subset = Z.Subsets[How.Index];
     ml::PresortedBase Base(E.Data, E.TrainRows);
     ml::SubsetForest Forest = ml::DecisionTree::fitSubsets(
@@ -482,10 +484,15 @@ retrainSelected(const Evidence &E, const Zoo &Z, const Refit &How,
     return std::make_unique<SubsetTreeClassifier>(std::move(Forest.Trees[0]),
                                                   Subset, Name);
   }
-  ml::IncrementalBayes Bayes;
-  Bayes.fit(E.L1.Features, E.Data.labels(), E.K, Z.Orders[How.Index],
-            Options.Bayes, E.TrainRows);
-  return std::make_unique<IncrementalClassifier>(std::move(Bayes), Name);
+  case Refit::Incremental: {
+    ml::IncrementalBayes Bayes;
+    Bayes.fit(E.L1.Features, E.Data.labels(), E.K, Z.Orders[How.Index],
+              Options.Bayes, E.TrainRows);
+    return std::make_unique<IncrementalClassifier>(std::move(Bayes), Name);
+  }
+  }
+  assert(false && "unknown refit family");
+  return nullptr;
 }
 
 LevelTwoResult core::runLevelTwo(const runtime::TunableProgram &Program,

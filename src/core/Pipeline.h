@@ -79,9 +79,12 @@ TrainedSystem trainSystem(const runtime::TunableProgram &Program,
                           const PipelineOptions &Options,
                           support::ThreadPool *Pool = nullptr);
 
-/// Evaluates a trained system on its test rows. \p Pool, when given,
-/// parallelises the per-test-row measurement; results are identical to
-/// the sequential path.
+/// Evaluates a trained system on its test rows. It reads only what a
+/// loaded model also carries (the row-major L1 tables and the
+/// classifiers), so a fresh system and its model loaded from bytes
+/// evaluate bit-identically. \p Pool, when given, parallelises the
+/// per-test-row measurement; results are identical to the sequential
+/// path.
 EvaluationResult evaluateSystem(const runtime::TunableProgram &Program,
                                 const TrainedSystem &System,
                                 support::ThreadPool *Pool = nullptr);

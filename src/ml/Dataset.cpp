@@ -61,60 +61,22 @@ Dataset::Dataset(const linalg::Matrix &Features,
   }
 }
 
-RowView RowView::all(const Dataset &D) {
-  std::vector<uint32_t> Ids(D.numRows());
-  std::iota(Ids.begin(), Ids.end(), 0u);
-  return RowView(D, std::move(Ids));
-}
-
-RowView RowView::of(const Dataset &D, const std::vector<size_t> &RowIds) {
-  std::vector<uint32_t> Ids;
-  Ids.reserve(RowIds.size());
-  for (size_t R : RowIds)
-    Ids.push_back(static_cast<uint32_t>(R));
-  return RowView(D, std::move(Ids));
-}
-
-RowView RowView::subset(const std::vector<size_t> &Positions) const {
-  assert(D && "empty view");
-  std::vector<uint32_t> Sub;
-  Sub.reserve(Positions.size());
-  for (size_t P : Positions) {
-    assert(P < Ids.size() && "position out of range");
-    Sub.push_back(Ids[P]);
-  }
-  return RowView(*D, std::move(Sub));
-}
-
 PresortedBase::PresortedBase(const Dataset &D,
                              const std::vector<size_t> &RowIds)
     : D(&D), N(RowIds.size()) {
-  std::vector<uint32_t> Ids;
-  Ids.reserve(RowIds.size());
-  for (size_t R : RowIds)
-    Ids.push_back(static_cast<uint32_t>(R));
-  build(Ids);
-}
-
-PresortedBase::PresortedBase(const Dataset &D, const RowView &View)
-    : D(&D), N(View.size()) {
-  build(View.rows());
-}
-
-void PresortedBase::build(const std::vector<uint32_t> &RowIds) {
   // Membership stamp over the full table, then one filtering pass of the
   // global presorted index per feature: the subset's rows come out in
   // (value, row-id) order without any sorting.
-  size_t Total = D->numRows();
-  unsigned M = D->numFeatures();
+  size_t Total = D.numRows();
+  unsigned M = D.numFeatures();
   std::vector<uint8_t> InSet(Total, 0);
-  for (uint32_t R : RowIds) {
+  for (size_t R : RowIds) {
     assert(R < Total && "row id out of range");
     InSet[R] = 1;
   }
   Cols.resize(static_cast<size_t>(M) * N);
   for (unsigned F = 0; F != M; ++F) {
-    const uint32_t *Global = D->sortedRows(F);
+    const uint32_t *Global = D.sortedRows(F);
     uint32_t *Out = Cols.data() + static_cast<size_t>(F) * N;
     size_t W = 0;
     for (size_t I = 0; I != Total; ++I) {

@@ -120,46 +120,6 @@ private:
   std::vector<unsigned> Labels;  // Rows (optional)
 };
 
-/// A lightweight row-subset view: an ordered list of global row ids bound
-/// to its dataset. Views compose (a fold view is a subset of the train
-/// view).
-class RowView {
-public:
-  RowView() = default;
-  RowView(const Dataset &D, std::vector<uint32_t> RowIds)
-      : D(&D), Ids(std::move(RowIds)) {
-#ifndef NDEBUG
-    for (uint32_t R : Ids)
-      assert(R < D.numRows() && "row id out of range");
-#endif
-  }
-
-  /// View of every dataset row, in order.
-  static RowView all(const Dataset &D);
-  /// View of the given global row ids (e.g. the pipeline's TrainRows).
-  static RowView of(const Dataset &D, const std::vector<size_t> &RowIds);
-
-  const Dataset &dataset() const {
-    assert(D && "empty view");
-    return *D;
-  }
-  size_t size() const { return Ids.size(); }
-  uint32_t operator[](size_t I) const {
-    assert(I < Ids.size() && "position out of range");
-    return Ids[I];
-  }
-  const std::vector<uint32_t> &rows() const { return Ids; }
-
-  /// Composition: the sub-view selecting \p Positions *of this view*
-  /// (positions, not row ids) -- how a fold split over train positions
-  /// becomes a view of global rows.
-  RowView subset(const std::vector<size_t> &Positions) const;
-
-private:
-  const Dataset *D = nullptr;
-  std::vector<uint32_t> Ids;
-};
-
 /// Every feature of one row subset in presorted (value, row-id) order,
 /// built by rank-filtering the dataset's global presorted index in one
 /// O(M x N_total) pass. One PresortedBase per cross-validation fold (and
@@ -167,7 +127,6 @@ private:
 class PresortedBase {
 public:
   PresortedBase(const Dataset &D, const std::vector<size_t> &RowIds);
-  PresortedBase(const Dataset &D, const RowView &View);
 
   const Dataset &dataset() const { return *D; }
   /// Rows in the subset.
@@ -181,8 +140,6 @@ public:
   const uint32_t *columns() const { return Cols.data(); }
 
 private:
-  void build(const std::vector<uint32_t> &RowIds);
-
   const Dataset *D;
   size_t N = 0;
   std::vector<uint32_t> Cols; // numFeatures() x N

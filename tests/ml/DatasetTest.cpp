@@ -3,9 +3,9 @@
 // The columnar training substrate's contract: a Dataset is a pure
 // reorganisation of the evidence tables (columns mirror the matrices,
 // the presorted index matches a naive per-column sort, meets bits match
-// the threshold predicate), row views compose, presorted bases filter
-// correctly, and -- the load-bearing claim -- a DecisionTree fit over a
-// PresortedBase is structurally identical to the row-major reference fit.
+// the threshold predicate), presorted bases filter correctly, and -- the
+// load-bearing claim -- a DecisionTree fit over a PresortedBase is
+// structurally identical to the row-major reference fit.
 
 #include "ml/Dataset.h"
 #include "ml/DecisionTree.h"
@@ -98,29 +98,6 @@ TEST(DatasetTest, LabelColumnRoundTrips) {
   ASSERT_TRUE(D.hasLabels());
   for (size_t R = 0; R != 9; ++R)
     EXPECT_EQ(D.label(R), Labels[R]);
-}
-
-TEST(DatasetTest, RowViewsCompose) {
-  Tables T = makeTables(20, 2, 2, 15);
-  Dataset D(T.Features, T.Costs, T.Time, T.Acc, std::nullopt);
-
-  RowView All = RowView::all(D);
-  ASSERT_EQ(All.size(), 20u);
-  EXPECT_EQ(All[7], 7u);
-
-  // A train split of global rows, then a fold of train *positions*: the
-  // composed view must address global row ids.
-  RowView Train = RowView::of(D, {2, 3, 5, 8, 13, 19});
-  RowView Fold = Train.subset({0, 2, 5});
-  ASSERT_EQ(Fold.size(), 3u);
-  EXPECT_EQ(Fold[0], 2u);
-  EXPECT_EQ(Fold[1], 5u);
-  EXPECT_EQ(Fold[2], 19u);
-  // Composing again keeps selecting positions of the current view.
-  RowView Deep = Fold.subset({1, 2});
-  ASSERT_EQ(Deep.size(), 2u);
-  EXPECT_EQ(Deep[0], 5u);
-  EXPECT_EQ(Deep[1], 19u);
 }
 
 TEST(DatasetTest, PresortedBaseFiltersTheGlobalIndex) {
