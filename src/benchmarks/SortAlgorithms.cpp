@@ -541,13 +541,17 @@ std::vector<double> bench::generateRegistryLikeInput(size_t N,
   size_t Runs = 2 + Rng.index(9);
   size_t Tail = N / 20 + Rng.index(std::max<size_t>(1, N / 20));
   size_t Body = N > Tail ? N - Tail : N;
+  // Each run is its draws in ascending order. The draws are pool indices,
+  // so counting them and emitting each index's count in turn sorts the
+  // run in O(RunLen + Pool), with the same draws in the same order.
+  std::vector<size_t> Counts(Pool);
   for (size_t R = 0; R != Runs; ++R) {
     size_t RunLen = Body / Runs + (R < Body % Runs ? 1 : 0);
-    std::vector<double> Run(RunLen);
-    for (double &X : Run)
-      X = static_cast<double>(Rng.index(Pool)) * 11.0;
-    std::sort(Run.begin(), Run.end());
-    V.insert(V.end(), Run.begin(), Run.end());
+    std::fill(Counts.begin(), Counts.end(), 0);
+    for (size_t I = 0; I != RunLen; ++I)
+      ++Counts[Rng.index(Pool)];
+    for (size_t Idx = 0; Idx != Pool; ++Idx)
+      V.insert(V.end(), Counts[Idx], static_cast<double>(Idx) * 11.0);
   }
   while (V.size() < N)
     V.push_back(static_cast<double>(Rng.index(Pool)) * 11.0);

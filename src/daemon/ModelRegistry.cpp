@@ -8,7 +8,11 @@
 
 #include "store/ModelStore.h"
 
+#include <algorithm>
 #include <chrono>
+#include <exception>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 namespace pbt {
@@ -47,22 +51,44 @@ splitModelSpec(const std::string &Spec) {
 }
 
 serialize::LoadStatus
-ModelRegistry::buildTenant(const std::string &Name,
-                           const std::string &SourceDesc,
-                           serialize::TrainedModel Model,
-                           std::unique_ptr<Tenant> &Out) {
+ModelRegistry::buildTenant(const TenantSource &Src,
+                           std::unique_ptr<Tenant> &Out) const {
+  auto Start = std::chrono::steady_clock::now();
+  serialize::TrainedModel Model;
+  store::VerifiedModel V;
+  serialize::LoadStatus St;
+  if (Src.Store) {
+    St = store::loadCurrentVerified(Src.Path, V);
+    if (!St)
+      return St;
+    St = serialize::loadModel(V.Text, Model);
+    if (!St)
+      return serialize::LoadStatus::failure(
+          "store '" + Src.Path + "' epoch " + std::to_string(V.Epoch) +
+          ": " + St.Error);
+  } else {
+    St = serialize::loadModelFile(Src.Path, Model);
+    if (!St)
+      return St;
+  }
   registry::BoundModel Bound = registry::bindModel(
       std::move(Model), Opts.Window, Opts.Reservoir, Opts.AutoAdapt);
   if (!Bound.Status)
     return Bound.Status;
   runtime::AdaptiveService::EpochPtr Ep = Bound.Service->currentEpoch();
   Out = std::make_unique<Tenant>();
-  Out->Name = Name.empty() ? Ep->Model.Meta.Benchmark : Name;
-  Out->ModelPath = SourceDesc;
+  Out->Name = Src.Name.empty() ? Ep->Model.Meta.Benchmark : Src.Name;
+  Out->ModelPath = Src.Path;
   Out->Benchmark = Ep->Model.Meta.Benchmark;
   Out->Landmarks = static_cast<unsigned>(Ep->Model.System.L1.Landmarks.size());
   Out->Program = std::move(Bound.Program);
   Out->Service = std::move(Bound.Service);
+  if (Src.Store) {
+    Out->StoreDir = Src.Path;
+    Out->StoreEpoch.store(V.Epoch);
+    Out->StoreRejects.store(V.RejectedLoads);
+  }
+  Out->BuildMs = msSince(Start);
   return serialize::LoadStatus::success();
 }
 
@@ -77,44 +103,66 @@ serialize::LoadStatus ModelRegistry::publishTenant(std::unique_ptr<Tenant> T) {
   return serialize::LoadStatus::success();
 }
 
+serialize::LoadStatus
+ModelRegistry::addTenants(const std::vector<TenantSource> &Sources,
+                          size_t *FailedAt) {
+  struct Build {
+    serialize::LoadStatus Status;
+    std::unique_ptr<Tenant> T;
+    std::exception_ptr Thrown;
+  };
+  std::vector<Build> Builds(Sources.size());
+  std::atomic<size_t> NextSource{0};
+  auto Builder = [&] {
+    for (size_t I = NextSource++; I < Sources.size(); I = NextSource++) {
+      try {
+        Builds[I].Status = buildTenant(Sources[I], Builds[I].T);
+      } catch (...) {
+        Builds[I].Thrown = std::current_exception();
+      }
+    }
+  };
+  unsigned Hardware = std::max(1u, std::thread::hardware_concurrency());
+  size_t Helpers = std::min<size_t>(Sources.size(), Hardware);
+  Helpers = Helpers > 0 ? Helpers - 1 : 0;
+  std::vector<std::thread> Threads;
+  Threads.reserve(Helpers);
+  try {
+    while (Threads.size() < Helpers)
+      Threads.emplace_back(Builder);
+  } catch (const std::system_error &) {
+    // Fewer helpers than asked for: the calling thread builds the rest.
+  }
+  Builder();
+  for (std::thread &Th : Threads)
+    Th.join();
+
+  for (size_t I = 0; I != Builds.size(); ++I) {
+    if (Builds[I].Thrown)
+      std::rethrow_exception(Builds[I].Thrown);
+    serialize::LoadStatus St = Builds[I].Status
+                                   ? publishTenant(std::move(Builds[I].T))
+                                   : Builds[I].Status;
+    if (!St) {
+      if (FailedAt)
+        *FailedAt = I;
+      return St;
+    }
+  }
+  if (FailedAt)
+    *FailedAt = Sources.size();
+  return serialize::LoadStatus::success();
+}
+
 serialize::LoadStatus ModelRegistry::addTenant(const std::string &Name,
                                                const std::string &ModelPath) {
-  auto Start = std::chrono::steady_clock::now();
-  serialize::TrainedModel Model;
-  serialize::LoadStatus Loaded = serialize::loadModelFile(ModelPath, Model);
-  if (!Loaded)
-    return Loaded;
-  std::unique_ptr<Tenant> T;
-  Loaded = buildTenant(Name, ModelPath, std::move(Model), T);
-  if (!Loaded)
-    return Loaded;
-  T->BuildMs = msSince(Start);
-  return publishTenant(std::move(T));
+  return addTenants({{Name, ModelPath, false}});
 }
 
 serialize::LoadStatus
 ModelRegistry::addStoreTenant(const std::string &Name,
                               const std::string &StoreDir) {
-  auto Start = std::chrono::steady_clock::now();
-  store::VerifiedModel V;
-  serialize::LoadStatus St = store::loadCurrentVerified(StoreDir, V);
-  if (!St)
-    return St;
-  serialize::TrainedModel Model;
-  St = serialize::loadModel(V.Text, Model);
-  if (!St)
-    return serialize::LoadStatus::failure(
-        "store '" + StoreDir + "' epoch " + std::to_string(V.Epoch) + ": " +
-        St.Error);
-  std::unique_ptr<Tenant> T;
-  St = buildTenant(Name, StoreDir, std::move(Model), T);
-  if (!St)
-    return St;
-  T->StoreDir = StoreDir;
-  T->StoreEpoch.store(V.Epoch);
-  T->StoreRejects.store(V.RejectedLoads);
-  T->BuildMs = msSince(Start);
-  return publishTenant(std::move(T));
+  return addTenants({{Name, StoreDir, true}});
 }
 
 size_t ModelRegistry::pollStores() {

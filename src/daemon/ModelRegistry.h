@@ -22,8 +22,14 @@
 /// role the sessions pass around rather than a fixed thread. An adapting
 /// tenant retrains on the session thread that holds its ServeMutex when
 /// the drift flag is raised, so two tenants retraining at once share no
-/// training state. Registration happens at startup, before the server
-/// accepts connections; lookups afterwards are read-only and lock-free.
+/// training state.
+///
+/// Registration happens at start-up, before the server accepts
+/// connections: addTenants builds every tenant of the command line on a
+/// few builder threads that end before it returns, so serving keeps its
+/// one threading story (a session thread per connection). The table is
+/// append-only and every lookup (find, at, size, names) takes the
+/// registry mutex for the scan; each Hello pays one find.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,10 +72,12 @@ struct Tenant {
   /// StoreEpoch is atomic so stats readers race cleanly with the poller.
   std::string StoreDir;
   std::atomic<uint64_t> StoreEpoch{0};
-  /// Wall time registration spent on this tenant, in ms: model load,
-  /// then makeProgram, then service build. Written before the tenant is
-  /// published; Stats reports it so an operator can see which tenant
-  /// slows a replica's start.
+  /// Wall time this tenant's build took on its builder thread, in ms:
+  /// model load, then makeProgram, then service build. Tenants build
+  /// concurrently, so their values overlap and do not add up to the
+  /// start-up time. Written before the tenant is published; Stats
+  /// reports it so an operator can see which tenant slows a replica's
+  /// start.
   double BuildMs = 0.0;
   // Daemon-side accounting (the service keeps its own decision totals).
   std::atomic<uint64_t> Requests{0};
@@ -105,21 +113,42 @@ struct ModelRegistryOptions {
 std::vector<std::pair<std::string, std::string>>
 splitModelSpec(const std::string &Spec);
 
+/// One tenant for ModelRegistry::addTenants to build.
+struct TenantSource {
+  /// Published name; empty = the model's benchmark key.
+  std::string Name;
+  /// The model file, or the model store directory when Store is set.
+  std::string Path;
+  bool Store = false;
+};
+
 class ModelRegistry {
 public:
   explicit ModelRegistry(ModelRegistryOptions Options = {})
       : Opts(Options) {}
 
-  /// Loads \p ModelPath, rebuilds its program from provenance, and
-  /// publishes it as \p Name (empty = the model's benchmark key).
-  /// Duplicate names and unregistered benchmarks fail.
+  /// Builds every source concurrently and publishes them in order. Each
+  /// build loads its model, rebuilds the program from provenance and
+  /// compiles the service; min(sources, hardware threads) builders,
+  /// the calling thread among them, claim sources in turn and are
+  /// joined before this returns. Publishing then walks \p Sources in
+  /// order and stops at the first failure -- a failed build, or a name
+  /// already taken (duplicate names and unregistered benchmarks fail)
+  /// -- which it returns, so nothing after it is published. \p FailedAt,
+  /// when given, receives that source's index (Sources.size() on
+  /// success).
+  serialize::LoadStatus addTenants(const std::vector<TenantSource> &Sources,
+                                   size_t *FailedAt = nullptr);
+
+  /// addTenants of one model file: loads \p ModelPath and publishes it
+  /// as \p Name.
   serialize::LoadStatus addTenant(const std::string &Name,
                                   const std::string &ModelPath);
 
-  /// Like addTenant, but the model comes from a crash-safe model store
-  /// directory (store/ModelStore.h): the CURRENT epoch is loaded
-  /// checksum-verified (falling back past torn images), and pollStores()
-  /// hot-swaps the tenant whenever a rollout promotes a new epoch.
+  /// addTenants of one crash-safe model store directory
+  /// (store/ModelStore.h): the CURRENT epoch is loaded checksum-verified
+  /// (falling back past torn images), and pollStores() hot-swaps the
+  /// tenant whenever a rollout promotes a new epoch.
   serialize::LoadStatus addStoreTenant(const std::string &Name,
                                        const std::string &StoreDir);
 
@@ -139,10 +168,8 @@ public:
   const ModelRegistryOptions &options() const { return Opts; }
 
 private:
-  serialize::LoadStatus buildTenant(const std::string &Name,
-                                    const std::string &SourceDesc,
-                                    serialize::TrainedModel Model,
-                                    std::unique_ptr<Tenant> &Out);
+  serialize::LoadStatus buildTenant(const TenantSource &Src,
+                                    std::unique_ptr<Tenant> &Out) const;
   serialize::LoadStatus publishTenant(std::unique_ptr<Tenant> T);
 
   ModelRegistryOptions Opts;

@@ -6,8 +6,11 @@
 
 #include "serialize/TextFormat.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -118,9 +121,8 @@ bool Reader::fail(const std::string &Msg) {
 
 bool Reader::atEnd() const { return LineEnd >= Text.size(); }
 
-/// Reads the next space-separated token of the current line into \p Tok.
-bool Reader::nextToken(std::string &Tok) {
-  Tok.clear();
+bool Reader::nextToken(std::string_view &Tok) {
+  Tok = {};
   if (!ok())
     return false;
   while (Pos < LineEnd && Text[Pos] == ' ')
@@ -130,7 +132,7 @@ bool Reader::nextToken(std::string &Tok) {
   size_t Start = Pos;
   while (Pos < LineEnd && Text[Pos] != ' ')
     ++Pos;
-  Tok.assign(Text, Start, Pos - Start);
+  Tok = std::string_view(Text).substr(Start, Pos - Start);
   return true;
 }
 
@@ -152,12 +154,12 @@ std::string Reader::nextKey() {
   size_t NL = Text.find('\n', Next);
   LineEnd = NL == std::string::npos ? Text.size() : NL;
   ++Line;
-  std::string Key;
+  std::string_view Key;
   if (!nextToken(Key)) {
     fail("empty line");
     return "";
   }
-  return Key;
+  return std::string(Key);
 }
 
 bool Reader::expect(const std::string &Key) {
@@ -173,12 +175,24 @@ bool Reader::expect(const std::string &Key) {
   return true;
 }
 
+// f() and u64() parse the tokens Writer emits (plain decimal digits,
+// finite doubles) with std::from_chars, straight from the line. Any token
+// it does not take whole -- a sign, leading whitespace, hex, inf/nan, an
+// out-of-range value -- goes through the strtod/strtoull path instead, so
+// the accepted syntax and every parsed bit are strtod's and strtoull's.
+
 uint64_t Reader::u64() {
-  std::string Tok;
-  if (!nextToken(Tok)) {
+  std::string_view View;
+  if (!nextToken(View)) {
     fail("expected unsigned integer");
     return 0;
   }
+  uint64_t Fast = 0;
+  const char *ViewEnd = View.data() + View.size();
+  auto [Ptr, Ec] = std::from_chars(View.data(), ViewEnd, Fast);
+  if (Ec == std::errc() && Ptr == ViewEnd)
+    return Fast;
+  std::string Tok(View);
   if (Tok[0] == '-' || Tok[0] == '+') {
     fail("expected unsigned integer, got '" + Tok + "'");
     return 0;
@@ -204,12 +218,17 @@ uint64_t Reader::count(uint64_t Max) {
 }
 
 double Reader::f() {
-  std::string Tok;
-  if (!nextToken(Tok)) {
+  std::string_view View;
+  if (!nextToken(View)) {
     fail("expected number");
     return 0.0;
   }
-  errno = 0;
+  double Fast = 0.0;
+  const char *ViewEnd = View.data() + View.size();
+  auto [Ptr, Ec] = std::from_chars(View.data(), ViewEnd, Fast);
+  if (Ec == std::errc() && Ptr == ViewEnd && std::isfinite(Fast))
+    return Fast;
+  std::string Tok(View);
   char *End = nullptr;
   double V = std::strtod(Tok.c_str(), &End);
   if (End != Tok.c_str() + Tok.size()) {
@@ -220,10 +239,10 @@ double Reader::f() {
 }
 
 std::string Reader::word() {
-  std::string Tok;
+  std::string_view Tok;
   if (!nextToken(Tok))
     fail("expected word");
-  return Tok;
+  return std::string(Tok);
 }
 
 std::string Reader::rest() {
@@ -284,9 +303,11 @@ bool Reader::matrix(const std::string &Name, linalg::Matrix &Out,
   uint64_t Cols = count(MaxCols);
   if (!endLine())
     return false;
-  // Fill row by row so a corrupt header cannot allocate more than the
-  // input actually carries.
+  // Fill row by row, and reserve no more than the rest of the text can
+  // carry (every number takes at least a separator and a digit), so a
+  // corrupt header cannot allocate more than the input actually holds.
   std::vector<double> Data;
+  Data.reserve(std::min<uint64_t>(Rows * Cols, (Text.size() - Pos) / 2));
   for (uint64_t R = 0; R != Rows && ok(); ++R) {
     if (!expect("row"))
       return false;

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pbt {
@@ -111,7 +112,9 @@ public:
   bool fail(const std::string &Msg);
 
 private:
-  bool nextToken(std::string &Tok);
+  /// The next space-separated token of the current line, as a view into
+  /// Text (valid until the Reader is destroyed).
+  bool nextToken(std::string_view &Tok);
 
   std::string Text;
   size_t Pos = 0;       // cursor within the current line

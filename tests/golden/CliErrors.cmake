@@ -5,7 +5,8 @@
 # checked parsers (support/ParseNumber.h) make every one of these an
 # error; this script pins the contract for a representative sample.
 #
-# Invoked by ctest (label: unit) with -DPBT_BENCH and -DPBT_SERVE.
+# Invoked by ctest (label: unit) with -DPBT_BENCH, -DPBT_SERVE and
+# -DGOLDEN_DIR.
 
 function(expect_rejection expected_text)
   execute_process(
@@ -53,3 +54,8 @@ expect_rejection("unknown argument"
 # argv[0] lands in the usage line, so match the flag synopsis instead.
 expect_rejection("--model=[NAME=]FILE"
   ${PBT_SERVE} --socket=/tmp/x.sock)
+# Tenants build concurrently, but a tenant that cannot load is still a
+# nonzero exit naming its file, whichever build finishes first.
+expect_rejection("cannot load tenant from 'missing.pbt'"
+  ${PBT_SERVE} --socket=/tmp/x.sock
+  --model=${GOLDEN_DIR}/sort1.pbt,missing.pbt,${GOLDEN_DIR}/svd.pbt)

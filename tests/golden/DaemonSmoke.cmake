@@ -13,7 +13,9 @@
 #      burned (a number, since this daemon was spawned and shut down).
 #   4. A second, shorter run serves all seven golden models at once. Their
 #      Stats outgrow a 4 KiB string field, and the report's server_stats
-#      must still parse down to the seventh tenant's name.
+#      must still parse down to the seventh tenant's name. The tenants
+#      build concurrently, yet must be listed in --model order (given
+#      reverse-alphabetical here, so the order is not the files' order).
 #
 # Invoked by ctest (label: integration) with -DPBT_BENCH, -DPBT_SERVE,
 # -DGOLDEN_DIR and -DWORK_DIR defined.
@@ -75,6 +77,8 @@ list(LENGTH GOLDEN_MODELS MODEL_COUNT)
 if(NOT MODEL_COUNT EQUAL 7)
   message(FATAL_ERROR "expected 7 golden models, found ${MODEL_COUNT}")
 endif()
+list(SORT GOLDEN_MODELS)
+list(REVERSE GOLDEN_MODELS)
 list(JOIN GOLDEN_MODELS "," MODEL_LIST)
 execute_process(
   COMMAND ${PBT_BENCH} loadgen --spawn --server-exe=${PBT_SERVE}
@@ -96,3 +100,13 @@ if(PARSE_ERROR)
   message(FATAL_ERROR
     "server_stats of the seven-tenant run does not reach its last tenant: ${PARSE_ERROR}\n${DAEMON_JSON}")
 endif()
+set(INDEX 0)
+foreach(model ${GOLDEN_MODELS})
+  get_filename_component(EXPECTED_NAME ${model} NAME_WE)
+  string(JSON TENANT_NAME GET "${DAEMON_JSON}" server_stats tenants ${INDEX} name)
+  if(NOT TENANT_NAME STREQUAL EXPECTED_NAME)
+    message(FATAL_ERROR
+      "server_stats tenant ${INDEX} is '${TENANT_NAME}', expected '${EXPECTED_NAME}' (the --model order)\n${DAEMON_JSON}")
+  endif()
+  math(EXPR INDEX "${INDEX} + 1")
+endforeach()

@@ -164,23 +164,22 @@ int main(int argc, char **argv) {
     return 2;
   }
 
+  // Every tenant builds concurrently; they publish in this order (the
+  // --model entries, then the --store entries) up to the first failure.
+  std::vector<daemon::TenantSource> Sources;
+  for (const auto &[Name, Path] : Models)
+    Sources.push_back({Name, Path, false});
+  for (const auto &[Name, Dir] : Stores)
+    Sources.push_back({Name, Dir, true});
   daemon::ModelRegistry Registry(RO);
-  for (const auto &[Name, Path] : Models) {
-    serialize::LoadStatus St = Registry.addTenant(Name, Path);
-    if (!St) {
-      std::fprintf(stderr, "pbt-serve: cannot load tenant from '%s': %s\n",
-                   Path.c_str(), St.Error.c_str());
-      return 1;
-    }
-  }
-  for (const auto &[Name, Dir] : Stores) {
-    serialize::LoadStatus St = Registry.addStoreTenant(Name, Dir);
-    if (!St) {
-      std::fprintf(stderr, "pbt-serve: cannot load tenant from store '%s': "
-                           "%s\n",
-                   Dir.c_str(), St.Error.c_str());
-      return 1;
-    }
+  size_t FailedAt = 0;
+  serialize::LoadStatus St = Registry.addTenants(Sources, &FailedAt);
+  if (!St) {
+    const daemon::TenantSource &Bad = Sources[FailedAt];
+    std::fprintf(stderr, "pbt-serve: cannot load tenant from %s'%s': %s\n",
+                 Bad.Store ? "store " : "", Bad.Path.c_str(),
+                 St.Error.c_str());
+    return 1;
   }
 
   std::signal(SIGINT, onSignal);
